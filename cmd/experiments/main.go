@@ -12,20 +12,7 @@
 //	                        session channels with a severed link, sweeping
 //	                        the heartbeat interval and reporting detection
 //	                        latency and redelivery volume
-//	experiments -bench      the data-path benchmark: the scale grid through
-//	                        the distributed runtime, baseline vs batched vs
-//	                        span-sampled options plus tcp-loopback columns
-//	                        (the workload split across two cluster nodes
-//	                        meshed over real sockets, once with verbatim xml
-//	                        frames and once with the negotiated binary wire
-//	                        codec) and a per-hop latency profile; plus the
-//	                        wire-codec benchmark (photon batches through a
-//	                        loopback socket paced to the modeled link
-//	                        bandwidth, xml vs binary head to head), always
-//	                        writing BENCH_<rev>.json and the profiling runs'
-//	                        flight dumps to FLIGHT_<rev>.txt (-short shrinks
-//	                        it to one CI-sized configuration)
-//	experiments -all        everything except -bench (default)
+//	experiments -all        everything (default)
 //	experiments -seed 7     derive every workload and photon stream from the
 //	                        given base seed (0 = the classic constants)
 //	experiments -json       additionally write BENCH_<rev>.json with the
@@ -39,6 +26,8 @@
 // Absolute numbers depend on the synthetic substrate (see DESIGN.md); the
 // paper's shape — who wins, by what factor, where the peaks are — is what
 // the runs reproduce. EXPERIMENTS.md records paper-vs-measured values.
+// Throughput and latency are measured by the benchmark under bench/ (`go run
+// -C bench streamshare/bench`), not here.
 package main
 
 import (
@@ -109,18 +98,15 @@ type churnRow struct {
 // benchReport is the -json output: everything the run measured, keyed the
 // way EXPERIMENTS.md discusses it.
 type benchReport struct {
-	Rev          string        `json:"rev"`
-	Items        int           `json:"items"`
-	Seed         int64         `json:"seed"`
-	Fig6         *figData      `json:"fig6,omitempty"`
-	Fig7         *figData      `json:"fig7,omitempty"`
-	Table1       []table1Row   `json:"table1,omitempty"`
-	Rejection    []rejRow      `json:"rejection,omitempty"`
-	Churn        []churnRow    `json:"churn,omitempty"`
-	DataPath     []benchRow    `json:"dataPath,omitempty"`
-	ControlPlane []ctrlRow     `json:"controlPlane,omitempty"`
-	WireCodec    []wireRow     `json:"wireCodec,omitempty"`
-	Recovery     []recoveryRow `json:"recovery,omitempty"`
+	Rev       string        `json:"rev"`
+	Items     int           `json:"items"`
+	Seed      int64         `json:"seed"`
+	Fig6      *figData      `json:"fig6,omitempty"`
+	Fig7      *figData      `json:"fig7,omitempty"`
+	Table1    []table1Row   `json:"table1,omitempty"`
+	Rejection []rejRow      `json:"rejection,omitempty"`
+	Churn     []churnRow    `json:"churn,omitempty"`
+	Recovery  []recoveryRow `json:"recovery,omitempty"`
 }
 
 func main() {
@@ -129,14 +115,12 @@ func main() {
 	rejection := flag.Bool("rejection", false, "run the rejection experiment")
 	churn := flag.Bool("churn", false, "run the churn/adaptation experiment")
 	recovery := flag.Bool("recovery", false, "run the recovery experiment (detection latency and redelivery vs heartbeat interval)")
-	bench := flag.Bool("bench", false, "run the data-path benchmark (scale grid, baseline vs batched runtime)")
-	short := flag.Bool("short", false, "with -bench: one small configuration (CI smoke)")
-	all := flag.Bool("all", false, "run everything except -bench")
+	all := flag.Bool("all", false, "run everything")
 	items := flag.Int("items", 3000, "photons per stream to simulate")
 	jsonOut := flag.Bool("json", false, "write BENCH_<rev>.json with the measured series")
 	flag.Parse()
 
-	if !*all && *fig == 0 && *table == 0 && !*rejection && !*churn && !*recovery && !*bench {
+	if !*all && *fig == 0 && *table == 0 && !*rejection && !*churn && !*recovery {
 		*all = true
 	}
 	report := &benchReport{Rev: gitRev(), Items: *items, Seed: *seed}
@@ -159,15 +143,6 @@ func main() {
 	if *all || *recovery {
 		report.Recovery = recoveryExperiment(*items)
 	}
-	var flightDump string
-	if *bench {
-		report.DataPath, flightDump = benchDataPath(*items, *short)
-		report.ControlPlane = benchControlPlane(*short)
-		report.WireCodec = benchWireCodec(*short)
-		// The benchmark exists to document the throughput trajectory, so
-		// it always persists its measurements.
-		*jsonOut = true
-	}
 	if *jsonOut {
 		name := fmt.Sprintf("BENCH_%s.json", report.Rev)
 		f, err := os.Create(name)
@@ -183,16 +158,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("\nwrote %s\n", name)
-		if flightDump != "" {
-			// The profiling runs' flight-recorder dumps: what the runtime was
-			// doing while the latency quantiles were collected (CI uploads
-			// this as the failure artifact).
-			fname := fmt.Sprintf("FLIGHT_%s.txt", report.Rev)
-			if err := os.WriteFile(fname, []byte(flightDump), 0o644); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("wrote %s\n", fname)
-		}
 	}
 }
 

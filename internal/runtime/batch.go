@@ -15,25 +15,14 @@ import (
 // input messages, so quiescence accounting stays exact: all sends triggered
 // by a message happen before its in-flight slot is released).
 //
-// The batcher runs in one of two modes. Tree mode (the zero-XML data
-// plane, tree set by the runtime's treeData decision) keeps the element
-// pointers as handed in and prices each against the running MarshalSize
-// total — no buffer, no serialization; the trees travel in the message and
-// are shared read-only downstream. Byte mode serializes each item into a
-// pooled buffer (unless the runtime runs NoPool); flush attaches the
-// buffer to the outgoing message, which owns it from then on. AppendMarshal
-// may outgrow the original array — earlier item slices keep their old
-// backing alive and the grown array travels in the buffer, so recycling
-// stays safe either way.
+// The batcher keeps the element pointers as handed in and prices each
+// against the running MarshalSize total — no buffer, no serialization; the
+// trees travel in the message and are shared read-only downstream.
 type batcher struct {
 	r      *Runtime
 	stream *core.Deployed
-	buf    *xmlstream.Buffer
-	data   []byte
-	items  [][]byte
-	// tree selects tree mode; elems and xb are its batch state (the
-	// pending trees and their canonical serialized size).
-	tree  bool
+	// elems and xb are the batch state: the pending trees and their
+	// canonical serialized size.
 	elems []*xmlstream.Element
 	xb    int
 	// first is when the oldest buffered item was added; used by the
@@ -44,66 +33,43 @@ type batcher struct {
 	// where the goroutine blocks on the channel window instead.
 	gate *ackGate
 
-	// Provenance sampling (nil lat disables all of it). Source batchers set
-	// sample: each added item is tested against the deterministic 1-in-N
-	// sampler and a hit starts a span (at most one rides a batch; idx is
-	// the running feed position). Tap batchers instead inherit a forked
-	// span from the incoming batch. flushStage is the stage the span closes
-	// when its batch flushes: StageBatch at sources (time spent buffered),
-	// StageEval at taps (residual evaluation until first output flush).
-	lat        *obs.LatencyRecorder
+	// Provenance sampling. Source batchers set sample: each added item is
+	// tested against the runtime recorder's deterministic 1-in-N sampler and
+	// a hit starts a span (at most one rides a batch; idx is the running
+	// feed position). Tap batchers instead inherit a forked span from the
+	// incoming batch. flushStage is the stage the span closes when its batch
+	// flushes: StageBatch at sources (time spent buffered), StageEval at
+	// taps (residual evaluation until first output flush).
 	sample     bool
 	idx        uint64
 	span       *obs.Span
 	flushStage obs.Stage
 }
 
-// count is the number of items pending in the current batch.
-func (b *batcher) count() int { return len(b.items) + len(b.elems) }
-
 // add appends one item to the current batch, flushing it when it reaches
 // the configured size or age.
 func (b *batcher) add(e *xmlstream.Element) {
-	if b.count() == 0 {
+	if b.elems == nil { // flush leaves it nil: this item opens a batch
 		if b.r.opts.FlushInterval > 0 {
 			b.first = time.Now()
 		}
-		switch {
-		case b.tree:
-			if b.elems == nil {
-				b.elems = make([]*xmlstream.Element, 0, b.r.opts.BatchSize)
-			}
-		default:
-			if b.buf == nil && !b.r.opts.NoPool {
-				b.buf = xmlstream.GetBuffer()
-				b.data = b.buf.B[:0]
-			}
-			if b.items == nil {
-				b.items = make([][]byte, 0, b.r.opts.BatchSize)
-			}
-		}
+		b.elems = make([]*xmlstream.Element, 0, b.r.opts.BatchSize)
 	}
-	if b.tree {
-		b.elems = append(b.elems, e)
-		b.xb += xmlstream.MarshalSize(e)
-	} else {
-		start := len(b.data)
-		b.data = xmlstream.AppendMarshal(b.data, e)
-		b.items = append(b.items, b.data[start:len(b.data):len(b.data)])
-	}
-	if b.sample && b.lat != nil {
-		if b.lat.Sampled(b.stream.Input.Stream, b.idx) {
+	b.elems = append(b.elems, e)
+	b.xb += xmlstream.MarshalSize(e)
+	if b.sample {
+		if b.r.lat.Sampled(b.stream.Input.Stream, b.idx) {
 			// Every selected item starts a span (keeping the sampled set
 			// identical to the simulator's), but only the first rides the
 			// batch: in-batch neighbors would record near-identical deltas.
-			sp := b.lat.Start(b.stream.Input.Stream, b.idx)
+			sp := b.r.lat.Start(b.stream.Input.Stream, b.idx)
 			if b.span == nil {
 				b.span = sp
 			}
 		}
 		b.idx++
 	}
-	if b.count() >= b.r.opts.BatchSize ||
+	if len(b.elems) >= b.r.opts.BatchSize ||
 		(b.r.opts.FlushInterval > 0 && time.Since(b.first) >= b.r.opts.FlushInterval) {
 		b.flush(false)
 	}
@@ -113,22 +79,17 @@ func (b *batcher) add(e *xmlstream.Element) {
 // carrying the end-of-stream marker. After flush the batcher is empty and
 // ready for the next batch.
 func (b *batcher) flush(eos bool) {
-	if b.count() == 0 && !eos {
+	if len(b.elems) == 0 && !eos {
 		return
 	}
-	m := message{stream: b.stream, hop: 0, items: b.items, elems: b.elems, xb: b.xb, eos: eos}
-	if b.buf != nil {
-		b.buf.B = b.data
-		m.buf = b.buf
-	}
+	m := message{stream: b.stream, hop: 0, elems: b.elems, xb: b.xb, eos: eos}
 	if b.span != nil {
-		b.lat.Stamp(b.span, b.flushStage)
+		b.r.lat.Stamp(b.span, b.flushStage)
 		m.span = b.span
 		b.span = nil
 		b.r.flight.Record("batch.flush",
-			b.stream.ID+" items="+strconv.Itoa(m.count())+" stage="+b.flushStage.String())
+			b.stream.ID+" items="+strconv.Itoa(len(m.elems))+" stage="+b.flushStage.String())
 	}
-	b.buf, b.data, b.items = nil, nil, nil
 	b.elems, b.xb = nil, 0
 	b.r.dispatch(m, b.gate)
 }

@@ -43,10 +43,6 @@ func benchGrid(b *testing.B, opts Options, reliable bool) {
 	}
 }
 
-// BenchmarkScaleGridBaseline is the pre-batching data path: serial peers,
-// one message per item, standard-library parsing, no pooling.
-func BenchmarkScaleGridBaseline(b *testing.B) { benchGrid(b, BaselineOptions(), false) }
-
 // BenchmarkScaleGridBatched is the tuned data path (DefaultOptions).
 func BenchmarkScaleGridBatched(b *testing.B) { benchGrid(b, DefaultOptions(), false) }
 

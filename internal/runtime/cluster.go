@@ -121,12 +121,6 @@ type Cluster struct {
 	node string
 	mesh *transport.Mesh
 
-	// treeData reports whether at least one offered codec can carry
-	// element trees on the wire. Runtimes consult it when deciding to run
-	// the zero-XML data plane: an xml-pinned cluster would serialize at
-	// every link anyway, so its batches stay bytes end to end.
-	treeData bool
-
 	// amu guards the attached runtime and the assignment; acond wakes
 	// dispatchers blocked waiting for a runtime.
 	amu    sync.Mutex
@@ -232,12 +226,6 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 		tr = transport.NewTCP()
 	}
 	c := &Cluster{node: opts.Node, assign: opts.Assign, gossip: map[string]gossipEntry{}}
-	for _, name := range codecs {
-		if wire.SupportsTrees(name) {
-			c.treeData = true
-			break
-		}
-	}
 	c.acond = sync.NewCond(&c.amu)
 	mesh, err := transport.NewMesh(transport.MeshConfig{
 		Transport:           tr,
@@ -557,39 +545,14 @@ func (c *Cluster) remoteBeats(r *Runtime, now time.Time, staleFor time.Duration)
 
 // --- Runtime cluster data path ---
 
-// sendRemote serializes a message whose next hop lives on another cluster
-// node and journals it on that node's link: the frame carries the stream
-// id, hop, channel sequencing header and (when sampled) the provenance
-// span. Accounting matches the local send path unit for unit — link
-// traffic at the sender, batch-size observation, message/byte totals —
-// but the in-flight count is not touched: the receiving process counts
-// the message when it injects it, and its EOS-lane bookkeeping keeps both
-// quiescences exact.
+// sendRemote is where send lands a message whose next hop lives on another
+// cluster node: a frame on that node's link, carrying the stream id, hop,
+// channel sequencing header and (when sampled) the provenance span. The
+// batch crosses as trees — the link encodes them straight into the
+// dictionary wire format when its codec is tree-capable, and only an
+// xml-codec link materializes canonical bytes (transport.Link owns that
+// edge).
 func (r *Runtime) sendRemote(m message, peer network.PeerID) {
-	nb := m.bytes()
-	if m.hop > 0 {
-		l := network.MakeLinkID(m.stream.Route[m.hop-1], peer)
-		r.sevMu.RLock()
-		cut := r.severed[l]
-		r.sevMu.RUnlock()
-		if cut {
-			r.dropMsg(&m)
-			return
-		}
-		if nb > 0 {
-			r.mu.Lock()
-			r.metrics.AddTraffic(l, float64(nb))
-			r.mu.Unlock()
-		}
-	}
-	if n := m.count(); n > 0 {
-		r.batchHist.Observe(float64(n))
-	}
-	r.lat.Stamp(m.span, obs.StageSend)
-	// An elems batch crosses as trees: the link encodes them straight into
-	// the dictionary wire format when its codec is tree-capable, and only
-	// an xml-pinned link materializes canonical bytes (transport.Link.Send
-	// owns that fallback).
 	f := &transport.Frame{
 		Type:   transport.FrameBatch,
 		Stream: m.stream.ID,
@@ -597,19 +560,12 @@ func (r *Runtime) sendRemote(m message, peer network.PeerID) {
 		Epoch:  m.epoch,
 		SeqLo:  m.seqLo,
 		EOS:    m.eos,
-		Items:  m.items,
 		Elems:  m.elems,
 	}
 	if m.span != nil {
 		f.Span = obs.AppendSpanHeader(nil, m.span)
 	}
-	r.qmu.Lock()
-	r.msgs++
-	r.serBytes += nb
-	r.qmu.Unlock()
-	err := r.cluster.sendFrame(r.owners[peer], f)
-	r.recycle(&m) // Send encoded the batch into the link journal
-	if err != nil {
+	if err := r.cluster.sendFrame(r.owners[peer], f); err != nil {
 		r.fail(fmt.Errorf("runtime: cluster send %s hop %d: %w", m.stream.ID, m.hop, err))
 	}
 }
@@ -617,6 +573,12 @@ func (r *Runtime) sendRemote(m message, peer network.PeerID) {
 // clusterFrame handles one inbound data-plane frame (dispatcher
 // goroutine): batches are injected into the owning peer's mailbox, acks
 // advance the local emitter channel. Either way quiescence re-evaluates.
+//
+// This is the ingress edge of the item representation: a tree-codec link
+// already decoded the batch into trees, while an xml-codec link (or a
+// durable journal replay) delivers canonical bytes, which are parsed back
+// to trees here, once, before anything else in the process sees them. A
+// malformed item fails the run and is skipped.
 func (r *Runtime) clusterFrame(f *transport.Frame) {
 	switch f.Type {
 	case transport.FrameBatch:
@@ -624,8 +586,19 @@ func (r *Runtime) clusterFrame(f *transport.Frame) {
 		if d == nil || f.Hop <= 0 || f.Hop >= len(d.Route) {
 			return // engine mismatch; membership is trusted, drop
 		}
-		m := message{stream: d, hop: f.Hop, items: f.Items, elems: f.Elems, eos: f.EOS, seqLo: f.SeqLo, epoch: f.Epoch}
-		for _, e := range f.Elems {
+		m := message{stream: d, hop: f.Hop, elems: f.Elems, eos: f.EOS, seqLo: f.SeqLo, epoch: f.Epoch}
+		if len(m.elems) == 0 && len(f.Items) > 0 {
+			m.elems = make([]*xmlstream.Element, 0, len(f.Items))
+			for _, b := range f.Items {
+				e, err := xmlstream.UnmarshalBytes(b)
+				if err != nil {
+					r.fail(fmt.Errorf("runtime: peer %s: stream %s: %w", d.Route[f.Hop], d.ID, err))
+					continue
+				}
+				m.elems = append(m.elems, e)
+			}
+		}
+		for _, e := range m.elems {
 			m.xb += xmlstream.MarshalSize(e)
 		}
 		if len(f.Span) > 0 {
@@ -651,9 +624,6 @@ func (r *Runtime) clusterFrame(f *transport.Frame) {
 // injectRemote enqueues a remotely-emitted batch exactly as a local send
 // would, and retires its EOS lane: the first end-of-stream marker on a
 // remote-ingress lane decrements the count Run's quiescence waits on.
-// The frame's item slices (or decoded element trees, on tree-codec links)
-// alias the decoded payload, which this process owns — no pooled buffer
-// travels with the message.
 func (r *Runtime) injectRemote(m message) {
 	peer := m.stream.Route[m.hop]
 	dst := r.nodes[peer]

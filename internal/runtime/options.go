@@ -6,14 +6,14 @@ import (
 )
 
 // Options tunes the runtime's data path. The zero value means "default
-// everything"; use DefaultOptions for the tuned configuration or
-// BaselineOptions for the pre-batching behavior (the reference point of the
-// benchmark trajectory in PERFORMANCE.md).
+// everything", which is what DefaultOptions spells out. The options change
+// scheduling and message granularity only: results, traffic and work are
+// identical for every setting (the tests hold each to the simulator).
 type Options struct {
 	// BatchSize is the maximum number of items carried by one mailbox
-	// message. Sources and taps accumulate serialized items up to this
-	// count before sending; 1 restores item-at-a-time messaging. Values
-	// below 1 mean the default.
+	// message. Sources and taps accumulate items up to this count before
+	// sending; 1 restores item-at-a-time messaging. Values below 1 mean the
+	// default.
 	BatchSize int
 
 	// FlushInterval bounds how long a source may hold a partial batch: a
@@ -28,23 +28,6 @@ type Options struct {
 	// the peer's lane count stay idle. 1 restores fully serial peers.
 	// Values below 1 mean the default.
 	Workers int
-
-	// NoPool disables buffer pooling on the wire path: batch buffers are
-	// plain allocations and are never recycled.
-	NoPool bool
-
-	// StdParser decodes items with the encoding/xml-based parser, once per
-	// consumer — the pre-batching code path. The default is the canonical
-	// fast parser, decoding each batch once per peer and sharing the
-	// read-only items across that peer's consumers.
-	StdParser bool
-
-	// NoSpans disables sampled provenance spans: no source item is stamped
-	// with a latency span and no per-stage latency series are recorded,
-	// reducing the data path to its pre-observability form. The default
-	// samples 1 in obs.DefaultSpanEvery items per stream (tune the rate via
-	// the engine observer's LatencyRecorder).
-	NoSpans bool
 
 	// Session, when set, turns on reliable delivery: every consumed
 	// stream flows through a sequenced, acked, credit-windowed channel
@@ -65,29 +48,13 @@ type Options struct {
 	Cluster *Cluster
 }
 
-// DefaultOptions is the tuned data path: batched transfers, pooled buffers,
-// the fast canonical parser, and a worker pool per peer.
+// DefaultOptions is the tuned data path: batched transfers and a worker
+// pool per peer.
 func DefaultOptions() Options {
 	return Options{
 		BatchSize:     64,
 		FlushInterval: 2 * time.Millisecond,
 		Workers:       min(stdrt.GOMAXPROCS(0), 4),
-	}
-}
-
-// BaselineOptions reproduces the serial, item-at-a-time runtime that
-// predates the batching data path: one message per item, one worker per
-// peer, no pooling, standard-library parsing per consumer. It exists so
-// benchmarks can measure the data path's effect inside one binary; results
-// and accounting are identical to DefaultOptions by construction.
-func BaselineOptions() Options {
-	return Options{
-		BatchSize:     1,
-		FlushInterval: -1,
-		Workers:       1,
-		NoPool:        true,
-		StdParser:     true,
-		NoSpans:       true,
 	}
 }
 

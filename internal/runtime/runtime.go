@@ -1,11 +1,9 @@
 // Package runtime executes installed stream-sharing plans on a concurrent
 // super-peer runtime: every peer owns a multi-lane mailbox drained by a
-// small worker pool, streams travel as batches of serialized XML items over
+// small worker pool, streams travel as batches of XML element trees over
 // metered links, and operator pipelines run where the plan installed them.
 // It is the distributed counterpart of core's in-process simulator — the
-// paper's system ran one super-peer per blade — and doubles as an
-// end-to-end exercise of the wire format (every item is marshalled and
-// parsed again on each stream hop).
+// paper's system ran one super-peer per blade.
 //
 // The data path is built for throughput without giving up the simulator
 // equivalence the tests assert:
@@ -14,17 +12,15 @@
 //     stream. Accounting stays per item — depth, high-water marks, soft-cap
 //     overflow and fault-injection drops all count items, not batches — so
 //     observable metrics are comparable across batch sizes.
-//   - Tree batches (the zero-XML data plane): by default a batch carries
-//     parsed element trees end to end — the batcher never serializes, the
-//     per-hop parse is a no-op, and tree-capable cluster links encode the
-//     trees straight into the dictionary wire format. Byte-granular
-//     accounting is priced from xmlstream.MarshalSize, so traffic and
-//     serialized totals equal the byte path's to the byte. Options.StdParser
-//     (and an all-byte-codec cluster) restores the serialized path.
-//   - Pooling: batch buffers come from a sync.Pool (see xmlstream.Buffer)
-//     and are recycled exactly once, when a message's life ends: after
-//     processing at the last hop, on a fault-injection drop, or in a dead
-//     peer's drain. Forwarded messages keep their buffer.
+//   - Tree batches: a batch carries parsed element trees, the one form an
+//     item has inside a process. The batcher never serializes, consumers
+//     read the shared trees without reparsing, and tree-capable cluster
+//     links encode them straight into the dictionary wire format.
+//     Byte-granular accounting is priced from xmlstream.MarshalSize, so
+//     traffic and serialized totals equal the canonical XML's to the byte.
+//     Canonical bytes exist only at three edges: the wire image of an
+//     xml-codec link (parsed back once at cluster ingress), the session
+//     replay journal and the durable link journal.
 //   - Parallelism: each peer runs Options.Workers goroutines over its
 //     inbox. The unit of scheduling is the lane (one per stream), and a
 //     lane is owned by at most one worker at a time, so per-stream order
@@ -52,32 +48,22 @@ import (
 	"streamshare/internal/xmlstream"
 )
 
-// message is one mailbox delivery: a batch of serialized items of one
-// stream bound for one hop of its route, optionally followed by the
-// stream's end-of-stream marker.
+// message is one mailbox delivery: a batch of items of one stream bound
+// for one hop of its route, optionally followed by the stream's
+// end-of-stream marker.
 type message struct {
 	stream *core.Deployed
 	// hop is the index of the receiving peer within stream's route.
 	hop int
-	// items holds the serialized items in stream order. The slices alias
-	// the batch buffer's array (or earlier arrays it grew out of) and are
-	// valid until the message is recycled. Nil on the elems path.
-	items [][]byte
-	// elems holds the same batch as parsed element trees — the zero-XML
-	// data plane. A message carries items or elems, never both: sources and
-	// taps emit elems when the runtime keeps tree batches (treeData), and
-	// inbound cluster frames carry elems when their link's codec decoded
-	// trees. The elements are shared read-only, exactly as the simulator
-	// hands one pointer to every consumer; receivers must not mutate them.
+	// elems holds the batch as parsed element trees in stream order. The
+	// elements are shared read-only, exactly as the simulator hands one
+	// pointer to every consumer; receivers must not mutate them.
 	elems []*xmlstream.Element
 	// xb caches the canonical serialized size of elems (summed
 	// xmlstream.MarshalSize), so byte-granular accounting — link traffic,
-	// serialized totals, forwarding work — matches the byte path without
-	// ever materializing the XML. Zero when items carries the batch.
+	// serialized totals, forwarding work — prices the canonical XML without
+	// ever materializing it.
 	xb int
-	// buf, when non-nil, is the pooled buffer backing items; its ownership
-	// travels with the message and ends at recycle.
-	buf *xmlstream.Buffer
 	// eos marks end of stream, logically ordered after items.
 	eos bool
 	// seqLo is the channel sequence of the first carried unit when the
@@ -97,32 +83,11 @@ type message struct {
 // overflow and drop accounting: one per data item plus one for an EOS
 // marker.
 func (m *message) units() int {
-	u := m.count()
+	u := len(m.elems)
 	if m.eos {
 		u++
 	}
 	return u
-}
-
-// count is the number of data items carried, whichever representation the
-// message travels in.
-func (m *message) count() int {
-	return len(m.items) + len(m.elems)
-}
-
-// bytes is the canonical serialized size of the carried items: summed slice
-// lengths on the byte path, the cached MarshalSize total on the elems path.
-// Both paths price the same canonical XML, so accounting is representation-
-// independent.
-func (m *message) bytes() int {
-	if len(m.elems) > 0 {
-		return m.xb
-	}
-	n := 0
-	for _, b := range m.items {
-		n += len(b)
-	}
-	return n
 }
 
 // Result holds the outcome of a distributed run.
@@ -157,31 +122,22 @@ type Runtime struct {
 	items   map[string][]*xmlstream.Element
 	errs    []error
 	// msgs counts mailbox deliveries (batches, not items); serBytes sums
-	// serialized item bytes sent (every hop re-transmits the marshalled
-	// form). Both publish into the engine's metrics registry after the run.
+	// the canonical item bytes sent, hop by hop. Both publish into the
+	// engine's metrics registry after the run.
 	msgs     int
 	serBytes int
 
-	// treeData turns on the zero-XML data plane: batchers keep element
-	// trees instead of serializing per item, and the mailbox parse stage
-	// becomes a no-op. Off under StdParser (the byte baseline) and in
-	// clusters whose offered codecs are all byte-only — an xml-pinned
-	// cluster exercises the serialized path end to end.
-	treeData bool
-
 	// batchHist observes the item count of every sent data batch
-	// (runtime.batch.size); parseSkip counts items delivered as trees whose
-	// per-hop reparse the elems path skipped (runtime.parse.skipped).
+	// (runtime.batch.size); parseSkip counts items handed to a peer's
+	// consumers as shared trees, without a parse (runtime.parse.skipped).
 	batchHist *obs.Histogram
 	parseSkip *obs.Counter
-	// lat records sampled provenance spans (nil with Options.NoSpans, which
-	// removes every per-item sampling check from the data path); flight is
-	// the ring of recent runtime events. Both come from the engine observer.
+	// lat records sampled provenance spans; flight is the ring of recent
+	// runtime events. Both come from the engine observer.
 	lat    *obs.LatencyRecorder
 	flight *obs.FlightRecorder
-	// pool-statistics baselines, captured at Run start so publish can emit
-	// this run's hit/miss deltas (the pools are process-global).
-	bufHits0, bufMiss0   uint64
+	// operator-pool baselines, captured at Run start so publish can emit
+	// this run's hit/miss deltas (the pool is process-global).
 	execHits0, execMiss0 uint64
 
 	// Fault injection (chaos testing): severed links drop messages at the
@@ -239,13 +195,6 @@ type readerEntry struct {
 	si  *core.SubInput
 }
 
-// worker holds per-goroutine scratch for message processing. Only slice
-// headers are reused; the elements themselves are owned by the operators
-// they were fed to.
-type worker struct {
-	elems []*xmlstream.Element
-}
-
 // New builds a runtime over the engine's installed plans with
 // DefaultOptions. The engine must not be modified while the runtime runs,
 // and a Runtime is single-use.
@@ -269,9 +218,7 @@ func NewWith(eng *core.Engine, collect bool, opts Options) *Runtime {
 	r.batchHist = eng.Obs().Metrics.Histogram("runtime.batch.size", obs.ExpBuckets(1, 2, 9))
 	r.parseSkip = eng.Obs().Metrics.Counter("runtime.parse.skipped")
 	r.flight = eng.Obs().Flight
-	if !r.opts.NoSpans {
-		r.lat = eng.Obs().Latency
-	}
+	r.lat = eng.Obs().Latency
 	if collect {
 		r.items = map[string][]*xmlstream.Element{}
 	}
@@ -307,12 +254,6 @@ func NewWith(eng *core.Engine, collect bool, opts Options) *Runtime {
 		r.recvs = map[recvKey]*transport.RecvCursor{}
 		r.sess.attach(r)
 	}
-	// Tree batches need a parser-equivalent consumer path (StdParser is the
-	// byte baseline by definition) and, in a cluster, at least one offered
-	// codec that can put trees on the wire — otherwise every remote hop
-	// would serialize anyway and the xml-pinned benchmark column would not
-	// measure the serialized path.
-	r.treeData = !r.opts.StdParser && (opts.Cluster == nil || opts.Cluster.treeData)
 	if opts.Cluster != nil {
 		r.cluster = opts.Cluster
 		r.owners = r.cluster.assignment(r)
@@ -341,7 +282,6 @@ func (r *Runtime) localPeer(p network.PeerID) bool {
 // Run feeds the given original stream items through the distributed plan
 // and blocks until every message has been processed.
 func (r *Runtime) Run(items map[string][]*xmlstream.Element) (*Result, error) {
-	r.bufHits0, r.bufMiss0 = xmlstream.PoolStats()
 	r.execHits0, r.execMiss0 = exec.PoolStats()
 
 	// Heartbeat monitor: beats live targets and ticks the detector on the
@@ -383,7 +323,7 @@ func (r *Runtime) Run(items map[string][]*xmlstream.Element) (*Result, error) {
 		sources.Add(1)
 		go func(d *core.Deployed, feed []*xmlstream.Element) {
 			defer sources.Done()
-			b := batcher{r: r, stream: d, tree: r.treeData, lat: r.lat, flushStage: obs.StageBatch, sample: true}
+			b := batcher{r: r, stream: d, flushStage: obs.StageBatch, sample: true}
 			for _, it := range feed {
 				b.add(it)
 			}
@@ -523,7 +463,7 @@ func (r *Runtime) Dropped() int {
 // the shared link/peer counters under the "runtime" prefix (comparable
 // one-to-one with the simulator's "sim" counters), message/serialization
 // totals, per-peer mailbox high-water gauges, the batch-size distribution,
-// and this run's pool hit/miss deltas.
+// and this run's operator-pool hit/miss deltas.
 func (r *Runtime) publish() {
 	reg := r.eng.Obs().Metrics
 	r.mu.Lock()
@@ -600,22 +540,14 @@ func (r *Runtime) publish() {
 			}
 		}
 	}
-	// Pool deltas are best-effort: the pools are process-global, so
+	// Pool deltas are best-effort: the pool is process-global, so
 	// concurrent runtimes in one process fold into each other's deltas.
-	bh, bm := xmlstream.PoolStats()
 	eh, em := exec.PoolStats()
-	for _, c := range []struct {
-		name      string
-		now, then uint64
-	}{
-		{"runtime.pool.buffer.hits", bh, r.bufHits0},
-		{"runtime.pool.buffer.misses", bm, r.bufMiss0},
-		{"runtime.pool.exec.hits", eh, r.execHits0},
-		{"runtime.pool.exec.misses", em, r.execMiss0},
-	} {
-		if d := c.now - c.then; d > 0 {
-			reg.Counter(c.name).Add(float64(d))
-		}
+	if d := eh - r.execHits0; d > 0 {
+		reg.Counter("runtime.pool.exec.hits").Add(float64(d))
+	}
+	if d := em - r.execMiss0; d > 0 {
+		reg.Counter("runtime.pool.exec.misses").Add(float64(d))
 	}
 }
 
@@ -631,23 +563,21 @@ func (r *Runtime) dispatch(m message, gate *ackGate) {
 	r.send(m)
 }
 
-// send enqueues a message for the peer at the given hop of the stream's
-// route, accounting link traffic (summed over the batch) for hops past the
-// producer. Messages bound for a killed peer or across a severed link are
-// dropped — and counted per item — before any accounting: a dead wire
-// carries nothing.
+// send moves a message to the peer at the given hop of the stream's route,
+// accounting link traffic (summed over the batch) for hops past the
+// producer. A locally-owned peer takes it in its mailbox, a remote one as a
+// frame on its cluster node's link (sendRemote); everything before that —
+// fault checks, traffic, batch-size observation, the send stamp, message
+// and byte totals — is the same either way. Messages bound for a killed
+// peer or across a severed link are dropped — and counted per item — before
+// any accounting: a dead wire carries nothing.
 func (r *Runtime) send(m message) {
 	peer := m.stream.Route[m.hop]
-	if !r.localPeer(peer) {
-		r.sendRemote(m, peer)
-		return
-	}
-	dst := r.nodes[peer]
-	if dst.dead.Load() {
+	local := r.localPeer(peer)
+	if local && r.nodes[peer].dead.Load() {
 		r.dropMsg(&m)
 		return
 	}
-	nb := m.bytes()
 	if m.hop > 0 {
 		l := network.MakeLinkID(m.stream.Route[m.hop-1], peer)
 		r.sevMu.RLock()
@@ -657,13 +587,13 @@ func (r *Runtime) send(m message) {
 			r.dropMsg(&m)
 			return
 		}
-		if nb > 0 {
+		if m.xb > 0 {
 			r.mu.Lock()
-			r.metrics.AddTraffic(l, float64(nb))
+			r.metrics.AddTraffic(l, float64(m.xb))
 			r.mu.Unlock()
 		}
 	}
-	if n := m.count(); n > 0 {
+	if n := len(m.elems); n > 0 {
 		r.batchHist.Observe(float64(n))
 	}
 	// A sampled batch closes its send stage here: the delta covers channel
@@ -671,36 +601,29 @@ func (r *Runtime) send(m message) {
 	// opens as the batch enters the destination mailbox.
 	r.lat.Stamp(m.span, obs.StageSend)
 	r.qmu.Lock()
-	r.inflight++
+	if local {
+		// A remote receiver counts the message when it injects it; its
+		// EOS-lane bookkeeping keeps both quiescences exact.
+		r.inflight++
+	}
 	r.msgs++
-	r.serBytes += nb
+	r.serBytes += m.xb
 	r.qmu.Unlock()
-	dst.inbox.push(m)
+	if local {
+		r.nodes[peer].inbox.push(m)
+	} else {
+		r.sendRemote(m, peer)
+	}
 }
 
 // dropMsg discards a message under fault injection, counting every carried
-// item (and EOS marker) as one dropped unit, and recycles its buffer.
+// item (and EOS marker) as one dropped unit.
 func (r *Runtime) dropMsg(m *message) {
 	u := m.units()
 	r.flight.Record("fault.drop", m.stream.ID+" units="+strconv.Itoa(u))
 	r.sevMu.Lock()
 	r.dropped += u
 	r.sevMu.Unlock()
-	r.recycle(m)
-}
-
-// recycle returns a message's pooled buffer, ending the message's life.
-// Only four sites may call it — last-hop completion, a fault-injection
-// drop (which covers a dead peer's drain), a broken-channel retention,
-// and a receive-side dedup discard; forwarded messages keep their buffer.
-// After recycle the message's items and elems must not be touched.
-func (r *Runtime) recycle(m *message) {
-	if m.buf != nil {
-		xmlstream.PutBuffer(m.buf)
-		m.buf = nil
-		m.items = nil
-	}
-	m.elems = nil
 }
 
 func (r *Runtime) finish() {
@@ -738,7 +661,6 @@ func (r *Runtime) clusterParked() bool {
 // draining — discarding messages that were queued before the kill — so the
 // in-flight count still returns to zero and Run terminates.
 func (r *Runtime) workerLoop(n *node) {
-	w := &worker{}
 	for {
 		ln, msgs, ok := n.inbox.next()
 		if !ok {
@@ -749,8 +671,11 @@ func (r *Runtime) workerLoop(n *node) {
 			if n.dead.Load() {
 				r.dropMsg(m)
 			} else {
-				r.handle(n, w, m)
+				r.handle(n, m)
 			}
+			// A drained lane can hold hundreds of batches: let each one's
+			// trees go as it completes, not when the whole slice does.
+			m.elems = nil
 			r.finish()
 		}
 		n.inbox.done(ln)
@@ -764,7 +689,7 @@ func (r *Runtime) workerLoop(n *node) {
 // the lane's receive state first, and every consumer fed here acks its
 // cumulative cursor on the stream's channel — a tap's ack is gated on its
 // own downstream batches being admitted.
-func (r *Runtime) handle(n *node, w *worker, m *message) {
+func (r *Runtime) handle(n *node, m *message) {
 	d := m.stream
 	r.lat.Stamp(m.span, obs.StageQueue)
 	var hi uint64
@@ -797,18 +722,14 @@ func (r *Runtime) handle(n *node, w *worker, m *message) {
 				return
 			}
 			if skip > 0 {
-				if n := m.count(); skip > n {
+				if n := len(m.elems); skip > n {
 					skip = n
 				}
 				r.dedupCount(skip)
-				if len(m.elems) > 0 {
-					for _, e := range m.elems[:skip] {
-						m.xb -= xmlstream.MarshalSize(e)
-					}
-					m.elems = m.elems[skip:]
-				} else {
-					m.items = m.items[skip:]
+				for _, e := range m.elems[:skip] {
+					m.xb -= xmlstream.MarshalSize(e)
 				}
+				m.elems = m.elems[skip:]
 				m.seqLo += uint64(skip)
 			}
 		}
@@ -821,96 +742,44 @@ func (r *Runtime) handle(n *node, w *worker, m *message) {
 	}
 	ch := r.chans[d]
 	if len(taps) > 0 || len(readers) > 0 {
-		// Decode the batch once per peer and share the read-only items
-		// across every consumer here — the simulator does the same, handing
-		// one element pointer to all children and readers. An elems batch
-		// (the zero-XML data plane) already carries the parsed trees, so the
-		// stage degenerates to handing those pointers over; the skipped
-		// reparses are counted (runtime.parse.skipped) and the parse stage
-		// still stamps, recording its collapse to ~zero in the span series.
-		// In StdParser (baseline) mode each consumer decodes its own copy,
-		// replicating the pre-batching runtime — except for elems batches
-		// (a tree-codec link in a mixed cluster decoded them), which have no
-		// bytes to decode and are shared as-is.
-		var its []*xmlstream.Element
-		if len(m.elems) > 0 {
-			its = m.elems
-			r.parseSkip.Add(float64(len(m.elems)))
-			r.lat.Stamp(m.span, obs.StageParse)
-		} else if !r.opts.StdParser {
-			its = r.parseFast(n, w, m.items)
-			r.lat.Stamp(m.span, obs.StageParse)
-		}
+		// The batch's trees are shared read-only across every consumer here
+		// — the simulator does the same, handing one element pointer to all
+		// children and readers. Nothing is parsed: the items are counted
+		// (runtime.parse.skipped) and the parse stage still stamps, keeping
+		// its ~zero cost visible in the span series.
+		r.parseSkip.Add(float64(len(m.elems)))
+		r.lat.Stamp(m.span, obs.StageParse)
 		for _, child := range taps {
 			if child.Tap != n.id {
 				continue
-			}
-			if r.opts.StdParser && len(m.elems) == 0 {
-				its = r.parseStd(n, m.items)
 			}
 			var gate *ackGate
 			if ch != nil && m.seqLo > 0 {
 				name, seq := child.ID, hi
 				gate = newAckGate(func() { r.ackStream(d, name, seq) })
 			}
-			r.feedChild(n, child, its, m.eos, gate, r.lat.Fork(m.span))
+			r.feedChild(n, child, m.elems, m.eos, gate, r.lat.Fork(m.span))
 			if gate != nil {
 				gate.done()
 			}
 		}
 		for _, re := range readers {
-			if r.opts.StdParser && len(m.elems) == 0 {
-				its = r.parseStd(n, m.items)
-			}
-			r.feedReader(re, its, m.eos, m.span)
+			r.feedReader(re, m.elems, m.eos, m.span)
 		}
 		if len(readers) > 0 && ch != nil && m.seqLo > 0 {
 			r.ackStreamAll(d, n.readerNames[d], hi)
 		}
 	}
 	if !last {
-		if nb := m.bytes(); nb > 0 && m.hop > 0 {
+		if m.xb > 0 && m.hop > 0 {
 			// Forwarding work accrues at relay peers strictly inside the
 			// route; the producer's emission cost is part of its operators.
-			r.work(n.id, r.eng.Cfg.Model.ForwardPerByte*float64(nb))
+			r.work(n.id, r.eng.Cfg.Model.ForwardPerByte*float64(m.xb))
 		}
 		next := *m
 		next.hop++
 		r.send(next)
-		return
 	}
-	r.recycle(m)
-}
-
-// parseFast decodes a batch once into the worker's scratch slice. Items
-// failing to parse are reported and skipped.
-func (r *Runtime) parseFast(n *node, w *worker, raw [][]byte) []*xmlstream.Element {
-	its := w.elems[:0]
-	for _, b := range raw {
-		e, err := xmlstream.UnmarshalBytes(b)
-		if err != nil {
-			r.fail(fmt.Errorf("runtime: peer %s: %w", n.id, err))
-			continue
-		}
-		its = append(its, e)
-	}
-	w.elems = its
-	return its
-}
-
-// parseStd decodes a batch with the standard-library decoder, allocating
-// fresh elements per call — the baseline path (Options.StdParser).
-func (r *Runtime) parseStd(n *node, raw [][]byte) []*xmlstream.Element {
-	its := make([]*xmlstream.Element, 0, len(raw))
-	for _, b := range raw {
-		e, err := xmlstream.Unmarshal(string(b))
-		if err != nil {
-			r.fail(fmt.Errorf("runtime: peer %s: %w", n.id, err))
-			continue
-		}
-		its = append(its, e)
-	}
-	return its
 }
 
 // dedupDrop discards a duplicate or stale-epoch message wholesale: its
@@ -919,7 +788,6 @@ func (r *Runtime) parseStd(n *node, raw [][]byte) []*xmlstream.Element {
 func (r *Runtime) dedupDrop(m *message, units int) {
 	r.flight.Record("dedup.drop", m.stream.ID+" units="+strconv.Itoa(units))
 	r.dedupCount(units)
-	r.recycle(m)
 }
 
 // dedupCount counts duplicate units skipped by receive-side dedup.
@@ -942,7 +810,7 @@ func (r *Runtime) feedChild(n *node, child *core.Deployed, its []*xmlstream.Elem
 	dup := bl["duplicate"]
 	var wk float64
 	charge := func(op exec.Operator, items int) { wk += bl[op.Name()] * float64(items) }
-	ob := batcher{r: r, stream: child, tree: r.treeData, gate: gate, lat: r.lat, flushStage: obs.StageEval, span: span}
+	ob := batcher{r: r, stream: child, gate: gate, flushStage: obs.StageEval, span: span}
 	for _, it := range its {
 		wk += dup
 		for _, out := range child.Residual.ProcessWith(it, charge) {

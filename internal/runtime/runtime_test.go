@@ -210,9 +210,9 @@ func TestDistributedDeterministicPerSubscription(t *testing.T) {
 	}
 }
 
-// batchMsg builds a white-box test message carrying k (empty) items.
+// batchMsg builds a white-box test message carrying k (nil) items.
 func batchMsg(k int) message {
-	return message{items: make([][]byte, k)}
+	return message{elems: make([]*xmlstream.Element, k)}
 }
 
 // TestInboxHighWaterMark drives an inbox through a known push/drain

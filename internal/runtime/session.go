@@ -279,37 +279,21 @@ func (g *ackGate) done() {
 	}
 }
 
-// ownedCopies flattens a message's items into one owned allocation and
-// returns per-item subslices for the replay buffer (the message's own bytes
-// are pooled and die with it). An elems batch is serialized here — the one
-// place the zero-XML data plane must materialize canonical bytes, because
-// the journal outlives the trees and replay (recover.go) re-parses from
-// stored bytes; m.xb pre-sizes the allocation exactly. It runs outside the
-// channel lock so the work never serializes against acks on a hot shared
-// stream.
+// ownedCopies serializes a message's items into one owned allocation and
+// returns per-item subslices for the replay buffer — one of the three edges
+// where canonical bytes exist, because the journal outlives the trees and
+// replay (recover.go) re-parses from stored bytes; m.xb pre-sizes the
+// allocation exactly. It runs outside the channel lock so the work never
+// serializes against acks on a hot shared stream.
 func ownedCopies(m *message) [][]byte {
-	if len(m.elems) > 0 {
-		owned := make([]byte, 0, m.xb)
-		out := make([][]byte, 0, len(m.elems))
-		for _, e := range m.elems {
-			off := len(owned)
-			owned = xmlstream.AppendMarshal(owned, e)
-			out = append(out, owned[off:len(owned):len(owned)])
-		}
-		return out
-	}
-	if len(m.items) == 0 {
+	if len(m.elems) == 0 {
 		return nil
 	}
-	total := 0
-	for _, b := range m.items {
-		total += len(b)
-	}
-	owned := make([]byte, 0, total)
-	out := make([][]byte, 0, len(m.items))
-	for _, b := range m.items {
+	owned := make([]byte, 0, m.xb)
+	out := make([][]byte, 0, len(m.elems))
+	for _, e := range m.elems {
 		off := len(owned)
-		owned = append(owned, b...)
+		owned = xmlstream.AppendMarshal(owned, e)
 		out = append(out, owned[off:len(owned):len(owned)])
 	}
 	return out
@@ -374,7 +358,7 @@ func (c *streamChan) submit(r *Runtime, m message, gate *ackGate) {
 
 // pumpLocked drains the parked queue as far as the window (or a break)
 // allows, stamping each batch. It returns the batches to send, the
-// batches retained by a break (to recycle), and the gates to release —
+// batches retained by a break (to count), and the gates to release —
 // all of which the caller must handle after unlocking.
 func (c *streamChan) pumpLocked() (sends, drops []message, gates []*ackGate) {
 	for len(c.parked) > 0 {
@@ -451,7 +435,7 @@ func (c *streamChan) breakNow(r *Runtime) {
 }
 
 // dispose finishes a pump outside the channel lock: admitted batches are
-// sent, retained ones recycled, and released gates fire their upstream
+// sent, retained ones counted, and released gates fire their upstream
 // acks (which may lock other channels — never this one re-entrantly).
 func (c *streamChan) dispose(r *Runtime, sends, drops []message, gates []*ackGate) {
 	for i := range sends {
@@ -476,13 +460,12 @@ func (c *streamChan) takeStalls() int {
 }
 
 // retain accounts a batch recorded in a broken channel's journal instead
-// of sent, and recycles its wire buffer (the journal keeps owned copies).
+// of sent (the journal keeps owned copies).
 func (r *Runtime) retain(m *message) {
 	u := m.units()
 	r.mu.Lock()
 	r.retained += u
 	r.mu.Unlock()
-	r.recycle(m)
 }
 
 // breakFor breaks every channel whose delivery depends on the failed

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -35,42 +34,43 @@ func gridBuild(t *testing.T, n, queries, items int) (*core.Engine, map[string][]
 	return eng, feed
 }
 
-// TestOptionsEquivalence runs the same grid plans under BaselineOptions
-// (serial, item-at-a-time, std parser, no pooling) and DefaultOptions
-// (batched, pooled, parallel) and requires identical results, traffic and
-// work: the data-path options are performance knobs, never semantics knobs.
+// TestOptionsEquivalence runs the same grid plans serially (one item per
+// message, one worker per peer, no flush timer) and under DefaultOptions
+// (batched, parallel) and holds both to the simulator: identical results,
+// collected items, traffic and work. The data-path options are performance
+// knobs, never semantics knobs.
 func TestOptionsEquivalence(t *testing.T) {
-	engA, feedA := gridBuild(t, 3, 12, 200)
-	engB, feedB := gridBuild(t, 3, 12, 200)
-	base, err := NewWith(engA, true, BaselineOptions()).Run(feedA)
+	engRef, feedRef := gridBuild(t, 3, 12, 200)
+	ref, err := engRef.Simulate(feedRef, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := NewWith(engB, true, DefaultOptions()).Run(feedB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id, n := range base.Results {
-		if fast.Results[id] != n {
-			t.Errorf("%s: baseline %d items, default %d", id, n, fast.Results[id])
-		}
-	}
-	for id, a := range base.Collected {
-		b := fast.Collected[id]
-		if len(a) != len(b) {
-			t.Fatalf("%s: %d vs %d collected items", id, len(a), len(b))
-		}
-		for i := range a {
-			if !a[i].Equal(b[i]) {
-				t.Fatalf("%s item %d differs between baseline and default options", id, i)
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"serial", Options{BatchSize: 1, Workers: 1, FlushInterval: -1}},
+		{"default", DefaultOptions()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, feed := gridBuild(t, 3, 12, 200)
+			got, err := NewWith(eng, true, tc.opts).Run(feed)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if ab, fb := base.Metrics.TotalBytes(), fast.Metrics.TotalBytes(); math.Abs(ab-fb) > 1e-6 {
-		t.Errorf("traffic: baseline %.0f vs default %.0f", ab, fb)
-	}
-	if aw, fw := base.Metrics.TotalWork(), fast.Metrics.TotalWork(); math.Abs(aw-fw) > 1e-6 {
-		t.Errorf("work: baseline %.1f vs default %.1f", aw, fw)
+			chaosCompare(t, tc.name, ref, got)
+			for id, a := range ref.Collected {
+				b := got.Collected[id]
+				if len(a) != len(b) {
+					t.Fatalf("%s: %d vs %d collected items", id, len(a), len(b))
+				}
+				for i := range a {
+					if !a[i].Equal(b[i]) {
+						t.Fatalf("%s item %d differs from the simulator", id, i)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -12,13 +12,12 @@ import (
 	"streamshare/internal/wire"
 )
 
-// Tree-plane acceptance: the zero-XML data plane (element-tree batches on
-// binary links, no per-hop reserialize/reparse) must be behaviorally
-// invisible. These tests compare it against the StdParser baseline — the
-// encoding/xml-pinned path that serializes every batch — under randomized
-// scenario shapes and forced mid-stream disconnects, and pin the
-// construction-time codec validation that keeps a misconfigured cluster
-// from ever binding a listener.
+// Tree-plane acceptance: element-tree batches on binary links, with no
+// per-hop reserialize/reparse, must deliver exactly what the simulator
+// delivers. These tests hold them to it under randomized scenario shapes
+// and forced mid-stream disconnects, and pin the construction-time codec
+// validation that keeps a misconfigured cluster from ever binding a
+// listener.
 
 // TestClusterCodecValidation: ClusterOptions.Codecs is validated against
 // the wire registry at construction, so an unregistered codec name fails
@@ -54,12 +53,12 @@ func TestClusterCodecValidation(t *testing.T) {
 }
 
 // TestTreePlaneRandomizedDisconnects is the randomized equivalence
-// acceptance for the zero-XML plane: random grid shapes run twice — once
-// single-process on the StdParser baseline, once as a two-node reliable
-// cluster on the tree plane with connections killed repeatedly mid-run —
-// and every subscription must collect identical items. The chaos loop
-// forces the journal/replay path to handle elems batches (dedup slicing,
-// owned-copy journaling), not just the happy path.
+// acceptance for tree batches: random grid shapes run through the simulator
+// and as a two-node reliable cluster with connections killed repeatedly
+// mid-run, and every subscription must collect identical items at identical
+// traffic and work. The chaos loop forces the journal/replay path to handle
+// tree batches (dedup slicing, owned-copy journaling), not just the happy
+// path.
 func TestTreePlaneRandomizedDisconnects(t *testing.T) {
 	defer testutil.Watchdog(t, 3*time.Minute)()
 	rng := rand.New(rand.NewSource(0x7ee9))
@@ -69,18 +68,11 @@ func TestTreePlaneRandomizedDisconnects(t *testing.T) {
 		items := 100 + rng.Intn(101)
 		batch := 4 * (1 + rng.Intn(2))
 		t.Run(fmt.Sprintf("grid%d_q%d_i%d_b%d", n, queries, items, batch), func(t *testing.T) {
-			// Reference: the same build, single process, xml-pinned. The
-			// StdParser flag forces byte batches and encoding/xml reparse at
-			// every consumer — the representation the tree plane eliminated.
 			engRef, feedRef, err := clusterBuild(n, queries, items, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rtRef := NewWith(engRef, true, Options{StdParser: true})
-			if rtRef.treeData {
-				t.Fatal("StdParser runtime left the tree plane on")
-			}
-			ref, err := rtRef.Run(feedRef)
+			ref, err := engRef.Simulate(feedRef, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,9 +93,6 @@ func TestTreePlaneRandomizedDisconnects(t *testing.T) {
 			opts1 := Options{Cluster: c1, Session: NewSession(SessionOptions{DisableHeartbeat: true}), BatchSize: batch}
 			rt0 := NewWith(eng0, true, opts0)
 			rt1 := NewWith(eng1, true, opts1)
-			if !rt0.treeData || !rt1.treeData {
-				t.Fatal("binary-capable cluster runtime did not enable the tree plane")
-			}
 
 			done := make(chan struct{})
 			defer close(done)
@@ -121,7 +110,9 @@ func TestTreePlaneRandomizedDisconnects(t *testing.T) {
 					if framesOut > 5 {
 						break
 					}
-					time.Sleep(time.Millisecond)
+					// Poll tightly: the smallest trial streams for only a few
+					// milliseconds, and the first drop must land inside them.
+					time.Sleep(20 * time.Microsecond)
 				}
 				c0.DropConns()
 				ticker := time.NewTicker(3 * time.Millisecond)
@@ -137,26 +128,7 @@ func TestTreePlaneRandomizedDisconnects(t *testing.T) {
 			}()
 
 			res0, res1 := runPair(t, rt0, rt1, feed0, feed1)
-			got := mergeResults(res0, res1)
-
-			for id, refItems := range ref.Collected {
-				refXML, gotXML := sortedXML(refItems), sortedXML(got.Collected[id])
-				if len(refXML) != len(gotXML) {
-					t.Errorf("%s: tree plane delivered %d items, baseline %d", id, len(gotXML), len(refXML))
-					continue
-				}
-				for i := range refXML {
-					if refXML[i] != gotXML[i] {
-						t.Errorf("%s: item %d differs between tree plane and baseline", id, i)
-						break
-					}
-				}
-			}
-			for id := range got.Collected {
-				if _, ok := ref.Collected[id]; !ok {
-					t.Errorf("%s: delivered by the cluster but not the baseline", id)
-				}
-			}
+			compareCollected(t, ref, mergeResults(res0, res1))
 
 			recon := uint64(0)
 			for _, st := range append(c0.Stats(), c1.Stats()...) {
@@ -168,7 +140,7 @@ func TestTreePlaneRandomizedDisconnects(t *testing.T) {
 			skipped := eng0.Obs().Metrics.Snapshot().Counters["runtime.parse.skipped"] +
 				eng1.Obs().Metrics.Snapshot().Counters["runtime.parse.skipped"]
 			if skipped == 0 {
-				t.Fatal("tree plane reparse-skip counter never moved; batches travelled as bytes")
+				t.Fatal("runtime.parse.skipped never moved; consumers were not handed shared trees")
 			}
 			t.Logf("%d reconnects, %.0f reparses skipped, identical delivery", recon, skipped)
 		})

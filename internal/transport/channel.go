@@ -109,7 +109,7 @@ func (c *Channel) NextSeq() uint64 {
 
 // Emit assigns the next sequence number to one unit and records it in the
 // replay buffer. The data slice is retained as-is: callers must pass an
-// owned copy (message buffers are pooled and recycled). It returns the
+// owned copy (the replay buffer outlives the message). It returns the
 // assigned sequence.
 func (c *Channel) Emit(data []byte, eos bool) uint64 {
 	if c.nextSeq == 0 {

@@ -7,7 +7,7 @@ import (
 // AppendMarshal appends the canonical serialization of e (the exact bytes
 // Marshal produces and Element.ByteSize counts) to dst and returns the
 // extended slice. It allocates only when dst lacks capacity, which makes it
-// the serializer of choice for pooled buffers on hot paths. e is only read;
+// the serializer of choice for reused buffers on hot paths. e is only read;
 // it is safe for concurrent use on a shared element tree.
 func AppendMarshal(dst []byte, e *Element) []byte {
 	if e == nil {

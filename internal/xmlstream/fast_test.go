@@ -96,29 +96,6 @@ func TestUnmarshalBytesRejectsTrailing(t *testing.T) {
 	}
 }
 
-// TestBufferPool checks Get/Put recycling and the hit/miss accounting.
-func TestBufferPool(t *testing.T) {
-	h0, m0 := PoolStats()
-	b := GetBuffer()
-	b.B = AppendMarshal(b.B, T("p", "1"))
-	if string(b.B) != "<p>1</p>" {
-		t.Fatalf("buffer content %q", b.B)
-	}
-	PutBuffer(b)
-	c := GetBuffer()
-	if len(c.B) != 0 {
-		t.Errorf("reused buffer not reset: len %d", len(c.B))
-	}
-	PutBuffer(c)
-	h1, m1 := PoolStats()
-	if h1 == h0 && m1 == m0 {
-		t.Error("pool stats did not move")
-	}
-	// Oversized buffers must not be pooled.
-	big := &Buffer{B: make([]byte, 0, 2<<20)}
-	PutBuffer(big) // must not panic; simply dropped
-}
-
 func TestInternName(t *testing.T) {
 	a := internName([]byte("photon"))
 	b := internName([]byte("photon"))

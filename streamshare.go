@@ -195,24 +195,20 @@ func (s *System) Simulate(items map[string][]*Item, collect bool) (*SimResult, e
 type DistResult = runtime.Result
 
 // RuntimeOptions tunes the distributed runtime's data path: batch size,
-// flush interval, per-peer worker count, pooling and parser selection. See
-// PERFORMANCE.md for how the knobs interact.
+// flush interval and per-peer worker count, plus the reliable-session and
+// cluster attachments. See PERFORMANCE.md for how the knobs interact.
 type RuntimeOptions = runtime.Options
 
-// DefaultRuntimeOptions is the tuned data path: batched transfers, pooled
-// buffers, the fast canonical parser, and a worker pool per peer.
+// DefaultRuntimeOptions is the tuned data path: batched transfers and a
+// worker pool per peer.
 func DefaultRuntimeOptions() RuntimeOptions { return runtime.DefaultOptions() }
-
-// BaselineRuntimeOptions is the pre-batching data path (serial peers, one
-// message per item, no pooling), kept for benchmark comparisons; results
-// are identical to DefaultRuntimeOptions by construction.
-func BaselineRuntimeOptions() RuntimeOptions { return runtime.BaselineOptions() }
 
 // RunDistributed executes the installed plans on the concurrent peer
 // runtime: every super-peer runs a worker pool over a multi-lane mailbox,
-// and streams travel as batches of serialized XML items on every hop. It
-// produces the same results, traffic and load accounting as Simulate and
-// consumes the installed operator state, so use a fresh System per run.
+// and streams travel as batches of shared element trees, priced hop by hop
+// at their canonical XML size. It produces the same results, traffic and
+// load accounting as Simulate and consumes the installed operator state,
+// so use a fresh System per run.
 func (s *System) RunDistributed(items map[string][]*Item, collect bool) (*DistResult, error) {
 	return runtime.New(s.eng, collect).Run(items)
 }
