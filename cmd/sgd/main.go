@@ -58,8 +58,9 @@
 // With -data the daemon becomes durable: the subscription catalog and (with
 // -node) every mesh link journal their state under the given directory, and
 // a process restarted — or SIGKILLed — over the same directory recovers its
-// catalog by deterministic replay, re-joins the mesh under a new link
-// incarnation, and replays exactly the frames its peers never acknowledged
+// catalog by deterministic replay, re-joins the mesh with every link's
+// sequence space intact, and replays exactly the frames its peers never
+// acknowledged
 // (see DESIGN.md "Durability"). -data-sync picks the fsync policy: "always"
 // survives power loss at one fsync per append, "interval" batches fsyncs
 // every -data-sync-interval, "none" leaves flushing to the OS:
@@ -105,7 +106,7 @@ func main() {
 	node := flag.String("node", "", "cluster node name; empty runs single-process")
 	clusterListen := flag.String("cluster-listen", "127.0.0.1:0", "cluster mesh listen address")
 	join := flag.String("join", "", "other cluster nodes as name=addr pairs, comma-separated (addr may be empty for nodes that dial us)")
-	codec := flag.String("codec", "", "mesh item codecs offered during link handshakes, comma-separated in preference order (default binary,xml; -codec=xml forces the verbatim debug baseline)")
+	codec := flag.String("codec", "", "mesh item codecs offered during link handshakes, comma-separated in preference order (default binary2,xml; -codec=xml forces the verbatim debug baseline)")
 	dataDir := flag.String("data", "", "durable state directory: journals the subscription catalog and, with -node, every mesh link; a process restarted over the same directory recovers its catalog and replays unacked frames")
 	dataSync := flag.String("data-sync", "always", "journal fsync policy: always | interval | none")
 	dataSyncInt := flag.Duration("data-sync-interval", 0, "background fsync period under -data-sync=interval (0 uses the journal default)")

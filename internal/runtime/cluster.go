@@ -84,14 +84,15 @@ type ClusterOptions struct {
 
 	// WireObserver receives one callback per encoded or decoded batch on
 	// any mesh link (see transport.MeshConfig.ObserveWire for the
-	// contract — it runs under the link lock and must be fast).
+	// contract — it runs on the link's writer and reader goroutines, so
+	// calls may overlap and a slow one delays that link).
 	// WireMetricsObserver builds one that feeds a metrics registry.
 	WireObserver func(op string, seconds float64, items, xmlBytes, wireBytes int)
 
 	// DataDir enables durable links: every link journals its protocol
 	// state to a write-ahead log under DataDir/<remote>/ and a process
 	// restarted with the same directory resumes each link where the
-	// crashed incarnation left off (see transport.MeshConfig.DataDir).
+	// crashed one left off (see transport.MeshConfig.DataDir).
 	// Empty keeps links in-memory.
 	DataDir string
 
@@ -121,18 +122,18 @@ type Cluster struct {
 	node string
 	mesh *transport.Mesh
 
-	// amu guards the attached runtime and the assignment; acond wakes
-	// dispatchers blocked waiting for a runtime.
-	amu    sync.Mutex
-	acond  *sync.Cond
-	rt     *Runtime
-	assign map[network.PeerID]string
-	closed bool
-
-	// gmu guards the per-remote heartbeat gossip and the control handler.
-	gmu     sync.Mutex
-	gossip  map[string]gossipEntry
+	// amu guards the attached runtime, the control handler and the
+	// assignment; acond wakes dispatchers blocked waiting for either.
+	amu     sync.Mutex
+	acond   *sync.Cond
+	rt      *Runtime
 	control func(from string, data []byte)
+	assign  map[network.PeerID]string
+	closed  bool
+
+	// gmu guards the per-remote heartbeat gossip.
+	gmu    sync.Mutex
+	gossip map[string]gossipEntry
 
 	// bmu guards the termination-barrier bookkeeping: barrier frames
 	// received per remote, and the rounds this node has entered.
@@ -156,8 +157,8 @@ type gossipEntry struct {
 // metrics registry: wire.encode.seconds / wire.decode.seconds latency
 // histograms (per batch), and wire.<op>.items / wire.<op>.bytes.xml /
 // wire.<op>.bytes.wire counters. The instruments are resolved once here —
-// the callback runs under the transport link lock on every batch, so it
-// must not take the registry's map lock.
+// the callback runs on every link's writer and reader goroutines for every
+// batch, concurrently, so it stays off the registry's map lock.
 func WireMetricsObserver(reg *obs.Registry) func(op string, seconds float64, items, xmlBytes, wireBytes int) {
 	buckets := obs.ExpBuckets(1e-6, 4, 10) // 1µs .. ~260ms
 	type instruments struct {
@@ -307,11 +308,13 @@ func (c *Cluster) DumpState(w io.Writer) { c.mesh.DumpState(w) }
 
 // SetControl installs the handler for sequenced control frames (the
 // server's cross-process coordination). The handler runs on a per-link
-// dispatcher goroutine, in arrival order per sender.
+// dispatcher goroutine, in arrival order per sender; control frames that
+// arrive first wait for it, as data frames wait for a runtime.
 func (c *Cluster) SetControl(h func(from string, data []byte)) {
-	c.gmu.Lock()
+	c.amu.Lock()
 	c.control = h
-	c.gmu.Unlock()
+	c.acond.Broadcast()
+	c.amu.Unlock()
 }
 
 // SendControl sends one reliable, ordered control payload to a node.
@@ -433,9 +436,12 @@ func (c *Cluster) handle(remote string, f *transport.Frame) {
 			c.bmu.Unlock()
 			return
 		}
-		c.gmu.Lock()
+		c.amu.Lock()
+		for c.control == nil && !c.closed {
+			c.acond.Wait()
+		}
 		h := c.control
-		c.gmu.Unlock()
+		c.amu.Unlock()
 		if h != nil {
 			h(remote, f.Data)
 		}
@@ -510,16 +516,16 @@ func (c *Cluster) gossipHeartbeat(peers []string, links []string) {
 // target. Before a node's first gossip arrives — its process may still
 // be starting its run — every target that node owns beats optimistically,
 // so detector-tick/gossip-arrival skew cannot fake a failure. A node
-// whose gossip goes stale for longer than staleFor stops vouching
+// whose gossip goes stale for longer than staleAfter stops vouching
 // entirely: a crashed process surfaces as all its targets going silent.
-func (c *Cluster) remoteBeats(r *Runtime, now time.Time, staleFor time.Duration) []health.Target {
+func (c *Cluster) remoteBeats(r *Runtime, now time.Time, staleAfter time.Duration) []health.Target {
 	c.gmu.Lock()
 	defer c.gmu.Unlock()
 	var out []health.Target
 	seen := map[string]bool{}
 	for node, e := range c.gossip {
 		seen[node] = true
-		if now.Sub(e.at) > staleFor {
+		if now.Sub(e.at) > staleAfter {
 			continue
 		}
 		for _, p := range e.f.Peers {

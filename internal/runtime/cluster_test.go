@@ -15,6 +15,7 @@ import (
 
 	"streamshare/internal/core"
 	"streamshare/internal/durable"
+	"streamshare/internal/obs"
 	"streamshare/internal/scenario"
 	"streamshare/internal/testutil"
 	"streamshare/internal/transport"
@@ -592,12 +593,12 @@ type crashSpec struct {
 	DataDir string
 }
 
-// crashResult is the restarted child's delivery plus its recovered link
-// incarnation.
+// crashResult is the restarted child's delivery plus how many journal
+// records its link recovered.
 type crashResult struct {
 	Results   map[string]int
 	Collected map[string][]string
-	Boot      uint64
+	Recovered float64
 }
 
 // TestClusterCrashRestartTCP is the durability acceptance test: the grid
@@ -606,9 +607,10 @@ type crashResult struct {
 // mid-run and relaunched over the same data directory, and the union of
 // the parent's and the restarted child's deliveries must still equal the
 // never-failed simulator reference item for item. Recovery does all the
-// work: the child re-handshakes under a bumped incarnation, re-dispatches
-// the journaled inbound frames its first life never finished, and the
-// parent replays exactly the frames the child never acked.
+// work: the child reloads its link's sequence space and cursors from the
+// journal, re-dispatches the journaled inbound frames its first life never
+// finished, and the ordinary resume exchange has the parent replay exactly
+// the frames the child never acked.
 func TestClusterCrashRestartTCP(t *testing.T) {
 	if os.Getenv(crashChildEnv) != "" {
 		t.Skip("child process runs TestClusterCrashChildProcess")
@@ -700,8 +702,8 @@ func TestClusterCrashRestartTCP(t *testing.T) {
 	if err := json.Unmarshal(raw, &child); err != nil {
 		t.Fatal(err)
 	}
-	if child.Boot < 2 {
-		t.Errorf("restarted child reports boot %d, want >= 2 (journal recovery must bump the incarnation)", child.Boot)
+	if child.Recovered == 0 {
+		t.Error("restarted child recovered no journal records: its second life did not resume the first's link state")
 	}
 
 	counts := map[string]int{}
@@ -752,7 +754,7 @@ func TestClusterCrashRestartTCP(t *testing.T) {
 // TestClusterCrashRestartTCP: node "n0" with a durable mesh over the
 // spec'd data directory. Its first life is SIGKILLed mid-run; its second
 // recovers the journal, re-joins, runs to completion and writes its
-// delivery plus the recovered link incarnation.
+// delivery plus the durable.recover.records count.
 func TestClusterCrashChildProcess(t *testing.T) {
 	raw := os.Getenv(crashChildEnv)
 	if raw == "" {
@@ -767,11 +769,13 @@ func TestClusterCrashChildProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
 	c0, err := NewCluster(ClusterOptions{
 		Node:        "n0",
 		Nodes:       map[string]string{"n0": "127.0.0.1:0", "n1": spec.Addr},
 		DataDir:     spec.DataDir,
 		DurableSync: durable.SyncAlways,
+		Metrics:     reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -784,11 +788,9 @@ func TestClusterCrashChildProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := crashResult{Results: res.Results, Collected: map[string][]string{}}
-	for _, st := range c0.Stats() {
-		if st.Boot > out.Boot {
-			out.Boot = st.Boot
-		}
+	out := crashResult{
+		Results: res.Results, Collected: map[string][]string{},
+		Recovered: reg.Counter("durable.recover.records").Value(),
 	}
 	for id, items := range res.Collected {
 		out.Collected[id] = sortedXML(items)
@@ -800,5 +802,5 @@ func TestClusterCrashChildProcess(t *testing.T) {
 	if err := os.WriteFile(spec.Out, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fmt.Println("crash child: delivered", len(out.Results), "subscriptions, boot", out.Boot)
+	fmt.Println("crash child: delivered", len(out.Results), "subscriptions, recovered", out.Recovered, "journal records")
 }

@@ -524,8 +524,11 @@ func (r *Runtime) publish() {
 			reg.Gauge(p + "frames.recv").Set(float64(st.FramesRecv))
 			reg.Gauge(p + "reconnects").Set(float64(st.Reconnects))
 			reg.Gauge(p + "replayed").Set(float64(st.Replayed))
+			// Whether the link's writer, which encodes, keeps up.
+			reg.Gauge(p + "send_waits").Set(float64(st.SendWaits))
+			reg.Gauge(p + "journal.depth").Set(float64(st.Depth))
 			// The negotiated codec publishes as a flag gauge (metrics are
-			// numeric): transport.link.<remote>.codec.binary = 1. The codec
+			// numeric): transport.link.<remote>.codec.binary2 = 1. The codec
 			// counters are cumulative per link, so absolute gauges too.
 			if st.Codec != "" {
 				reg.Gauge(p + "codec." + st.Codec).Set(1)

@@ -10,11 +10,13 @@ import "sort"
 
 // This file is the sequenced/acked/credited channel state machine of the
 // reliability layer (the runtime's session wraps it for per-stream
-// channels; Link reuses it verbatim as the per-connection replay buffer,
-// which is what makes reconnection loss-free). One Channel exists per
-// emitting endpoint: the emitter stamps every unit with a monotonically
-// increasing sequence number and keeps the serialized form in a replay
-// buffer; every consumer owns a cumulative-ack cursor advanced when it has
+// channels; Link reuses it verbatim as the per-link replay buffer, which is
+// what makes reconnection loss-free, and a durable link's WAL is that same
+// buffer's backing store). One Channel exists per emitting endpoint: the
+// emitter stamps every unit with a monotonically increasing sequence number
+// and keeps the unit in a replay buffer — serialized on session channels, the
+// frame itself on links, which encode per connection; every consumer owns a
+// cumulative-ack cursor advanced when it has
 // fully processed a prefix; the buffer is trimmed to the minimum cursor.
 // The distance between the emission frontier and the minimum cursor is
 // bounded by a receiver-granted credit window, which is what turns a slow
@@ -26,7 +28,7 @@ import "sort"
 // data path needs.
 
 // Entry is one emitted unit in a channel's replay buffer: a serialized
-// item (or frame), or the end-of-stream marker (Data nil, EOS true).
+// item, a link frame, or the end-of-stream marker (Data nil, EOS true).
 type Entry struct {
 	// Seq is the unit's assigned sequence number (first emission gets 1).
 	Seq uint64
@@ -35,6 +37,10 @@ type Entry struct {
 	Data []byte
 	// EOS marks the end-of-stream sentinel unit.
 	EOS bool
+	// Frame is the unit on link channels (Data nil): the link's own copy of
+	// the frame, stamped with Seq and rendered for the wire by whichever
+	// conn carries it.
+	Frame *Frame
 }
 
 // Channel is the per-emitter channel state machine. The zero value is not
@@ -112,12 +118,25 @@ func (c *Channel) NextSeq() uint64 {
 // owned copy (the replay buffer outlives the message). It returns the
 // assigned sequence.
 func (c *Channel) Emit(data []byte, eos bool) uint64 {
+	return c.emit(Entry{Data: data, EOS: eos})
+}
+
+// EmitFrame is Emit for link channels: it stamps the frame with the next
+// sequence number and records the frame itself. The frame is retained
+// as-is and must not change afterwards.
+func (c *Channel) EmitFrame(f *Frame) uint64 {
+	f.Seq = c.NextSeq()
+	return c.emit(Entry{Frame: f})
+}
+
+func (c *Channel) emit(e Entry) uint64 {
 	if c.nextSeq == 0 {
 		c.nextSeq = 1
 	}
 	seq := c.nextSeq
 	c.nextSeq++
-	c.buffer = append(c.buffer, Entry{Seq: seq, Data: data, EOS: eos})
+	e.Seq = seq
+	c.buffer = append(c.buffer, e)
 	if len(c.buffer) > c.maxDepth {
 		c.maxDepth = len(c.buffer)
 	}
@@ -161,8 +180,25 @@ func (c *Channel) Ack(consumer string, seq uint64) int {
 	for i < len(c.buffer) && c.buffer[i].Seq <= min {
 		i++
 	}
+	// The backing array outlives the trim: drop what the acked units
+	// reference, or up to a window of them stays reachable.
+	clear(c.buffer[:i])
 	c.buffer = c.buffer[i:]
 	return freed
+}
+
+// Restore resets the channel to a recovered state: every consumer cursor at
+// cumAck, nextSeq the next sequence to assign, and the replay buffer holding
+// exactly the given unacked entries (ascending, all within (cumAck,
+// nextSeq)). A durable link reloads its journal through it, and a link whose
+// peer reports a cursor past everything it remembers sending fast-forwards
+// with it.
+func (c *Channel) Restore(cumAck, nextSeq uint64, unacked []Entry) {
+	c.cumAck, c.nextSeq, c.buffer = cumAck, nextSeq, unacked
+	for name := range c.cursors {
+		c.cursors[name] = cumAck
+	}
+	c.atMin = len(c.cursors)
 }
 
 func (c *Channel) minCursor() uint64 {
@@ -178,7 +214,8 @@ func (c *Channel) minCursor() uint64 {
 
 // UnackedAfter returns the buffered entries with sequence strictly above
 // the given cursor — the units a recovering (or reconnecting) consumer has
-// not yet processed.
+// not yet processed. The result is a view of the buffer, valid until the
+// next Ack or Restore.
 func (c *Channel) UnackedAfter(cursor uint64) []Entry {
 	i := sort.Search(len(c.buffer), func(i int) bool { return c.buffer[i].Seq > cursor })
 	return c.buffer[i:]

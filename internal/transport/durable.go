@@ -2,157 +2,98 @@ package transport
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"streamshare/internal/durable"
 )
 
 // Link journal record kinds (see DESIGN.md "Durability" for the grammar).
-// Every multi-byte field is a big-endian fixed-width u64.
+// Every multi-byte field is a big-endian fixed-width u64. Kinds 1–8 belonged
+// to the retired boot-incarnation layout and are never reused, so a journal
+// written by that build is refused at recovery instead of misread.
 const (
-	durBoot     uint8 = 1 // u64 boot: a new incarnation of this side began
-	durPeerBoot uint8 = 2 // u64 peerBoot: the peer's incarnation, as last seen
-	durSend     uint8 = 3 // u64 boot | u64 seq | plain frame: journaled before emit
-	durAckOut   uint8 = 4 // u64 boot | u64 cum: peer link-acked our seqs <= cum
-	durRecv     uint8 = 5 // u64 peerBoot | u64 seq | plain frame: journaled before dispatch
-	durCtl      uint8 = 6 // u64 peerBoot | u64 seq: control-frame handler completed
-	durRecvMark uint8 = 7 // u64 peerBoot | u64 next: snapshot-only receive cursor
-	durBoundary uint8 = 8 // checkpoint: inbound frames before it are never re-dispatched
+	durSend     uint8 = 9  // u64 seq | plain frame: journaled before emit
+	durAckOut   uint8 = 10 // u64 cum: peer link-acked our seqs <= cum
+	durRecv     uint8 = 11 // u64 seq | plain frame: journaled before dispatch
+	durCtl      uint8 = 12 // u64 seq: control-frame handler completed
+	durRecvMark uint8 = 13 // u64 next: receive cursor advance without a payload
+	durBoundary uint8 = 14 // checkpoint: inbound frames before it are never re-dispatched
 )
 
-// durEntry is one journaled outbound frame: its link sequence number and
-// its codec-independent ("plain") encoding.
-type durEntry struct {
-	seq   uint64
-	plain []byte
-}
-
-// linkDur is a link's durable state: the WAL handle plus everything the
-// recovery scan reconstructed. Fields are guarded by the owning Link's mu
-// (the WAL itself has its own lock).
-//
-// The scheme is incarnation-based: each side of a link carries a boot
-// counter, bumped every time its journal is recovered. Outbound sequence
-// numbers restart at 1 per incarnation, so a restarted process never has
-// to reconstruct codec or channel state mid-sequence — it replays the
-// unacked suffix of the previous incarnation as fresh sends of the new
-// one, filtered by the cursor the peer reports for the old incarnation.
+// linkDur is the WAL behind a durable link's Channel and RecvCursor: every
+// outbound frame, link ack and accepted inbound frame is appended before
+// the in-memory state moves, so a recovery scan rebuilds exactly that state
+// and the link's one sequence space continues where the crashed process
+// left it. Fields are guarded by the owning Link's mu (the WAL itself has
+// its own lock).
 type linkDur struct {
-	wal      *durable.WAL
-	boot     uint64 // this side's current incarnation (>= 1)
-	prevBoot uint64 // the incarnation recovery superseded (0 on first boot)
-	peerBoot uint64 // the peer's incarnation as last recorded (0 = unknown)
-	ctlMark  uint64 // highest peer control seq whose handler completed
-
-	pending []durEntry // prior-incarnation unacked sends awaiting replay
-	mirror  []durEntry // current-incarnation unacked sends
-
-	// Stashed receive cursor for the peer's previous incarnation: when the
-	// peer restarts we reset l.in, but the restarted peer still needs the
-	// old cursor to filter its pending replay if the handshake that told
-	// us about the new incarnation died before the peer saw our reply
-	// (sent as the bootresume/bootresumefor handshake options).
-	staleFor    uint64
-	staleResume uint64
-
-	replay   []*Frame // recovered inbound frames to re-dispatch
-	recvNext uint64   // recovered l.in cursor for peerBoot
+	wal     *durable.WAL
+	ctlMark uint64 // highest peer control seq whose handler completed
 }
 
-// openLinkDur opens a link's journal, replays the record sequence into a
-// linkDur, starts the next incarnation (boot+1, journaled immediately),
-// and computes the pending-send and inbound-replay sets.
-func openLinkDur(opts durable.Options) (*linkDur, error) {
+// linkRecovery is what a journal scan hands Mesh.Connect: the outbound
+// Channel's state and the inbound cursor with the frames to re-dispatch.
+type linkRecovery struct {
+	cumAck, nextSeq uint64
+	unacked         []Entry  // journaled sends above cumAck, as plain frames
+	recvNext        uint64   // next inbound sequence expected
+	replay          []*Frame // inbound frames the crash left undispatched
+}
+
+// openLinkDur opens a link's journal and replays its records into the
+// state the link resumes from.
+func openLinkDur(opts durable.Options) (*linkDur, linkRecovery, error) {
 	wal, recs, err := durable.Open(opts)
 	if err != nil {
-		return nil, err
+		return nil, linkRecovery{}, err
 	}
 	d := &linkDur{wal: wal}
+	rec := linkRecovery{nextSeq: 1, recvNext: 1}
 	var (
-		sends   []durEntry
-		carried []durEntry
-		ackCum  uint64
-		tail    [][]byte // inbound frame payloads since the last boundary
+		sends []Entry
+		tail  []*Frame // inbound frames since the last boundary
 	)
 	for _, r := range recs {
-		switch r.Kind {
-		case durBoot:
-			if b, ok := u64At(r.Data, 0); ok {
-				// An incarnation that died before any handshake replayed
-				// its pending set leaves those sends stranded behind this
-				// boot record: carry the unacked ones forward so a double
-				// restart without an intervening reconnect still replays
-				// them. The peer cannot hold a resume cursor for these
-				// generations (a handshake would have replayed them), so
-				// the prevBoot filter in replayPendingLocked never
-				// misapplies to carried entries.
-				for _, e := range sends {
-					if e.seq > ackCum {
-						carried = append(carried, e)
-					}
-				}
-				d.boot = b
-				sends, ackCum = nil, 0
-			}
-		case durPeerBoot:
-			if pb, ok := u64At(r.Data, 0); ok && pb != d.peerBoot {
-				d.peerBoot = pb
-				d.ctlMark, d.recvNext = 0, 0
-				tail = nil
-			}
-		case durSend:
-			if b, ok := u64At(r.Data, 0); ok && b == d.boot {
-				if seq, ok := u64At(r.Data, 8); ok {
-					sends = append(sends, durEntry{seq: seq, plain: r.Data[16:]})
-				}
-			}
-		case durAckOut:
-			if b, ok := u64At(r.Data, 0); ok && b == d.boot {
-				if cum, ok := u64At(r.Data, 8); ok && cum > ackCum {
-					ackCum = cum
-				}
-			}
-		case durRecv:
-			if pb, ok := u64At(r.Data, 0); ok && pb == d.peerBoot {
-				if seq, ok := u64At(r.Data, 8); ok {
-					if seq+1 > d.recvNext {
-						d.recvNext = seq + 1
-					}
-					tail = append(tail, r.Data[16:])
-				}
-			}
-		case durCtl:
-			if pb, ok := u64At(r.Data, 0); ok && pb == d.peerBoot {
-				if seq, ok := u64At(r.Data, 8); ok && seq > d.ctlMark {
-					d.ctlMark = seq
-				}
-			}
-		case durRecvMark:
-			if pb, ok := u64At(r.Data, 0); ok && pb == d.peerBoot {
-				if next, ok := u64At(r.Data, 8); ok && next > d.recvNext {
-					d.recvNext = next
-				}
-			}
-		case durBoundary:
-			tail = nil
-		}
-	}
-	d.prevBoot = d.boot
-	d.boot++
-	if err := d.appendU64s(durBoot, d.boot); err != nil {
-		wal.Close() //nolint:errcheck // append error wins
-		return nil, err
-	}
-	d.pending = carried
-	for _, e := range sends {
-		if e.seq > ackCum {
-			d.pending = append(d.pending, e)
-		}
-	}
-	for _, payload := range tail {
-		f, err := DecodeFrame(payload)
-		if err != nil {
+		var v uint64 // every kind but the boundary leads with one u64
+		if len(r.Data) >= 8 {
+			v = binary.BigEndian.Uint64(r.Data)
+		} else if r.Kind != durBoundary {
 			continue // checksummed on disk; defensive only
 		}
+		switch r.Kind {
+		case durSend, durRecv:
+			f, err := DecodeFrame(r.Data[8:])
+			if err != nil {
+				continue // checksummed on disk; defensive only
+			}
+			if r.Kind == durSend {
+				sends = append(sends, Entry{Seq: v, Frame: f})
+				rec.nextSeq = max(rec.nextSeq, v+1)
+			} else {
+				tail = append(tail, f)
+				rec.recvNext = max(rec.recvNext, v+1)
+			}
+		case durAckOut:
+			rec.cumAck = max(rec.cumAck, v)
+		case durCtl:
+			d.ctlMark = max(d.ctlMark, v)
+		case durRecvMark:
+			rec.recvNext = max(rec.recvNext, v)
+		case durBoundary:
+			tail = nil
+		default:
+			wal.Close() //nolint:errcheck // the layout error wins
+			return nil, linkRecovery{}, fmt.Errorf("transport: link journal %s holds record kind %d, which this build's layout "+
+				"does not have (a build with boot incarnations wrote it?): recover it with that build or remove the directory", opts.Dir, r.Kind)
+		}
+	}
+	rec.nextSeq = max(rec.nextSeq, rec.cumAck+1)
+	for _, e := range sends {
+		if e.Seq > rec.cumAck {
+			rec.unacked = append(rec.unacked, e)
+		}
+	}
+	for _, f := range tail {
 		switch f.Type {
 		case FrameAck:
 			// Stream-level acks refer to the pre-crash channel state;
@@ -165,16 +106,15 @@ func openLinkDur(opts durable.Options) (*linkDur, error) {
 				continue // handler already completed before the crash
 			}
 		}
-		d.replay = append(d.replay, f)
+		rec.replay = append(rec.replay, f)
 	}
-	return d, nil
+	return d, rec, nil
 }
 
-// journalSend records an outbound frame (plain encoding) under the current
-// incarnation and mirrors it for replay after a future recovery.
+// journalSend records an outbound frame (plain encoding) before it enters
+// the link's Channel.
 func (d *linkDur) journalSend(seq uint64, plain []byte) {
-	d.wal.AppendPair(durSend, beU64s(d.boot, seq), plain) //nolint:errcheck // sticky WAL error resurfaces on Close
-	d.mirror = append(d.mirror, durEntry{seq: seq, plain: plain})
+	d.wal.AppendPair(durSend, beU64(seq), plain) //nolint:errcheck // sticky WAL error resurfaces on Close
 }
 
 // journalRecvMark consumes an inbound sequence without retaining its
@@ -182,89 +122,49 @@ func (d *linkDur) journalSend(seq uint64, plain []byte) {
 // refer to pre-crash channel state), so only the cursor advance needs to
 // survive.
 func (d *linkDur) journalRecvMark(seq uint64) {
-	d.appendU64s(durRecvMark, d.peerBoot, seq+1) //nolint:errcheck // sticky WAL error resurfaces on Close
+	d.appendU64(durRecvMark, seq+1)
 }
 
 // journalRecv records an inbound sequenced frame before it is dispatched.
 func (d *linkDur) journalRecv(seq uint64, plain []byte) {
-	d.wal.AppendPair(durRecv, beU64s(d.peerBoot, seq), plain) //nolint:errcheck // sticky WAL error resurfaces on Close
+	d.wal.AppendPair(durRecv, beU64(seq), plain) //nolint:errcheck // sticky WAL error resurfaces on Close
 }
 
-// journalAckOut records the peer's cumulative link ack and trims the
-// mirror: acked frames are never replayed again.
+// journalAckOut records the peer's cumulative link ack: recovery drops the
+// sends at or below it.
 func (d *linkDur) journalAckOut(cum uint64) {
-	d.appendU64s(durAckOut, d.boot, cum) //nolint:errcheck // sticky WAL error resurfaces on Close
-	i := 0
-	for i < len(d.mirror) && d.mirror[i].seq <= cum {
-		i++
-	}
-	d.mirror = d.mirror[i:]
+	d.appendU64(durAckOut, cum)
 }
 
 // journalCtl marks a peer control frame as fully applied: recovery will
-// not re-dispatch it. boot is the peer incarnation the frame arrived
-// under (captured at enqueue — the peer may have restarted since), so a
-// replayed old-incarnation control never poisons the fresh incarnation's
-// watermark. Exactly-once control recovery requires SyncAlways — under
-// the laxer policies the mark may be lost and the control replays.
-func (d *linkDur) journalCtl(boot, seq uint64) {
-	d.appendU64s(durCtl, boot, seq) //nolint:errcheck // sticky WAL error resurfaces on Close
-	if boot == d.peerBoot && seq > d.ctlMark {
+// not re-dispatch it. Exactly-once control recovery requires SyncAlways —
+// under the laxer policies the mark may be lost and the control replays.
+func (d *linkDur) journalCtl(seq uint64) {
+	d.appendU64(durCtl, seq)
+	if seq > d.ctlMark {
 		d.ctlMark = seq
 	}
 }
 
-func (d *linkDur) appendU64s(kind uint8, vals ...uint64) error {
-	return d.wal.Append(kind, beU64s(vals...))
+func (d *linkDur) appendU64(kind uint8, v uint64) {
+	d.wal.Append(kind, beU64(v)) //nolint:errcheck // sticky WAL error resurfaces on Close
 }
 
-// snapshot condenses the journal for compaction: current incarnations,
-// cursors, the unacked mirror, and a boundary so recovered runs never
-// re-dispatch frames the runtime already drained. recvNext is the owning
-// link's live l.in cursor.
-func (d *linkDur) snapshot(recvNext uint64) []durable.Record {
-	recs := []durable.Record{{Kind: durBoot, Data: beU64s(d.boot)}}
-	if d.peerBoot != 0 {
-		recs = append(recs,
-			durable.Record{Kind: durPeerBoot, Data: beU64s(d.peerBoot)},
-			durable.Record{Kind: durRecvMark, Data: beU64s(d.peerBoot, recvNext)},
-			durable.Record{Kind: durCtl, Data: beU64s(d.peerBoot, d.ctlMark)},
-		)
+// snapshot condenses the journal for compaction: the owning link's live
+// cursors, its Channel's unacked frames, and a boundary so recovered runs
+// never re-dispatch frames the runtime already drained.
+func (d *linkDur) snapshot(out *Channel, recvNext uint64) []durable.Record {
+	recs := []durable.Record{
+		{Kind: durAckOut, Data: beU64(out.CumAck())},
+		{Kind: durRecvMark, Data: beU64(recvNext)},
+		{Kind: durCtl, Data: beU64(d.ctlMark)},
 	}
-	for _, e := range d.mirror {
-		buf := make([]byte, 16+len(e.plain))
-		binary.BigEndian.PutUint64(buf, d.boot)
-		binary.BigEndian.PutUint64(buf[8:], e.seq)
-		copy(buf[16:], e.plain)
-		recs = append(recs, durable.Record{Kind: durSend, Data: buf})
+	for _, e := range out.UnackedAfter(out.CumAck()) {
+		if e.Frame.Type != FrameAck {
+			recs = append(recs, durable.Record{Kind: durSend, Data: appendPlain(beU64(e.Seq), e.Frame)})
+		}
 	}
 	return append(recs, durable.Record{Kind: durBoundary})
 }
 
-func u64At(b []byte, off int) (uint64, bool) {
-	if len(b) < off+8 {
-		return 0, false
-	}
-	return binary.BigEndian.Uint64(b[off:]), true
-}
-
-func beU64s(vals ...uint64) []byte {
-	buf := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.BigEndian.PutUint64(buf[8*i:], v)
-	}
-	return buf
-}
-
-// plainFrame encodes f codec-independently: element-tree batches are
-// materialized to their XML item form so a recovered process can replay
-// the frame through a freshly negotiated codec.
-func plainFrame(f *Frame) []byte {
-	if f.Type == FrameBatch && len(f.Items) == 0 && len(f.Elems) > 0 {
-		p := *f
-		p.Items = marshalElems(f.Elems)
-		p.Elems = nil
-		return AppendFrame(nil, &p)
-	}
-	return AppendFrame(nil, f)
-}
+func beU64(v uint64) []byte { return binary.BigEndian.AppendUint64(nil, v) }

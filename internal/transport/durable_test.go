@@ -2,82 +2,114 @@ package transport
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"streamshare/internal/durable"
 	"streamshare/internal/obs"
+	"streamshare/internal/xmlstream"
 )
 
 // ctlPlain builds the plain encoding of a sequenced control frame, the way
 // the link journals it.
 func ctlPlain(seq uint64, data string) []byte {
-	return plainFrame(&Frame{Type: FrameControl, Seq: seq, Data: []byte(data)})
+	return appendPlain(nil, &Frame{Type: FrameControl, Seq: seq, Data: []byte(data)})
+}
+
+// restored loads a recovery into a Channel the way Mesh.Connect does.
+func restored(rec linkRecovery) *Channel {
+	c := NewChannel(0, DefaultLinkWindow)
+	c.Restore(rec.cumAck, rec.nextSeq, rec.unacked)
+	c.AddConsumer("peer")
+	return c
+}
+
+// wantUnacked checks a recovered Channel's replay buffer: the given
+// sequences, in order, each a control frame stamped with its sequence and
+// carrying the given payload.
+func wantUnacked(t *testing.T, c *Channel, seqs []uint64, data []string) {
+	t.Helper()
+	got := c.UnackedAfter(c.CumAck())
+	if len(got) != len(seqs) {
+		t.Fatalf("recovered %d unacked frames, want seqs %v", len(got), seqs)
+	}
+	for i, e := range got {
+		if e.Seq != seqs[i] || e.Frame == nil || e.Frame.Seq != seqs[i] || string(e.Frame.Data) != data[i] {
+			t.Fatalf("unacked[%d] = seq %d frame %+v, want seq %d %q", i, e.Seq, e.Frame, seqs[i], data[i])
+		}
+	}
 }
 
 // TestLinkDurRecoveryScan drives the journal record sequence a link life
 // writes and checks the recovery scan reconstructs exactly the state the
-// next incarnation needs: bumped boot, unacked pending set, receive
-// cursor, control watermark, and an inbound replay set that skips acks and
-// completed controls.
+// next life resumes from: the Channel's ack cursor, unacked frames and next
+// sequence, the receive cursor, the control watermark, and an inbound
+// replay set that skips acks and completed controls.
 func TestLinkDurRecoveryScan(t *testing.T) {
 	dir := t.TempDir()
-	d, err := openLinkDur(durable.Options{Dir: dir})
+	d, rec, err := openLinkDur(durable.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.boot != 1 || d.prevBoot != 0 {
-		t.Fatalf("first boot = %d (prev %d), want 1 (prev 0)", d.boot, d.prevBoot)
+	if c := restored(rec); c.NextSeq() != 1 || c.CumAck() != 0 || c.Depth() != 0 || rec.recvNext != 1 || len(rec.replay) != 0 {
+		t.Fatalf("fresh journal recovered %+v, want an empty link", rec)
 	}
-	// One link life: peer incarnation 7 shows up, three sends (first one
-	// acked), four receives (control 1 completed, a full-payload ack frame
-	// as an older build journaled them, control 3 interrupted mid-handler,
-	// and a cursor-marked ack at 4 as the live path records them).
-	d.peerBoot = 7
-	if err := d.appendU64s(durPeerBoot, 7); err != nil {
-		t.Fatal(err)
-	}
+	// One link life: three sends (first one acked), four receives (control
+	// 1 completed, a full-payload ack frame as an older build journaled
+	// them, control 3 interrupted mid-handler, and a cursor-marked ack at 4
+	// as the live path records them).
 	for seq := uint64(1); seq <= 3; seq++ {
 		d.journalSend(seq, ctlPlain(seq, fmt.Sprintf("s%d", seq)))
 	}
 	d.journalAckOut(1)
 	d.journalRecv(1, ctlPlain(1, "r1"))
-	d.journalRecv(2, plainFrame(&Frame{Type: FrameAck, Seq: 2, Stream: "S", Consumer: "c", Ack: 9}))
+	d.journalRecv(2, appendPlain(nil, &Frame{Type: FrameAck, Seq: 2, Stream: "S", Consumer: "c", Ack: 9}))
 	d.journalRecv(3, ctlPlain(3, "r3"))
 	d.journalRecvMark(4)
-	d.journalCtl(7, 1)
+	d.journalCtl(1)
 	if err := d.wal.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	d2, err := openLinkDur(durable.Options{Dir: dir})
+	d2, rec2, err := openLinkDur(durable.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d2.wal.Close()
-	if d2.boot != 2 || d2.prevBoot != 1 || d2.peerBoot != 7 {
-		t.Fatalf("recovered boot=%d prev=%d peerBoot=%d, want 2/1/7", d2.boot, d2.prevBoot, d2.peerBoot)
+	if d2.ctlMark != 1 || rec2.recvNext != 5 {
+		t.Fatalf("recovered ctlMark=%d recvNext=%d, want 1/5", d2.ctlMark, rec2.recvNext)
 	}
-	if d2.ctlMark != 1 || d2.recvNext != 5 {
-		t.Fatalf("recovered ctlMark=%d recvNext=%d, want 1/5", d2.ctlMark, d2.recvNext)
+	c := restored(rec2)
+	if c.CumAck() != 1 || c.NextSeq() != 4 || c.Cursor("peer") != 1 {
+		t.Fatalf("recovered channel cumAck=%d next=%d cursor=%d, want 1/4/1", c.CumAck(), c.NextSeq(), c.Cursor("peer"))
 	}
-	if len(d2.pending) != 2 || d2.pending[0].seq != 2 || d2.pending[1].seq != 3 {
-		t.Fatalf("pending = %+v, want seqs [2 3]", d2.pending)
+	wantUnacked(t, c, []uint64{2, 3}, []string{"s2", "s3"})
+	// The sequence space continues: the next emission is 4, and the peer's
+	// ack of it trims everything.
+	if seq := c.EmitFrame(&Frame{Type: FrameControl}); seq != 4 {
+		t.Fatalf("first emission after recovery got seq %d, want 4", seq)
+	}
+	if freed := c.Ack("peer", 4); freed != 3 || c.Depth() != 0 {
+		t.Fatalf("ack 4 freed %d units leaving depth %d, want 3/0", freed, c.Depth())
 	}
 	// Replay: control 1 completed (<= ctlMark), the stream ack is never
 	// replayed, control 3 was interrupted and must re-dispatch.
-	if len(d2.replay) != 1 || d2.replay[0].Type != FrameControl || string(d2.replay[0].Data) != "r3" {
-		t.Fatalf("replay = %+v, want the one interrupted control", d2.replay)
+	if len(rec2.replay) != 1 || rec2.replay[0].Type != FrameControl || string(rec2.replay[0].Data) != "r3" {
+		t.Fatalf("replay = %+v, want the one interrupted control", rec2.replay)
 	}
 }
 
-// TestLinkDurCarriesPendingAcrossDoubleRestart: an incarnation that never
+// TestLinkDurCarriesPendingAcrossDoubleRestart: a life that never
 // reconnects (no handshake, so no replay) must not strand the previous
-// incarnation's unacked sends when it is itself recovered.
+// life's unacked sends when it is itself recovered — and its own sends
+// continue the one sequence space instead of restarting it.
 func TestLinkDurCarriesPendingAcrossDoubleRestart(t *testing.T) {
 	dir := t.TempDir()
-	d, err := openLinkDur(durable.Options{Dir: dir})
+	d, _, err := openLinkDur(durable.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,33 +118,29 @@ func TestLinkDurCarriesPendingAcrossDoubleRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Second life: journals one send of its own, dies without a handshake.
-	d2, err := openLinkDur(durable.Options{Dir: dir})
+	d2, rec2, err := openLinkDur(durable.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d2.pending) != 1 {
-		t.Fatalf("second life pending = %d frames, want 1", len(d2.pending))
+	c2 := restored(rec2)
+	wantUnacked(t, c2, []uint64{1}, []string{"old"})
+	seq := c2.NextSeq()
+	if seq != 2 {
+		t.Fatalf("second life continues at seq %d, want 2", seq)
 	}
-	d2.journalSend(1, ctlPlain(1, "new"))
+	d2.journalSend(seq, ctlPlain(seq, "new"))
 	if err := d2.wal.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d3, err := openLinkDur(durable.Options{Dir: dir})
+	d3, rec3, err := openLinkDur(durable.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d3.wal.Close()
-	if d3.boot != 3 || len(d3.pending) != 2 {
-		t.Fatalf("third life boot=%d pending=%d frames, want boot 3 with 2 frames", d3.boot, len(d3.pending))
-	}
-	for i, want := range []string{"old", "new"} {
-		f, err := DecodeFrame(d3.pending[i].plain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(f.Data) != want {
-			t.Fatalf("pending[%d] = %q, want %q", i, f.Data, want)
-		}
+	c3 := restored(rec3)
+	wantUnacked(t, c3, []uint64{1, 2}, []string{"old", "new"})
+	if c3.NextSeq() != 3 {
+		t.Fatalf("third life continues at seq %d, want 3", c3.NextSeq())
 	}
 }
 
@@ -132,8 +160,8 @@ func durableMesh(t *testing.T, tr Transport, node, listen, dir string, h func(st
 // TestDurableMeshRestartReplaysUnacked is the end-to-end crash-restart
 // story at the link layer: frames sent while the peer is down survive a
 // full process "restart" (mesh closed, reopened over the same journal
-// directory) and are replayed to the peer's next incarnation exactly once,
-// in order, without re-delivering anything the first life already handled.
+// directory) and are replayed to the peer's next life exactly once, in
+// order, without re-delivering anything the first life already handled.
 func TestDurableMeshRestartReplaysUnacked(t *testing.T) {
 	tr := NewMem()
 	dirA, dirB := t.TempDir(), t.TempDir()
@@ -181,9 +209,9 @@ func TestDurableMeshRestartReplaysUnacked(t *testing.T) {
 	ma2.Close()
 
 	// Phase 3: both restart over their journals. a must replay exactly the
-	// phase-2 frames to b's fresh incarnation; nothing from phase 1 may
-	// reappear (b's control watermark and the incarnation handshake fence
-	// them out).
+	// phase-2 frames to b's next life; nothing from phase 1 may reappear
+	// (a's recovered ack cursor and b's recovered receive cursor fence them
+	// out).
 	var cb3 collector
 	mb3 := durableMesh(t, tr, "b", "mem:b", dirB, cb3.handle, nil)
 	ma3 := durableMesh(t, tr, "a", "mem:a", dirA, nop, nil)
@@ -205,11 +233,13 @@ func TestDurableMeshRestartReplaysUnacked(t *testing.T) {
 		if want := fmt.Sprintf("f%d", 50+i); string(f.Data) != want {
 			t.Fatalf("frame %d = %q, want %q", i, f.Data, want)
 		}
+		// a's second life continued the sequence space its first life left
+		// at 50, and its third replays those frames under the same numbers.
+		if want := uint64(51 + i); f.Seq != want {
+			t.Fatalf("frame %d replayed as link seq %d, want %d", i, f.Seq, want)
+		}
 	}
 	st := ma3.Link("b").Stats()
-	if st.Boot != 3 {
-		t.Fatalf("third incarnation boot = %d, want 3", st.Boot)
-	}
 	if st.Replayed < 50 {
 		t.Fatalf("replayed = %d, want >= 50", st.Replayed)
 	}
@@ -288,6 +318,189 @@ func TestDurableMeshCheckpointCompacts(t *testing.T) {
 		if want := fmt.Sprintf("f%d", 100+i); string(f.Data) != want {
 			t.Fatalf("frame %d = %q, want %q", i, f.Data, want)
 		}
+	}
+}
+
+// TestDurablePeerRestartFreshDictionary: a surviving sender must reach a
+// restarted peer through the binary codec. The peer's new conn starts from
+// an empty dictionary in both directions, so a batch that reuses an element
+// name interned before the crash has to carry that name's delta again —
+// with a link-scoped encoder it does not, the peer's fresh decoder rejects
+// the batch, and teardown-and-replay of the same bytes spins forever.
+func TestDurablePeerRestartFreshDictionary(t *testing.T) {
+	tr := NewMem()
+	dirA, dirB := t.TempDir(), t.TempDir()
+	nop := func(string, *Frame) {}
+	tree := func(doc string) []*xmlstream.Element {
+		e, err := xmlstream.UnmarshalBytes([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []*xmlstream.Element{e}
+	}
+
+	var cb1 collector
+	mb := durableMesh(t, tr, "b", "mem:b", dirB, cb1.handle, nil)
+	ma := durableMesh(t, tr, "a", "mem:a", dirA, nop, nil)
+	defer ma.Close()
+	if _, err := mb.Connect("a", "mem:a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ma.Connect("b", "mem:b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ma.WaitConnected(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	const before = "<photon><en>1.5</en></photon>"
+	if err := ma.Link("b").Send(&Frame{Type: FrameBatch, Stream: "s", Elems: tree(before)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := frameXML(wantBatches(t, &cb1, 1)[0]); string(got[0]) != before {
+		t.Fatalf("pre-crash batch = %q, want %q", got[0], before)
+	}
+	if err := ma.WaitDrained(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond) // let the tail link-ack reach a's journal
+
+	// b crashes and restarts over its journal; a survives.
+	mb.Close()
+	var cb2 collector
+	mb2 := durableMesh(t, tr, "b", "mem:b", dirB, cb2.handle, nil)
+	defer mb2.Close()
+	if _, err := mb2.Connect("a", "mem:a"); err != nil {
+		t.Fatal(err)
+	}
+	after := []string{
+		"<photon><en>2.5</en></photon>", // only names interned before the crash
+		"<photon><det>7</det></photon>", // and a new one
+	}
+	for _, doc := range after {
+		if err := ma.Link("b").Send(&Frame{Type: FrameBatch, Stream: "s", Elems: tree(doc)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// b's journal holds no checkpoint boundary, so its recovery re-dispatches
+	// the pre-crash batch ahead of anything the new conn delivers.
+	want := append([]string{before}, after...)
+	for i, f := range wantBatches(t, &cb2, len(want)) {
+		if got := frameXML(f); len(got) != 1 || string(got[0]) != want[i] {
+			t.Fatalf("batch %d after b's restart = %q, want %q", i, got, want[i])
+		}
+	}
+	if st := ma.Link("b").Stats(); st.Reconnects == 0 || st.Reconnects > 9 {
+		t.Fatalf("survivor reconnected %d times (replayed %d frames), want a handful", st.Reconnects, st.Replayed)
+	}
+}
+
+// TestDurableLostTailFastForwards: a journal that lost its unsynced tail
+// recovers a next-sequence below what the peer already consumed. The
+// handshake must move the link's sequence space up to the peer's cursor —
+// frames queued before the reconnect included — or the peer would dedup
+// new frames as replays of the lost ones.
+func TestDurableLostTailFastForwards(t *testing.T) {
+	tr := NewMem()
+	dirA, dirB := t.TempDir(), t.TempDir()
+	nop := func(string, *Frame) {}
+	var cb collector
+	mb := durableMesh(t, tr, "b", "mem:b", dirB, cb.handle, nil)
+	defer mb.Close()
+	ma := durableMesh(t, tr, "a", "mem:a", dirA, nop, nil)
+	if _, err := mb.Connect("a", "mem:a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ma.Connect("b", "mem:b"); err != nil {
+		t.Fatal(err)
+	}
+	const n = 40
+	for i := 0; i < n; i++ {
+		if err := ma.Link("b").Send(&Frame{Type: FrameControl, Data: []byte(fmt.Sprintf("f%d", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 5*time.Second, func() bool { return cb.len() == n }, "first-life delivery")
+	ma.Close()
+
+	// Cut a's journal mid-file, the way a crash under a lax sync policy
+	// loses the records after the last fsync (recovery drops the torn one).
+	segs, err := filepath.Glob(filepath.Join(dirA, "b", "*.wal"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("journal segments = %v (%v), want one", segs, err)
+	}
+	info, err := os.Stat(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(segs[0], info.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+
+	// a restarts believing it sent far fewer than n frames, queues one frame
+	// before it reconnects and one after.
+	ma2 := durableMesh(t, tr, "a", "mem:a", dirA, nop, nil)
+	defer ma2.Close()
+	l, err := ma2.Connect("b", "mem:b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next := l.out.NextSeq(); next > n {
+		t.Fatalf("truncated journal still recovered next seq %d, want a lost tail (<= %d)", next, n)
+	}
+	if err := l.Send(&Frame{Type: FrameControl, Data: []byte("queued")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ma2.WaitConnected(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Send(&Frame{Type: FrameControl, Data: []byte("live")}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool { return cb.len() >= n+2 }, "post-restart frames delivered, not deduped")
+	time.Sleep(50 * time.Millisecond) // catch any late duplicate
+	got := cb.snapshot()
+	if len(got) != n+2 {
+		t.Fatalf("delivered %d frames, want %d", len(got), n+2)
+	}
+	for i, want := range []string{"queued", "live"} {
+		f := got[n+i]
+		if string(f.Data) != want || f.Seq != uint64(n+1+i) {
+			t.Fatalf("post-restart frame %d = %q seq %d, want %q seq %d", i, f.Data, f.Seq, want, n+1+i)
+		}
+	}
+	if err := ma2.WaitDrained(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConnectRefusesRetiredJournalLayout: a data directory written by the
+// build that kept boot incarnations must fail Connect with an error naming
+// it, not be misread as this build's records.
+func TestConnectRefusesRetiredJournalLayout(t *testing.T) {
+	dir := t.TempDir()
+	linkDir := filepath.Join(dir, "b")
+	w, _, err := durable.Open(durable.Options{Dir: linkDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// What that build's first life wrote: its boot record (kind 1), then a
+	// send under it (kind 3: boot | seq | plain frame).
+	if err := w.Append(1, beU64(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendPair(3, append(beU64(1), beU64(1)...), ctlPlain(1, "old")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m := durableMesh(t, NewMem(), "a", "mem:a", dir, func(string, *Frame) {}, nil)
+	defer m.Close()
+	if _, err := m.Connect("b", "mem:b"); err == nil || !strings.Contains(err.Error(), linkDir) {
+		t.Fatalf("Connect over a retired-layout journal: err = %v, want one naming %s", err, linkDir)
+	}
+	if m.Link("b") != nil {
+		t.Fatal("refused journal still registered a link")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"strconv"
 	"time"
 
 	"streamshare/internal/wire"
@@ -21,6 +20,14 @@ import (
 // exactly the unacknowledged suffix. The journal is bounded by the link
 // credit window: a sender that outruns a dead or slow connection blocks
 // in Send until acks (or reconnection) free credits.
+//
+// Two scopes, deliberately different: the sequence space belongs to the
+// link for life — it never restarts, across reconnects or (on durable
+// links, whose WAL backs the same Channel) across process restarts — while
+// everything a handshake negotiates, the item codec and its dictionaries
+// included, belongs to the one conn that handshake opened. The journal
+// therefore holds frames, not encodings, and a reconnect is nothing more
+// than fresh dictionaries plus a replay from the peer's resume cursor.
 //
 // Reconnect state machine (Link.phase):
 //
@@ -59,22 +66,20 @@ type LinkStats struct {
 	SendWaits uint64
 	// Depth is the replay journal depth at snapshot time.
 	Depth int
-	// Codec is the item codec the link's first completed handshake
-	// negotiated ("" before any handshake); it stays pinned for the
-	// link's life because the replay journal holds frames in that
-	// encoding.
+	// Codec is the item codec the link's latest completed handshake
+	// negotiated ("" before any handshake). Every conn negotiates afresh:
+	// the replay journal holds frames, not encodings.
 	Codec string
 	// EncodedItems and DecodedItems count items transformed by a non-xml
-	// codec (xml links ship item bytes verbatim and count nothing here).
+	// codec (xml conns ship item bytes verbatim and count nothing here).
+	// Replayed frames are encoded again and recount, like FramesSent; a
+	// replay's duplicates are decoded, to keep the conn's dictionary in
+	// step, but only accepted batches count as decoded.
 	EncodedItems, DecodedItems uint64
-	// SeededNames is how many dictionary names the handshake's dictseed
-	// negotiation pre-loaded into the link's codec tables (0 on xml links
-	// and on links whose peer predates seeding).
+	// SeededNames is how many dictionary names the latest handshake's
+	// dictseed negotiation pre-loaded into the conn's codec tables (0 on
+	// xml conns and with peers that predate seeding).
 	SeededNames int
-	// Boot is the link's durable incarnation counter (0 on in-memory
-	// links): it bumps on every journal recovery, and again when a
-	// restarted peer forces the outbound sequence space to rotate.
-	Boot uint64
 	// EncodedXMLBytes/EncodedWireBytes are outbound batch sizes before and
 	// after the codec. Their ratio is the measured outbound compression.
 	EncodedXMLBytes, EncodedWireBytes uint64
@@ -106,7 +111,8 @@ type Link struct {
 	phase string
 	// out journals sequenced outbound frames (consumer: the remote node).
 	out *Channel
-	// sent is the highest journal sequence written to the current conn.
+	// sent is the highest journal sequence written to the current conn;
+	// before the first attach, the highest a previous life journaled.
 	sent uint64
 	// in dedups inbound sequenced frames across reconnect replays.
 	in RecvCursor
@@ -114,23 +120,17 @@ type Link struct {
 	recvSince int
 	closed    bool
 
-	// codec is the negotiated item codec name, pinned by the first
-	// completed handshake; enc/dec are its stateful halves (nil on xml
-	// links, which need no transform) and encBuf the reused encode
-	// scratch. All are guarded by mu: encoding under the journal lock is
-	// what keeps dictionary-delta order identical to journal order, and
-	// decoding under it (fused with the dedup cursor) is what applies
-	// each delta exactly once across reconnect replays.
-	codec  string
-	enc    wire.Encoder
-	dec    wire.Decoder
+	// codec names what the latest handshake negotiated and enc is the
+	// current conn's encoder half (nil on xml conns and while detached),
+	// used by the writer alone. The matching decoder belongs to the conn's
+	// reader; neither survives the conn.
+	codec string
+	enc   wire.TreeEncoder
+	// encBuf is the writer goroutine's reused codec scratch (not under mu).
 	encBuf []byte
-	// seedNames is the dictseed list the first handshake agreed on, kept so
-	// a durable boot rotation can re-seed freshly minted codec halves.
-	seedNames []string
 
-	// dur is the link's durable journal state; nil on in-memory links.
-	// Guarded by mu like everything else.
+	// dur is the WAL behind out and in; nil on in-memory links. Set once
+	// at Connect, its fields guarded by mu.
 	dur *linkDur
 
 	stats   LinkStats
@@ -138,17 +138,51 @@ type Link struct {
 	attachN int
 }
 
+// connCodec is what one completed handshake mints for its conn: the
+// negotiated codec's name and, off xml, a fresh encoder for the link's
+// writer and a fresh decoder for the conn's reader, both pre-loaded with
+// the seed list that handshake agreed on.
+type connCodec struct {
+	name   string
+	enc    wire.TreeEncoder
+	dec    wire.TreeDecoder
+	seeded int
+}
+
+// newConnCodec mints the codec halves for a conn. Items are element trees
+// everywhere inside a process, so a non-xml codec whose halves cannot carry
+// trees fails the handshake.
+func newConnCodec(name string, seed []string) (connCodec, error) {
+	if name == wire.CodecXML {
+		return connCodec{name: name}, nil
+	}
+	c := wire.Lookup(name)
+	if c == nil {
+		return connCodec{}, fmt.Errorf("transport: handshake: unknown codec %q", name)
+	}
+	enc, encOK := c.NewEncoder().(wire.TreeEncoder)
+	dec, decOK := c.NewDecoder().(wire.TreeDecoder)
+	if !encOK || !decOK {
+		return connCodec{}, fmt.Errorf("transport: handshake: codec %q cannot carry element trees", name)
+	}
+	enc.SeedShared(seed)
+	dec.SeedShared(seed)
+	return connCodec{name: name, enc: enc, dec: dec, seeded: len(seed)}, nil
+}
+
 // Remote returns the remote node's name.
 func (l *Link) Remote() string { return l.remote }
 
 // Send journals one sequenced frame and wakes the writer; it blocks while
 // the replay window is exhausted and returns ErrClosed after Close. The
-// frame's Seq is assigned here. On links that negotiated a non-xml codec,
-// Batch frames are encoded to BatchBin under the same lock hold that
-// assigns the sequence, so the codec's dictionary deltas ship in exactly
-// journal order; the journaled bytes are final, making reconnect replays
-// byte-identical.
+// journal keeps the link's own shallow copy, stamped with the link
+// sequence — the caller's frame is left untouched, so one frame may be sent
+// on several links — and retains whatever the frame references (element
+// trees, item bytes, span header) until the peer acks it: callers must not
+// modify those afterwards. Trees stay trees in the journal; the writer
+// encodes them for whichever conn carries the frame.
 func (l *Link) Send(f *Frame) error {
+	own := *f
 	l.mu.Lock()
 	waited := false
 	for !l.closed && !l.out.Admit(1) {
@@ -162,73 +196,48 @@ func (l *Link) Send(f *Frame) error {
 		l.mu.Unlock()
 		return ErrClosed
 	}
-	l.emitLocked(f, nil)
+	own.Seq = l.out.NextSeq() // the WAL record carries it, ahead of EmitFrame
+	l.journalSendLocked(&own)
+	l.out.EmitFrame(&own)
 	l.mu.Broadcast()
 	l.mu.Unlock()
 	return nil
 }
 
-// emitLocked assigns the next link sequence, encodes through the pinned
-// codec, journals the frame on durable links, and emits it into the
-// replay channel. plain is the frame's codec-independent encoding when
-// the caller already holds it (pending replay after recovery); nil lets
-// durable links compute it. Callers hold l.mu with a window credit
-// already admitted.
-func (l *Link) emitLocked(f *Frame, plain []byte) {
-	f.Seq = l.out.NextSeq()
-	var payload []byte
-	if l.enc != nil && f.Type == FrameBatch {
-		payload = l.encodeBatchLocked(f)
-	} else {
-		send := f
-		if f.Type == FrameBatch && len(f.Items) == 0 && len(f.Elems) > 0 {
-			// Elems-only batch on an xml link: materialize the canonical
-			// item bytes here, at the link boundary, in a local copy so a
-			// caller broadcasting one frame across mixed-codec links keeps
-			// its tree view intact.
-			xml := *f
-			xml.Items = marshalElems(f.Elems)
-			xml.Elems = nil
-			send = &xml
-		}
-		payload = AppendFrame(nil, send)
-	}
+// journalSendLocked appends an outbound frame to a durable link's WAL
+// before it enters the Channel. Stream-level acks are cumulative snapshots
+// of live channel state: replaying one after a recovery is stale at best,
+// so they skip the WAL — the peer just retains buffer until live acks catch
+// up (the receive side filters them symmetrically). Callers hold l.mu.
+func (l *Link) journalSendLocked(f *Frame) {
 	if l.dur != nil && f.Type != FrameAck {
-		// Stream-level acks are cumulative snapshots of live channel state:
-		// replaying one after a recovery is stale at best, so they skip the
-		// journal — the peer just retains buffer until live acks catch up
-		// (the receive side filters them symmetrically).
-		if plain == nil {
-			plain = plainFrame(f)
-		}
-		l.dur.journalSend(f.Seq, plain)
+		l.dur.journalSend(f.Seq, appendPlain(nil, f))
 	}
-	l.out.Emit(payload, false)
 }
 
-// encodeBatchLocked transforms a Batch frame into its BatchBin wire image
-// using the link's negotiated encoder. Batches carrying parsed element
-// trees (and no item bytes) take the codec's zero-XML path when the
-// encoder is tree-capable; metering then prices canonical bytes with
-// xmlstream.MarshalSize instead of producing them. Callers hold l.mu.
-func (l *Link) encodeBatchLocked(f *Frame) []byte {
+// appendWire appends a journaled frame's wire image for a conn whose
+// handshake minted enc (nil on xml conns), adding what the codec
+// transformed to sum's Encoded* counters. Batches cross a codec conn as BatchBin: element trees take
+// the zero-XML path, priced with xmlstream.MarshalSize instead of
+// materialized, and item bytes — the form a recovered journal holds — the
+// byte path. Only the link's writer calls it, in journal order, which is
+// what keeps the conn's dictionary deltas in sequence.
+func (l *Link) appendWire(dst []byte, f *Frame, enc wire.TreeEncoder, sum *LinkStats) []byte {
+	if enc == nil || f.Type != FrameBatch {
+		return appendPlain(dst, f)
+	}
 	start := time.Now()
-	nItems, xmlBytes := 0, 0
-	if te, ok := l.enc.(wire.TreeEncoder); ok && len(f.Items) == 0 && len(f.Elems) > 0 {
-		l.encBuf = te.EncodeElems(l.encBuf[:0], f.Elems)
-		nItems = len(f.Elems)
+	items, xmlBytes := 0, 0
+	if len(f.Items) == 0 && len(f.Elems) > 0 {
+		l.encBuf = enc.EncodeElems(l.encBuf[:0], f.Elems)
+		items = len(f.Elems)
 		for _, e := range f.Elems {
 			xmlBytes += xmlstream.MarshalSize(e)
 		}
 	} else {
-		items := f.Items
-		if len(items) == 0 && len(f.Elems) > 0 {
-			// A non-tree codec on an elems-only batch: materialize once.
-			items = marshalElems(f.Elems)
-		}
-		l.encBuf = l.enc.EncodeBatch(l.encBuf[:0], items)
-		nItems = len(items)
-		for _, it := range items {
+		l.encBuf = enc.EncodeBatch(l.encBuf[:0], f.Items)
+		items = len(f.Items)
+		for _, it := range f.Items {
 			xmlBytes += len(it)
 		}
 	}
@@ -237,19 +246,31 @@ func (l *Link) encodeBatchLocked(f *Frame) []byte {
 	bin.Items = nil
 	bin.Elems = nil
 	bin.Data = l.encBuf
-	payload := AppendFrame(nil, &bin)
-	l.stats.EncodedItems += uint64(nItems)
-	l.stats.EncodedXMLBytes += uint64(xmlBytes)
-	l.stats.EncodedWireBytes += uint64(len(l.encBuf))
+	sum.EncodedItems += uint64(items)
+	sum.EncodedXMLBytes += uint64(xmlBytes)
+	sum.EncodedWireBytes += uint64(len(bin.Data))
 	if obs := l.mesh.obsWire; obs != nil {
-		obs("encode", time.Since(start).Seconds(), nItems, xmlBytes, len(l.encBuf))
+		obs("encode", time.Since(start).Seconds(), items, xmlBytes, len(bin.Data))
 	}
-	return payload
+	return AppendFrame(dst, &bin)
+}
+
+// appendPlain appends f's codec-independent wire image: element-tree
+// batches are materialized to their XML item form — what an xml conn
+// carries, and what the WAL holds so a recovered process can replay the
+// frame through whatever codec its next conn negotiates.
+func appendPlain(dst []byte, f *Frame) []byte {
+	if f.Type == FrameBatch && len(f.Items) == 0 && len(f.Elems) > 0 {
+		p := *f
+		p.Items = marshalElems(f.Elems)
+		p.Elems = nil
+		f = &p
+	}
+	return AppendFrame(dst, f)
 }
 
 // marshalElems materializes the canonical XML bytes of a batch of element
-// trees in one allocation — the fallback for links whose codec cannot carry
-// trees natively.
+// trees in one allocation — what xml conns and the WAL carry.
 func marshalElems(elems []*xmlstream.Element) [][]byte {
 	total := 0
 	for _, e := range elems {
@@ -265,263 +286,40 @@ func marshalElems(elems []*xmlstream.Element) [][]byte {
 	return items
 }
 
-// decodeBatchLocked rewrites an inbound BatchBin frame into a plain Batch
-// in place, running the link's negotiated decoder. The decoded items are
-// freshly allocated, so the frame may outlive the conn's read buffer.
-// Callers hold l.mu and must not have advanced the receive cursor yet: on
-// error the decoder has rolled its dictionary back, the caller tears the
-// conn down, and the journal replays the same bytes for a clean retry.
-func (l *Link) decodeBatchLocked(f *Frame) error {
+// decodeBatch rewrites an inbound BatchBin frame into a plain Batch of
+// element trees in place, through the reading conn's own decoder; canonical
+// bytes are priced (MarshalSize) but never built. The trees are freshly
+// allocated, so the frame may outlive the conn's read buffer. It runs on
+// the conn's reader for every BatchBin in arrival order, duplicates
+// included, because each payload may extend the conn's dictionary.
+func (l *Link) decodeBatch(f *Frame, dec wire.TreeDecoder) (xmlBytes int, err error) {
 	start := time.Now()
 	wireBytes := len(f.Data)
-	nItems, xmlBytes := 0, 0
-	if td, ok := l.dec.(wire.TreeDecoder); ok {
-		// Zero-XML path: the payload decodes straight into element trees;
-		// canonical bytes are priced (MarshalSize) but never built. The
-		// handler sees a Batch frame with Elems set and Items nil.
-		elems, err := td.DecodeElems(f.Data)
-		if err != nil {
-			return err
-		}
-		f.Type = FrameBatch
-		f.Elems = elems
-		f.Data = nil
-		nItems = len(elems)
-		for _, e := range elems {
-			xmlBytes += xmlstream.MarshalSize(e)
-		}
-	} else {
-		items, err := l.dec.DecodeBatch(f.Data)
-		if err != nil {
-			return err
-		}
-		f.Type = FrameBatch
-		f.Items = items
-		f.Data = nil
-		nItems = len(items)
-		for _, it := range items {
-			xmlBytes += len(it)
-		}
+	elems, err := dec.DecodeElems(f.Data)
+	if err != nil {
+		return 0, err
 	}
-	l.stats.DecodedItems += uint64(nItems)
-	l.stats.DecodedXMLBytes += uint64(xmlBytes)
-	l.stats.DecodedWireBytes += uint64(wireBytes)
+	f.Type = FrameBatch
+	f.Elems = elems
+	f.Data = nil
+	for _, e := range elems {
+		xmlBytes += xmlstream.MarshalSize(e)
+	}
 	if obs := l.mesh.obsWire; obs != nil {
-		obs("decode", time.Since(start).Seconds(), nItems, xmlBytes, wireBytes)
+		obs("decode", time.Since(start).Seconds(), len(elems), xmlBytes, wireBytes)
 	}
-	return nil
-}
-
-// adoptCodecLocked pins the handshake's negotiated codec on first use and
-// rejects any later handshake that tries to change it — the journal holds
-// frames in the pinned encoding, so renegotiation would desync replay.
-// seed is the dictseed name list the handshake agreed on: it is applied to
-// both freshly minted codec halves exactly once, here, under the same pin
-// (the early return on reconnects means a re-negotiated seed can never
-// touch tables that already carry traffic). Callers hold l.mu.
-func (l *Link) adoptCodecLocked(name string, seed []string) error {
-	if l.codec == name {
-		return nil
-	}
-	if l.codec != "" {
-		return fmt.Errorf("transport: link %s: codec pinned to %s, renegotiation to %s refused", l.remote, l.codec, name)
-	}
-	c := wire.Lookup(name)
-	if c == nil {
-		return fmt.Errorf("transport: link %s: unknown codec %q", l.remote, name)
-	}
-	l.codec = name
-	if name != wire.CodecXML {
-		l.enc = c.NewEncoder()
-		l.dec = c.NewDecoder()
-		if len(seed) > 0 {
-			te, teOK := l.enc.(wire.TreeEncoder)
-			td, tdOK := l.dec.(wire.TreeDecoder)
-			if teOK && tdOK {
-				te.SeedShared(seed)
-				td.SeedShared(seed)
-				l.stats.SeededNames = len(seed)
-				l.seedNames = seed
-			}
-		}
-	}
-	return nil
-}
-
-// resetEncoderLocked mints a fresh encoder half for the pinned codec and
-// re-applies the handshake's agreed seed — used when a durable boot
-// rotation restarts the outbound sequence space, so the dictionary delta
-// stream restarts with it. Callers hold l.mu.
-func (l *Link) resetEncoderLocked() {
-	if l.codec == "" || l.codec == wire.CodecXML {
-		return
-	}
-	c := wire.Lookup(l.codec)
-	if c == nil {
-		return
-	}
-	l.enc = c.NewEncoder()
-	if len(l.seedNames) > 0 {
-		if te, ok := l.enc.(wire.TreeEncoder); ok {
-			te.SeedShared(l.seedNames)
-		}
-	}
-}
-
-// resetDecoderLocked is resetEncoderLocked's inbound mirror, used when a
-// restarted peer's fresh incarnation restarts its sequence space (and so
-// its dictionary delta stream). Both sides re-seed the same agreed list,
-// assuming the restarted process offers the same seed vocabulary its
-// previous life did — true for stream-schema seeds, which are inferred
-// deterministically. Callers hold l.mu.
-func (l *Link) resetDecoderLocked() {
-	if l.codec == "" || l.codec == wire.CodecXML {
-		return
-	}
-	c := wire.Lookup(l.codec)
-	if c == nil {
-		return
-	}
-	l.dec = c.NewDecoder()
-	if len(l.seedNames) > 0 {
-		if td, ok := l.dec.(wire.TreeDecoder); ok {
-			td.SeedShared(l.seedNames)
-		}
-	}
-}
-
-// adoptPeerLocked applies a completed handshake's durability options and
-// returns the resume cursor attachLocked should honor for our outbound
-// journal. pBoot is the peer's incarnation, pKnownMine our incarnation as
-// the peer last recorded it, pResume the peer's next-expected receive
-// sequence, and staleFor/staleResume the peer's stashed cursor for our
-// previous incarnation (see linkDur). In-memory links and legacy peers
-// (pBoot 0) pass pResume through untouched. Callers hold l.mu.
-func (l *Link) adoptPeerLocked(pBoot, pKnownMine, pResume, staleFor, staleResume uint64) uint64 {
-	d := l.dur
-	if d == nil || pBoot == 0 {
-		return pResume
-	}
-	if pBoot != d.peerBoot {
-		if d.peerBoot != 0 {
-			// The peer restarted: its sequence space and dictionary delta
-			// stream restart from scratch. Stash the old cursor — the
-			// restarted peer still needs it to filter its pending replay
-			// if it never saw our first reply.
-			d.staleFor, d.staleResume = d.peerBoot, l.in.Next()
-			l.in = RecvCursor{}
-			l.resetDecoderLocked()
-		}
-		d.peerBoot = pBoot
-		d.ctlMark = 0
-		d.appendU64s(durPeerBoot, pBoot) //nolint:errcheck // sticky WAL error resurfaces on Close
-	}
-	myResume := pResume
-	if pKnownMine != d.boot {
-		// The peer has never counted a frame of our current incarnation.
-		// If our live channel already carries current-incarnation traffic
-		// the peer can no longer resume into it — rotate to a fresh
-		// incarnation so every outstanding frame replays under one clean
-		// sequence space.
-		if len(d.pending) == 0 && l.out.NextSeq() > 1 {
-			l.rotateBootLocked()
-		}
-		myResume = 0
-		l.sent = 0
-	}
-	if len(d.pending) > 0 {
-		filter := uint64(1)
-		if pKnownMine == d.prevBoot && pResume > 0 {
-			filter = pResume
-		} else if staleFor == d.prevBoot && staleResume > 0 {
-			filter = staleResume
-		}
-		l.replayPendingLocked(filter)
-	}
-	return myResume
-}
-
-// rotateBootLocked starts a fresh outbound incarnation: the unacked
-// mirror becomes the pending set, the journal records the new boot, and
-// the outbound channel and encoder are rebuilt so link sequences (and
-// dictionary deltas) restart from scratch. Senders blocked on the old
-// channel's window re-check l.out and proceed on the fresh one. Callers
-// hold l.mu.
-func (l *Link) rotateBootLocked() {
-	d := l.dur
-	d.prevBoot = d.boot
-	d.boot++
-	d.appendU64s(durBoot, d.boot) //nolint:errcheck // sticky WAL error resurfaces on Close
-	d.pending = d.mirror
-	d.mirror = nil
-	l.out = NewChannel(0, l.mesh.window)
-	l.out.AddConsumer(l.remote)
-	l.sent = 0
-	l.resetEncoderLocked()
-}
-
-// replayPendingLocked re-emits the previous incarnation's unacked frames
-// as fresh sends of the current one, skipping everything below the
-// peer-reported filter cursor. Pending frames were admitted against the
-// window in their first life and are bounded by it, so they re-enter
-// without credit checks. Callers hold l.mu.
-func (l *Link) replayPendingLocked(filter uint64) {
-	for _, e := range l.dur.pending {
-		if e.seq < filter {
-			continue
-		}
-		f, err := DecodeFrame(e.plain)
-		if err != nil {
-			continue // checksummed on disk; defensive only
-		}
-		l.emitLocked(f, e.plain)
-		l.stats.Replayed++
-	}
-	l.dur.pending = nil
-	l.mu.Broadcast()
-}
-
-// durHandshakeOptsLocked returns the durability handshake options: our
-// incarnation ("boot"), the peer's as we know it ("peerboot"), and the
-// stashed receive cursor for the peer's previous incarnation
-// ("bootresume"/"bootresumefor"). Nil on in-memory links; peers that
-// predate durability ignore unknown option keys. Callers hold l.mu.
-func (l *Link) durHandshakeOptsLocked() map[string]string {
-	d := l.dur
-	if d == nil {
-		return nil
-	}
-	opts := map[string]string{
-		"boot":     strconv.FormatUint(d.boot, 10),
-		"peerboot": strconv.FormatUint(d.peerBoot, 10),
-	}
-	if d.staleFor != 0 {
-		opts["bootresumefor"] = strconv.FormatUint(d.staleFor, 10)
-		opts["bootresume"] = strconv.FormatUint(d.staleResume, 10)
-	}
-	return opts
-}
-
-// durOptU64 reads one numeric durability option (absent or malformed
-// means 0, the legacy-peer value).
-func durOptU64(opts map[string]string, key string) uint64 {
-	v, _ := strconv.ParseUint(opts[key], 10, 64)
-	return v
+	return xmlBytes, nil
 }
 
 // checkpoint compacts a durable link's journal to a snapshot of its live
 // state, with a boundary so recovered processes never re-dispatch frames
-// drained before it. Links still holding an unreplayed pending set skip
-// compaction — the pending frames' old-incarnation sequences cannot be
-// condensed into the current one.
+// drained before it.
 func (l *Link) checkpoint() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	d := l.dur
-	if d == nil || len(d.pending) > 0 {
-		return
+	if l.dur != nil {
+		l.dur.wal.Compact(l.dur.snapshot(l.out, l.in.Next())) //nolint:errcheck // sticky WAL error resurfaces on Close
 	}
-	d.wal.Compact(d.snapshot(l.in.Next())) //nolint:errcheck // sticky WAL error resurfaces on Close
 }
 
 // SendRaw writes one unsequenced frame (heartbeats) straight to the
@@ -556,9 +354,6 @@ func (l *Link) Stats() LinkStats {
 	s.Phase = l.phase
 	s.Depth = l.out.Depth()
 	s.Codec = l.codec
-	if l.dur != nil {
-		s.Boot = l.dur.boot
-	}
 	return s
 }
 
@@ -581,11 +376,12 @@ func (l *Link) dumpState(w io.Writer) {
 		l.stats.Reconnects, l.stats.Replayed, l.stats.SendWaits, l.q.len())
 }
 
-// attachLocked installs a fresh conn after a completed handshake: the
-// peer's resume cursor acts as an implicit cumulative ack (everything
-// below it was delivered), the write cursor rewinds so the journal suffix
-// replays, and a reader for the new conn starts. Callers hold l.mu.
-func (l *Link) attachLocked(conn Conn, peerResume uint64) {
+// attachLocked installs a fresh conn after a completed handshake, with the
+// codec halves that handshake minted: the peer's resume cursor acts as an
+// implicit cumulative ack (everything below it was delivered), the write
+// cursor rewinds so the journal suffix replays through the fresh encoder,
+// and a reader owning the fresh decoder starts. Callers hold l.mu.
+func (l *Link) attachLocked(conn Conn, peerResume uint64, cc connCodec) {
 	if l.closed {
 		conn.Close()
 		return
@@ -598,23 +394,53 @@ func (l *Link) attachLocked(conn Conn, peerResume uint64) {
 	}
 	l.gen++
 	l.conn = conn
+	l.codec, l.enc = cc.name, cc.enc
+	l.stats.SeededNames = cc.seeded
 	l.phase = "connected"
-	l.attachN++
-	if l.attachN > 1 {
-		l.stats.Reconnects++
-		if peerResume > 0 {
-			if d := l.out.Depth(); d > 0 {
-				l.stats.Replayed += uint64(len(l.out.UnackedAfter(peerResume - 1)))
-			}
-		}
-	}
 	if peerResume > 0 {
+		if l.attachN == 0 && peerResume > l.sent+1 {
+			l.fastForwardLocked(peerResume)
+		}
+		if l.sent >= peerResume {
+			// Written before (or journaled by a previous life) and never
+			// delivered: this conn sends those again.
+			l.stats.Replayed += uint64(len(l.out.UnackedAfter(peerResume-1)) - len(l.out.UnackedAfter(l.sent)))
+		}
 		l.out.Ack(l.remote, peerResume-1)
 		l.sent = peerResume - 1
 	}
+	if l.attachN++; l.attachN > 1 {
+		l.stats.Reconnects++
+	}
 	l.mu.Broadcast()
 	l.mesh.wg.Add(1)
-	go l.reader(conn, l.gen)
+	go l.reader(conn, l.gen, cc.dec)
+}
+
+// fastForwardLocked reconciles this process life's first handshake with a
+// peer whose resume cursor is past everything the link remembers sending:
+// a previous life sent frames up to there and the record of it is gone (an
+// unsynced WAL tail, or an in-memory link's process restarted). Whatever
+// this life queued since it started, beginning at l.sent+1, reuses numbers
+// the peer already consumed and would be deduped unseen, so those frames
+// move up to start at the peer's cursor and the sequence space continues
+// from there; everything older is below the cursor, hence delivered. No
+// conn has carried this life's frames yet, so renumbering them is safe.
+// Callers hold l.mu.
+func (l *Link) fastForwardLocked(peerResume uint64) {
+	shift := peerResume - (l.sent + 1)
+	queued := append([]Entry(nil), l.out.UnackedAfter(l.sent)...)
+	for i := range queued {
+		queued[i].Seq += shift
+		queued[i].Frame.Seq = queued[i].Seq
+	}
+	l.out.Restore(peerResume-1, l.out.NextSeq()+shift, queued)
+	if l.dur != nil {
+		l.dur.journalAckOut(peerResume - 1)
+	}
+	for _, e := range queued {
+		l.journalSendLocked(e.Frame)
+	}
 }
 
 // detachLocked drops the current conn after an error; the writer pauses
@@ -623,7 +449,7 @@ func (l *Link) attachLocked(conn Conn, peerResume uint64) {
 func (l *Link) detachLocked() {
 	if l.conn != nil {
 		l.conn.Close()
-		l.conn = nil
+		l.conn, l.enc = nil, nil
 	}
 	if !l.closed {
 		l.phase = "reconnecting"
@@ -641,19 +467,21 @@ func (l *Link) closeLocked() {
 	l.phase = "closed"
 	if l.conn != nil {
 		l.conn.Close()
-		l.conn = nil
+		l.conn, l.enc = nil, nil
 	}
 	l.mu.Broadcast()
 	l.q.close()
 }
 
 // writer is the link's single outbound pump: whenever a conn is attached
-// and the journal holds frames past the write cursor, it writes that
-// suffix in order. Keeping one writer per link preserves sequence order
-// across replays; raw frames interleave at whole-frame granularity via
-// the conn's own write lock.
+// and the journal holds frames past the write cursor, it renders that
+// suffix through the conn's encoder and writes it, in order. Keeping one
+// writer per link preserves sequence order across replays — and, because
+// only it encodes, the order of each conn's dictionary deltas; raw frames
+// interleave at whole-frame granularity via the conn's own write lock.
 func (l *Link) writer() {
 	defer l.mesh.wg.Done()
+	var buf []byte // wire image of the frame being written; conns do not retain it
 	l.mu.Lock()
 	for {
 		for !l.closed && (l.conn == nil || l.sent+1 >= l.out.NextSeq()) {
@@ -663,30 +491,33 @@ func (l *Link) writer() {
 			l.mu.Unlock()
 			return
 		}
-		conn, gen := l.conn, l.gen
-		pend := l.out.UnackedAfter(l.sent)
-		batch := make([]Entry, len(pend))
-		copy(batch, pend)
+		conn, gen, enc := l.conn, l.gen, l.enc
+		batch := append([]Entry(nil), l.out.UnackedAfter(l.sent)...)
 		l.mu.Unlock()
 
 		wrote, bytes := 0, 0
+		var sum LinkStats
 		var last uint64
 		var err error
 		for _, e := range batch {
+			buf = l.appendWire(buf[:0], e.Frame, enc, &sum)
 			if idle := l.mesh.idleTimeout; idle > 0 {
 				conn.SetWriteDeadline(time.Now().Add(idle)) //nolint:errcheck // a failed deadline surfaces as a write error
 			}
-			if err = conn.WriteFrame(e.Data); err != nil {
+			if err = conn.WriteFrame(buf); err != nil {
 				break
 			}
 			wrote++
-			bytes += len(e.Data) + 4
+			bytes += len(buf) + 4
 			last = e.Seq
 		}
 
 		l.mu.Lock()
 		l.stats.FramesSent += uint64(wrote)
 		l.stats.BytesSent += uint64(bytes)
+		l.stats.EncodedItems += sum.EncodedItems
+		l.stats.EncodedXMLBytes += sum.EncodedXMLBytes
+		l.stats.EncodedWireBytes += sum.EncodedWireBytes
 		if l.gen == gen {
 			if wrote > 0 && last > l.sent {
 				l.sent = last
@@ -698,12 +529,12 @@ func (l *Link) writer() {
 	}
 }
 
-// reader drains one conn: sequenced frames are deduped against the
-// receive cursor, acknowledged cumulatively, and handed to the dispatch
-// queue; LinkAcks trim the journal and wake blocked senders. A read or
-// decode error detaches the conn (if it is still the current one) and
-// ends the reader.
-func (l *Link) reader(conn Conn, gen int) {
+// reader drains one conn: BatchBin frames are decoded through the conn's
+// own decoder, sequenced frames are deduped against the receive cursor,
+// acknowledged cumulatively, and handed to the dispatch queue; LinkAcks
+// trim the journal and wake blocked senders. A read or decode error
+// detaches the conn (if it is still the current one) and ends the reader.
+func (l *Link) reader(conn Conn, gen int, dec wire.TreeDecoder) {
 	defer l.mesh.wg.Done()
 	for {
 		if idle := l.mesh.idleTimeout; idle > 0 {
@@ -720,12 +551,29 @@ func (l *Link) reader(conn Conn, gen int) {
 			l.teardown(conn, gen)
 			return
 		}
+		var xmlBytes, wireBytes int
+		if f.Type == FrameBatchBin {
+			wireBytes = len(f.Data)
+			// Decoded before the dedup cursor sees the frame and outside
+			// l.mu: the dictionary is this conn's alone, so it advances once
+			// per frame the conn carries whatever the cursor then decides. A
+			// binary batch on an xml conn is a protocol violation; a decode
+			// error drops the conn before the cursor moves, and the peer's
+			// journal replays the frame through a fresh dictionary.
+			if dec == nil {
+				l.teardown(conn, gen)
+				return
+			}
+			if xmlBytes, err = l.decodeBatch(f, dec); err != nil {
+				l.teardown(conn, gen)
+				return
+			}
+		}
 		l.mu.Lock()
 		if l.gen != gen {
 			// A newer conn replaced this one mid-read: applying this frame
 			// could ack or advance state the fresh attachment already
-			// rewound (a stale LinkAck trimming a rotated channel). Stand
-			// down without touching anything.
+			// rewound. Stand down without touching anything.
 			l.mu.Unlock()
 			l.teardown(conn, gen)
 			return
@@ -744,33 +592,21 @@ func (l *Link) reader(conn Conn, gen int) {
 				l.mu.Unlock()
 			case FrameHeartbeat:
 				l.mu.Unlock()
-				l.q.push(f, 0)
+				l.q.push(f)
 			default:
 				l.mu.Unlock()
 			}
 			continue
 		}
-		if f.Type == FrameBatchBin && f.Seq >= l.in.Next() {
-			// Decode fused with the dedup cursor, under the same lock
-			// hold: the codec dictionary advances exactly once per
-			// sequence even when reconnect replays or a stale reader
-			// re-deliver the frame. Link frames arrive in order per conn
-			// and replays restart from the resume cursor, so a
-			// yet-undelivered sequence is always exactly Next; anything
-			// else (or a binary batch on an xml link) is a protocol
-			// violation, and a decode error drops the conn before the
-			// cursor moves so the journal replays the same bytes cleanly.
-			if l.dec == nil || f.Seq != l.in.Next() || l.decodeBatchLocked(f) != nil {
-				l.mu.Unlock()
-				l.teardown(conn, gen)
-				return
-			}
-		}
 		if _, ok := l.in.Accept(0, f.Seq, f.Seq); !ok {
 			l.mu.Unlock() // duplicate from a reconnect replay
 			continue
 		}
-		var ctlBoot uint64
+		if wireBytes > 0 {
+			l.stats.DecodedItems += uint64(len(f.Elems))
+			l.stats.DecodedXMLBytes += uint64(xmlBytes)
+			l.stats.DecodedWireBytes += uint64(wireBytes)
+		}
 		if l.dur != nil {
 			if f.Type == FrameAck {
 				// Recovery never re-dispatches stream-level acks (they
@@ -780,11 +616,9 @@ func (l *Link) reader(conn Conn, gen int) {
 			} else {
 				// Journal before dispatch: once we ack this sequence the
 				// peer trims it, so our own journal must be able to
-				// re-deliver it after a crash. Recorded codec-independently
-				// — replay flows through a freshly negotiated codec.
-				l.dur.journalRecv(f.Seq, plainFrame(f))
+				// re-deliver it after a crash.
+				l.dur.journalRecv(f.Seq, appendPlain(nil, f))
 			}
-			ctlBoot = l.dur.peerBoot
 		}
 		l.recvSince++
 		var ack uint64
@@ -792,11 +626,14 @@ func (l *Link) reader(conn Conn, gen int) {
 			l.recvSince = 0
 			ack = l.in.Next() - 1
 		}
+		// Enqueued under the lock that accepted it: a replaced conn's reader
+		// descheduled between the two would otherwise let its successor
+		// dispatch the next sequence first.
+		l.q.push(f)
 		l.mu.Unlock()
 		if ack > 0 {
 			l.SendRaw(&Frame{Type: FrameLinkAck, Ack: ack})
 		}
-		l.q.push(f, ctlBoot)
 	}
 }
 
@@ -845,7 +682,6 @@ func (l *Link) dialLoop() {
 		}
 		l.phase = "dialing"
 		resume := l.in.Next()
-		durOpts := l.durHandshakeOptsLocked()
 		l.mu.Unlock()
 
 		conn, err := l.mesh.tr.Dial(l.addr)
@@ -854,28 +690,16 @@ func (l *Link) dialLoop() {
 			l.phase = "handshake"
 			l.mu.Unlock()
 			l.mesh.trackPending(conn, true)
-			var welcome *Frame
-			var codec string
-			var seed []string
-			welcome, codec, seed, err = handshakeDial(conn, l.mesh.node, l.remote, resume, l.mesh.codecs, l.mesh.seed, durOpts, l.mesh.hsTimeout)
+			var peerResume uint64
+			var cc connCodec
+			peerResume, cc, err = handshakeDial(conn, l.mesh.node, l.remote, resume, l.mesh.codecs, l.mesh.seed, l.mesh.hsTimeout)
 			l.mesh.trackPending(conn, false)
 			if err == nil {
 				l.mu.Lock()
-				if cerr := l.adoptCodecLocked(codec, seed); cerr != nil {
-					// The acceptor answered with a codec outside our pin;
-					// drop the conn and retry — replay depends on the
-					// pinned encoding.
-					l.mu.Unlock()
-					err = cerr
-				} else {
-					res := l.adoptPeerLocked(
-						durOptU64(welcome.Options, "boot"), durOptU64(welcome.Options, "peerboot"),
-						welcome.Resume, durOptU64(welcome.Options, "bootresumefor"), durOptU64(welcome.Options, "bootresume"))
-					l.attachLocked(conn, res)
-					l.mu.Unlock()
-					backoff = 2 * time.Millisecond
-					continue
-				}
+				l.attachLocked(conn, peerResume, cc)
+				l.mu.Unlock()
+				backoff = 2 * time.Millisecond
+				continue
 			}
 			conn.Close()
 		}
@@ -898,18 +722,18 @@ func (l *Link) dialLoop() {
 // our identity, resume cursor and capability map (the codec preference
 // list, plus the dictseed key whose presence advertises dictionary-seeding
 // support and whose value is our configured seed vocabulary), require a
-// version- and name-matching Welcome, and return the acceptor's codec
-// choice and the agreed seed list. The Welcome's dictseed value is
+// version- and name-matching Welcome, and return the acceptor's resume
+// cursor with the codec halves for this conn, minted from the acceptor's
+// codec choice and the agreed seed list. The Welcome's dictseed value is
 // authoritative — the acceptor only emits it when the negotiated codec is
 // tree-capable and we advertised the key, so both sides seed the identical
 // list or neither seeds. A Welcome without capabilities is an old peer; the
 // choice then defaults to xml and no seeding happens. A choice we never
 // offered is a protocol error.
 //
-// durOpts carries a durable link's incarnation options (boot, peerboot,
-// bootresume*); peers without durability ignore them. hsTimeout bounds
-// the Welcome read so a half-open acceptor cannot wedge the dial loop.
-func handshakeDial(conn Conn, node, remote string, resume uint64, codecs, seed []string, durOpts map[string]string, hsTimeout time.Duration) (*Frame, string, []string, error) {
+// hsTimeout bounds the Welcome read so a half-open acceptor cannot wedge
+// the dial loop.
+func handshakeDial(conn Conn, node, remote string, resume uint64, codecs, seed []string, hsTimeout time.Duration) (uint64, connCodec, error) {
 	hello := &Frame{
 		Type: FrameHello, Version: ProtocolVersion, Node: node, Resume: resume,
 		Options: map[string]string{
@@ -918,32 +742,29 @@ func handshakeDial(conn Conn, node, remote string, resume uint64, codecs, seed [
 			"dictseed": wire.FormatList(seed),
 		},
 	}
-	for k, v := range durOpts {
-		hello.Options[k] = v
-	}
 	if hsTimeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(hsTimeout)) //nolint:errcheck // a failed deadline surfaces as a read error
 		defer conn.SetReadDeadline(time.Time{})         //nolint:errcheck // cleared best-effort; reads own their deadlines
 	}
 	if err := conn.WriteFrame(EncodeFrame(hello)); err != nil {
-		return nil, "", nil, err
+		return 0, connCodec{}, err
 	}
 	payload, err := conn.ReadFrame()
 	if err != nil {
-		return nil, "", nil, err
+		return 0, connCodec{}, err
 	}
 	f, err := DecodeFrame(payload)
 	if err != nil {
-		return nil, "", nil, err
+		return 0, connCodec{}, err
 	}
 	if f.Type != FrameWelcome {
-		return nil, "", nil, fmt.Errorf("transport: handshake: expected welcome, got %s", f.Type)
+		return 0, connCodec{}, fmt.Errorf("transport: handshake: expected welcome, got %s", f.Type)
 	}
 	if f.Version != ProtocolVersion {
-		return nil, "", nil, fmt.Errorf("transport: handshake: version %d, want %d", f.Version, ProtocolVersion)
+		return 0, connCodec{}, fmt.Errorf("transport: handshake: version %d, want %d", f.Version, ProtocolVersion)
 	}
 	if f.Node != remote {
-		return nil, "", nil, fmt.Errorf("transport: handshake: connected to %q, want %q", f.Node, remote)
+		return 0, connCodec{}, fmt.Errorf("transport: handshake: connected to %q, want %q", f.Node, remote)
 	}
 	codec := f.Options["codec"]
 	if codec == "" {
@@ -958,14 +779,15 @@ func handshakeDial(conn Conn, node, remote string, resume uint64, codecs, seed [
 			}
 		}
 		if !offered {
-			return nil, "", nil, fmt.Errorf("transport: handshake: peer chose codec %q we never offered", codec)
+			return 0, connCodec{}, fmt.Errorf("transport: handshake: peer chose codec %q we never offered", codec)
 		}
 	}
 	var agreed []string
 	if v, ok := f.Options["dictseed"]; ok && wire.SupportsTrees(codec) {
 		agreed = wire.ParseList(v)
 	}
-	return f, codec, agreed, nil
+	cc, err := newConnCodec(codec, agreed)
+	return f.Resume, cc, err
 }
 
 // frameQueue decouples the conn reader from frame handling: the reader
@@ -974,44 +796,35 @@ func handshakeDial(conn Conn, node, remote string, resume uint64, codecs, seed [
 // dedicated dispatcher goroutine fed by this unbounded FIFO.
 type frameQueue struct {
 	mu     chanLock
-	q      []*queuedFrame
+	q      []*Frame
 	closed bool
-}
-
-// queuedFrame pairs a frame with the peer incarnation it arrived under
-// (ctlBoot, 0 on in-memory links): durable links journal a control
-// frame's completion against the incarnation that sent it, which may no
-// longer be current by the time the dispatcher drains the queue.
-type queuedFrame struct {
-	f       *Frame
-	ctlBoot uint64
 }
 
 func newFrameQueue() *frameQueue { return &frameQueue{} }
 
-func (q *frameQueue) push(f *Frame, ctlBoot uint64) {
+func (q *frameQueue) push(f *Frame) {
 	q.mu.Lock()
 	if !q.closed {
-		q.q = append(q.q, &queuedFrame{f, ctlBoot})
+		q.q = append(q.q, f)
 		q.mu.Broadcast()
 	}
 	q.mu.Unlock()
 }
 
-func (q *frameQueue) pop() (*Frame, uint64, bool) {
+func (q *frameQueue) pop() (*Frame, bool) {
 	q.mu.Lock()
 	for len(q.q) == 0 && !q.closed {
 		q.mu.Wait()
 	}
 	if len(q.q) == 0 {
 		q.mu.Unlock()
-		return nil, 0, false
+		return nil, false
 	}
-	f, ctlBoot := q.q[0].f, q.q[0].ctlBoot
+	f := q.q[0]
 	q.q[0] = nil
 	q.q = q.q[1:]
 	q.mu.Unlock()
-	return f, ctlBoot, true
+	return f, true
 }
 
 func (q *frameQueue) close() {
@@ -1035,16 +848,14 @@ func (q *frameQueue) len() int {
 func (l *Link) dispatcher() {
 	defer l.mesh.wg.Done()
 	for {
-		f, ctlBoot, ok := l.q.pop()
+		f, ok := l.q.pop()
 		if !ok {
 			return
 		}
 		l.mesh.handler(l.remote, f)
-		if f.Type == FrameControl && f.Seq > 0 && ctlBoot > 0 {
+		if l.dur != nil && f.Type == FrameControl && f.Seq > 0 {
 			l.mu.Lock()
-			if l.dur != nil {
-				l.dur.journalCtl(ctlBoot, f.Seq)
-			}
+			l.dur.journalCtl(f.Seq)
 			l.mu.Unlock()
 		}
 	}

@@ -58,29 +58,31 @@ type MeshConfig struct {
 	Window int
 	// Codecs is the preference-ordered list of item codecs this node
 	// advertises in handshakes; nil means wire.DefaultCodecs() (binary
-	// first). Every link pins the codec its first handshake negotiates;
-	// []string{"xml"} forces the verbatim-XML baseline for debugging.
+	// first). Every conn's handshake negotiates afresh; []string{"xml"}
+	// forces the verbatim-XML baseline for debugging.
 	Codecs []string
 	// SeedNames is the element-name vocabulary (typically a stream
 	// schema's, via xmlstream.Schema.Names) offered for dictionary seeding
-	// in handshakes. When a link negotiates a tree-capable codec with a
-	// seeding-aware peer, both sides pre-load their dictionaries with the
-	// agreed list — the dialer's when it offers one, else the acceptor's —
-	// so steady-state payloads carry no dictionary deltas. Names containing
+	// in handshakes. When a conn negotiates a tree-capable codec with a
+	// seeding-aware peer, both sides pre-load that conn's dictionaries with
+	// the agreed list — the dialer's when it offers one, else the acceptor's
+	// — so steady-state payloads carry no dictionary deltas. Names containing
 	// commas (illegal in XML names, but the capability value is a
 	// comma-separated list) are dropped at construction.
 	SeedNames []string
 	// ObserveWire, when set, is called once per codec batch transform: op
 	// is "encode" or "decode", seconds the transform time, items the
 	// batch's item count, and xmlBytes/wireBytes the batch's size before
-	// and after the codec. It runs under the link's lock, so it must be
-	// fast and must not call back into the mesh.
+	// and after the codec. It runs on the link's writer goroutine (encode)
+	// or a conn's reader goroutine (decode), outside the link lock — so
+	// encode and decode calls may overlap — and delays that link's traffic
+	// for as long as it takes.
 	ObserveWire func(op string, seconds float64, items, xmlBytes, wireBytes int)
 	// DataDir, when set, makes every link durable: each link journals its
 	// frames and cursors in DataDir/<remote> and a process restarted over
-	// the same directory recovers its link identity, replays the frames
-	// the peer never acked, and re-dispatches the inbound frames its crash
-	// interrupted (see DESIGN.md "Durability"). Empty keeps links
+	// the same directory continues each link's sequence space, replays the
+	// frames the peer never acked, and re-dispatches the inbound frames its
+	// crash interrupted (see DESIGN.md "Durability"). Empty keeps links
 	// in-memory. Node names double as directory names, so they must be
 	// path-safe.
 	DataDir string
@@ -216,11 +218,12 @@ func (m *Mesh) Addr() string { return m.ln.Addr() }
 // Connect registers the link to a remote node, starting its dial loop if
 // this side dials (smaller node name dials larger). Idempotent per
 // remote. On a durable mesh (MeshConfig.DataDir) it opens the link's
-// journal first: recovery primes the receive cursor, queues the inbound
-// frames the previous life never finished dispatching, and stages the
-// unacked outbound frames for replay on the first handshake — an open or
-// recovery failure is returned instead of silently degrading to an
-// in-memory link.
+// journal first: recovery reloads the outbound Channel (ack cursor, unacked
+// frames, next sequence) and the receive cursor, and queues the inbound
+// frames the previous life never finished dispatching; the first handshake's
+// ordinary resume exchange replays the rest. An open or recovery failure —
+// a journal in a layout this build does not write included — is returned
+// instead of silently degrading to an in-memory link.
 func (m *Mesh) Connect(remote, addr string) (*Link, error) {
 	m.mu.Lock()
 	if l, ok := m.links[remote]; ok {
@@ -228,9 +231,10 @@ func (m *Mesh) Connect(remote, addr string) (*Link, error) {
 		return l, nil
 	}
 	var dur *linkDur
+	var rec linkRecovery
 	if m.durDir != "" && !m.closed {
 		var err error
-		dur, err = openLinkDur(durable.Options{
+		dur, rec, err = openLinkDur(durable.Options{
 			Dir:          filepath.Join(m.durDir, remote),
 			Sync:         m.durSync,
 			SyncInterval: m.durSyncInt,
@@ -252,12 +256,17 @@ func (m *Mesh) Connect(remote, addr string) (*Link, error) {
 		q:      newFrameQueue(),
 		dur:    dur,
 	}
-	if dur != nil && dur.recvNext > 1 {
-		// Resume receiving where the recovered journal left off: the peer
-		// trims on our acks, so everything below this cursor is already in
-		// our journal and must not be double-dispatched when the peer's
-		// replay re-delivers it.
-		l.in = RecvCursor{next: dur.recvNext}
+	if dur != nil {
+		// Resume where the recovered journal left off. Outbound: the
+		// sequence space continues, and sent marks everything a previous
+		// life journaled, so the first attach can tell a replay (and a lost
+		// journal tail) from frames queued since. Inbound: the peer trims
+		// on our acks, so everything below the cursor is already in our
+		// journal and must not be double-dispatched when the peer's replay
+		// re-delivers it.
+		l.out.Restore(rec.cumAck, rec.nextSeq, rec.unacked)
+		l.sent = rec.nextSeq - 1
+		l.in = RecvCursor{next: rec.recvNext}
 	}
 	l.out.AddConsumer(remote)
 	if m.closed {
@@ -274,10 +283,9 @@ func (m *Mesh) Connect(remote, addr string) (*Link, error) {
 		// Re-dispatch the inbound frames the crash interrupted, in journal
 		// order, ahead of anything a fresh conn delivers. The dispatcher
 		// starts below, so these drain as soon as the handler is ready.
-		for _, f := range dur.replay {
-			l.q.push(f, dur.peerBoot)
+		for _, f := range rec.replay {
+			l.q.push(f)
 		}
-		dur.replay = nil
 	}
 	m.wg.Add(2)
 	go l.writer()
@@ -337,13 +345,11 @@ func (m *Mesh) acceptLoop() {
 }
 
 // handleIncoming runs the accepting half of the handshake: require a
-// version-matching Hello from a known remote, adopt its codec and (on
-// durable links) its incarnation options, answer with Welcome and our
-// resume cursor, and attach the conn to the remote's link. The codec is
-// adopted before the Welcome is written so a pinned-codec refusal never
-// advertises a choice we will not honor; the incarnation options are
-// adopted before it so the Welcome reports our post-rotation boot and the
-// stashed cursor a restarted dialer needs to filter its pending replay.
+// version-matching Hello from a known remote, choose this conn's codec,
+// answer with Welcome and our resume cursor, and attach the conn — with the
+// codec halves minted for it — to the remote's link. The halves are minted
+// before the Welcome is written so it never advertises a choice we cannot
+// honor.
 func (m *Mesh) handleIncoming(conn Conn) {
 	defer m.wg.Done()
 	if !m.trackPending(conn, true) {
@@ -392,28 +398,21 @@ func (m *Mesh) handleIncoming(conn Conn) {
 		}
 		seeded = true
 	}
-	l.mu.Lock()
-	if err := l.adoptCodecLocked(choice, seed); err != nil {
-		// The link already pinned a different codec in an earlier
-		// handshake; renegotiation would desync the journal. Refuse.
-		l.mu.Unlock()
+	cc, err := newConnCodec(choice, seed)
+	if err != nil {
 		m.trackPending(conn, false)
 		conn.Close()
 		return
 	}
-	myResume := l.adoptPeerLocked(
-		durOptU64(f.Options, "boot"), durOptU64(f.Options, "peerboot"),
-		f.Resume, durOptU64(f.Options, "bootresumefor"), durOptU64(f.Options, "bootresume"))
 	welcome := &Frame{
-		Type: FrameWelcome, Version: ProtocolVersion, Node: m.node, Resume: l.in.Next(),
+		Type: FrameWelcome, Version: ProtocolVersion, Node: m.node,
 		Options: map[string]string{"caps.v": "1", "codec": choice},
 	}
 	if seeded {
 		welcome.Options["dictseed"] = wire.FormatList(seed)
 	}
-	for k, v := range l.durHandshakeOptsLocked() {
-		welcome.Options[k] = v
-	}
+	l.mu.Lock()
+	welcome.Resume = l.in.Next()
 	l.mu.Unlock()
 	if err := conn.WriteFrame(EncodeFrame(welcome)); err != nil {
 		m.trackPending(conn, false)
@@ -423,7 +422,7 @@ func (m *Mesh) handleIncoming(conn Conn) {
 	m.trackPending(conn, false)
 	conn.SetReadDeadline(time.Time{}) //nolint:errcheck // handshake deadline over; the reader arms its own
 	l.mu.Lock()
-	l.attachLocked(conn, myResume)
+	l.attachLocked(conn, f.Resume, cc)
 	l.mu.Unlock()
 }
 

@@ -7,7 +7,7 @@ import (
 	"streamshare/internal/xmlstream"
 )
 
-// This file is the "binary" codec: a dictionary-compressed flat encoding of
+// This file is the binary codec (negotiated as CodecBinary): a dictionary-compressed flat encoding of
 // canonical-XML item trees. The payload grammar (specified normatively in
 // docs/WIRE.md, with a worked example decoded by a test) is
 //
@@ -32,11 +32,11 @@ import (
 // decode(encode(b)) == b for every b — while the structured path covers all
 // real runtime traffic.
 //
-// Dictionary state is per encoder/decoder pair (one link direction) and
-// monotonic: deltas only append, ids never rebind. A decode error rolls the
-// dictionary back to its pre-payload length, so the transport can tear the
-// conn down and replay the same journaled payload without double-applying
-// deltas.
+// Dictionary state is per encoder/decoder pair (one direction of one
+// connection) and monotonic: deltas only append, ids never rebind. A decode
+// error rolls the dictionary back to its pre-payload length; the transport
+// then tears the conn down, and the replay runs through the fresh pair the
+// next conn mints.
 
 // Binary encoding constants.
 const (
@@ -65,7 +65,7 @@ const (
 // ErrBinary reports a malformed binary codec payload.
 var ErrBinary = fmt.Errorf("wire: malformed binary payload")
 
-// binaryCodec registers the dictionary-compressed encoding as "binary".
+// binaryCodec registers the dictionary-compressed encoding as CodecBinary.
 type binaryCodec struct{}
 
 // Name returns CodecBinary.
@@ -84,7 +84,8 @@ func (binaryCodec) TreeCapable() bool { return true }
 func init() { Register(binaryCodec{}) }
 
 // BinaryEncoder encodes item batches with a growing interned name
-// dictionary. Not safe for concurrent use; one instance per link direction.
+// dictionary. Not safe for concurrent use; one instance per connection
+// direction.
 type BinaryEncoder struct {
 	ids     map[string]uint64
 	pending []string // names assigned but not yet shipped as deltas
@@ -354,7 +355,8 @@ func (e *BinaryEncoder) tryElemTree(dst []byte, el *xmlstream.Element, depth int
 }
 
 // BinaryDecoder decodes payloads produced by a BinaryEncoder, mirroring its
-// dictionary. Not safe for concurrent use; one instance per link direction.
+// dictionary. Not safe for concurrent use; one instance per connection
+// direction.
 type BinaryDecoder struct {
 	names []string
 }

@@ -1,5 +1,5 @@
-// Package wire implements the negotiated per-link item codecs that carry
-// batches of stream items between super-peer processes.
+// Package wire implements the negotiated per-connection item codecs that
+// carry batches of stream items between super-peer processes.
 //
 // The runtime's data path serializes every item once into canonical XML
 // (xmlstream.AppendMarshal) and meters all traffic over those bytes, so a
@@ -15,16 +15,17 @@
 //   - "xml" ships each item's canonical XML verbatim (the debugging and
 //     compatibility baseline; old peers that predate negotiation speak it
 //     implicitly).
-//   - "binary" replaces element tags with references into an interned
-//     per-link name dictionary, extended incrementally by dictionary deltas
-//     carried in-band at the head of each payload (see docs/WIRE.md for the
-//     full grammar and a worked example).
+//   - "binary2" replaces element tags with references into an interned
+//     per-connection name dictionary, extended incrementally by dictionary
+//     deltas carried in-band at the head of each payload (see docs/WIRE.md
+//     for the full grammar and a worked example).
 //
-// Codec choice is negotiated per link during the transport handshake
+// Codec choice is negotiated per connection during the transport handshake
 // (internal/transport), via the versioned capabilities map on Hello/Welcome
 // frames; Negotiate implements the selection rule. Encoder and Decoder
 // instances are stateful (the binary dictionary grows monotonically) and are
-// owned by a single link direction; they are not safe for concurrent use.
+// owned by one direction of one connection: a reconnect mints fresh ones.
+// They are not safe for concurrent use.
 package wire
 
 import (
@@ -41,13 +42,18 @@ import (
 const (
 	// CodecXML ships canonical XML item bytes verbatim.
 	CodecXML = "xml"
-	// CodecBinary ships dictionary-compressed binary item encodings.
-	CodecBinary = "binary"
+	// CodecBinary ships dictionary-compressed binary item encodings, the
+	// dictionary scoped to one connection. The payload grammar is that of
+	// the retired "binary" identifier, whose dictionary lived as long as the
+	// link: the scope is wire semantics, so it got a new name, and a build
+	// that only knows the old one negotiates down to xml with this one
+	// instead of desyncing on its first reconnect.
+	CodecBinary = "binary2"
 )
 
 // Codec is one registered item-batch encoding. Name identifies it in
 // handshake capability lists; NewEncoder and NewDecoder mint the stateful
-// per-link-direction halves.
+// per-connection-direction halves.
 type Codec interface {
 	// Name is the codec's registry and negotiation identifier.
 	Name() string
@@ -62,8 +68,10 @@ type Codec interface {
 // Encoder turns one batch of canonical-XML items into a single payload.
 // Payloads are order-sensitive: the receiver must decode them in the exact
 // sequence they were encoded (the binary codec's dictionary deltas assume
-// it), which the transport guarantees by encoding under the link's journal
-// lock and replaying journaled bytes verbatim after reconnects.
+// it), which the transport guarantees by giving every connection its own
+// encoder and decoder, encoding on the link's single writer as frames go
+// out, and decoding every payload a connection delivers in arrival order;
+// after a reconnect the journaled frames are encoded again from scratch.
 type Encoder interface {
 	// Seed pre-registers element names (e.g. a stream schema's vocabulary)
 	// so the first batches need fewer in-band dictionary deltas. The names
@@ -200,7 +208,7 @@ func Negotiate(ours, theirs []string) string {
 }
 
 // ParseList splits a comma-separated codec preference list as carried in
-// the handshake capabilities map ("binary,xml"), dropping empty entries.
+// the handshake capabilities map ("binary2,xml"), dropping empty entries.
 func ParseList(s string) []string {
 	if s == "" {
 		return nil

@@ -274,6 +274,10 @@ func TestNegotiate(t *testing.T) {
 		{nil, []string{"binary"}, "xml"},
 		{[]string{"zstd"}, []string{"binary"}, "xml"},
 		{[]string{"zstd", "binary"}, []string{"binary", "zstd"}, "zstd"},
+		// A build that only knows the retired link-scoped "binary" identifier
+		// shares nothing but xml with this one, in either role.
+		{DefaultCodecs(), []string{"binary", "xml"}, "xml"},
+		{[]string{"binary", "xml"}, DefaultCodecs(), "xml"},
 	}
 	for i, c := range cases {
 		if got := Negotiate(c.ours, c.theirs); got != c.want {
@@ -286,7 +290,7 @@ func TestNegotiate(t *testing.T) {
 	if got := FormatList([]string{"binary", "xml"}); got != "binary,xml" {
 		t.Errorf("FormatList = %q", got)
 	}
-	if err := Supported([]string{"binary", "xml"}); err != nil {
+	if err := Supported([]string{CodecBinary, CodecXML}); err != nil {
 		t.Errorf("Supported(registered) = %v", err)
 	}
 	if err := Supported([]string{"gob"}); err == nil {
@@ -297,7 +301,7 @@ func TestNegotiate(t *testing.T) {
 // TestRegistry pins the registry contents and the duplicate guard.
 func TestRegistry(t *testing.T) {
 	names := Names()
-	want := []string{"binary", "xml"}
+	want := []string{CodecBinary, CodecXML}
 	if fmt.Sprint(names) != fmt.Sprint(want) {
 		t.Fatalf("registered codecs %v, want %v", names, want)
 	}
