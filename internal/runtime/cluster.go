@@ -360,15 +360,22 @@ func (c *Cluster) Close() error {
 }
 
 // assignment returns the peer-to-node map, computing the deterministic
-// default from the runtime's network on first use. The map is immutable
-// once returned.
-func (c *Cluster) assignment(r *Runtime) map[network.PeerID]string {
+// default from the network's peers on first use. The map is immutable once
+// returned.
+func (c *Cluster) assignment(net *network.Network) map[network.PeerID]string {
 	c.amu.Lock()
 	defer c.amu.Unlock()
 	if c.assign == nil {
-		c.assign = PartitionPeers(r.eng.Net.Peers(), c.nodesLocked())
+		c.assign = PartitionPeers(net.Peers(), c.nodesLocked())
 	}
 	return c.assign
+}
+
+// NodeOf returns the cluster node that executes peer p of net — the same
+// answer every runtime built on this cluster acts on — or "" for a peer
+// the assignment does not cover.
+func (c *Cluster) NodeOf(net *network.Network, p network.PeerID) string {
+	return c.assignment(net)[p]
 }
 
 // attach publishes a fully-built runtime to the cluster's dispatchers

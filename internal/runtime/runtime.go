@@ -256,7 +256,7 @@ func NewWith(eng *core.Engine, collect bool, opts Options) *Runtime {
 	}
 	if opts.Cluster != nil {
 		r.cluster = opts.Cluster
-		r.owners = r.cluster.assignment(r)
+		r.owners = r.cluster.assignment(eng.Net)
 		r.byID = make(map[string]*core.Deployed, len(eng.Streams()))
 		r.eosSeen = map[recvKey]bool{}
 		for _, d := range eng.Streams() {

@@ -23,11 +23,18 @@ import (
 //     "SUB"/"UNSUB" control to every other node. Identical engines apply
 //     identical mutations in link order and assign identical ids, so no
 //     id translation is needed.
-//   - RUN/FEED broadcast a seed-tagged work order, execute the same feed
-//     on every process's cluster-attached runtime (each injects only the
-//     sources it owns), and the remote nodes answer with a "RES" control
-//     carrying their locally-delivered counts, which the coordinator
-//     merges into the client reply.
+//   - RUN/FEED send every other node a work order and execute on every
+//     process's cluster-attached runtime (each injects only the sources it
+//     owns); the remote nodes answer with a "RES" control carrying their
+//     locally-delivered counts, which the coordinator merges into the
+//     client reply. A RUN order is "RUN <id> <n> <seed>" and every node
+//     generates the same feed from it. A FEED order is "FEED <id> <stream>"
+//     and has two shapes: the node that owns the stream's tap gets the
+//     client's document as the body and parses it; every other node gets no
+//     body, parses nothing and takes part through its operators. The
+//     coordinator has parsed and checked the document before any order
+//     leaves. Like SUB/UNSUB, the format assumes every node runs the same
+//     binary: a document the coordinator accepted is one the owner accepts.
 //
 // Control frames are sequenced and FIFO per link, so a node always sees
 // a subscription before the run that uses it. Point client mutations at
@@ -183,7 +190,8 @@ func (s *Server) clusterCollect(id string, ch chan remoteRes, peers int, counts 
 		delete(s.waits, id)
 		s.cmu.Unlock()
 	}()
-	timeout := time.After(60 * time.Second)
+	timeout := time.NewTimer(60 * time.Second)
+	defer timeout.Stop()
 	for i := 0; i < peers; i++ {
 		select {
 		case res := <-ch:
@@ -193,35 +201,34 @@ func (s *Server) clusterCollect(id string, ch chan remoteRes, peers int, counts 
 			for k, v := range res.counts {
 				counts[k] += v
 			}
-		case <-timeout:
+		case <-timeout.C:
 			return fmt.Errorf("cluster: no result from every node within 60s")
 		}
 	}
 	return nil
 }
 
-// executeCluster fans one feed out across the cluster: it broadcasts the
-// work order, executes locally (the runtime injects only locally-owned
-// sources and exchanges batches over the mesh), and merges the remote
-// counts. The caller holds s.mu; order carries the op head line ("RUN n
-// seed" or "FEED stream") and body the FEED document.
-func (s *Server) executeCluster(order, body string) (map[string]int, error) {
+// executeCluster fans one feed out across the cluster: it sends every other
+// node the work order, executes locally (the runtime injects only
+// locally-owned sources and exchanges batches over the mesh), and merges
+// the remote counts. The caller holds s.mu; order is the op head line ("RUN
+// n seed" or "FEED stream", the run id goes in after the op) and feed what
+// it describes; body — a FEED document — goes to node bodyTo alone.
+func (s *Server) executeCluster(order string, feed map[string][]*xmlstream.Element, body, bodyTo string) (map[string]int, error) {
 	id, ch, peers := s.clusterPrepare()
-	payload := order
-	if i := strings.Index(order, " "); i >= 0 {
-		payload = order[:i] + " " + id + order[i:]
-	} else {
-		payload = order + " " + id
-	}
-	if body != "" {
-		payload += "\n" + body
-	}
-	if err := s.cluster.BroadcastControl([]byte(payload)); err != nil {
-		return nil, err
-	}
-	feed, err := s.orderFeed(order, body)
-	if err != nil {
-		return nil, err
+	op, args, _ := strings.Cut(order, " ")
+	order = op + " " + id + " " + args
+	for _, node := range s.cluster.Nodes() {
+		if node == s.cluster.Node() {
+			continue
+		}
+		payload := order
+		if node == bodyTo {
+			payload += "\n" + body
+		}
+		if err := s.cluster.SendControl(node, []byte(payload)); err != nil {
+			return nil, err
+		}
 	}
 	counts, err := s.execute(feed)
 	if err != nil {
@@ -231,31 +238,6 @@ func (s *Server) executeCluster(order, body string) (map[string]int, error) {
 		return nil, err
 	}
 	return counts, nil
-}
-
-// orderFeed materializes the feed a work order describes; every node
-// derives the identical map, so the distributed run agrees on its input.
-func (s *Server) orderFeed(order, body string) (map[string][]*xmlstream.Element, error) {
-	f := strings.Fields(order)
-	switch f[0] {
-	case "RUN":
-		n, err := strconv.Atoi(f[1])
-		if err != nil {
-			return nil, err
-		}
-		seed, err := strconv.ParseInt(f[2], 10, 64)
-		if err != nil {
-			return nil, err
-		}
-		return s.buildFeed(n, seed), nil
-	case "FEED":
-		items, err := parseFeedDoc(body)
-		if err != nil {
-			return nil, err
-		}
-		return map[string][]*xmlstream.Element{f[1]: items}, nil
-	}
-	return nil, fmt.Errorf("unknown work order %q", f[0])
 }
 
 // remoteRun executes a coordinator's RUN order on this node and answers
@@ -268,11 +250,16 @@ func (s *Server) remoteRun(from, id string, n int, seed int64) {
 	s.reply(from, id, counts, err)
 }
 
-// remoteFeed executes a coordinator's FEED order on this node. Only the
-// process owning the stream's tap injects the items; the rest participate
-// through their operators.
+// remoteFeed executes a coordinator's FEED order on this node. An order
+// with a document makes this node the owner of the stream's tap: it parses
+// the document and injects the items. An order without one parses nothing;
+// the node takes part through its operators.
 func (s *Server) remoteFeed(from, id, stream, doc string) {
-	items, err := parseFeedDoc(doc)
+	var items []*xmlstream.Element
+	var err error
+	if doc != "" {
+		items, err = s.parseFeedDoc(doc)
+	}
 	var counts map[string]int
 	if err == nil {
 		s.mu.Lock()
@@ -320,18 +307,26 @@ func (s *Server) buildFeed(n int, base int64) map[string][]*xmlstream.Element {
 }
 
 // parseFeedDoc decodes one client-supplied stream document into items,
-// converting attributes to elements (§2).
-func parseFeedDoc(doc string) ([]*xmlstream.Element, error) {
+// converting attributes to elements (§2), and counts it: a document per
+// call, its items when it decodes, and whether it left the decoder's fast
+// lane.
+func (s *Server) parseFeedDoc(doc string) ([]*xmlstream.Element, error) {
+	s.feedDocs.Inc()
 	dec := xmlstream.NewDecoder(strings.NewReader(doc)).ConvertAttributes()
 	var items []*xmlstream.Element
 	for {
 		item, err := dec.Next()
-		if err == io.EOF {
-			return items, nil
+		if err == nil {
+			items = append(items, item)
+			continue
 		}
-		if err != nil {
+		if dec.FellBack() {
+			s.feedFallback.Inc()
+		}
+		if err != io.EOF {
 			return nil, err
 		}
-		items = append(items, item)
+		s.feedItems.Add(float64(len(items)))
+		return items, nil
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"net"
 	goruntime "runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -34,10 +35,17 @@ func buildClusterEngine(t *testing.T) *core.Engine {
 	return eng
 }
 
-// startClusterServers brings up a two-node super-peer daemon over
-// loopback TCP: two servers, each with its own engine and a cluster
-// endpoint, meshed together. SP0 and SP1 land on n0, SP2 on n1.
-func startClusterServers(t *testing.T) (addr0, addr1 string, stop func()) {
+// clusterPair is a two-node super-peer daemon over loopback TCP: two
+// servers, each with its own engine and a cluster endpoint, meshed
+// together. SP0 and SP1 land on n0, SP2 on n1.
+type clusterPair struct {
+	srv   [2]*Server
+	mesh  [2]*runtime.Cluster
+	addr  [2]string
+	close func()
+}
+
+func startClusterPair(t *testing.T) *clusterPair {
 	t.Helper()
 	c1, err := runtime.NewCluster(runtime.ClusterOptions{
 		Node: "n1", Nodes: map[string]string{"n1": "127.0.0.1:0", "n0": ""},
@@ -57,22 +65,29 @@ func startClusterServers(t *testing.T) (addr0, addr1 string, stop func()) {
 		c1.Close()
 		t.Fatal(err)
 	}
-	srv0 := New(buildClusterEngine(t), photons.DefaultConfig()).WithCluster(c0)
-	srv1 := New(buildClusterEngine(t), photons.DefaultConfig()).WithCluster(c1)
-	ln0, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	p := &clusterPair{mesh: [2]*runtime.Cluster{c0, c1}}
+	for i, c := range p.mesh {
+		p.srv[i] = New(buildClusterEngine(t), photons.DefaultConfig()).WithCluster(c)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.addr[i] = ln.Addr().String()
+		go p.srv[i].Serve(ln)
 	}
-	ln1, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	p.close = func() {
+		p.srv[0].Close()
+		p.srv[1].Close()
 	}
-	go srv0.Serve(ln0)
-	go srv1.Serve(ln1)
-	return ln0.Addr().String(), ln1.Addr().String(), func() {
-		srv0.Close()
-		srv1.Close()
-	}
+	return p
+}
+
+// startClusterServers is startClusterPair for tests that only talk to the
+// two client listeners.
+func startClusterServers(t *testing.T) (addr0, addr1 string, stop func()) {
+	t.Helper()
+	p := startClusterPair(t)
+	return p.addr[0], p.addr[1], p.close
 }
 
 // retryOK polls a command on a client until its status goes OK (control
@@ -140,11 +155,7 @@ func TestServerClusterRun(t *testing.T) {
 
 	// FEED pushes client items through both processes; only the in-box
 	// photon passes the vela ra filter.
-	doc := `<photons>
-<photon><coord><cel><ra>130.0</ra><dec>-45.0</dec></cel></coord><en>1.5</en><det_time>1</det_time></photon>
-<photon><coord><cel><ra>90.0</ra><dec>-45.0</dec></cel></coord><en>1.5</en><det_time>2</det_time></photon>
-</photons>`
-	status, cont = c.cmd(t, "FEED photons", doc)
+	status, cont = c.cmd(t, "FEED photons", feedDoc)
 	if status != "OK fed 2 items into photons" {
 		t.Fatalf("cluster feed = %q", status)
 	}
@@ -215,5 +226,144 @@ func TestServerClusterCloseLeakFree(t *testing.T) {
 	}
 	if after := goruntime.NumGoroutine(); after > before {
 		t.Errorf("goroutines: %d before, %d after cluster Close", before, after)
+	}
+}
+
+// feedDoc is two photons, one inside the vela box and one outside it.
+const feedDoc = `<photons>
+<photon><coord><cel><ra>130.0</ra><dec>-45.0</dec></cel></coord><en>1.5</en><det_time>1</det_time></photon>
+<photon><coord><cel><ra>90.0</ra><dec>-45.0</dec></cel></coord><en>1.5</en><det_time>2</det_time></photon>
+</photons>`
+
+// feedCounter reads one of a node's server.feed.* counters off METRICS.
+func feedCounter(t *testing.T, c *client, name string) string {
+	t.Helper()
+	_, cont := c.cmd(t, "METRICS", "")
+	for _, l := range cont {
+		if v, ok := strings.CutPrefix(l, "counter server.feed."+name+" "); ok {
+			return v
+		}
+	}
+	t.Fatalf("METRICS lacks server.feed.%s", name)
+	return ""
+}
+
+// subscribeBoth registers velaQ at SP2 through n0 and waits until n1 has
+// mirrored it, so either node can coordinate the runs that follow.
+func subscribeBoth(t *testing.T, c0, c1 *client) {
+	t.Helper()
+	if s, _ := c0.cmd(t, "SUBSCRIBE SP2 sharing", velaQ); s != "OK q1" {
+		t.Fatalf("subscribe = %q", s)
+	}
+	if s, _ := retryOK(t, c1, "EXPLAIN q1"); !strings.HasPrefix(s, "OK") {
+		t.Fatalf("mirrored explain = %q", s)
+	}
+}
+
+// simulatorFeed is the reference reply: the same subscription and document
+// on a single-process server, which executes on the simulator.
+func simulatorFeed(t *testing.T, doc string) (status string, cont []string) {
+	t.Helper()
+	addr, stop := startServer(t)
+	defer stop()
+	sim := dial(t, addr)
+	if s, _ := sim.cmd(t, "SUBSCRIBE SP2 sharing", velaQ); s != "OK q1" {
+		t.Fatalf("subscribe = %q", s)
+	}
+	status, cont = sim.cmd(t, "FEED photons", doc)
+	if status != "OK fed 2 items into photons" || len(cont) != 1 || cont[0] != "q1 1" {
+		t.Fatalf("simulator feed = %q %v", status, cont)
+	}
+	return status, cont
+}
+
+// TestServerClusterFeedEitherCoordinator sends the same document to the
+// node that owns the stream's tap (n0 executes SP0) and to the one that
+// does not. Both replies equal the single-process simulator's, and the
+// parse counters show who decoded the document: the coordinator once, the
+// tap's owner once more only when it is another node, and a node that
+// injects nothing never.
+func TestServerClusterFeedEitherCoordinator(t *testing.T) {
+	p := startClusterPair(t)
+	defer p.close()
+	c0, c1 := dial(t, p.addr[0]), dial(t, p.addr[1])
+	subscribeBoth(t, c0, c1)
+
+	wantStatus, wantCont := simulatorFeed(t, feedDoc)
+
+	for _, step := range []struct {
+		via          *client
+		docs0, docs1 string // server.feed.docs on n0 and n1 afterwards
+	}{
+		{c0, "1", "0"}, // n0 coordinates and injects; n1 gets no document
+		{c1, "2", "1"}, // n1 coordinates; the document goes on to n0
+	} {
+		status, cont := step.via.cmd(t, "FEED photons", feedDoc)
+		if status != wantStatus || strings.Join(cont, ",") != strings.Join(wantCont, ",") {
+			t.Fatalf("cluster feed = %q %v, simulator %q %v", status, cont, wantStatus, wantCont)
+		}
+		if d0, d1 := feedCounter(t, c0, "docs"), feedCounter(t, c1, "docs"); d0 != step.docs0 || d1 != step.docs1 {
+			t.Errorf("documents parsed: n0 %s n1 %s, want %s and %s", d0, d1, step.docs0, step.docs1)
+		}
+	}
+	if n := feedCounter(t, c0, "docs.fallback"); n != "0" {
+		t.Errorf("canonical documents left the fast lane %s times", n)
+	}
+}
+
+// TestServerClusterFeedAttributes feeds a document with attributes — the
+// decoder's encoding/xml lane end to end, on the coordinator and on the
+// tap's owner — and expects the counts one process gives.
+func TestServerClusterFeedAttributes(t *testing.T) {
+	doc := strings.ReplaceAll(feedDoc, "<photon>", `<photon id="7">`)
+	p := startClusterPair(t)
+	defer p.close()
+	c0, c1 := dial(t, p.addr[0]), dial(t, p.addr[1])
+	subscribeBoth(t, c0, c1)
+	wantStatus, wantCont := simulatorFeed(t, doc)
+	status, cont := c1.cmd(t, "FEED photons", doc)
+	if status != wantStatus || strings.Join(cont, ",") != strings.Join(wantCont, ",") {
+		t.Errorf("cluster feed = %q %v, simulator %q %v", status, cont, wantStatus, wantCont)
+	}
+	for i, c := range []*client{c0, c1} {
+		if n := feedCounter(t, c, "docs.fallback"); n != "1" {
+			t.Errorf("n%d: %s documents on the encoding/xml lane, want 1", i, n)
+		}
+	}
+}
+
+// TestServerClusterFeedMalformed checks a rejected document stays on the
+// coordinator: the other node's control handler sees no FEED order for it.
+// Controls are FIFO per link, so by the time the valid FEED that follows
+// has been answered, an order for the malformed one would have shown.
+func TestServerClusterFeedMalformed(t *testing.T) {
+	p := startClusterPair(t)
+	defer p.close()
+	var mu sync.Mutex
+	var orders []string
+	p.mesh[1].SetControl(func(from string, data []byte) {
+		head, _, _ := strings.Cut(string(data), "\n")
+		mu.Lock()
+		orders = append(orders, strings.Fields(head)[0])
+		mu.Unlock()
+		p.srv[1].handleControl(from, data)
+	})
+	c0, c1 := dial(t, p.addr[0]), dial(t, p.addr[1])
+	subscribeBoth(t, c0, c1)
+	for _, doc := range []string{"<photons><broken>", "<photons><photon>1</photons>", "not xml"} {
+		if s, _ := c0.cmd(t, "FEED photons", doc); !strings.HasPrefix(s, "ERR") {
+			t.Errorf("FEED %q = %q", doc, s)
+		}
+	}
+	if s, _ := c0.cmd(t, "FEED nope", feedDoc); s != "ERR unknown stream nope" {
+		t.Errorf("unknown stream feed = %q", s)
+	}
+	if s, _ := c0.cmd(t, "FEED photons", feedDoc); s != "OK fed 2 items into photons" {
+		t.Fatalf("valid feed = %q", s)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if got := strings.Join(orders, " "); got != "SUB FEED" {
+		t.Errorf("n1 saw controls %q, want the subscription and one FEED", got)
 	}
 }

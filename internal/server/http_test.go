@@ -58,10 +58,15 @@ func get(t *testing.T, h http.HandlerFunc, url string) (string, http.Header) {
 // TestMetricsHandlerText checks the default /metricz view: the registry text
 // dump including the latency series a sampled run produces.
 func TestMetricsHandlerText(t *testing.T) {
-	h := MetricsHandler(httpEngine(t, false), nil)
+	eng := httpEngine(t, false)
+	New(eng, photons.DefaultConfig()) // a server's counters live in the engine's registry
+	h := MetricsHandler(eng, nil)
 	body, _ := get(t, h, "/metricz")
 	for _, want := range []string{
 		"counter core.streams.registered 1",
+		"counter server.feed.docs 0",
+		"counter server.feed.items 0",
+		"counter server.feed.docs.fallback 0",
 		"counter latency.spans.started",
 		"histogram latency.total",
 		"gauge latency.sub.watermark.q1",

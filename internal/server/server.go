@@ -12,7 +12,8 @@
 //	FEED <stream>      → push client-supplied items through the plans: an
 //	                     XML stream document follows, terminated by a line
 //	                     containing only "."; attributes are converted to
-//	                     elements (§2)
+//	                     elements (§2); a malformed document or an
+//	                     unregistered stream answers ERR before anything runs
 //	STATS              → streams, subscriptions, total traffic of last run
 //	PEERS              → the super-peer topology
 //	METRICS            → snapshot of the engine's metrics registry, one
@@ -94,6 +95,10 @@ type Server struct {
 	waits   map[string]chan remoteRes
 	runSeq  int
 
+	// FEED document counters (parseFeedDoc): documents this process parsed,
+	// the items they held, and documents that left the decoder's fast lane.
+	feedDocs, feedItems, feedFallback *obs.Counter
+
 	// catWAL is the durable catalog journal (durable.go); nil unless
 	// WithDurable attached one.
 	catWAL *durable.WAL
@@ -103,10 +108,15 @@ type Server struct {
 // generator on RUN. Every registered original stream is fed the same item
 // count with stream-specific seeds.
 func New(eng *core.Engine, cfg photons.Config) *Server {
+	reg := eng.Obs().Metrics
 	return &Server{
 		eng: eng, adm: adapt.NewManager(eng), cfg: cfg, seed: 1,
 		conns: map[net.Conn]struct{}{},
 		stall: obs.NewStallDetector(0),
+
+		feedDocs:     reg.Counter("server.feed.docs"),
+		feedItems:    reg.Counter("server.feed.items"),
+		feedFallback: reg.Counter("server.feed.docs.fallback"),
 	}
 }
 
@@ -444,25 +454,19 @@ func (s *Server) run(w io.Writer, args []string) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	order := fmt.Sprintf("RUN %d %d", n, s.seed)
+	feed := s.buildFeed(n, s.seed)
 	var counts map[string]int
-	var streams int
 	if s.cluster != nil {
-		counts, err = s.executeCluster(fmt.Sprintf("RUN %d %d", n, s.seed), "")
-		for _, d := range s.eng.Streams() {
-			if d.Original {
-				streams++
-			}
-		}
+		counts, err = s.executeCluster(order, feed, "", "")
 	} else {
-		feed := s.buildFeed(n, s.seed)
-		streams = len(feed)
 		counts, err = s.execute(feed)
 	}
 	if err != nil {
 		fmt.Fprintf(w, "ERR %v\n", err)
 		return
 	}
-	fmt.Fprintf(w, "OK %d streams fed %d items\n", streams, n)
+	fmt.Fprintf(w, "OK %d streams fed %d items\n", len(feed), n)
 	for _, sub := range s.eng.Subscriptions() {
 		fmt.Fprintf(w, "  %s %d\n", sub.ID, counts[sub.ID])
 	}
@@ -490,37 +494,45 @@ func (s *Server) execute(feed map[string][]*xmlstream.Element) (map[string]int, 
 	return res.Results, nil
 }
 
-// feed parses a client-supplied stream document and pushes its items
-// through the installed plans.
+// feed parses a client-supplied stream document — once, here, whatever the
+// backend — and pushes its items through the installed plans. On a cluster
+// the document travels on only to the node that owns the stream's tap.
 func (s *Server) feed(w io.Writer, r *bufio.Reader, args []string) {
 	if len(args) != 1 {
 		readQuery(r) //nolint:errcheck
 		fmt.Fprintln(w, "ERR usage: FEED <stream>")
 		return
 	}
+	stream := args[0]
 	doc, err := readQuery(r)
 	if err != nil {
 		fmt.Fprintf(w, "ERR %v\n", err)
 		return
 	}
-	items, err := parseFeedDoc(doc)
+	items, err := s.parseFeedDoc(doc)
 	if err != nil {
 		fmt.Fprintf(w, "ERR %v\n", err)
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	orig := s.eng.Original(stream)
+	if orig == nil {
+		fmt.Fprintf(w, "ERR unknown stream %s\n", stream)
+		return
+	}
+	feed := map[string][]*xmlstream.Element{stream: items}
 	var counts map[string]int
 	if s.cluster != nil {
-		counts, err = s.executeCluster("FEED "+args[0], doc)
+		counts, err = s.executeCluster("FEED "+stream, feed, doc, s.cluster.NodeOf(s.eng.Net, orig.Tap))
 	} else {
-		counts, err = s.execute(map[string][]*xmlstream.Element{args[0]: items})
+		counts, err = s.execute(feed)
 	}
 	if err != nil {
 		fmt.Fprintf(w, "ERR %v\n", err)
 		return
 	}
-	fmt.Fprintf(w, "OK fed %d items into %s\n", len(items), args[0])
+	fmt.Fprintf(w, "OK fed %d items into %s\n", len(items), stream)
 	for _, sub := range s.eng.Subscriptions() {
 		fmt.Fprintf(w, "  %s %d\n", sub.ID, counts[sub.ID])
 	}

@@ -152,11 +152,7 @@ func TestServerFeed(t *testing.T) {
 	if s, _ := c.cmd(t, "SUBSCRIBE SP2 sharing", velaQ); !strings.HasPrefix(s, "OK") {
 		t.Fatalf("subscribe = %q", s)
 	}
-	doc := `<photons>
-<photon><coord><cel><ra>130.0</ra><dec>-45.0</dec></cel></coord><en>1.5</en><det_time>1</det_time></photon>
-<photon><coord><cel><ra>90.0</ra><dec>-45.0</dec></cel></coord><en>1.5</en><det_time>2</det_time></photon>
-</photons>`
-	status, cont := c.cmd(t, "FEED photons", doc)
+	status, cont := c.cmd(t, "FEED photons", feedDoc)
 	if status != "OK fed 2 items into photons" {
 		t.Fatalf("feed = %q", status)
 	}
@@ -171,9 +167,16 @@ func TestServerFeed(t *testing.T) {
 	if s, _ := c.cmd(t, "PEERS", ""); !strings.HasPrefix(s, "OK") {
 		t.Errorf("session after broken feed = %q", s)
 	}
-	// Feeding an unregistered stream fails cleanly.
-	if s, _ := c.cmd(t, "FEED nope", "<r></r>"); !strings.HasPrefix(s, "ERR") {
-		t.Errorf("unknown stream feed = %q", s)
+	// Feeding an unregistered stream fails cleanly, and the same way
+	// whichever backend would have executed it.
+	saddr, sstop := startSessionServer(t)
+	defer sstop()
+	caddr, _, cstop := startClusterServers(t)
+	defer cstop()
+	for backend, a := range map[string]string{"simulator": addr, "session": saddr, "cluster": caddr} {
+		if s, _ := dial(t, a).cmd(t, "FEED nope", "<r></r>"); s != "ERR unknown stream nope" {
+			t.Errorf("%s: unknown stream feed = %q", backend, s)
+		}
 	}
 }
 
@@ -301,7 +304,8 @@ func TestServerExplainRejectionReason(t *testing.T) {
 }
 
 // TestServerMetricsGolden checks the METRICS snapshot: deterministic counter
-// and gauge series produced by two registrations and one run.
+// and gauge series produced by two registrations, one run and two fed
+// documents, one of them with an attribute.
 func TestServerMetricsGolden(t *testing.T) {
 	addr, stop := startServer(t)
 	defer stop()
@@ -313,6 +317,11 @@ func TestServerMetricsGolden(t *testing.T) {
 	}
 	if s, _ := c.cmd(t, "RUN 100", ""); !strings.HasPrefix(s, "OK") {
 		t.Fatalf("run = %q", s)
+	}
+	for _, doc := range []string{feedDoc, `<photons><photon id="7"><en>1</en></photon></photons>`} {
+		if s, _ := c.cmd(t, "FEED photons", doc); !strings.HasPrefix(s, "OK") {
+			t.Fatalf("feed = %q", s)
+		}
 	}
 	status, cont := c.cmd(t, "METRICS", "")
 	if !regexp.MustCompile(`^OK \d+ series$`).MatchString(status) {
@@ -326,7 +335,10 @@ func TestServerMetricsGolden(t *testing.T) {
 		"counter core.streams.registered 1",
 		"counter core.subscribe.total 2",
 		"counter core.subscribe.installed 2",
-		"counter sim.runs 1",
+		"counter sim.runs 3",
+		"counter server.feed.docs 2",
+		"counter server.feed.items 3",
+		"counter server.feed.docs.fallback 1",
 		"gauge core.subscriptions.active 2",
 	} {
 		if !got[want] {
@@ -656,17 +668,10 @@ func TestServerLag(t *testing.T) {
 	}
 }
 
-// TestServerHealth exercises the HEALTH command: without a session it
-// errors, with one it reports detector targets and per-channel rows after a
-// session-backed RUN.
-func TestServerHealth(t *testing.T) {
-	addr, stop := startServer(t)
-	c := dial(t, addr)
-	if s, _ := c.cmd(t, "HEALTH", ""); !strings.HasPrefix(s, "ERR reliability off") {
-		t.Errorf("HEALTH without session = %q", s)
-	}
-	stop()
-
+// startSessionServer is startServer with a reliability session attached
+// (sgd -reliable): RUN and FEED execute on the session-backed runtime.
+func startSessionServer(t *testing.T) (addr string, stop func()) {
+	t.Helper()
 	n := network.New()
 	for _, id := range []network.PeerID{"SP0", "SP1", "SP2"} {
 		n.AddPeer(network.Peer{ID: id, Super: true, Capacity: 20000, PerfIndex: 1})
@@ -678,15 +683,29 @@ func TestServerHealth(t *testing.T) {
 	if _, err := eng.RegisterStream("photons", xmlstream.ParsePath("photons/photon"), "SP0", st); err != nil {
 		t.Fatal(err)
 	}
-	sess := runtime.NewSession(runtime.SessionOptions{})
-	srv := New(eng, photons.DefaultConfig()).WithSession(sess)
+	srv := New(eng, photons.DefaultConfig()).WithSession(runtime.NewSession(runtime.SessionOptions{}))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go srv.Serve(ln)
-	defer srv.Close()
-	c = dial(t, ln.Addr().String())
+	return ln.Addr().String(), func() { srv.Close() }
+}
+
+// TestServerHealth exercises the HEALTH command: without a session it
+// errors, with one it reports detector targets and per-channel rows after a
+// session-backed RUN.
+func TestServerHealth(t *testing.T) {
+	addr, stop := startServer(t)
+	c := dial(t, addr)
+	if s, _ := c.cmd(t, "HEALTH", ""); !strings.HasPrefix(s, "ERR reliability off") {
+		t.Errorf("HEALTH without session = %q", s)
+	}
+	stop()
+
+	addr, stop = startSessionServer(t)
+	defer stop()
+	c = dial(t, addr)
 
 	if s, _ := c.cmd(t, "SUBSCRIBE SP2 sharing", velaQ); !strings.HasPrefix(s, "OK q") {
 		t.Fatalf("subscribe = %q", s)

@@ -33,10 +33,15 @@ func AppendMarshal(dst []byte, e *Element) []byte {
 	return append(dst, '>')
 }
 
+// maxInterned bounds the name table: element names reach the scanner from
+// client documents, so past the cap a new name is allocated per use
+// instead of kept forever.
+const maxInterned = 4096
+
 // names interns element names so parsing a stream of structurally identical
 // items allocates each distinct tag string once instead of once per item.
-// The table only grows (bounded by the schema's vocabulary, not the data),
-// so a plain RWMutex-guarded map suffices and reads stay contention-free.
+// The table only grows, up to maxInterned entries, so a plain
+// RWMutex-guarded map suffices and reads stay contention-free.
 var names struct {
 	sync.RWMutex
 	m map[string]string
@@ -52,119 +57,200 @@ func internName(b []byte) string {
 		return s
 	}
 	names.Lock()
+	defer names.Unlock()
 	if names.m == nil {
 		names.m = map[string]string{}
 	}
 	s, ok = names.m[string(b)]
 	if !ok {
 		s = string(b)
-		names.m[s] = s
+		if len(names.m) < maxInterned {
+			names.m[s] = s
+		}
 	}
-	names.Unlock()
 	return s
 }
 
-// UnmarshalBytes parses a single serialized stream item. Input in the
-// canonical form produced by Marshal/AppendMarshal — nested elements and raw
-// text only, no attributes, comments, processing instructions or entity
-// references — is handled by a fast non-allocating scanner; anything else
-// falls back to the standard-library decoder so UnmarshalBytes accepts
-// everything Unmarshal does. The returned tree is freshly allocated and
-// owned by the caller; b is not retained.
+// UnmarshalBytes parses a single serialized stream item. Canonical input
+// (parseCanonical has the grammar; Marshal/AppendMarshal output is canonical
+// whenever the tree's names and text are) is handled by the allocation-light
+// scanner; anything else falls back to Unmarshal, so UnmarshalBytes accepts
+// exactly what Unmarshal accepts and returns an Equal tree. The returned
+// tree is freshly allocated and owned by the caller; b is not retained.
 func UnmarshalBytes(b []byte) (*Element, error) {
-	e, pos, ok := parseCanonical(b, 0)
-	if ok {
-		// Trailing whitespace is tolerated, any other trailing content is
-		// not canonical.
-		for pos < len(b) {
-			if !isSpace(b[pos]) {
-				ok = false
-				break
-			}
-			pos++
-		}
-		if ok {
-			return e, nil
-		}
+	// Trailing whitespace is tolerated, any other trailing content is not
+	// canonical.
+	if e, pos, st := parseCanonical(b, 0); st == scanOK && allSpace(b[pos:]) {
+		return e, nil
 	}
 	return Unmarshal(string(b))
 }
 
-func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+// scan is the outcome of one canonical scanning step over a byte window.
+type scan uint8
+
+const (
+	scanOK   scan = iota // a complete canonical construct was read
+	scanMore             // the window ends inside a construct that is canonical so far
+	scanBail             // a byte outside the canonical grammar: encoding/xml must decide
+)
+
+// Byte classes of the canonical grammar.
+const (
+	inText      = 1 << iota // legal in element text: 0x20-0x7E except & < >
+	inSpace                 // space, \t, \n, \r
+	inName                  // ASCII letter, digit, '_', '-', '.'
+	inNameStart             // ASCII letter, '_'
+)
+
+var class = func() (t [256]uint8) {
+	for c := 0x20; c <= 0x7e; c++ {
+		t[c] = inText
+	}
+	t['&'], t['<'], t['>'] = 0, 0, 0
+	for _, c := range " \t\n\r" {
+		t[c] |= inSpace
+	}
+	for c := '0'; c <= '9'; c++ {
+		t[c] |= inName
+	}
+	t['-'] |= inName
+	t['.'] |= inName
+	for _, c := range "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_" {
+		t[c] |= inName | inNameStart
+	}
+	return t
+}()
+
+func isSpace(c byte) bool { return class[c]&inSpace != 0 }
+
+// scanName scans the element name starting at b[pos]. On scanOK b[end] is
+// the first byte after the name.
+func scanName(b []byte, pos int) (end int, st scan) {
+	if pos >= len(b) {
+		return pos, scanMore
+	}
+	if class[b[pos]]&inNameStart == 0 {
+		return pos, scanBail
+	}
+	for end = pos + 1; end < len(b); end++ {
+		if class[b[end]]&inName == 0 {
+			return end, scanOK
+		}
+	}
+	return end, scanMore
+}
+
+// scanClose scans the closing tag at b[pos:], which must be exactly
+// </name>. On scanOK next is the index after it.
+func scanClose(b []byte, pos int, name string) (next int, st scan) {
+	end := pos + 2 + len(name)
+	if end >= len(b) {
+		return pos, scanMore
+	}
+	if string(b[pos+2:end]) != name || b[end] != '>' {
+		return pos, scanBail
+	}
+	return end + 1, scanOK
+}
 
 // parseCanonical parses one element starting at b[pos] (after optional
-// whitespace). ok is false whenever the input deviates from the canonical
-// grammar, signalling the caller to fall back to the full XML decoder.
-func parseCanonical(b []byte, pos int) (*Element, int, bool) {
+// whitespace). It is the one scanner behind UnmarshalBytes and the Decoder's
+// fast lane, and accepts only what encoding/xml decodes to the identical
+// tree, with or without attribute conversion:
+//
+//   - tags are exactly <name>, </name> or <name/> — no attributes, no
+//     whitespace inside a tag, no comments, PIs, CDATA or declarations;
+//   - names are ASCII, start with a letter or '_' and continue with
+//     letters, digits, '_', '-' and '.' (no ':' — a prefix is dropped by
+//     the standard decoder);
+//   - text bytes are 0x20-0x7E except '&', '<' and '>', plus \t and \n; \r
+//     is legal only where trimming removes it (the standard decoder
+//     rewrites it to \n);
+//   - an element has children or text, never both: beside children only
+//     whitespace may appear.
+//
+// scanBail reports the first deviation, scanMore a window that ends before
+// the element does.
+func parseCanonical(b []byte, pos int) (*Element, int, scan) {
 	for pos < len(b) && isSpace(b[pos]) {
 		pos++
 	}
-	if pos >= len(b) || b[pos] != '<' {
-		return nil, pos, false
+	if pos >= len(b) {
+		return nil, pos, scanMore
 	}
-	pos++
-	start := pos
-	for pos < len(b) && b[pos] != '>' && b[pos] != '/' {
-		c := b[pos]
-		// Attributes, comments, PIs, and malformed names are not canonical.
-		if c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '!' || c == '?' || c == '<' {
-			return nil, pos, false
-		}
-		pos++
+	if b[pos] != '<' {
+		return nil, pos, scanBail
 	}
-	if pos >= len(b) || pos == start {
-		return nil, pos, false
+	end, st := scanName(b, pos+1)
+	if st != scanOK {
+		return nil, pos, st
 	}
-	name := internName(b[start:pos])
+	name := internName(b[pos+1 : end])
+	pos = end
 	if b[pos] == '/' {
 		// <name/>
-		if pos+1 >= len(b) || b[pos+1] != '>' {
-			return nil, pos, false
+		if pos+1 >= len(b) {
+			return nil, pos, scanMore
 		}
-		return &Element{Name: name}, pos + 2, true
+		if b[pos+1] != '>' {
+			return nil, pos, scanBail
+		}
+		return &Element{Name: name}, pos + 2, scanOK
 	}
-	pos++ // consume '>'
+	if b[pos] != '>' {
+		return nil, pos, scanBail
+	}
+	pos++
 	e := &Element{Name: name}
 	textStart := pos
+	// text: a non-blank byte was seen; cr: a \r followed it, so one more
+	// non-blank byte would put the \r inside the trimmed text.
+	text, cr := false, false
 	for {
-		if pos >= len(b) {
-			return nil, pos, false
-		}
-		if b[pos] == '&' {
-			// Entity references would be decoded by the standard parser;
-			// canonical serialization never emits them.
-			return nil, pos, false
-		}
-		if b[pos] != '<' {
+		for {
+			if pos >= len(b) {
+				return nil, pos, scanMore
+			}
+			c := b[pos]
+			if c == '<' {
+				break
+			}
+			switch k := class[c]; {
+			case k&inSpace != 0:
+				cr = cr || (text && c == '\r')
+			case k&inText != 0:
+				if cr || len(e.Children) > 0 {
+					return nil, pos, scanBail
+				}
+				text = true
+			default:
+				return nil, pos, scanBail
+			}
 			pos++
-			continue
 		}
-		if pos+1 < len(b) && b[pos+1] == '/' {
-			// Closing tag: must match the open name.
-			end := pos + 2
-			nameEnd := end + len(name)
-			if nameEnd >= len(b) || string(b[end:nameEnd]) != name || b[nameEnd] != '>' {
-				return nil, pos, false
+		if pos+1 >= len(b) {
+			return nil, pos, scanMore
+		}
+		if b[pos+1] == '/' {
+			next, st := scanClose(b, pos, name)
+			if st != scanOK {
+				return nil, pos, st
 			}
 			if len(e.Children) == 0 {
 				e.Text = trimmedText(b[textStart:pos])
 			}
-			return e, nameEnd + 1, true
+			return e, next, scanOK
 		}
-		// Child element. Interleaved non-whitespace text (mixed content) is
-		// not canonical; the standard decoder discards it for interior
-		// elements, so bail out to keep behaviors identical.
-		if !allSpace(b[textStart:pos]) && len(e.Children) == 0 {
-			// Text before the first child: canonical items never mix text
-			// and children.
-			return nil, pos, false
+		if text {
+			return nil, pos, scanBail
 		}
-		c, next, ok := parseCanonical(b, pos)
-		if !ok {
-			return nil, next, false
+		c, next, st := parseCanonical(b, pos)
+		if st != scanOK {
+			return nil, next, st
 		}
 		e.Children = append(e.Children, c)
-		pos, textStart = next, next
+		pos = next
 	}
 }
 

@@ -1,8 +1,15 @@
 package xmlstream
 
 import (
+	"strings"
 	"testing"
 )
+
+// stdUnmarshal is Unmarshal with the fast lane off: what encoding/xml alone
+// makes of one item.
+func stdUnmarshal(s string) (*Element, error) {
+	return NewDecoder(strings.NewReader("<x>" + s + "</x>")).forceStd().Next()
+}
 
 func sampleItems() []*Element {
 	return []*Element{
@@ -43,9 +50,9 @@ func TestUnmarshalBytesRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("UnmarshalBytes(%q): %v", wire, err)
 		}
-		std, err := Unmarshal(wire)
+		std, err := stdUnmarshal(wire)
 		if err != nil {
-			t.Fatalf("Unmarshal(%q): %v", wire, err)
+			t.Fatalf("stdUnmarshal(%q): %v", wire, err)
 		}
 		if !fast.Equal(std) {
 			t.Errorf("fast parse of %q = %s, std = %s", wire, Marshal(fast), Marshal(std))
@@ -65,7 +72,7 @@ func TestUnmarshalBytesFallback(t *testing.T) {
 	}
 	for _, src := range cases {
 		fast, err := UnmarshalBytes([]byte(src))
-		std, stdErr := Unmarshal(src)
+		std, stdErr := stdUnmarshal(src)
 		if (err == nil) != (stdErr == nil) {
 			t.Fatalf("%q: fast err %v, std err %v", src, err, stdErr)
 		}
@@ -90,8 +97,48 @@ func TestUnmarshalBytesRejectsTrailing(t *testing.T) {
 	if _, err := UnmarshalBytes([]byte("<a>1</a><b>2</b>")); err == nil {
 		// Two items in one buffer: the standard path also rejects only via
 		// its single-item wrapper contract, so just require agreement.
-		if _, stdErr := Unmarshal("<a>1</a><b>2</b>"); stdErr != nil {
+		if _, stdErr := stdUnmarshal("<a>1</a><b>2</b>"); stdErr != nil {
 			t.Error("fast path accepted input the standard path rejects")
+		}
+	}
+}
+
+// TestScannerAgreesWithStd pins the inputs on which the scanner once
+// disagreed with encoding/xml: it took the prefixed name whole, kept a \r
+// the standard decoder rewrites, and accepted bytes and names that are not
+// XML. UnmarshalBytes, Unmarshal and the standard lane must give one answer.
+func TestScannerAgreesWithStd(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		want *Element // nil: rejected
+	}{
+		{"<x:a>1</x:a>", T("a", "1")},
+		{"<a>b\rc</a>", T("a", "b\nc")},
+		{"<a>\r\n b \r\n</a>", T("a", "b")},
+		{"<a><b/>t</a>", E("a", E("b"))},
+		{"<a>\x01</a>", nil},
+		{"<1a/>", nil},
+		{"<a>]]></a>", nil},
+		{"<a>\xff</a>", nil},
+		{"<a\x00b/>", nil},
+	} {
+		std, stdErr := stdUnmarshal(c.src)
+		for name, parse := range map[string]func() (*Element, error){
+			"UnmarshalBytes": func() (*Element, error) { return UnmarshalBytes([]byte(c.src)) },
+			"Unmarshal":      func() (*Element, error) { return Unmarshal(c.src) },
+		} {
+			got, err := parse()
+			if (err == nil) != (stdErr == nil) {
+				t.Errorf("%s(%q): err %v, std err %v", name, c.src, err, stdErr)
+				continue
+			}
+			if (err == nil) != (c.want != nil) {
+				t.Errorf("%s(%q): err %v, want accepted=%v", name, c.src, err, c.want != nil)
+				continue
+			}
+			if err == nil && (!got.Equal(std) || !got.Equal(c.want)) {
+				t.Errorf("%s(%q) = %s, std %s, want %s", name, c.src, Marshal(got), Marshal(std), Marshal(c.want))
+			}
 		}
 	}
 }
@@ -111,7 +158,7 @@ func BenchmarkUnmarshalFastVsStd(b *testing.B) {
 	b.Run("std", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Unmarshal(string(wire)); err != nil {
+			if _, err := stdUnmarshal(string(wire)); err != nil {
 				b.Fatal(err)
 			}
 		}

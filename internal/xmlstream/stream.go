@@ -1,6 +1,7 @@
 package xmlstream
 
 import (
+	"bytes"
 	"encoding/xml"
 	"errors"
 	"fmt"
@@ -17,17 +18,36 @@ var ErrNoRoot = errors.New("xmlstream: no root element")
 //
 // and yields one item element at a time, so arbitrarily long (conceptually
 // infinite) streams are processed without buffering the document.
+//
+// A document starts in the fast lane: the root tag and then each item are
+// scanned straight out of a read window by the canonical scanner
+// (parseCanonical has the grammar). The window starts at a few KB and grows
+// only when a single item does not fit, so to the largest item and no
+// further; an item that straddles its end is scanned again after the next
+// read, not handed over. At the first byte outside the
+// canonical grammar — an attribute, a comment, an entity reference, a
+// non-ASCII byte, mixed content, a malformed tag, or input that ends early —
+// the unread remainder of the document goes to encoding/xml, once and for
+// the rest of the document, so every document decodes to what encoding/xml
+// alone would yield and is rejected exactly when it would reject it.
 type Decoder struct {
-	d      *xml.Decoder
+	r   io.Reader
+	win []byte // fast-lane read window; win[pos:] is unread
+	pos int
+	d   *xml.Decoder // set when the document leaves the fast lane
+
 	root   string
 	opened bool
 	done   bool
 	attrs  bool
 }
 
+// minWindow is the read window's initial capacity.
+const minWindow = 8 << 10
+
 // NewDecoder returns a Decoder reading from r.
 func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{d: xml.NewDecoder(r)}
+	return &Decoder{r: r}
 }
 
 // ConvertAttributes makes the decoder turn XML attributes into equivalent
@@ -44,11 +64,115 @@ func (s *Decoder) ConvertAttributes() *Decoder {
 // call to Next has consumed the opening tag.
 func (s *Decoder) Root() string { return s.root }
 
+// FellBack reports whether the document left the fast lane, that is whether
+// encoding/xml decoded any part of it.
+func (s *Decoder) FellBack() bool { return s.d != nil }
+
 // Next returns the next item element, or io.EOF after the root closes.
 func (s *Decoder) Next() (*Element, error) {
+	for s.d == nil && !s.done {
+		e, st := s.scan()
+		if e != nil {
+			return e, nil
+		}
+		if st == scanBail || st == scanMore && !s.fill() {
+			s.fallBack()
+		}
+	}
 	if s.done {
 		return nil, io.EOF
 	}
+	return s.nextStd()
+}
+
+// scan takes one fast-lane step at the window's read position: the root's
+// opening tag, one item, or the root's closing tag. It consumes what it
+// accepts and nothing else.
+func (s *Decoder) scan() (*Element, scan) {
+	b, p := s.win, s.pos
+	for p < len(b) && isSpace(b[p]) {
+		p++
+	}
+	if s.opened {
+		s.pos = p // both lanes drop blank text between items
+	}
+	if p+1 >= len(b) {
+		return nil, scanMore
+	}
+	if b[p] != '<' {
+		return nil, scanBail
+	}
+	if !s.opened {
+		end, st := scanName(b, p+1)
+		if st != scanOK {
+			return nil, st
+		}
+		if b[end] != '>' {
+			return nil, scanBail
+		}
+		s.root, s.opened, s.pos = string(b[p+1:end]), true, end+1
+		return nil, scanOK
+	}
+	if b[p+1] == '/' {
+		_, st := scanClose(b, p, s.root)
+		if st == scanOK {
+			s.done, s.win = true, nil
+		}
+		return nil, st
+	}
+	e, next, st := parseCanonical(b, p)
+	if st == scanOK {
+		s.pos = next
+	}
+	return e, st
+}
+
+// fill moves the unread remainder to the front of the window, doubling the
+// window when the remainder fills it, and reads once more from the source.
+// It reports whether the window gained anything; false means the source is
+// exhausted or failed, and further reads repeat its error.
+func (s *Decoder) fill() bool {
+	rest := s.win[s.pos:]
+	if len(rest) == cap(s.win) {
+		s.win = append(make([]byte, 0, max(2*cap(s.win), minWindow)), rest...)
+	} else {
+		s.win = s.win[:copy(s.win[:cap(s.win)], rest)]
+	}
+	s.pos = 0
+	for empty := 0; empty < 100; empty++ {
+		n, err := s.r.Read(s.win[len(s.win):cap(s.win)])
+		s.win = s.win[:len(s.win)+n]
+		if err != nil {
+			s.r = errReader{err}
+		}
+		if n > 0 || err != nil {
+			return n > 0
+		}
+	}
+	s.r = errReader{io.ErrNoProgress}
+	return false
+}
+
+// errReader repeats a source's terminal error.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
+// fallBack hands the rest of the document to encoding/xml: the unread
+// window, then the source, behind a synthetic root tag when the real one
+// was already consumed.
+func (s *Decoder) fallBack() {
+	rest := []io.Reader{bytes.NewReader(s.win[s.pos:]), s.r}
+	if s.opened {
+		rest = append([]io.Reader{strings.NewReader("<" + s.root + ">")}, rest...)
+		s.opened = false
+	}
+	s.d = xml.NewDecoder(io.MultiReader(rest...))
+	s.win = nil
+}
+
+// nextStd is Next on the encoding/xml lane.
+func (s *Decoder) nextStd() (*Element, error) {
 	for {
 		tok, err := s.d.Token()
 		if err != nil {
