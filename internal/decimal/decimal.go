@@ -12,6 +12,8 @@ package decimal
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -49,60 +51,81 @@ func New(units int64, scale int) D {
 // FromInt returns the decimal with integer value n.
 func FromInt(n int64) D { return D{units: n} }
 
-// Parse converts decimal text such as "-49.0", "120", "1.3" into a D.
+// Parse converts decimal text such as "-49.0", "120", "1.3" into a D: an
+// optional sign, digits, and optionally a point followed by at least one
+// digit (the integer digits may be omitted: ".5"). More than MaxScale
+// decimal places are out of range unless the excess is trailing zeros.
+//
+// It is one pass over the bytes: operators call it once per numeric leaf
+// per item. The scan only records what it saw; which error a malformed
+// input gets is decided afterwards, in a fixed order.
 func Parse(s string) (D, error) {
-	if s == "" {
-		return D{}, ErrSyntax
-	}
+	i := 0
 	neg := false
-	switch s[0] {
-	case '+':
-		s = s[1:]
-	case '-':
-		neg = true
-		s = s[1:]
+	if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
+		neg = s[0] == '-'
+		i = 1
 	}
-	intPart, fracPart, hasFrac := strings.Cut(s, ".")
-	if intPart == "" && fracPart == "" {
+	// Integer part: everything before the first point.
+	const cutoff = math.MaxInt64 / 10
+	var units int64
+	intBad, intOver := false, false
+	intStart := i
+	for ; i < len(s) && s[i] != '.'; i++ {
+		d := int64(s[i]) - '0'
+		switch {
+		case d < 0 || d > 9:
+			intBad = true
+		case units > cutoff || (units == cutoff && d > math.MaxInt64%10):
+			intOver = true
+		default:
+			units = units*10 + d
+		}
+	}
+	intLen := i - intStart
+	// Fraction: the value of its first MaxScale digits, its length, and its
+	// length without trailing zeros.
+	var frac int64
+	hasFrac := i < len(s)
+	fracLen, fracDigits, trimmed := 0, 0, 0
+	fracBad := false
+	if hasFrac {
+		i++
+		fracLen = len(s) - i
+		for j, c := range []byte(s[i:]) {
+			if c != '0' {
+				trimmed = j + 1
+			}
+			switch {
+			case c < '0' || c > '9':
+				fracBad = true
+			case fracDigits < MaxScale:
+				frac = frac*10 + int64(c-'0')
+				fracDigits++
+			}
+		}
+	}
+
+	if fracLen == 0 && (intLen == 0 || hasFrac) {
 		return D{}, ErrSyntax
 	}
-	if intPart == "" {
-		intPart = "0"
-	}
-	if hasFrac && fracPart == "" {
-		return D{}, ErrSyntax
-	}
-	if len(fracPart) > MaxScale {
-		// Trailing zeros beyond MaxScale are harmless; anything else is out
-		// of range for the fixed-point representation.
-		trimmed := strings.TrimRight(fracPart, "0")
-		if len(trimmed) > MaxScale {
+	scale := fracLen
+	if fracLen > MaxScale {
+		if trimmed > MaxScale {
 			return D{}, ErrRange
 		}
-		fracPart = trimmed
+		scale = trimmed
 	}
-	for _, c := range intPart {
-		if c < '0' || c > '9' {
-			return D{}, ErrSyntax
-		}
+	switch {
+	case intBad:
+		return D{}, ErrSyntax
+	case intOver:
+		return D{}, ErrRange
+	case fracBad:
+		return D{}, ErrSyntax
 	}
-	units, err := strconv.ParseInt(intPart, 10, 64)
-	if err != nil {
-		return D{}, fmt.Errorf("decimal: parsing %q: %w", s, errKind(err))
-	}
-	scale := len(fracPart)
-	for _, c := range fracPart {
-		if c < '0' || c > '9' {
-			return D{}, ErrSyntax
-		}
-	}
-	var frac int64
-	if scale > 0 {
-		frac, err = strconv.ParseInt(fracPart, 10, 64)
-		if err != nil {
-			return D{}, fmt.Errorf("decimal: parsing %q: %w", s, errKind(err))
-		}
-	}
+	// Digits of frac beyond scale are the trailing zeros just dropped.
+	frac /= pow10[fracDigits-scale]
 	u, ok := mulOK(units, pow10[scale])
 	if !ok {
 		return D{}, ErrRange
@@ -124,16 +147,6 @@ func MustParse(s string) D {
 		panic(err)
 	}
 	return d
-}
-
-func errKind(err error) error {
-	var ne *strconv.NumError
-	if errors.As(err, &ne) {
-		if errors.Is(ne.Err, strconv.ErrRange) {
-			return ErrRange
-		}
-	}
-	return ErrSyntax
 }
 
 // normalize strips trailing zero digits so equal values have one
@@ -250,7 +263,17 @@ func (d D) Add(e D) (D, error) {
 }
 
 // Sub returns d - e.
-func (d D) Sub(e D) (D, error) { return d.Add(e.Neg()) }
+func (d D) Sub(e D) (D, error) {
+	au, bu, scale, ok := align(d, e)
+	if !ok {
+		return D{}, ErrRange
+	}
+	u := au - bu
+	if (au < bu) != (u < 0) {
+		return D{}, ErrRange
+	}
+	return D{units: u, scale: uint8(scale)}.normalize(), nil
+}
 
 // Ulp returns the smallest positive decimal at scale s, i.e. 10^-s. It is
 // used to rewrite strict comparisons: $v < c over finite-scale decimals is
@@ -299,21 +322,17 @@ func (d D) Float() float64 { return float64(d.units) / float64(pow10[d.scale]) }
 
 // String formats d in canonical decimal notation.
 func (d D) String() string {
-	u := d.units
-	neg := u < 0
-	if neg {
-		u = -u
-	}
-	intPart := u / pow10[d.scale]
-	frac := u % pow10[d.scale]
+	u := magnitude(d.units)
+	intPart := u / uint64(pow10[d.scale])
+	frac := u % uint64(pow10[d.scale])
 	var b strings.Builder
-	if neg {
+	if d.units < 0 {
 		b.WriteByte('-')
 	}
-	b.WriteString(strconv.FormatInt(intPart, 10))
+	b.WriteString(strconv.FormatUint(intPart, 10))
 	if d.scale > 0 {
 		b.WriteByte('.')
-		fs := strconv.FormatInt(frac, 10)
+		fs := strconv.FormatUint(frac, 10)
 		for i := len(fs); i < int(d.scale); i++ {
 			b.WriteByte('0')
 		}
@@ -330,13 +349,32 @@ func addOK(a, b int64) (int64, bool) {
 	return s, true
 }
 
+// mulOK returns a·b and whether it fits. Aligning two decimals of equal
+// scale multiplies by one, the common case on the operators' hot path.
 func mulOK(a, b int64) (int64, bool) {
-	if a == 0 || b == 0 {
-		return 0, true
+	if b == 1 {
+		return a, true
 	}
-	p := a * b
-	if p/b != a {
+	hi, lo := bits.Mul64(magnitude(a), magnitude(b))
+	if hi != 0 {
 		return 0, false
 	}
-	return p, true
+	if (a < 0) != (b < 0) {
+		if lo > 1<<63 {
+			return 0, false
+		}
+		return -int64(lo), true // lo = 2⁶³ wraps to -2⁶³, which is right
+	}
+	if lo > math.MaxInt64 {
+		return 0, false
+	}
+	return int64(lo), true
+}
+
+// magnitude returns |a|; the conversion wraps -2⁶³ to 2⁶³ as it should.
+func magnitude(a int64) uint64 {
+	if a < 0 {
+		return -uint64(a)
+	}
+	return uint64(a)
 }

@@ -244,7 +244,8 @@ func identityLayout(reused, sub []AggSpec, fineGroup []int) bool {
 
 // Remap rewrites aggregate items from a reused layout into the
 // subscription's layout (identical windows, e.g. an avg stream serving a
-// sum subscription).
+// sum subscription). Only the item and its group nodes are new: window
+// fields and the groups' value fields are shared with the input.
 type Remap struct {
 	// Aggs lists the subscription's aggregations, in output group order.
 	Aggs []AggSpec
@@ -252,11 +253,20 @@ type Remap struct {
 	FineGroup []int
 	// FineOp[i] is the reused stream's operator for that group.
 	FineOp []wxquery.AggOp
+
+	// from[i] and to[i] are the group element names Aggs[i] is read from
+	// and written as.
+	from, to []string
 }
 
 // NewRemap returns a layout-remapping operator.
 func NewRemap(aggs []AggSpec, fineGroup []int, fineOp []wxquery.AggOp) *Remap {
-	return &Remap{Aggs: aggs, FineGroup: fineGroup, FineOp: fineOp}
+	r := &Remap{Aggs: aggs, FineGroup: fineGroup, FineOp: fineOp}
+	for i := range aggs {
+		r.from = append(r.from, groupName(fineGroup[i]))
+		r.to = append(r.to, groupName(i))
+	}
+	return r
 }
 
 // Name implements Operator.
@@ -264,22 +274,20 @@ func (r *Remap) Name() string { return "remap" }
 
 // Process implements Operator.
 func (r *Remap) Process(item *xmlstream.Element) []*xmlstream.Element {
-	out := &xmlstream.Element{Name: AggItemName}
+	out := &xmlstream.Element{Name: AggItemName, Children: make([]*xmlstream.Element, 0, 2+len(r.to))}
 	for _, c := range item.Children {
 		if c.Name == aggWinField || c.Name == aggWMField {
-			out.Children = append(out.Children, c.Clone())
+			out.Children = append(out.Children, c)
 		}
 	}
-	for i := range r.Aggs {
-		src := item.Child(groupName(r.FineGroup[i]))
+	for i, name := range r.to {
+		src := item.Child(r.from[i])
 		if src == nil {
 			continue
 		}
-		g := src.Clone()
-		g.Name = groupName(i)
 		// An avg source carries sum and n; a sum/count target keeps both
 		// fields, the restructuring step reads what it needs.
-		out.Children = append(out.Children, g)
+		out.Children = append(out.Children, &xmlstream.Element{Name: name, Text: src.Text, Children: src.Children})
 	}
 	return []*xmlstream.Element{out}
 }

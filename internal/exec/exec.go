@@ -10,20 +10,31 @@
 // output items it produces; Flush drains operator state at stream end.
 // Pipelines compose operators and are installed on simulated network peers.
 //
+// Each operator compiles the query-dependent part of its work once, at
+// construction — Select a slot per distinct predicate operand, Project a
+// trie of its keep paths, Restructure a template of its return clause — so
+// Process interprets no query text, path list or AST per item.
+//
 // Ownership and concurrency contracts (load-bearing for the batched
 // runtime):
 //
+//   - Items are immutable. Nothing writes to an element once it has been
+//     built: not the operator it is handed to, not the receiver of an
+//     output. Every other rule here rests on this one.
 //   - Operator and Pipeline instances are single-threaded. They hold
 //     mutable evaluation state and must be driven by at most one goroutine
 //     at a time; the distributed runtime guarantees this by executing each
 //     pipeline on exactly one per-stream lane.
 //   - Process may retain the input item (window operators buffer items
-//     across calls), so a caller must not mutate an item after passing it
-//     in. Sharing one immutable item between several pipelines is safe.
-//   - Output items may alias the input (identity operators pass the item
-//     through) or be freshly allocated; either way the receiver owns them
-//     and may retain them indefinitely. Operators never touch an item again
-//     after emitting it.
+//     across calls). Sharing one item between several pipelines, on several
+//     goroutines, is safe because items are immutable.
+//   - Output items share subtrees with inputs. An operator allocates only
+//     the nodes it adds or whose child list it changes; a projection's kept
+//     subtrees, the subtrees a return clause selects, a window's items and
+//     a remapped group's fields are the input's own nodes, and an operator
+//     with nothing to change passes the item through. The receiver may
+//     retain outputs indefinitely and, like everyone else, may not modify
+//     them. Operators never touch an item again after emitting it.
 //   - The slice returned by Pipeline.Process is a scratch buffer owned by
 //     the pipeline, valid only until the next Process or Flush call; copy
 //     the elements (not the slice header) to retain results.
@@ -64,38 +75,23 @@ func NewPipeline(ops ...Operator) *Pipeline { return &Pipeline{Ops: ops} }
 // scratch buffer owned by the pipeline and is only valid until the next
 // Process or Flush call; copy its elements out to retain them.
 func (p *Pipeline) Process(item *xmlstream.Element) []*xmlstream.Element {
-	if p == nil || len(p.Ops) == 0 {
-		return []*xmlstream.Element{item}
-	}
-	items := append(p.bufA[:0], item)
-	next := p.bufB[:0]
-	for _, op := range p.Ops {
-		next = next[:0]
-		for _, it := range items {
-			next = append(next, op.Process(it)...)
-		}
-		items, next = next, items
-		if len(items) == 0 {
-			p.bufA, p.bufB = items, next
-			return nil
-		}
-	}
-	p.bufA, p.bufB = items, next
-	return items
+	return p.ProcessWith(item, nil)
 }
 
 // ProcessWith is Process with per-stage accounting: before a stage runs,
-// charge is called with the operator and the number of items entering it
-// (the load model bills bload(op) per processed item). The returned slice
-// follows the same scratch-buffer contract as Process.
+// charge (when not nil) is called with the operator and the number of items
+// entering it (the load model bills bload(op) per processed item). The
+// returned slice follows the same scratch-buffer contract as Process.
 func (p *Pipeline) ProcessWith(item *xmlstream.Element, charge func(op Operator, items int)) []*xmlstream.Element {
-	if p == nil || len(p.Ops) == 0 {
+	if p == nil {
 		return []*xmlstream.Element{item}
 	}
 	items := append(p.bufA[:0], item)
 	next := p.bufB[:0]
 	for _, op := range p.Ops {
-		charge(op, len(items))
+		if charge != nil {
+			charge(op, len(items))
+		}
 		next = next[:0]
 		for _, it := range items {
 			next = append(next, op.Process(it)...)
@@ -150,32 +146,45 @@ type Select struct {
 	// Graph is the compiled conjunctive predicate (see package predicate).
 	Graph *predicate.Graph
 
+	// slots holds one entry per distinct node label, however many edges
+	// mention it.
+	slots  []selSlot
 	checks []selCheck
 }
 
+// selCheck is one edge from ≤ to + C over slot indices; zeroSlot stands for
+// the graph's zero node.
 type selCheck struct {
-	from, to xmlstream.Path // nil path denotes the zero node
-	fromZero bool
-	toZero   bool
+	from, to int
 	w        predicate.Weight
+}
+
+const zeroSlot = -1
+
+// selSlot is the element at path and, once resolved for the item being
+// matched, its value.
+type selSlot struct {
+	path     xmlstream.Path
+	v        decimal.D
+	resolved bool
+	ok       bool // the element is present and numeric
 }
 
 // NewSelect compiles a selection operator from a predicate graph.
 func NewSelect(g *predicate.Graph) *Select {
 	s := &Select{Graph: g}
+	index := map[string]int{predicate.ZeroNode: zeroSlot}
+	slot := func(label string) int {
+		i, ok := index[label]
+		if !ok {
+			i = len(s.slots)
+			index[label] = i
+			s.slots = append(s.slots, selSlot{path: xmlstream.ParsePath(label)})
+		}
+		return i
+	}
 	for _, e := range g.Edges() {
-		c := selCheck{w: e.W}
-		if e.From == predicate.ZeroNode {
-			c.fromZero = true
-		} else {
-			c.from = xmlstream.ParsePath(e.From)
-		}
-		if e.To == predicate.ZeroNode {
-			c.toZero = true
-		} else {
-			c.to = xmlstream.ParsePath(e.To)
-		}
-		s.checks = append(s.checks, c)
+		s.checks = append(s.checks, selCheck{from: slot(e.From), to: slot(e.To), w: e.W})
 	}
 	return s
 }
@@ -183,23 +192,34 @@ func NewSelect(g *predicate.Graph) *Select {
 // Name implements Operator.
 func (s *Select) Name() string { return "select" }
 
+// value returns slot i's value for item, resolving and parsing the element
+// the first time an edge asks for it: an item that fails its first edge
+// pays for that edge's operands only.
+func (s *Select) value(item *xmlstream.Element, i int) (decimal.D, bool) {
+	if i == zeroSlot {
+		return decimal.D{}, true
+	}
+	sl := &s.slots[i]
+	if !sl.resolved {
+		sl.v, sl.ok = item.Decimal(sl.path)
+		sl.resolved = true
+	}
+	return sl.v, sl.ok
+}
+
 // Matches reports whether the item satisfies every constraint.
 func (s *Select) Matches(item *xmlstream.Element) bool {
+	for i := range s.slots {
+		s.slots[i].resolved = false
+	}
 	for _, c := range s.checks {
-		var lhs, rhs decimal.D
-		if !c.fromZero {
-			v, ok := item.Decimal(c.from)
-			if !ok {
-				return false
-			}
-			lhs = v
+		lhs, ok := s.value(item, c.from)
+		if !ok {
+			return false
 		}
-		if !c.toZero {
-			v, ok := item.Decimal(c.to)
-			if !ok {
-				return false
-			}
-			rhs = v
+		rhs, ok := s.value(item, c.to)
+		if !ok {
+			return false
 		}
 		// Constraint: lhs ≤ rhs + C (strict: <).
 		sum, err := rhs.Add(c.w.C)
@@ -225,21 +245,26 @@ func (s *Select) Process(item *xmlstream.Element) []*xmlstream.Element {
 // Flush implements Operator.
 func (s *Select) Flush() []*xmlstream.Element { return nil }
 
-// Project prunes items to the subtrees addressed by Keep.
+// Project prunes items to the subtrees addressed by Keep. Its outputs share
+// the kept subtrees with the input item.
 type Project struct {
 	// Keep lists the item-relative paths of the subtrees to retain.
 	Keep []xmlstream.Path
+
+	proj *xmlstream.Projection
 }
 
 // NewProject returns a projection keeping the given subtrees.
-func NewProject(keep []xmlstream.Path) *Project { return &Project{Keep: keep} }
+func NewProject(keep []xmlstream.Path) *Project {
+	return &Project{Keep: keep, proj: xmlstream.CompileProjection(keep)}
+}
 
 // Name implements Operator.
 func (p *Project) Name() string { return "project" }
 
 // Process implements Operator.
 func (p *Project) Process(item *xmlstream.Element) []*xmlstream.Element {
-	pr := item.Prune(p.Keep)
+	pr := p.proj.Apply(item)
 	if pr == nil {
 		return nil
 	}

@@ -116,8 +116,9 @@ func (f *AggFilter) side(item *xmlstream.Element, g FilterGroup, zero bool) (dec
 }
 
 // WindowContents groups stream items into data windows and emits one
-// <window> element per completed window containing copies of its items
-// (queries that return window contents rather than aggregates, §3.2).
+// <window> element per completed window containing its items (queries that
+// return window contents rather than aggregates, §3.2). An item is shared
+// by every window it falls into, and with the input.
 type WindowContents struct {
 	// Window is the data-window definition items are grouped by.
 	Window wxquery.Window
@@ -185,13 +186,13 @@ func (w *WindowContents) closeBefore(limit, wm decimal.D) []*xmlstream.Element {
 	sortInt64(ks)
 	for _, k := range ks {
 		start := mulScalar(w.Window.Step, k)
-		e := xmlstream.E(WindowedName,
+		items := w.open[k]
+		e := &xmlstream.Element{Name: WindowedName, Children: make([]*xmlstream.Element, 0, 2+len(items))}
+		e.Children = append(e.Children,
 			xmlstream.T(aggWinField, start.String()),
 			xmlstream.T(aggWMField, wm.String()),
 		)
-		for _, it := range w.open[k] {
-			e.Children = append(e.Children, it.Clone())
-		}
+		e.Children = append(e.Children, items...)
 		delete(w.open, k)
 		out = append(out, e)
 	}

@@ -8,9 +8,10 @@ import (
 // Operator-internal object pooling. Window operators open and close many
 // short-lived accumulator structures per run; recycling them removes the
 // dominant steady-state allocation of the aggregation hot path. Pooled
-// objects never escape the operator that took them — everything handed to a
-// caller (aggregate items, restructured results) is freshly allocated — so
-// pooling is invisible outside this package.
+// objects never escape the operator that took them — what is handed to a
+// caller is element trees (new nodes, or nodes shared with the immutable
+// input; see the package comment), never an accumulator — so pooling is
+// invisible outside this package.
 
 var partialPool = sync.Pool{}
 

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"strconv"
-	"strings"
 
 	"streamshare/internal/decimal"
 	"streamshare/internal/predicate"
@@ -39,10 +38,13 @@ type LetBinding struct {
 // restructuring runs as a post-processing step at the super-peer connected
 // to the subscribing peer, and its output is never considered for reuse.
 //
-// A Restructure instance is single-threaded (one goroutine at a time). Its
-// outputs are freshly built trees owned by the receiver, except that
-// variable references without a path may pass through clones of input
-// subtrees; inputs themselves are never retained past the Process call.
+// The return clause is compiled once, at construction, into a template;
+// Process evaluates the template and allocates only the nodes the clause
+// constructs. Input subtrees a variable reference selects are placed in the
+// output by pointer, so outputs share structure with inputs: this is safe
+// because nothing writes to an element after it is built (see the package
+// comment). A Restructure instance is single-threaded (one goroutine at a
+// time); inputs themselves are never retained past the Process call.
 type Restructure struct {
 	// Mode selects how incoming items bind to variables.
 	Mode RestructureMode
@@ -53,12 +55,14 @@ type Restructure struct {
 	// Return is the return-clause expression to materialize per item.
 	Return wxquery.Expr
 
-	bind binding // reused per item to avoid one allocation per Process
+	tmpl tmpl
 }
 
 // NewRestructure returns the post-processing operator for one FLWR.
 func NewRestructure(mode RestructureMode, forVar string, lets []LetBinding, ret wxquery.Expr) *Restructure {
-	return &Restructure{Mode: mode, ForVar: forVar, Lets: lets, Return: ret}
+	r := &Restructure{Mode: mode, ForVar: forVar, Lets: lets, Return: ret}
+	r.tmpl = r.compile(ret)
+	return r
 }
 
 // Name implements Operator.
@@ -66,174 +70,231 @@ func (r *Restructure) Name() string { return "restructure" }
 
 // Process implements Operator.
 func (r *Restructure) Process(item *xmlstream.Element) []*xmlstream.Element {
-	r.bind = binding{r: r, item: item}
-	out := evalExpr(r.Return, &r.bind)
-	res := make([]*xmlstream.Element, 0, len(out))
-	for _, e := range out {
-		if e.Name == "" {
-			// A bare text value at the top level of a return clause is
-			// wrapped so it remains a well-formed stream item.
-			res = append(res, xmlstream.T("value", e.Text))
-			continue
-		}
-		res = append(res, e)
-	}
-	return res
+	// A bare text value at the top level of a return clause is wrapped so
+	// it remains a well-formed stream item.
+	out := content{top: true}
+	r.eval(&r.tmpl, item, &out)
+	return out.elems
 }
 
 // Flush implements Operator.
 func (r *Restructure) Flush() []*xmlstream.Element { return nil }
 
-// binding resolves variable references during return-clause evaluation.
-type binding struct {
-	r    *Restructure
-	item *xmlstream.Element
+// tmpl is one node of a compiled return clause. Variable references are
+// resolved at compile time to what they read — a path below the for item,
+// below each item of a window, or a let variable's aggregate group — and a
+// reference to an unbound variable compiles to tmplNone.
+type tmpl struct {
+	kind tmplKind
+	// tag is a constructor's element name.
+	tag string
+	// kids are a constructor's content, a sequence's items, or a
+	// conditional's then and else branches.
+	kids []tmpl
+	// elems is how many child elements a constructor expects, the capacity
+	// its child slice is allocated with; zero when it can only hold text.
+	elems int
+	// path is the path a reference follows below its binding.
+	path xmlstream.Path
+	// let indexes Restructure.Lets.
+	let int
+	// cond guards a conditional.
+	cond []tmplAtom
 }
 
-// resolve returns the elements a variable path denotes. Text results (e.g.
-// aggregate values) are returned as name-less text sentinels.
-func (b *binding) resolve(vp wxquery.VarPath) []*xmlstream.Element {
-	switch b.r.Mode {
-	case ModeAggregates:
-		for i, lb := range b.r.Lets {
-			if lb.Var == vp.Var {
-				v, ok := b.aggText(i, &lb.Spec)
-				if !ok {
-					return nil
-				}
-				return []*xmlstream.Element{{Text: v}}
-			}
-		}
-		return nil
-	case ModeWindows:
-		if vp.Var != b.r.ForVar {
-			return nil
-		}
-		// The window element's item children are the window contents.
-		var out []*xmlstream.Element
-		for _, c := range b.item.Children {
-			if c.Name == aggWinField || c.Name == aggWMField {
-				continue
-			}
-			if len(vp.Path) == 0 {
-				out = append(out, c.Clone())
-				continue
-			}
-			for _, m := range c.Find(vp.Path) {
-				out = append(out, m.Clone())
-			}
-		}
-		return out
-	default:
-		if vp.Var != b.r.ForVar {
-			return nil
-		}
-		if len(vp.Path) == 0 {
-			return []*xmlstream.Element{b.item.Clone()}
-		}
-		var out []*xmlstream.Element
-		for _, m := range b.item.Find(vp.Path) {
-			out = append(out, m.Clone())
-		}
-		return out
-	}
+type tmplKind uint8
+
+const (
+	tmplNone   tmplKind = iota // produces nothing
+	tmplCtor                   // element constructor
+	tmplItem                   // path below the for item
+	tmplWindow                 // path below each item of a window element
+	tmplAgg                    // final value of a let variable's aggregate
+	tmplSeq                    // sequence
+	tmplIf                     // conditional
+)
+
+// tmplAtom is one comparison left θ right + c of a condition; right is nil
+// for a comparison with the constant alone.
+type tmplAtom struct {
+	left  tmpl
+	right *tmpl
+	op    predicate.Op
+	c     decimal.D
 }
 
-// aggText renders the final value of aggregate group i. avg values are
-// finalized here as sum/count (§3.3: the division happens at the super-peer
-// where the subscription is registered).
-func (b *binding) aggText(i int, spec *AggSpec) (string, bool) {
-	num, den, ok := aggValue(b.item, i, spec.Op, spec.UDF != "")
-	if !ok {
-		return "", false
-	}
-	if den == 1 {
-		return num.String(), true
-	}
-	return formatRatio(num, den), true
+// content collects what a template produces inside one constructor (or at
+// the top level of the return clause): child elements and text.
+type content struct {
+	elems []*xmlstream.Element
+	text  string
+	// top marks the return clause's top level, where a text value becomes
+	// a <value> element of its own, in sequence with the others.
+	top bool
 }
 
-// value resolves a variable path to an exact rational for condition
-// evaluation.
-func (b *binding) value(vp wxquery.VarPath) (decimal.D, int64, bool) {
-	switch b.r.Mode {
-	case ModeAggregates:
-		for i, lb := range b.r.Lets {
-			if lb.Var == vp.Var {
-				return aggValue(b.item, i, lb.Spec.Op, lb.Spec.UDF != "")
-			}
-		}
-		return decimal.D{}, 0, false
-	default:
-		if vp.Var != b.r.ForVar {
-			return decimal.D{}, 0, false
-		}
-		d, ok := b.item.Decimal(vp.Path)
-		if !ok {
-			return decimal.D{}, 0, false
-		}
-		return d, 1, true
+func (c *content) addText(v string) {
+	if c.top {
+		c.elems = append(c.elems, xmlstream.T("value", v))
+		return
 	}
+	c.text += v // a lone value is kept as is; only a second one concatenates
 }
 
-// evalExpr evaluates a return-clause expression under a binding.
-func evalExpr(e wxquery.Expr, b *binding) []*xmlstream.Element {
+// compile translates a return-clause expression into its template.
+func (r *Restructure) compile(e wxquery.Expr) tmpl {
 	switch x := e.(type) {
 	case *wxquery.ElemCtor:
-		return []*xmlstream.Element{evalCtor(x, b)}
+		t := tmpl{kind: tmplCtor, tag: x.Tag, kids: r.compileAll(x.Content)}
+		for i := range t.kids {
+			t.elems += t.kids[i].expectedElems()
+		}
+		return t
 	case *wxquery.Output:
-		return b.resolve(x.Ref)
+		return r.compileRef(x.Ref)
 	case *wxquery.Sequence:
-		var out []*xmlstream.Element
-		for _, it := range x.Items {
-			out = append(out, evalExpr(it, b)...)
-		}
-		return out
+		return tmpl{kind: tmplSeq, kids: r.compileAll(x.Items)}
 	case *wxquery.IfExpr:
-		if evalCond(&x.Cond, b) {
-			return evalExpr(x.Then, b)
+		t := tmpl{kind: tmplIf, kids: []tmpl{r.compile(x.Then), r.compile(x.Else)}}
+		for _, a := range x.Cond.Atoms {
+			ta := tmplAtom{left: r.compileRef(a.Left), op: a.Op, c: a.Const}
+			if a.Right != nil {
+				right := r.compileRef(*a.Right)
+				ta.right = &right
+			}
+			t.cond = append(t.cond, ta)
 		}
-		return evalExpr(x.Else, b)
+		return t
 	default:
 		// Nested FLWR is rejected by the properties builder; an unreachable
-		// expression contributes nothing.
-		return nil
+		// (or absent) expression contributes nothing.
+		return tmpl{}
 	}
 }
 
-func evalCtor(c *wxquery.ElemCtor, b *binding) *xmlstream.Element {
-	e := &xmlstream.Element{Name: c.Tag}
-	var text strings.Builder
-	for _, content := range c.Content {
-		for _, r := range evalExpr(content, b) {
-			if r.Name == "" {
-				text.WriteString(r.Text)
-				continue
+func (r *Restructure) compileAll(es []wxquery.Expr) []tmpl {
+	out := make([]tmpl, len(es))
+	for i, e := range es {
+		out[i] = r.compile(e)
+	}
+	return out
+}
+
+// compileRef resolves a variable reference against the operator's bindings.
+func (r *Restructure) compileRef(vp wxquery.VarPath) tmpl {
+	if r.Mode == ModeAggregates {
+		for i, lb := range r.Lets {
+			if lb.Var == vp.Var {
+				return tmpl{kind: tmplAgg, let: i}
 			}
-			e.Children = append(e.Children, r)
 		}
+		return tmpl{}
 	}
-	if len(e.Children) == 0 {
-		e.Text = text.String()
+	if vp.Var != r.ForVar {
+		return tmpl{}
 	}
-	return e
+	if r.Mode == ModeWindows {
+		return tmpl{kind: tmplWindow, path: vp.Path}
+	}
+	return tmpl{kind: tmplItem, path: vp.Path}
 }
 
-// evalCond evaluates a conjunction with exact rational comparisons.
-func evalCond(c *wxquery.Condition, b *binding) bool {
-	for _, a := range c.Atoms {
-		ln, ld, ok := b.value(a.Left)
+// expectedElems estimates how many elements t adds to its constructor: one
+// per nested constructor and per item reference (a path usually matches
+// once), the larger branch of a conditional. Aggregate values are text.
+func (t *tmpl) expectedElems() int {
+	switch t.kind {
+	case tmplCtor, tmplItem, tmplWindow:
+		return 1
+	case tmplSeq:
+		n := 0
+		for i := range t.kids {
+			n += t.kids[i].expectedElems()
+		}
+		return n
+	case tmplIf:
+		return max(t.kids[0].expectedElems(), t.kids[1].expectedElems())
+	}
+	return 0
+}
+
+// eval appends what t produces for item to out.
+func (r *Restructure) eval(t *tmpl, item *xmlstream.Element, out *content) {
+	switch t.kind {
+	case tmplCtor:
+		e := &xmlstream.Element{Name: t.tag}
+		in := content{}
+		if t.elems > 0 {
+			in.elems = make([]*xmlstream.Element, 0, t.elems)
+		}
+		for i := range t.kids {
+			r.eval(&t.kids[i], item, &in)
+		}
+		if len(in.elems) > 0 {
+			e.Children = in.elems
+		} else {
+			e.Text = in.text
+		}
+		out.elems = append(out.elems, e)
+	case tmplItem:
+		out.elems = item.AppendFind(out.elems, t.path)
+	case tmplWindow:
+		// The window element's item children are the window contents.
+		for _, c := range item.Children {
+			if c.Name != aggWinField && c.Name != aggWMField {
+				out.elems = c.AppendFind(out.elems, t.path)
+			}
+		}
+	case tmplAgg:
+		// avg values are finalized here as sum/count (§3.3: the division
+		// happens at the super-peer where the subscription is registered).
+		if num, den, ok := r.value(t, item); ok {
+			out.addText(formatRatio(num, den))
+		}
+	case tmplSeq:
+		for i := range t.kids {
+			r.eval(&t.kids[i], item, out)
+		}
+	case tmplIf:
+		branch := 1
+		if r.holds(t.cond, item) {
+			branch = 0
+		}
+		r.eval(&t.kids[branch], item, out)
+	}
+}
+
+// value reads a condition operand (or aggregate reference) as an exact
+// rational. A window variable reads, like a for variable, below the
+// incoming element itself.
+func (r *Restructure) value(t *tmpl, item *xmlstream.Element) (decimal.D, int64, bool) {
+	switch t.kind {
+	case tmplAgg:
+		spec := &r.Lets[t.let].Spec
+		return aggValue(item, t.let, spec.Op, spec.UDF != "")
+	case tmplItem, tmplWindow:
+		d, ok := item.Decimal(t.path)
+		return d, 1, ok
+	}
+	return decimal.D{}, 0, false
+}
+
+// holds evaluates a conjunction with exact rational comparisons.
+func (r *Restructure) holds(cond []tmplAtom, item *xmlstream.Element) bool {
+	for i := range cond {
+		a := &cond[i]
+		ln, ld, ok := r.value(&a.left, item)
 		if !ok {
 			return false
 		}
-		rn, rd := a.Const, int64(1)
-		if a.Right != nil {
-			vn, vd, ok := b.value(*a.Right)
+		rn, rd := a.c, int64(1)
+		if a.right != nil {
+			vn, vd, ok := r.value(a.right, item)
 			if !ok {
 				return false
 			}
 			// v + const with a rational v: (vn + c·vd) / vd.
-			cv, err := a.Const.Mul(vd)
+			cv, err := a.c.Mul(vd)
 			if err != nil {
 				return false
 			}
@@ -243,7 +304,7 @@ func evalCond(c *wxquery.Condition, b *binding) bool {
 			}
 			rn, rd = sum, vd
 		}
-		if !compareRational(ln, ld, a.Op, rn, rd) {
+		if !compareRational(ln, ld, a.op, rn, rd) {
 			return false
 		}
 	}

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"maps"
+	"slices"
 	"strconv"
 
 	"streamshare/internal/decimal"
@@ -172,10 +174,7 @@ func copyState(from, to Operator) bool {
 		if !ok || dst.Size != src.Size || !pathEq(dst.Ref, src.Ref) {
 			return false
 		}
-		dst.buf = make([]bufferedItem, len(src.buf))
-		for i, b := range src.buf {
-			dst.buf[i] = bufferedItem{ref: b.ref, seq: b.seq, item: b.item.Clone()}
-		}
+		dst.buf = slices.Clone(src.buf)
 		dst.released, dst.any, dst.Dropped = src.released, src.any, src.Dropped
 		return true
 	case *WindowAgg:
@@ -213,10 +212,7 @@ func copyState(from, to Operator) bool {
 				return false
 			}
 		}
-		dst.buf = make(map[int64]*xmlstream.Element, len(src.buf))
-		for k, e := range src.buf {
-			dst.buf[k] = e.Clone()
-		}
+		dst.buf = maps.Clone(src.buf)
 		dst.jNext, dst.began = src.jNext, src.began
 		return true
 	case *WindowContents:
@@ -227,11 +223,7 @@ func copyState(from, to Operator) bool {
 		dst.itemIndex = src.itemIndex
 		dst.open = make(map[int64][]*xmlstream.Element, len(src.open))
 		for k, items := range src.open {
-			cp := make([]*xmlstream.Element, len(items))
-			for i, it := range items {
-				cp[i] = it.Clone()
-			}
-			dst.open[k] = cp
+			dst.open[k] = slices.Clone(items)
 		}
 		return true
 	}

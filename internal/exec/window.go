@@ -94,8 +94,8 @@ func (g *groupAcc) add(spec *AggSpec, item *xmlstream.Element) {
 			g.n++
 			continue
 		}
-		d, err := decimal.Parse(node.Value())
-		if err != nil {
+		d, ok := node.Number()
+		if !ok {
 			continue // non-numeric occurrences are skipped
 		}
 		g.n++
@@ -294,12 +294,8 @@ func aggValue(item *xmlstream.Element, i int, op wxquery.AggOp, udf bool) (num d
 	case op == wxquery.AggMax:
 		field = aggMaxField
 	}
-	fe := g.Child(field)
-	if fe == nil {
-		return decimal.D{}, 0, false
-	}
-	v, err := decimal.Parse(fe.Value())
-	if err != nil {
+	v, ok := g.Child(field).Number()
+	if !ok {
 		return decimal.D{}, 0, false
 	}
 	if op == wxquery.AggAvg && !udf {
@@ -454,14 +450,7 @@ func (m *WindowMerge) combine(startC, wm decimal.D) *xmlstream.Element {
 					a.n += n
 				}
 			}
-			read := func(field string) (decimal.D, bool) {
-				fe := g.Child(field)
-				if fe == nil {
-					return decimal.D{}, false
-				}
-				v, err := decimal.Parse(fe.Value())
-				return v, err == nil
-			}
+			read := func(field string) (decimal.D, bool) { return g.Child(field).Number() }
 			switch m.Aggs[i].Op {
 			case wxquery.AggCount:
 				// n accumulation above suffices.

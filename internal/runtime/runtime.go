@@ -841,23 +841,31 @@ func (r *Runtime) feedReader(re readerEntry, its []*xmlstream.Element, eos bool,
 	bl := r.eng.Cfg.Model.BLoad
 	var wk float64
 	charge := func(op exec.Operator, items int) { wk += bl[op.Name()] * float64(items) }
+	// Results are counted; only a collecting run keeps them.
 	var outs []*xmlstream.Element
+	n := 0
+	deliver := func(res []*xmlstream.Element) {
+		n += len(res)
+		if r.collect {
+			outs = append(outs, res...)
+		}
+	}
 	tgt := re.si.Feed.Target()
 	for _, it := range its {
-		outs = append(outs, re.si.Local.ProcessWith(it, charge)...)
+		deliver(re.si.Local.ProcessWith(it, charge))
 	}
 	if eos {
-		outs = append(outs, re.si.Local.Flush()...)
+		deliver(re.si.Local.Flush())
 	}
 	if wk != 0 {
 		r.work(tgt, wk)
 	}
 	r.lat.Deliver(span, re.sub.ID)
-	if len(outs) == 0 {
+	if n == 0 {
 		return
 	}
 	r.mu.Lock()
-	r.counts[re.sub.ID] += len(outs)
+	r.counts[re.sub.ID] += n
 	if r.collect {
 		r.items[re.sub.ID] = append(r.items[re.sub.ID], outs...)
 	}

@@ -77,27 +77,26 @@ func (e *Element) Child(name string) *Element {
 }
 
 // Find returns all descendants reached from e by following path along the
-// child axis. An empty path yields e itself.
+// child axis, in document order. An empty path yields e itself.
 func (e *Element) Find(p Path) []*Element {
 	if e == nil {
 		return nil
 	}
-	cur := []*Element{e}
-	for _, seg := range p {
-		var next []*Element
-		for _, n := range cur {
-			for _, c := range n.Children {
-				if c.Name == seg {
-					next = append(next, c)
-				}
-			}
-		}
-		if len(next) == 0 {
-			return nil
-		}
-		cur = next
+	return e.AppendFind(nil, p)
+}
+
+// AppendFind appends the elements Find(p) would return to dst, allocating
+// only when dst has to grow. e must not be nil.
+func (e *Element) AppendFind(dst []*Element, p Path) []*Element {
+	if len(p) == 0 {
+		return append(dst, e)
 	}
-	return cur
+	for _, c := range e.Children {
+		if c.Name == p[0] {
+			dst = c.AppendFind(dst, p[1:])
+		}
+	}
+	return dst
 }
 
 // First returns the first element reached by path, or nil.
@@ -141,15 +140,19 @@ func (e *Element) appendValue(b *strings.Builder) {
 // Decimal parses the text content at path as a fixed-point decimal.
 // ok is false if the path is absent or the content is not numeric.
 func (e *Element) Decimal(p Path) (decimal.D, bool) {
-	n := e.First(p)
-	if n == nil {
+	return e.First(p).Number()
+}
+
+// Number parses e's text content, surrounding whitespace ignored, as a
+// fixed-point decimal. It is the one reading of a numeric leaf: predicates,
+// window references and aggregates all go through it, so an item counts as
+// numeric for all of them or for none. ok is false for a nil e.
+func (e *Element) Number() (decimal.D, bool) {
+	if e == nil {
 		return decimal.D{}, false
 	}
-	d, err := decimal.Parse(strings.TrimSpace(n.Value()))
-	if err != nil {
-		return decimal.D{}, false
-	}
-	return d, true
+	d, err := decimal.Parse(strings.TrimSpace(e.Value()))
+	return d, err == nil
 }
 
 // ByteSize returns the size in bytes of e's canonical serialization. The
@@ -179,42 +182,82 @@ func MarshalSize(e *Element) int {
 	return e.ByteSize()
 }
 
-// Prune returns a copy of e that keeps only the subtrees addressed by the
-// given paths (a projection). Interior elements on the way to a kept subtree
-// are retained; everything else is dropped. Returns nil if nothing matches.
-func (e *Element) Prune(paths []Path) *Element {
-	if e == nil {
-		return nil
-	}
-	keepSelf := false
+// Projection is a set of keep paths compiled into a trie, so applying it
+// to an item walks each level once instead of re-filtering the path list
+// per child. A Projection is immutable and safe for concurrent use.
+type Projection struct {
+	// name is the child name this node stands for; empty at the root.
+	name string
+	// keep marks the end of a path: the whole subtree below is retained.
+	keep bool
+	// kids continue the paths that go deeper. Queries address a handful of
+	// names per level, so a linear scan beats a map.
+	kids []*Projection
+}
+
+// CompileProjection compiles keep paths. An empty path keeps whole items;
+// a path with a prefix also in the set is covered by the prefix.
+func CompileProjection(paths []Path) *Projection {
+	root := &Projection{}
 	for _, p := range paths {
-		if len(p) == 0 {
-			keepSelf = true
-			break
-		}
-	}
-	if keepSelf {
-		return e.Clone()
-	}
-	out := &Element{Name: e.Name, Text: e.Text}
-	for _, c := range e.Children {
-		var sub []Path
-		for _, p := range paths {
-			if len(p) > 0 && p[0] == c.Name {
-				sub = append(sub, p[1:])
+		n := root
+		for _, seg := range p {
+			next := n.child(seg)
+			if next == nil {
+				next = &Projection{name: seg}
+				n.kids = append(n.kids, next)
 			}
+			n = next
 		}
-		if len(sub) == 0 {
+		n.keep = true
+	}
+	return root
+}
+
+func (pr *Projection) child(name string) *Projection {
+	for _, k := range pr.kids {
+		if k.name == name {
+			return k
+		}
+	}
+	return nil
+}
+
+// Apply returns e reduced to the subtrees the keep paths address, or nil if
+// none is present. Interior elements on the way to a kept subtree are
+// retained, everything else is dropped. A kept subtree is returned by
+// pointer, not copied, and so is any element all of whose children survive
+// unchanged: the result shares nodes with e, which is safe because elements
+// are never written after construction.
+func (pr *Projection) Apply(e *Element) *Element {
+	if e == nil || pr.keep {
+		return e
+	}
+	// Survivors collect on the stack so the new node's child slice is
+	// allocated once, at its final size.
+	var buf [16]*Element
+	kept := buf[:0]
+	same := e.Text == ""
+	for _, c := range e.Children {
+		var pc *Element
+		if sub := pr.child(c.Name); sub != nil {
+			pc = sub.Apply(c)
+		}
+		if pc == nil {
+			same = false
 			continue
 		}
-		if pc := c.Prune(sub); pc != nil {
-			out.Children = append(out.Children, pc)
-		}
+		same = same && pc == c
+		kept = append(kept, pc)
 	}
-	if len(out.Children) == 0 {
+	if len(kept) == 0 {
 		return nil
 	}
-	out.Text = ""
+	if same {
+		return e
+	}
+	out := &Element{Name: e.Name, Children: make([]*Element, len(kept))}
+	copy(out.Children, kept)
 	return out
 }
 
