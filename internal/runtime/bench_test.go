@@ -2,9 +2,11 @@ package runtime
 
 import (
 	"testing"
+	"time"
 
 	"streamshare/internal/core"
 	"streamshare/internal/scenario"
+	"streamshare/internal/transport"
 	"streamshare/internal/xmlstream"
 )
 
@@ -50,3 +52,27 @@ func BenchmarkScaleGridBatched(b *testing.B) { benchGrid(b, DefaultOptions(), fa
 // session channels; the delta to BenchmarkScaleGridBatched prices the
 // reliability layer (sequencing, replay copies, acks, heartbeats).
 func BenchmarkScaleGridReliable(b *testing.B) { benchGrid(b, DefaultOptions(), true) }
+
+// BenchmarkClusterOneItemRun prices a cluster run's fixed cost: two nodes
+// over the in-process transport build a runtime each on the benchmark's
+// 4×4, 32-query grid, push one item through and pass the drain and the
+// termination barrier. The engines are standing, as a server's are.
+func BenchmarkClusterOneItemRun(b *testing.B) {
+	c0, c1 := clusterPair(b, transport.NewMem())
+	if err := c0.WaitConnected(10 * time.Second); err != nil {
+		b.Fatal(err)
+	}
+	eng0, feed0, err := clusterBuild(4, 32, 1, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng1, feed1, err := clusterBuild(4, 32, 1, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runPair(b, NewWith(eng0, false, Options{Cluster: c0}), NewWith(eng1, false, Options{Cluster: c1}), feed0, feed1)
+	}
+}

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -136,15 +137,17 @@ type Cluster struct {
 	gossip map[string]gossipEntry
 
 	// bmu guards the termination-barrier bookkeeping: barrier frames
-	// received per remote, and the rounds this node has entered.
+	// received per remote, and the rounds this node has entered. bcond wakes
+	// a barrier wait: a token landed, its timeout fired, the cluster closed.
 	bmu    sync.Mutex
+	bcond  *sync.Cond
 	brcvd  map[string]int
 	bround int
 }
 
 // barrierMagic marks a control frame as a termination-barrier token;
-// user control payloads never start with a NUL byte.
-const barrierMagic = "\x00streamshare.barrier"
+// user control payloads never start with a NUL byte. Read-only.
+var barrierMagic = []byte("\x00streamshare.barrier")
 
 // gossipEntry is the latest heartbeat gossip from one remote node and
 // when it arrived.
@@ -228,6 +231,7 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 	}
 	c := &Cluster{node: opts.Node, assign: opts.Assign, gossip: map[string]gossipEntry{}}
 	c.acond = sync.NewCond(&c.amu)
+	c.bcond = sync.NewCond(&c.bmu)
 	mesh, err := transport.NewMesh(transport.MeshConfig{
 		Transport:           tr,
 		Node:                opts.Node,
@@ -349,13 +353,16 @@ func (c *Cluster) Nodes() []string {
 }
 
 // Close tears the mesh down deterministically — listener, conns and every
-// transport goroutine — and unblocks dispatchers waiting for a runtime.
-// Idempotent.
+// transport goroutine — and unblocks dispatchers waiting for a runtime and
+// a run waiting at the termination barrier. Idempotent.
 func (c *Cluster) Close() error {
 	c.amu.Lock()
 	c.closed = true
 	c.acond.Broadcast()
 	c.amu.Unlock()
+	c.bmu.Lock()
+	c.bcond.Broadcast()
+	c.bmu.Unlock()
 	return c.mesh.Close()
 }
 
@@ -434,12 +441,13 @@ func (c *Cluster) handle(remote string, f *transport.Frame) {
 		c.gossip[remote] = gossipEntry{f: f, at: time.Now()}
 		c.gmu.Unlock()
 	case transport.FrameControl:
-		if string(f.Data) == barrierMagic {
+		if bytes.Equal(f.Data, barrierMagic) {
 			c.bmu.Lock()
 			if c.brcvd == nil {
 				c.brcvd = map[string]int{}
 			}
 			c.brcvd[remote]++
+			c.bcond.Broadcast()
 			c.bmu.Unlock()
 			return
 		}
@@ -468,33 +476,41 @@ func (c *Cluster) barrier(timeout time.Duration) error {
 	c.bmu.Unlock()
 	links := c.mesh.Links()
 	for _, l := range links {
-		if err := l.Send(&transport.Frame{Type: transport.FrameControl, Data: []byte(barrierMagic)}); err != nil {
+		if err := l.Send(&transport.Frame{Type: transport.FrameControl, Data: barrierMagic}); err != nil {
 			return fmt.Errorf("runtime: cluster barrier to %q: %w", l.Remote(), err)
 		}
 	}
-	deadline := time.Now().Add(timeout)
+	expired := false // guarded by bmu
+	timer := time.AfterFunc(timeout, func() {
+		c.bmu.Lock()
+		expired = true
+		c.bcond.Broadcast()
+		c.bmu.Unlock()
+	})
+	defer timer.Stop()
+	c.bmu.Lock()
+	defer c.bmu.Unlock()
 	for {
 		var waiting []string
-		c.bmu.Lock()
 		for _, l := range links {
 			if c.brcvd[l.Remote()] < round {
 				waiting = append(waiting, l.Remote())
 			}
 		}
-		c.bmu.Unlock()
 		if len(waiting) == 0 {
 			return nil
 		}
+		// Close sets closed before it takes bmu to broadcast: no lost wake-up.
 		c.amu.Lock()
 		closed := c.closed
 		c.amu.Unlock()
 		if closed {
 			return fmt.Errorf("runtime: cluster closed during termination barrier")
 		}
-		if time.Now().After(deadline) {
+		if expired {
 			return fmt.Errorf("runtime: cluster barrier: no token from %v", waiting)
 		}
-		time.Sleep(time.Millisecond)
+		c.bcond.Wait()
 	}
 }
 

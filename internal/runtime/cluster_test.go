@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -59,8 +60,66 @@ func clusterBuild(n, queries, items int, reliable bool) (*core.Engine, map[strin
 	return eng, feed, nil
 }
 
+// fuseTransport wraps a transport with a fault driven by the data path, not
+// the clock: across every conn it dials or accepts, each period-th WriteFrame
+// fails and closes its conn, the way a broken socket fails its writer. A run
+// that writes period frames is therefore broken mid-stream however briefly it
+// streams — which a drop timed off the wall clock cannot promise. Hello and
+// Welcome count, so a life of the link carries at most period-3 of the run's
+// frames before the next break: period must exceed 3 for progress.
+type fuseTransport struct {
+	transport.Transport
+	period int64
+	writes atomic.Int64
+}
+
+func (f *fuseTransport) Dial(addr string) (transport.Conn, error) {
+	c, err := f.Transport.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &fuseConn{Conn: c, t: f}, nil
+}
+
+func (f *fuseTransport) Listen(addr string) (transport.Listener, error) {
+	l, err := f.Transport.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &fuseListener{Listener: l, t: f}, nil
+}
+
+type fuseListener struct {
+	transport.Listener
+	t *fuseTransport
+}
+
+func (l *fuseListener) Accept() (transport.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &fuseConn{Conn: c, t: l.t}, nil
+}
+
+type fuseConn struct {
+	transport.Conn
+	t *fuseTransport
+}
+
+func (c *fuseConn) WriteFrame(payload []byte) error {
+	if c.t.writes.Add(1)%c.t.period == 0 {
+		c.Conn.Close()
+		return transport.ErrClosed
+	}
+	return c.Conn.WriteFrame(payload)
+}
+
 // clusterListen picks the listen address style for a transport.
 func clusterListen(tr transport.Transport) string {
+	if f, ok := tr.(*fuseTransport); ok {
+		tr = f.Transport
+	}
 	if _, ok := tr.(*transport.TCP); ok {
 		return "127.0.0.1:0"
 	}
@@ -70,7 +129,7 @@ func clusterListen(tr transport.Transport) string {
 // clusterPair builds two connected clusters ("n0" dials "n1") over the
 // given transport, both offering the given codecs (none = the default
 // preference), and registers their transport state with the watchdog.
-func clusterPair(t *testing.T, tr transport.Transport, codecs ...string) (c0, c1 *Cluster) {
+func clusterPair(t testing.TB, tr transport.Transport, codecs ...string) (c0, c1 *Cluster) {
 	t.Helper()
 	c1, err := NewCluster(ClusterOptions{
 		Node: "n1", Nodes: map[string]string{"n1": clusterListen(tr), "n0": ""}, Transport: tr, Codecs: codecs,
@@ -95,7 +154,7 @@ func clusterPair(t *testing.T, tr transport.Transport, codecs ...string) (c0, c1
 
 // runPair executes one runtime per cluster node concurrently and returns
 // both results.
-func runPair(t *testing.T, rt0, rt1 *Runtime, feed0, feed1 map[string][]*xmlstream.Element) (*Result, *Result) {
+func runPair(t testing.TB, rt0, rt1 *Runtime, feed0, feed1 map[string][]*xmlstream.Element) (*Result, *Result) {
 	t.Helper()
 	var wg sync.WaitGroup
 	var res [2]*Result
@@ -176,6 +235,9 @@ func testClusterEquivalence(t *testing.T, tr transport.Transport, reliable, chao
 		t.Fatal(err)
 	}
 
+	if chaos {
+		tr = &fuseTransport{Transport: tr, period: 29}
+	}
 	c0, c1 := clusterPair(t, tr, codecs...)
 	if err := c0.WaitConnected(10 * time.Second); err != nil {
 		t.Fatal(err)
@@ -195,25 +257,10 @@ func testClusterEquivalence(t *testing.T, tr transport.Transport, reliable, chao
 	done := make(chan struct{})
 	defer close(done)
 	if chaos {
+		// The fuse breaks the run mid-stream for certain; on top of it, keep
+		// killing conns from outside while the run streams, as often as the
+		// clock allows. Every kill forces a reconnect-and-replay.
 		go func() {
-			// Wait for real traffic, then keep killing conns while the
-			// run streams; every kill forces a reconnect-and-replay.
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				framesOut := uint64(0)
-				for _, st := range c0.Stats() {
-					framesOut += st.FramesSent
-				}
-				if framesOut > 5 {
-					break
-				}
-				time.Sleep(time.Millisecond)
-			}
-			c0.DropConns()
 			ticker := time.NewTicker(3 * time.Millisecond)
 			defer ticker.Stop()
 			for {
@@ -420,10 +467,14 @@ func TestClusterTwoProcessTCP(t *testing.T) {
 	}
 
 	// The parent is "n1": it only accepts, so no port needs reserving —
-	// the child learns the bound address through its spec.
+	// the child learns the bound address through its spec. Every 5th frame
+	// the parent writes breaks its conn: the reconnect handshake must resume
+	// and replay with nothing lost.
+	fuse := &fuseTransport{Transport: transport.NewTCP(), period: 5}
 	c1, err := NewCluster(ClusterOptions{
-		Node:  "n1",
-		Nodes: map[string]string{"n1": "127.0.0.1:0", "n0": ""},
+		Node:      "n1",
+		Nodes:     map[string]string{"n1": "127.0.0.1:0", "n0": ""},
+		Transport: fuse,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -448,25 +499,6 @@ func TestClusterTwoProcessTCP(t *testing.T) {
 		childDone <- childExit{o, err}
 	}()
 
-	// One forced disconnect once traffic flows: the reconnect handshake
-	// must resume and replay with nothing lost.
-	dropped := make(chan int, 1)
-	go func() {
-		deadline := time.Now().Add(time.Minute)
-		for time.Now().Before(deadline) {
-			frames := uint64(0)
-			for _, st := range c1.Stats() {
-				frames += st.FramesSent + st.FramesRecv
-			}
-			if frames > 5 {
-				dropped <- c1.DropConns()
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-		dropped <- 0
-	}()
-
 	sess := NewSession(SessionOptions{DisableHeartbeat: true})
 	rt := NewWith(eng, true, Options{Cluster: c1, Session: sess})
 	res, err := rt.Run(feed)
@@ -475,9 +507,6 @@ func TestClusterTwoProcessTCP(t *testing.T) {
 	}
 	if exit := <-childDone; exit.err != nil {
 		t.Fatalf("child process failed: %v\n%s", exit.err, exit.out)
-	}
-	if n := <-dropped; n == 0 {
-		t.Error("forced disconnect never engaged (no frames flowed, or no conn)")
 	}
 
 	raw, err := os.ReadFile(out)
@@ -530,8 +559,9 @@ func TestClusterTwoProcessTCP(t *testing.T) {
 		recon += st.Reconnects
 	}
 	if recon == 0 {
-		t.Error("no reconnect recorded after the forced disconnect")
+		t.Errorf("no reconnect recorded in %d writes with every %dth failing", fuse.writes.Load(), fuse.period)
 	}
+	t.Logf("%d reconnects over %d writes", recon, fuse.writes.Load())
 }
 
 // TestClusterChildProcess is the re-exec target of TestClusterTwoProcessTCP:

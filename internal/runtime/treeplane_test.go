@@ -54,11 +54,12 @@ func TestClusterCodecValidation(t *testing.T) {
 
 // TestTreePlaneRandomizedDisconnects is the randomized equivalence
 // acceptance for tree batches: random grid shapes run through the simulator
-// and as a two-node reliable cluster with connections killed repeatedly
+// and as a two-node reliable cluster whose connection breaks repeatedly
 // mid-run, and every subscription must collect identical items at identical
-// traffic and work. The chaos loop forces the journal/replay path to handle
-// tree batches (dedup slicing, owned-copy journaling), not just the happy
-// path.
+// traffic and work. The breaks force the journal/replay path to handle tree
+// batches (dedup slicing, owned-copy journaling), not just the happy path;
+// they come from a fuse in the write path, its period seeded per trial, so
+// they land inside the run however briefly it streams.
 func TestTreePlaneRandomizedDisconnects(t *testing.T) {
 	defer testutil.Watchdog(t, 3*time.Minute)()
 	rng := rand.New(rand.NewSource(0x7ee9))
@@ -67,6 +68,9 @@ func TestTreePlaneRandomizedDisconnects(t *testing.T) {
 		queries := 4 + rng.Intn(5)
 		items := 100 + rng.Intn(101)
 		batch := 4 * (1 + rng.Intn(2))
+		// Its own source, so the shapes above stay what they were before the
+		// fuse existed.
+		period := 5 + rand.New(rand.NewSource(0x7ee9+int64(trial))).Int63n(4)
 		t.Run(fmt.Sprintf("grid%d_q%d_i%d_b%d", n, queries, items, batch), func(t *testing.T) {
 			engRef, feedRef, err := clusterBuild(n, queries, items, true)
 			if err != nil {
@@ -85,7 +89,8 @@ func TestTreePlaneRandomizedDisconnects(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c0, c1 := clusterPair(t, transport.NewMem())
+			fuse := &fuseTransport{Transport: transport.NewMem(), period: period}
+			c0, c1 := clusterPair(t, fuse)
 			if err := c0.WaitConnected(10 * time.Second); err != nil {
 				t.Fatal(err)
 			}
@@ -93,39 +98,6 @@ func TestTreePlaneRandomizedDisconnects(t *testing.T) {
 			opts1 := Options{Cluster: c1, Session: NewSession(SessionOptions{DisableHeartbeat: true}), BatchSize: batch}
 			rt0 := NewWith(eng0, true, opts0)
 			rt1 := NewWith(eng1, true, opts1)
-
-			done := make(chan struct{})
-			defer close(done)
-			go func() {
-				for {
-					select {
-					case <-done:
-						return
-					default:
-					}
-					framesOut := uint64(0)
-					for _, st := range c0.Stats() {
-						framesOut += st.FramesSent
-					}
-					if framesOut > 5 {
-						break
-					}
-					// Poll tightly: the smallest trial streams for only a few
-					// milliseconds, and the first drop must land inside them.
-					time.Sleep(20 * time.Microsecond)
-				}
-				c0.DropConns()
-				ticker := time.NewTicker(3 * time.Millisecond)
-				defer ticker.Stop()
-				for {
-					select {
-					case <-done:
-						return
-					case <-ticker.C:
-						c0.DropConns()
-					}
-				}
-			}()
 
 			res0, res1 := runPair(t, rt0, rt1, feed0, feed1)
 			compareCollected(t, ref, mergeResults(res0, res1))
@@ -135,14 +107,15 @@ func TestTreePlaneRandomizedDisconnects(t *testing.T) {
 				recon += st.Reconnects
 			}
 			if recon == 0 {
-				t.Fatal("chaos loop recorded no reconnects; disconnects never landed mid-stream")
+				t.Fatalf("no reconnects in %d writes with every %dth failing; breaks never landed mid-stream", fuse.writes.Load(), period)
 			}
 			skipped := eng0.Obs().Metrics.Snapshot().Counters["runtime.parse.skipped"] +
 				eng1.Obs().Metrics.Snapshot().Counters["runtime.parse.skipped"]
 			if skipped == 0 {
 				t.Fatal("runtime.parse.skipped never moved; consumers were not handed shared trees")
 			}
-			t.Logf("%d reconnects, %.0f reparses skipped, identical delivery", recon, skipped)
+			t.Logf("every %dth of %d writes failed: %d reconnects, %.0f reparses skipped, identical delivery",
+				period, fuse.writes.Load(), recon, skipped)
 		})
 	}
 }

@@ -170,7 +170,8 @@ func (s *Server) mirror(payload string) {
 }
 
 // clusterPrepare registers a fan-out run and returns its id, the reply
-// channel and the number of remote nodes that will answer.
+// channel and the number of remote nodes that will answer. The caller
+// releases the registration with clusterRelease on every path.
 func (s *Server) clusterPrepare() (string, chan remoteRes, int) {
 	peers := len(s.cluster.Nodes()) - 1
 	s.cmu.Lock()
@@ -182,14 +183,17 @@ func (s *Server) clusterPrepare() (string, chan remoteRes, int) {
 	return id, ch, peers
 }
 
+// clusterRelease forgets a fan-out run; a RES that arrives afterwards finds
+// no waiter and is dropped.
+func (s *Server) clusterRelease(id string) {
+	s.cmu.Lock()
+	delete(s.waits, id)
+	s.cmu.Unlock()
+}
+
 // clusterCollect merges every remote node's counts into counts, or
 // returns the first remote failure.
-func (s *Server) clusterCollect(id string, ch chan remoteRes, peers int, counts map[string]int) error {
-	defer func() {
-		s.cmu.Lock()
-		delete(s.waits, id)
-		s.cmu.Unlock()
-	}()
+func (s *Server) clusterCollect(ch chan remoteRes, peers int, counts map[string]int) error {
 	timeout := time.NewTimer(60 * time.Second)
 	defer timeout.Stop()
 	for i := 0; i < peers; i++ {
@@ -216,6 +220,7 @@ func (s *Server) clusterCollect(id string, ch chan remoteRes, peers int, counts 
 // it describes; body — a FEED document — goes to node bodyTo alone.
 func (s *Server) executeCluster(order string, feed map[string][]*xmlstream.Element, body, bodyTo string) (map[string]int, error) {
 	id, ch, peers := s.clusterPrepare()
+	defer s.clusterRelease(id)
 	op, args, _ := strings.Cut(order, " ")
 	order = op + " " + id + " " + args
 	for _, node := range s.cluster.Nodes() {
@@ -234,7 +239,7 @@ func (s *Server) executeCluster(order string, feed map[string][]*xmlstream.Eleme
 	if err != nil {
 		return nil, err
 	}
-	if err := s.clusterCollect(id, ch, peers, counts); err != nil {
+	if err := s.clusterCollect(ch, peers, counts); err != nil {
 		return nil, err
 	}
 	return counts, nil

@@ -367,3 +367,32 @@ func TestServerClusterFeedMalformed(t *testing.T) {
 		t.Errorf("n1 saw controls %q, want the subscription and one FEED", got)
 	}
 }
+
+// TestServerClusterFanoutFailureReleasesWait: a FEED whose work order cannot
+// leave (the coordinator's links are closed) answers ERR and leaves no
+// registered wait behind for a late RES to land in; neither does one that
+// succeeded.
+func TestServerClusterFanoutFailureReleasesWait(t *testing.T) {
+	p := startClusterPair(t)
+	defer p.close()
+	c0, c1 := dial(t, p.addr[0]), dial(t, p.addr[1])
+	subscribeBoth(t, c0, c1)
+	waits := func() int {
+		p.srv[0].cmu.Lock()
+		defer p.srv[0].cmu.Unlock()
+		return len(p.srv[0].waits)
+	}
+	if s, _ := c0.cmd(t, "FEED photons", feedDoc); !strings.HasPrefix(s, "OK") {
+		t.Fatalf("feed = %q", s)
+	}
+	if n := waits(); n != 0 {
+		t.Fatalf("%d waits registered after a completed FEED", n)
+	}
+	p.mesh[0].Close()
+	if s, _ := c0.cmd(t, "FEED photons", feedDoc); !strings.HasPrefix(s, "ERR") {
+		t.Fatalf("feed over closed links = %q, want ERR", s)
+	}
+	if n := waits(); n != 0 {
+		t.Fatalf("%d waits registered after a FEED whose fan-out failed", n)
+	}
+}

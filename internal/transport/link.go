@@ -39,8 +39,9 @@ import (
 // dialing/waiting until a fresh conn completes the Hello/Welcome
 // exchange.
 
-// linkAckEvery is how many sequenced frames a receiver accepts before
-// pushing a cumulative LinkAck (the mesh acker ticker covers the tail).
+// linkAckEvery is how many sequenced frames a receiver accepts before its
+// reader pushes a cumulative LinkAck — the rule under load; flushAck covers
+// the tail.
 const linkAckEvery = 16
 
 // DefaultLinkWindow bounds each link's replay journal, in frames.
@@ -649,8 +650,8 @@ func (l *Link) teardown(conn Conn, gen int) {
 }
 
 // flushAck pushes a cumulative LinkAck if any accepted frames are
-// unacknowledged; the mesh acker ticks it so tails ack promptly even when
-// traffic stops short of linkAckEvery.
+// unacknowledged: the dispatcher calls it whenever its queue runs dry, the
+// mesh acker ticks it for frames accepted while a handler blocks.
 func (l *Link) flushAck() {
 	l.mu.Lock()
 	if l.recvSince == 0 || l.conn == nil {
@@ -844,7 +845,9 @@ func (q *frameQueue) len() int {
 // On durable links a control frame's completion is journaled after its
 // handler returns: recovery then re-dispatches only the controls the
 // crash interrupted, which under SyncAlways makes control application
-// exactly-once across process death.
+// exactly-once across process death. A dispatcher that finds its queue empty
+// acks everything accepted so far, so a sender's journal drains one round
+// trip after its last frame is handled, not at the next acker tick.
 func (l *Link) dispatcher() {
 	defer l.mesh.wg.Done()
 	for {
@@ -857,6 +860,9 @@ func (l *Link) dispatcher() {
 			l.mu.Lock()
 			l.dur.journalCtl(f.Seq)
 			l.mu.Unlock()
+		}
+		if l.q.len() == 0 {
+			l.flushAck()
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"streamshare/internal/durable"
@@ -443,8 +444,10 @@ func (m *Mesh) trackPending(conn Conn, add bool) bool {
 	return true
 }
 
-// ackerLoop flushes tail LinkAcks a few times per detector interval so
-// journal trims never wait on further traffic.
+// ackerLoop is the safety tick behind the dispatchers' ack-on-idle: it is
+// what acks frames a reader accepts while its link's dispatcher is blocked
+// inside a handler (a cluster's next-run frames, parked until the next
+// runtime attaches), so that sender's window does not wait on the handler.
 func (m *Mesh) ackerLoop() {
 	defer m.wg.Done()
 	ticker := time.NewTicker(2 * time.Millisecond)
@@ -492,45 +495,64 @@ func (m *Mesh) DropConns() int {
 // WaitConnected blocks until every link has an attached conn, or the
 // timeout elapses (error names the unconnected remotes).
 func (m *Mesh) WaitConnected(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		var waiting []string
-		for _, l := range m.Links() {
-			l.mu.Lock()
-			if l.conn == nil && !l.closed {
-				waiting = append(waiting, l.remote)
-			}
-			l.mu.Unlock()
+	waiting, _ := m.waitLinks(timeout, func(l *Link) int {
+		if l.conn == nil {
+			return 1
 		}
-		if len(waiting) == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("transport: links not connected: %v", waiting)
-		}
-		time.Sleep(time.Millisecond)
+		return 0
+	})
+	if len(waiting) > 0 {
+		return fmt.Errorf("transport: links not connected: %v", waiting)
 	}
+	return nil
 }
 
 // WaitDrained blocks until every link's replay journal is empty — every
 // sequenced frame sent has been accepted by its remote — or the timeout
 // elapses. Closed links, whose journals can no longer drain, are skipped.
 func (m *Mesh) WaitDrained(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		depth := 0
+	if _, depth := m.waitLinks(timeout, func(l *Link) int { return l.out.Depth() }); depth > 0 {
+		return fmt.Errorf("transport: links not drained: %d frames unacked", depth)
+	}
+	return nil
+}
+
+// waitLinks blocks until short is 0 on every open link or the timeout
+// elapses, and returns the remotes still short and what they are short by.
+// short runs under the link's lock and the wait sleeps on that lock's
+// condition variable, which acks, attach, detach and close all broadcast;
+// the timeout is one timer that raises a flag and broadcasts too. A pass
+// that had to wait goes round again, so success is one pass that found
+// every link ready.
+func (m *Mesh) waitLinks(timeout time.Duration, short func(*Link) int) (remotes []string, total int) {
+	var expired atomic.Bool
+	timer := time.AfterFunc(timeout, func() {
+		expired.Store(true)
 		for _, l := range m.Links() {
-			if st := l.Stats(); st.Phase != "closed" {
-				depth += st.Depth
+			l.mu.Lock()
+			l.mu.Broadcast()
+			l.mu.Unlock()
+		}
+	})
+	defer timer.Stop()
+	for {
+		waited := false
+		remotes, total = nil, 0
+		for _, l := range m.Links() {
+			l.mu.Lock()
+			for !l.closed && short(l) > 0 && !expired.Load() {
+				waited = true
+				l.mu.Wait()
 			}
+			if n := short(l); n > 0 && !l.closed {
+				remotes = append(remotes, l.remote)
+				total += n
+			}
+			l.mu.Unlock()
 		}
-		if depth == 0 {
-			return nil
+		if !waited || expired.Load() {
+			return remotes, total
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("transport: links not drained: %d frames unacked", depth)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
