@@ -38,13 +38,11 @@
 // same node set, or inbound handshakes from unlisted nodes are refused.
 // Super-peers are partitioned across the processes deterministically;
 // batches, acks and heartbeats travel as length-prefixed frames over
-// reconnect-safe links. Each link handshake negotiates an item codec —
-// dictionary-compressed binary by default, with -codec=xml forcing the
-// verbatim XML baseline for debugging — and seeds the codec dictionaries
-// with the photon stream's inferred element vocabulary, so the first
-// binary batch already ships delta-free (see docs/WIRE.md for the wire
-// format; NODES shows the negotiated codec and seeded-name count per
-// link). Start the accepting node first:
+// reconnect-safe links. A batch crosses a link as one dictionary-compressed
+// binary payload; each link handshake seeds the connection's dictionaries
+// with the photon stream's inferred element vocabulary, so the first batch
+// already ships delta-free (see docs/WIRE.md for the wire format; NODES shows
+// the seeded-name count per link). Start the accepting node first:
 //
 //	sgd -node n1 -cluster-listen 127.0.0.1:7171 -join n0= -listen 127.0.0.1:7070
 //	sgd -node n0 -cluster-listen 127.0.0.1:0 -join n1=127.0.0.1:7171 -listen 127.0.0.1:7071
@@ -88,7 +86,6 @@ import (
 	"streamshare/internal/photons"
 	"streamshare/internal/runtime"
 	"streamshare/internal/server"
-	"streamshare/internal/wire"
 	"streamshare/internal/xmlstream"
 )
 
@@ -106,7 +103,6 @@ func main() {
 	node := flag.String("node", "", "cluster node name; empty runs single-process")
 	clusterListen := flag.String("cluster-listen", "127.0.0.1:0", "cluster mesh listen address")
 	join := flag.String("join", "", "other cluster nodes as name=addr pairs, comma-separated (addr may be empty for nodes that dial us)")
-	codec := flag.String("codec", "", "mesh item codecs offered during link handshakes, comma-separated in preference order (default binary2,xml; -codec=xml forces the verbatim debug baseline)")
 	dataDir := flag.String("data", "", "durable state directory: journals the subscription catalog and, with -node, every mesh link; a process restarted over the same directory recovers its catalog and replays unacked frames")
 	dataSync := flag.String("data-sync", "always", "journal fsync policy: always | interval | none")
 	dataSyncInt := flag.Duration("data-sync-interval", 0, "background fsync period under -data-sync=interval (0 uses the journal default)")
@@ -149,7 +145,7 @@ func main() {
 	}
 	// The stream's element vocabulary, inferred from a traffic sample: mesh
 	// links seed their codec dictionaries with it at handshake, so the first
-	// binary batch already ships delta-free (docs/WIRE.md §3.4).
+	// batch already ships delta-free (docs/WIRE.md §3.1).
 	var seedNames []string
 	if len(items) > 0 {
 		seedNames = xmlstream.InferSchema(items[:min(8, len(items))]).Names()
@@ -173,9 +169,9 @@ func main() {
 		copts := runtime.ClusterOptions{
 			Node:         *node,
 			Nodes:        nodes,
-			Codecs:       wire.ParseList(*codec),
 			SeedNames:    seedNames,
 			WireObserver: runtime.WireMetricsObserver(eng.Obs().Metrics),
+			Flight:       eng.Obs().Flight,
 		}
 		if *dataDir != "" {
 			// Link journals live one directory per remote under links/; the
@@ -184,7 +180,6 @@ func main() {
 			copts.DurableSync = syncPolicy
 			copts.DurableSyncInterval = *dataSyncInt
 			copts.Metrics = eng.Obs().Metrics
-			copts.Flight = eng.Obs().Flight
 		}
 		var err error
 		clu, err = runtime.NewCluster(copts)

@@ -14,7 +14,6 @@ import (
 	"streamshare/internal/network"
 	"streamshare/internal/obs"
 	"streamshare/internal/transport"
-	"streamshare/internal/wire"
 	"streamshare/internal/xmlstream"
 )
 
@@ -64,23 +63,11 @@ type ClusterOptions struct {
 	// (transport.DefaultLinkWindow when 0).
 	LinkWindow int
 
-	// Codecs lists the item codecs this node offers during link
-	// handshakes, in preference order. Nil offers wire.DefaultCodecs()
-	// (binary preferred, xml fallback); []string{"xml"} forces the
-	// verbatim baseline on every link — the -codec=xml debug override.
-	// Nodes may disagree: each link negotiates independently, so a
-	// mixed-codec cluster is fully supported. Every name must be a
-	// registered codec; NewCluster rejects unknown names before it binds
-	// anything, so a typo fails the whole construction instead of
-	// surfacing as a handshake error on the first link.
-	Codecs []string
-
 	// SeedNames pre-interns element names into both dictionary halves of
-	// every link that negotiates a tree-capable codec (the handshake
-	// carries the list, so both sides seed identically and steady-state
-	// batches ship no dictionary deltas for schema vocabulary). Typically
-	// xmlstream.InferSchema(...).Names() over a sample of the traffic.
-	// Ignored on xml links and by peers that predate the capability.
+	// every link (the handshake carries the list, so both sides seed
+	// identically and steady-state batches ship no dictionary deltas for
+	// schema vocabulary). Typically xmlstream.InferSchema(...).Names() over
+	// a sample of the traffic.
 	SeedNames []string
 
 	// WireObserver receives one callback per encoded or decoded batch on
@@ -111,8 +98,8 @@ type ClusterOptions struct {
 	// which covers the codec path.
 	Metrics *obs.Registry
 
-	// Flight receives wal.* flight-recorder events from the durable
-	// layer; nil disables them.
+	// Flight receives the mesh's flight-recorder events (handshake.refuse,
+	// and wal.* from the durable layer); nil disables them.
 	Flight *obs.FlightRecorder
 }
 
@@ -214,17 +201,6 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 	if _, ok := opts.Nodes[opts.Node]; !ok {
 		return nil, fmt.Errorf("runtime: cluster node %q missing from the node map", opts.Node)
 	}
-	// Validate the codec preference list up front — before the transport
-	// binds a listener or any link dials — so a misconfigured
-	// ClusterOptions fails construction with the offending name instead of
-	// handshake errors later. Nil means wire.DefaultCodecs().
-	codecs := opts.Codecs
-	if codecs == nil {
-		codecs = wire.DefaultCodecs()
-	}
-	if err := wire.Supported(codecs); err != nil {
-		return nil, fmt.Errorf("runtime: ClusterOptions.Codecs: %w", err)
-	}
 	tr := opts.Transport
 	if tr == nil {
 		tr = transport.NewTCP()
@@ -238,7 +214,6 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 		Listen:              opts.Nodes[opts.Node],
 		Handler:             c.handle,
 		Window:              opts.LinkWindow,
-		Codecs:              opts.Codecs,
 		SeedNames:           opts.SeedNames,
 		ObserveWire:         opts.WireObserver,
 		DataDir:             opts.DataDir,
@@ -577,10 +552,8 @@ func (c *Cluster) remoteBeats(r *Runtime, now time.Time, staleAfter time.Duratio
 // sendRemote is where send lands a message whose next hop lives on another
 // cluster node: a frame on that node's link, carrying the stream id, hop,
 // channel sequencing header and (when sampled) the provenance span. The
-// batch crosses as trees — the link encodes them straight into the
-// dictionary wire format when its codec is tree-capable, and only an
-// xml-codec link materializes canonical bytes (transport.Link owns that
-// edge).
+// batch crosses as trees: the link journals them by pointer and encodes them
+// straight into the dictionary wire format for whichever conn carries them.
 func (r *Runtime) sendRemote(m message, peer network.PeerID) {
 	f := &transport.Frame{
 		Type:   transport.FrameBatch,
@@ -601,13 +574,9 @@ func (r *Runtime) sendRemote(m message, peer network.PeerID) {
 
 // clusterFrame handles one inbound data-plane frame (dispatcher
 // goroutine): batches are injected into the owning peer's mailbox, acks
-// advance the local emitter channel. Either way quiescence re-evaluates.
-//
-// This is the ingress edge of the item representation: a tree-codec link
-// already decoded the batch into trees, while an xml-codec link (or a
-// durable journal replay) delivers canonical bytes, which are parsed back
-// to trees here, once, before anything else in the process sees them. A
-// malformed item fails the run and is skipped.
+// advance the local emitter channel. Either way quiescence re-evaluates. A
+// batch arrives as trees whether a conn's decoder or a recovered journal
+// produced it.
 func (r *Runtime) clusterFrame(f *transport.Frame) {
 	switch f.Type {
 	case transport.FrameBatch:
@@ -616,17 +585,6 @@ func (r *Runtime) clusterFrame(f *transport.Frame) {
 			return // engine mismatch; membership is trusted, drop
 		}
 		m := message{stream: d, hop: f.Hop, elems: f.Elems, eos: f.EOS, seqLo: f.SeqLo, epoch: f.Epoch}
-		if len(m.elems) == 0 && len(f.Items) > 0 {
-			m.elems = make([]*xmlstream.Element, 0, len(f.Items))
-			for _, b := range f.Items {
-				e, err := xmlstream.UnmarshalBytes(b)
-				if err != nil {
-					r.fail(fmt.Errorf("runtime: peer %s: stream %s: %w", d.Route[f.Hop], d.ID, err))
-					continue
-				}
-				m.elems = append(m.elems, e)
-			}
-		}
 		for _, e := range m.elems {
 			m.xb += xmlstream.MarshalSize(e)
 		}

@@ -8,7 +8,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,7 +19,6 @@ import (
 	"streamshare/internal/scenario"
 	"streamshare/internal/testutil"
 	"streamshare/internal/transport"
-	"streamshare/internal/wire"
 	"streamshare/internal/xmlstream"
 )
 
@@ -127,18 +125,17 @@ func clusterListen(tr transport.Transport) string {
 }
 
 // clusterPair builds two connected clusters ("n0" dials "n1") over the
-// given transport, both offering the given codecs (none = the default
-// preference), and registers their transport state with the watchdog.
-func clusterPair(t testing.TB, tr transport.Transport, codecs ...string) (c0, c1 *Cluster) {
+// given transport and registers their transport state with the watchdog.
+func clusterPair(t testing.TB, tr transport.Transport) (c0, c1 *Cluster) {
 	t.Helper()
 	c1, err := NewCluster(ClusterOptions{
-		Node: "n1", Nodes: map[string]string{"n1": clusterListen(tr), "n0": ""}, Transport: tr, Codecs: codecs,
+		Node: "n1", Nodes: map[string]string{"n1": clusterListen(tr), "n0": ""}, Transport: tr,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c0, err = NewCluster(ClusterOptions{
-		Node: "n0", Nodes: map[string]string{"n0": clusterListen(tr), "n1": c1.Addr()}, Transport: tr, Codecs: codecs,
+		Node: "n0", Nodes: map[string]string{"n0": clusterListen(tr), "n1": c1.Addr()}, Transport: tr,
 	})
 	if err != nil {
 		c1.Close()
@@ -216,7 +213,7 @@ func compareCollected(t *testing.T, ref *core.SimResult, got *Result) {
 	}
 }
 
-func testClusterEquivalence(t *testing.T, tr transport.Transport, reliable, chaos bool, codecs ...string) {
+func testClusterEquivalence(t *testing.T, tr transport.Transport, reliable, chaos bool) {
 	defer testutil.Watchdog(t, 2*time.Minute)()
 	engRef, feedRef, err := clusterBuild(gridN, gridQueries, gridItems, reliable)
 	if err != nil {
@@ -238,7 +235,7 @@ func testClusterEquivalence(t *testing.T, tr transport.Transport, reliable, chao
 	if chaos {
 		tr = &fuseTransport{Transport: tr, period: 29}
 	}
-	c0, c1 := clusterPair(t, tr, codecs...)
+	c0, c1 := clusterPair(t, tr)
 	if err := c0.WaitConnected(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -276,13 +273,6 @@ func testClusterEquivalence(t *testing.T, tr transport.Transport, reliable, chao
 
 	res0, res1 := runPair(t, rt0, rt1, feed0, feed1)
 	compareCollected(t, ref, mergeResults(res0, res1))
-	if len(codecs) == 1 {
-		for _, st := range append(c0.Stats(), c1.Stats()...) {
-			if st.Codec != codecs[0] {
-				t.Errorf("link to %s negotiated %q, want %q", st.Remote, st.Codec, codecs[0])
-			}
-		}
-	}
 
 	if chaos {
 		recon := uint64(0)
@@ -306,70 +296,6 @@ func TestClusterEquivalenceTCP(t *testing.T) {
 
 func TestClusterEquivalenceReliableMem(t *testing.T) {
 	testClusterEquivalence(t, transport.NewMem(), true, false)
-}
-
-// TestClusterEquivalenceXMLMem pins every link to the xml codec, so each
-// cross-node batch arrives as canonical bytes and is parsed back to trees
-// at cluster ingress — the one edge the default codec never exercises.
-func TestClusterEquivalenceXMLMem(t *testing.T) {
-	testClusterEquivalence(t, transport.NewMem(), true, false, wire.CodecXML)
-}
-
-// TestClusterMalformedIngressItem: an inbound xml batch carrying an item
-// that does not parse fails the receiving node's run with an error naming
-// the stream — no panic, no hang — while the sending node, whose own work is
-// sound, still finishes cleanly.
-func TestClusterMalformedIngressItem(t *testing.T) {
-	defer testutil.Watchdog(t, 2*time.Minute)()
-	eng0, feed0, err := clusterBuild(gridN, gridQueries, gridItems, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng1, feed1, err := clusterBuild(gridN, gridQueries, gridItems, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c0, c1 := clusterPair(t, transport.NewMem(), wire.CodecXML)
-	if err := c0.WaitConnected(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	rt0 := NewWith(eng0, false, Options{Cluster: c0})
-	rt1 := NewWith(eng1, false, Options{Cluster: c1})
-
-	// Any hop entering n1 from n0 will do as the lane of the bad batch.
-	var bad *transport.Frame
-	for _, d := range eng1.Streams() {
-		for hop := 1; hop < len(d.Route) && bad == nil; hop++ {
-			if rt1.localPeer(d.Route[hop]) && !rt1.localPeer(d.Route[hop-1]) {
-				bad = &transport.Frame{
-					Type: transport.FrameBatch, Stream: d.ID, Hop: hop,
-					Items: [][]byte{[]byte("<photon><en>1.5</photon>")},
-				}
-			}
-		}
-	}
-	if bad == nil {
-		t.Fatal("scenario has no stream crossing from n0 to n1")
-	}
-	if err := c0.sendFrame("n1", bad); err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	var errs [2]error
-	wg.Add(2)
-	go func() { defer wg.Done(); _, errs[0] = rt0.Run(feed0) }()
-	go func() { defer wg.Done(); _, errs[1] = rt1.Run(feed1) }()
-	wg.Wait()
-	if errs[0] != nil {
-		t.Errorf("sending node: %v", errs[0])
-	}
-	if errs[1] == nil {
-		t.Fatal("receiving node's run succeeded over a malformed item")
-	}
-	if !strings.Contains(errs[1].Error(), bad.Stream) {
-		t.Errorf("error %q does not name stream %s", errs[1], bad.Stream)
-	}
 }
 
 func TestClusterReconnectChaosMem(t *testing.T) {

@@ -11,19 +11,16 @@ import (
 	"time"
 
 	"streamshare/internal/testutil"
-	"streamshare/internal/wire"
 	"streamshare/internal/xmlstream"
 )
 
-// Mixed-codec acceptance: a three-node cluster across two OS processes
-// where the links disagree on the item codec — n0 (child process) and n1
-// negotiate the binary codec while n2 forces the xml baseline on both its
-// links — must still deliver item-for-item what the simulator delivers.
-// This is the invariant that makes -codec=xml a safe per-node debug
-// switch: codecs are a per-link transport concern, invisible to the
-// data plane.
+// Three-node, two-process acceptance: a cluster whose node n0 is a child
+// process — so two of its three links cross a process boundary over loopback
+// TCP and one stays inside the parent — must deliver item-for-item what the
+// simulator delivers. (The names date from when the three links could
+// negotiate different item codecs.)
 
-// mixedSpec is the work order for the mixed-codec child (cluster node n0).
+// mixedSpec is the work order for the child process (cluster node n0).
 type mixedSpec struct {
 	// N1, N2 are the parent's two mesh listen addresses (n0 dials both).
 	N1, N2 string
@@ -55,14 +52,8 @@ func TestClusterMixedCodecTwoProcessTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// n2 forces the xml baseline; its link from n1 and from the child's
-	// n0 both fall back. n1 keeps the default preference, so its link to
-	// n0 — the one crossing the process boundary — negotiates binary.
 	nodes := map[string]string{"n0": "", "n1": "127.0.0.1:0", "n2": "127.0.0.1:0"}
-	c2, err := NewCluster(ClusterOptions{
-		Node: "n2", Nodes: nodes,
-		Codecs: []string{wire.CodecXML},
-	})
+	c2, err := NewCluster(ClusterOptions{Node: "n2", Nodes: nodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,9 +86,7 @@ func TestClusterMixedCodecTwoProcessTCP(t *testing.T) {
 		childDone <- childExit{o, err}
 	}()
 
-	// Codec adoption happens at handshake; frames sent before a link
-	// attaches journal as plain xml batches. Waiting mirrors sgd, and
-	// makes the stats assertions below deterministic.
+	// Waiting mirrors sgd.
 	if err := c1.WaitConnected(time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -119,24 +108,11 @@ func TestClusterMixedCodecTwoProcessTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The cluster genuinely ran mixed: binary across the process boundary,
-	// xml on every link touching n2.
-	want := map[string]map[string]string{
-		"n1": {"n0": wire.CodecBinary, "n2": wire.CodecXML},
-		"n2": {"n0": wire.CodecXML, "n1": wire.CodecXML},
-	}
-	for node, c := range map[string]*Cluster{"n1": c1, "n2": c2} {
-		for _, st := range c.Stats() {
-			if got := st.Codec; got != want[node][st.Remote] {
-				t.Errorf("%s link to %s negotiated %q, want %q", node, st.Remote, got, want[node][st.Remote])
-			}
-		}
-	}
-	// The binary link carried real traffic through the codec, and the
-	// observer fed the wire metrics.
+	// The link across the process boundary carried real traffic through
+	// the codec, and the observer fed the wire metrics.
 	for _, st := range c1.Stats() {
 		if st.Remote == "n0" && st.EncodedItems == 0 && st.DecodedItems == 0 {
-			t.Error("binary n0-n1 link encoded and decoded no items")
+			t.Error("n0-n1 link encoded and decoded no items")
 		}
 	}
 	snap := eng1.Obs().Metrics.Snapshot()
@@ -179,13 +155,12 @@ func TestClusterMixedCodecTwoProcessTCP(t *testing.T) {
 }
 
 // TestClusterMixedCodecChildProcess is the re-exec target of
-// TestClusterMixedCodecTwoProcessTCP: node n0 with the default codec
-// preference, dialing both parent nodes over loopback TCP. It skips
-// unless the parent's env var is set.
+// TestClusterMixedCodecTwoProcessTCP: node n0, dialing both parent nodes
+// over loopback TCP. It skips unless the parent's env var is set.
 func TestClusterMixedCodecChildProcess(t *testing.T) {
 	raw := os.Getenv(mixedChildEnv)
 	if raw == "" {
-		t.Skip("not a mixed-codec child process")
+		t.Skip("not a child process")
 	}
 	defer testutil.Watchdog(t, 2*time.Minute)()
 	var spec mixedSpec

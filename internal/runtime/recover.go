@@ -72,9 +72,7 @@ func (s *Session) Recover(eng *core.Engine) (*RecoveryReport, error) {
 			if old == nil || old == si.Feed {
 				continue
 			}
-			if err := s.recoverInput(sub, si, old, rp, nm, replayedOld); err != nil {
-				return nil, err
-			}
+			s.recoverInput(sub, si, old, rp, nm, replayedOld)
 			s.mu.Lock()
 			s.binds[key] = si.Feed
 			s.mu.Unlock()
@@ -120,7 +118,7 @@ type oldReplayKey struct {
 
 // recoverInput replays one re-bound subscription input from the old
 // chain's journals through the new chain.
-func (s *Session) recoverInput(sub *core.Subscription, si *core.SubInput, old *core.Deployed, rp *RecoveryReport, nm *network.Metrics, replayedOld map[oldReplayKey]bool) error {
+func (s *Session) recoverInput(sub *core.Subscription, si *core.SubInput, old *core.Deployed, rp *RecoveryReport, nm *network.Metrics, replayedOld map[oldReplayKey]bool) {
 	// Old derivation chain, original first.
 	var chain []*core.Deployed
 	for d := old; d != nil; d = d.Parent {
@@ -214,29 +212,25 @@ func (s *Session) recoverInput(sub *core.Subscription, si *core.SubInput, old *c
 				}
 				continue
 			}
-			el, err := xmlstream.UnmarshalBytes(e.Data)
-			if err != nil {
-				return fmt.Errorf("runtime: recover %s/%s: %w", sub.ID, si.In.Stream, err)
-			}
 			ops, off := newOps, lv.offset
 			if lv.oldOps != nil {
 				ops, off = lv.oldOps, 0
 			}
-			for _, f := range runOpsFrom(ops, off, el) {
-				feedBytes += marshalLen(f, lv.oldOps == nil && lv.offset == len(newOps), e.Data)
+			for _, f := range runOpsFrom(ops, off, e.Elem) {
+				feedBytes += xmlstream.MarshalSize(f)
 				outs = append(outs, si.Local.Process(f)...)
 			}
 		}
 	}
 	if flushOld != nil {
 		for _, f := range flushFrom(flushOld, 0) {
-			feedBytes += marshalLen(f, false, nil)
+			feedBytes += xmlstream.MarshalSize(f)
 			outs = append(outs, si.Local.Process(f)...)
 		}
 		outs = append(outs, si.Local.Flush()...)
 	} else if flushOff >= 0 {
 		for _, f := range flushFrom(newOps, flushOff) {
-			feedBytes += marshalLen(f, false, nil)
+			feedBytes += xmlstream.MarshalSize(f)
 			outs = append(outs, si.Local.Process(f)...)
 		}
 		outs = append(outs, si.Local.Flush()...)
@@ -255,18 +249,6 @@ func (s *Session) recoverInput(sub *core.Subscription, si *core.SubInput, old *c
 			nm.AddTraffic(network.MakeLinkID(route[h-1], route[h]), float64(feedBytes))
 		}
 	}
-	return nil
-}
-
-// marshalLen returns the serialized size of a replayed feed item. When the
-// item came straight from the feed-level journal its stored bytes are
-// authoritative (and free); otherwise MarshalSize prices the canonical form
-// without materializing it.
-func marshalLen(e *xmlstream.Element, stored bool, data []byte) int {
-	if stored {
-		return len(data)
-	}
-	return xmlstream.MarshalSize(e)
 }
 
 // runOpsFrom pushes one item through the tail of an operator chain,

@@ -10,6 +10,7 @@ import (
 	"streamshare/internal/core"
 	"streamshare/internal/health"
 	"streamshare/internal/network"
+	"streamshare/internal/photons"
 	"streamshare/internal/scenario"
 	"streamshare/internal/testutil"
 	"streamshare/internal/xmlstream"
@@ -292,5 +293,77 @@ func TestReliableHealthyEquivalence(t *testing.T) {
 	sus, _, _ := sess.HealthStats()
 	if sus != 0 {
 		t.Errorf("healthy run raised %d suspicions", sus)
+	}
+}
+
+// TestReliableRecoverEscapedText: items whose text holds markup characters
+// (fed as <note>a&lt;b &amp; c&gt;d</note>) sit in a broken channel's journal
+// and come out of Recover byte for byte what the never-failed simulator
+// delivers — the journal holds the trees, so no spelling of the text is
+// involved.
+func TestReliableRecoverEscapedText(t *testing.T) {
+	defer testutil.Watchdog(t, 2*time.Minute)()
+	const query = `<photons>
+{ for $p in stream("photons")/photons/photon
+  where $p/en >= 1.3
+  return <hot> { $p/en } { $p/note } </hot> }
+</photons>`
+	build := func() (*core.Engine, map[string][]*xmlstream.Element) {
+		eng := core.NewEngine(testNet(), core.Config{Reliable: true})
+		items, st := photons.Stream("photons", photons.DefaultConfig(), 13, 200)
+		for _, it := range items {
+			it.Children = append(it.Children, xmlstream.T("note", "a<b & c>d"))
+		}
+		if _, err := eng.RegisterStream("photons", xmlstream.ParsePath("photons/photon"), "SP0", st); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Subscribe(query, "SP3", core.StreamSharing); err != nil {
+			t.Fatal(err)
+		}
+		return eng, map[string][]*xmlstream.Element{"photons": items}
+	}
+	engRef, feedRef := build()
+	ref, err := engRef.Simulate(feedRef, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, feed := build()
+	sub := eng.Subscriptions()[0]
+	route := sub.Inputs[0].Feed.Route
+	if len(route) < 3 {
+		t.Fatalf("feed route %v has no middle link to sever", route)
+	}
+
+	sess := NewSession(SessionOptions{Heartbeat: health.Options{Interval: 2 * time.Millisecond}})
+	rt := NewWith(eng, true, Options{Session: sess})
+	if err := rt.SeverLink(route[1], route[2]); err != nil {
+		t.Fatal(err)
+	}
+	run, err := rt.Run(feed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := adapt.NewManager(eng).ApplyDetected(sess.TakeDetected()); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sess.Recover(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Items == 0 {
+		t.Fatal("recovery redelivered nothing; the severed feed should have journaled its items")
+	}
+	all := append(append([]*xmlstream.Element{}, run.Collected[sub.ID]...), rep.Collected[sub.ID]...)
+	gotXML, refXML := sortedXML(all), sortedXML(ref.Collected[sub.ID])
+	if len(gotXML) != len(refXML) {
+		t.Fatalf("delivered %d+%d items, reference %d", len(run.Collected[sub.ID]), len(rep.Collected[sub.ID]), len(refXML))
+	}
+	for i := range refXML {
+		if gotXML[i] != refXML[i] {
+			t.Fatalf("item %d after recovery = %s, reference %s", i, gotXML[i], refXML[i])
+		}
+	}
+	if !strings.Contains(refXML[0], "<note>a&lt;b &amp; c&gt;d</note>") {
+		t.Fatalf("reference item %s lost its note", refXML[0])
 	}
 }

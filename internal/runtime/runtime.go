@@ -14,13 +14,12 @@
 //     observable metrics are comparable across batch sizes.
 //   - Tree batches: a batch carries parsed element trees, the one form an
 //     item has inside a process. The batcher never serializes, consumers
-//     read the shared trees without reparsing, and tree-capable cluster
-//     links encode them straight into the dictionary wire format.
-//     Byte-granular accounting is priced from xmlstream.MarshalSize, so
-//     traffic and serialized totals equal the canonical XML's to the byte.
-//     Canonical bytes exist only at three edges: the wire image of an
-//     xml-codec link (parsed back once at cluster ingress), the session
-//     replay journal and the durable link journal.
+//     read the shared trees without reparsing, the session's replay journal
+//     and the cluster links' journals hold them by pointer, and a link
+//     encodes them straight into the dictionary wire format. Byte-granular
+//     accounting is priced from xmlstream.MarshalSize, so traffic and
+//     serialized totals equal the canonical XML's to the byte. Canonical
+//     bytes exist only in a durable link's on-disk journal.
 //   - Parallelism: each peer runs Options.Workers goroutines over its
 //     inbox. The unit of scheduling is the lane (one per stream), and a
 //     lane is owned by at most one worker at a time, so per-stream order
@@ -527,12 +526,6 @@ func (r *Runtime) publish() {
 			// Whether the link's writer, which encodes, keeps up.
 			reg.Gauge(p + "send_waits").Set(float64(st.SendWaits))
 			reg.Gauge(p + "journal.depth").Set(float64(st.Depth))
-			// The negotiated codec publishes as a flag gauge (metrics are
-			// numeric): transport.link.<remote>.codec.binary2 = 1. The codec
-			// counters are cumulative per link, so absolute gauges too.
-			if st.Codec != "" {
-				reg.Gauge(p + "codec." + st.Codec).Set(1)
-			}
 			if st.EncodedItems > 0 || st.DecodedItems > 0 {
 				reg.Gauge(p + "codec.items.sent").Set(float64(st.EncodedItems))
 				reg.Gauge(p + "codec.items.recv").Set(float64(st.DecodedItems))

@@ -12,7 +12,6 @@ import (
 	"streamshare/internal/network"
 	"streamshare/internal/obs"
 	"streamshare/internal/transport"
-	"streamshare/internal/xmlstream"
 )
 
 // This file is the reliability layer's live half: a Session owns the
@@ -249,12 +248,9 @@ type streamChan struct {
 }
 
 // parkedSend is one deferred tap batch plus the ack gate it holds open.
-// owned carries the batch's replay copies, made at submit time so the pump
-// never copies under the channel lock.
 type parkedSend struct {
-	m     message
-	owned [][]byte
-	gate  *ackGate
+	m    message
+	gate *ackGate
 }
 
 // ackGate defers one upstream cumulative ack until every batch the
@@ -279,33 +275,13 @@ func (g *ackGate) done() {
 	}
 }
 
-// ownedCopies serializes a message's items into one owned allocation and
-// returns per-item subslices for the replay buffer — one of the three edges
-// where canonical bytes exist, because the journal outlives the trees and
-// replay (recover.go) re-parses from stored bytes; m.xb pre-sizes the
-// allocation exactly. It runs outside the channel lock so the work never
-// serializes against acks on a hot shared stream.
-func ownedCopies(m *message) [][]byte {
-	if len(m.elems) == 0 {
-		return nil
-	}
-	owned := make([]byte, 0, m.xb)
-	out := make([][]byte, 0, len(m.elems))
-	for _, e := range m.elems {
-		off := len(owned)
-		owned = xmlstream.AppendMarshal(owned, e)
-		out = append(out, owned[off:len(owned):len(owned)])
-	}
-	return out
-}
-
 // stampLocked assigns sequence numbers to every unit of the message and
-// records its prepared replay copies (ownedCopies) in the buffer. Callers
-// hold c.mu.
-func (c *streamChan) stampLocked(m *message, owned [][]byte) {
+// records it in the replay buffer — the items by pointer: the journal shares
+// the trees the batch carries, which nobody writes. Callers hold c.mu.
+func (c *streamChan) stampLocked(m *message) {
 	first := uint64(0)
-	for _, b := range owned {
-		seq := c.st.Emit(b, false)
+	for _, e := range m.elems {
+		seq := c.st.Emit(e, false)
 		if first == 0 {
 			first = seq
 		}
@@ -326,7 +302,6 @@ func (c *streamChan) stampLocked(m *message, owned [][]byte) {
 // never sent, never blocking.
 func (c *streamChan) submit(r *Runtime, m message, gate *ackGate) {
 	units := m.units()
-	owned := ownedCopies(&m)
 	c.mu.Lock()
 	if gate == nil {
 		stalled := false
@@ -342,12 +317,12 @@ func (c *streamChan) submit(r *Runtime, m message, gate *ackGate) {
 		c.stalls++
 		r.flight.Record("credit.stall", c.d.ID+" tap parked")
 		gate.add()
-		c.parked = append(c.parked, parkedSend{m: m, owned: owned, gate: gate})
+		c.parked = append(c.parked, parkedSend{m: m, gate: gate})
 		c.mu.Unlock()
 		return
 	}
 	broken := c.st.Broken()
-	c.stampLocked(&m, owned)
+	c.stampLocked(&m)
 	c.mu.Unlock()
 	if broken {
 		r.retain(&m)
@@ -364,10 +339,10 @@ func (c *streamChan) pumpLocked() (sends, drops []message, gates []*ackGate) {
 	for len(c.parked) > 0 {
 		p := c.parked[0]
 		if c.st.Broken() {
-			c.stampLocked(&p.m, p.owned)
+			c.stampLocked(&p.m)
 			drops = append(drops, p.m)
 		} else if c.st.Admit(p.m.units()) {
-			c.stampLocked(&p.m, p.owned)
+			c.stampLocked(&p.m)
 			sends = append(sends, p.m)
 		} else {
 			break
@@ -460,7 +435,7 @@ func (c *streamChan) takeStalls() int {
 }
 
 // retain accounts a batch recorded in a broken channel's journal instead
-// of sent (the journal keeps owned copies).
+// of sent (the journal holds its trees until Recover).
 func (r *Runtime) retain(m *message) {
 	u := m.units()
 	r.mu.Lock()

@@ -3,61 +3,23 @@ package runtime
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
 	"streamshare/internal/testutil"
 	"streamshare/internal/transport"
-	"streamshare/internal/wire"
 )
 
-// Tree-plane acceptance: element-tree batches on binary links, with no
-// per-hop reserialize/reparse, must deliver exactly what the simulator
-// delivers. These tests hold them to it under randomized scenario shapes
-// and forced mid-stream disconnects, and pin the construction-time codec
-// validation that keeps a misconfigured cluster from ever binding a
-// listener.
-
-// TestClusterCodecValidation: ClusterOptions.Codecs is validated against
-// the wire registry at construction, so an unregistered codec name fails
-// fast with a field-named error instead of surfacing as a per-link
-// handshake failure after listeners are already bound.
-func TestClusterCodecValidation(t *testing.T) {
-	c, err := NewCluster(ClusterOptions{
-		Node:   "n0",
-		Nodes:  map[string]string{"n0": "", "n1": ""},
-		Codecs: []string{"gob"},
-	})
-	if err == nil {
-		c.Close()
-		t.Fatal("NewCluster accepted unregistered codec \"gob\"")
-	}
-	for _, want := range []string{"ClusterOptions.Codecs", "gob"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not name %q", err, want)
-		}
-	}
-	// A registered preference list still constructs (accept-only node, so
-	// no peer address is required).
-	c, err = NewCluster(ClusterOptions{
-		Node:      "n1",
-		Nodes:     map[string]string{"n1": "", "n0": ""},
-		Codecs:    []string{wire.CodecXML},
-		Transport: transport.NewMem(),
-	})
-	if err != nil {
-		t.Fatalf("xml-only codec list rejected: %v", err)
-	}
-	c.Close()
-}
+// Tree-plane acceptance: element-tree batches, with no per-hop
+// reserialize/reparse, must deliver exactly what the simulator delivers,
+// under randomized scenario shapes and forced mid-stream disconnects.
 
 // TestTreePlaneRandomizedDisconnects is the randomized equivalence
 // acceptance for tree batches: random grid shapes run through the simulator
 // and as a two-node reliable cluster whose connection breaks repeatedly
 // mid-run, and every subscription must collect identical items at identical
 // traffic and work. The breaks force the journal/replay path to handle tree
-// batches (dedup slicing, owned-copy journaling), not just the happy path;
+// batches (dedup slicing, journaling by pointer), not just the happy path;
 // they come from a fuse in the write path, its period seeded per trial, so
 // they land inside the run however briefly it streams.
 func TestTreePlaneRandomizedDisconnects(t *testing.T) {

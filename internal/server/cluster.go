@@ -77,12 +77,8 @@ func (s *Server) nodesCmd(w io.Writer) {
 		}
 		for _, st := range stats {
 			if st.Remote == n {
-				codec := st.Codec
-				if codec == "" {
-					codec = "unnegotiated"
-				}
-				fmt.Fprintf(w, "  %s %s codec=%s seeded=%d sent=%d recv=%d reconnects=%d\n",
-					n, st.Phase, codec, st.SeededNames, st.FramesSent, st.FramesRecv, st.Reconnects)
+				fmt.Fprintf(w, "  %s %s seeded=%d sent=%d recv=%d reconnects=%d\n",
+					n, st.Phase, st.SeededNames, st.FramesSent, st.FramesRecv, st.Reconnects)
 			}
 		}
 	}

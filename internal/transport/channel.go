@@ -6,7 +6,11 @@
 // identity, a versioned handshake and loss-free reconnect-with-replay.
 package transport
 
-import "sort"
+import (
+	"sort"
+
+	"streamshare/internal/xmlstream"
+)
 
 // This file is the sequenced/acked/credited channel state machine of the
 // reliability layer (the runtime's session wraps it for per-stream
@@ -14,10 +18,10 @@ import "sort"
 // what makes reconnection loss-free, and a durable link's WAL is that same
 // buffer's backing store). One Channel exists per emitting endpoint: the
 // emitter stamps every unit with a monotonically increasing sequence number
-// and keeps the unit in a replay buffer — serialized on session channels, the
-// frame itself on links, which encode per connection; every consumer owns a
-// cumulative-ack cursor advanced when it has
-// fully processed a prefix; the buffer is trimmed to the minimum cursor.
+// and keeps the unit in a replay buffer by pointer — the item's element tree
+// on session channels, the frame on links, which encode per connection; every
+// consumer owns a cumulative-ack cursor advanced when it has fully processed
+// a prefix; the buffer is trimmed to the minimum cursor.
 // The distance between the emission frontier and the minimum cursor is
 // bounded by a receiver-granted credit window, which is what turns a slow
 // consumer into end-to-end sender throttling instead of unbounded queues.
@@ -27,17 +31,17 @@ import "sort"
 // runtime/session.go and link.go wrap it with the synchronization the live
 // data path needs.
 
-// Entry is one emitted unit in a channel's replay buffer: a serialized
-// item, a link frame, or the end-of-stream marker (Data nil, EOS true).
+// Entry is one emitted unit in a channel's replay buffer: an item, a link
+// frame, or the end-of-stream marker (Elem nil, EOS true).
 type Entry struct {
 	// Seq is the unit's assigned sequence number (first emission gets 1).
 	Seq uint64
-	// Data is the serialized unit, retained as-is (callers pass owned
-	// copies).
-	Data []byte
+	// Elem is the item on session channels, shared read-only with everyone
+	// else the item was handed to.
+	Elem *xmlstream.Element
 	// EOS marks the end-of-stream sentinel unit.
 	EOS bool
-	// Frame is the unit on link channels (Data nil): the link's own copy of
+	// Frame is the unit on link channels (Elem nil): the link's own copy of
 	// the frame, stamped with Seq and rendered for the wire by whichever
 	// conn carries it.
 	Frame *Frame
@@ -113,12 +117,12 @@ func (c *Channel) NextSeq() uint64 {
 	return c.nextSeq
 }
 
-// Emit assigns the next sequence number to one unit and records it in the
-// replay buffer. The data slice is retained as-is: callers must pass an
-// owned copy (the replay buffer outlives the message). It returns the
-// assigned sequence.
-func (c *Channel) Emit(data []byte, eos bool) uint64 {
-	return c.emit(Entry{Data: data, EOS: eos})
+// Emit assigns the next sequence number to one unit — an item, or the
+// end-of-stream marker (e nil) — and records it in the replay buffer. The
+// element is retained until every consumer acks it and must not change
+// afterwards. It returns the assigned sequence.
+func (c *Channel) Emit(e *xmlstream.Element, eos bool) uint64 {
+	return c.emit(Entry{Elem: e, EOS: eos})
 }
 
 // EmitFrame is Emit for link channels: it stamps the frame with the next

@@ -3,6 +3,8 @@ package transport
 import (
 	"fmt"
 	"testing"
+
+	"streamshare/internal/xmlstream"
 )
 
 func TestChannelSeqAckTrim(t *testing.T) {
@@ -10,7 +12,7 @@ func TestChannelSeqAckTrim(t *testing.T) {
 	c.AddConsumer("r1")
 	c.AddConsumer("r2")
 	for i := 0; i < 5; i++ {
-		seq := c.Emit([]byte(fmt.Sprintf("it%d", i)), false)
+		seq := c.Emit(xmlstream.T("it", fmt.Sprint(i)), false)
 		if seq != uint64(i+1) {
 			t.Fatalf("emit %d: seq %d", i, seq)
 		}
@@ -119,8 +121,8 @@ func TestRecvStateDedup(t *testing.T) {
 func TestChannelAccessors(t *testing.T) {
 	c := NewChannel(7, 8)
 	c.AddConsumer("r")
-	c.Emit([]byte("x"), false)
-	c.Emit([]byte("y"), false)
+	c.Emit(xmlstream.E("x"), false)
+	c.Emit(xmlstream.E("y"), false)
 	if c.Epoch() != 7 || c.NextSeq() != 3 || c.CumAck() != 0 || c.Depth() != 2 || c.Window() != 8 {
 		t.Fatalf("accessors: epoch=%d next=%d cumack=%d depth=%d window=%d",
 			c.Epoch(), c.NextSeq(), c.CumAck(), c.Depth(), c.Window())

@@ -8,13 +8,17 @@ import (
 )
 
 // Link journal record kinds (see DESIGN.md "Durability" for the grammar).
-// Every multi-byte field is a big-endian fixed-width u64. Kinds 1–8 belonged
-// to the retired boot-incarnation layout and are never reused, so a journal
-// written by that build is refused at recovery instead of misread.
+// Every multi-byte field is a big-endian fixed-width u64, and a frame is its
+// AppendFrame encoding — a batch as a plain Batch, each item its canonical
+// XML, the one place outside the wire codec's raw fallback where that is
+// materialized: a journal must outlive the process, dictionaries and all.
+// Kinds 1–8 belonged to the retired boot-incarnation layout and are never
+// reused, so a journal written by that build is refused at recovery instead
+// of misread.
 const (
-	durSend     uint8 = 9  // u64 seq | plain frame: journaled before emit
+	durSend     uint8 = 9  // u64 seq | frame: journaled before emit
 	durAckOut   uint8 = 10 // u64 cum: peer link-acked our seqs <= cum
-	durRecv     uint8 = 11 // u64 seq | plain frame: journaled before dispatch
+	durRecv     uint8 = 11 // u64 seq | frame: journaled before dispatch
 	durCtl      uint8 = 12 // u64 seq: control-frame handler completed
 	durRecvMark uint8 = 13 // u64 next: receive cursor advance without a payload
 	durBoundary uint8 = 14 // checkpoint: inbound frames before it are never re-dispatched
@@ -35,7 +39,7 @@ type linkDur struct {
 // Channel's state and the inbound cursor with the frames to re-dispatch.
 type linkRecovery struct {
 	cumAck, nextSeq uint64
-	unacked         []Entry  // journaled sends above cumAck, as plain frames
+	unacked         []Entry  // journaled sends above cumAck
 	recvNext        uint64   // next inbound sequence expected
 	replay          []*Frame // inbound frames the crash left undispatched
 }
@@ -111,10 +115,9 @@ func openLinkDur(opts durable.Options) (*linkDur, linkRecovery, error) {
 	return d, rec, nil
 }
 
-// journalSend records an outbound frame (plain encoding) before it enters
-// the link's Channel.
-func (d *linkDur) journalSend(seq uint64, plain []byte) {
-	d.wal.AppendPair(durSend, beU64(seq), plain) //nolint:errcheck // sticky WAL error resurfaces on Close
+// journalSend records an outbound frame before it enters the link's Channel.
+func (d *linkDur) journalSend(seq uint64, frame []byte) {
+	d.wal.AppendPair(durSend, beU64(seq), frame) //nolint:errcheck // sticky WAL error resurfaces on Close
 }
 
 // journalRecvMark consumes an inbound sequence without retaining its
@@ -126,8 +129,8 @@ func (d *linkDur) journalRecvMark(seq uint64) {
 }
 
 // journalRecv records an inbound sequenced frame before it is dispatched.
-func (d *linkDur) journalRecv(seq uint64, plain []byte) {
-	d.wal.AppendPair(durRecv, beU64(seq), plain) //nolint:errcheck // sticky WAL error resurfaces on Close
+func (d *linkDur) journalRecv(seq uint64, frame []byte) {
+	d.wal.AppendPair(durRecv, beU64(seq), frame) //nolint:errcheck // sticky WAL error resurfaces on Close
 }
 
 // journalAckOut records the peer's cumulative link ack: recovery drops the
@@ -161,7 +164,7 @@ func (d *linkDur) snapshot(out *Channel, recvNext uint64) []durable.Record {
 	}
 	for _, e := range out.UnackedAfter(out.CumAck()) {
 		if e.Frame.Type != FrameAck {
-			recs = append(recs, durable.Record{Kind: durSend, Data: appendPlain(beU64(e.Seq), e.Frame)})
+			recs = append(recs, durable.Record{Kind: durSend, Data: AppendFrame(beU64(e.Seq), e.Frame)})
 		}
 	}
 	return append(recs, durable.Record{Kind: durBoundary})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -17,7 +18,7 @@ import (
 // ctlPlain builds the plain encoding of a sequenced control frame, the way
 // the link journals it.
 func ctlPlain(seq uint64, data string) []byte {
-	return appendPlain(nil, &Frame{Type: FrameControl, Seq: seq, Data: []byte(data)})
+	return AppendFrame(nil, &Frame{Type: FrameControl, Seq: seq, Data: []byte(data)})
 }
 
 // restored loads a recovery into a Channel the way Mesh.Connect does.
@@ -67,7 +68,7 @@ func TestLinkDurRecoveryScan(t *testing.T) {
 	}
 	d.journalAckOut(1)
 	d.journalRecv(1, ctlPlain(1, "r1"))
-	d.journalRecv(2, appendPlain(nil, &Frame{Type: FrameAck, Seq: 2, Stream: "S", Consumer: "c", Ack: 9}))
+	d.journalRecv(2, AppendFrame(nil, &Frame{Type: FrameAck, Seq: 2, Stream: "S", Consumer: "c", Ack: 9}))
 	d.journalRecv(3, ctlPlain(3, "r3"))
 	d.journalRecvMark(4)
 	d.journalCtl(1)
@@ -100,6 +101,36 @@ func TestLinkDurRecoveryScan(t *testing.T) {
 	// replayed, control 3 was interrupted and must re-dispatch.
 	if len(rec2.replay) != 1 || rec2.replay[0].Type != FrameControl || string(rec2.replay[0].Data) != "r3" {
 		t.Fatalf("replay = %+v, want the one interrupted control", rec2.replay)
+	}
+}
+
+// TestLinkDurRecoversParentJournal: a journal holding the Batch bytes the
+// parent commit wrote (goldenBatch), as an unacked send and as an
+// undispatched receive, recovers into frames that carry the items as trees.
+func TestLinkDurRecoversParentJournal(t *testing.T) {
+	want, golden := goldenBatch()
+	dir := t.TempDir()
+	d, _, err := openLinkDur(durable.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.journalSend(want.Seq, golden)
+	d.journalRecv(want.Seq, golden)
+	if err := d.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2, rec, err := openLinkDur(durable.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.wal.Close()
+	if len(rec.unacked) != 1 || len(rec.replay) != 1 || rec.nextSeq != want.Seq+1 || rec.recvNext != want.Seq+1 {
+		t.Fatalf("recovered %d unacked, %d to replay, next %d/%d", len(rec.unacked), len(rec.replay), rec.nextSeq, rec.recvNext)
+	}
+	for what, f := range map[string]*Frame{"unacked send": rec.unacked[0].Frame, "replayed receive": rec.replay[0]} {
+		if !reflect.DeepEqual(normalize(f), normalize(want)) {
+			t.Fatalf("%s recovered as %+v, want %+v", what, f, want)
+		}
 	}
 }
 
@@ -206,6 +237,12 @@ func TestDurableMeshRestartReplaysUnacked(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// And one batch whose item needs escaping on disk: fed as
+	// <en>a&lt;b</en>, it must come out of the journal the same tree.
+	escaped := []*xmlstream.Element{xmlstream.E("photon", xmlstream.T("en", "a<b"), xmlstream.T("src", "x&y"))}
+	if err := ma2.Link("b").Send(&Frame{Type: FrameBatch, Stream: "s", Elems: escaped}); err != nil {
+		t.Fatal(err)
+	}
 	ma2.Close()
 
 	// Phase 3: both restart over their journals. a must replay exactly the
@@ -223,13 +260,17 @@ func TestDurableMeshRestartReplaysUnacked(t *testing.T) {
 	if _, err := ma3.Connect("b", "mem:b"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 10*time.Second, func() bool { return cb3.len() >= 50 }, "phase-3 replay")
+	waitFor(t, 10*time.Second, func() bool { return cb3.len() >= 51 }, "phase-3 replay")
 	time.Sleep(50 * time.Millisecond) // catch any late duplicate
 	got := cb3.snapshot()
-	if len(got) != 50 {
-		t.Fatalf("delivered %d frames after restart, want exactly the 50 unacked", len(got))
+	if len(got) != 51 {
+		t.Fatalf("delivered %d frames after restart, want exactly the 51 unacked", len(got))
 	}
-	for i, f := range got {
+	if got[50].Type != FrameBatch || got[50].Seq != 101 {
+		t.Fatalf("last replayed frame = %+v, want the batch at link seq 101", got[50])
+	}
+	requireItems(t, got[50], escaped)
+	for i, f := range got[:50] {
 		if want := fmt.Sprintf("f%d", 50+i); string(f.Data) != want {
 			t.Fatalf("frame %d = %q, want %q", i, f.Data, want)
 		}
@@ -504,12 +545,13 @@ func TestConnectRefusesRetiredJournalLayout(t *testing.T) {
 	}
 }
 
-// corruptTransport wraps a Transport and corrupts one frame payload on one
-// accepted conn — the wire-corruption chaos hook. The reader must fail
-// decoding, tear the conn down, and journal replay must re-deliver the
-// frame on the next conn.
+// corruptTransport wraps a Transport and replaces one frame payload on one
+// accepted conn with the given bytes — the wire-corruption chaos hook. The
+// reader must refuse them, tear the conn down, and journal replay must
+// re-deliver the frame on the next conn.
 type corruptTransport struct {
 	Transport
+	with []byte
 	mu   sync.Mutex
 	done bool
 }
@@ -548,65 +590,72 @@ func (c *corruptConn) ReadFrame() ([]byte, error) {
 	}
 	c.t.mu.Lock()
 	c.reads++
-	// Read 1 is the handshake Hello; corrupt the third frame of the first
+	// Read 1 is the handshake Hello; replace the third frame of the first
 	// attached conn, once, past the handshake — an established-link data
-	// frame. An invalid frame type guarantees a decode error rather than
-	// silently altered payload bytes.
+	// frame, link sequence 2.
 	if !c.t.done && c.reads == 3 {
 		c.t.done = true
-		p = []byte{0xff}
+		p = c.t.with
 	}
 	c.t.mu.Unlock()
 	return p, err
 }
 
 // TestCorruptFrameTearsDownAndReplays is the wire-side twin of the WAL
-// torn-tail tests: a corrupted frame must tear the conn down cleanly (no
-// cursor advance, no dictionary damage) and the journal replay on the
-// fresh conn must recover every frame exactly once, in order.
+// torn-tail tests: a frame the reader cannot take — bytes that do not
+// decode (an invalid frame type guarantees that, rather than a silently
+// altered payload), or a well-formed plain Batch, which is the journal's
+// form of a batch and never a conn's — must tear the conn down cleanly (no
+// cursor advance, nothing dispatched, no dictionary damage) and the journal
+// replay on the fresh conn must recover every frame exactly once, in order.
 func TestCorruptFrameTearsDownAndReplays(t *testing.T) {
-	tr := &corruptTransport{Transport: NewMem()}
-	dirA, dirB := t.TempDir(), t.TempDir()
-	nop := func(string, *Frame) {}
-	var cb collector
-	mb := durableMesh(t, tr, "b", "mem:b", dirB, cb.handle, nil)
-	ma := durableMesh(t, tr, "a", "mem:a", dirA, nop, nil)
-	defer ma.Close()
-	defer mb.Close()
-	if _, err := mb.Connect("a", "mem:a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ma.Connect("b", "mem:b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := ma.WaitConnected(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	const n = 100
-	for i := 0; i < n; i++ {
-		if err := ma.Link("b").Send(&Frame{Type: FrameControl, Data: []byte(fmt.Sprintf("f%d", i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, 10*time.Second, func() bool { return cb.len() == n }, "delivery through corruption")
-	time.Sleep(50 * time.Millisecond)
-	got := cb.snapshot()
-	if len(got) != n {
-		t.Fatalf("delivered %d frames, want %d", len(got), n)
-	}
-	for i, f := range got {
-		if want := fmt.Sprintf("f%d", i); string(f.Data) != want {
-			t.Fatalf("frame %d = %q, want %q", i, f.Data, want)
-		}
-	}
-	tr.mu.Lock()
-	fired := tr.done
-	tr.mu.Unlock()
-	if !fired {
-		t.Fatal("corruption hook never fired")
-	}
-	if st := ma.Link("b").Stats(); st.Reconnects == 0 {
-		t.Fatalf("corrupted frame did not force a reconnect: %+v", st)
+	plain := EncodeFrame(&Frame{Type: FrameBatch, Seq: 2, Stream: "s", Elems: batchItems("plain", 2)})
+	for name, with := range map[string][]byte{"undecodable": {0xff}, "plain batch": plain} {
+		t.Run(name, func(t *testing.T) {
+			tr := &corruptTransport{Transport: NewMem(), with: with}
+			dirA, dirB := t.TempDir(), t.TempDir()
+			nop := func(string, *Frame) {}
+			var cb collector
+			mb := durableMesh(t, tr, "b", "mem:b", dirB, cb.handle, nil)
+			ma := durableMesh(t, tr, "a", "mem:a", dirA, nop, nil)
+			defer ma.Close()
+			defer mb.Close()
+			if _, err := mb.Connect("a", "mem:a"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ma.Connect("b", "mem:b"); err != nil {
+				t.Fatal(err)
+			}
+			if err := ma.WaitConnected(5 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			const n = 100
+			for i := 0; i < n; i++ {
+				if err := ma.Link("b").Send(&Frame{Type: FrameControl, Data: []byte(fmt.Sprintf("f%d", i))}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitFor(t, 10*time.Second, func() bool { return cb.len() == n }, "delivery through corruption")
+			time.Sleep(50 * time.Millisecond)
+			got := cb.snapshot()
+			if len(got) != n {
+				t.Fatalf("delivered %d frames, want %d", len(got), n)
+			}
+			for i, f := range got {
+				if want := fmt.Sprintf("f%d", i); f.Type != FrameControl || string(f.Data) != want {
+					t.Fatalf("frame %d = %s %q, want control %q", i, f.Type, f.Data, want)
+				}
+			}
+			tr.mu.Lock()
+			fired := tr.done
+			tr.mu.Unlock()
+			if !fired {
+				t.Fatal("corruption hook never fired")
+			}
+			if st := ma.Link("b").Stats(); st.Reconnects == 0 {
+				t.Fatalf("corrupted frame did not force a reconnect: %+v", st)
+			}
+		})
 	}
 }
 

@@ -29,8 +29,9 @@ import (
 // (FuzzFrame holds it to that).
 
 // ProtocolVersion is the handshake version this build speaks. Hello and
-// Welcome carry it; a mismatch fails the handshake.
-const ProtocolVersion = 1
+// Welcome carry it; a mismatch fails the handshake (docs/WIRE.md §5 says
+// what a version-1 peer, which could put plain Batch frames on a conn, sees).
+const ProtocolVersion = 2
 
 // MaxFrameSize bounds one frame payload on the wire (16 MiB). ReadFramePayload
 // rejects larger length prefixes before allocating.
@@ -39,14 +40,12 @@ const MaxFrameSize = 16 << 20
 // FrameType tags one frame's kind.
 type FrameType uint8
 
-// Frame kinds. Hello/Welcome are the connection handshake, Batch carries
-// a message's serialized items, Ack a channel-consumer cumulative ack,
-// LinkAck the link-level replay-buffer ack, Heartbeat the failure-detector
-// liveness gossip, Control an opaque coordination payload (the server
-// layer's subscription/run replication), and BatchBin a Batch whose items
-// travel as one codec-encoded payload instead of verbatim XML — only sent
-// on links that negotiated a non-xml codec in the handshake, so peers that
-// predate it never see the type.
+// Frame kinds. Hello/Welcome are the connection handshake, Batch is a
+// message's items inside a process and in a durable link's journal, BatchBin
+// the same batch on a conn (its items one wire-codec payload), Ack a
+// channel-consumer cumulative ack, LinkAck the link-level replay-buffer ack,
+// Heartbeat the failure-detector liveness gossip, and Control an opaque
+// coordination payload (the server layer's subscription/run replication).
 const (
 	FrameHello FrameType = iota + 1
 	FrameWelcome
@@ -105,11 +104,8 @@ type Frame struct {
 	Resume uint64
 	// Options is the versioned handshake capabilities map (Hello,
 	// Welcome): "caps.v" carries the capabilities schema version and
-	// "codec" the item-codec negotiation — a preference list on Hello,
-	// the acceptor's single choice on Welcome. Receivers ignore unknown
-	// keys, and an absent map marks a peer that predates capabilities:
-	// every capability then takes its compatibility default (codec
-	// "xml"), which is what lets new and old builds interoperate.
+	// "dictseed" the dictionary-seed agreement — the dialer's vocabulary
+	// on Hello, the agreed list on Welcome. Receivers ignore unknown keys.
 	Options map[string]string
 
 	// Stream is the deployed stream id (Batch, Ack).
@@ -125,15 +121,11 @@ type Frame struct {
 	// Span is the serialized provenance span header, empty when the batch
 	// carries none (Batch).
 	Span []byte
-	// Items are the batch's serialized items (Batch).
-	Items [][]byte
-
-	// Elems are the batch's items as parsed element trees (Batch) — an
-	// in-memory alternative to Items that is NEVER serialized: a link that
-	// negotiated a tree-capable codec encodes them straight into a BatchBin
-	// payload, and its receiver decodes straight back into Elems. On xml
-	// links the sender materializes Items from Elems before framing. When
-	// both are set, Items is authoritative (Elems is a decoded view of it).
+	// Elems are the batch's items as element trees (Batch), shared
+	// read-only. A link's writer encodes them into a BatchBin payload for
+	// the conn and the peer's reader decodes that back into Elems; the
+	// Batch encoding below, each item as its canonical XML, is what a
+	// durable link's journal stores and is never put on a conn.
 	Elems []*xmlstream.Element
 
 	// Consumer is the acking channel consumer (Ack).
@@ -148,8 +140,8 @@ type Frame struct {
 	// endpoint pairs: A1, B1, A2, B2, ... (Heartbeat).
 	Links []string
 
-	// Data is the opaque coordination payload (Control) or the
-	// codec-encoded item payload (BatchBin).
+	// Data is the opaque coordination payload (Control) or the wire-codec
+	// item payload (BatchBin).
 	Data []byte
 }
 
@@ -174,19 +166,11 @@ func AppendFrame(b []byte, f *Frame) []byte {
 			b = appendString(b, f.Options[k])
 		}
 	case FrameBatch:
-		b = appendString(b, f.Stream)
-		b = binary.AppendUvarint(b, uint64(f.Hop))
-		b = binary.AppendUvarint(b, f.Epoch)
-		b = binary.AppendUvarint(b, f.SeqLo)
-		if f.EOS {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		b = appendBytes(b, f.Span)
-		b = binary.AppendUvarint(b, uint64(len(f.Items)))
-		for _, it := range f.Items {
-			b = appendBytes(b, it)
+		b = appendBatchHead(b, f)
+		b = binary.AppendUvarint(b, uint64(len(f.Elems)))
+		for _, e := range f.Elems {
+			b = binary.AppendUvarint(b, uint64(xmlstream.MarshalSize(e)))
+			b = xmlstream.AppendMarshal(b, e)
 		}
 	case FrameAck:
 		b = appendString(b, f.Stream)
@@ -206,19 +190,24 @@ func AppendFrame(b []byte, f *Frame) []byte {
 	case FrameControl:
 		b = appendBytes(b, f.Data)
 	case FrameBatchBin:
-		b = appendString(b, f.Stream)
-		b = binary.AppendUvarint(b, uint64(f.Hop))
-		b = binary.AppendUvarint(b, f.Epoch)
-		b = binary.AppendUvarint(b, f.SeqLo)
-		if f.EOS {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		b = appendBytes(b, f.Span)
+		b = appendBatchHead(b, f)
 		b = appendBytes(b, f.Data)
 	}
 	return b
+}
+
+// appendBatchHead appends the fields Batch and BatchBin bodies share.
+func appendBatchHead(b []byte, f *Frame) []byte {
+	b = appendString(b, f.Stream)
+	b = binary.AppendUvarint(b, uint64(f.Hop))
+	b = binary.AppendUvarint(b, f.Epoch)
+	b = binary.AppendUvarint(b, f.SeqLo)
+	if f.EOS {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	return appendBytes(b, f.Span)
 }
 
 // EncodeFrame returns the frame's encoded payload.
@@ -226,7 +215,9 @@ func EncodeFrame(f *Frame) []byte { return AppendFrame(nil, f) }
 
 // DecodeFrame parses one frame payload. The returned frame's byte-slice
 // fields alias b; callers that retain the frame past the buffer's life
-// must copy. Malformed input returns ErrFrame (wrapped with detail).
+// must copy (a Batch's element trees are freshly parsed and alias nothing).
+// Malformed input, an item that is not XML included, returns ErrFrame
+// (wrapped with detail).
 func DecodeFrame(b []byte) (*Frame, error) {
 	d := decoder{b: b}
 	f := &Frame{}
@@ -276,32 +267,7 @@ func DecodeFrame(b []byte) (*Frame, error) {
 			f.Options[k] = v
 		}
 	case FrameBatch:
-		if f.Stream, err = d.str(); err != nil {
-			return nil, err
-		}
-		hop, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if hop > 1<<20 {
-			return nil, fmt.Errorf("%w: hop %d out of range", ErrFrame, hop)
-		}
-		f.Hop = int(hop)
-		if f.Epoch, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		if f.SeqLo, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		eos, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		if eos > 1 {
-			return nil, fmt.Errorf("%w: bad eos byte %d", ErrFrame, eos)
-		}
-		f.EOS = eos == 1
-		if f.Span, err = d.bytes(); err != nil {
+		if err := d.batchHead(f); err != nil {
 			return nil, err
 		}
 		n, err := d.count()
@@ -309,14 +275,18 @@ func DecodeFrame(b []byte) (*Frame, error) {
 			return nil, err
 		}
 		if n > 0 {
-			f.Items = make([][]byte, 0, n)
+			f.Elems = make([]*xmlstream.Element, 0, n)
 		}
 		for i := 0; i < n; i++ {
 			it, err := d.bytes()
 			if err != nil {
 				return nil, err
 			}
-			f.Items = append(f.Items, it)
+			e, err := xmlstream.UnmarshalBytes(it)
+			if err != nil {
+				return nil, fmt.Errorf("%w: item %d: %v", ErrFrame, i, err)
+			}
+			f.Elems = append(f.Elems, e)
 		}
 	case FrameAck:
 		if f.Stream, err = d.str(); err != nil {
@@ -359,32 +329,7 @@ func DecodeFrame(b []byte) (*Frame, error) {
 			return nil, err
 		}
 	case FrameBatchBin:
-		if f.Stream, err = d.str(); err != nil {
-			return nil, err
-		}
-		hop, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if hop > 1<<20 {
-			return nil, fmt.Errorf("%w: hop %d out of range", ErrFrame, hop)
-		}
-		f.Hop = int(hop)
-		if f.Epoch, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		if f.SeqLo, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		eos, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		if eos > 1 {
-			return nil, fmt.Errorf("%w: bad eos byte %d", ErrFrame, eos)
-		}
-		f.EOS = eos == 1
-		if f.Span, err = d.bytes(); err != nil {
+		if err := d.batchHead(f); err != nil {
 			return nil, err
 		}
 		if f.Data, err = d.bytes(); err != nil {
@@ -395,6 +340,37 @@ func DecodeFrame(b []byte) (*Frame, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFrame, len(d.b))
 	}
 	return f, nil
+}
+
+// batchHead reads the fields Batch and BatchBin bodies share.
+func (d *decoder) batchHead(f *Frame) (err error) {
+	if f.Stream, err = d.str(); err != nil {
+		return err
+	}
+	hop, err := d.uvarint()
+	if err != nil {
+		return err
+	}
+	if hop > 1<<20 {
+		return fmt.Errorf("%w: hop %d out of range", ErrFrame, hop)
+	}
+	f.Hop = int(hop)
+	if f.Epoch, err = d.uvarint(); err != nil {
+		return err
+	}
+	if f.SeqLo, err = d.uvarint(); err != nil {
+		return err
+	}
+	eos, err := d.byte()
+	if err != nil {
+		return err
+	}
+	if eos > 1 {
+		return fmt.Errorf("%w: bad eos byte %d", ErrFrame, eos)
+	}
+	f.EOS = eos == 1
+	f.Span, err = d.bytes()
+	return err
 }
 
 // WriteFramePayload writes one length-prefixed frame payload to w.

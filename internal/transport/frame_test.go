@@ -2,9 +2,12 @@ package transport
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"testing"
+
+	"streamshare/internal/xmlstream"
 )
 
 // sampleFrames covers every frame type with representative field loads.
@@ -15,8 +18,8 @@ func sampleFrames() []*Frame {
 		{Type: FrameWelcome, Version: ProtocolVersion, Node: "n1", Resume: 1},
 		{Type: FrameBatch, Seq: 42, Stream: "photons", Hop: 2, Epoch: 3, SeqLo: 99, EOS: true,
 			Span:  []byte{1, 2, 3},
-			Items: [][]byte{[]byte("<a/>"), []byte("<b>x</b>"), {}}},
-		{Type: FrameBatch, Seq: 1, Stream: "s", Items: nil},
+			Elems: []*xmlstream.Element{xmlstream.E("a"), xmlstream.T("b", "x<y"), xmlstream.E("c", xmlstream.T("d", "1.5"))}},
+		{Type: FrameBatch, Seq: 1, Stream: "s", Elems: nil},
 		{Type: FrameAck, Seq: 7, Stream: "photons", Consumer: "q1/photons", Ack: 1234},
 		{Type: FrameLinkAck, Ack: 55},
 		{Type: FrameHeartbeat, Seq: 0, Peers: []string{"SP0", "SP1"}, Links: []string{"SP0", "SP1", "SP1", "SP2"}},
@@ -47,8 +50,8 @@ func TestFrameRoundTrip(t *testing.T) {
 // normalize maps empty slices to nil so DeepEqual compares logical content.
 func normalize(f *Frame) *Frame {
 	c := *f
-	if len(c.Items) == 0 {
-		c.Items = nil
+	if len(c.Elems) == 0 {
+		c.Elems = nil
 	}
 	if len(c.Span) == 0 {
 		c.Span = nil
@@ -62,9 +65,54 @@ func normalize(f *Frame) *Frame {
 	return &c
 }
 
+// goldenBatch is a fixed Batch frame and the bytes AppendFrame produced for
+// it at the last commit whose Frame carried the items as bytes (cfbebd2):
+// the layout every journal on disk holds.
+func goldenBatch() (*Frame, []byte) {
+	E, T := xmlstream.E, xmlstream.T
+	f := &Frame{Type: FrameBatch, Seq: 7, Stream: "q1/photons", Hop: 2, Epoch: 3, SeqLo: 41, EOS: true,
+		Span: []byte{1, 2, 3},
+		Elems: []*xmlstream.Element{
+			E("photon", E("coord", E("cel", T("ra", "120.3"), T("dec", "-12.5"))), T("en", "1.32"), E("det")),
+			E("hot", T("en", "2.5")),
+		}}
+	b, err := hex.DecodeString("03070a71312f70686f746f6e730203290103010203025c3c70686f746f6e3e3c636f6f72643e3c63656c3e" +
+		"3c72613e3132302e333c2f72613e3c6465633e2d31322e353c2f6465633e3c2f63656c3e3c2f636f6f72643e3c656e3e312e33323c2f656e3e" +
+		"3c6465742f3e3c2f70686f746f6e3e173c686f743e3c656e3e322e353c2f656e3e3c2f686f743e")
+	if err != nil {
+		panic(err)
+	}
+	return f, b
+}
+
+// TestFrameBatchGolden pins the Batch layout to the parent commit's bytes,
+// both ways: a journal written before the frame held trees stays readable,
+// and one written now is what that build would have written.
+func TestFrameBatchGolden(t *testing.T) {
+	f, golden := goldenBatch()
+	if got := AppendFrame(nil, f); !bytes.Equal(got, golden) {
+		t.Fatalf("AppendFrame:\n %x\nparent wrote\n %x", got, golden)
+	}
+	got, err := DecodeFrame(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(normalize(got), normalize(f)) {
+		t.Fatalf("parent's bytes decode to %+v, want %+v", got, f)
+	}
+}
+
+// malformedItemBatch is a well-formed Batch frame whose one item is not XML.
+func malformedItemBatch() []byte {
+	b := appendBatchHead([]byte{byte(FrameBatch), 1}, &Frame{Stream: "s"})
+	b = append(b, 1) // one item
+	return appendString(b, "<photon><en>1.5</photon>")
+}
+
 func TestFrameDecodeRejectsCorrupt(t *testing.T) {
 	valid := EncodeFrame(sampleFrames()[2])
 	cases := map[string][]byte{
+		"malformed item": malformedItemBatch(),
 		"empty":          {},
 		"unknown type":   {0xEE, 0},
 		"zero type":      {0, 0},

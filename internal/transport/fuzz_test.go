@@ -1,8 +1,11 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"testing"
+
+	"streamshare/internal/xmlstream"
 )
 
 // FuzzChannel drives the replay-buffer/ack/dedup state machine with random
@@ -24,7 +27,7 @@ func FuzzChannel(f *testing.F) {
 		}
 
 		// Model state.
-		emitted := map[uint64][]byte{} // seq → payload
+		emitted := map[uint64]*xmlstream.Element{} // seq → item
 		var lastSeq uint64
 		acked := map[string]uint64{"a": 0, "b": 0}
 		minAck := func() uint64 {
@@ -52,7 +55,7 @@ func FuzzChannel(f *testing.F) {
 					}
 					continue
 				}
-				data := []byte(fmt.Sprintf("p%d", arg))
+				data := xmlstream.T("p", fmt.Sprint(arg))
 				seq := c.Emit(data, false)
 				lastSeq++
 				if seq != lastSeq {
@@ -132,8 +135,8 @@ func FuzzChannel(f *testing.F) {
 				t.Fatalf("op %d: cumAck %d, model %d", i, c.CumAck(), minAck())
 			}
 			for _, e := range c.UnackedAfter(0) {
-				if string(emitted[e.Seq]) != string(e.Data) {
-					t.Fatalf("op %d: buffer seq %d holds %q, model %q", i, e.Seq, e.Data, emitted[e.Seq])
+				if emitted[e.Seq] != e.Elem {
+					t.Fatalf("op %d: buffer seq %d holds %v, model %v", i, e.Seq, e.Elem, emitted[e.Seq])
 				}
 			}
 			if int(lastSeq-minAck()) > window {
@@ -144,9 +147,11 @@ func FuzzChannel(f *testing.F) {
 }
 
 // FuzzFrame round-trips the length-prefixed frame codec: arbitrary input
-// must either decode into a frame that re-encodes byte-identically, or
-// error — never panic, and never allocate beyond the input's own size
-// (corrupt counts and lengths are bounded against the remaining bytes).
+// must either decode into a frame that re-encodes to a fixed point — a
+// batch's element trees coming back Equal — or fail with ErrFrame, a batch
+// item that is not XML included; never panic, and never allocate beyond the
+// input's own size (corrupt counts and lengths are bounded against the
+// remaining bytes).
 func FuzzFrame(f *testing.F) {
 	for _, fr := range sampleFrames() {
 		f.Add(EncodeFrame(fr))
@@ -154,14 +159,19 @@ func FuzzFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{byte(FrameBatch), 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{byte(FrameHeartbeat), 0, 0xFE, 0x01})
+	f.Add(malformedItemBatch())
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		fr, err := DecodeFrame(payload)
 		if err != nil {
+			if !errors.Is(err, ErrFrame) {
+				t.Fatalf("decode error %v does not wrap ErrFrame", err)
+			}
 			return
 		}
 		// Valid decode: the canonical re-encode must itself decode, and
 		// canonicalization must be a fixed point (the input may use
-		// non-minimal varints; the first re-encode normalizes them).
+		// non-minimal varints and any XML spelling of an item; the first
+		// re-encode normalizes them).
 		again := EncodeFrame(fr)
 		fr2, err := DecodeFrame(again)
 		if err != nil {
@@ -170,8 +180,13 @@ func FuzzFrame(f *testing.F) {
 		if third := EncodeFrame(fr2); string(third) != string(again) {
 			t.Fatalf("canonical encoding unstable:\n1: %x\n2: %x", again, third)
 		}
-		if fr2.Type != fr.Type || fr2.Seq != fr.Seq {
-			t.Fatalf("unstable decode: %v/%d vs %v/%d", fr.Type, fr.Seq, fr2.Type, fr2.Seq)
+		if fr2.Type != fr.Type || fr2.Seq != fr.Seq || len(fr2.Elems) != len(fr.Elems) {
+			t.Fatalf("unstable decode: %v/%d/%d vs %v/%d/%d", fr.Type, fr.Seq, len(fr.Elems), fr2.Type, fr2.Seq, len(fr2.Elems))
+		}
+		for i, e := range fr.Elems {
+			if !e.Equal(fr2.Elems[i]) {
+				t.Fatalf("item %d changed across a re-encode: %s vs %s", i, xmlstream.Marshal(e), xmlstream.Marshal(fr2.Elems[i]))
+			}
 		}
 	})
 }

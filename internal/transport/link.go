@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"time"
 
 	"streamshare/internal/wire"
@@ -24,10 +25,10 @@ import (
 // Two scopes, deliberately different: the sequence space belongs to the
 // link for life — it never restarts, across reconnects or (on durable
 // links, whose WAL backs the same Channel) across process restarts — while
-// everything a handshake negotiates, the item codec and its dictionaries
-// included, belongs to the one conn that handshake opened. The journal
-// therefore holds frames, not encodings, and a reconnect is nothing more
-// than fresh dictionaries plus a replay from the peer's resume cursor.
+// the wire codec's dictionaries, seeded by what the handshake agreed, belong
+// to the one conn that handshake opened. The journal therefore holds frames,
+// not encodings, and a reconnect is nothing more than fresh dictionaries plus
+// a replay from the peer's resume cursor.
 //
 // Reconnect state machine (Link.phase):
 //
@@ -67,19 +68,13 @@ type LinkStats struct {
 	SendWaits uint64
 	// Depth is the replay journal depth at snapshot time.
 	Depth int
-	// Codec is the item codec the link's latest completed handshake
-	// negotiated ("" before any handshake). Every conn negotiates afresh:
-	// the replay journal holds frames, not encodings.
-	Codec string
-	// EncodedItems and DecodedItems count items transformed by a non-xml
-	// codec (xml conns ship item bytes verbatim and count nothing here).
+	// EncodedItems and DecodedItems count items through the wire codec.
 	// Replayed frames are encoded again and recount, like FramesSent; a
 	// replay's duplicates are decoded, to keep the conn's dictionary in
 	// step, but only accepted batches count as decoded.
 	EncodedItems, DecodedItems uint64
 	// SeededNames is how many dictionary names the latest handshake's
-	// dictseed negotiation pre-loaded into the conn's codec tables (0 on
-	// xml conns and with peers that predate seeding).
+	// dictseed agreement pre-loaded into the conn's codec tables.
 	SeededNames int
 	// EncodedXMLBytes/EncodedWireBytes are outbound batch sizes before and
 	// after the codec. Their ratio is the measured outbound compression.
@@ -121,12 +116,10 @@ type Link struct {
 	recvSince int
 	closed    bool
 
-	// codec names what the latest handshake negotiated and enc is the
-	// current conn's encoder half (nil on xml conns and while detached),
-	// used by the writer alone. The matching decoder belongs to the conn's
-	// reader; neither survives the conn.
-	codec string
-	enc   wire.TreeEncoder
+	// enc is the current conn's encoder half (nil while detached), used by
+	// the writer alone. The matching decoder belongs to the conn's reader;
+	// neither survives the conn.
+	enc *wire.BinaryEncoder
 	// encBuf is the writer goroutine's reused codec scratch (not under mu).
 	encBuf []byte
 
@@ -139,36 +132,20 @@ type Link struct {
 	attachN int
 }
 
-// connCodec is what one completed handshake mints for its conn: the
-// negotiated codec's name and, off xml, a fresh encoder for the link's
-// writer and a fresh decoder for the conn's reader, both pre-loaded with
-// the seed list that handshake agreed on.
+// connCodec is what one completed handshake mints for its conn: a fresh
+// encoder for the link's writer and a fresh decoder for the conn's reader,
+// both pre-loaded with the seed list that handshake agreed on.
 type connCodec struct {
-	name   string
-	enc    wire.TreeEncoder
-	dec    wire.TreeDecoder
+	enc    *wire.BinaryEncoder
+	dec    *wire.BinaryDecoder
 	seeded int
 }
 
-// newConnCodec mints the codec halves for a conn. Items are element trees
-// everywhere inside a process, so a non-xml codec whose halves cannot carry
-// trees fails the handshake.
-func newConnCodec(name string, seed []string) (connCodec, error) {
-	if name == wire.CodecXML {
-		return connCodec{name: name}, nil
-	}
-	c := wire.Lookup(name)
-	if c == nil {
-		return connCodec{}, fmt.Errorf("transport: handshake: unknown codec %q", name)
-	}
-	enc, encOK := c.NewEncoder().(wire.TreeEncoder)
-	dec, decOK := c.NewDecoder().(wire.TreeDecoder)
-	if !encOK || !decOK {
-		return connCodec{}, fmt.Errorf("transport: handshake: codec %q cannot carry element trees", name)
-	}
-	enc.SeedShared(seed)
-	dec.SeedShared(seed)
-	return connCodec{name: name, enc: enc, dec: dec, seeded: len(seed)}, nil
+func newConnCodec(seed []string) connCodec {
+	cc := connCodec{enc: wire.NewBinaryEncoder(), dec: wire.NewBinaryDecoder(), seeded: len(seed)}
+	cc.enc.SeedShared(seed)
+	cc.dec.SeedShared(seed)
+	return cc
 }
 
 // Remote returns the remote node's name.
@@ -179,9 +156,9 @@ func (l *Link) Remote() string { return l.remote }
 // journal keeps the link's own shallow copy, stamped with the link
 // sequence — the caller's frame is left untouched, so one frame may be sent
 // on several links — and retains whatever the frame references (element
-// trees, item bytes, span header) until the peer acks it: callers must not
-// modify those afterwards. Trees stay trees in the journal; the writer
-// encodes them for whichever conn carries the frame.
+// trees, span header) until the peer acks it: callers must not modify those
+// afterwards. Trees stay trees in the journal; the writer encodes them for
+// whichever conn carries the frame.
 func (l *Link) Send(f *Frame) error {
 	own := *f
 	l.mu.Lock()
@@ -212,79 +189,37 @@ func (l *Link) Send(f *Frame) error {
 // up (the receive side filters them symmetrically). Callers hold l.mu.
 func (l *Link) journalSendLocked(f *Frame) {
 	if l.dur != nil && f.Type != FrameAck {
-		l.dur.journalSend(f.Seq, appendPlain(nil, f))
+		l.dur.journalSend(f.Seq, AppendFrame(nil, f))
 	}
 }
 
-// appendWire appends a journaled frame's wire image for a conn whose
-// handshake minted enc (nil on xml conns), adding what the codec
-// transformed to sum's Encoded* counters. Batches cross a codec conn as BatchBin: element trees take
-// the zero-XML path, priced with xmlstream.MarshalSize instead of
-// materialized, and item bytes — the form a recovered journal holds — the
-// byte path. Only the link's writer calls it, in journal order, which is
-// what keeps the conn's dictionary deltas in sequence.
-func (l *Link) appendWire(dst []byte, f *Frame, enc wire.TreeEncoder, sum *LinkStats) []byte {
-	if enc == nil || f.Type != FrameBatch {
-		return appendPlain(dst, f)
+// appendWire appends a journaled frame's wire image for the conn whose
+// handshake minted enc, adding what the codec transformed to sum's Encoded*
+// counters. A batch crosses as BatchBin, its trees encoded straight into the
+// payload and priced with xmlstream.MarshalSize instead of materialized. Only
+// the link's writer calls it, in journal order, which is what keeps the
+// conn's dictionary deltas in sequence.
+func (l *Link) appendWire(dst []byte, f *Frame, enc *wire.BinaryEncoder, sum *LinkStats) []byte {
+	if f.Type != FrameBatch {
+		return AppendFrame(dst, f)
 	}
 	start := time.Now()
-	items, xmlBytes := 0, 0
-	if len(f.Items) == 0 && len(f.Elems) > 0 {
-		l.encBuf = enc.EncodeElems(l.encBuf[:0], f.Elems)
-		items = len(f.Elems)
-		for _, e := range f.Elems {
-			xmlBytes += xmlstream.MarshalSize(e)
-		}
-	} else {
-		l.encBuf = enc.EncodeBatch(l.encBuf[:0], f.Items)
-		items = len(f.Items)
-		for _, it := range f.Items {
-			xmlBytes += len(it)
-		}
+	l.encBuf = enc.EncodeElems(l.encBuf[:0], f.Elems)
+	xmlBytes := 0
+	for _, e := range f.Elems {
+		xmlBytes += xmlstream.MarshalSize(e)
 	}
 	bin := *f
 	bin.Type = FrameBatchBin
-	bin.Items = nil
 	bin.Elems = nil
 	bin.Data = l.encBuf
-	sum.EncodedItems += uint64(items)
+	sum.EncodedItems += uint64(len(f.Elems))
 	sum.EncodedXMLBytes += uint64(xmlBytes)
 	sum.EncodedWireBytes += uint64(len(bin.Data))
 	if obs := l.mesh.obsWire; obs != nil {
-		obs("encode", time.Since(start).Seconds(), items, xmlBytes, len(bin.Data))
+		obs("encode", time.Since(start).Seconds(), len(f.Elems), xmlBytes, len(bin.Data))
 	}
 	return AppendFrame(dst, &bin)
-}
-
-// appendPlain appends f's codec-independent wire image: element-tree
-// batches are materialized to their XML item form — what an xml conn
-// carries, and what the WAL holds so a recovered process can replay the
-// frame through whatever codec its next conn negotiates.
-func appendPlain(dst []byte, f *Frame) []byte {
-	if f.Type == FrameBatch && len(f.Items) == 0 && len(f.Elems) > 0 {
-		p := *f
-		p.Items = marshalElems(f.Elems)
-		p.Elems = nil
-		f = &p
-	}
-	return AppendFrame(dst, f)
-}
-
-// marshalElems materializes the canonical XML bytes of a batch of element
-// trees in one allocation — what xml conns and the WAL carry.
-func marshalElems(elems []*xmlstream.Element) [][]byte {
-	total := 0
-	for _, e := range elems {
-		total += xmlstream.MarshalSize(e)
-	}
-	buf := make([]byte, 0, total)
-	items := make([][]byte, len(elems))
-	for i, e := range elems {
-		start := len(buf)
-		buf = xmlstream.AppendMarshal(buf, e)
-		items[i] = buf[start:len(buf):len(buf)]
-	}
-	return items
 }
 
 // decodeBatch rewrites an inbound BatchBin frame into a plain Batch of
@@ -293,7 +228,7 @@ func marshalElems(elems []*xmlstream.Element) [][]byte {
 // allocated, so the frame may outlive the conn's read buffer. It runs on
 // the conn's reader for every BatchBin in arrival order, duplicates
 // included, because each payload may extend the conn's dictionary.
-func (l *Link) decodeBatch(f *Frame, dec wire.TreeDecoder) (xmlBytes int, err error) {
+func (l *Link) decodeBatch(f *Frame, dec *wire.BinaryDecoder) (xmlBytes int, err error) {
 	start := time.Now()
 	wireBytes := len(f.Data)
 	elems, err := dec.DecodeElems(f.Data)
@@ -354,7 +289,6 @@ func (l *Link) Stats() LinkStats {
 	s.Remote = l.remote
 	s.Phase = l.phase
 	s.Depth = l.out.Depth()
-	s.Codec = l.codec
 	return s
 }
 
@@ -366,13 +300,9 @@ func (l *Link) dumpState(w io.Writer) {
 	if l.conn != nil {
 		conn = "attached"
 	}
-	codec := l.codec
-	if codec == "" {
-		codec = "unnegotiated"
-	}
-	fmt.Fprintf(w, "  link %s: phase=%s conn=%s gen=%d codec=%s out[next=%d cumack=%d depth=%d] in[next=%d] "+
+	fmt.Fprintf(w, "  link %s: phase=%s conn=%s gen=%d out[next=%d cumack=%d depth=%d] in[next=%d] "+
 		"sent=%d frames[tx=%d rx=%d] reconnects=%d replayed=%d waits=%d queue=%d\n",
-		l.remote, l.phase, conn, l.gen, codec, l.out.NextSeq(), l.out.CumAck(), l.out.Depth(),
+		l.remote, l.phase, conn, l.gen, l.out.NextSeq(), l.out.CumAck(), l.out.Depth(),
 		l.in.Next(), l.sent, l.stats.FramesSent, l.stats.FramesRecv,
 		l.stats.Reconnects, l.stats.Replayed, l.stats.SendWaits, l.q.len())
 }
@@ -395,7 +325,7 @@ func (l *Link) attachLocked(conn Conn, peerResume uint64, cc connCodec) {
 	}
 	l.gen++
 	l.conn = conn
-	l.codec, l.enc = cc.name, cc.enc
+	l.enc = cc.enc
 	l.stats.SeededNames = cc.seeded
 	l.phase = "connected"
 	if peerResume > 0 {
@@ -535,7 +465,7 @@ func (l *Link) writer() {
 // acknowledged cumulatively, and handed to the dispatch queue; LinkAcks
 // trim the journal and wake blocked senders. A read or decode error
 // detaches the conn (if it is still the current one) and ends the reader.
-func (l *Link) reader(conn Conn, gen int, dec wire.TreeDecoder) {
+func (l *Link) reader(conn Conn, gen int, dec *wire.BinaryDecoder) {
 	defer l.mesh.wg.Done()
 	for {
 		if idle := l.mesh.idleTimeout; idle > 0 {
@@ -547,8 +477,9 @@ func (l *Link) reader(conn Conn, gen int, dec wire.TreeDecoder) {
 			return
 		}
 		f, err := DecodeFrame(payload)
-		if err != nil {
-			// Protocol corruption: drop the conn, let replay re-deliver.
+		if err != nil || f.Type == FrameBatch {
+			// Protocol corruption — a plain Batch is the journal's form of a
+			// batch, never a conn's: drop the conn, let replay re-deliver.
 			l.teardown(conn, gen)
 			return
 		}
@@ -558,13 +489,8 @@ func (l *Link) reader(conn Conn, gen int, dec wire.TreeDecoder) {
 			// Decoded before the dedup cursor sees the frame and outside
 			// l.mu: the dictionary is this conn's alone, so it advances once
 			// per frame the conn carries whatever the cursor then decides. A
-			// binary batch on an xml conn is a protocol violation; a decode
-			// error drops the conn before the cursor moves, and the peer's
-			// journal replays the frame through a fresh dictionary.
-			if dec == nil {
-				l.teardown(conn, gen)
-				return
-			}
+			// decode error drops the conn before the cursor moves, and the
+			// peer's journal replays the frame through a fresh dictionary.
 			if xmlBytes, err = l.decodeBatch(f, dec); err != nil {
 				l.teardown(conn, gen)
 				return
@@ -618,7 +544,7 @@ func (l *Link) reader(conn Conn, gen int, dec wire.TreeDecoder) {
 				// Journal before dispatch: once we ack this sequence the
 				// peer trims it, so our own journal must be able to
 				// re-deliver it after a crash.
-				l.dur.journalRecv(f.Seq, appendPlain(nil, f))
+				l.dur.journalRecv(f.Seq, AppendFrame(nil, f))
 			}
 		}
 		l.recvSince++
@@ -693,7 +619,7 @@ func (l *Link) dialLoop() {
 			l.mesh.trackPending(conn, true)
 			var peerResume uint64
 			var cc connCodec
-			peerResume, cc, err = handshakeDial(conn, l.mesh.node, l.remote, resume, l.mesh.codecs, l.mesh.seed, l.mesh.hsTimeout)
+			peerResume, cc, err = l.handshakeDial(conn, resume)
 			l.mesh.trackPending(conn, false)
 			if err == nil {
 				l.mu.Lock()
@@ -720,32 +646,23 @@ func (l *Link) dialLoop() {
 }
 
 // handshakeDial runs the dialer's half of the handshake: send Hello with
-// our identity, resume cursor and capability map (the codec preference
-// list, plus the dictseed key whose presence advertises dictionary-seeding
-// support and whose value is our configured seed vocabulary), require a
-// version- and name-matching Welcome, and return the acceptor's resume
-// cursor with the codec halves for this conn, minted from the acceptor's
-// codec choice and the agreed seed list. The Welcome's dictseed value is
-// authoritative — the acceptor only emits it when the negotiated codec is
-// tree-capable and we advertised the key, so both sides seed the identical
-// list or neither seeds. A Welcome without capabilities is an old peer; the
-// choice then defaults to xml and no seeding happens. A choice we never
-// offered is a protocol error.
+// our identity, resume cursor and capability map (the dictseed key, whose
+// value is our configured seed vocabulary), require a version- and
+// name-matching Welcome — anything else is refused, with the reason left in
+// the flight recorder — and return the acceptor's resume cursor with the
+// codec halves for this conn, seeded with the list the Welcome carries: the
+// acceptor's answer is authoritative, so both sides seed the identical list.
 //
-// hsTimeout bounds the Welcome read so a half-open acceptor cannot wedge
-// the dial loop.
-func handshakeDial(conn Conn, node, remote string, resume uint64, codecs, seed []string, hsTimeout time.Duration) (uint64, connCodec, error) {
+// The mesh's handshake timeout bounds the Welcome read so a half-open
+// acceptor cannot wedge the dial loop.
+func (l *Link) handshakeDial(conn Conn, resume uint64) (uint64, connCodec, error) {
 	hello := &Frame{
-		Type: FrameHello, Version: ProtocolVersion, Node: node, Resume: resume,
-		Options: map[string]string{
-			"caps.v":   "1",
-			"codec":    wire.FormatList(codecs),
-			"dictseed": wire.FormatList(seed),
-		},
+		Type: FrameHello, Version: ProtocolVersion, Node: l.mesh.node, Resume: resume,
+		Options: map[string]string{"caps.v": "1", "dictseed": formatList(l.mesh.seed)},
 	}
-	if hsTimeout > 0 {
-		conn.SetReadDeadline(time.Now().Add(hsTimeout)) //nolint:errcheck // a failed deadline surfaces as a read error
-		defer conn.SetReadDeadline(time.Time{})         //nolint:errcheck // cleared best-effort; reads own their deadlines
+	if hs := l.mesh.hsTimeout; hs > 0 {
+		conn.SetReadDeadline(time.Now().Add(hs)) //nolint:errcheck // a failed deadline surfaces as a read error
+		defer conn.SetReadDeadline(time.Time{})  //nolint:errcheck // cleared best-effort; reads own their deadlines
 	}
 	if err := conn.WriteFrame(EncodeFrame(hello)); err != nil {
 		return 0, connCodec{}, err
@@ -762,33 +679,26 @@ func handshakeDial(conn Conn, node, remote string, resume uint64, codecs, seed [
 		return 0, connCodec{}, fmt.Errorf("transport: handshake: expected welcome, got %s", f.Type)
 	}
 	if f.Version != ProtocolVersion {
-		return 0, connCodec{}, fmt.Errorf("transport: handshake: version %d, want %d", f.Version, ProtocolVersion)
+		return 0, connCodec{}, l.mesh.refuse(f, "version mismatch")
 	}
-	if f.Node != remote {
-		return 0, connCodec{}, fmt.Errorf("transport: handshake: connected to %q, want %q", f.Node, remote)
+	if f.Node != l.remote {
+		return 0, connCodec{}, l.mesh.refuse(f, fmt.Sprintf("dialed %q", l.remote))
 	}
-	codec := f.Options["codec"]
-	if codec == "" {
-		codec = wire.CodecXML
-	}
-	if codec != wire.CodecXML {
-		offered := false
-		for _, c := range codecs {
-			if c == codec {
-				offered = true
-				break
-			}
-		}
-		if !offered {
-			return 0, connCodec{}, fmt.Errorf("transport: handshake: peer chose codec %q we never offered", codec)
+	return f.Resume, newConnCodec(parseList(f.Options["dictseed"])), nil
+}
+
+// formatList renders a name list as a handshake capability value and
+// parseList splits one, dropping empty entries.
+func formatList(names []string) string { return strings.Join(names, ",") }
+
+func parseList(s string) []string {
+	var out []string
+	for _, part := range strings.Split(s, ",") {
+		if part = strings.TrimSpace(part); part != "" {
+			out = append(out, part)
 		}
 	}
-	var agreed []string
-	if v, ok := f.Options["dictseed"]; ok && wire.SupportsTrees(codec) {
-		agreed = wire.ParseList(v)
-	}
-	cc, err := newConnCodec(codec, agreed)
-	return f.Resume, cc, err
+	return out
 }
 
 // frameQueue decouples the conn reader from frame handling: the reader

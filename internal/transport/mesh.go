@@ -12,7 +12,6 @@ import (
 
 	"streamshare/internal/durable"
 	"streamshare/internal/obs"
-	"streamshare/internal/wire"
 )
 
 // chanLock is a mutex with an attached condition variable; Wait and
@@ -50,24 +49,17 @@ type MeshConfig struct {
 	// heartbeat, control), per link in arrival order. It runs on a
 	// per-link dispatcher goroutine and may send on other links, but must
 	// not call back into Mesh.Close. BatchBin frames are decoded by the
-	// link before dispatch, so the handler only ever sees FrameBatch —
-	// with Items set on xml links, or Elems (parsed element trees, Items
-	// nil) on links whose codec is tree-capable.
+	// link before dispatch, so the handler only ever sees FrameBatch, its
+	// items element trees in Elems.
 	Handler func(remote string, f *Frame)
 	// Window bounds each link's replay journal in frames
 	// (DefaultLinkWindow when 0).
 	Window int
-	// Codecs is the preference-ordered list of item codecs this node
-	// advertises in handshakes; nil means wire.DefaultCodecs() (binary
-	// first). Every conn's handshake negotiates afresh; []string{"xml"}
-	// forces the verbatim-XML baseline for debugging.
-	Codecs []string
 	// SeedNames is the element-name vocabulary (typically a stream
 	// schema's, via xmlstream.Schema.Names) offered for dictionary seeding
-	// in handshakes. When a conn negotiates a tree-capable codec with a
-	// seeding-aware peer, both sides pre-load that conn's dictionaries with
-	// the agreed list — the dialer's when it offers one, else the acceptor's
-	// — so steady-state payloads carry no dictionary deltas. Names containing
+	// in handshakes. Both sides of a conn pre-load its dictionaries with the
+	// agreed list — the dialer's when it offers one, else the acceptor's —
+	// so steady-state payloads carry no dictionary deltas. Names containing
 	// commas (illegal in XML names, but the capability value is a
 	// comma-separated list) are dropped at construction.
 	SeedNames []string
@@ -95,7 +87,7 @@ type MeshConfig struct {
 	DurableSyncInterval time.Duration
 	// Metrics, when set, receives the durable.* WAL metrics.
 	Metrics *obs.Registry
-	// Flight, when set, records wal.* flight events.
+	// Flight, when set, records wal.* and handshake.refuse flight events.
 	Flight *obs.FlightRecorder
 	// HandshakeTimeout bounds each handshake's blocking reads on both
 	// sides (10s when 0, negative disables): a half-open peer that dials
@@ -117,8 +109,8 @@ type MeshConfig struct {
 // Mesh is one node's endpoint in the super-peer network: a listener, a
 // named identity, and one managed Link per remote node. It owns the
 // connection lifecycle end to end — accepting and dialing conns, running
-// the Hello/Welcome handshake (version check, capability/codec
-// negotiation, resume-cursor exchange), attaching conns to links, and
+// the Hello/Welcome handshake (version check, dictionary-seed agreement,
+// resume-cursor exchange), attaching conns to links, and
 // flushing tail acks — while the links themselves own sequencing, replay
 // and dispatch. Membership is static: inbound handshakes from node names
 // never registered via Connect are refused. All methods are safe for
@@ -129,7 +121,6 @@ type Mesh struct {
 	ln      Listener
 	handler func(remote string, f *Frame)
 	window  int
-	codecs  []string
 	seed    []string
 	obsWire func(op string, seconds float64, items, xmlBytes, wireBytes int)
 
@@ -164,13 +155,6 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultLinkWindow
 	}
-	if cfg.Codecs == nil {
-		cfg.Codecs = wire.DefaultCodecs()
-	}
-	if err := wire.Supported(cfg.Codecs); err != nil {
-		ln.Close()
-		return nil, err
-	}
 	var seed []string
 	for _, name := range cfg.SeedNames {
 		if name != "" && !strings.Contains(name, ",") {
@@ -189,7 +173,6 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 		ln:          ln,
 		handler:     cfg.Handler,
 		window:      cfg.Window,
-		codecs:      cfg.Codecs,
 		seed:        seed,
 		obsWire:     cfg.ObserveWire,
 		durDir:      cfg.DataDir,
@@ -346,85 +329,76 @@ func (m *Mesh) acceptLoop() {
 }
 
 // handleIncoming runs the accepting half of the handshake: require a
-// version-matching Hello from a known remote, choose this conn's codec,
-// answer with Welcome and our resume cursor, and attach the conn — with the
-// codec halves minted for it — to the remote's link. The halves are minted
-// before the Welcome is written so it never advertises a choice we cannot
-// honor.
+// version-matching Hello from a known remote — anything else is refused, with
+// the reason left in the flight recorder — agree on this conn's dictionary
+// seed (the dialer's list when it offered one, our own otherwise; the Welcome
+// carries the agreed list back and is authoritative for both sides), answer
+// with Welcome and our resume cursor, and attach the conn, with the codec
+// halves minted for it, to the remote's link.
 func (m *Mesh) handleIncoming(conn Conn) {
 	defer m.wg.Done()
 	if !m.trackPending(conn, true) {
 		conn.Close()
 		return
 	}
+	attached := false
+	defer func() {
+		m.trackPending(conn, false)
+		if !attached {
+			conn.Close()
+		}
+	}()
 	if hs := m.hsTimeout; hs > 0 {
 		conn.SetReadDeadline(time.Now().Add(hs)) //nolint:errcheck // a failed deadline surfaces as a read error
 	}
 	payload, err := conn.ReadFrame()
 	if err != nil {
-		m.trackPending(conn, false)
-		conn.Close()
 		return
 	}
-	f, derr := DecodeFrame(payload)
-	if derr != nil || f.Type != FrameHello || f.Version != ProtocolVersion {
-		m.trackPending(conn, false)
-		conn.Close()
+	f, err := DecodeFrame(payload)
+	if err != nil || f.Type != FrameHello {
+		return
+	}
+	if f.Version != ProtocolVersion {
+		m.refuse(f, "version mismatch") //nolint:errcheck // recorded; the dialer sees the close
 		return
 	}
 	m.mu.Lock()
 	l := m.links[f.Node]
 	m.mu.Unlock()
 	if l == nil {
-		// Unknown peer identity: membership is static, refuse.
-		m.trackPending(conn, false)
-		conn.Close()
+		m.refuse(f, "unknown node: membership is static") //nolint:errcheck // recorded; the dialer sees the close
 		return
 	}
-	// Capability negotiation: pick the first of our preferences the dialer
-	// also offered; a Hello without capabilities is an old peer, which
-	// wire.Negotiate resolves to the universal xml fallback.
-	choice := wire.Negotiate(m.codecs, wire.ParseList(f.Options["codec"]))
-	// Dictionary seeding: only when the dialer advertised the dictseed
-	// capability AND the chosen codec can use it. The agreed list — the
-	// dialer's when it offered one, our own otherwise — goes back in the
-	// Welcome, which is authoritative for both sides; a dialer that never
-	// sent the key gets no echo and neither side seeds.
-	var seed []string
-	seeded := false
-	if v, ok := f.Options["dictseed"]; ok && wire.SupportsTrees(choice) {
-		seed = wire.ParseList(v)
-		if len(seed) == 0 {
-			seed = m.seed
-		}
-		seeded = true
-	}
-	cc, err := newConnCodec(choice, seed)
-	if err != nil {
-		m.trackPending(conn, false)
-		conn.Close()
-		return
+	seed := parseList(f.Options["dictseed"])
+	if len(seed) == 0 {
+		seed = m.seed
 	}
 	welcome := &Frame{
 		Type: FrameWelcome, Version: ProtocolVersion, Node: m.node,
-		Options: map[string]string{"caps.v": "1", "codec": choice},
-	}
-	if seeded {
-		welcome.Options["dictseed"] = wire.FormatList(seed)
+		Options: map[string]string{"caps.v": "1", "dictseed": formatList(seed)},
 	}
 	l.mu.Lock()
 	welcome.Resume = l.in.Next()
 	l.mu.Unlock()
 	if err := conn.WriteFrame(EncodeFrame(welcome)); err != nil {
-		m.trackPending(conn, false)
-		conn.Close()
 		return
 	}
-	m.trackPending(conn, false)
 	conn.SetReadDeadline(time.Time{}) //nolint:errcheck // handshake deadline over; the reader arms its own
+	attached = true
 	l.mu.Lock()
-	l.attachLocked(conn, f.Resume, cc)
+	l.attachLocked(conn, f.Resume, newConnCodec(seed))
 	l.mu.Unlock()
+}
+
+// refuse turns a handshake down for the stated reason: it records a
+// handshake.refuse flight event naming the remote node, its protocol version
+// and ours, and returns the same as an error.
+func (m *Mesh) refuse(f *Frame, why string) error {
+	err := fmt.Errorf("transport: handshake: %s refuses %s from node %q: %s (it speaks protocol version %d, this build %d)",
+		m.node, f.Type, f.Node, why, f.Version, ProtocolVersion)
+	m.flight.Record("handshake.refuse", err.Error())
+	return err
 }
 
 // trackPending records a conn that is mid-handshake (blocked reads with

@@ -1,17 +1,17 @@
 package wire
 
 import (
-	"bytes"
 	"testing"
+
+	"streamshare/internal/xmlstream"
 )
 
-// FuzzWireRoundTrip is the codec's acceptance fuzz target: for ANY byte
-// string — canonical XML, malformed XML, binary garbage — encoding it as a
-// one-item batch and decoding the payload must reproduce it byte for byte.
-// This is the invariant that keeps distributed runs item-identical to the
-// simulator: the binary codec may choose the dictionary path or the raw
-// fallback per item, but the receiver always reconstructs the sender's
-// exact canonical bytes.
+// FuzzWireRoundTrip feeds the codec items as they enter the system — XML
+// text, through the parser: whatever tree a byte string parses to crosses
+// the wire unchanged, twice on one dictionary (the second encounter reuses
+// the ids the first assigned). FuzzWireElems covers generated trees; this
+// covers the trees real documents produce (entities, trimmed text,
+// attribute-free fallbacks of the standard decoder).
 func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte(`<photon><coord><cel><ra>120.3</ra><dec>-12.5</dec></cel></coord><en>1.32</en></photon>`))
 	f.Add([]byte(`<a/>`))
@@ -22,40 +22,35 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte(`not xml`))
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0xff, 0x80})
+	f.Add([]byte(`<en>a&lt;b &amp; c</en>`))
 	f.Fuzz(func(t *testing.T, item []byte) {
+		el, err := xmlstream.UnmarshalBytes(item)
+		if err != nil {
+			return
+		}
 		enc := NewBinaryEncoder()
 		dec := NewBinaryDecoder()
-		// Two batches on one dictionary: the item alone, then the item
-		// twice (second encounter reuses assigned ids).
-		for bi, batch := range [][][]byte{{item}, {item, item}} {
-			payload := enc.EncodeBatch(nil, batch)
-			got, err := dec.DecodeBatch(payload)
+		for bi, batch := range [][]*xmlstream.Element{{el}, {el, el}} {
+			got, err := dec.DecodeElems(enc.EncodeElems(nil, batch))
 			if err != nil {
 				t.Fatalf("batch %d: decode of own encoding failed: %v", bi, err)
 			}
-			if len(got) != len(batch) {
-				t.Fatalf("batch %d: %d items, want %d", bi, len(got), len(batch))
-			}
-			for i := range batch {
-				if !bytes.Equal(got[i], batch[i]) {
-					t.Fatalf("batch %d item %d: decode(encode(%q)) = %q", bi, i, batch[i], got[i])
-				}
-			}
+			requireSame(t, "batch", got, batch)
 		}
 	})
 }
 
 // FuzzWireDecode hammers the decoder with arbitrary payloads: it must never
-// panic, never allocate past the decode bound, and leave the dictionary
-// consistent enough that a valid payload still decodes afterwards.
+// panic, never allocate past the decode bound, leave the dictionary as it
+// found it on error, and hand back only trees that survive a second trip.
 func FuzzWireDecode(f *testing.F) {
-	valid := NewBinaryEncoder().EncodeBatch(nil, [][]byte{[]byte(`<a><b>t</b></a>`)})
-	f.Add(valid)
+	f.Add(NewBinaryEncoder().EncodeElems(nil, []*xmlstream.Element{xmlstream.E("a", xmlstream.T("b", "t"))}))
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x01, 'a', 0x01, 0x00})
+	f.Add([]byte{0x00, 0x01, 0x03, 0x04, '<', 'a', '/', '>'})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		dec := NewBinaryDecoder()
-		items, err := dec.DecodeBatch(payload)
+		items, err := dec.DecodeElems(payload)
 		if err != nil {
 			// The rollback invariant: a failed decode must leave the
 			// dictionary exactly as it was (here: empty), so a transport
@@ -65,19 +60,18 @@ func FuzzWireDecode(f *testing.F) {
 			}
 			return
 		}
-		total := 0
 		for _, it := range items {
-			total += len(it)
+			if it == nil {
+				t.Fatal("decode yielded a nil tree")
+			}
 		}
-		if total > MaxDecodedBytes {
-			t.Fatalf("decoded %d bytes past the bound", total)
+		// Whatever decoded is a batch like any other: it crosses a fresh
+		// connection unchanged. (Canonical size is not bounded by the
+		// payload's — text may need escaping — so no size assertion.)
+		got, err := NewBinaryDecoder().DecodeElems(NewBinaryEncoder().EncodeElems(nil, items))
+		if err != nil {
+			t.Fatalf("re-encoded batch failed to decode: %v", err)
 		}
-		// Element decode of the same payload must agree with the byte
-		// decode (raw items may hold arbitrary bytes the XML parser
-		// rejects; that rejection is fine, silent divergence is not).
-		els, elErr := NewBinaryDecoder().DecodeElems(payload)
-		if elErr == nil && len(els) != len(items) {
-			t.Fatalf("element decode yielded %d items, byte decode %d", len(els), len(items))
-		}
+		requireSame(t, "second trip", got, items)
 	})
 }

@@ -1,17 +1,14 @@
 package wire
 
 import (
-	"bytes"
 	"strconv"
 	"testing"
 
 	"streamshare/internal/xmlstream"
 )
 
-// These tests pin the tree half of the binary codec: EncodeElems/DecodeElems
-// round-trip element trees without ever materializing canonical XML, the
-// payload stays interchangeable with the byte path (a DecodeBatch of the
-// same bytes yields the trees' canonical serialization), and SeedShared
+// These tests pin the codec's contract: EncodeElems/DecodeElems round-trip
+// element trees without ever materializing canonical XML, and SeedShared
 // pre-interns the handshake-agreed vocabulary identically on both halves.
 
 // fuzzName maps one fuzz byte to an element name: even bytes draw from a
@@ -82,12 +79,13 @@ func collectNames(trees []*xmlstream.Element) []string {
 	return out
 }
 
-// FuzzWireElems is the tree path's acceptance fuzz target: for ANY
-// generated forest — shared and novel names, empty leaves, text leaves,
-// nested interiors, optionally with both halves seeded — EncodeElems
-// followed by DecodeElems must reproduce every tree exactly, across two
-// batches on one dictionary, and a parallel byte decoder fed the same
-// payloads must recover the trees' canonical XML.
+// FuzzWireElems is the codec's acceptance fuzz target: for ANY generated
+// forest — shared and novel names, empty leaves, text leaves, nested
+// interiors, optionally with both halves seeded — EncodeElems followed by
+// DecodeElems must reproduce every tree exactly (Equal, and so
+// marshal-identical), across two batches on one dictionary and then, as
+// after a reconnect mid-stream, a third on a fresh encoder/decoder pair
+// that never saw the first two.
 func FuzzWireElems(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x02, 0x03, 0x04, 0x05, 0x06})
@@ -101,43 +99,22 @@ func FuzzWireElems(f *testing.F) {
 		for i := range trees {
 			trees[i] = fuzzTree(c, 0)
 		}
-		enc := NewBinaryEncoder()
-		dec := NewBinaryDecoder()
-		byteDec := NewBinaryDecoder()
-		if seedBoth {
-			seed := collectNames(trees)
-			enc.SeedShared(seed)
-			dec.SeedShared(seed)
-			byteDec.SeedShared(seed)
-		}
-		// Two batches on one dictionary: the second encode reuses every id
-		// the first assigned (or the seed provided).
-		for round := 0; round < 2; round++ {
-			payload := enc.EncodeElems(nil, trees)
-			got, err := dec.DecodeElems(payload)
+		var enc *BinaryEncoder
+		var dec *BinaryDecoder
+		for round := 0; round < 3; round++ {
+			if round != 1 { // round 1 reuses every id round 0 assigned
+				enc, dec = NewBinaryEncoder(), NewBinaryDecoder()
+				if seedBoth {
+					seed := collectNames(trees)
+					enc.SeedShared(seed)
+					dec.SeedShared(seed)
+				}
+			}
+			got, err := dec.DecodeElems(enc.EncodeElems(nil, trees))
 			if err != nil {
 				t.Fatalf("round %d: decode of own encoding failed: %v", round, err)
 			}
-			if len(got) != len(trees) {
-				t.Fatalf("round %d: %d trees, want %d", round, len(got), len(trees))
-			}
-			for i := range trees {
-				if !trees[i].Equal(got[i]) {
-					t.Fatalf("round %d tree %d: decode(encode) = %s, want %s", round, i,
-						xmlstream.AppendMarshal(nil, got[i]), xmlstream.AppendMarshal(nil, trees[i]))
-				}
-			}
-			// Representation interchange: the byte path decodes the same
-			// payload to the trees' canonical serialization.
-			items, err := byteDec.DecodeBatch(payload)
-			if err != nil {
-				t.Fatalf("round %d: byte decode of tree payload failed: %v", round, err)
-			}
-			for i := range trees {
-				if want := xmlstream.AppendMarshal(nil, trees[i]); !bytes.Equal(items[i], want) {
-					t.Fatalf("round %d tree %d: byte decode %q, want %q", round, i, items[i], want)
-				}
-			}
+			requireSame(t, "round "+strconv.Itoa(round), got, trees)
 		}
 	})
 }

@@ -155,8 +155,9 @@ func (e *Element) Number() (decimal.D, bool) {
 	return d, err == nil
 }
 
-// ByteSize returns the size in bytes of e's canonical serialization. The
-// cost model's size(p) and all traffic metering are defined over this size.
+// ByteSize returns the size in bytes of e's canonical serialization, escapes
+// in leaf text included. The cost model's size(p) and all traffic metering
+// are defined over this size.
 func (e *Element) ByteSize() int {
 	if e == nil {
 		return 0
@@ -167,7 +168,7 @@ func (e *Element) ByteSize() int {
 		if e.Text == "" {
 			return len(e.Name) + 3 // <name/>
 		}
-		return n + len(e.Text)
+		return n + textSize(e.Text)
 	}
 	for _, c := range e.Children {
 		n += c.ByteSize()

@@ -6,9 +6,11 @@ import (
 
 // AppendMarshal appends the canonical serialization of e (the exact bytes
 // Marshal produces and Element.ByteSize counts) to dst and returns the
-// extended slice. It allocates only when dst lacks capacity, which makes it
-// the serializer of choice for reused buffers on hot paths. e is only read;
-// it is safe for concurrent use on a shared element tree.
+// extended slice. Leaf text is written with '&', '<', '>' and '\r' escaped,
+// so the bytes parse back (UnmarshalBytes) to a tree Equal to e whenever e is
+// a tree the parser can produce. It allocates only when dst lacks capacity,
+// which makes it the serializer of choice for reused buffers on hot paths. e
+// is only read; it is safe for concurrent use on a shared element tree.
 func AppendMarshal(dst []byte, e *Element) []byte {
 	if e == nil {
 		return dst
@@ -22,7 +24,7 @@ func AppendMarshal(dst []byte, e *Element) []byte {
 	dst = append(dst, e.Name...)
 	dst = append(dst, '>')
 	if len(e.Children) == 0 {
-		dst = append(dst, e.Text...)
+		dst = appendText(dst, e.Text)
 	} else {
 		for _, c := range e.Children {
 			dst = AppendMarshal(dst, c)
@@ -31,6 +33,44 @@ func AppendMarshal(dst []byte, e *Element) []byte {
 	dst = append(dst, '<', '/')
 	dst = append(dst, e.Name...)
 	return append(dst, '>')
+}
+
+// escaped holds what Canonical XML writes for the text bytes it does not
+// write verbatim: '&' and '<' would open markup, "]]>" is illegal in text,
+// and a literal '\r' parses back as '\n'.
+var escaped = [256]string{'&': "&amp;", '<': "&lt;", '>': "&gt;", '\r': "&#13;"}
+
+// escExtra is how many bytes each escape adds, as a table so that pricing a
+// text is one load per byte.
+var escExtra = func() (t [256]uint8) {
+	for c, esc := range escaped {
+		if esc != "" {
+			t[c] = uint8(len(esc) - 1)
+		}
+	}
+	return t
+}()
+
+// appendText appends leaf text, escaped; textSize is its length.
+func appendText(dst []byte, s string) []byte {
+	from := 0
+	for i := 0; i < len(s); i++ {
+		if escExtra[s[i]] != 0 {
+			dst = append(dst, s[from:i]...)
+			dst = append(dst, escaped[s[i]]...)
+			from = i + 1
+		}
+	}
+	return append(dst, s[from:]...)
+}
+
+// textSize returns len(appendText(nil, s)) without building it.
+func textSize(s string) int {
+	n := len(s)
+	for i := 0; i < len(s); i++ {
+		n += int(escExtra[s[i]])
+	}
+	return n
 }
 
 // maxInterned bounds the name table: element names reach the scanner from

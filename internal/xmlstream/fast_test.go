@@ -60,6 +60,39 @@ func TestUnmarshalBytesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCanonicalTextRoundTrips: leaf text holding markup characters is written
+// escaped, parses back to the same tree, and is priced at its escaped size —
+// while text without them is written and priced verbatim.
+func TestCanonicalTextRoundTrips(t *testing.T) {
+	for text, want := range map[string]string{
+		"a<b":          "<en>a&lt;b</en>",
+		"a&b":          "<en>a&amp;b</en>",
+		"a>b":          "<en>a&gt;b</en>",
+		"&lt;":         "<en>&amp;lt;</en>",
+		"x]]>y":        "<en>x]]&gt;y</en>",
+		"a\rb":         "<en>a&#13;b</en>",
+		"<&>":          "<en>&lt;&amp;&gt;</en>",
+		"1.5":          "<en>1.5</en>",
+		`"quoted" 'q'`: `<en>"quoted" 'q'</en>`,
+	} {
+		e := E("photon", T("en", text), T("plain", "7"))
+		want = "<photon>" + want + "<plain>7</plain></photon>"
+		got := AppendMarshal(nil, e)
+		if string(got) != want {
+			t.Errorf("text %q marshals to %q, want %q", text, got, want)
+		}
+		if n := MarshalSize(e); n != len(got) {
+			t.Errorf("text %q: MarshalSize %d, marshaled %d bytes", text, n, len(got))
+		}
+		back, err := UnmarshalBytes(got)
+		if err != nil {
+			t.Errorf("text %q: canonical form %q does not parse: %v", text, got, err)
+		} else if !back.Equal(e) {
+			t.Errorf("text %q came back as %q", text, back.Children[0].Text)
+		}
+	}
+}
+
 // TestUnmarshalBytesFallback feeds non-canonical but valid XML and checks
 // the fast path defers to the standard decoder instead of misparsing.
 func TestUnmarshalBytesFallback(t *testing.T) {

@@ -9,7 +9,8 @@ import (
 )
 
 // FuzzDecoder asserts the stream decoder never panics and that every
-// decoded item survives a marshal/unmarshal round trip.
+// decoded item survives a marshal/unmarshal round trip, at the size
+// MarshalSize prices.
 func FuzzDecoder(f *testing.F) {
 	f.Add("<photons><photon><en>1.5</en></photon></photons>")
 	f.Add("<r><a x=\"1\">t</a><b/></r>")
@@ -17,6 +18,7 @@ func FuzzDecoder(f *testing.F) {
 	f.Add("")
 	f.Add("<r><i><deep><deeper>v</deeper></deep></i></r>")
 	f.Add("not xml at all")
+	f.Add("<r><en>a&lt;b &amp;amp; c&gt;d</en><t>]]&gt;</t><cr>a&#13;b</cr></r>")
 	f.Fuzz(func(t *testing.T, doc string) {
 		d := NewDecoder(strings.NewReader(doc))
 		for {
@@ -33,6 +35,9 @@ func FuzzDecoder(f *testing.F) {
 			}
 			if !item.Equal(back) {
 				t.Fatalf("round trip changed item:\n%s\n%s", Marshal(item), Marshal(back))
+			}
+			if got, want := MarshalSize(item), len(Marshal(item)); got != want {
+				t.Fatalf("MarshalSize %d, canonical form is %d bytes: %s", got, want, Marshal(item))
 			}
 		}
 	})

@@ -279,36 +279,10 @@ func (e *Encoder) write(s string) error {
 }
 
 // Marshal renders an element tree in the canonical form counted by
-// Element.ByteSize: no indentation, <name/> for empty leaves.
+// Element.ByteSize: no indentation, <name/> for empty leaves, leaf text
+// escaped as AppendMarshal documents.
 func Marshal(e *Element) string {
-	var b strings.Builder
-	marshalTo(&b, e)
-	return b.String()
-}
-
-func marshalTo(b *strings.Builder, e *Element) {
-	if e == nil {
-		return
-	}
-	if len(e.Children) == 0 && e.Text == "" {
-		b.WriteByte('<')
-		b.WriteString(e.Name)
-		b.WriteString("/>")
-		return
-	}
-	b.WriteByte('<')
-	b.WriteString(e.Name)
-	b.WriteByte('>')
-	if len(e.Children) == 0 {
-		b.WriteString(e.Text)
-	} else {
-		for _, c := range e.Children {
-			marshalTo(b, c)
-		}
-	}
-	b.WriteString("</")
-	b.WriteString(e.Name)
-	b.WriteByte('>')
+	return string(AppendMarshal(nil, e))
 }
 
 // Unmarshal parses a single element document, e.g. one stream item.
