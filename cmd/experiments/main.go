@@ -15,9 +15,6 @@
 //	experiments -all        everything (default)
 //	experiments -seed 7     derive every workload and photon stream from the
 //	                        given base seed (0 = the classic constants)
-//	experiments -json       additionally write BENCH_<rev>.json with the
-//	                        measured series (rev = current git commit, "dev"
-//	                        outside a checkout)
 //
 // -trace prints every registration's planning decision (candidate streams,
 // match outcomes, cost breakdowns); -metrics dumps each run's metrics
@@ -31,12 +28,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"os/exec"
 	"strings"
 	"time"
 
@@ -53,62 +48,6 @@ var (
 	seed        = flag.Int64("seed", 0, "base seed for workloads and photon streams (0 = classic)")
 )
 
-// figData holds one figure's measured series: per-label values for the three
-// strategies in DS, QS, SS order.
-type figData struct {
-	CPULabels     []string              `json:"cpuLabels"`
-	CPU           map[string][3]float64 `json:"cpuPercent"`
-	TrafficLabels []string              `json:"trafficLabels"`
-	Traffic       map[string][3]float64 `json:"traffic"`
-	TrafficUnit   string                `json:"trafficUnit"`
-}
-
-// table1Row is one strategy's registration-time summary over both scenarios,
-// in milliseconds.
-type table1Row struct {
-	Strategy string  `json:"strategy"`
-	Avg1     float64 `json:"avgMs1"`
-	Avg2     float64 `json:"avgMs2"`
-	Min1     float64 `json:"minMs1"`
-	Min2     float64 `json:"minMs2"`
-	Max1     float64 `json:"maxMs1"`
-	Max2     float64 `json:"maxMs2"`
-}
-
-// rejRow is one strategy's rejection count next to the paper's.
-type rejRow struct {
-	Strategy string `json:"strategy"`
-	Rejected int    `json:"rejected"`
-	Paper    int    `json:"paper"`
-}
-
-// churnRow is one strategy's outcome under the scripted failure schedule:
-// repair/rejection/migration tallies, the repair-latency series, and traffic
-// before and after the churn.
-type churnRow struct {
-	Strategy          string    `json:"strategy"`
-	Repaired          int       `json:"repaired"`
-	Rejected          int       `json:"rejected"`
-	Migrated          int       `json:"migrated"`
-	RepairLatenciesMs []float64 `json:"repairLatenciesMs"`
-	TrafficBeforeMbit float64   `json:"trafficBeforeMbit"`
-	TrafficAfterMbit  float64   `json:"trafficAfterMbit"`
-}
-
-// benchReport is the -json output: everything the run measured, keyed the
-// way EXPERIMENTS.md discusses it.
-type benchReport struct {
-	Rev       string        `json:"rev"`
-	Items     int           `json:"items"`
-	Seed      int64         `json:"seed"`
-	Fig6      *figData      `json:"fig6,omitempty"`
-	Fig7      *figData      `json:"fig7,omitempty"`
-	Table1    []table1Row   `json:"table1,omitempty"`
-	Rejection []rejRow      `json:"rejection,omitempty"`
-	Churn     []churnRow    `json:"churn,omitempty"`
-	Recovery  []recoveryRow `json:"recovery,omitempty"`
-}
-
 func main() {
 	fig := flag.Int("fig", 0, "reproduce figure 6 or 7")
 	table := flag.Int("table", 0, "reproduce table 1")
@@ -117,58 +56,30 @@ func main() {
 	recovery := flag.Bool("recovery", false, "run the recovery experiment (detection latency and redelivery vs heartbeat interval)")
 	all := flag.Bool("all", false, "run everything")
 	items := flag.Int("items", 3000, "photons per stream to simulate")
-	jsonOut := flag.Bool("json", false, "write BENCH_<rev>.json with the measured series")
 	flag.Parse()
 
 	if !*all && *fig == 0 && *table == 0 && !*rejection && !*churn && !*recovery {
 		*all = true
 	}
-	report := &benchReport{Rev: gitRev(), Items: *items, Seed: *seed}
-	fmt.Printf("experiments: rev %s, %d items per stream, seed %d\n", report.Rev, *items, *seed)
+	fmt.Printf("experiments: %d items per stream, seed %d\n", *items, *seed)
 	if *all || *fig == 6 {
-		report.Fig6 = figure6(*items)
+		figure6(*items)
 	}
 	if *all || *fig == 7 {
-		report.Fig7 = figure7(*items)
+		figure7(*items)
 	}
 	if *all || *table == 1 {
-		report.Table1 = table1(*items)
+		table1(*items)
 	}
 	if *all || *rejection {
-		report.Rejection = rejectionExperiment(*items)
+		rejectionExperiment(*items)
 	}
 	if *all || *churn {
-		report.Churn = churnExperiment(*items)
+		churnExperiment(*items)
 	}
 	if *all || *recovery {
-		report.Recovery = recoveryExperiment(*items)
+		recoveryExperiment(*items)
 	}
-	if *jsonOut {
-		name := fmt.Sprintf("BENCH_%s.json", report.Rev)
-		f, err := os.Create(name)
-		if err != nil {
-			log.Fatal(err)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\nwrote %s\n", name)
-	}
-}
-
-// gitRev returns the current short commit hash, or "dev" outside a git
-// checkout.
-func gitRev() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return "dev"
-	}
-	return strings.TrimSpace(string(out))
 }
 
 func runAll(s *scenario.Scenario) map[core.Strategy]*scenario.Result {
@@ -231,22 +142,23 @@ func bars(labels []string, series map[string][3]float64, unit string) {
 	}
 }
 
-func figure6(items int) *figData {
+func figure6(items int) {
 	s := scenario.Scenario1Seed(items, *seed)
 	res := runAll(s)
-	d := &figData{CPU: map[string][3]float64{}, Traffic: map[string][3]float64{}, TrafficUnit: "kbps"}
+	var cpuLabels, trafficLabels []string
+	cpu, traffic := map[string][3]float64{}, map[string][3]float64{}
 
 	for _, p := range s.Net.SuperPeers() {
-		d.CPULabels = append(d.CPULabels, string(p))
-		d.CPU[string(p)] = [3]float64{
+		cpuLabels = append(cpuLabels, string(p))
+		cpu[string(p)] = [3]float64{
 			res[core.DataShipping].Sim.AvgCPUPercent(s.Net, p),
 			res[core.QueryShipping].Sim.AvgCPUPercent(s.Net, p),
 			res[core.StreamSharing].Sim.AvgCPUPercent(s.Net, p),
 		}
 	}
 	for _, l := range s.Net.Links() {
-		d.TrafficLabels = append(d.TrafficLabels, l.String())
-		d.Traffic[l.String()] = [3]float64{
+		trafficLabels = append(trafficLabels, l.String())
+		traffic[l.String()] = [3]float64{
 			res[core.DataShipping].Sim.LinkKbps(l),
 			res[core.QueryShipping].Sim.LinkKbps(l),
 			res[core.StreamSharing].Sim.LinkKbps(l),
@@ -254,26 +166,25 @@ func figure6(items int) *figData {
 	}
 
 	header("Figure 6 (left): extended example scenario — avg. CPU load (%)")
-	bars(d.CPULabels, d.CPU, "%")
+	bars(cpuLabels, cpu, "%")
 	header("Figure 6 (right): avg. network traffic (kbps) per connection")
-	bars(d.TrafficLabels, d.Traffic, d.TrafficUnit)
-	return d
+	bars(trafficLabels, traffic, "kbps")
 }
 
-func figure7(items int) *figData {
+func figure7(items int) {
 	s := scenario.Scenario2Seed(items, *seed)
 	res := runAll(s)
-	d := &figData{CPU: map[string][3]float64{}, Traffic: map[string][3]float64{}, TrafficUnit: "MBit"}
+	var labels []string
+	cpu, traffic := map[string][3]float64{}, map[string][3]float64{}
 
 	for _, p := range s.Net.SuperPeers() {
-		d.CPULabels = append(d.CPULabels, string(p))
-		d.CPU[string(p)] = [3]float64{
+		labels = append(labels, string(p))
+		cpu[string(p)] = [3]float64{
 			res[core.DataShipping].Sim.AvgCPUPercent(s.Net, p),
 			res[core.QueryShipping].Sim.AvgCPUPercent(s.Net, p),
 			res[core.StreamSharing].Sim.AvgCPUPercent(s.Net, p),
 		}
-		d.TrafficLabels = append(d.TrafficLabels, string(p))
-		d.Traffic[string(p)] = [3]float64{
+		traffic[string(p)] = [3]float64{
 			res[core.DataShipping].Sim.PeerMbit(p),
 			res[core.QueryShipping].Sim.PeerMbit(p),
 			res[core.StreamSharing].Sim.PeerMbit(p),
@@ -281,19 +192,17 @@ func figure7(items int) *figData {
 	}
 
 	header("Figure 7 (left): 4×4 grid scenario — avg. CPU load (%)")
-	bars(d.CPULabels, d.CPU, "%")
+	bars(labels, cpu, "%")
 	header("Figure 7 (right): acc. network traffic (MBit) per super-peer (in+out)")
-	bars(d.TrafficLabels, d.Traffic, d.TrafficUnit)
-	return d
+	bars(labels, traffic, "MBit")
 }
 
-func table1(items int) []table1Row {
+func table1(items int) {
 	header("Table 1: query registration times (ms)")
 	fmt.Printf("%-16s %10s %10s %10s %10s %10s %10s\n", "Scenario",
 		"Avg 1", "Avg 2", "Min 1", "Min 2", "Max 1", "Max 2")
 	s1 := scenario.Scenario1Seed(items/4, *seed)
 	s2 := scenario.Scenario2Seed(items/4, *seed)
-	var rows []table1Row
 	for _, strat := range strategies {
 		r1, err := s1.Run(strat, core.Config{})
 		if err != nil {
@@ -306,30 +215,22 @@ func table1(items int) []table1Row {
 		dumpObs(strat, r1.Engine)
 		dumpObs(strat, r2.Engine)
 		a, b := r1.Summary(), r2.Summary()
-		rows = append(rows, table1Row{
-			Strategy: strat.String(),
-			Avg1:     ms(a.Avg), Avg2: ms(b.Avg),
-			Min1: ms(a.Min), Min2: ms(b.Min),
-			Max1: ms(a.Max), Max2: ms(b.Max),
-		})
 		fmt.Printf("%-16s %10.0f %10.0f %10.0f %10.0f %10.0f %10.0f\n", strat,
 			ms(a.Avg), ms(b.Avg), ms(a.Min), ms(b.Min), ms(a.Max), ms(b.Max))
 	}
 	fmt.Println("(measured algorithm time plus modeled control-message latency;")
 	fmt.Println(" paper: DS 931/1363, QS 890/1287, SS 2153/3558 ms averages)")
-	return rows
 }
 
 func ms(d time.Duration) float64 {
 	return float64(d) / float64(time.Millisecond)
 }
 
-func rejectionExperiment(items int) []rejRow {
+func rejectionExperiment(items int) {
 	header("Rejection experiment: peers at 10% capacity, links at 1 Mbit/s")
 	s := scenario.Scenario2Seed(items/4, *seed).Constrained(0.10, 125_000)
 	fmt.Printf("%-16s %s\n", "Strategy", "Rejected of 100 queries (paper)")
 	paper := map[core.Strategy]int{core.DataShipping: 47, core.QueryShipping: 35, core.StreamSharing: 2}
-	var rows []rejRow
 	for _, strat := range strategies {
 		r, err := s.Run(strat, core.Config{Admission: true})
 		if err != nil {
@@ -337,16 +238,14 @@ func rejectionExperiment(items int) []rejRow {
 			continue
 		}
 		dumpObs(strat, r.Engine)
-		rows = append(rows, rejRow{Strategy: strat.String(), Rejected: r.Rejected, Paper: paper[strat]})
 		fmt.Printf("%-16s %d (%d)\n", strat, r.Rejected, paper[strat])
 	}
-	return rows
 }
 
 // churnExperiment runs scenario 2 under the scripted failure schedule for
 // every strategy: each subscription severed by the churn is repaired or
 // explicitly rejected, and the repair-latency series is reported per run.
-func churnExperiment(items int) []churnRow {
+func churnExperiment(items int) {
 	header(fmt.Sprintf("Churn experiment: scenario 2 under %q", scenario.DefaultChurnSchedule))
 	events, err := adapt.ParseSchedule(scenario.DefaultChurnSchedule)
 	if err != nil {
@@ -354,7 +253,6 @@ func churnExperiment(items int) []churnRow {
 	}
 	fmt.Printf("%-16s %9s %9s %9s %12s %12s\n",
 		"Strategy", "Repaired", "Rejected", "Migrated", "Before MBit", "After MBit")
-	var rows []churnRow
 	for _, strat := range strategies {
 		s := scenario.Scenario2Seed(items/4, *seed)
 		res, err := s.RunChurn(strat, core.Config{}, events)
@@ -362,26 +260,15 @@ func churnExperiment(items int) []churnRow {
 			log.Fatalf("%s: %v", strat, err)
 		}
 		dumpObs(strat, res.Engine)
-		row := churnRow{
-			Strategy: strat.String(),
-			Repaired: res.Repaired, Rejected: res.Rejected, Migrated: res.Migrated,
-			TrafficBeforeMbit: res.Before.Metrics.TotalBytes() * 8 / 1e6,
-			TrafficAfterMbit:  res.After.Metrics.TotalBytes() * 8 / 1e6,
-		}
-		for _, d := range res.RepairLatencies() {
-			row.RepairLatenciesMs = append(row.RepairLatenciesMs, ms(d))
-		}
-		rows = append(rows, row)
 		fmt.Printf("%-16s %9d %9d %9d %12.1f %12.1f\n", strat,
-			row.Repaired, row.Rejected, row.Migrated,
-			row.TrafficBeforeMbit, row.TrafficAfterMbit)
+			res.Repaired, res.Rejected, res.Migrated,
+			res.Before.Metrics.TotalBytes()*8/1e6, res.After.Metrics.TotalBytes()*8/1e6)
 		fmt.Printf("  repair latencies (ms):")
-		for _, l := range row.RepairLatenciesMs {
-			fmt.Printf(" %.3f", l)
+		for _, d := range res.RepairLatencies() {
+			fmt.Printf(" %.3f", ms(d))
 		}
 		fmt.Println()
 	}
 	fmt.Println("(every severed subscription is re-planned over the surviving topology")
 	fmt.Println(" or explicitly rejected; the schedule is applied mid-stream)")
-	return rows
 }

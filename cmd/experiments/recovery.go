@@ -13,23 +13,6 @@ import (
 	"streamshare/internal/xmlstream"
 )
 
-// recoveryRow is one heartbeat-interval point of the recovery experiment:
-// scenario 2 on the reliable session runtime with a link severed before the
-// run, detector-driven repair, and journal replay. Detection latency scales
-// with the heartbeat interval (suspicion needs several missed deadlines);
-// redelivery volume does not — channels start journaling the instant the
-// fault bites, not when it is detected, so a slow detector delays repair
-// without growing the loss window.
-type recoveryRow struct {
-	IntervalMs       float64 `json:"intervalMs"`
-	DetectMs         float64 `json:"detectMs"`
-	Suspicions       int     `json:"suspicions"`
-	RecoveredInputs  int     `json:"recoveredInputs"`
-	RedeliveredItems int     `json:"redeliveredItems"`
-	RedeliveredBytes int     `json:"redeliveredBytes"`
-	Survivors        int     `json:"survivors"`
-}
-
 // buildReliable registers scenario 2 on a fresh reliable engine and returns
 // the full source feeds.
 func buildReliable(items int) (*core.Engine, *scenario.Scenario, map[string][]*xmlstream.Element) {
@@ -52,8 +35,13 @@ func buildReliable(items int) (*core.Engine, *scenario.Scenario, map[string][]*x
 
 // recoveryExperiment sweeps the heartbeat interval and measures failure
 // detection latency and recovery redelivery volume on scenario 2 with the
-// first multi-hop feed's first link severed ahead of the run.
-func recoveryExperiment(items int) []recoveryRow {
+// first multi-hop feed's first link severed ahead of the run: the reliable
+// session runtime, detector-driven repair, journal replay. Detection latency
+// scales with the heartbeat interval (suspicion needs several missed
+// deadlines); redelivery volume does not — channels start journaling the
+// instant the fault bites, not when it is detected, so a slow detector delays
+// repair without growing the loss window.
+func recoveryExperiment(items int) {
 	header("recovery: detection latency and redelivery vs heartbeat interval")
 	intervals := []time.Duration{
 		1 * time.Millisecond,
@@ -62,7 +50,6 @@ func recoveryExperiment(items int) []recoveryRow {
 		10 * time.Millisecond,
 		20 * time.Millisecond,
 	}
-	var rows []recoveryRow
 	for _, iv := range intervals {
 		eng, _, feed := buildReliable(items)
 
@@ -106,19 +93,7 @@ func recoveryExperiment(items int) []recoveryRow {
 		snap := eng.Obs().Metrics.Snapshot()
 		lat := snap.Histograms["runtime.detect.latency_seconds"]
 		sus, _, _ := sess.HealthStats()
-		row := recoveryRow{
-			IntervalMs:       float64(iv) / float64(time.Millisecond),
-			DetectMs:         lat.Mean() * 1000,
-			Suspicions:       sus,
-			RecoveredInputs:  rep.Inputs,
-			RedeliveredItems: rep.Items,
-			RedeliveredBytes: rep.Bytes,
-			Survivors:        len(eng.Subscriptions()),
-		}
-		rows = append(rows, row)
 		fmt.Printf("  heartbeat %5.1fms: detect %7.2fms (%d suspicions), replay %d inputs, %d items, %d bytes, %d survivors\n",
-			row.IntervalMs, row.DetectMs, row.Suspicions,
-			row.RecoveredInputs, row.RedeliveredItems, row.RedeliveredBytes, row.Survivors)
+			ms(iv), lat.Mean()*1000, sus, rep.Inputs, rep.Items, rep.Bytes, len(eng.Subscriptions()))
 	}
-	return rows
 }

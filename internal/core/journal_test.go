@@ -122,3 +122,33 @@ func TestReplayCatalogDelegatesUnknownKinds(t *testing.T) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
 }
+
+// TestCatalogRecordCodec pins the one encoding of a control-plane mutation:
+// kind byte 1–3 and the text payload the catalog journal has always held, so
+// journals written before the codec moved here still parse, and the bytes a
+// cluster mirrors are the bytes a journal stores.
+func TestCatalogRecordCodec(t *testing.T) {
+	for _, tc := range []struct {
+		op  CatalogOp
+		rec string
+	}{
+		{CatalogOp{Kind: CatalogSubscribe, ID: "q7", Target: "SP1", Strategy: StreamSharing, Query: "<a>\n{ $p }\n</a>"},
+			"\x01q7 SP1 2\n<a>\n{ $p }\n</a>"},
+		{CatalogOp{Kind: CatalogUnsubscribe, ID: "q7"}, "\x02q7"},
+		{CatalogOp{Kind: CatalogAdapt, Detail: "fail:SP1-SP2; reopt"}, "\x03fail:SP1-SP2; reopt"},
+	} {
+		rec := tc.op.Record()
+		if string(rec) != tc.rec {
+			t.Errorf("%s record = %q, want %q", tc.op.Kind, rec, tc.rec)
+		}
+		got, err := ParseCatalogRecord(rec[0], rec[1:])
+		if err != nil || got != tc.op {
+			t.Errorf("%s round trip = %+v, %v", tc.op.Kind, got, err)
+		}
+	}
+	for _, bad := range []string{"\x01q7 SP1 2", "\x01q7 SP1\nq", "\x01q7 SP1 two\nq", "\x04x", "Rx"} {
+		if op, err := ParseCatalogRecord(bad[0], []byte(bad[1:])); err == nil {
+			t.Errorf("malformed record %q parsed as %+v", bad, op)
+		}
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"streamshare/internal/exec"
 	"streamshare/internal/network"
 	"streamshare/internal/obs"
-	"streamshare/internal/plan"
 	"streamshare/internal/properties"
 )
 
@@ -213,41 +212,33 @@ func (e *Engine) Replan(sub *Subscription, event string) error {
 	}
 
 	var rs RegStats
-	result := sub.Props.Result()
-	type planned struct {
-		si    *SubInput
-		in    *properties.Input
-		resIn *properties.Input
-		cand  *plan.Candidate
-	}
-	var plans []planned
-	unhide := e.hideLiveShared()
+	var broken []*SubInput
+	var ins []*properties.Input
 	for _, si := range sub.Inputs {
 		if !si.Feed.Broken && !e.streamBroken(si.Feed) {
 			continue // still flowing; keep it
 		}
 		si.Feed.Broken = true
-		in := si.In
-		it := dt.Input(in.Stream)
-		c, err := e.planner.PlanInput(sub.Query, in, sub.Target, sub.Strategy, &rs, it)
-		if err != nil {
-			unhide()
-			return fail(err)
-		}
-		plans = append(plans, planned{si: si, in: in, resIn: result.Input(in.Stream), cand: c})
+		broken = append(broken, si)
+		ins = append(ins, si.In)
 	}
-	unhide()
-	if len(plans) == 0 {
+	if len(broken) == 0 {
 		return nil // nothing broken
 	}
+	unhide := e.hideLiveShared()
+	plans, err := e.planInputs(sub, ins, &rs, dt, nil)
+	unhide()
+	if err != nil {
+		return fail(err)
+	}
 
-	for _, p := range plans {
+	for i, p := range plans {
 		si, err := e.install(sub, sub.Query, p.in, p.resIn, p.cand, sub.Strategy)
 		if err != nil {
 			return fail(err)
 		}
-		old, oldLocal := p.si.Feed, p.si.Local
-		p.si.Feed, p.si.Local = si.Feed, si.Local
+		old, oldLocal := broken[i].Feed, broken[i].Local
+		broken[i].Feed, broken[i].Local = si.Feed, si.Local
 		if e.Cfg.Reliable {
 			e.transplantInput(old, oldLocal, si)
 		}
@@ -400,28 +391,21 @@ func (e *Engine) TryMigrate(sub *Subscription, hysteresis float64, event string)
 		Event:    event,
 	}
 	var rs RegStats
-	result := sub.Props.Result()
-	type planned struct {
-		in    *properties.Input
-		resIn *properties.Input
-		cand  *plan.Candidate
+	ins := make([]*properties.Input, len(sub.Inputs))
+	for i, si := range sub.Inputs {
+		ins[i] = si.In
 	}
-	var plans []planned
-	newCost := 0.0
 	unhide := e.hideLiveShared()
-	for _, si := range sub.Inputs {
-		in := si.In
-		it := dt.Input(in.Stream)
-		c, err := e.planner.PlanInput(sub.Query, in, sub.Target, sub.Strategy, &rs, it)
-		if err != nil {
-			unhide()
-			restore()
-			return false, nil // no feasible alternative; keep the current plan
-		}
-		newCost += c.Cost
-		plans = append(plans, planned{in: in, resIn: result.Input(in.Stream), cand: c})
-	}
+	plans, err := e.planInputs(sub, ins, &rs, dt, nil)
 	unhide()
+	if err != nil {
+		restore()
+		return false, nil // no feasible alternative; keep the current plan
+	}
+	newCost := 0.0
+	for _, p := range plans {
+		newCost += p.cand.Cost
+	}
 
 	if newCost >= oldCost*(1-hysteresis) {
 		restore()

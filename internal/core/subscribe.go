@@ -67,33 +67,18 @@ func (e *Engine) Subscribe(src string, target network.PeerID, strat Strategy) (*
 		Strategy: strat,
 		Trace:    dt,
 	}
-	result := props.Result()
-
-	// Plan every input first, then install: a rejected input must not leave
-	// partially installed state behind.
-	type planned struct {
-		in    *properties.Input
-		resIn *properties.Input
-		cand  *plan.Candidate
-	}
-	var plans []planned
-	for _, in := range props.Inputs {
-		it := dt.Input(in.Stream)
+	plans, err := e.planInputs(sub, props.Inputs, &sub.Reg, dt, func(in *properties.Input) error {
 		if e.originals[in.Stream] == nil {
-			return fail(fmt.Errorf("%w: %q", ErrUnknownStream, in.Stream))
+			return fmt.Errorf("%w: %q", ErrUnknownStream, in.Stream)
 		}
 		if e.Cfg.ValidatePaths {
-			if err := e.validatePaths(in); err != nil {
-				return fail(err)
-			}
+			return e.validatePaths(in)
 		}
-		c, err := e.planner.PlanInput(q, in, target, strat, &sub.Reg, it)
-		if err != nil {
-			return fail(err)
-		}
-		plans = append(plans, planned{in: in, resIn: result.Input(in.Stream), cand: c})
+		return nil
+	})
+	if err != nil {
+		return fail(err)
 	}
-
 	for _, p := range plans {
 		si, err := e.install(sub, q, p.in, p.resIn, p.cand, strat)
 		if err != nil {
@@ -124,6 +109,36 @@ func (e *Engine) Subscribe(src string, target network.PeerID, strat Strategy) (*
 	}
 	e.publishUse()
 	return sub, nil
+}
+
+// planned is one input's chosen plan, not yet installed.
+type planned struct {
+	in, resIn *properties.Input
+	cand      *plan.Candidate
+}
+
+// planInputs plans the given inputs of sub's query against the current
+// catalog, every one before anything installs: a rejected input must not
+// leave partially installed state behind. Registration, repair and migration
+// all plan through it. vet, when set, checks an input before it is planned.
+func (e *Engine) planInputs(sub *Subscription, ins []*properties.Input, rs *RegStats, dt *obs.DecisionTrace,
+	vet func(*properties.Input) error) ([]planned, error) {
+	result := sub.Props.Result()
+	plans := make([]planned, 0, len(ins))
+	for _, in := range ins {
+		it := dt.Input(in.Stream)
+		if vet != nil {
+			if err := vet(in); err != nil {
+				return nil, err
+			}
+		}
+		c, err := e.planner.PlanInput(sub.Query, in, sub.Target, sub.Strategy, rs, it)
+		if err != nil {
+			return nil, err
+		}
+		plans = append(plans, planned{in: in, resIn: result.Input(in.Stream), cand: c})
+	}
+	return plans, nil
 }
 
 // validatePaths checks every element path the subscription references

@@ -582,7 +582,8 @@ func (r *Runtime) clusterFrame(f *transport.Frame) {
 	case transport.FrameBatch:
 		d := r.byID[f.Stream]
 		if d == nil || f.Hop <= 0 || f.Hop >= len(d.Route) {
-			return // engine mismatch; membership is trusted, drop
+			r.unroutable("batch", f.Stream, f.Hop, "no such stream and hop in this engine")
+			return
 		}
 		m := message{stream: d, hop: f.Hop, elems: f.Elems, eos: f.EOS, seqLo: f.SeqLo, epoch: f.Epoch}
 		for _, e := range m.elems {
@@ -597,12 +598,14 @@ func (r *Runtime) clusterFrame(f *transport.Frame) {
 	case transport.FrameAck:
 		d := r.byID[f.Stream]
 		if d == nil {
+			r.unroutable("ack", f.Stream, 0, "no such stream in this engine")
 			return
 		}
 		if ch := r.chans[d]; ch != nil {
 			ch.ack(r, f.Consumer, f.Ack)
 		}
 		r.qmu.Lock()
+		r.progress++
 		r.qcond.Broadcast()
 		r.qmu.Unlock()
 	}
@@ -615,7 +618,8 @@ func (r *Runtime) injectRemote(m message) {
 	peer := m.stream.Route[m.hop]
 	dst := r.nodes[peer]
 	if dst == nil || !r.localPeer(peer) {
-		return // misrouted
+		r.unroutable("batch", m.stream.ID, m.hop, "peer "+string(peer)+" is not executed by this node")
+		return
 	}
 	r.qmu.Lock()
 	if m.eos && !r.localPeer(m.stream.Route[m.hop-1]) {
@@ -626,9 +630,34 @@ func (r *Runtime) injectRemote(m message) {
 		}
 	}
 	r.inflight++
+	r.progress++
 	r.qcond.Broadcast()
 	r.qmu.Unlock()
 	dst.inbox.push(m)
+}
+
+// unroutable leaves the trace of an inbound frame this runtime cannot place —
+// the sender's engine holds a plan this one does not: a flight event with
+// the reason and a counter. The frame is dropped; the sender's run stalls at
+// its quiescence bound if it waited on it.
+func (r *Runtime) unroutable(kind, stream string, hop int, why string) {
+	r.flight.Record("cluster.frame.unroutable", fmt.Sprintf("%s %s hop %d: %s", kind, stream, hop, why))
+	r.eng.Obs().Metrics.Counter("runtime.cluster.frames.unroutable").Inc()
+}
+
+// eosLanes lists the remote-ingress (stream, hop) lanes whose EOS has not
+// arrived, sorted. Callers hold qmu.
+func (r *Runtime) eosLanes() []string {
+	var out []string
+	for _, d := range r.byID {
+		for hop := 1; hop < len(d.Route); hop++ {
+			if r.localPeer(d.Route[hop]) && !r.localPeer(d.Route[hop-1]) && !r.eosSeen[recvKey{d, hop}] {
+				out = append(out, fmt.Sprintf("(%s, hop %d)", d.ID, hop))
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // ackStream routes one consumer's cumulative ack to the stream's emitter

@@ -110,10 +110,15 @@ type Runtime struct {
 	nodes map[network.PeerID]*node
 
 	// quiescence tracking: inflight counts queued plus in-processing
-	// messages; Run waits until it returns to zero.
-	qmu      sync.Mutex
-	qcond    *sync.Cond
-	inflight int
+	// messages; Run waits until it returns to zero. In cluster mode the wait
+	// is bounded: progress counts finished messages and arrived frames, and
+	// quietBound without any ends the wait for good with the error stalled.
+	qmu        sync.Mutex
+	qcond      *sync.Cond
+	inflight   int
+	progress   int
+	stalled    error
+	quietBound time.Duration
 
 	mu      sync.Mutex
 	metrics *network.Metrics
@@ -213,6 +218,7 @@ func NewWith(eng *core.Engine, collect bool, opts Options) *Runtime {
 		counts:  map[string]int{},
 	}
 	r.qcond = sync.NewCond(&r.qmu)
+	r.quietBound = 60 * time.Second
 	r.severed = map[network.LinkID]bool{}
 	r.batchHist = eng.Obs().Metrics.Histogram("runtime.batch.size", obs.ExpBuckets(1, 2, 9))
 	r.parseSkip = eng.Obs().Metrics.Counter("runtime.parse.skipped")
@@ -361,9 +367,19 @@ func (r *Runtime) Run(items map[string][]*xmlstream.Element) (*Result, error) {
 	// barrier holds every process's mesh open until all of them have
 	// drained.
 	if r.cluster != nil {
-		if err := r.cluster.mesh.WaitDrained(60 * time.Second); err != nil {
-			r.fail(fmt.Errorf("runtime: cluster: %w", err))
-		} else if err := r.cluster.barrier(60 * time.Second); err != nil {
+		r.qmu.Lock()
+		err := r.stalled
+		r.qmu.Unlock()
+		// A stalled run has failed: some node will never accept or send what
+		// the two waits below wait for, so they are skipped.
+		if err == nil {
+			if err = r.cluster.mesh.WaitDrained(r.quietBound); err != nil {
+				err = fmt.Errorf("runtime: cluster: %w", err)
+			} else {
+				err = r.cluster.barrier(r.quietBound)
+			}
+		}
+		if err != nil {
 			r.fail(err)
 		}
 		// Past the barrier every link is quiescent for this run: compact
@@ -625,6 +641,7 @@ func (r *Runtime) dropMsg(m *message) {
 func (r *Runtime) finish() {
 	r.qmu.Lock()
 	r.inflight--
+	r.progress++
 	if r.inflight == 0 {
 		r.qcond.Broadcast()
 	}
@@ -635,13 +652,37 @@ func (r *Runtime) finish() {
 // in-processing message, every remote-ingress lane has seen its EOS, and
 // (cluster mode) no batch is parked awaiting a remote ack. Cluster frame
 // arrivals broadcast qcond, so each condition is re-evaluated as remote
-// progress lands.
+// progress lands. What a cluster run waits for is another process's to send,
+// so there the wait is bounded: quietBound with no message finished and no
+// frame arrived fails the run, naming what it still waited for, and every
+// later call returns at once. The bound is one timer that raises a flag and
+// broadcasts, re-armed while there is progress.
 func (r *Runtime) awaitQuiet() {
 	r.qmu.Lock()
-	for r.inflight > 0 || r.eosWait > 0 || r.clusterParked() {
+	defer r.qmu.Unlock()
+	expired, seen := false, r.progress // expired is guarded by qmu
+	var timer *time.Timer
+	if r.cluster != nil {
+		timer = time.AfterFunc(r.quietBound, func() {
+			r.qmu.Lock()
+			expired = true
+			r.qcond.Broadcast()
+			r.qmu.Unlock()
+		})
+		defer timer.Stop()
+	}
+	for r.stalled == nil && (r.inflight > 0 || r.eosWait > 0 || r.clusterParked()) {
+		if expired && seen == r.progress {
+			r.stalled = fmt.Errorf("runtime: cluster: no progress for %v: %d messages in flight, waiting for EOS on %v",
+				r.quietBound, r.inflight, r.eosLanes())
+			return
+		}
+		if expired {
+			expired, seen = false, r.progress
+			timer.Reset(r.quietBound)
+		}
 		r.qcond.Wait()
 	}
-	r.qmu.Unlock()
 }
 
 // clusterParked reports whether any session channel still parks batches.

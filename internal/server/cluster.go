@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -8,7 +9,7 @@ import (
 	"strings"
 	"time"
 
-	"streamshare/internal/network"
+	"streamshare/internal/core"
 	"streamshare/internal/photons"
 	"streamshare/internal/runtime"
 	"streamshare/internal/xmlstream"
@@ -16,13 +17,18 @@ import (
 
 // This file coordinates several sgd processes into one multi-process
 // super-peer daemon. Every process builds the same topology and engine;
-// WithCluster attaches a runtime.Cluster whose control frames mirror the
+// WithCluster attaches a runtime.Cluster whose control frames replicate the
 // engine mutations and fan runs out:
 //
-//   - SUBSCRIBE/UNSUBSCRIBE on the coordinating node broadcast a
-//     "SUB"/"UNSUB" control to every other node. Identical engines apply
-//     identical mutations in link order and assign identical ids, so no
-//     id translation is needed.
+//   - The replicated set is every core.CatalogOp kind — SUBSCRIBE,
+//     UNSUBSCRIBE and each event of FAIL, RESTORE and ADAPT — shipped as the
+//     op's catalog record: commit journals the record and broadcasts the same
+//     bytes, and a receiving node applies them through Engine.ReplayCatalog,
+//     as a restart does its journal, and journals them in turn. Identical
+//     engines apply identical ops in link order and assign identical ids, and
+//     replay checks that they do: a node whose apply fails or whose id
+//     differs (two clients mutating through two coordinators) records why and
+//     refuses every later work order with that reason.
 //   - RUN/FEED send every other node a work order and execute on every
 //     process's cluster-attached runtime (each injects only the sources it
 //     owns); the remote nodes answer with a "RES" control carrying their
@@ -33,8 +39,8 @@ import (
 //     client's document as the body and parses it; every other node gets no
 //     body, parses nothing and takes part through its operators. The
 //     coordinator has parsed and checked the document before any order
-//     leaves. Like SUB/UNSUB, the format assumes every node runs the same
-//     binary: a document the coordinator accepted is one the owner accepts.
+//     leaves. The formats assume every node runs the same binary: a
+//     document the coordinator accepted is one the owner accepts.
 //
 // Control frames are sequenced and FIFO per link, so a node always sees
 // a subscription before the run that uses it. Point client mutations at
@@ -48,9 +54,19 @@ type remoteRes struct {
 	err    string
 }
 
+// order is one RUN or FEED work order, as a client's command or a
+// coordinator's control frame describes it.
+type order struct {
+	n      int                  // RUN: items per original stream
+	seed   int64                // RUN: the first stream's generator seed
+	stream string               // FEED: the stream fed ("" for a RUN)
+	doc    string               // FEED: the document, where this node holds it
+	items  []*xmlstream.Element // FEED: the document decoded
+}
+
 // WithCluster attaches a cluster: RUN and FEED execute on every process's
-// cluster runtime and merge the remote counts, SUBSCRIBE/UNSUBSCRIBE
-// mirror to the other nodes, and NODES reports the membership. The server
+// cluster runtime and merge the remote counts, control-plane mutations
+// replicate to the other nodes, and NODES reports the membership. The server
 // takes ownership: Close tears the cluster's mesh down.
 func (s *Server) WithCluster(c *runtime.Cluster) *Server {
 	s.cluster = c
@@ -84,52 +100,75 @@ func (s *Server) nodesCmd(w io.Writer) {
 	}
 }
 
-// handleControl dispatches one inbound control frame. Mutations (SUB,
-// UNSUB) apply inline on the dispatcher goroutine so their order matches
-// the coordinator's; work orders (RUN, FEED) move to their own goroutine
-// — a run needs this link's dispatcher free to deliver data frames.
-func (s *Server) handleControl(from string, data []byte) {
-	head, body, _ := strings.Cut(string(data), "\n")
-	f := strings.Fields(head)
-	if len(f) == 0 {
+// commit is the one sink of control-plane mutations: it journals the op's
+// catalog record and, for an op this node originates (the engine's journal
+// hook for subscribe and unsubscribe, applyEvents for adaptation events),
+// broadcasts the same bytes. It runs under s.mu after the mutation applied —
+// write-ahead of the reply, not of the in-memory state: a crash in between
+// loses at most the op whose OK the client never saw.
+func (s *Server) commit(rec []byte, mirror bool) {
+	if s.catWAL != nil {
+		s.catWAL.Append(rec[0], rec[1:]) //nolint:errcheck // sticky WAL error resurfaces on Close
+	}
+	if mirror && s.cluster != nil {
+		s.cluster.BroadcastControl(rec) //nolint:errcheck // fails only on a closing mesh
+	}
+}
+
+// applyMirrored applies and journals one record another node committed,
+// inline on the link's dispatcher so the order matches the origin's. A
+// subscribe already installed under its id by the same call is a re-dispatch
+// (a restarted durable link replays a control whose done mark it lost) and a
+// no-op; anything else that does not apply marks this node diverged.
+func (s *Server) applyMirrored(from string, rec []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.diverged != "" {
 		return
 	}
-	switch f[0] {
-	case "SUB":
-		if len(f) != 3 {
+	op, err := core.ParseCatalogRecord(rec[0], rec[1:])
+	if err == nil {
+		if cur := s.eng.Subscription(op.ID); op.Kind == core.CatalogSubscribe && cur != nil &&
+			cur.Trace.Query == op.Query && cur.Target == op.Target && cur.Strategy == op.Strategy {
 			return
 		}
-		strat, err := parseStrategy(f[2])
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		s.eng.Subscribe(body, network.PeerID(f[1]), strat) //nolint:errcheck
-		s.mu.Unlock()
-	case "UNSUB":
-		if len(f) != 2 {
-			return
-		}
-		s.mu.Lock()
-		s.eng.Unsubscribe(f[1]) //nolint:errcheck
-		s.stall.Forget(f[1])
-		s.mu.Unlock()
-	case "RUN":
-		if len(f) != 4 {
-			return
-		}
+		err = s.eng.ReplayCatalog([]core.CatalogOp{op}, s.replayAdapt)
+	}
+	if err != nil {
+		s.diverged = fmt.Sprintf("node %s diverged at an op from %s: %v", s.cluster.Node(), from, err)
+		s.refuseControl(s.diverged)
+		return
+	}
+	s.stall.Forget(op.ID) // an unsubscribed id; any other is one it never saw
+	s.commit(rec, false)
+}
+
+// refuseControl leaves the trace of a control frame this node did not act
+// on: a flight event with the reason and a counter.
+func (s *Server) refuseControl(reason string) {
+	s.eng.Obs().Flight.Record("control.refuse", reason)
+	s.ctlRefused.Inc()
+}
+
+// handleControl dispatches one inbound control frame. A frame that starts
+// with a catalog record's kind byte is a mirrored mutation; the rest are
+// text. Work orders (RUN, FEED) move to their own goroutine — a run needs
+// this link's dispatcher free to deliver data frames.
+func (s *Server) handleControl(from string, data []byte) {
+	if len(data) > 0 && data[0] < ' ' {
+		s.applyMirrored(from, data)
+		return
+	}
+	head, body, _ := strings.Cut(string(data), "\n")
+	f := strings.Fields(head)
+	switch {
+	case len(f) == 4 && f[0] == "RUN":
 		n, _ := strconv.Atoi(f[2])
 		seed, _ := strconv.ParseInt(f[3], 10, 64)
-		go s.remoteRun(from, f[1], n, seed)
-	case "FEED":
-		if len(f) != 3 {
-			return
-		}
-		go s.remoteFeed(from, f[1], f[2], body)
-	case "RES", "ERR":
-		if len(f) != 3 {
-			return
-		}
+		go s.remoteWork(from, f[1], order{n: n, seed: seed})
+	case len(f) == 3 && f[0] == "FEED":
+		go s.remoteWork(from, f[1], order{stream: f[2], doc: body})
+	case len(f) == 3 && (f[0] == "RES" || f[0] == "ERR"):
 		s.cmu.Lock()
 		ch := s.waits[f[1]]
 		s.cmu.Unlock()
@@ -153,16 +192,9 @@ func (s *Server) handleControl(from string, data []byte) {
 			}
 		}
 		ch <- res
+	default:
+		s.refuseControl(fmt.Sprintf("from %s: unknown or malformed control %q", from, head))
 	}
-}
-
-// mirror broadcasts one engine mutation to the other nodes. Callers hold
-// s.mu (the local mutation and its mirror are one critical section).
-func (s *Server) mirror(payload string) {
-	if s.cluster == nil {
-		return
-	}
-	s.cluster.BroadcastControl([]byte(payload)) //nolint:errcheck
 }
 
 // clusterPrepare registers a fan-out run and returns its id, the reply
@@ -208,63 +240,58 @@ func (s *Server) clusterCollect(ch chan remoteRes, peers int, counts map[string]
 	return nil
 }
 
-// executeCluster fans one feed out across the cluster: it sends every other
-// node the work order, executes locally (the runtime injects only
-// locally-owned sources and exchanges batches over the mesh), and merges
-// the remote counts. The caller holds s.mu; order is the op head line ("RUN
-// n seed" or "FEED stream", the run id goes in after the op) and feed what
-// it describes; body — a FEED document — goes to node bodyTo alone.
-func (s *Server) executeCluster(order string, feed map[string][]*xmlstream.Element, body, bodyTo string) (map[string]int, error) {
+// work executes one work order on this node, the one way an order runs
+// whoever issued it; the caller holds s.mu. Every node pushes the feed the
+// order describes (orderFeed) through its installed plans. The node a client
+// gave the order to coordinates it: it first sends every other node the
+// order — a FEED's document only to the owner of the stream's tap — and
+// afterwards merges their counts into its own. A diverged node refuses.
+func (s *Server) work(o order, feed map[string][]*xmlstream.Element, coordinate bool) (map[string]int, error) {
+	if s.diverged != "" {
+		return nil, errors.New(s.diverged)
+	}
+	if !coordinate || s.cluster == nil {
+		return s.execute(feed)
+	}
 	id, ch, peers := s.clusterPrepare()
 	defer s.clusterRelease(id)
-	op, args, _ := strings.Cut(order, " ")
-	order = op + " " + id + " " + args
+	head, bodyTo := fmt.Sprintf("RUN %s %d %d", id, o.n, o.seed), ""
+	if o.stream != "" {
+		head = "FEED " + id + " " + o.stream
+		bodyTo = s.cluster.NodeOf(s.eng.Net, s.eng.Original(o.stream).Tap)
+	}
 	for _, node := range s.cluster.Nodes() {
 		if node == s.cluster.Node() {
 			continue
 		}
-		payload := order
+		payload := head
 		if node == bodyTo {
-			payload += "\n" + body
+			payload += "\n" + o.doc
 		}
 		if err := s.cluster.SendControl(node, []byte(payload)); err != nil {
 			return nil, err
 		}
 	}
 	counts, err := s.execute(feed)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = s.clusterCollect(ch, peers, counts)
 	}
-	if err := s.clusterCollect(ch, peers, counts); err != nil {
-		return nil, err
-	}
-	return counts, nil
+	return counts, err
 }
 
-// remoteRun executes a coordinator's RUN order on this node and answers
-// with the locally-delivered counts.
-func (s *Server) remoteRun(from, id string, n int, seed int64) {
-	s.mu.Lock()
-	feed := s.buildFeed(n, seed)
-	counts, err := s.execute(feed)
-	s.mu.Unlock()
-	s.reply(from, id, counts, err)
-}
-
-// remoteFeed executes a coordinator's FEED order on this node. An order
-// with a document makes this node the owner of the stream's tap: it parses
-// the document and injects the items. An order without one parses nothing;
-// the node takes part through its operators.
-func (s *Server) remoteFeed(from, id, stream, doc string) {
-	var items []*xmlstream.Element
-	var err error
-	if doc != "" {
-		items, err = s.parseFeedDoc(doc)
-	}
+// remoteWork executes a coordinator's work order on this node and answers
+// with the locally-delivered counts. A FEED order with a document makes this
+// node the owner of the stream's tap: it parses the document and injects the
+// items; without one it takes part through its operators only.
+func (s *Server) remoteWork(from, id string, o order) {
 	var counts map[string]int
+	var err error
+	if o.doc != "" {
+		o.items, err = s.parseFeedDoc(o.doc)
+	}
 	if err == nil {
 		s.mu.Lock()
-		counts, err = s.execute(map[string][]*xmlstream.Element{stream: items})
+		counts, err = s.work(o, s.orderFeed(o), false)
 		s.mu.Unlock()
 	}
 	s.reply(from, id, counts, err)
@@ -289,18 +316,21 @@ func (s *Server) reply(from, id string, counts map[string]int, err error) {
 	s.cluster.SendControl(from, []byte(b.String())) //nolint:errcheck
 }
 
-// buildFeed generates the synthetic photon feed for every original
-// stream, one deterministic seed per stream starting at base. Each node
-// derives the same feed; the runtime injects only locally-owned taps.
-// The caller holds s.mu.
-func (s *Server) buildFeed(n int, base int64) map[string][]*xmlstream.Element {
+// orderFeed derives what a work order feeds the original streams: a FEED's
+// decoded document, or for a RUN the synthetic photons of every original
+// stream, one deterministic seed per stream starting at the order's. Every
+// node derives the same; the caller holds s.mu.
+func (s *Server) orderFeed(o order) map[string][]*xmlstream.Element {
+	if o.stream != "" {
+		return map[string][]*xmlstream.Element{o.stream: o.items}
+	}
 	feed := map[string][]*xmlstream.Element{}
-	seed := base
+	seed := o.seed
 	for _, d := range s.eng.Streams() {
 		if !d.Original {
 			continue
 		}
-		feed[d.Input.Stream] = photons.NewGenerator(s.cfg, seed).Generate(n)
+		feed[d.Input.Stream] = photons.NewGenerator(s.cfg, seed).Generate(o.n)
 		seed++
 	}
 	s.seed = seed

@@ -2,36 +2,21 @@ package server
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"streamshare/internal/adapt"
 	"streamshare/internal/core"
 	"streamshare/internal/durable"
-	"streamshare/internal/network"
-)
-
-// Catalog journal record kinds. The payload is line-oriented text — catalog
-// mutations are rare and human-debuggable journals are worth more than
-// compact ones here (the data plane's link journals are the hot path, not
-// this).
-const (
-	// catSub: "<id> <target> <strategy-int>\n<query text>".
-	catSub uint8 = 1
-	// catUnsub: "<id>".
-	catUnsub uint8 = 2
-	// catAdapt: the applied schedule in adapt syntax ("fail:SP1; reopt").
-	catAdapt uint8 = 3
 )
 
 // WithDurable attaches a write-ahead catalog journal rooted at dir: every
-// successful SUBSCRIBE, UNSUBSCRIBE and adaptation schedule (FAIL, RESTORE,
-// ADAPT) is journaled after it applies, and a server restarted over the
-// same directory replays the journal against its freshly built topology to
-// recover the exact pre-crash catalog — same subscription ids, same plans,
-// same deployed streams (planning is deterministic; replay verifies the
-// re-assigned ids against the journal and refuses to start on divergence).
+// control-plane mutation this node applies, its own clients' or mirrored to
+// it, is journaled after it applies as the op's catalog record (every
+// core.CatalogOp kind), and a server restarted over the same directory
+// replays the journal against its freshly built topology to recover the
+// exact pre-crash catalog — same subscription ids, same plans, same deployed
+// streams (planning is deterministic; replay verifies the re-assigned ids
+// against the journal and refuses to start on divergence).
 //
 // The journal is an append-only op history, never compacted: installed
 // plans depend on the full mutation order (a shared stream can outlive the
@@ -51,89 +36,32 @@ func (s *Server) WithDurable(dir string, sync durable.Sync, interval time.Durati
 	if err != nil {
 		return nil, fmt.Errorf("server: catalog journal: %w", err)
 	}
-	ops := decodeCatalog(recs)
-	if err := s.eng.ReplayCatalog(ops, s.replayAdapt); err != nil {
+	ops := make([]core.CatalogOp, len(recs))
+	for i, r := range recs {
+		if ops[i], err = core.ParseCatalogRecord(r.Kind, r.Data); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = s.eng.ReplayCatalog(ops, s.replayAdapt)
+	}
+	if err != nil {
 		wal.Close() //nolint:errcheck // replay error wins
 		return nil, fmt.Errorf("server: catalog recovery: %w", err)
 	}
 	s.catWAL = wal
-	s.eng.SetJournal(s.journalCatalog)
 	return s, nil
 }
 
-// journalCatalog appends one engine mutation to the catalog WAL. It runs
-// under the engine's control-plane lock (and s.mu for client-driven
-// mutations), after the mutation fully applied — write-ahead of the reply,
-// not of the in-memory state: a crash between apply and append loses at
-// most the op whose OK the client never saw.
-func (s *Server) journalCatalog(op core.CatalogOp) {
-	switch op.Kind {
-	case core.CatalogSubscribe:
-		data := fmt.Sprintf("%s %s %d\n%s", op.ID, op.Target, int(op.Strategy), op.Query)
-		s.catWAL.Append(catSub, []byte(data)) //nolint:errcheck // sticky WAL error resurfaces on Close
-	case core.CatalogUnsubscribe:
-		s.catWAL.Append(catUnsub, []byte(op.ID)) //nolint:errcheck // sticky WAL error resurfaces on Close
-	case core.CatalogAdapt:
-		s.catWAL.Append(catAdapt, []byte(op.Detail)) //nolint:errcheck // sticky WAL error resurfaces on Close
-	}
-}
-
-// journalEvents records an applied adaptation schedule. Event.String
-// round-trips through adapt.ParseSchedule, so recovery re-applies the
-// identical events.
-func (s *Server) journalEvents(events []adapt.Event) {
-	if s.catWAL == nil {
-		return
-	}
-	parts := make([]string, len(events))
-	for i, ev := range events {
-		parts[i] = ev.String()
-	}
-	s.journalCatalog(core.CatalogOp{Kind: core.CatalogAdapt, Detail: strings.Join(parts, "; ")})
-}
-
-// replayAdapt is the ReplayCatalog callback for journaled adaptation
-// schedules: parse and re-apply through the adaptation manager. Repair and
-// migration decisions are deterministic over the replayed engine state, so
-// the surviving subscription set matches the pre-crash one.
+// replayAdapt is the ReplayCatalog callback for adaptation schedules: parse
+// and re-apply through the adaptation manager. Repair and migration decisions
+// are deterministic over the replayed engine state, so the surviving
+// subscription set matches the one the op's origin computed.
 func (s *Server) replayAdapt(op core.CatalogOp) error {
-	if op.Kind != core.CatalogAdapt {
-		return fmt.Errorf("unknown catalog op kind %q", op.Kind)
-	}
 	events, err := adapt.ParseSchedule(op.Detail)
 	if err != nil {
 		return err
 	}
 	_, err = s.adm.ApplyAll(events)
 	return err
-}
-
-// decodeCatalog parses recovered journal records into replayable ops.
-// Records are checksummed on disk, so malformed payloads here mean a
-// version skew rather than corruption; they are skipped defensively.
-func decodeCatalog(recs []durable.Record) []core.CatalogOp {
-	var ops []core.CatalogOp
-	for _, r := range recs {
-		switch r.Kind {
-		case catSub:
-			head, query, ok := strings.Cut(string(r.Data), "\n")
-			f := strings.Fields(head)
-			if !ok || len(f) != 3 {
-				continue
-			}
-			strat, err := strconv.Atoi(f[2])
-			if err != nil {
-				continue
-			}
-			ops = append(ops, core.CatalogOp{
-				Kind: core.CatalogSubscribe, ID: f[0],
-				Target: network.PeerID(f[1]), Strategy: core.Strategy(strat), Query: query,
-			})
-		case catUnsub:
-			ops = append(ops, core.CatalogOp{Kind: core.CatalogUnsubscribe, ID: string(r.Data)})
-		case catAdapt:
-			ops = append(ops, core.CatalogOp{Kind: core.CatalogAdapt, Detail: string(r.Data)})
-		}
-	}
-	return ops
 }

@@ -94,6 +94,10 @@ type Server struct {
 	cmu     sync.Mutex
 	waits   map[string]chan remoteRes
 	runSeq  int
+	// diverged, once set (under mu), is why this node left the replicated
+	// set; ctlRefused counts the control frames it did not act on.
+	diverged   string
+	ctlRefused *obs.Counter
 
 	// FEED document counters (parseFeedDoc): documents this process parsed,
 	// the items they held, and documents that left the decoder's fast lane.
@@ -109,15 +113,18 @@ type Server struct {
 // count with stream-specific seeds.
 func New(eng *core.Engine, cfg photons.Config) *Server {
 	reg := eng.Obs().Metrics
-	return &Server{
+	s := &Server{
 		eng: eng, adm: adapt.NewManager(eng), cfg: cfg, seed: 1,
 		conns: map[net.Conn]struct{}{},
 		stall: obs.NewStallDetector(0),
 
+		ctlRefused:   reg.Counter("server.control.refused"),
 		feedDocs:     reg.Counter("server.feed.docs"),
 		feedItems:    reg.Counter("server.feed.items"),
 		feedFallback: reg.Counter("server.feed.docs.fallback"),
 	}
+	eng.SetJournal(func(op core.CatalogOp) { s.commit(op.Record(), true) })
+	return s
 }
 
 // WithSession attaches a reliability session: RUN and FEED execute on the
@@ -314,9 +321,6 @@ func (s *Server) subscribe(w io.Writer, r *bufio.Reader, args []string) {
 	}
 	s.mu.Lock()
 	sub, err := s.eng.Subscribe(src, network.PeerID(args[0]), strat)
-	if err == nil {
-		s.mirror("SUB " + args[0] + " " + args[1] + "\n" + src)
-	}
 	s.mu.Unlock()
 	if err != nil {
 		fmt.Fprintf(w, "ERR %v\n", err)
@@ -431,9 +435,6 @@ func (s *Server) unsubscribe(w io.Writer, args []string) {
 	s.mu.Lock()
 	err := s.eng.Unsubscribe(args[0])
 	s.stall.Forget(args[0])
-	if err == nil {
-		s.mirror("UNSUB " + args[0])
-	}
 	s.mu.Unlock()
 	if err != nil {
 		fmt.Fprintf(w, "ERR %v\n", err)
@@ -452,21 +453,31 @@ func (s *Server) run(w io.Writer, args []string) {
 		fmt.Fprintf(w, "ERR bad item count %q\n", args[0])
 		return
 	}
+	s.issue(w, order{n: n})
+}
+
+// issue runs a client's RUN or FEED with this node coordinating the order,
+// and writes the reply.
+func (s *Server) issue(w io.Writer, o order) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	order := fmt.Sprintf("RUN %d %d", n, s.seed)
-	feed := s.buildFeed(n, s.seed)
-	var counts map[string]int
-	if s.cluster != nil {
-		counts, err = s.executeCluster(order, feed, "", "")
-	} else {
-		counts, err = s.execute(feed)
+	if o.stream == "" {
+		o.seed = s.seed
+	} else if s.eng.Original(o.stream) == nil {
+		fmt.Fprintf(w, "ERR unknown stream %s\n", o.stream)
+		return
 	}
+	feed := s.orderFeed(o)
+	counts, err := s.work(o, feed, true)
 	if err != nil {
 		fmt.Fprintf(w, "ERR %v\n", err)
 		return
 	}
-	fmt.Fprintf(w, "OK %d streams fed %d items\n", len(feed), n)
+	if o.stream == "" {
+		fmt.Fprintf(w, "OK %d streams fed %d items\n", len(feed), o.n)
+	} else {
+		fmt.Fprintf(w, "OK fed %d items into %s\n", len(o.items), o.stream)
+	}
 	for _, sub := range s.eng.Subscriptions() {
 		fmt.Fprintf(w, "  %s %d\n", sub.ID, counts[sub.ID])
 	}
@@ -503,7 +514,6 @@ func (s *Server) feed(w io.Writer, r *bufio.Reader, args []string) {
 		fmt.Fprintln(w, "ERR usage: FEED <stream>")
 		return
 	}
-	stream := args[0]
 	doc, err := readQuery(r)
 	if err != nil {
 		fmt.Fprintf(w, "ERR %v\n", err)
@@ -514,28 +524,7 @@ func (s *Server) feed(w io.Writer, r *bufio.Reader, args []string) {
 		fmt.Fprintf(w, "ERR %v\n", err)
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	orig := s.eng.Original(stream)
-	if orig == nil {
-		fmt.Fprintf(w, "ERR unknown stream %s\n", stream)
-		return
-	}
-	feed := map[string][]*xmlstream.Element{stream: items}
-	var counts map[string]int
-	if s.cluster != nil {
-		counts, err = s.executeCluster("FEED "+stream, feed, doc, s.cluster.NodeOf(s.eng.Net, orig.Tap))
-	} else {
-		counts, err = s.execute(feed)
-	}
-	if err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
-		return
-	}
-	fmt.Fprintf(w, "OK fed %d items into %s\n", len(items), stream)
-	for _, sub := range s.eng.Subscriptions() {
-		fmt.Fprintf(w, "  %s %d\n", sub.ID, counts[sub.ID])
-	}
+	s.issue(w, order{stream: args[0], doc: doc, items: items})
 }
 
 // health reports the reliability layer's introspection: failure-detector
@@ -597,14 +586,23 @@ func (s *Server) adaptCmd(w io.Writer, args []string) {
 	s.applyEvents(w, events)
 }
 
-// applyEvents runs events through the adaptation manager and prints one
-// report line per affected subscription.
+// applyEvents applies events in order, each as its own catalog op through
+// the path that replays one (the engine's journal hook is off there: an
+// unsubscribe event is that event's record, not a second one), commits each
+// that applied — Event.String round-trips through adapt.ParseSchedule — and
+// prints one report line per affected subscription.
 func (s *Server) applyEvents(w io.Writer, events []adapt.Event) {
 	s.mu.Lock()
-	reports, err := s.adm.ApplyAll(events)
-	if err == nil {
-		s.journalEvents(events)
+	start := len(s.adm.Reports())
+	var err error
+	for _, ev := range events {
+		op := core.CatalogOp{Kind: core.CatalogAdapt, Detail: ev.String()}
+		if err = s.eng.ReplayCatalog([]core.CatalogOp{op}, s.replayAdapt); err != nil {
+			break
+		}
+		s.commit(op.Record(), true)
 	}
+	reports := s.adm.Reports()[start:]
 	s.mu.Unlock()
 	if err != nil {
 		fmt.Fprintf(w, "ERR %v\n", err)

@@ -451,9 +451,9 @@ func TestServerCloseBeforeServe(t *testing.T) {
 	}
 }
 
-// startDetourServer builds a topology with a short route SP0-SP1-SP2 and a
+// buildDetourEngine builds a topology with a short route SP0-SP1-SP2 and a
 // longer backup route SP0-SP3-SP4-SP2, so failing SP1 leaves a repair path.
-func startDetourServer(t *testing.T) (addr string, stop func()) {
+func buildDetourEngine(t *testing.T) *core.Engine {
 	t.Helper()
 	n := network.New()
 	for _, id := range []network.PeerID{"SP0", "SP1", "SP2", "SP3", "SP4"} {
@@ -469,7 +469,13 @@ func startDetourServer(t *testing.T) (addr string, stop func()) {
 	if _, err := eng.RegisterStream("photons", xmlstream.ParsePath("photons/photon"), "SP0", st); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(eng, photons.DefaultConfig())
+	return eng
+}
+
+// startDetourServer serves buildDetourEngine from one process.
+func startDetourServer(t *testing.T) (addr string, stop func()) {
+	t.Helper()
+	srv := New(buildDetourEngine(t), photons.DefaultConfig())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
