@@ -13,6 +13,11 @@
 // declaration's doc covers all its specs; a spec- or field-level line
 // comment also counts. Exit status 1 reports at least one finding, with
 // file:line locations on stdout.
+//
+// With -refs the arguments are markdown documents instead, checked from the
+// repository root for dangling references (see lintRefs):
+//
+//	doclint -refs DESIGN.md PERFORMANCE.md README.md
 package main
 
 import (
@@ -23,18 +28,28 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 )
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: doclint <package dir>...\n")
+		fmt.Fprintf(os.Stderr, "usage: doclint <package dir>... | doclint -refs <document.md>...\n")
 		flag.PrintDefaults()
 	}
+	refs := flag.Bool("refs", false, "check the given markdown documents for references to files and tests that do not exist")
 	flag.Parse()
 	if flag.NArg() == 0 {
 		flag.Usage()
 		os.Exit(2)
+	}
+	if *refs {
+		if n := lintRefs(flag.Args()); n > 0 {
+			fmt.Printf("doclint: %d dangling reference(s)\n", n)
+			os.Exit(1)
+		}
+		return
 	}
 	findings := 0
 	for _, dir := range flag.Args() {
@@ -169,4 +184,88 @@ func lintTypeBody(s *ast.TypeSpec, report func(token.Pos, string, string)) {
 			}
 		}
 	}
+}
+
+var (
+	// codeSpan is a backticked span that starts like a repository path.
+	codeSpan = regexp.MustCompile("`((?:internal|cmd|bench|docs)/[^`]*)`")
+	// testName is a Go test, benchmark or fuzz target name; the optional
+	// tail marks it as a family (`BenchmarkAblation*`, `TestFoo{A,B}`, `TestBar…`).
+	testName = regexp.MustCompile(`\b((?:Test|Benchmark|Fuzz)[A-Z0-9]\w*)([{*…]?)`)
+	testDecl = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+)
+
+// lintRefs reports, for each document, every backticked internal/, cmd/,
+// bench/ or docs/ path that does not exist under the working directory and
+// every Test*/Benchmark*/Fuzz* name no _test.go file declares. A reference
+// followed by `{`, `*` or `…` names a family and must be the prefix of
+// something that exists; generated paths under bench/out/ are exempt.
+func lintRefs(docs []string) int {
+	var tests []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range testDecl.FindAllSubmatch(src, -1) {
+			tests = append(tests, string(m[1]))
+		}
+		return err
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
+		os.Exit(2)
+	}
+	declared := func(name string, family bool) bool {
+		for _, t := range tests {
+			if t == name || family && strings.HasPrefix(t, name) {
+				return true
+			}
+		}
+		return false
+	}
+
+	findings := 0
+	for _, doc := range docs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
+			os.Exit(2)
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, m := range codeSpan.FindAllStringSubmatch(line, -1) {
+				if ref, _, _ := strings.Cut(m[1], " "); !pathExists(ref) {
+					fmt.Printf("%s:%d: no such path %s\n", doc, i+1, ref)
+					findings++
+				}
+			}
+			for _, m := range testName.FindAllStringSubmatch(line, -1) {
+				if !declared(m[1], m[2] != "") {
+					fmt.Printf("%s:%d: no such test %s\n", doc, i+1, m[1])
+					findings++
+				}
+			}
+		}
+	}
+	return findings
+}
+
+// qualified is a package path with an exported identifier attached
+// (`internal/cost.DefaultModel`); only the package is looked up.
+var qualified = regexp.MustCompile(`\.[A-Z]\w*$`)
+
+// pathExists resolves one path reference: a trailing :line is dropped, and
+// a `{`, `*`, `…` or `<` cuts the reference down to a prefix some file or
+// directory must start with.
+func pathExists(ref string) bool {
+	if strings.HasPrefix(ref, "bench/out/") {
+		return true
+	}
+	if i := strings.IndexAny(ref, "{*…<"); i >= 0 {
+		matches, _ := filepath.Glob(ref[:i] + "*")
+		return len(matches) > 0
+	}
+	ref, _, _ = strings.Cut(ref, ":")
+	_, err := os.Stat(qualified.ReplaceAllString(ref, ""))
+	return err == nil
 }

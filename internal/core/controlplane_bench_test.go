@@ -4,17 +4,21 @@ import (
 	"testing"
 
 	"streamshare/internal/core"
+	"streamshare/internal/network"
 	"streamshare/internal/scenario"
 	"streamshare/internal/xmlstream"
 )
 
+// newEngineFunc is core.NewEngine or the test hook core.NewReferenceEngine.
+type newEngineFunc func(*network.Network, core.Config) *core.Engine
+
 // populateGrid registers the ScaleGrid sources and all queries on a fresh
 // engine, bringing it to the steady state the benchmarks measure against:
 // N peers carrying M live shared streams.
-func populateGrid(b *testing.B, cfg core.Config) (*core.Engine, *scenario.Scenario) {
+func populateGrid(b *testing.B, newEngine newEngineFunc) (*core.Engine, *scenario.Scenario) {
 	b.Helper()
 	s := scenario.ScaleGrid(6, 256, 200)
-	eng := core.NewEngine(s.Net, cfg)
+	eng := newEngine(s.Net, core.Config{})
 	for _, src := range s.Sources {
 		if _, err := eng.RegisterStream(src.Name, xmlstream.ParsePath("photons/photon"), src.At, src.Stats); err != nil {
 			b.Fatal(err)
@@ -35,8 +39,8 @@ func populateGrid(b *testing.B, cfg core.Config) (*core.Engine, *scenario.Scenar
 // brings the planner's caches to their steady state — during population,
 // query j was never planned against streams installed after j, so without the
 // pass the first measured cycles would still be paying one-time misses.
-func benchmarkControlPlane(b *testing.B, cfg core.Config) {
-	eng, s := populateGrid(b, cfg)
+func benchmarkControlPlane(b *testing.B, newEngine newEngineFunc) {
+	eng, s := populateGrid(b, newEngine)
 	for _, q := range s.Queries {
 		sub, err := eng.Subscribe(q.Src, q.Target, core.StreamSharing)
 		if err != nil {
@@ -60,22 +64,22 @@ func benchmarkControlPlane(b *testing.B, cfg core.Config) {
 }
 
 func BenchmarkControlPlaneIndexed(b *testing.B) {
-	benchmarkControlPlane(b, core.Config{})
+	benchmarkControlPlane(b, core.NewEngine)
 }
 
 func BenchmarkControlPlaneReference(b *testing.B) {
-	benchmarkControlPlane(b, core.Config{ReferencePlanner: true})
+	benchmarkControlPlane(b, core.NewReferenceEngine)
 }
 
 // benchmarkControlPlaneColdStart measures the one-shot population cost: a
 // fresh engine registering the whole ScaleGrid workload from nothing. Caches
 // and index start empty every iteration, so this bounds how much of the
 // steady-state win is amortization.
-func benchmarkControlPlaneColdStart(b *testing.B, cfg core.Config) {
+func benchmarkControlPlaneColdStart(b *testing.B, newEngine newEngineFunc) {
 	s := scenario.ScaleGrid(6, 256, 200)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng := core.NewEngine(s.Net, cfg)
+		eng := newEngine(s.Net, core.Config{})
 		for _, src := range s.Sources {
 			if _, err := eng.RegisterStream(src.Name, xmlstream.ParsePath("photons/photon"), src.At, src.Stats); err != nil {
 				b.Fatal(err)
@@ -90,9 +94,9 @@ func benchmarkControlPlaneColdStart(b *testing.B, cfg core.Config) {
 }
 
 func BenchmarkControlPlaneColdStartIndexed(b *testing.B) {
-	benchmarkControlPlaneColdStart(b, core.Config{})
+	benchmarkControlPlaneColdStart(b, core.NewEngine)
 }
 
 func BenchmarkControlPlaneColdStartReference(b *testing.B) {
-	benchmarkControlPlaneColdStart(b, core.Config{ReferencePlanner: true})
+	benchmarkControlPlaneColdStart(b, core.NewReferenceEngine)
 }

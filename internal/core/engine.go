@@ -149,15 +149,6 @@ type Config struct {
 	// retired chain's accumulated state (exec.Transplant) instead of starting
 	// cold. TryMigrate aborts a migration whose state cannot be transplanted.
 	Reliable bool
-	// ReferencePlanner disables the planner's deployed-stream index, route
-	// and match caches, and parallel costing, restoring the brute-force
-	// sequential search. Decisions are identical either way (the equivalence
-	// tests assert it); this exists as the baseline for the control-plane
-	// benchmark and as a cross-check.
-	ReferencePlanner bool
-	// PlanWorkers bounds the planner's candidate-costing worker pool; <= 0
-	// picks a default from GOMAXPROCS, 1 forces serial costing.
-	PlanWorkers int
 	// Obs injects a shared observability layer (metrics registry + decision
 	// tracer); nil gives the engine a private one. Instrumentation is always
 	// on — it is cheap enough to leave enabled (atomic counters, bounded
@@ -238,8 +229,6 @@ func NewEngine(net *network.Network, cfg Config) *Engine {
 		Admission:  cfg.Admission,
 		DepthFirst: cfg.DepthFirst,
 		Widening:   cfg.Widening,
-		Reference:  cfg.ReferencePlanner,
-		Workers:    cfg.PlanWorkers,
 	}, e.obs)
 	return e
 }

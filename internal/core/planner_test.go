@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"regexp"
 	"sort"
@@ -9,7 +10,10 @@ import (
 	"testing"
 
 	"streamshare/internal/network"
+	"streamshare/internal/obs"
 	"streamshare/internal/photons"
+	"streamshare/internal/properties"
+	"streamshare/internal/wxquery"
 	"streamshare/internal/xmlstream"
 )
 
@@ -66,10 +70,9 @@ func TestSubIDsMonotonic(t *testing.T) {
 	}
 }
 
-// TestConcurrentSubscribe drives Subscribe from many goroutines at once —
-// the engine serializes its control plane while each call's costing fans out
-// over the planner's worker pool. Run under -race this doubles as the data
-// race check for the parallel costing path.
+// TestConcurrentSubscribe drives Subscribe from many goroutines at once.
+// Under -race it checks Engine.mu: the planner itself is serial, and
+// everything it and install touch is guarded by that one lock.
 func TestConcurrentSubscribe(t *testing.T) {
 	eng, _ := newEngine(t, Config{})
 	queries := []string{q1, q2, q3, q4}
@@ -126,10 +129,10 @@ func randomNet(rng *rand.Rand, peers int) *network.Network {
 
 // TestPlannerEquivalence runs identical randomized operation sequences —
 // Subscribe, Unsubscribe, peer Fail/repair, Restore/migrate — against two
-// engines over the same topology: one with the indexed, cached, parallel
-// planner (the default) and one with Config.ReferencePlanner, the brute-force
-// full-scan baseline. Every decision must come out the same: same winners,
-// same rendered traces and plans, same rejections, same final loads.
+// engines over the same topology: one with the production planner (index and
+// caches) and one from NewReferenceEngine, whose planner answers every lookup
+// by brute force. Every decision must come out the same: same winners, same
+// rendered traces and plans, same rejections, same final loads.
 func TestPlannerEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -137,15 +140,14 @@ func TestPlannerEquivalence(t *testing.T) {
 	}{
 		{"default", Config{}},
 		{"admission_widening", Config{Admission: true, Widening: true}},
+		{"depth_first", Config{DepthFirst: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for seed := int64(1); seed <= 3; seed++ {
-				refCfg := tc.cfg
-				refCfg.ReferencePlanner = true
+			for seed := int64(1); seed <= 20; seed++ {
 				rngA := rand.New(rand.NewSource(seed))
 				rngB := rand.New(rand.NewSource(seed))
 				fast := NewEngine(randomNet(rngA, 12), tc.cfg)
-				ref := NewEngine(randomNet(rngB, 12), refCfg)
+				ref := NewReferenceEngine(randomNet(rngB, 12), tc.cfg)
 				engines := []*Engine{fast, ref}
 
 				_, st := photons.Stream("photons", photons.DefaultConfig(), 42, 2000)
@@ -285,5 +287,46 @@ func TestPlannerEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWideningCostDeterministic plans the same widening subscription on fresh
+// engines and requires the same cost to the bit and the same trace text: a
+// widening candidate's usage lists start from its rewiring delta in key
+// order, so the float sum in Model.Cost does not follow map iteration order.
+func TestWideningCostDeterministic(t *testing.T) {
+	_, st := photons.Stream("photons", photons.DefaultConfig(), 5, 2500)
+	q, err := wxquery.Parse(boxB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	props, err := properties.Build(q, properties.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantBits uint64
+	var wantTrace string
+	for run := 0; run < 50; run++ {
+		eng := NewEngine(lineNet(), Config{Widening: true})
+		if _, err := eng.RegisterStream("photons", xmlstream.ParsePath("photons/photon"), "SRC", st); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Subscribe(boxA, "N3", StreamSharing); err != nil {
+			t.Fatal(err)
+		}
+		dt := &obs.DecisionTrace{SubID: "q2"}
+		c, err := eng.planner.PlanInput(q, props.Inputs[0], "END", StreamSharing, &RegStats{}, dt.Input("photons"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Widen == nil {
+			t.Fatal("expected a widening plan")
+		}
+		bits, trace := math.Float64bits(c.Cost), dt.String()
+		if run == 0 {
+			wantBits, wantTrace = bits, trace
+		} else if bits != wantBits || trace != wantTrace {
+			t.Fatalf("run %d: cost %x, want %x\n%s\nwant\n%s", run, bits, wantBits, trace, wantTrace)
+		}
 	}
 }

@@ -19,8 +19,7 @@ import (
 // plan (the search itself lives in internal/plan). It returns ErrRejected
 // when admission control is enabled and every plan would overload a peer or
 // network connection. Concurrent Subscribe calls are safe: the engine
-// serializes its control plane, while each call's candidate costing fans
-// out over the planner's worker pool.
+// serializes its control plane.
 //
 // Every call — successful or not — leaves a decision trace in the engine's
 // observer recording candidate streams, match outcomes, cost breakdowns and

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"streamshare/internal/network"
+	"streamshare/internal/obs"
 	"streamshare/internal/photons"
+	"streamshare/internal/plan"
+	"streamshare/internal/properties"
+	"streamshare/internal/wxquery"
 	"streamshare/internal/xmlstream"
 )
 
@@ -169,5 +174,83 @@ func TestWideningUsageAccounting(t *testing.T) {
 	// what must not happen is negative accounting or dangling subscriptions.
 	if len(eng.Subscriptions()) != 0 {
 		t.Errorf("subscriptions left: %d", len(eng.Subscriptions()))
+	}
+}
+
+// TestWideningAtSourcePeer widens a stream whose route is one peer — the
+// first subscription sits at the source's own super-peer — so the rewiring
+// delta has peer entries and no link entry. The widening plan must still
+// carry the delta: what install leaves as the subscription's own footprint
+// is what sharing the widened stream costs once it flows, and tearing down
+// returns every peer and link to zero.
+func TestWideningAtSourcePeer(t *testing.T) {
+	_, eng, _ := widenEngines(t)
+	s1, err := eng.Subscribe(boxA, "SRC", StreamSharing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planB := func() *plan.Candidate {
+		t.Helper()
+		q, err := wxquery.Parse(boxB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		props, err := properties.Build(q, properties.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dt := &obs.DecisionTrace{SubID: "probe"}
+		c, err := eng.planner.PlanInput(q, props.Inputs[0], "END", StreamSharing, &RegStats{}, dt.Input("photons"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	wc := planB()
+	if wc.Widen == nil {
+		t.Fatal("expected a widening plan")
+	}
+	if len(wc.Widen.DeltaLink) != 0 || len(wc.Widen.DeltaPeer) == 0 {
+		t.Fatalf("one-peer route: delta links %v, peers %v", wc.Widen.DeltaLink, wc.Widen.DeltaPeer)
+	}
+	own := map[network.PeerID]float64{}
+	for v, u := range wc.PeerAdd {
+		own[v] = u - wc.Widen.DeltaPeer[v]
+	}
+	s2, err := eng.Subscribe(boxB, "END", StreamSharing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := s2.Inputs[0].Feed.Parent; w == nil || w.Original {
+		t.Fatalf("q2 should be fed from the widened stream, parent = %v", w)
+	}
+	// With the widened stream flowing (the first query holds it) and q2
+	// gone, the same query is an ordinary share of it: that plan's additions
+	// are the widening plan's minus the delta.
+	if err := eng.Unsubscribe(s2.ID); err != nil {
+		t.Fatal(err)
+	}
+	share := planB()
+	if share.Widen != nil || share.Source.Original {
+		t.Fatalf("second plan should share the widened stream, source %s", share.Source.ID)
+	}
+	if len(share.PeerAdd) != len(own) {
+		t.Errorf("widening plan touches %v, ordinary share %v", wc.PeerAdd, share.PeerAdd)
+	}
+	for v, u := range share.PeerAdd {
+		if math.Abs(own[v]-u) > 1e-9*(1+math.Abs(u)) {
+			t.Errorf("peer %s: widening plan's own share %v, ordinary share %v", v, own[v], u)
+		}
+	}
+	if err := eng.Unsubscribe(s1.ID); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []network.PeerID{"SRC", "N1", "N2", "N3", "END"} {
+		if u := eng.PeerLoad(v); u != 0 {
+			t.Errorf("peer %s load after teardown = %v", v, u)
+		}
+	}
+	if links, _ := totalUse(eng); links != 0 {
+		t.Errorf("link use after teardown = %v", links)
 	}
 }

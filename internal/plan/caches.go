@@ -13,8 +13,8 @@ import (
 // RouteCache memoizes minimum-hop shortest paths, including negative
 // results (unreachable pairs). Any topology mutation clears it wholesale —
 // the planner wires Clear into Network.OnChange — so a cached path is always
-// a path over the current live topology. It is safe for concurrent use: the
-// costing worker pool resolves routes in parallel.
+// a path over the current live topology. It is safe for concurrent use: a
+// topology change can fire Clear outside the engine's control-plane lock.
 type RouteCache struct {
 	mu        sync.Mutex
 	paths     map[[2]network.PeerID][]network.PeerID

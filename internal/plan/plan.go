@@ -1,31 +1,29 @@
 // Package plan is the engine's control plane: Algorithm 1's plan search
 // (discovery over the stream overlay, property matching, cost-based plan
-// selection) extracted behind a single entry point that Subscribe, Replan
-// and TryMigrate all call through (PlanInput).
+// selection) behind a single entry point that Subscribe, Replan and
+// TryMigrate all call through (PlanInput).
 //
-// The planner is fast by construction without changing any decision:
+// The search is the paper's serial loop — discover, match, cost, keep the
+// cheapest — and is fast through what it looks things up in, not through
+// how it runs:
 //
 //   - a deployed-stream index (per-peer × per-input-stream posting lists,
 //     maintained incrementally on install/uninstall and rebuilt on widening
-//     rewires) replaces the full scan over every deployed stream at every
+//     rewires) instead of a scan over every deployed stream at every
 //     visited peer;
-//   - a route cache memoizes shortest paths, invalidated wholesale by the
+//   - a route cache memoizing shortest paths, invalidated wholesale by the
 //     network's OnChange events;
-//   - a match cache memoizes properties.MatchInput outcomes keyed by
-//     canonical input fingerprints (properties are immutable once built);
-//   - candidate costing runs on a bounded worker pool, with discovery and
-//     selection kept serial so traces, winners and rejection outcomes stay
-//     byte-identical to the sequential search.
+//   - a match cache memoizing properties.MatchInput outcomes, mismatch
+//     explanations and residual operator lists, keyed by canonical input
+//     fingerprints (properties are immutable once built).
 //
-// Options.Reference bypasses all of it — full scans, no caches, serial
-// costing — providing the brute-force reference planner the equivalence
-// tests and the control-plane benchmark compare against.
+// Reference (reference.go) answers the same lookups by brute force; it is
+// the oracle the equivalence tests hold the index and the caches to.
 package plan
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"streamshare/internal/cost"
@@ -161,9 +159,8 @@ type Candidate struct {
 	// Size and Freq are the new stream's cost-model estimates.
 	Size, Freq float64
 	// LinkAdd and PeerAdd are the absolute additions to link and peer usage
-	// if installed. For plain sharing candidates they are materialized from
-	// the costing accumulators only on the winning candidate (losing plans
-	// never need them); widening candidates seed them before costing.
+	// if installed, materialized from the costing accumulators only on the
+	// winning candidate (losing plans never need them).
 	LinkAdd map[network.LinkID]float64
 	PeerAdd map[network.PeerID]float64
 	Usage   cost.Usage
@@ -173,7 +170,8 @@ type Candidate struct {
 	Widen *Widening
 
 	// linkAdds/peerAdds accumulate the usage additions in first-touch order
-	// during costing; materialize() folds them into the public maps.
+	// during costing (after a widening candidate's rewiring delta, in key
+	// order); materialize() folds them into the public maps.
 	linkAdds []linkAdd
 	peerAdds []peerAdd
 	// row is 1+the candidate's trace-row index, 0 when untraced.
@@ -194,9 +192,6 @@ type peerAdd struct {
 // accumulators. PlanInput calls it on the returned candidate; the per-key
 // sums are identical to accumulating into the maps directly.
 func (c *Candidate) materialize() {
-	if c.LinkAdd != nil {
-		return // widening candidates cost against pre-seeded maps
-	}
 	c.LinkAdd = make(map[network.LinkID]float64, len(c.linkAdds))
 	for _, la := range c.linkAdds {
 		c.LinkAdd[la.id] += la.b
@@ -233,7 +228,7 @@ type Host interface {
 	// Original returns the registered original stream by name, or nil.
 	Original(stream string) *Deployed
 	// Streams returns all deployed streams, originals first, in creation
-	// order (the reference planner's scan order).
+	// order.
 	Streams() []*Deployed
 	// LinkLoad returns the current analytic bandwidth use of a link.
 	LinkLoad(l network.LinkID) float64
@@ -252,23 +247,42 @@ type Options struct {
 	DepthFirst bool
 	// Widening enables the §6 stream-widening extension.
 	Widening bool
-	// Reference disables the index, the caches and parallel costing,
-	// restoring the brute-force sequential search (full deployed-stream scan
-	// per visited peer, fresh shortest paths, direct MatchInput). Decisions
-	// are identical either way; only the work to reach them differs.
-	Reference bool
-	// Workers bounds the candidate-costing pool; <= 0 picks a default from
-	// GOMAXPROCS. 1 forces serial costing.
-	Workers int
+}
+
+// lookups is what Algorithm 1 asks of the catalog and the topology. Returned
+// slices are shared; callers must not mutate them.
+type lookups interface {
+	// available returns the shareable, unbroken, visible deployed streams
+	// flowing through peer v that derive from the named original input
+	// stream, in deployment order.
+	available(v network.PeerID, stream string) []*Deployed
+	// shortestPath resolves a minimum-hop route over the live topology, nil
+	// when unreachable.
+	shortestPath(a, b network.PeerID) []network.PeerID
+	// matchInput runs Algorithm 2.
+	matchInput(have, want *properties.Input) bool
+	// explainMismatch renders the trace reason for a failed match.
+	explainMismatch(have, want *properties.Input) string
+	// residualOps names the operators of the residual pipeline deriving
+	// `want` from a stream carrying `have`.
+	residualOps(have, want *properties.Input) ([]string, error)
 }
 
 // Planner runs the plan search for the engine.
 type Planner struct {
+	lookups
 	net  *network.Network
 	host Host
 	opt  Options
 	obs  *obs.Observer
+	idx  *Index
+}
 
+// indexed answers the planner's lookups from the posting-list index and the
+// fingerprint-keyed caches.
+type indexed struct {
+	net    *network.Network
+	reg    exec.UDFRegistry
 	idx    *Index
 	routes *RouteCache
 	match  *MatchCache
@@ -278,23 +292,15 @@ type Planner struct {
 // registers a network change observer that invalidates the route cache on
 // every topology mutation.
 func New(net *network.Network, host Host, opt Options, o *obs.Observer) *Planner {
-	if opt.Workers <= 0 {
-		opt.Workers = runtime.GOMAXPROCS(0)
-		if opt.Workers > 8 {
-			opt.Workers = 8
-		}
-	}
-	p := &Planner{
+	x := &indexed{
 		net:    net,
-		host:   host,
-		opt:    opt,
-		obs:    o,
+		reg:    opt.Registry,
 		idx:    NewIndex(),
 		routes: NewRouteCache(o.Metrics),
 		match:  NewMatchCache(o.Metrics),
 	}
-	net.OnChange(func(network.Change) { p.routes.Clear() })
-	return p
+	net.OnChange(func(network.Change) { x.routes.Clear() })
+	return &Planner{lookups: x, net: net, host: host, opt: opt, obs: o, idx: x.idx}
 }
 
 // Install adds a newly deployed stream to the discovery index.
@@ -309,61 +315,24 @@ func (p *Planner) Uninstall(d *Deployed) { p.idx.Uninstall(d) }
 // tracking the individual moves.
 func (p *Planner) Reindex(all []*Deployed) { p.idx.Rebuild(all) }
 
-// available returns the shareable deployed streams flowing through peer v
-// that derive from the named original input stream, in deployment order —
-// via the posting-list index, or by full scan in reference mode. Broken and
-// hidden streams are filtered here (their flags flip without index events).
-func (p *Planner) available(v network.PeerID, stream string) []*Deployed {
-	if p.opt.Reference {
-		var out []*Deployed
-		for _, d := range p.host.Streams() {
-			if d.Input.Stream == stream && !d.NotShareable && !d.Broken && !d.Hidden && d.OnRoute(v) {
-				out = append(out, d)
-			}
-		}
-		return out
-	}
-	return p.idx.Available(v, stream)
+// Broken and hidden streams are filtered at query time (their flags flip
+// without index events).
+func (x *indexed) available(v network.PeerID, stream string) []*Deployed {
+	return x.idx.Available(v, stream)
 }
 
-// shortestPath resolves a minimum-hop route, through the route cache unless
-// in reference mode. The returned slice is shared; callers must not mutate
-// it.
-func (p *Planner) shortestPath(a, b network.PeerID) []network.PeerID {
-	if p.opt.Reference {
-		return p.net.ShortestPath(a, b)
-	}
-	return p.routes.Path(p.net, a, b)
+func (x *indexed) shortestPath(a, b network.PeerID) []network.PeerID {
+	return x.routes.Path(x.net, a, b)
 }
 
-// matchInput runs Algorithm 2, through the fingerprint-keyed cache unless in
-// reference mode.
-func (p *Planner) matchInput(have, want *properties.Input) bool {
-	if p.opt.Reference {
-		return properties.MatchInput(have, want)
-	}
-	return p.match.Match(have, want)
+func (x *indexed) matchInput(have, want *properties.Input) bool {
+	return x.match.Match(have, want)
 }
 
-// explainMismatch renders the trace reason for a failed match, through the
-// fingerprint-keyed cache unless in reference mode.
-func (p *Planner) explainMismatch(have, want *properties.Input) string {
-	if p.opt.Reference {
-		return properties.ExplainInputMismatch(have, want)
-	}
-	return p.match.Explain(have, want)
+func (x *indexed) explainMismatch(have, want *properties.Input) string {
+	return x.match.Explain(have, want)
 }
 
-// residualOps names the operators of the residual pipeline deriving `want`
-// from a stream carrying `have`, through the fingerprint-keyed cache unless
-// in reference mode. The returned slice must not be mutated.
-func (p *Planner) residualOps(have, want *properties.Input) ([]string, error) {
-	if p.opt.Reference {
-		res, err := exec.ResidualPipeline(have, want, p.opt.Registry)
-		if err != nil {
-			return nil, err
-		}
-		return opNames(res.Ops), nil
-	}
-	return p.match.Residual(have, want, p.opt.Registry)
+func (x *indexed) residualOps(have, want *properties.Input) ([]string, error) {
+	return x.match.Residual(have, want, x.reg)
 }

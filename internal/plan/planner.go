@@ -2,8 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"streamshare/internal/cost"
 	"streamshare/internal/exec"
@@ -20,13 +18,10 @@ import (
 func (p *Planner) PlanInput(q *wxquery.Query, in *properties.Input, target network.PeerID, strat Strategy, reg *RegStats, it *obs.InputTrace) (*Candidate, error) {
 	var c *Candidate
 	var err error
-	switch strat {
-	case DataShipping:
-		c, err = p.planDataShipping(q, in, target, reg, it)
-	case QueryShipping:
-		c, err = p.planQueryShipping(q, in, target, reg, it)
-	default:
+	if strat == StreamSharing {
 		c, err = p.planStreamSharing(in, target, reg, it)
+	} else {
+		c, err = p.planShipping(q, in, target, strat, reg, it)
 	}
 	if c != nil {
 		// Only the winner's absolute additions are ever installed or
@@ -63,9 +58,12 @@ func (p *Planner) traceCandidate(ct *obs.CandidateTrace, c *Candidate) {
 	ct.Overloaded = c.Usage.Overloaded()
 }
 
-// planDataShipping routes the raw input stream to the target, once for this
-// subscription, and evaluates the whole query there.
-func (p *Planner) planDataShipping(q *wxquery.Query, in *properties.Input, target network.PeerID, reg *RegStats, it *obs.InputTrace) (*Candidate, error) {
+// planShipping serves the two baselines, which route one stream from the
+// input's source super-peer to the target, once for this subscription. Data
+// shipping routes the raw input and charges the whole query at the target;
+// query shipping charges it at the source and ships the (restructured)
+// result.
+func (p *Planner) planShipping(q *wxquery.Query, in *properties.Input, target network.PeerID, strat Strategy, reg *RegStats, it *obs.InputTrace) (*Candidate, error) {
 	orig := p.host.Original(in.Stream)
 	it.Visited = append(it.Visited, string(orig.Tap))
 	ct := obs.CandidateTrace{Stream: orig.ID, FoundAt: string(orig.Tap), Match: true, Reason: "match"}
@@ -76,13 +74,17 @@ func (p *Planner) planDataShipping(q *wxquery.Query, in *properties.Input, targe
 		return nil, fmt.Errorf("core: no path from %s to %s", orig.Tap, target)
 	}
 	reg.Messages += 2*(len(route)-1) + 2
+	full, err := exec.FullPipeline(q, in, p.opt.Registry)
+	if err != nil {
+		return nil, err
+	}
 	c := &Candidate{Source: orig, Tap: orig.Tap, Route: route, Size: orig.Size, Freq: orig.Freq}
-	// Whole evaluation at the target peer.
-	full, err := exec.FullPipeline(q, in, p.opt.Registry)
-	if err != nil {
-		return nil, err
+	targetOps := opNames(full.Ops)
+	if strat == QueryShipping {
+		c.Size, c.Freq = p.opt.Est.SizeFreq(in)
+		c.ResidualOps, targetOps = targetOps, nil
 	}
-	p.costCandidate(c, p.opt.Est.InputFreq(in), opNames(full.Ops), target)
+	p.costCandidate(c, p.opt.Est.InputFreq(in), targetOps, target)
 	p.traceCandidate(&ct, c)
 	if p.opt.Admission && c.Usage.Overloaded() {
 		it.Candidates = append(it.Candidates, ct)
@@ -93,62 +95,20 @@ func (p *Planner) planDataShipping(q *wxquery.Query, in *properties.Input, targe
 	return c, nil
 }
 
-// planQueryShipping evaluates the whole query at the source super-peer and
-// ships the (restructured) result.
-func (p *Planner) planQueryShipping(q *wxquery.Query, in *properties.Input, target network.PeerID, reg *RegStats, it *obs.InputTrace) (*Candidate, error) {
-	orig := p.host.Original(in.Stream)
-	it.Visited = append(it.Visited, string(orig.Tap))
-	ct := obs.CandidateTrace{Stream: orig.ID, FoundAt: string(orig.Tap), Match: true, Reason: "match"}
-	route := p.shortestPath(orig.Tap, target)
-	if route == nil {
-		ct.Err = "no path to target"
-		it.Candidates = append(it.Candidates, ct)
-		return nil, fmt.Errorf("core: no path from %s to %s", orig.Tap, target)
-	}
-	reg.Messages += 2*(len(route)-1) + 2
-	full, err := exec.FullPipeline(q, in, p.opt.Registry)
-	if err != nil {
-		return nil, err
-	}
-	size, freq := p.opt.Est.SizeFreq(in)
-	c := &Candidate{Source: orig, Tap: orig.Tap, Route: route, Size: size, Freq: freq,
-		ResidualOps: opNames(full.Ops)}
-	p.costCandidate(c, p.opt.Est.InputFreq(in), nil, target)
-	p.traceCandidate(&ct, c)
-	if p.opt.Admission && c.Usage.Overloaded() {
-		it.Candidates = append(it.Candidates, ct)
-		return nil, ErrRejected
-	}
-	ct.Selected = true
-	it.Candidates = append(it.Candidates, ct)
-	return c, nil
-}
-
-// planStreamSharing is Algorithm 1 (Subscribe) for one input stream, split
-// into three phases so candidate costing can parallelize without touching
-// any observable outcome:
-//
-//  1. Serial fallback: the plan from the original source is costed first —
-//     an unreachable source fails the registration before any discovery
-//     side effects, exactly as in the sequential search.
-//  2. Serial discovery: a breadth-first search over the stream overlay
-//     starting at the input's source super-peer, matching the properties of
-//     every stream available at each visited peer (index + match cache) and
-//     collecting each matching stream once, at its first discovery. Trace
-//     rows, visit order and candidate counts are produced here, in the
-//     exact order of the sequential search.
-//  3. Parallel costing + serial selection: the collected candidates are
-//     costed on the worker pool, then the winner is selected serially in
-//     discovery order with a strict cost comparison — the earliest
-//     discovered candidate wins ties, the same deterministic tie-break the
-//     sequential search applies — so traces and winners are byte-identical.
+// planStreamSharing is Algorithm 1 (Subscribe) for one input stream. The
+// plan from the original source is costed first — an unreachable source
+// fails the registration before any discovery side effects. Then a
+// breadth-first search over the stream overlay, starting at the input's
+// source super-peer, matches the properties of every stream available at
+// each visited peer and costs each matching stream where it is first
+// discovered; the cheapest plan wins under a strict comparison, so the
+// earliest discovered candidate wins ties.
 //
 // Every considered stream is recorded in the input trace — a stream
 // discovered at several peers gets one row, at its first discovery. Costing
-// a stream once (instead of once per discovery peer, as the sequential
-// search does) is invisible: a re-encounter builds the same plan — the tap
-// is chosen from the stream's route, not the discovery peer — and an equal
-// cost never displaces the incumbent under the strict comparison.
+// it once is enough: a re-encounter would build the same plan — the tap is
+// chosen from the stream's route, not the discovery peer — and an equal cost
+// never displaces the incumbent.
 func (p *Planner) planStreamSharing(in *properties.Input, target network.PeerID, reg *RegStats, it *obs.InputTrace) (*Candidate, error) {
 	startCand := reg.Candidates
 	defer func() {
@@ -166,14 +126,10 @@ func (p *Planner) planStreamSharing(in *properties.Input, target network.PeerID,
 	// Trace rows are bounded by the indexed stream count for this input (one
 	// row per distinct stream, plus a possible widening row) — reserve the
 	// slice once instead of growing it through repeated appends.
-	nstreams := 0
-	if !p.opt.Reference {
-		nstreams = p.idx.Count(in.Stream)
-		if it.Candidates == nil {
-			it.Candidates = make([]obs.CandidateTrace, 0, nstreams+1)
-		}
+	nstreams := p.idx.Count(in.Stream)
+	if it.Candidates == nil {
+		it.Candidates = make([]obs.CandidateTrace, 0, nstreams+1)
 	}
-
 	rows := make(map[*Deployed]int, nstreams)
 	rowFor := func(d *Deployed, at network.PeerID) (int, bool) {
 		if i, ok := rows[d]; ok {
@@ -184,36 +140,30 @@ func (p *Planner) planStreamSharing(in *properties.Input, target network.PeerID,
 		rows[d] = i
 		return i, true
 	}
-	selectable := func(c *Candidate) bool {
-		return !(p.opt.Admission && c.Usage.Overloaded())
+
+	var best *Candidate
+	// consider records a costed plan in its trace row and keeps it if it is
+	// selectable and strictly cheaper than the incumbent.
+	consider := func(c *Candidate, row int) {
+		ct := &it.Candidates[row]
+		ct.Match, ct.Reason = true, "match"
+		p.traceCandidate(ct, c)
+		c.row = row + 1
+		if !(p.opt.Admission && c.Usage.Overloaded()) && (best == nil || c.Cost < best.Cost) {
+			best = c
+		}
 	}
 
-	// Phase 1: the fallback plan from the original source.
-	best, err := p.shareCandidate(orig, vb, in, target, size, freq, selFreq)
+	// The fallback plan from the original source.
+	c, err := p.shareCandidate(orig, vb, in, target, size, freq, selFreq)
 	if err != nil {
 		return nil, err
 	}
-	if i, fresh := rowFor(orig, vb); fresh {
-		ct := &it.Candidates[i]
-		ct.Match, ct.Reason = true, "match"
-		p.traceCandidate(ct, best)
-		best.row = i + 1
-	}
-	if !selectable(best) {
-		best = nil
-	}
-	feasible := best != nil
+	i, _ := rowFor(orig, vb)
+	consider(c, i)
 
-	// Phase 2: discovery. Matching streams are collected once each, at
-	// their first encounter, for the costing phase; non-matching properties
-	// do not extend the search (§3.3: following these paths cannot yield a
-	// reusable stream).
-	type found struct {
-		d   *Deployed
-		at  network.PeerID
-		row int
-	}
-	var discovered []found
+	// Discovery. Non-matching properties do not extend the search (§3.3:
+	// following these paths cannot yield a reusable stream).
 	lv := []network.PeerID{vb}
 	marked := map[network.PeerID]bool{}
 	queued := map[network.PeerID]bool{vb: true}
@@ -243,34 +193,16 @@ func (p *Planner) planStreamSharing(in *properties.Input, target network.PeerID,
 				lv = append(lv, n)
 				queued[n] = true
 			}
-			if fresh {
-				discovered = append(discovered, found{d: d, at: v, row: i})
+			if !fresh {
+				continue
 			}
-		}
-	}
-
-	// Phase 3: cost the discovered candidates on the worker pool, then
-	// select serially in discovery order.
-	cands := make([]*Candidate, len(discovered))
-	errs := make([]error, len(discovered))
-	p.runParallel(len(discovered), func(i int) {
-		cands[i], errs[i] = p.shareCandidate(discovered[i].d, discovered[i].at, in, target, size, freq, selFreq)
-	})
-	for i, f := range discovered {
-		ct := &it.Candidates[f.row]
-		if errs[i] != nil {
-			ct.Match, ct.Reason, ct.Err = true, "match", errs[i].Error()
-			continue
-		}
-		cand := cands[i]
-		ct.Match, ct.Reason = true, "match"
-		p.traceCandidate(ct, cand)
-		cand.row = f.row + 1
-		if !selectable(cand) {
-			continue
-		}
-		if !feasible || cand.Cost < best.Cost {
-			best, feasible = cand, true
+			c, err := p.shareCandidate(d, v, in, target, size, freq, selFreq)
+			if err != nil {
+				ct := &it.Candidates[i]
+				ct.Match, ct.Reason, ct.Err = true, "match", err.Error()
+				continue
+			}
+			consider(c, i)
 		}
 	}
 
@@ -305,37 +237,6 @@ func (p *Planner) planStreamSharing(in *properties.Input, target network.PeerID,
 	return best, nil
 }
 
-// runParallel applies fn to every index on the bounded worker pool; in
-// reference mode, with a single worker, or for single items it runs inline.
-func (p *Planner) runParallel(n int, fn func(int)) {
-	w := p.opt.Workers
-	if w > n {
-		w = n
-	}
-	if p.opt.Reference || w <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // shareCandidate is generatePlan(p, v, vq): reuse stream d — discovered at
 // peer v — for the subscription input in, routing the residual result to the
 // target. The duplication point is the peer on d's route closest to the
@@ -343,8 +244,6 @@ func (p *Planner) runParallel(n int, fn func(int)) {
 // duplicates Query 1's result at SP5 rather than at its endpoint SP1.
 // Overload handling is the caller's: the candidate is returned with its
 // usage filled either way, so rejected plans still show up in traces.
-// It is safe to call from costing workers: it only reads host state and the
-// concurrency-safe caches.
 func (p *Planner) shareCandidate(d *Deployed, v network.PeerID, in *properties.Input, target network.PeerID, size, freq, selFreq float64) (*Candidate, error) {
 	var route []network.PeerID
 	for _, tap := range d.Route {
@@ -370,20 +269,21 @@ func (p *Planner) shareCandidate(d *Deployed, v network.PeerID, in *properties.I
 // costCandidate fills the candidate's usage, absolute additions and cost
 // value: the new stream's traffic on every route link, residual operators
 // and duplication at the tap, forwarding at intermediate peers, and the
-// local pipeline at the target. Plain candidates accumulate into small
+// local pipeline at the target. The additions accumulate into small
 // insertion-ordered association lists — a route touches a handful of peers,
 // where two map allocations per candidate dominated the costing profile —
-// and defer the public maps to materialize(); widening candidates arrive
-// with pre-seeded delta maps and keep the map-based path. selFreq is the
+// and the public maps wait for materialize(). A widening candidate arrives
+// with its rewiring delta already on the lists. selFreq is the
 // post-selection item frequency of the subscription input (estimated once
 // per plan call; it does not depend on the candidate).
 func (p *Planner) costCandidate(c *Candidate, selFreq float64, targetOps []string, target network.PeerID) {
-	seeded := c.LinkAdd != nil
+	if c.linkAdds == nil { // each on its own: a one-peer widened route seeds no link
+		c.linkAdds = make([]linkAdd, 0, len(c.Route))
+	}
+	if c.peerAdds == nil {
+		c.peerAdds = make([]peerAdd, 0, len(c.Route)+1)
+	}
 	addLink := func(l network.LinkID, b float64) {
-		if seeded {
-			c.LinkAdd[l] += b
-			return
-		}
 		for i := range c.linkAdds {
 			if c.linkAdds[i].id == l {
 				c.linkAdds[i].b += b
@@ -393,10 +293,6 @@ func (p *Planner) costCandidate(c *Candidate, selFreq float64, targetOps []strin
 		c.linkAdds = append(c.linkAdds, linkAdd{id: l, b: b})
 	}
 	addPeer := func(v network.PeerID, w float64) {
-		if seeded {
-			c.PeerAdd[v] += w
-			return
-		}
 		for i := range c.peerAdds {
 			if c.peerAdds[i].id == v {
 				c.peerAdds[i].w += w
@@ -404,10 +300,6 @@ func (p *Planner) costCandidate(c *Candidate, selFreq float64, targetOps []strin
 			}
 		}
 		c.peerAdds = append(c.peerAdds, peerAdd{id: v, w: w})
-	}
-	if !seeded {
-		c.linkAdds = make([]linkAdd, 0, len(c.Route))
-		c.peerAdds = make([]peerAdd, 0, len(c.Route)+1)
 	}
 
 	bytesPerSec := c.Size * c.Freq
@@ -454,36 +346,19 @@ func (p *Planner) costCandidate(c *Candidate, selFreq float64, targetOps []strin
 	}
 
 	// Relative usage against remaining capacity.
-	if seeded {
-		c.Usage.Links = make([]cost.LinkUsage, 0, len(c.LinkAdd))
-		c.Usage.Peers = make([]cost.PeerUsage, 0, len(c.PeerAdd))
-		for l, b := range c.LinkAdd {
-			bw := p.net.Link(l.A, l.B).Bandwidth
-			c.Usage.Links = append(c.Usage.Links, cost.LinkUsage{
-				ID: l, Ub: b / bw, Ab: 1 - p.host.LinkLoad(l)/bw,
-			})
-		}
-		for v, w := range c.PeerAdd {
-			cap := p.net.Peer(v).Capacity
-			c.Usage.Peers = append(c.Usage.Peers, cost.PeerUsage{
-				ID: v, Ul: w / cap, Al: 1 - p.host.PeerLoad(v)/cap,
-			})
-		}
-	} else {
-		c.Usage.Links = make([]cost.LinkUsage, 0, len(c.linkAdds))
-		c.Usage.Peers = make([]cost.PeerUsage, 0, len(c.peerAdds))
-		for _, la := range c.linkAdds {
-			bw := p.net.Link(la.id.A, la.id.B).Bandwidth
-			c.Usage.Links = append(c.Usage.Links, cost.LinkUsage{
-				ID: la.id, Ub: la.b / bw, Ab: 1 - p.host.LinkLoad(la.id)/bw,
-			})
-		}
-		for _, pa := range c.peerAdds {
-			cap := p.net.Peer(pa.id).Capacity
-			c.Usage.Peers = append(c.Usage.Peers, cost.PeerUsage{
-				ID: pa.id, Ul: pa.w / cap, Al: 1 - p.host.PeerLoad(pa.id)/cap,
-			})
-		}
+	c.Usage.Links = make([]cost.LinkUsage, 0, len(c.linkAdds))
+	c.Usage.Peers = make([]cost.PeerUsage, 0, len(c.peerAdds))
+	for _, la := range c.linkAdds {
+		bw := p.net.Link(la.id.A, la.id.B).Bandwidth
+		c.Usage.Links = append(c.Usage.Links, cost.LinkUsage{
+			ID: la.id, Ub: la.b / bw, Ab: 1 - p.host.LinkLoad(la.id)/bw,
+		})
+	}
+	for _, pa := range c.peerAdds {
+		cap := p.net.Peer(pa.id).Capacity
+		c.Usage.Peers = append(c.Usage.Peers, cost.PeerUsage{
+			ID: pa.id, Ul: pa.w / cap, Al: 1 - p.host.PeerLoad(pa.id)/cap,
+		})
 	}
 	c.Cost = p.opt.Model.Cost(c.Usage)
 }

@@ -1,7 +1,9 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"streamshare/internal/cost"
 	"streamshare/internal/exec"
@@ -141,14 +143,18 @@ func (p *Planner) buildWidenCandidate(d *Deployed, wIn, in *properties.Input, ta
 		deltaPeer[v] -= u
 	}
 	c.Widen.DeltaLink, c.Widen.DeltaPeer = deltaLink, deltaPeer
-	c.LinkAdd = map[network.LinkID]float64{}
-	c.PeerAdd = map[network.PeerID]float64{}
+	// In key order, so the cost — a float sum over these lists — does not
+	// follow map iteration order.
 	for l, b := range deltaLink {
-		c.LinkAdd[l] += b
+		c.linkAdds = append(c.linkAdds, linkAdd{id: l, b: b})
 	}
+	slices.SortFunc(c.linkAdds, func(x, y linkAdd) int {
+		return cmp.Or(cmp.Compare(x.id.A, y.id.A), cmp.Compare(x.id.B, y.id.B))
+	})
 	for v, u := range deltaPeer {
-		c.PeerAdd[v] += u
+		c.peerAdds = append(c.peerAdds, peerAdd{id: v, w: u})
 	}
+	slices.SortFunc(c.peerAdds, func(x, y peerAdd) int { return cmp.Compare(x.id, y.id) })
 	p.costCandidate(c, p.opt.Est.InputFreq(in), []string{cost.OpRestructure}, target)
 	if p.opt.Admission && c.Usage.Overloaded() {
 		return nil, nil

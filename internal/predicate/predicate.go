@@ -125,8 +125,7 @@ type edgeKey struct{ from, to int }
 // immutable afterwards; derived views — the transitive closure, the
 // per-node adjacency lists, the canonical fingerprint — are memoized on
 // first use and invalidated by any mutation. The memos are guarded by a
-// mutex so read-only consumers (e.g. the planner's parallel costing
-// workers) may share a built graph across goroutines.
+// mutex so read-only consumers may share a built graph across goroutines.
 type Graph struct {
 	labels []string
 	index  map[string]int

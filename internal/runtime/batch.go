@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"strconv"
-	"time"
 
 	"streamshare/internal/core"
 	"streamshare/internal/obs"
@@ -25,9 +24,6 @@ type batcher struct {
 	// canonical serialized size.
 	elems []*xmlstream.Element
 	xb    int
-	// first is when the oldest buffered item was added; used by the
-	// flush-interval check.
-	first time.Time
 	// gate, in worker context (tap emissions under a reliable session),
 	// is the ack gate parked batches hold open; nil in source context,
 	// where the goroutine blocks on the channel window instead.
@@ -47,12 +43,9 @@ type batcher struct {
 }
 
 // add appends one item to the current batch, flushing it when it reaches
-// the configured size or age.
+// the configured size.
 func (b *batcher) add(e *xmlstream.Element) {
 	if b.elems == nil { // flush leaves it nil: this item opens a batch
-		if b.r.opts.FlushInterval > 0 {
-			b.first = time.Now()
-		}
 		b.elems = make([]*xmlstream.Element, 0, b.r.opts.BatchSize)
 	}
 	b.elems = append(b.elems, e)
@@ -69,8 +62,7 @@ func (b *batcher) add(e *xmlstream.Element) {
 		}
 		b.idx++
 	}
-	if len(b.elems) >= b.r.opts.BatchSize ||
-		(b.r.opts.FlushInterval > 0 && time.Since(b.first) >= b.r.opts.FlushInterval) {
+	if len(b.elems) >= b.r.opts.BatchSize {
 		b.flush(false)
 	}
 }

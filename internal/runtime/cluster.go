@@ -50,12 +50,6 @@ type ClusterOptions struct {
 	// introduced later via Join.
 	Nodes map[string]string
 
-	// Assign maps network peers to cluster node names. Nil assigns peers
-	// with PartitionPeers at first attach — deterministic, so independent
-	// processes agree without coordination. Every process must use the
-	// same assignment.
-	Assign map[network.PeerID]string
-
 	// Transport carries the frames; nil means TCP.
 	Transport transport.Transport
 
@@ -205,7 +199,7 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 	if tr == nil {
 		tr = transport.NewTCP()
 	}
-	c := &Cluster{node: opts.Node, assign: opts.Assign, gossip: map[string]gossipEntry{}}
+	c := &Cluster{node: opts.Node, gossip: map[string]gossipEntry{}}
 	c.acond = sync.NewCond(&c.amu)
 	c.bcond = sync.NewCond(&c.bmu)
 	mesh, err := transport.NewMesh(transport.MeshConfig{
@@ -341,9 +335,9 @@ func (c *Cluster) Close() error {
 	return c.mesh.Close()
 }
 
-// assignment returns the peer-to-node map, computing the deterministic
-// default from the network's peers on first use. The map is immutable once
-// returned.
+// assignment returns the peer-to-node map, computed with PartitionPeers
+// from the network's peers on first use — deterministic, so independent
+// processes agree without coordination. The map is immutable once returned.
 func (c *Cluster) assignment(net *network.Network) map[network.PeerID]string {
 	c.amu.Lock()
 	defer c.amu.Unlock()

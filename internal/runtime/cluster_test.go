@@ -213,9 +213,18 @@ func compareCollected(t *testing.T, ref *core.SimResult, got *Result) {
 	}
 }
 
-func testClusterEquivalence(t *testing.T, tr transport.Transport, reliable, chaos bool) {
+// buildFunc plans one scenario on a fresh engine; twin calls are identical.
+type buildFunc func() (*core.Engine, map[string][]*xmlstream.Element, error)
+
+func gridScenario(reliable bool) buildFunc {
+	return func() (*core.Engine, map[string][]*xmlstream.Element, error) {
+		return clusterBuild(gridN, gridQueries, gridItems, reliable)
+	}
+}
+
+func testClusterEquivalence(t *testing.T, tr transport.Transport, build buildFunc, reliable, chaos bool) {
 	defer testutil.Watchdog(t, 2*time.Minute)()
-	engRef, feedRef, err := clusterBuild(gridN, gridQueries, gridItems, reliable)
+	engRef, feedRef, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +232,11 @@ func testClusterEquivalence(t *testing.T, tr transport.Transport, reliable, chao
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng0, feed0, err := clusterBuild(gridN, gridQueries, gridItems, reliable)
+	eng0, feed0, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng1, feed1, err := clusterBuild(gridN, gridQueries, gridItems, reliable)
+	eng1, feed1, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,20 +295,33 @@ func testClusterEquivalence(t *testing.T, tr transport.Transport, reliable, chao
 	}
 }
 
+// TestClusterEquivalenceMem runs the grid, and then a repaired fuzzy-order
+// source on a peer the accepting node owns with its consumer on the dialing
+// node: the sort buffer runs in the source's process, and the other one
+// receives sorted items.
 func TestClusterEquivalenceMem(t *testing.T) {
-	testClusterEquivalence(t, transport.NewMem(), false, false)
+	testClusterEquivalence(t, transport.NewMem(), gridScenario(false), false, false)
+
+	own := PartitionPeers(testNet().Peers(), []string{"n0", "n1"})
+	if own["SP5"] != "n1" || own["SP0"] != "n0" {
+		t.Fatal("partition changed: the source must be remote to its consumer")
+	}
+	testClusterEquivalence(t, transport.NewMem(), func() (*core.Engine, map[string][]*xmlstream.Element, error) {
+		eng, feed := fuzzyBuild(t, "SP5", "SP0")
+		return eng, feed, nil
+	}, false, false)
 }
 
 func TestClusterEquivalenceTCP(t *testing.T) {
-	testClusterEquivalence(t, transport.NewTCP(), false, false)
+	testClusterEquivalence(t, transport.NewTCP(), gridScenario(false), false, false)
 }
 
 func TestClusterEquivalenceReliableMem(t *testing.T) {
-	testClusterEquivalence(t, transport.NewMem(), true, false)
+	testClusterEquivalence(t, transport.NewMem(), gridScenario(true), true, false)
 }
 
 func TestClusterReconnectChaosMem(t *testing.T) {
-	testClusterEquivalence(t, transport.NewMem(), true, true)
+	testClusterEquivalence(t, transport.NewMem(), gridScenario(true), true, true)
 }
 
 // TestClusterReconnectChaosTCP is the transport acceptance test: TCP
@@ -307,7 +329,7 @@ func TestClusterReconnectChaosMem(t *testing.T) {
 // resume/replay must hand every subscription exactly the simulator's
 // items.
 func TestClusterReconnectChaosTCP(t *testing.T) {
-	testClusterEquivalence(t, transport.NewTCP(), true, true)
+	testClusterEquivalence(t, transport.NewTCP(), gridScenario(true), true, true)
 }
 
 // TestClusterHeartbeatGossip runs a healthy reliable cluster with the

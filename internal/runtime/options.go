@@ -1,9 +1,6 @@
 package runtime
 
-import (
-	stdrt "runtime"
-	"time"
-)
+import stdrt "runtime"
 
 // Options tunes the runtime's data path. The zero value means "default
 // everything", which is what DefaultOptions spells out. The options change
@@ -15,13 +12,6 @@ type Options struct {
 	// sending; 1 restores item-at-a-time messaging. Values below 1 mean the
 	// default.
 	BatchSize int
-
-	// FlushInterval bounds how long a source may hold a partial batch: a
-	// batch older than this is sent even if short. It only matters for
-	// producers that pause mid-stream (live feeds); finite replays fill
-	// batches immediately. Zero means the default; negative disables the
-	// timer entirely.
-	FlushInterval time.Duration
 
 	// Workers is the number of goroutines draining each peer's inbox.
 	// Lanes (streams) are the unit of parallelism, so extra workers beyond
@@ -52,9 +42,8 @@ type Options struct {
 // pool per peer.
 func DefaultOptions() Options {
 	return Options{
-		BatchSize:     64,
-		FlushInterval: 2 * time.Millisecond,
-		Workers:       min(stdrt.GOMAXPROCS(0), 4),
+		BatchSize: 64,
+		Workers:   min(stdrt.GOMAXPROCS(0), 4),
 	}
 }
 
@@ -63,11 +52,6 @@ func (o Options) normalized() Options {
 	d := DefaultOptions()
 	if o.BatchSize < 1 {
 		o.BatchSize = d.BatchSize
-	}
-	if o.FlushInterval == 0 {
-		o.FlushInterval = d.FlushInterval
-	} else if o.FlushInterval < 0 {
-		o.FlushInterval = 0
 	}
 	if o.Workers < 1 {
 		o.Workers = d.Workers

@@ -329,10 +329,10 @@ func (r *Runtime) Run(items map[string][]*xmlstream.Element) (*Result, error) {
 		go func(d *core.Deployed, feed []*xmlstream.Element) {
 			defer sources.Done()
 			b := batcher{r: r, stream: d, flushStage: obs.StageBatch, sample: true}
-			for _, it := range feed {
-				b.add(it)
-			}
-			b.flush(true)
+			// An original's residual is empty unless Engine.RepairFuzzyOrder
+			// put a sort buffer there; it is charged at the source like any
+			// tap's, without the duplication a tap pays.
+			r.runResidual(d, d.Tap, feed, true, &b, 0)
 		}(d, feed)
 	}
 	sources.Wait()
@@ -843,25 +843,32 @@ func (r *Runtime) dedupCount(units int) {
 // non-nil, is a fork of the incoming batch's provenance span; it rides the
 // first downstream batch and its eval stage closes at that batch's flush.
 func (r *Runtime) feedChild(n *node, child *core.Deployed, its []*xmlstream.Element, eos bool, gate *ackGate, span *obs.Span) {
+	ob := batcher{r: r, stream: child, gate: gate, flushStage: obs.StageEval, span: span}
+	r.runResidual(child, n.id, its, eos, &ob, r.eng.Cfg.Model.BLoad["duplicate"])
+}
+
+// runResidual pushes its through d's residual pipeline into b — flushing the
+// pipeline first at EOS — flushes b, and charges peer at for the work:
+// perItem units for every input item plus each stage's base load per item it
+// processed.
+func (r *Runtime) runResidual(d *core.Deployed, at network.PeerID, its []*xmlstream.Element, eos bool, b *batcher, perItem float64) {
 	bl := r.eng.Cfg.Model.BLoad
-	dup := bl["duplicate"]
 	var wk float64
 	charge := func(op exec.Operator, items int) { wk += bl[op.Name()] * float64(items) }
-	ob := batcher{r: r, stream: child, gate: gate, flushStage: obs.StageEval, span: span}
 	for _, it := range its {
-		wk += dup
-		for _, out := range child.Residual.ProcessWith(it, charge) {
-			ob.add(out)
+		wk += perItem
+		for _, out := range d.Residual.ProcessWith(it, charge) {
+			b.add(out)
 		}
 	}
 	if eos {
-		for _, out := range child.Residual.Flush() {
-			ob.add(out)
+		for _, out := range d.Residual.Flush() {
+			b.add(out)
 		}
 	}
-	ob.flush(eos)
+	b.flush(eos)
 	if wk != 0 {
-		r.work(n.id, wk)
+		r.work(at, wk)
 	}
 }
 

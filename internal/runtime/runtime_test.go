@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -93,36 +94,74 @@ func TestDistributedMatchesSimulator(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		for id, n := range sim.Results {
-			if dist.Results[id] != n {
-				t.Errorf("%s/%s: simulator %d items, runtime %d", strat, id, n, dist.Results[id])
-			}
+		compareInOrder(t, strat.String(), sim, dist)
+	}
+}
+
+// compareInOrder holds a single-process run to the simulator: counts,
+// traffic and work (chaosCompare), and every subscription's collected items
+// one by one in delivery order.
+func compareInOrder(t *testing.T, label string, sim *core.SimResult, dist *Result) {
+	t.Helper()
+	chaosCompare(t, label, sim, dist)
+	for id, a := range sim.Collected {
+		b := dist.Collected[id]
+		if len(a) != len(b) {
+			t.Fatalf("%s/%s: %d vs %d items", label, id, len(a), len(b))
 		}
-		for id, a := range sim.Collected {
-			b := dist.Collected[id]
-			if len(a) != len(b) {
-				t.Fatalf("%s/%s: %d vs %d items", strat, id, len(a), len(b))
-			}
-			for i := range a {
-				if !a[i].Equal(b[i]) {
-					t.Fatalf("%s/%s item %d differs:\n%s\n%s", strat, id, i,
-						xmlstream.Marshal(a[i]), xmlstream.Marshal(b[i]))
-				}
-			}
-		}
-		if sb, db := sim.Metrics.TotalBytes(), dist.Metrics.TotalBytes(); math.Abs(sb-db) > 1e-6 {
-			t.Errorf("%s: traffic simulator %.0f vs runtime %.0f", strat, sb, db)
-		}
-		if sw, dw := sim.Metrics.TotalWork(), dist.Metrics.TotalWork(); math.Abs(sw-dw) > 1e-6 {
-			t.Errorf("%s: work simulator %.1f vs runtime %.1f", strat, sw, dw)
-		}
-		// Per-link traffic must also agree.
-		for l, b := range sim.Metrics.LinkBytes {
-			if math.Abs(dist.Metrics.LinkBytes[l]-b) > 1e-6 {
-				t.Errorf("%s link %s: %.0f vs %.0f", strat, l, b, dist.Metrics.LinkBytes[l])
+		for i := range a {
+			if !a[i].Equal(b[i]) {
+				t.Fatalf("%s/%s item %d differs:\n%s\n%s", label, id, i,
+					xmlstream.Marshal(a[i]), xmlstream.Marshal(b[i]))
 			}
 		}
 	}
+}
+
+// fuzzyBuild registers a fuzzily ordered photon stream (every fifth item
+// swapped up to three places forward) at the given source peer with the §2
+// sort buffer attached, and one windowed aggregate over it at target. Twin
+// builds are identical.
+func fuzzyBuild(t *testing.T, at, target network.PeerID) (*core.Engine, map[string][]*xmlstream.Element) {
+	t.Helper()
+	eng := core.NewEngine(testNet(), core.Config{})
+	items, st := photons.Stream("photons", photons.DefaultConfig(), 3, 2500)
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i+4 < len(items); i += 5 {
+		j := i + 1 + r.Intn(3)
+		items[i], items[j] = items[j], items[i]
+	}
+	if _, err := eng.RegisterStream("photons", xmlstream.ParsePath("photons/photon"), at, st); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RepairFuzzyOrder("photons", xmlstream.ParsePath("det_time"), 16); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Subscribe(aggQ, target, core.StreamSharing); err != nil {
+		t.Fatal(err)
+	}
+	return eng, map[string][]*xmlstream.Element{"photons": items}
+}
+
+// TestDistributedFuzzyOrderMatchesSimulator: an original stream's residual —
+// the sort buffer Engine.RepairFuzzyOrder attaches — runs at the source in
+// the runtime exactly as in the simulator: same windows, same bytes, same
+// work.
+func TestDistributedFuzzyOrderMatchesSimulator(t *testing.T) {
+	engSim, feed := fuzzyBuild(t, "SP0", "SP5")
+	sim, err := engSim.Simulate(feed, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sim.Collected["q1"]) == 0 {
+		t.Fatal("simulator delivered no windows")
+	}
+	eng, feed := fuzzyBuild(t, "SP0", "SP5")
+	dist, err := New(eng, true).Run(feed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareInOrder(t, "fuzzy", sim, dist)
 }
 
 func TestDistributedMultiStream(t *testing.T) {

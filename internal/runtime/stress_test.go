@@ -35,7 +35,7 @@ func gridBuild(t *testing.T, n, queries, items int) (*core.Engine, map[string][]
 }
 
 // TestOptionsEquivalence runs the same grid plans serially (one item per
-// message, one worker per peer, no flush timer) and under DefaultOptions
+// message, one worker per peer) and under DefaultOptions
 // (batched, parallel) and holds both to the simulator: identical results,
 // collected items, traffic and work. The data-path options are performance
 // knobs, never semantics knobs.
@@ -49,7 +49,7 @@ func TestOptionsEquivalence(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"serial", Options{BatchSize: 1, Workers: 1, FlushInterval: -1}},
+		{"serial", Options{BatchSize: 1, Workers: 1}},
 		{"default", DefaultOptions()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -58,18 +58,7 @@ func TestOptionsEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			chaosCompare(t, tc.name, ref, got)
-			for id, a := range ref.Collected {
-				b := got.Collected[id]
-				if len(a) != len(b) {
-					t.Fatalf("%s: %d vs %d collected items", id, len(a), len(b))
-				}
-				for i := range a {
-					if !a[i].Equal(b[i]) {
-						t.Fatalf("%s item %d differs from the simulator", id, i)
-					}
-				}
-			}
+			compareInOrder(t, tc.name, ref, got)
 		})
 	}
 }

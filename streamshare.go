@@ -194,9 +194,8 @@ func (s *System) Simulate(items map[string][]*Item, collect bool) (*SimResult, e
 // DistResult is the outcome of a distributed run.
 type DistResult = runtime.Result
 
-// RuntimeOptions tunes the distributed runtime's data path: batch size,
-// flush interval and per-peer worker count, plus the reliable-session and
-// cluster attachments. See PERFORMANCE.md for how the knobs interact.
+// RuntimeOptions tunes the distributed runtime's data path: batch size and
+// per-peer worker count, plus the reliable-session and cluster attachments. See PERFORMANCE.md for how the knobs interact.
 type RuntimeOptions = runtime.Options
 
 // DefaultRuntimeOptions is the tuned data path: batched transfers and a
