@@ -311,6 +311,34 @@ func (e *Engine) Original(stream string) *Deployed { return e.originals[stream] 
 // Subscriptions returns the installed subscriptions in registration order.
 func (e *Engine) Subscriptions() []*Subscription { return e.subs }
 
+// StageLoads resolves, for every installed pipeline — each stream's residual
+// and each subscription input's local pipeline — the load model's bload of
+// its stages, in stage order: the weights exec.Pipeline.Eval charges by.
+// The simulator and the runtime call it once per run, so no item pays a
+// lookup by operator name.
+func (e *Engine) StageLoads() map[*exec.Pipeline][]float64 {
+	loads := map[*exec.Pipeline][]float64{}
+	resolve := func(p *exec.Pipeline) {
+		if p == nil || len(p.Ops) == 0 {
+			return
+		}
+		l := make([]float64, len(p.Ops))
+		for i, op := range p.Ops {
+			l[i] = e.Cfg.Model.BLoad[op.Name()]
+		}
+		loads[p] = l
+	}
+	for _, d := range e.deployed {
+		resolve(d.Residual)
+	}
+	for _, sub := range e.subs {
+		for _, si := range sub.Inputs {
+			resolve(si.Local)
+		}
+	}
+	return loads
+}
+
 // LinkLoad returns the current analytic bandwidth use of a link in
 // bytes/second.
 func (e *Engine) LinkLoad(l network.LinkID) float64 { return e.linkUse[l] }

@@ -58,6 +58,7 @@ func (e *Engine) Simulate(items map[string][]*xmlstream.Element, collect bool) (
 		res:     &SimResult{Metrics: network.NewMetrics(), Results: map[string]int{}},
 		collect: collect,
 		lat:     e.obs.Latency,
+		loads:   e.StageLoads(),
 	}
 	if collect {
 		s.res.Collected = map[string][]*xmlstream.Element{}
@@ -129,36 +130,17 @@ type sim struct {
 	children map[*Deployed][]*Deployed
 	readers  map[*Deployed][]reader
 	lat      *obs.LatencyRecorder
+	loads    map[*exec.Pipeline][]float64
 }
 
-// runOps pushes items through a pipeline stage by stage, charging
-// bload(op)·pindex(v) per item entering each stage.
-func (s *sim) runOps(ops []exec.Operator, at network.PeerID, items []*xmlstream.Element) []*xmlstream.Element {
-	peer := s.eng.Net.Peer(at)
-	for _, op := range ops {
-		bload := s.eng.Cfg.Model.BLoad[op.Name()]
-		var next []*xmlstream.Element
-		for _, it := range items {
-			s.res.Metrics.AddWork(at, bload*peer.PerfIndex)
-			next = append(next, op.Process(it)...)
-		}
-		items = next
-		if len(items) == 0 {
-			return nil
-		}
-	}
-	return items
-}
-
-// flushOps drains a pipeline, charging downstream stages for flushed items.
-func (s *sim) flushOps(ops []exec.Operator, at network.PeerID) []*xmlstream.Element {
-	var out []*xmlstream.Element
-	for i, op := range ops {
-		flushed := op.Flush()
-		if len(flushed) == 0 {
-			continue
-		}
-		out = append(out, s.runOps(ops[i+1:], at, flushed)...)
+// eval pushes batch (one item: spans and traffic are per item here) through p
+// at a peer — or, with flush, drains p at end of stream — charging
+// bload(op)·pindex(v) per item entering each stage. The result is p's scratch
+// buffer (see exec.Pipeline.Eval).
+func (s *sim) eval(p *exec.Pipeline, at network.PeerID, batch []*xmlstream.Element, flush bool) []*xmlstream.Element {
+	out, work := p.Eval(0, batch, flush, s.loads[p])
+	if work != 0 {
+		s.res.Metrics.AddWork(at, work*s.eng.Net.Peer(at).PerfIndex)
 	}
 	return out
 }
@@ -174,7 +156,7 @@ func (s *sim) deliver(d *Deployed, item *xmlstream.Element, sp *obs.Span) {
 		peer := s.eng.Net.Peer(d.Tap)
 		s.res.Metrics.AddWork(d.Tap, s.eng.Cfg.Model.BLoad["duplicate"]*peer.PerfIndex)
 	}
-	outs := s.runOps(d.Residual.Ops, d.Tap, []*xmlstream.Element{item})
+	outs := s.eval(d.Residual, d.Tap, []*xmlstream.Element{item}, false)
 	if len(outs) == 0 {
 		// The item died in the residual pipeline, but its span still reaches
 		// every downstream sink: in the runtime the span rides the stream's
@@ -224,7 +206,7 @@ func (s *sim) transmit(d *Deployed, item *xmlstream.Element, sp *obs.Span) {
 	}
 	target := d.Target()
 	for _, r := range s.readers[d] {
-		for _, res := range s.runOps(r.si.Local.Ops, target, []*xmlstream.Element{item}) {
+		for _, res := range s.eval(r.si.Local, target, []*xmlstream.Element{item}, false) {
 			s.emit(r.sub, res)
 		}
 		// The span ends at each subscription sink whether or not the item
@@ -236,12 +218,12 @@ func (s *sim) transmit(d *Deployed, item *xmlstream.Element, sp *obs.Span) {
 
 // flush drains stream d's residual pipeline and local readers.
 func (s *sim) flush(d *Deployed) {
-	for _, out := range s.flushOps(d.Residual.Ops, d.Tap) {
+	for _, out := range s.eval(d.Residual, d.Tap, nil, true) {
 		s.transmit(d, out, nil)
 	}
 	target := d.Target()
 	for _, r := range s.readers[d] {
-		for _, res := range s.flushOps(r.si.Local.Ops, target) {
+		for _, res := range s.eval(r.si.Local, target, nil, true) {
 			s.emit(r.sub, res)
 		}
 	}

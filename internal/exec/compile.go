@@ -273,27 +273,30 @@ func NewRemap(aggs []AggSpec, fineGroup []int, fineOp []wxquery.AggOp) *Remap {
 func (r *Remap) Name() string { return "remap" }
 
 // Process implements Operator.
-func (r *Remap) Process(item *xmlstream.Element) []*xmlstream.Element {
-	out := &xmlstream.Element{Name: AggItemName, Children: make([]*xmlstream.Element, 0, 2+len(r.to))}
-	for _, c := range item.Children {
-		if c.Name == aggWinField || c.Name == aggWMField {
-			out.Children = append(out.Children, c)
+func (r *Remap) Process(dst, items []*xmlstream.Element) []*xmlstream.Element {
+	for _, item := range items {
+		out := &xmlstream.Element{Name: AggItemName, Children: make([]*xmlstream.Element, 0, 2+len(r.to))}
+		for _, c := range item.Children {
+			if c.Name == aggWinField || c.Name == aggWMField {
+				out.Children = append(out.Children, c)
+			}
 		}
-	}
-	for i, name := range r.to {
-		src := item.Child(r.from[i])
-		if src == nil {
-			continue
+		for i, name := range r.to {
+			src := item.Child(r.from[i])
+			if src == nil {
+				continue
+			}
+			// An avg source carries sum and n; a sum/count target keeps both
+			// fields, the restructuring step reads what it needs.
+			out.Children = append(out.Children, &xmlstream.Element{Name: name, Text: src.Text, Children: src.Children})
 		}
-		// An avg source carries sum and n; a sum/count target keeps both
-		// fields, the restructuring step reads what it needs.
-		out.Children = append(out.Children, &xmlstream.Element{Name: name, Text: src.Text, Children: src.Children})
+		dst = append(dst, out)
 	}
-	return []*xmlstream.Element{out}
+	return dst
 }
 
 // Flush implements Operator.
-func (r *Remap) Flush() []*xmlstream.Element { return nil }
+func (r *Remap) Flush(dst []*xmlstream.Element) []*xmlstream.Element { return dst }
 
 // RestructureFor builds the post-processing operator of the FLWR that reads
 // the given input, using the subscription's parsed query.

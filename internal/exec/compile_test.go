@@ -270,7 +270,7 @@ func TestRestructureQ1Shape(t *testing.T) {
 		t.Errorf("mode/var = %v/%s", rs.Mode, rs.ForVar)
 	}
 	item := photon("130.0", "-46.0", "5", "1.5", "10")
-	out := rs.Process(item)
+	out := process1(rs, item)
 	if len(out) != 1 {
 		t.Fatalf("restructure emitted %d", len(out))
 	}
@@ -288,11 +288,11 @@ func TestRestructureConditional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	big := rs.Process(xmlstream.E("i", xmlstream.T("x", "12")))
+	big := process1(rs, xmlstream.E("i", xmlstream.T("x", "12")))
 	if len(big) != 1 || big[0].Name != "big" {
 		t.Fatalf("big = %v", big)
 	}
-	small := rs.Process(xmlstream.E("i", xmlstream.T("x", "3")))
+	small := process1(rs, xmlstream.E("i", xmlstream.T("x", "3")))
 	if len(small) != 1 || small[0].Name != "small" {
 		t.Fatalf("small = %v", small)
 	}
@@ -306,7 +306,7 @@ func TestRestructureSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := rs.Process(xmlstream.E("i", xmlstream.T("x", "1"), xmlstream.T("y", "2")))
+	out := process1(rs, xmlstream.E("i", xmlstream.T("x", "1"), xmlstream.T("y", "2")))
 	if len(out) != 2 || out[0].Name != "x" || out[1].Name != "y" {
 		t.Fatalf("sequence output = %v", out)
 	}

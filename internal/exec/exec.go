@@ -6,9 +6,13 @@
 // and the restructuring post-processing step that materializes the return
 // clause at the subscriber's super-peer (§2).
 //
-// Operators are push-based: Process consumes one input item and returns the
-// output items it produces; Flush drains operator state at stream end.
-// Pipelines compose operators and are installed on simulated network peers.
+// Operators are push-based and take a batch: Process consumes a slice of
+// input items in order and appends the output items they produce to a slice
+// the caller owns; Flush drains operator state at stream end the same way.
+// How a stream is cut into batches never shows in an operator's output.
+// Pipelines compose operators and are installed on simulated network peers;
+// Pipeline.Eval is the one loop that drives items through stages, for the
+// runtime, the simulator and recovery alike.
 //
 // Each operator compiles the query-dependent part of its work once, at
 // construction — Select a slot per distinct predicate operand, Project a
@@ -25,9 +29,13 @@
 //     mutable evaluation state and must be driven by at most one goroutine
 //     at a time; the distributed runtime guarantees this by executing each
 //     pipeline on exactly one per-stream lane.
-//   - Process may retain the input item (window operators buffer items
-//     across calls). Sharing one item between several pipelines, on several
-//     goroutines, is safe because items are immutable.
+//   - Process may retain input items (window operators buffer items across
+//     calls) but never the input slice, which the caller reuses. Sharing
+//     one item between several pipelines, on several goroutines, is safe
+//     because items are immutable.
+//   - The caller owns dst. Process and Flush only append to it and return
+//     the grown slice, keep no reference to it, and are never handed a dst
+//     that overlaps the input slice.
 //   - Output items share subtrees with inputs. An operator allocates only
 //     the nodes it adds or whose child list it changes; a projection's kept
 //     subtrees, the subtrees a return clause selects, a window's items and
@@ -35,9 +43,6 @@
 //     with nothing to change passes the item through. The receiver may
 //     retain outputs indefinitely and, like everyone else, may not modify
 //     them. Operators never touch an item again after emitting it.
-//   - The slice returned by Pipeline.Process is a scratch buffer owned by
-//     the pipeline, valid only until the next Process or Flush call; copy
-//     the elements (not the slice header) to retain results.
 package exec
 
 import (
@@ -48,10 +53,11 @@ import (
 
 // Operator transforms a stream of XML items.
 type Operator interface {
-	// Process consumes one item and returns zero or more output items.
-	Process(item *xmlstream.Element) []*xmlstream.Element
-	// Flush emits any remaining buffered output at end of stream.
-	Flush() []*xmlstream.Element
+	// Process consumes items in order and appends the output items they
+	// produce, zero or more each, to dst.
+	Process(dst, items []*xmlstream.Element) []*xmlstream.Element
+	// Flush appends any remaining buffered output to dst at end of stream.
+	Flush(dst []*xmlstream.Element) []*xmlstream.Element
 	// Name identifies the operator kind for load accounting and diagnostics.
 	Name() string
 }
@@ -62,81 +68,84 @@ type Pipeline struct {
 	// Ops are the stages, applied in order to every input item.
 	Ops []Operator
 
-	// bufA/bufB are ping-pong scratch buffers reused across Process calls;
+	// bufA/bufB are ping-pong scratch buffers reused across Eval calls;
 	// they hold only slice headers, the elements themselves are owned by
-	// whoever receives them.
+	// whoever receives them. one is Process's single-item batch.
 	bufA, bufB []*xmlstream.Element
+	one        [1]*xmlstream.Element
 }
 
 // NewPipeline composes ops; a nil or empty pipeline is the identity.
 func NewPipeline(ops ...Operator) *Pipeline { return &Pipeline{Ops: ops} }
 
-// Process pushes one item through all stages. The returned slice is a
-// scratch buffer owned by the pipeline and is only valid until the next
-// Process or Flush call; copy its elements out to retain them.
-func (p *Pipeline) Process(item *xmlstream.Element) []*xmlstream.Element {
-	return p.ProcessWith(item, nil)
+// Eval pushes batch through the stages Ops[from:], one stage at a time: a
+// stage consumes everything the one before it produced for the batch and,
+// with flush set (end of stream), appends its own buffered state before the
+// next stage runs, so flushed items pass through the stages downstream of
+// the one that held them. loads, when not nil, holds one load-model weight
+// per stage of Ops (bload(op), resolved once by whoever installed the
+// pipeline); work is then the sum over the stages run of weight × items
+// entering the stage, the units the paper bills per processed item.
+//
+// The returned slice is a scratch buffer owned by the pipeline, valid only
+// until the next Eval, Process or Flush call: copy its elements (not the
+// slice header) to retain results. A nil pipeline, or one with no stage
+// left to run, is the identity: it returns batch itself, untouched.
+func (p *Pipeline) Eval(from int, batch []*xmlstream.Element, flush bool, loads []float64) (out []*xmlstream.Element, work float64) {
+	if p == nil || from >= len(p.Ops) {
+		return batch, 0
+	}
+	in, a, b := batch, p.bufA, p.bufB
+	// The scratch buffers must not keep trees alive that nobody will read
+	// again: the previous call's result goes now, an intermediate result as
+	// soon as the next stage has consumed it.
+	clear(b)
+	for i := from; i < len(p.Ops); i++ {
+		if len(in) == 0 && !flush {
+			break
+		}
+		op, dst := p.Ops[i], a[:0]
+		if len(in) > 0 {
+			if loads != nil {
+				work += loads[i] * float64(len(in))
+			}
+			dst = op.Process(dst, in)
+			if i > from {
+				clear(in)
+			}
+		}
+		if flush {
+			dst = op.Flush(dst)
+		}
+		// dst becomes the next stage's input; the other buffer, whose
+		// contents the stage just consumed, its output.
+		in, a, b = dst, b, dst
+	}
+	p.bufA, p.bufB = a, b
+	return in, work
 }
 
-// ProcessWith is Process with per-stage accounting: before a stage runs,
-// charge (when not nil) is called with the operator and the number of items
-// entering it (the load model bills bload(op) per processed item). The
-// returned slice follows the same scratch-buffer contract as Process.
-func (p *Pipeline) ProcessWith(item *xmlstream.Element, charge func(op Operator, items int)) []*xmlstream.Element {
-	if p == nil {
-		return []*xmlstream.Element{item}
-	}
-	items := append(p.bufA[:0], item)
-	next := p.bufB[:0]
-	for _, op := range p.Ops {
-		if charge != nil {
-			charge(op, len(items))
-		}
-		next = next[:0]
-		for _, it := range items {
-			next = append(next, op.Process(it)...)
-		}
-		items, next = next, items
-		if len(items) == 0 {
-			p.bufA, p.bufB = items, next
-			return nil
-		}
-	}
-	p.bufA, p.bufB = items, next
-	return items
+// Process pushes one item through all stages. The returned slice follows
+// Eval's scratch-buffer contract; unlike Eval, Process needs a pipeline to
+// hold its one-item batch.
+func (p *Pipeline) Process(item *xmlstream.Element) []*xmlstream.Element {
+	p.one[0] = item
+	out, _ := p.Eval(0, p.one[:], false, nil)
+	return out
 }
 
 // Flush drains all stages in order, pushing flushed items through the
-// remaining downstream stages.
+// remaining downstream stages. The returned slice follows Eval's
+// scratch-buffer contract.
 func (p *Pipeline) Flush() []*xmlstream.Element {
-	if p == nil {
-		return nil
-	}
-	var out []*xmlstream.Element
-	for i, op := range p.Ops {
-		items := op.Flush()
-		for _, it := range items {
-			cur := []*xmlstream.Element{it}
-			for _, down := range p.Ops[i+1:] {
-				var next []*xmlstream.Element
-				for _, c := range cur {
-					next = append(next, down.Process(c)...)
-				}
-				cur = next
-			}
-			out = append(out, cur...)
-		}
-	}
+	out, _ := p.Eval(0, nil, true, nil)
 	return out
 }
 
 // Run evaluates the pipeline over a finite item slice, including Flush.
 func (p *Pipeline) Run(items []*xmlstream.Element) []*xmlstream.Element {
-	var out []*xmlstream.Element
-	for _, it := range items {
-		out = append(out, p.Process(it)...)
-	}
-	return append(out, p.Flush()...)
+	out, _ := p.Eval(0, items, true, nil)
+	return append([]*xmlstream.Element(nil), out...)
 }
 
 // Select filters items by a conjunctive predicate graph whose node labels
@@ -235,15 +244,17 @@ func (s *Select) Matches(item *xmlstream.Element) bool {
 }
 
 // Process implements Operator.
-func (s *Select) Process(item *xmlstream.Element) []*xmlstream.Element {
-	if s.Matches(item) {
-		return []*xmlstream.Element{item}
+func (s *Select) Process(dst, items []*xmlstream.Element) []*xmlstream.Element {
+	for _, item := range items {
+		if s.Matches(item) {
+			dst = append(dst, item)
+		}
 	}
-	return nil
+	return dst
 }
 
 // Flush implements Operator.
-func (s *Select) Flush() []*xmlstream.Element { return nil }
+func (s *Select) Flush(dst []*xmlstream.Element) []*xmlstream.Element { return dst }
 
 // Project prunes items to the subtrees addressed by Keep. Its outputs share
 // the kept subtrees with the input item.
@@ -263,16 +274,17 @@ func NewProject(keep []xmlstream.Path) *Project {
 func (p *Project) Name() string { return "project" }
 
 // Process implements Operator.
-func (p *Project) Process(item *xmlstream.Element) []*xmlstream.Element {
-	pr := p.proj.Apply(item)
-	if pr == nil {
-		return nil
+func (p *Project) Process(dst, items []*xmlstream.Element) []*xmlstream.Element {
+	for _, item := range items {
+		if pr := p.proj.Apply(item); pr != nil {
+			dst = append(dst, pr)
+		}
 	}
-	return []*xmlstream.Element{pr}
+	return dst
 }
 
 // Flush implements Operator.
-func (p *Project) Flush() []*xmlstream.Element { return nil }
+func (p *Project) Flush(dst []*xmlstream.Element) []*xmlstream.Element { return dst }
 
 // Duplicate marks a stream fan-out point. The network layer duplicates
 // items when routing; the operator itself is the identity and exists so
@@ -283,9 +295,9 @@ type Duplicate struct{}
 func (Duplicate) Name() string { return "duplicate" }
 
 // Process implements Operator.
-func (Duplicate) Process(item *xmlstream.Element) []*xmlstream.Element {
-	return []*xmlstream.Element{item}
+func (Duplicate) Process(dst, items []*xmlstream.Element) []*xmlstream.Element {
+	return append(dst, items...)
 }
 
 // Flush implements Operator.
-func (Duplicate) Flush() []*xmlstream.Element { return nil }
+func (Duplicate) Flush(dst []*xmlstream.Element) []*xmlstream.Element { return dst }

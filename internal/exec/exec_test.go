@@ -36,20 +36,20 @@ func velaGraph() *predicate.Graph {
 func TestSelect(t *testing.T) {
 	s := NewSelect(velaGraph())
 	in := photon("130.0", "-46.0", "5", "1.5", "10")
-	if got := s.Process(in); len(got) != 1 {
+	if got := process1(s, in); len(got) != 1 {
 		t.Error("in-box photon should pass")
 	}
 	out := photon("150.0", "-46.0", "5", "1.5", "10")
-	if got := s.Process(out); len(got) != 0 {
+	if got := process1(s, out); len(got) != 0 {
 		t.Error("out-of-box photon should be dropped")
 	}
 	// Boundary values are inclusive for ≥/≤.
-	if got := s.Process(photon("120.0", "-49.0", "5", "1.5", "10")); len(got) != 1 {
+	if got := process1(s, photon("120.0", "-49.0", "5", "1.5", "10")); len(got) != 1 {
 		t.Error("boundary photon should pass")
 	}
 	// Missing referenced element fails.
 	bare := xmlstream.E("photon", xmlstream.T("en", "1.5"))
-	if got := s.Process(bare); len(got) != 0 {
+	if got := process1(s, bare); len(got) != 0 {
 		t.Error("photon without coordinates must fail the predicate")
 	}
 }
@@ -58,27 +58,27 @@ func TestSelectStrictAndVarVsVar(t *testing.T) {
 	g := predicate.New()
 	g.AddAtom(predicate.Atom{Left: "en", Op: predicate.Lt, Const: dec("1.5")})
 	s := NewSelect(g)
-	if len(s.Process(photon("1", "1", "1", "1.5", "1"))) != 0 {
+	if len(process1(s, photon("1", "1", "1", "1.5", "1"))) != 0 {
 		t.Error("en < 1.5 must drop en = 1.5")
 	}
-	if len(s.Process(photon("1", "1", "1", "1.4", "1"))) != 1 {
+	if len(process1(s, photon("1", "1", "1", "1.4", "1"))) != 1 {
 		t.Error("en < 1.5 must keep en = 1.4")
 	}
 
 	vv := predicate.New()
 	vv.AddAtom(predicate.Atom{Left: "phc", Op: predicate.Le, RightVar: "en", Const: dec("2")})
 	sv := NewSelect(vv)
-	if len(sv.Process(photon("1", "1", "3", "1.5", "1"))) != 1 {
+	if len(process1(sv, photon("1", "1", "3", "1.5", "1"))) != 1 {
 		t.Error("phc ≤ en + 2: 3 ≤ 3.5 should pass")
 	}
-	if len(sv.Process(photon("1", "1", "4", "1.5", "1"))) != 0 {
+	if len(process1(sv, photon("1", "1", "4", "1.5", "1"))) != 0 {
 		t.Error("phc ≤ en + 2: 4 > 3.5 should fail")
 	}
 }
 
 func TestProject(t *testing.T) {
 	p := NewProject([]xmlstream.Path{xmlstream.ParsePath("coord/cel/ra"), xmlstream.ParsePath("en")})
-	out := p.Process(photon("130", "-46", "5", "1.5", "10"))
+	out := process1(p, photon("130", "-46", "5", "1.5", "10"))
 	if len(out) != 1 {
 		t.Fatal("projection dropped item")
 	}
@@ -341,17 +341,17 @@ func TestAggFilterExactBoundary(t *testing.T) {
 
 	ge := predicate.New()
 	ge.AddAtom(predicate.Atom{Left: "avg(en)", Op: predicate.Ge, Const: dec("1.3")})
-	if len(NewAggFilter(ge, groups).Process(item)) != 1 {
+	if len(process1(NewAggFilter(ge, groups), item)) != 1 {
 		t.Error("avg ≥ 1.3 should keep avg = 1.3")
 	}
 	gt := predicate.New()
 	gt.AddAtom(predicate.Atom{Left: "avg(en)", Op: predicate.Gt, Const: dec("1.3")})
-	if len(NewAggFilter(gt, groups).Process(item)) != 0 {
+	if len(process1(NewAggFilter(gt, groups), item)) != 0 {
 		t.Error("avg > 1.3 must drop avg = 1.3")
 	}
 	// Missing group fails.
 	empty := xmlstream.E(AggItemName, xmlstream.T("win", "0"))
-	if len(NewAggFilter(ge, groups).Process(empty)) != 0 {
+	if len(process1(NewAggFilter(ge, groups), empty)) != 0 {
 		t.Error("missing aggregate value must fail the filter")
 	}
 }

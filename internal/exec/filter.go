@@ -63,15 +63,17 @@ func NewAggFilter(g *predicate.Graph, groups map[string]FilterGroup) *AggFilter 
 func (f *AggFilter) Name() string { return "agg-filter" }
 
 // Process implements Operator.
-func (f *AggFilter) Process(item *xmlstream.Element) []*xmlstream.Element {
-	if f.matches(item) {
-		return []*xmlstream.Element{item}
+func (f *AggFilter) Process(dst, items []*xmlstream.Element) []*xmlstream.Element {
+	for _, item := range items {
+		if f.matches(item) {
+			dst = append(dst, item)
+		}
 	}
-	return nil
+	return dst
 }
 
 // Flush implements Operator.
-func (f *AggFilter) Flush() []*xmlstream.Element { return nil }
+func (f *AggFilter) Flush(dst []*xmlstream.Element) []*xmlstream.Element { return dst }
 
 func (f *AggFilter) matches(item *xmlstream.Element) bool {
 	for _, c := range f.checks {
@@ -136,7 +138,16 @@ func NewWindowContents(w wxquery.Window) *WindowContents {
 func (w *WindowContents) Name() string { return "window-contents" }
 
 // Process implements Operator.
-func (w *WindowContents) Process(item *xmlstream.Element) []*xmlstream.Element {
+func (w *WindowContents) Process(dst, items []*xmlstream.Element) []*xmlstream.Element {
+	for _, item := range items {
+		dst = w.add(dst, item)
+	}
+	return dst
+}
+
+// add puts one item into every window containing it and appends the
+// windows it closes to dst.
+func (w *WindowContents) add(dst []*xmlstream.Element, item *xmlstream.Element) []*xmlstream.Element {
 	var pos decimal.D
 	if w.Window.Kind == wxquery.WindowCount {
 		pos = decimal.FromInt(w.itemIndex)
@@ -144,18 +155,17 @@ func (w *WindowContents) Process(item *xmlstream.Element) []*xmlstream.Element {
 	} else {
 		r, ok := item.Decimal(w.Window.Ref)
 		if !ok {
-			return nil
+			return dst
 		}
 		pos = r
 	}
-	var out []*xmlstream.Element
 	if w.Window.Kind == wxquery.WindowDiff {
-		out = w.closeBefore(pos, pos)
+		dst = w.closeBefore(dst, pos, pos)
 	}
 	kmax := floorDiv(pos, w.Window.Step)
 	end, err := pos.Sub(w.Window.Size)
 	if err != nil {
-		return out
+		return dst
 	}
 	kmin := floorDiv(end, w.Window.Step) + 1
 	if w.Window.Kind == wxquery.WindowCount && kmin < 0 {
@@ -165,13 +175,12 @@ func (w *WindowContents) Process(item *xmlstream.Element) []*xmlstream.Element {
 		w.open[k] = append(w.open[k], item)
 	}
 	if w.Window.Kind == wxquery.WindowCount {
-		out = append(out, w.closeBefore(decimal.FromInt(w.itemIndex), pos)...)
+		dst = w.closeBefore(dst, decimal.FromInt(w.itemIndex), pos)
 	}
-	return out
+	return dst
 }
 
-func (w *WindowContents) closeBefore(limit, wm decimal.D) []*xmlstream.Element {
-	var out []*xmlstream.Element
+func (w *WindowContents) closeBefore(dst []*xmlstream.Element, limit, wm decimal.D) []*xmlstream.Element {
 	var ks []int64
 	for k := range w.open {
 		start := mulScalar(w.Window.Step, k)
@@ -194,15 +203,15 @@ func (w *WindowContents) closeBefore(limit, wm decimal.D) []*xmlstream.Element {
 		)
 		e.Children = append(e.Children, items...)
 		delete(w.open, k)
-		out = append(out, e)
+		dst = append(dst, e)
 	}
-	return out
+	return dst
 }
 
 // Flush implements Operator.
-func (w *WindowContents) Flush() []*xmlstream.Element {
+func (w *WindowContents) Flush(dst []*xmlstream.Element) []*xmlstream.Element {
 	w.open = map[int64][]*xmlstream.Element{}
-	return nil
+	return dst
 }
 
 func sortInt64(ks []int64) {

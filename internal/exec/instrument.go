@@ -13,40 +13,42 @@ import (
 // clock reads off the common path.
 const timingSampleEvery = 64
 
-// counted decorates an operator with items-in/items-out/bytes-out counters
-// and a sampled per-call duration histogram. Name is forwarded so load
-// accounting (bload lookup by operator name) and plan rendering are
-// unaffected.
+// counted decorates an operator with items-in/items-out/bytes-out counters,
+// each added to once per call for the whole batch, and a sampled duration
+// histogram. Name is forwarded so load accounting (bload lookup by operator
+// name) and plan rendering are unaffected.
 type counted struct {
 	op       Operator
 	in, out  *obs.Counter
 	outBytes *obs.Counter
-	// seconds observes the duration of one in timingSampleEvery Process
-	// calls (tick is the shared call counter); nil disables timing.
+	// seconds observes, for one in timingSampleEvery Process calls (tick is
+	// the call counter), the call's duration divided by its batch size:
+	// seconds per input item. nil disables timing.
 	seconds *obs.Histogram
 	tick    *atomic.Uint64
 }
 
 func (c counted) Name() string { return c.op.Name() }
 
-func (c counted) Process(item *xmlstream.Element) []*xmlstream.Element {
-	c.in.Inc()
+func (c counted) Process(dst, items []*xmlstream.Element) []*xmlstream.Element {
+	c.in.Add(float64(len(items)))
+	n := len(dst)
 	if c.seconds != nil && c.tick.Add(1)%timingSampleEvery == 0 {
 		t0 := time.Now()
-		outs := c.op.Process(item)
-		c.seconds.Observe(time.Since(t0).Seconds())
-		c.count(outs)
-		return outs
+		dst = c.op.Process(dst, items)
+		c.seconds.Observe(time.Since(t0).Seconds() / float64(len(items)))
+	} else {
+		dst = c.op.Process(dst, items)
 	}
-	outs := c.op.Process(item)
-	c.count(outs)
-	return outs
+	c.count(dst[n:])
+	return dst
 }
 
-func (c counted) Flush() []*xmlstream.Element {
-	outs := c.op.Flush()
-	c.count(outs)
-	return outs
+func (c counted) Flush(dst []*xmlstream.Element) []*xmlstream.Element {
+	n := len(dst)
+	dst = c.op.Flush(dst)
+	c.count(dst[n:])
+	return dst
 }
 
 func (c counted) count(outs []*xmlstream.Element) {
@@ -64,9 +66,9 @@ func (c counted) count(outs []*xmlstream.Element) {
 // Instrument returns a pipeline whose operators additionally count processed
 // items into reg under <prefix>.<op-name>.{in,out,out_bytes} and observe a
 // sampled duration histogram under <prefix>.<op-name>.seconds (1 in
-// timingSampleEvery calls is timed). Counters and histograms are shared
-// between operators of the same kind, bounding series cardinality to the
-// operator vocabulary. A nil registry or pipeline returns p unchanged;
+// timingSampleEvery calls is timed, and reported per input item). Counters
+// and histograms are shared between operators of the same kind, bounding
+// series cardinality to the operator vocabulary. A nil registry or pipeline returns p unchanged;
 // instrumenting twice is idempotent per wrapper (already counted operators
 // are not re-wrapped).
 func Instrument(p *Pipeline, reg *obs.Registry, prefix string) *Pipeline {

@@ -24,11 +24,11 @@ func TestWindowPoolReuse(t *testing.T) {
 			it := xmlstream.E("p",
 				xmlstream.T("t", decimal.New(int64(i*3), 0).String()),
 				xmlstream.T("v", "1.5"))
-			for _, o := range w.Process(it) {
+			for _, o := range process1(w, it) {
 				out = append(out, xmlstream.Marshal(o))
 			}
 		}
-		w.Flush()
+		flush1(w)
 		return out
 	}
 	a := run(mk())

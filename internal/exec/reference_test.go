@@ -237,7 +237,7 @@ var restructureShapes = []struct{ name, src string }{
 func sameAsReference(t *testing.T, rs *Restructure, inputs []*xmlstream.Element) {
 	t.Helper()
 	for i, in := range inputs {
-		got, want := rs.Process(in), refProcess(rs, in)
+		got, want := process1(rs, in), refProcess(rs, in)
 		if len(got) != len(want) {
 			t.Fatalf("input %d %s: %d results, reference %d", i, xmlstream.Marshal(in), len(got), len(want))
 		}

@@ -24,7 +24,7 @@ func TestRemapAvgToSumLayout(t *testing.T) {
 		[]int{1},
 		[]wxquery.AggOp{wxquery.AggMax},
 	)
-	out := r.Process(item)
+	out := process1(r, item)
 	if len(out) != 1 {
 		t.Fatalf("remap emitted %d", len(out))
 	}
@@ -41,7 +41,7 @@ func TestRemapAvgToSumLayout(t *testing.T) {
 	if r.Name() != "remap" {
 		t.Errorf("name = %s", r.Name())
 	}
-	if r.Flush() != nil {
+	if flush1(r) != nil {
 		t.Error("remap is stateless")
 	}
 }
@@ -214,10 +214,10 @@ func TestOperatorNames(t *testing.T) {
 	}
 	// Duplicate is the identity.
 	it := photon("1", "1", "1", "1", "1")
-	if out := (Duplicate{}).Process(it); len(out) != 1 || out[0] != it {
+	if out := process1(Duplicate{}, it); len(out) != 1 || out[0] != it {
 		t.Error("duplicate must pass items through")
 	}
-	if (Duplicate{}).Flush() != nil {
+	if flush1(Duplicate{}) != nil {
 		t.Error("duplicate flush")
 	}
 }
@@ -226,10 +226,10 @@ func TestSelectNilSafePaths(t *testing.T) {
 	g := predicate.New()
 	g.AddAtom(predicate.Atom{Left: "en", Op: predicate.Ge, Const: dec("1")})
 	s := NewSelect(g)
-	if out := s.Process(xmlstream.E("empty")); out != nil {
+	if out := process1(s, xmlstream.E("empty")); out != nil {
 		t.Error("item without the predicate path must be dropped")
 	}
-	if out := s.Process(xmlstream.E("x", xmlstream.T("en", "junk"))); out != nil {
+	if out := process1(s, xmlstream.E("x", xmlstream.T("en", "junk"))); out != nil {
 		t.Error("non-numeric value must be dropped")
 	}
 }
@@ -270,16 +270,16 @@ func TestRestructureConditionalVarVsVar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gt := rs.Process(xmlstream.E("i", xmlstream.T("x", "5"), xmlstream.T("y", "3")))
+	gt := process1(rs, xmlstream.E("i", xmlstream.T("x", "5"), xmlstream.T("y", "3")))
 	if len(gt) != 1 || gt[0].Name != "gt" {
 		t.Fatalf("5 >= 3+1: %v", gt)
 	}
-	le := rs.Process(xmlstream.E("i", xmlstream.T("x", "3.9"), xmlstream.T("y", "3")))
+	le := process1(rs, xmlstream.E("i", xmlstream.T("x", "3.9"), xmlstream.T("y", "3")))
 	if len(le) != 1 || le[0].Name != "le" {
 		t.Fatalf("3.9 >= 4: %v", le)
 	}
 	// Missing condition value routes to else.
-	missing := rs.Process(xmlstream.E("i", xmlstream.T("x", "5")))
+	missing := process1(rs, xmlstream.E("i", xmlstream.T("x", "5")))
 	if len(missing) != 1 || missing[0].Name != "le" {
 		t.Fatalf("missing y: %v", missing)
 	}
@@ -287,7 +287,7 @@ func TestRestructureConditionalVarVsVar(t *testing.T) {
 
 func TestProjectDropsEmptyItems(t *testing.T) {
 	p := NewProject([]xmlstream.Path{xmlstream.ParsePath("nope")})
-	if out := p.Process(photon("1", "1", "1", "1", "1")); out != nil {
+	if out := process1(p, photon("1", "1", "1", "1", "1")); out != nil {
 		t.Error("projection with no matching paths should drop the item")
 	}
 }

@@ -69,16 +69,18 @@ func NewRestructure(mode RestructureMode, forVar string, lets []LetBinding, ret 
 func (r *Restructure) Name() string { return "restructure" }
 
 // Process implements Operator.
-func (r *Restructure) Process(item *xmlstream.Element) []*xmlstream.Element {
+func (r *Restructure) Process(dst, items []*xmlstream.Element) []*xmlstream.Element {
 	// A bare text value at the top level of a return clause is wrapped so
 	// it remains a well-formed stream item.
-	out := content{top: true}
-	r.eval(&r.tmpl, item, &out)
+	out := content{top: true, elems: dst}
+	for _, item := range items {
+		r.eval(&r.tmpl, item, &out)
+	}
 	return out.elems
 }
 
 // Flush implements Operator.
-func (r *Restructure) Flush() []*xmlstream.Element { return nil }
+func (r *Restructure) Flush(dst []*xmlstream.Element) []*xmlstream.Element { return dst }
 
 // tmpl is one node of a compiled return clause. Variable references are
 // resolved at compile time to what they read — a path below the for item,

@@ -50,24 +50,21 @@ func NewSortBuffer(ref xmlstream.Path, size int) *SortBuffer {
 func (s *SortBuffer) Name() string { return "sort-buffer" }
 
 // Process implements Operator.
-func (s *SortBuffer) Process(item *xmlstream.Element) []*xmlstream.Element {
-	ref, ok := item.Decimal(s.Ref)
-	if !ok {
-		s.Dropped++
-		return nil
+func (s *SortBuffer) Process(dst, items []*xmlstream.Element) []*xmlstream.Element {
+	for _, item := range items {
+		ref, ok := item.Decimal(s.Ref)
+		if !ok || (s.any && ref.Cmp(s.released) < 0) {
+			// No reference, or the slot this item belongs to has already
+			// been released: a larger buffer would have been needed.
+			s.Dropped++
+			continue
+		}
+		s.insert(bufferedItem{ref: ref, seq: len(s.buf), item: item})
+		for len(s.buf) > s.Size {
+			dst = append(dst, s.pop())
+		}
 	}
-	if s.any && ref.Cmp(s.released) < 0 {
-		// The slot this item belongs to has already been released; a larger
-		// buffer would have been needed.
-		s.Dropped++
-		return nil
-	}
-	s.insert(bufferedItem{ref: ref, seq: len(s.buf), item: item})
-	var out []*xmlstream.Element
-	for len(s.buf) > s.Size {
-		out = append(out, s.pop())
-	}
-	return out
+	return dst
 }
 
 // insert keeps the buffer sorted by (ref, arrival) with a binary search;
@@ -91,10 +88,9 @@ func (s *SortBuffer) pop() *xmlstream.Element {
 }
 
 // Flush implements Operator, draining the buffer in order.
-func (s *SortBuffer) Flush() []*xmlstream.Element {
-	out := make([]*xmlstream.Element, 0, len(s.buf))
+func (s *SortBuffer) Flush(dst []*xmlstream.Element) []*xmlstream.Element {
 	for len(s.buf) > 0 {
-		out = append(out, s.pop())
+		dst = append(dst, s.pop())
 	}
-	return out
+	return dst
 }

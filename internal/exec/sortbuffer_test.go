@@ -25,9 +25,9 @@ func TestSortBufferReorders(t *testing.T) {
 	sb := NewSortBuffer(xmlstream.ParsePath("t"), 3)
 	var out []*xmlstream.Element
 	for _, dt := range []string{"3", "1", "2", "5", "4", "7", "6", "8"} {
-		out = append(out, sb.Process(refItem(dt))...)
+		out = append(out, process1(sb, refItem(dt))...)
 	}
-	out = append(out, sb.Flush()...)
+	out = append(out, flush1(sb)...)
 	got := refsOf(out)
 	want := []string{"1", "2", "3", "4", "5", "6", "7", "8"}
 	if len(got) != len(want) {
@@ -48,9 +48,9 @@ func TestSortBufferDropsBeyondReach(t *testing.T) {
 	var out []*xmlstream.Element
 	// With buffer 1, the displacement of "1" behind 3 and 4 exceeds reach.
 	for _, dt := range []string{"3", "4", "1", "5"} {
-		out = append(out, sb.Process(refItem(dt))...)
+		out = append(out, process1(sb, refItem(dt))...)
 	}
-	out = append(out, sb.Flush()...)
+	out = append(out, flush1(sb)...)
 	got := refsOf(out)
 	for i := 1; i < len(got); i++ {
 		if got[i-1] > got[i] {
@@ -61,7 +61,7 @@ func TestSortBufferDropsBeyondReach(t *testing.T) {
 		t.Errorf("dropped = %d, want 1", sb.Dropped)
 	}
 	// Items without the reference element are dropped too.
-	if res := sb.Process(xmlstream.E("i")); res != nil {
+	if res := process1(sb, xmlstream.E("i")); res != nil {
 		t.Error("reference-less item should be dropped")
 	}
 	if sb.Dropped != 2 {
@@ -74,9 +74,9 @@ func TestSortBufferStableForEqualRefs(t *testing.T) {
 	a := xmlstream.E("i", xmlstream.T("t", "1"), xmlstream.T("tag", "a"))
 	b := xmlstream.E("i", xmlstream.T("t", "1"), xmlstream.T("tag", "b"))
 	var out []*xmlstream.Element
-	out = append(out, sb.Process(a)...)
-	out = append(out, sb.Process(b)...)
-	out = append(out, sb.Flush()...)
+	out = append(out, process1(sb, a)...)
+	out = append(out, process1(sb, b)...)
+	out = append(out, flush1(sb)...)
 	if len(out) != 2 || out[0].First(xmlstream.ParsePath("tag")).Value() != "a" {
 		t.Error("equal references should keep arrival order")
 	}
@@ -136,9 +136,9 @@ func TestQuickSortBufferOrdered(t *testing.T) {
 		sb := NewSortBuffer(xmlstream.ParsePath("t"), int(size%16)+1)
 		var out []*xmlstream.Element
 		for _, v := range vals {
-			out = append(out, sb.Process(refItem(itoa(int(v))))...)
+			out = append(out, process1(sb, refItem(itoa(int(v))))...)
 		}
-		out = append(out, sb.Flush()...)
+		out = append(out, flush1(sb)...)
 		prev := -1
 		for _, it := range out {
 			d, _ := it.Decimal(xmlstream.ParsePath("t"))

@@ -172,7 +172,16 @@ func NewWindowAgg(w wxquery.Window, aggs []AggSpec, reg UDFRegistry) *WindowAgg 
 func (w *WindowAgg) Name() string { return "window-agg" }
 
 // Process implements Operator.
-func (w *WindowAgg) Process(item *xmlstream.Element) []*xmlstream.Element {
+func (w *WindowAgg) Process(dst, items []*xmlstream.Element) []*xmlstream.Element {
+	for _, item := range items {
+		dst = w.add(dst, item)
+	}
+	return dst
+}
+
+// add puts one item into every window containing it and appends the
+// windows it closes to dst.
+func (w *WindowAgg) add(dst []*xmlstream.Element, item *xmlstream.Element) []*xmlstream.Element {
 	var pos decimal.D
 	if w.Window.Kind == wxquery.WindowCount {
 		pos = decimal.FromInt(w.itemIndex)
@@ -180,22 +189,21 @@ func (w *WindowAgg) Process(item *xmlstream.Element) []*xmlstream.Element {
 	} else {
 		r, ok := item.Decimal(w.Window.Ref)
 		if !ok {
-			return nil // items without the reference element are dropped
+			return dst // items without the reference element are dropped
 		}
 		pos = r
 	}
 	// Close every window whose end kµ+∆ ≤ pos (count windows close below,
 	// after the item is added, since the item at index kµ+∆−1 still belongs
 	// to window k).
-	var out []*xmlstream.Element
 	if w.Window.Kind == wxquery.WindowDiff {
-		out = w.closeBefore(pos, pos)
+		dst = w.closeBefore(dst, pos, pos)
 	}
 	// Add the item to every window containing pos: kµ ≤ pos < kµ+∆.
 	kmax := floorDiv(pos, w.Window.Step)
 	end, err := pos.Sub(w.Window.Size)
 	if err != nil {
-		return out
+		return dst
 	}
 	kmin := floorDiv(end, w.Window.Step) + 1
 	if w.Window.Kind == wxquery.WindowCount && kmin < 0 {
@@ -214,14 +222,14 @@ func (w *WindowAgg) Process(item *xmlstream.Element) []*xmlstream.Element {
 	if w.Window.Kind == wxquery.WindowCount {
 		// Close windows ending exactly after this item.
 		next := decimal.FromInt(w.itemIndex)
-		out = append(out, w.closeBefore(next, decimal.FromInt(w.itemIndex-1))...)
+		dst = w.closeBefore(dst, next, decimal.FromInt(w.itemIndex-1))
 	}
-	return out
+	return dst
 }
 
-// closeBefore emits (in window order) every open window with kµ+∆ ≤ limit,
-// stamping wm as the watermark.
-func (w *WindowAgg) closeBefore(limit, wm decimal.D) []*xmlstream.Element {
+// closeBefore appends to dst (in window order) every open window with
+// kµ+∆ ≤ limit, stamping wm as the watermark.
+func (w *WindowAgg) closeBefore(dst []*xmlstream.Element, limit, wm decimal.D) []*xmlstream.Element {
 	ks := w.ks[:0]
 	for k := range w.open {
 		endStart := mulScalar(w.Window.Step, k)
@@ -234,15 +242,14 @@ func (w *WindowAgg) closeBefore(limit, wm decimal.D) []*xmlstream.Element {
 		}
 	}
 	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	var out []*xmlstream.Element
 	for _, k := range ks {
 		p := w.open[k]
-		out = append(out, w.emit(k, p, wm))
+		dst = append(dst, w.emit(k, p, wm))
 		delete(w.open, k)
 		putPartial(p)
 	}
 	w.ks = ks[:0]
-	return out
+	return dst
 }
 
 func (w *WindowAgg) emit(k int64, p *partialWindow, wm decimal.D) *xmlstream.Element {
@@ -259,12 +266,12 @@ func (w *WindowAgg) emit(k int64, p *partialWindow, wm decimal.D) *xmlstream.Ele
 
 // Flush implements Operator. Incomplete trailing windows are not emitted:
 // a window only produces a value once its step boundary has passed.
-func (w *WindowAgg) Flush() []*xmlstream.Element {
+func (w *WindowAgg) Flush(dst []*xmlstream.Element) []*xmlstream.Element {
 	for k, p := range w.open {
 		delete(w.open, k)
 		putPartial(p)
 	}
-	return nil
+	return dst
 }
 
 // aggValue extracts group i's value as an exact rational (num/den) from an
@@ -344,10 +351,19 @@ func NewWindowMerge(fine, coarse wxquery.Window, aggs []AggSpec, fineGroup []int
 func (m *WindowMerge) Name() string { return "window-merge" }
 
 // Process implements Operator.
-func (m *WindowMerge) Process(item *xmlstream.Element) []*xmlstream.Element {
+func (m *WindowMerge) Process(dst, items []*xmlstream.Element) []*xmlstream.Element {
+	for _, item := range items {
+		dst = m.add(dst, item)
+	}
+	return dst
+}
+
+// add buffers one fine aggregate and appends the coarse windows it
+// completes to dst.
+func (m *WindowMerge) add(dst []*xmlstream.Element, item *xmlstream.Element) []*xmlstream.Element {
 	start, ok := item.Decimal(xmlstream.Path{aggWinField})
 	if !ok {
-		return nil
+		return dst
 	}
 	// Buffer the fine aggregate keyed by its start in fine-step units.
 	k := floorDiv(start, m.Fine.Step)
@@ -373,32 +389,32 @@ func (m *WindowMerge) Process(item *xmlstream.Element) []*xmlstream.Element {
 	if !okWM {
 		end, err := start.Add(m.Fine.Size)
 		if err != nil {
-			return nil
+			return dst
 		}
 		wm = end
 	}
-	return m.closeThrough(start, wm)
+	return m.closeThrough(dst, start, wm)
 }
 
-// closeThrough emits every coarse window whose last tile start jµ′+∆′−∆ is
-// at or before the fine start just buffered. Fine aggregate streams are
-// ordered by window start, so once a fine start s has arrived, no tile with
-// start ≤ s can arrive later — watermarks alone would close a coarse window
-// before its final tile is delivered within the same closing batch.
-func (m *WindowMerge) closeThrough(s, wm decimal.D) []*xmlstream.Element {
-	var out []*xmlstream.Element
+// closeThrough appends to dst every coarse window whose last tile start
+// jµ′+∆′−∆ is at or before the fine start just buffered. Fine aggregate
+// streams are ordered by window start, so once a fine start s has arrived,
+// no tile with start ≤ s can arrive later — watermarks alone would close a
+// coarse window before its final tile is delivered within the same closing
+// batch.
+func (m *WindowMerge) closeThrough(dst []*xmlstream.Element, s, wm decimal.D) []*xmlstream.Element {
 	for {
 		startC := mulScalar(m.Coarse.Step, m.jNext)
 		endC, err := startC.Add(m.Coarse.Size)
 		if err != nil {
-			return out
+			return dst
 		}
 		lastTile, err := endC.Sub(m.Fine.Size)
 		if err != nil || lastTile.Cmp(s) > 0 {
-			return out
+			return dst
 		}
 		if e := m.combine(startC, wm); e != nil {
-			out = append(out, e)
+			dst = append(dst, e)
 		}
 		m.jNext++
 		m.gc(startC)
@@ -516,7 +532,7 @@ func (m *WindowMerge) combine(startC, wm decimal.D) *xmlstream.Element {
 
 // Flush implements Operator. Trailing coarse windows not closed by a
 // watermark stay unemitted, mirroring WindowAgg.
-func (m *WindowMerge) Flush() []*xmlstream.Element {
+func (m *WindowMerge) Flush(dst []*xmlstream.Element) []*xmlstream.Element {
 	m.buf = map[int64]*xmlstream.Element{}
-	return nil
+	return dst
 }

@@ -6,7 +6,6 @@ import (
 	"streamshare/internal/core"
 	"streamshare/internal/exec"
 	"streamshare/internal/network"
-	"streamshare/internal/transport"
 	"streamshare/internal/xmlstream"
 )
 
@@ -106,7 +105,7 @@ type journalLevel struct {
 	// stateful state does not learn of these items; windows still open
 	// across the failure undercount them in later runs — delivering the
 	// items at all takes priority over that sliver.
-	oldOps []exec.Operator
+	oldOps *exec.Pipeline
 }
 
 // oldReplayKey identifies one journal segment — a channel and the consumer
@@ -173,8 +172,9 @@ func (s *Session) recoverInput(sub *core.Subscription, si *core.SubInput, old *c
 					// their journey through the retired chain's remaining
 					// residuals, whose state still matches their frontier.
 					replayedOld[oldReplayKey{chain[i], lv.consumer}] = true
+					lv.oldOps = exec.NewPipeline()
 					for j := i + 1; j < len(chain); j++ {
-						lv.oldOps = append(lv.oldOps, chain[j].Residual.Ops...)
+						lv.oldOps.Ops = append(lv.oldOps.Ops, chain[j].Residual.Ops...)
 					}
 				default:
 					rp.Skipped = append(rp.Skipped,
@@ -186,10 +186,20 @@ func (s *Session) recoverInput(sub *core.Subscription, si *core.SubInput, old *c
 		levels = append(levels, lv)
 	}
 
+	// replay pushes batch through ops[off:] — draining them too, with flush —
+	// and what comes out, the feed-level items, through the local pipeline.
 	var outs []*xmlstream.Element
 	feedBytes := 0
+	replay := func(ops *exec.Pipeline, off int, batch []*xmlstream.Element, flush bool) {
+		feed, _ := ops.Eval(off, batch, flush, nil)
+		for _, f := range feed {
+			feedBytes += xmlstream.MarshalSize(f)
+		}
+		res, _ := si.Local.Eval(0, feed, flush, nil)
+		outs = append(outs, res...)
+	}
 	flushOff := -1
-	var flushOld []exec.Operator
+	var flushOld *exec.Pipeline
 	for _, lv := range levels {
 		c := s.chanFor(lv.d)
 		if c == nil {
@@ -197,10 +207,8 @@ func (s *Session) recoverInput(sub *core.Subscription, si *core.SubInput, old *c
 		}
 		c.mu.Lock()
 		pend := c.st.UnackedAfter(c.st.Cursor(lv.consumer))
-		entries := make([]transport.Entry, len(pend))
-		copy(entries, pend)
-		c.mu.Unlock()
-		for _, e := range entries {
+		batch := make([]*xmlstream.Element, 0, len(pend))
+		for _, e := range pend {
 			if e.EOS {
 				// A pending end-of-stream exists at exactly one level per
 				// chain: a child that never processed it never emitted one
@@ -212,28 +220,19 @@ func (s *Session) recoverInput(sub *core.Subscription, si *core.SubInput, old *c
 				}
 				continue
 			}
-			ops, off := newOps, lv.offset
-			if lv.oldOps != nil {
-				ops, off = lv.oldOps, 0
-			}
-			for _, f := range runOpsFrom(ops, off, e.Elem) {
-				feedBytes += xmlstream.MarshalSize(f)
-				outs = append(outs, si.Local.Process(f)...)
-			}
+			batch = append(batch, e.Elem)
+		}
+		c.mu.Unlock()
+		if lv.oldOps != nil {
+			replay(lv.oldOps, 0, batch, false)
+		} else {
+			replay(si.Feed.Residual, lv.offset, batch, false)
 		}
 	}
 	if flushOld != nil {
-		for _, f := range flushFrom(flushOld, 0) {
-			feedBytes += xmlstream.MarshalSize(f)
-			outs = append(outs, si.Local.Process(f)...)
-		}
-		outs = append(outs, si.Local.Flush()...)
+		replay(flushOld, 0, nil, true)
 	} else if flushOff >= 0 {
-		for _, f := range flushFrom(newOps, flushOff) {
-			feedBytes += xmlstream.MarshalSize(f)
-			outs = append(outs, si.Local.Process(f)...)
-		}
-		outs = append(outs, si.Local.Flush()...)
+		replay(si.Feed.Residual, flushOff, nil, true)
 	}
 
 	if len(outs) > 0 {
@@ -249,37 +248,4 @@ func (s *Session) recoverInput(sub *core.Subscription, si *core.SubInput, old *c
 			nm.AddTraffic(network.MakeLinkID(route[h-1], route[h]), float64(feedBytes))
 		}
 	}
-}
-
-// runOpsFrom pushes one item through the tail of an operator chain,
-// starting at the given offset.
-func runOpsFrom(ops []exec.Operator, off int, item *xmlstream.Element) []*xmlstream.Element {
-	cur := []*xmlstream.Element{item}
-	for i := off; i < len(ops); i++ {
-		var next []*xmlstream.Element
-		for _, it := range cur {
-			next = append(next, ops[i].Process(it)...)
-		}
-		cur = next
-		if len(cur) == 0 {
-			return nil
-		}
-	}
-	return cur
-}
-
-// flushFrom cascades an end-of-stream flush through the tail of an
-// operator chain: each op's flush output feeds the ops after it, exactly
-// as Pipeline.Flush does from the head.
-func flushFrom(ops []exec.Operator, off int) []*xmlstream.Element {
-	var cur []*xmlstream.Element
-	for i := off; i < len(ops); i++ {
-		var next []*xmlstream.Element
-		for _, it := range cur {
-			next = append(next, ops[i].Process(it)...)
-		}
-		next = append(next, ops[i].Flush()...)
-		cur = next
-	}
-	return cur
 }

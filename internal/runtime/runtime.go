@@ -108,6 +108,9 @@ type Runtime struct {
 	opts    Options
 
 	nodes map[network.PeerID]*node
+	// loads holds every installed pipeline's per-stage base load, resolved
+	// here so that a batch is charged per stage, not per item by name.
+	loads map[*exec.Pipeline][]float64
 
 	// quiescence tracking: inflight counts queued plus in-processing
 	// messages; Run waits until it returns to zero. In cluster mode the wait
@@ -216,6 +219,7 @@ func NewWith(eng *core.Engine, collect bool, opts Options) *Runtime {
 		nodes:   map[network.PeerID]*node{},
 		metrics: network.NewMetrics(),
 		counts:  map[string]int{},
+		loads:   eng.StageLoads(),
 	}
 	r.qcond = sync.NewCond(&r.qmu)
 	r.quietBound = 60 * time.Second
@@ -836,10 +840,8 @@ func (r *Runtime) dedupCount(units int) {
 
 // feedChild runs a derived stream's residual at its tap over a batch of
 // parent items and emits the results, re-batched, at hop 0 of the child's
-// route. Work is charged per item per stage, exactly as the simulator
-// charges it; the EOS flush itself is uncharged (matching both backends).
-// With a reliable session, gate holds the tap's upstream ack open until
-// every emitted batch is admitted by the child's channel. span, when
+// route. With a reliable session, gate holds the tap's upstream ack open
+// until every emitted batch is admitted by the child's channel. span, when
 // non-nil, is a fork of the incoming batch's provenance span; it rides the
 // first downstream batch and its eval stage closes at that batch's flush.
 func (r *Runtime) feedChild(n *node, child *core.Deployed, its []*xmlstream.Element, eos bool, gate *ackGate, span *obs.Span) {
@@ -847,27 +849,17 @@ func (r *Runtime) feedChild(n *node, child *core.Deployed, its []*xmlstream.Elem
 	r.runResidual(child, n.id, its, eos, &ob, r.eng.Cfg.Model.BLoad["duplicate"])
 }
 
-// runResidual pushes its through d's residual pipeline into b — flushing the
-// pipeline first at EOS — flushes b, and charges peer at for the work:
-// perItem units for every input item plus each stage's base load per item it
-// processed.
+// runResidual pushes its through d's residual pipeline into b — draining the
+// pipeline too at EOS — flushes b, and charges peer at for the work, exactly
+// as the simulator charges it: perItem units for every input item plus each
+// stage's base load per item entering it.
 func (r *Runtime) runResidual(d *core.Deployed, at network.PeerID, its []*xmlstream.Element, eos bool, b *batcher, perItem float64) {
-	bl := r.eng.Cfg.Model.BLoad
-	var wk float64
-	charge := func(op exec.Operator, items int) { wk += bl[op.Name()] * float64(items) }
-	for _, it := range its {
-		wk += perItem
-		for _, out := range d.Residual.ProcessWith(it, charge) {
-			b.add(out)
-		}
-	}
-	if eos {
-		for _, out := range d.Residual.Flush() {
-			b.add(out)
-		}
+	outs, wk := d.Residual.Eval(0, its, eos, r.loads[d.Residual])
+	for _, out := range outs {
+		b.add(out)
 	}
 	b.flush(eos)
-	if wk != 0 {
+	if wk += perItem * float64(len(its)); wk != 0 {
 		r.work(at, wk)
 	}
 }
@@ -879,35 +871,18 @@ func (r *Runtime) runResidual(d *core.Deployed, at network.PeerID, its []*xmlstr
 // survived the local pipeline (the watermark tracks processing progress,
 // not output).
 func (r *Runtime) feedReader(re readerEntry, its []*xmlstream.Element, eos bool, span *obs.Span) {
-	bl := r.eng.Cfg.Model.BLoad
-	var wk float64
-	charge := func(op exec.Operator, items int) { wk += bl[op.Name()] * float64(items) }
-	// Results are counted; only a collecting run keeps them.
-	var outs []*xmlstream.Element
-	n := 0
-	deliver := func(res []*xmlstream.Element) {
-		n += len(res)
-		if r.collect {
-			outs = append(outs, res...)
-		}
-	}
-	tgt := re.si.Feed.Target()
-	for _, it := range its {
-		deliver(re.si.Local.ProcessWith(it, charge))
-	}
-	if eos {
-		deliver(re.si.Local.Flush())
-	}
+	outs, wk := re.si.Local.Eval(0, its, eos, r.loads[re.si.Local])
 	if wk != 0 {
-		r.work(tgt, wk)
+		r.work(re.si.Feed.Target(), wk)
 	}
 	r.lat.Deliver(span, re.sub.ID)
-	if n == 0 {
+	if len(outs) == 0 {
 		return
 	}
 	r.mu.Lock()
-	r.counts[re.sub.ID] += n
+	r.counts[re.sub.ID] += len(outs)
 	if r.collect {
+		// Results are counted; only a collecting run keeps them.
 		r.items[re.sub.ID] = append(r.items[re.sub.ID], outs...)
 	}
 	r.mu.Unlock()

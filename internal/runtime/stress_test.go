@@ -35,10 +35,10 @@ func gridBuild(t *testing.T, n, queries, items int) (*core.Engine, map[string][]
 }
 
 // TestOptionsEquivalence runs the same grid plans serially (one item per
-// message, one worker per peer) and under DefaultOptions
-// (batched, parallel) and holds both to the simulator: identical results,
-// collected items, traffic and work. The data-path options are performance
-// knobs, never semantics knobs.
+// message, one worker per peer), under DefaultOptions (batched, parallel)
+// and at the smallest and a very large batch size, and holds all to the
+// simulator: identical results, collected items, traffic and work. The
+// data-path options are performance knobs, never semantics knobs.
 func TestOptionsEquivalence(t *testing.T) {
 	engRef, feedRef := gridBuild(t, 3, 12, 200)
 	ref, err := engRef.Simulate(feedRef, true)
@@ -51,6 +51,10 @@ func TestOptionsEquivalence(t *testing.T) {
 	}{
 		{"serial", Options{BatchSize: 1, Workers: 1}},
 		{"default", DefaultOptions()},
+		// The stage loop at both ends: a batch of one item per stage call,
+		// and batches longer than the whole 200-item feed.
+		{"batch-1", Options{BatchSize: 1}},
+		{"batch-256", Options{BatchSize: 256}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, feed := gridBuild(t, 3, 12, 200)

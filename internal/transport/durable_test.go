@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -128,7 +127,7 @@ func TestLinkDurRecoversParentJournal(t *testing.T) {
 		t.Fatalf("recovered %d unacked, %d to replay, next %d/%d", len(rec.unacked), len(rec.replay), rec.nextSeq, rec.recvNext)
 	}
 	for what, f := range map[string]*Frame{"unacked send": rec.unacked[0].Frame, "replayed receive": rec.replay[0]} {
-		if !reflect.DeepEqual(normalize(f), normalize(want)) {
+		if !sameFrame(f, want) {
 			t.Fatalf("%s recovered as %+v, want %+v", what, f, want)
 		}
 	}

@@ -8,14 +8,18 @@
 package xmlstream
 
 import (
+	"math"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"streamshare/internal/decimal"
 )
 
 // Element is one node of an XML item. A leaf element has Text and no
-// Children; an interior element has Children and empty Text.
+// Children; an interior element has Children and empty Text. An element is
+// built once and never written again: trees are shared between streams,
+// operators and goroutines on that promise.
 type Element struct {
 	// Name is the element's tag name.
 	Name string
@@ -23,6 +27,13 @@ type Element struct {
 	Text string
 	// Children are the interior element's child nodes, in document order.
 	Children []*Element
+
+	// size memoizes ByteSize for an interior element; zero means not yet
+	// computed (no element serializes to zero bytes). It is the one field
+	// written after the element is built, so it is read and written with
+	// sync/atomic — a plain int32 rather than atomic.Int32, so that element
+	// values can still be copied. Concurrent writers store the same value.
+	size int32
 }
 
 // E constructs an interior element.
@@ -157,7 +168,10 @@ func (e *Element) Number() (decimal.D, bool) {
 
 // ByteSize returns the size in bytes of e's canonical serialization, escapes
 // in leaf text included. The cost model's size(p) and all traffic metering
-// are defined over this size.
+// are defined over this size. An interior element remembers the answer, so
+// a tree is scanned once however many operators, batchers, link meters and
+// collectors price it, and a subtree shared by several parents once for all
+// of them; this rests on elements being immutable once built.
 func (e *Element) ByteSize() int {
 	if e == nil {
 		return 0
@@ -165,13 +179,20 @@ func (e *Element) ByteSize() int {
 	// <name></name> plus content.
 	n := 2*len(e.Name) + 5
 	if len(e.Children) == 0 {
+		// A leaf costs less to size than to remember.
 		if e.Text == "" {
 			return len(e.Name) + 3 // <name/>
 		}
 		return n + textSize(e.Text)
 	}
+	if s := atomic.LoadInt32(&e.size); s != 0 {
+		return int(s)
+	}
 	for _, c := range e.Children {
 		n += c.ByteSize()
+	}
+	if n <= math.MaxInt32 {
+		atomic.StoreInt32(&e.size, int32(n))
 	}
 	return n
 }

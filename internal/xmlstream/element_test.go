@@ -3,6 +3,7 @@ package xmlstream
 import (
 	"math/rand"
 	"strconv"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -80,34 +81,86 @@ func TestByteSizeMatchesMarshal(t *testing.T) {
 	}
 }
 
+// randomTree builds a tree of the shapes the tree plane can carry: nested
+// interiors, empty leaves, and text leaves some of which need escaping.
+func randomTree(r *rand.Rand, depth int) *Element {
+	name := string(rune('a'+r.Intn(26))) + string(rune('a'+r.Intn(26)))
+	if depth >= 3 || r.Intn(3) == 0 {
+		switch r.Intn(4) {
+		case 0:
+			return E(name) // empty leaf
+		case 1:
+			return T(name, []string{"a<b", "x&y", "1>0", "\"q\"", "\r\n", "<&>"}[r.Intn(6)])
+		default:
+			return T(name, strconv.Itoa(r.Intn(1000)))
+		}
+	}
+	kids := make([]*Element, 1+r.Intn(3))
+	for i := range kids {
+		kids[i] = randomTree(r, depth+1)
+	}
+	return E(name, kids...)
+}
+
 // Property: MarshalSize prices arbitrary trees exactly — it must equal the
 // length of the canonical serialization for any shape the tree plane can
-// carry (nested interiors, text leaves, empty leaves), since metering and
-// journal pre-sizing trust it without ever materializing the bytes.
+// carry, since metering and journal pre-sizing trust it without ever
+// materializing the bytes.
 func TestQuickMarshalSizeMatchesAppendMarshal(t *testing.T) {
-	var gen func(r *rand.Rand, depth int) *Element
-	gen = func(r *rand.Rand, depth int) *Element {
-		name := string(rune('a'+r.Intn(26))) + string(rune('a'+r.Intn(26)))
-		if depth >= 3 || r.Intn(3) == 0 {
-			switch r.Intn(3) {
-			case 0:
-				return E(name) // empty leaf
-			default:
-				return T(name, strconv.Itoa(r.Intn(1000)))
-			}
-		}
-		kids := make([]*Element, 1+r.Intn(3))
-		for i := range kids {
-			kids[i] = gen(r, depth+1)
-		}
-		return E(name, kids...)
-	}
 	f := func(seed int64) bool {
-		e := gen(rand.New(rand.NewSource(seed)), 0)
+		e := randomTree(rand.New(rand.NewSource(seed)), 0)
 		return MarshalSize(e) == len(AppendMarshal(nil, e))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestByteSizeMemo: an element remembers its size, and that is invisible.
+// Eight goroutines size the same fresh trees at once — under -race the memo's
+// one post-build write must not be a reported race — and each gets
+// len(AppendMarshal), first call and second. A subtree two parents share is
+// scanned for the first and remembered for the second: the test (and only a
+// test may) rewrites a leaf of the shared subtree in between, and the second
+// parent's size still counts the subtree as it was.
+func TestByteSizeMemo(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	trees := make([]*Element, 300)
+	want := make([]int, len(trees))
+	for i := range trees {
+		trees[i] = randomTree(r, 0)
+		want[i] = len(AppendMarshal(nil, trees[i]))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for pass := 0; pass < 2; pass++ {
+				for i, e := range trees {
+					if got := e.ByteSize(); got != want[i] {
+						t.Errorf("tree %d, pass %d: ByteSize %d, serialization has %d bytes", i, pass, got, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	shared := E("coord", E("cel", T("ra", "130.7"), T("dec", "-46.2")))
+	a, b := E("a", shared, T("en", "1.5")), E("b", T("phc", "7"), shared)
+	sizeB := len(AppendMarshal(nil, b))
+	if got, want := a.ByteSize(), len(AppendMarshal(nil, a)); got != want {
+		t.Fatalf("first parent: ByteSize %d, serialization has %d bytes", got, want)
+	}
+	shared.Children[0].Children[0].Text = "130.7000000"
+	if got := b.ByteSize(); got != sizeB {
+		t.Errorf("second parent: ByteSize %d, want %d: the shared subtree was scanned again", got, sizeB)
+	}
+	// A copy carries the memo with it; a clone is a new tree and starts clean.
+	if c := shared.Clone(); c.ByteSize() != len(AppendMarshal(nil, c)) {
+		t.Errorf("clone: ByteSize %d, serialization has %d bytes", c.ByteSize(), len(AppendMarshal(nil, c)))
 	}
 }
 
