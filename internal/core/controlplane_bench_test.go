@@ -100,3 +100,21 @@ func BenchmarkControlPlaneColdStartIndexed(b *testing.B) {
 func BenchmarkControlPlaneColdStartReference(b *testing.B) {
 	benchmarkControlPlaneColdStart(b, core.NewReferenceEngine)
 }
+
+// BenchmarkPlanInstantiate measures what a run pays to own its operator
+// state on the churn plan (the 6×6 grid with 256 live queries): one
+// Plan.Instantiate per op, reported per instantiated pipeline too.
+func BenchmarkPlanInstantiate(b *testing.B) {
+	eng, _ := populateGrid(b, core.NewEngine)
+	p := eng.Plan()
+	pipelines := float64(len(p.Streams) + len(p.Readers))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		instancesSink = p.Instantiate()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pipelines, "ns/pipeline")
+	b.ReportMetric(testing.AllocsPerRun(10, func() { p.Instantiate() })/pipelines, "allocs/pipeline")
+}
+
+var instancesSink *core.Instances

@@ -4,7 +4,8 @@
 // shipping, or stream sharing (Algorithm 1's Subscribe with property
 // matching and cost-based plan selection) — installs the resulting operator
 // plans, and simulates stream delivery to measure network traffic and peer
-// load (§4).
+// load (§4). The catalog holds compiled operator templates; executors read
+// it as a Plan value and own the operator state of their runs.
 package core
 
 import (
@@ -64,7 +65,7 @@ type SubInput struct {
 	Feed *Deployed
 	// Local runs at the subscription's target peer (restructuring for
 	// stream sharing and query-result decoding; the full evaluation for
-	// data shipping).
+	// data shipping). Like Feed.Residual it is a template.
 	Local *exec.Pipeline
 }
 
@@ -141,13 +142,11 @@ type Config struct {
 	ValidatePaths bool
 	// NoMinimize skips predicate-graph minimization (ablation).
 	NoMinimize bool
-	// Reliable turns on the reliability contract for plan changes: repairs
-	// and migrations rebuild affected subscriptions as private chains derived
-	// directly from original streams (live shared stateful streams are hidden
-	// from the re-planning discovery, so recovery replay never drives a live
-	// operator), and the stateful operators of a replacement chain adopt the
-	// retired chain's accumulated state (exec.Transplant) instead of starting
-	// cold. TryMigrate aborts a migration whose state cannot be transplanted.
+	// Reliable plans repairs and migrations for recovery replay: affected
+	// subscriptions are rebuilt as private chains derived directly from
+	// original streams (live shared streams are hidden from the re-planning
+	// discovery), so the items runtime.Session.Recover replays only ever
+	// enter the replacement's own operators, never a shared one.
 	Reliable bool
 	// Obs injects a shared observability layer (metrics registry + decision
 	// tracer); nil gives the engine a private one. Instrumentation is always
@@ -174,10 +173,12 @@ type Engine struct {
 	deployed  []*Deployed
 	subs      []*Subscription
 	nextID    int
-	// epoch counts installs; every (re)installed stream is stamped with a
-	// fresh epoch so the reliable runtime can fence stale in-flight messages
-	// across repairs and migrations.
+	// epoch counts catalog mutations; every (re)installed stream is stamped
+	// with a fresh epoch so the reliable runtime can fence stale in-flight
+	// messages across repairs and migrations. plan is the plan value of the
+	// epoch it carries, built on demand (plan.go).
 	epoch uint64
+	plan  *Plan
 	// subSeq issues subscription ids ("q1", "q2", …) monotonically: ids are
 	// never reused after Unsubscribe or a failed repair. Failed registration
 	// attempts do not consume an id — the tentative id appears only in their
@@ -185,9 +186,9 @@ type Engine struct {
 	subSeq int
 
 	// mu serializes the control plane (Subscribe, Unsubscribe, Replan,
-	// TryMigrate, RegisterStream and the repair entry points). Simulate and
-	// the read-only getters are not locked; run them from the same goroutine
-	// that mutates, as the server and runtime do.
+	// TryMigrate, RegisterStream and the repair entry points) and guards the
+	// plan value, all a run reads. The read-only getters are not locked; run
+	// them from the goroutine that mutates, as the server does.
 	mu sync.Mutex
 
 	// journal, when set via SetJournal, receives one CatalogOp per
@@ -289,14 +290,17 @@ func (e *Engine) publishUse() {
 // at its source super-peer, restoring the total order of a fuzzily ordered
 // stream on the given reference element (§2: "this premise could be
 // somewhat relaxed to a fuzzy order by requiring that a fixed sized buffer
-// is sufficient to derive the total order"). Must be called before
-// subscriptions are simulated.
+// is sufficient to derive the total order"). It takes effect from the next
+// run.
 func (e *Engine) RepairFuzzyOrder(stream string, ref xmlstream.Path, size int) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	d := e.originals[stream]
 	if d == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownStream, stream)
 	}
 	d.Residual = exec.Instrument(exec.NewPipeline(exec.NewSortBuffer(ref, size)), e.obs.Metrics, "exec.op")
+	e.epoch++
 	return nil
 }
 
@@ -310,34 +314,6 @@ func (e *Engine) Original(stream string) *Deployed { return e.originals[stream] 
 
 // Subscriptions returns the installed subscriptions in registration order.
 func (e *Engine) Subscriptions() []*Subscription { return e.subs }
-
-// StageLoads resolves, for every installed pipeline — each stream's residual
-// and each subscription input's local pipeline — the load model's bload of
-// its stages, in stage order: the weights exec.Pipeline.Eval charges by.
-// The simulator and the runtime call it once per run, so no item pays a
-// lookup by operator name.
-func (e *Engine) StageLoads() map[*exec.Pipeline][]float64 {
-	loads := map[*exec.Pipeline][]float64{}
-	resolve := func(p *exec.Pipeline) {
-		if p == nil || len(p.Ops) == 0 {
-			return
-		}
-		l := make([]float64, len(p.Ops))
-		for i, op := range p.Ops {
-			l[i] = e.Cfg.Model.BLoad[op.Name()]
-		}
-		loads[p] = l
-	}
-	for _, d := range e.deployed {
-		resolve(d.Residual)
-	}
-	for _, sub := range e.subs {
-		for _, si := range sub.Inputs {
-			resolve(si.Local)
-		}
-	}
-	return loads
-}
 
 // LinkLoad returns the current analytic bandwidth use of a link in
 // bytes/second.

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"streamshare/internal/cost"
-	"streamshare/internal/exec"
 	"streamshare/internal/network"
 	"streamshare/internal/obs"
 	"streamshare/internal/properties"
@@ -62,18 +61,7 @@ func (e *Engine) ReleaseBroken() []*Deployed {
 			continue
 		}
 		d.Broken = true
-		for l, b := range d.LinkAdd {
-			e.linkUse[l] -= b
-			if e.linkUse[l] < 1e-9 {
-				e.linkUse[l] = 0
-			}
-		}
-		for p, w := range d.PeerAdd {
-			e.peerUse[p] -= w
-			if e.peerUse[p] < 1e-9 {
-				e.peerUse[p] = 0
-			}
-		}
+		e.withdraw(d)
 		// The usage is gone for good: a later release() of this stream must
 		// not subtract it again.
 		d.LinkAdd, d.PeerAdd = nil, nil
@@ -81,6 +69,7 @@ func (e *Engine) ReleaseBroken() []*Deployed {
 		broken = append(broken, d)
 	}
 	if len(broken) > 0 {
+		e.epoch++
 		e.publishUse()
 	}
 	return broken
@@ -100,6 +89,9 @@ func (e *Engine) ReviveRestored() int {
 			e.obs.Metrics.Counter("core.streams.revived").Inc()
 			n++
 		}
+	}
+	if n > 0 {
+		e.epoch++
 	}
 	return n
 }
@@ -125,9 +117,8 @@ func (e *Engine) Affected() []*Subscription {
 // while a reliable repair or migration re-plans, forcing the replacement
 // chain to derive directly from original streams. This is what makes
 // recovery replay safe: re-delivered items only ever drive the replacement's
-// own freshly built (and transplanted) operators, never a live shared
-// stateful operator serving other subscriptions. The returned func restores
-// exactly the streams this call hid.
+// own operators, never a shared one serving other subscriptions. The
+// returned func restores exactly the streams this call hid.
 func (e *Engine) hideLiveShared() (restore func()) {
 	if !e.Cfg.Reliable {
 		return func() {}
@@ -145,32 +136,6 @@ func (e *Engine) hideLiveShared() (restore func()) {
 			d.Hidden = false
 		}
 	}
-}
-
-// chainPipelines returns the operator pipelines along a stream's derivation
-// chain, upstream first (original's residual down to the stream's own).
-func chainPipelines(d *Deployed) []*exec.Pipeline {
-	var out []*exec.Pipeline
-	for x := d; x != nil; x = x.Parent {
-		out = append([]*exec.Pipeline{x.Residual}, out...)
-	}
-	return out
-}
-
-// transplantInput moves the accumulated operator state of a retired
-// (feed, local) pair into its freshly installed replacement, and accounts the
-// outcome. Shared ancestors of the new feed keep running and are excluded on
-// both sides.
-func (e *Engine) transplantInput(oldFeed *Deployed, oldLocal *exec.Pipeline, si *SubInput) bool {
-	oldChain := append(chainPipelines(oldFeed), oldLocal)
-	shared := chainPipelines(si.Feed.Parent)
-	fresh := []*exec.Pipeline{si.Feed.Residual, si.Local}
-	if exec.Transplant(oldChain, shared, fresh) {
-		e.obs.Metrics.Counter("core.replan.transplanted").Inc()
-		return true
-	}
-	e.obs.Metrics.Counter("core.replan.fresh_state").Inc()
-	return false
 }
 
 // Replan repairs a subscription whose feeds were severed by a topology
@@ -237,11 +202,8 @@ func (e *Engine) Replan(sub *Subscription, event string) error {
 		if err != nil {
 			return fail(err)
 		}
-		old, oldLocal := broken[i].Feed, broken[i].Local
+		old := broken[i].Feed
 		broken[i].Feed, broken[i].Local = si.Feed, si.Local
-		if e.Cfg.Reliable {
-			e.transplantInput(old, oldLocal, si)
-		}
 		e.sweepBroken(old)
 	}
 	dt.Duration = time.Since(started)
@@ -271,6 +233,7 @@ func (e *Engine) dropSubscription(sub *Subscription) {
 			e.release(si.Feed)
 		}
 	}
+	e.epoch++
 	e.publishUse()
 }
 
@@ -352,28 +315,12 @@ func (e *Engine) TryMigrate(sub *Subscription, hysteresis float64, event string)
 	// actually be free after the migration.
 	for _, si := range sub.Inputs {
 		si.Feed.Hidden = true
-		for l, b := range si.Feed.LinkAdd {
-			e.linkUse[l] -= b
-			if e.linkUse[l] < 1e-9 {
-				e.linkUse[l] = 0
-			}
-		}
-		for p, w := range si.Feed.PeerAdd {
-			e.peerUse[p] -= w
-			if e.peerUse[p] < 1e-9 {
-				e.peerUse[p] = 0
-			}
-		}
+		e.withdraw(si.Feed)
 	}
 	restore := func() {
 		for _, si := range sub.Inputs {
 			si.Feed.Hidden = false
-			for l, b := range si.Feed.LinkAdd {
-				e.linkUse[l] += b
-			}
-			for p, w := range si.Feed.PeerAdd {
-				e.peerUse[p] += w
-			}
+			e.reserve(si.Feed)
 		}
 	}
 
@@ -419,27 +366,12 @@ func (e *Engine) TryMigrate(sub *Subscription, hysteresis float64, event string)
 		si, err := e.install(sub, sub.Query, p.in, p.resIn, p.cand, sub.Strategy)
 		if err != nil {
 			for _, done := range installed {
-				e.uninstallFeed(done.Feed)
+				e.release(done.Feed) // nothing consumes it yet
 			}
 			restore()
 			return false, err
 		}
 		installed = append(installed, si)
-	}
-	if e.Cfg.Reliable {
-		// A migration may not lose operator state: every stateful operator of
-		// the current chains must transplant into the replacement, or the
-		// migration is abandoned (keeping the current, still-healthy plan).
-		for i, si := range sub.Inputs {
-			if !e.transplantInput(si.Feed, si.Local, installed[i]) {
-				for _, done := range installed {
-					e.uninstallFeed(done.Feed)
-				}
-				restore()
-				e.obs.Metrics.Counter("core.migrate.transplant_aborted").Inc()
-				return false, nil
-			}
-		}
 	}
 	for i, si := range sub.Inputs {
 		old := si.Feed
@@ -455,25 +387,6 @@ func (e *Engine) TryMigrate(sub *Subscription, hysteresis float64, event string)
 	e.obs.Metrics.Counter("core.migrate.total").Inc()
 	e.publishUse()
 	return true, nil
-}
-
-// uninstallFeed reverses a just-completed install: removes the feed and
-// subtracts the usage it applied.
-func (e *Engine) uninstallFeed(d *Deployed) {
-	e.removeDeployed(d)
-	for l, b := range d.LinkAdd {
-		e.linkUse[l] -= b
-		if e.linkUse[l] < 1e-9 {
-			e.linkUse[l] = 0
-		}
-	}
-	for p, w := range d.PeerAdd {
-		e.peerUse[p] -= w
-		if e.peerUse[p] < 1e-9 {
-			e.peerUse[p] = 0
-		}
-	}
-	e.release(d.Parent)
 }
 
 // Subscription returns the installed subscription with the given id, or nil.

@@ -48,44 +48,31 @@ func (r *SimResult) PeerMbit(p network.PeerID) float64 {
 	return r.Metrics.PeerBytes()[p] * 8 / 1e6
 }
 
-// Simulate pushes the given items of every original stream through all
-// installed plans, metering bytes per link and work units per peer, and
-// collecting subscription results. collect enables storing the actual
-// result items (memory-proportional to output size).
+// Simulate pushes the given items of every original stream through the
+// current plan, metering bytes per link and work units per peer, and
+// collecting subscription results. collect enables storing the actual result
+// items (memory-proportional to output size). Each call runs fresh operator
+// instances of the plan: no state carries from one call to the next, and a
+// call may overlap catalog mutations and other runs.
 func (e *Engine) Simulate(items map[string][]*xmlstream.Element, collect bool) (*SimResult, error) {
+	p := e.Plan()
 	s := &sim{
 		eng:     e,
 		res:     &SimResult{Metrics: network.NewMetrics(), Results: map[string]int{}},
 		collect: collect,
 		lat:     e.obs.Latency,
-		loads:   e.StageLoads(),
+		inst:    p.Instantiate(),
 	}
 	if collect {
 		s.res.Collected = map[string][]*xmlstream.Element{}
 	}
-	// Wire consumers: derived streams tap their parent; subscriptions read
-	// their feed at its target.
-	s.children = map[*Deployed][]*Deployed{}
-	for _, d := range e.deployed {
-		if d.Parent != nil {
-			s.children[d.Parent] = append(s.children[d.Parent], d)
-		}
-	}
-	s.readers = map[*Deployed][]reader{}
-	for _, sub := range e.subs {
-		for _, si := range sub.Inputs {
-			s.readers[si.Feed] = append(s.readers[si.Feed], reader{sub: sub, si: si})
-		}
-	}
-
 	for name, its := range items {
-		orig := e.originals[name]
+		orig := p.Original(name)
 		if orig == nil {
 			return nil, fmt.Errorf("core: simulate unknown stream %q", name)
 		}
-		st := e.origStats[name]
-		if st.Freq > 0 {
-			if d := float64(len(its)) / st.Freq; d > s.res.Duration {
+		if orig.Freq > 0 {
+			if d := float64(len(its)) / orig.Freq; d > s.res.Duration {
 				s.res.Duration = d
 			}
 		}
@@ -102,9 +89,9 @@ func (e *Engine) Simulate(items map[string][]*xmlstream.Element, collect bool) (
 			s.deliver(orig, it, sp)
 		}
 	}
-	// Drain window state in creation order (parents precede children).
-	for _, d := range e.deployed {
-		if _, fed := items[d.Input.Stream]; !fed && d.Original {
+	// Drain window state in plan order (parents precede children).
+	for _, d := range p.Streams {
+		if _, fed := items[d.Source]; !fed && d.Original {
 			continue
 		}
 		s.flush(d)
@@ -118,27 +105,20 @@ func (e *Engine) Simulate(items map[string][]*xmlstream.Element, collect bool) (
 	return s.res, nil
 }
 
-type reader struct {
-	sub *Subscription
-	si  *SubInput
-}
-
 type sim struct {
-	eng      *Engine
-	res      *SimResult
-	collect  bool
-	children map[*Deployed][]*Deployed
-	readers  map[*Deployed][]reader
-	lat      *obs.LatencyRecorder
-	loads    map[*exec.Pipeline][]float64
+	eng     *Engine
+	res     *SimResult
+	collect bool
+	lat     *obs.LatencyRecorder
+	inst    *Instances
 }
 
-// eval pushes batch (one item: spans and traffic are per item here) through p
-// at a peer — or, with flush, drains p at end of stream — charging
-// bload(op)·pindex(v) per item entering each stage. The result is p's scratch
-// buffer (see exec.Pipeline.Eval).
-func (s *sim) eval(p *exec.Pipeline, at network.PeerID, batch []*xmlstream.Element, flush bool) []*xmlstream.Element {
-	out, work := p.Eval(0, batch, flush, s.loads[p])
+// eval pushes batch (one item: spans and traffic are per item here) through
+// pipeline instance p at a peer — or, with flush, drains p at end of stream —
+// charging bload(op)·pindex(v) per item entering each stage. The result is
+// p's scratch buffer (see exec.Pipeline.Eval).
+func (s *sim) eval(p *exec.Pipeline, loads []float64, at network.PeerID, batch []*xmlstream.Element, flush bool) []*xmlstream.Element {
+	out, work := p.Eval(0, batch, flush, loads)
 	if work != 0 {
 		s.res.Metrics.AddWork(at, work*s.eng.Net.Peer(at).PerfIndex)
 	}
@@ -150,13 +130,13 @@ func (s *sim) eval(p *exec.Pipeline, at network.PeerID, batch []*xmlstream.Eleme
 // stream's consumers. sp, when non-nil, is the sampled item's provenance
 // span; it follows the first produced output (mirroring the runtime, where
 // one span rides the batch containing the sampled item).
-func (s *sim) deliver(d *Deployed, item *xmlstream.Element, sp *obs.Span) {
+func (s *sim) deliver(d *PlanStream, item *xmlstream.Element, sp *obs.Span) {
 	if d.Parent != nil {
 		// Duplication work at the tap (the parent stream forks here).
 		peer := s.eng.Net.Peer(d.Tap)
 		s.res.Metrics.AddWork(d.Tap, s.eng.Cfg.Model.BLoad["duplicate"]*peer.PerfIndex)
 	}
-	outs := s.eval(d.Residual, d.Tap, []*xmlstream.Element{item}, false)
+	outs := s.eval(s.inst.Residual[d.Index], d.Loads, d.Tap, []*xmlstream.Element{item}, false)
 	if len(outs) == 0 {
 		// The item died in the residual pipeline, but its span still reaches
 		// every downstream sink: in the runtime the span rides the stream's
@@ -177,21 +157,21 @@ func (s *sim) deliver(d *Deployed, item *xmlstream.Element, sp *obs.Span) {
 // spanWalk carries a filtered-out sampled item's span to d's consumers —
 // forked to every derived stream, delivered at every subscription — without
 // moving any data.
-func (s *sim) spanWalk(d *Deployed, sp *obs.Span) {
+func (s *sim) spanWalk(d *PlanStream, sp *obs.Span) {
 	if sp == nil {
 		return
 	}
-	for _, child := range s.children[d] {
+	for _, child := range d.Taps {
 		s.spanWalk(child, s.lat.Fork(sp))
 	}
-	for _, r := range s.readers[d] {
-		s.lat.Deliver(sp, r.sub.ID)
+	for _, r := range d.Readers {
+		s.lat.Deliver(sp, r.Sub)
 	}
 }
 
 // transmit moves one produced item of d along its route and hands it to
 // consumers.
-func (s *sim) transmit(d *Deployed, item *xmlstream.Element, sp *obs.Span) {
+func (s *sim) transmit(d *PlanStream, item *xmlstream.Element, sp *obs.Span) {
 	size := float64(item.ByteSize())
 	for _, l := range network.PathLinks(d.Route) {
 		s.res.Metrics.AddTraffic(l, size)
@@ -201,37 +181,37 @@ func (s *sim) transmit(d *Deployed, item *xmlstream.Element, sp *obs.Span) {
 		p := s.eng.Net.Peer(d.Route[i])
 		s.res.Metrics.AddWork(d.Route[i], s.eng.Cfg.Model.ForwardPerByte*size*p.PerfIndex)
 	}
-	for _, child := range s.children[d] {
+	for _, child := range d.Taps {
 		s.deliver(child, item, s.lat.Fork(sp))
 	}
 	target := d.Target()
-	for _, r := range s.readers[d] {
-		for _, res := range s.eval(r.si.Local, target, []*xmlstream.Element{item}, false) {
-			s.emit(r.sub, res)
+	for _, r := range d.Readers {
+		for _, res := range s.eval(s.inst.Local[r.Index], r.Loads, target, []*xmlstream.Element{item}, false) {
+			s.emit(r.Sub, res)
 		}
 		// The span ends at each subscription sink whether or not the item
 		// survived the local pipeline — watermarks track progress, not
 		// output (same rule as the runtime's feedReader).
-		s.lat.Deliver(sp, r.sub.ID)
+		s.lat.Deliver(sp, r.Sub)
 	}
 }
 
 // flush drains stream d's residual pipeline and local readers.
-func (s *sim) flush(d *Deployed) {
-	for _, out := range s.eval(d.Residual, d.Tap, nil, true) {
+func (s *sim) flush(d *PlanStream) {
+	for _, out := range s.eval(s.inst.Residual[d.Index], d.Loads, d.Tap, nil, true) {
 		s.transmit(d, out, nil)
 	}
 	target := d.Target()
-	for _, r := range s.readers[d] {
-		for _, res := range s.eval(r.si.Local, target, nil, true) {
-			s.emit(r.sub, res)
+	for _, r := range d.Readers {
+		for _, res := range s.eval(s.inst.Local[r.Index], r.Loads, target, nil, true) {
+			s.emit(r.Sub, res)
 		}
 	}
 }
 
-func (s *sim) emit(sub *Subscription, item *xmlstream.Element) {
-	s.res.Results[sub.ID]++
+func (s *sim) emit(sub string, item *xmlstream.Element) {
+	s.res.Results[sub]++
 	if s.collect {
-		s.res.Collected[sub.ID] = append(s.res.Collected[sub.ID], item)
+		s.res.Collected[sub] = append(s.res.Collected[sub], item)
 	}
 }

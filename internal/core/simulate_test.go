@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"streamshare/internal/network"
+	"streamshare/internal/photons"
 	"streamshare/internal/xmlstream"
 )
 
@@ -131,5 +134,82 @@ func TestLoadAccounting(t *testing.T) {
 	}
 	if eng.PeerLoad("SP4") <= 0 {
 		t.Error("operators at SP4 should contribute load")
+	}
+}
+
+// The stateful shapes whose operators keep stream positions between items:
+// a fine diff window and a coarser one recomposed from it (WindowMerge), a
+// count window, and window contents. cleanRunEngine adds the §2 sort buffer
+// on the original stream.
+const (
+	fineQ     = `<photons>{ for $w in stream("photons")/photons/photon |det_time diff 10 step 10| let $a := sum($w/en) return <fine>{ $a }</fine> }</photons>`
+	coarseQ   = `<photons>{ for $w in stream("photons")/photons/photon |det_time diff 40 step 20| let $a := sum($w/en) return <coarse>{ $a }</coarse> }</photons>`
+	countQ    = `<photons>{ for $w in stream("photons")/photons/photon |count 20 step 10| let $c := count($w/en) return <n>{ $c }</n> }</photons>`
+	contentsQ = `<photons>{ for $w in stream("photons")/photons/photon |det_time diff 20 step 10| return <batch>{ $w/en }</batch> }</photons>`
+)
+
+// cleanRunEngine builds the engine the clean-run tests feed; twin calls are
+// identical.
+func cleanRunEngine(t testing.TB) *Engine {
+	t.Helper()
+	eng := NewEngine(exampleNet(), Config{})
+	_, st := photons.Stream("photons", photons.DefaultConfig(), 42, 3000)
+	if _, err := eng.RegisterStream("photons", xmlstream.ParsePath("photons/photon"), "SP4", st); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RepairFuzzyOrder("photons", xmlstream.ParsePath("det_time"), 8); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{fineQ, coarseQ, countQ, contentsQ} {
+		if _, err := eng.Subscribe(q, "SP1", StreamSharing); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !strings.Contains(eng.Subscriptions()[1].Explain(), "window-merge") {
+		t.Fatalf("the coarse window is not recomposed from the fine one:\n%s", eng.Subscriptions()[1].Explain())
+	}
+	return eng
+}
+
+// runFeed is what the server's RUN feeds the one original stream on its
+// k-th call: a fresh photon generator per call, so det_time starts again.
+func runFeed(k int) map[string][]*xmlstream.Element {
+	return map[string][]*xmlstream.Element{"photons": photons.NewGenerator(photons.DefaultConfig(), int64(k)).Generate(400)}
+}
+
+// sameItems fails t unless got equals want item for item.
+func sameItems(t testing.TB, label string, got, want []*xmlstream.Element) {
+	t.Helper()
+	if len(want) == 0 {
+		t.Fatalf("%s: the reference delivered nothing", label)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d items, reference %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("%s item %d: %s, reference %s", label, i, xmlstream.Marshal(got[i]), xmlstream.Marshal(want[i]))
+		}
+	}
+}
+
+// TestRunsStartClean feeds one engine three streams the way successive RUN
+// commands do and holds each Simulate to a fresh engine's: no operator
+// position — a merge's next coarse window, a count window's item index, a
+// sort buffer's release mark — carries from one run into the next.
+func TestRunsStartClean(t *testing.T) {
+	eng := cleanRunEngine(t)
+	for k := 1; k <= 3; k++ {
+		got, err := eng.Simulate(runFeed(k), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := cleanRunEngine(t).Simulate(runFeed(k), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sub := range eng.Subscriptions() {
+			sameItems(t, fmt.Sprintf("run %d %s", k, sub.ID), got.Collected[sub.ID], want.Collected[sub.ID])
+		}
 	}
 }

@@ -283,11 +283,6 @@ func (e *Engine) install(sub *Subscription, q *wxquery.Query, in, resIn *propert
 
 	si.Feed.LinkAdd = c.LinkAdd
 	si.Feed.PeerAdd = c.PeerAdd
-	for l, b := range c.LinkAdd {
-		e.linkUse[l] += b
-	}
-	for p, w := range c.PeerAdd {
-		e.peerUse[p] += w
-	}
+	e.reserve(si.Feed)
 	return si, nil
 }

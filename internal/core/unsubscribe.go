@@ -28,6 +28,7 @@ func (e *Engine) Unsubscribe(id string) error {
 	for _, si := range sub.Inputs {
 		e.release(si.Feed)
 	}
+	e.epoch++
 	if e.journal != nil {
 		e.journal(CatalogOp{Kind: CatalogUnsubscribe, ID: id})
 	}
@@ -45,19 +46,33 @@ func (e *Engine) release(d *Deployed) {
 	if e.removeDeployed(d) {
 		e.obs.Metrics.Counter("core.streams.released").Inc()
 	}
+	e.withdraw(d)
+	e.release(d.Parent)
+}
+
+// reserve adds a stream's footprint to the running usage totals.
+func (e *Engine) reserve(d *Deployed) {
 	for l, b := range d.LinkAdd {
-		e.linkUse[l] -= b
-		if e.linkUse[l] < 1e-9 {
+		e.linkUse[l] += b
+	}
+	for p, w := range d.PeerAdd {
+		e.peerUse[p] += w
+	}
+}
+
+// withdraw takes a stream's footprint out of the running usage totals,
+// clamping rounding residue to zero.
+func (e *Engine) withdraw(d *Deployed) {
+	for l, b := range d.LinkAdd {
+		if e.linkUse[l] -= b; e.linkUse[l] < 1e-9 {
 			e.linkUse[l] = 0
 		}
 	}
 	for p, w := range d.PeerAdd {
-		e.peerUse[p] -= w
-		if e.peerUse[p] < 1e-9 {
+		if e.peerUse[p] -= w; e.peerUse[p] < 1e-9 {
 			e.peerUse[p] = 0
 		}
 	}
-	e.release(d.Parent)
 }
 
 // hasConsumers reports whether any subscription reads d or any deployed
@@ -70,10 +85,5 @@ func (e *Engine) hasConsumers(d *Deployed) bool {
 			}
 		}
 	}
-	for _, x := range e.deployed {
-		if x.Parent == d {
-			return true
-		}
-	}
-	return false
+	return e.hasChildren(d)
 }

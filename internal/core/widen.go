@@ -68,15 +68,8 @@ func (e *Engine) installWidening(wd *plan.Widening) {
 	d.PeerAdd = wd.DPeerAdd
 	w.LinkAdd = wd.WLinkAdd
 	w.PeerAdd = wd.WPeerAdd
-	for l, b := range w.LinkAdd {
-		e.linkUse[l] += b
-	}
-	for p, u := range w.PeerAdd {
-		e.peerUse[p] += u
-	}
-	for p, u := range d.PeerAdd {
-		e.peerUse[p] += u
-	}
+	e.reserve(w)
+	e.reserve(d)
 	// The rewire inserted w mid-registry and moved d's tap and route, which
 	// the discovery index cannot track incrementally — rebuild it.
 	e.planner.Reindex(e.deployed)

@@ -270,7 +270,8 @@ func NewRemap(aggs []AggSpec, fineGroup []int, fineOp []wxquery.AggOp) *Remap {
 }
 
 // Name implements Operator.
-func (r *Remap) Name() string { return "remap" }
+func (r *Remap) Name() string       { return "remap" }
+func (r *Remap) instance() Operator { return r }
 
 // Process implements Operator.
 func (r *Remap) Process(dst, items []*xmlstream.Element) []*xmlstream.Element {

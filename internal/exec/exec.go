@@ -28,7 +28,10 @@
 //   - Operator and Pipeline instances are single-threaded. They hold
 //     mutable evaluation state and must be driven by at most one goroutine
 //     at a time; the distributed runtime guarantees this by executing each
-//     pipeline on exactly one per-stream lane.
+//     pipeline on exactly one per-stream lane. A pipeline in the engine's
+//     catalog is a template that is never driven: every run drives its own
+//     instances (Pipeline.Instance), so concurrent runs share nothing
+//     mutable.
 //   - Process may retain input items (window operators buffer items across
 //     calls) but never the input slice, which the caller reuses. Sharing
 //     one item between several pipelines, on several goroutines, is safe
@@ -46,6 +49,8 @@
 package exec
 
 import (
+	"slices"
+
 	"streamshare/internal/decimal"
 	"streamshare/internal/predicate"
 	"streamshare/internal/xmlstream"
@@ -60,6 +65,10 @@ type Operator interface {
 	Flush(dst []*xmlstream.Element) []*xmlstream.Element
 	// Name identifies the operator kind for load accounting and diagnostics.
 	Name() string
+	// instance returns an operator that shares this one's compiled parts
+	// and starts with fresh evaluation state; a stateless operator is its
+	// own instance.
+	instance() Operator
 }
 
 // Pipeline is a sequential composition of operators. Like its operators, a
@@ -77,6 +86,21 @@ type Pipeline struct {
 
 // NewPipeline composes ops; a nil or empty pipeline is the identity.
 func NewPipeline(ops ...Operator) *Pipeline { return &Pipeline{Ops: ops} }
+
+// Instance returns a pipeline over fresh instances of p's operators: the
+// compiled parts (Select's checks, Project's trie, Restructure's template,
+// the instrumentation's metric handles) are shared, not recompiled; state
+// and scratch buffers are new. An empty pipeline is its own instance.
+func (p *Pipeline) Instance() *Pipeline {
+	if p == nil || len(p.Ops) == 0 {
+		return p
+	}
+	ops := make([]Operator, len(p.Ops))
+	for i, op := range p.Ops {
+		ops[i] = op.instance()
+	}
+	return &Pipeline{Ops: ops}
+}
 
 // Eval pushes batch through the stages Ops[from:], one stage at a time: a
 // stage consumes everything the one before it produced for the batch and,
@@ -201,6 +225,13 @@ func NewSelect(g *predicate.Graph) *Select {
 // Name implements Operator.
 func (s *Select) Name() string { return "select" }
 
+// instance shares the compiled checks; the slots are per-item scratch.
+func (s *Select) instance() Operator {
+	c := *s
+	c.slots = slices.Clone(s.slots)
+	return &c
+}
+
 // value returns slot i's value for item, resolving and parsing the element
 // the first time an edge asks for it: an item that fails its first edge
 // pays for that edge's operands only.
@@ -271,7 +302,8 @@ func NewProject(keep []xmlstream.Path) *Project {
 }
 
 // Name implements Operator.
-func (p *Project) Name() string { return "project" }
+func (p *Project) Name() string       { return "project" }
+func (p *Project) instance() Operator { return p }
 
 // Process implements Operator.
 func (p *Project) Process(dst, items []*xmlstream.Element) []*xmlstream.Element {
@@ -292,7 +324,8 @@ func (p *Project) Flush(dst []*xmlstream.Element) []*xmlstream.Element { return 
 type Duplicate struct{}
 
 // Name implements Operator.
-func (Duplicate) Name() string { return "duplicate" }
+func (Duplicate) Name() string         { return "duplicate" }
+func (d Duplicate) instance() Operator { return d }
 
 // Process implements Operator.
 func (Duplicate) Process(dst, items []*xmlstream.Element) []*xmlstream.Element {

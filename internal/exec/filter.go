@@ -60,7 +60,8 @@ func NewAggFilter(g *predicate.Graph, groups map[string]FilterGroup) *AggFilter 
 }
 
 // Name implements Operator.
-func (f *AggFilter) Name() string { return "agg-filter" }
+func (f *AggFilter) Name() string       { return "agg-filter" }
+func (f *AggFilter) instance() Operator { return f }
 
 // Process implements Operator.
 func (f *AggFilter) Process(dst, items []*xmlstream.Element) []*xmlstream.Element {
@@ -135,7 +136,8 @@ func NewWindowContents(w wxquery.Window) *WindowContents {
 }
 
 // Name implements Operator.
-func (w *WindowContents) Name() string { return "window-contents" }
+func (w *WindowContents) Name() string       { return "window-contents" }
+func (w *WindowContents) instance() Operator { return NewWindowContents(w.Window) }
 
 // Process implements Operator.
 func (w *WindowContents) Process(dst, items []*xmlstream.Element) []*xmlstream.Element {

@@ -30,6 +30,13 @@ type counted struct {
 
 func (c counted) Name() string { return c.op.Name() }
 
+// instance keeps the metric handles: every instance counts into the same
+// series.
+func (c counted) instance() Operator {
+	c.op = c.op.instance()
+	return c
+}
+
 func (c counted) Process(dst, items []*xmlstream.Element) []*xmlstream.Element {
 	c.in.Add(float64(len(items)))
 	n := len(dst)

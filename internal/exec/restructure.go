@@ -43,8 +43,8 @@ type LetBinding struct {
 // constructs. Input subtrees a variable reference selects are placed in the
 // output by pointer, so outputs share structure with inputs: this is safe
 // because nothing writes to an element after it is built (see the package
-// comment). A Restructure instance is single-threaded (one goroutine at a
-// time); inputs themselves are never retained past the Process call.
+// comment). A Restructure holds no evaluation state, so every instance of a
+// pipeline shares one; inputs are never retained past the Process call.
 type Restructure struct {
 	// Mode selects how incoming items bind to variables.
 	Mode RestructureMode
@@ -66,7 +66,8 @@ func NewRestructure(mode RestructureMode, forVar string, lets []LetBinding, ret 
 }
 
 // Name implements Operator.
-func (r *Restructure) Name() string { return "restructure" }
+func (r *Restructure) Name() string       { return "restructure" }
+func (r *Restructure) instance() Operator { return r }
 
 // Process implements Operator.
 func (r *Restructure) Process(dst, items []*xmlstream.Element) []*xmlstream.Element {

@@ -47,7 +47,8 @@ func NewSortBuffer(ref xmlstream.Path, size int) *SortBuffer {
 }
 
 // Name implements Operator.
-func (s *SortBuffer) Name() string { return "sort-buffer" }
+func (s *SortBuffer) Name() string       { return "sort-buffer" }
+func (s *SortBuffer) instance() Operator { return NewSortBuffer(s.Ref, s.Size) }
 
 // Process implements Operator.
 func (s *SortBuffer) Process(dst, items []*xmlstream.Element) []*xmlstream.Element {

@@ -10,59 +10,23 @@ import (
 	"streamshare/internal/xmlstream"
 )
 
-// This file implements operator-state transplantation: when the control
-// plane rebuilds a subscription's operator chain (after a repair or a plan
-// migration), the freshly built stateful operators adopt the accumulated
-// state of the chain they replace, so windowed and order-repairing
-// subscriptions survive the swap without losing the partially filled windows
-// the retired chain was holding. Without a transplant a rebuilt windowed
-// chain restarts cold and every window spanning the swap point is lost or
-// truncated — exactly the items a reliable delivery layer promises to keep.
+// This file implements operator-state transplantation: when a failure
+// interrupts a run and the engine re-plans the affected subscriptions,
+// recovery (runtime.Session.Recover) hands the state the interrupted run left
+// in the retired chain's instances to fresh instances of the replacement, so
+// windowed and order-repairing subscriptions keep the partially filled
+// windows the retired chain was holding. Without it a rebuilt windowed chain
+// restarts cold and every window spanning the failure is lost or truncated —
+// exactly the items a reliable delivery layer promises to keep.
 //
-// Transplant copies, it never steals: the retired operators keep their
-// state, because a shared stream's operators may still be serving other
-// subscriptions. The copy must run while the engine is quiesced (between
-// runs, or after Run has returned) — operators are single-threaded and are
-// read here without synchronization.
-
-// eqWindow reports whether two window specs are the same window. Window
-// contains a Path (a slice), so struct equality is not available.
-func eqWindow(a, b wxquery.Window) bool {
-	return a.Kind == b.Kind &&
-		pathEq(a.Ref, b.Ref) &&
-		a.Size.Cmp(b.Size) == 0 &&
-		a.Step.Cmp(b.Step) == 0
-}
+// Transplant copies, it never steals: recovery may still finish items
+// through the retired instances. Neither chain is driven while the copy
+// runs, so operators are read here without synchronization.
 
 // eqAggSpec reports whether two aggregation specs compute the same value.
 func eqAggSpec(a, b AggSpec) bool {
-	if a.UDF != b.UDF || !pathEq(a.Elem, b.Elem) {
-		return false
-	}
-	if a.UDF == "" && a.Op != b.Op {
-		return false
-	}
-	if len(a.UDFArgs) != len(b.UDFArgs) {
-		return false
-	}
-	for i := range a.UDFArgs {
-		if a.UDFArgs[i].Cmp(b.UDFArgs[i]) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func pathEq(a, b xmlstream.Path) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return a.UDF == b.UDF && a.Elem.Equal(b.Elem) && (a.UDF != "" || a.Op == b.Op) &&
+		equalArgs(a.UDFArgs, b.UDFArgs)
 }
 
 // unwrap strips the instrumentation decorator so transplant matches the
@@ -77,23 +41,19 @@ func unwrap(op Operator) Operator {
 	}
 }
 
-// stateful reports whether an operator carries stream-position state worth
-// transplanting. Select/Project/AggFilter/Remap/Restructure/Duplicate are
-// pure per-item functions.
-func stateful(op Operator) bool {
-	switch op.(type) {
+// Stateful reports whether an operator carries stream-position state worth
+// transplanting (instrumentation decorators are unwrapped first).
+// Select/Project/AggFilter/Remap/Restructure/Duplicate are pure per-item
+// functions whose re-application is idempotent — the runtime's recovery
+// replay relies on this to re-enter a rebuilt chain from the top when a
+// journaled item's already-traversed prefix was pure.
+func Stateful(op Operator) bool {
+	switch unwrap(op).(type) {
 	case *WindowAgg, *WindowMerge, *SortBuffer, *WindowContents:
 		return true
 	}
 	return false
 }
-
-// Stateful reports whether an operator carries stream-position state
-// (instrumentation decorators are unwrapped first). Stateless operators are
-// pure per-item functions whose re-application is idempotent — the
-// runtime's recovery replay relies on this to re-enter a rebuilt chain from
-// the top when a journaled item's already-traversed prefix was pure.
-func Stateful(op Operator) bool { return stateful(unwrap(op)) }
 
 // statefulOps flattens the pipelines into their stateful operators in stream
 // order, unwrapping instrumentation and skipping instances present in skip
@@ -107,7 +67,7 @@ func statefulOps(chain []*Pipeline, skip map[Operator]bool) []Operator {
 		}
 		for _, op := range p.Ops {
 			op = unwrap(op)
-			if !stateful(op) || skip[op] {
+			if !Stateful(op) || skip[op] {
 				continue
 			}
 			out = append(out, op)
@@ -171,7 +131,7 @@ func copyState(from, to Operator) bool {
 	switch src := from.(type) {
 	case *SortBuffer:
 		dst, ok := to.(*SortBuffer)
-		if !ok || dst.Size != src.Size || !pathEq(dst.Ref, src.Ref) {
+		if !ok || dst.Size != src.Size || !dst.Ref.Equal(src.Ref) {
 			return false
 		}
 		dst.buf = slices.Clone(src.buf)
@@ -179,7 +139,7 @@ func copyState(from, to Operator) bool {
 		return true
 	case *WindowAgg:
 		dst, ok := to.(*WindowAgg)
-		if !ok || !eqWindow(dst.Window, src.Window) {
+		if !ok || !dst.Window.Equal(&src.Window) {
 			return false
 		}
 		mp := matchSpecs(dst.Aggs, src.Aggs)
@@ -198,7 +158,7 @@ func copyState(from, to Operator) bool {
 		return true
 	case *WindowMerge:
 		dst, ok := to.(*WindowMerge)
-		if !ok || !eqWindow(dst.Fine, src.Fine) || !eqWindow(dst.Coarse, src.Coarse) {
+		if !ok || !dst.Fine.Equal(&src.Fine) || !dst.Coarse.Equal(&src.Coarse) {
 			return false
 		}
 		if len(dst.Aggs) != len(src.Aggs) {
@@ -217,7 +177,7 @@ func copyState(from, to Operator) bool {
 		return true
 	case *WindowContents:
 		dst, ok := to.(*WindowContents)
-		if !ok || !eqWindow(dst.Window, src.Window) {
+		if !ok || !dst.Window.Equal(&src.Window) {
 			return false
 		}
 		dst.itemIndex = src.itemIndex
@@ -271,7 +231,7 @@ func copyAcc(g groupAcc) groupAcc {
 // emitted tile carries only the function value, not the input values — so
 // any buffered tile plus a UDF spec aborts the transplant.
 func absorbFine(a *WindowAgg, m *WindowMerge, w *WindowAgg) bool {
-	if !eqWindow(a.Window, m.Fine) || !eqWindow(w.Window, m.Coarse) {
+	if !a.Window.Equal(&m.Fine) || !w.Window.Equal(&m.Coarse) {
 		return false
 	}
 	mp := matchSpecs(w.Aggs, m.Aggs)

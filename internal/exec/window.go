@@ -169,7 +169,8 @@ func NewWindowAgg(w wxquery.Window, aggs []AggSpec, reg UDFRegistry) *WindowAgg 
 }
 
 // Name implements Operator.
-func (w *WindowAgg) Name() string { return "window-agg" }
+func (w *WindowAgg) Name() string       { return "window-agg" }
+func (w *WindowAgg) instance() Operator { return NewWindowAgg(w.Window, w.Aggs, w.Registry) }
 
 // Process implements Operator.
 func (w *WindowAgg) Process(dst, items []*xmlstream.Element) []*xmlstream.Element {
@@ -349,6 +350,10 @@ func NewWindowMerge(fine, coarse wxquery.Window, aggs []AggSpec, fineGroup []int
 
 // Name implements Operator.
 func (m *WindowMerge) Name() string { return "window-merge" }
+
+func (m *WindowMerge) instance() Operator {
+	return NewWindowMerge(m.Fine, m.Coarse, m.Aggs, m.FineGroup, m.FineOp)
+}
 
 // Process implements Operator.
 func (m *WindowMerge) Process(dst, items []*xmlstream.Element) []*xmlstream.Element {

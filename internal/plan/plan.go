@@ -82,7 +82,8 @@ type Deployed struct {
 	Tap network.PeerID
 	// Route is the path the stream flows along, from Tap to its target.
 	Route []network.PeerID
-	// Residual transforms parent items into this stream's items at Tap.
+	// Residual transforms parent items into this stream's items at Tap. It
+	// is a template: runs drive instances of it (exec.Pipeline.Instance).
 	Residual *exec.Pipeline
 	// Size and Freq are the cost model's estimates for one item and the
 	// item frequency.

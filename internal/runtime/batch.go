@@ -19,7 +19,7 @@ import (
 // trees travel in the message and are shared read-only downstream.
 type batcher struct {
 	r      *Runtime
-	stream *core.Deployed
+	stream *core.PlanStream
 	// elems and xb are the batch state: the pending trees and their
 	// canonical serialized size.
 	elems []*xmlstream.Element
@@ -51,11 +51,11 @@ func (b *batcher) add(e *xmlstream.Element) {
 	b.elems = append(b.elems, e)
 	b.xb += xmlstream.MarshalSize(e)
 	if b.sample {
-		if b.r.lat.Sampled(b.stream.Input.Stream, b.idx) {
+		if b.r.lat.Sampled(b.stream.Source, b.idx) {
 			// Every selected item starts a span (keeping the sampled set
 			// identical to the simulator's), but only the first rides the
 			// batch: in-batch neighbors would record near-identical deltas.
-			sp := b.r.lat.Start(b.stream.Input.Stream, b.idx)
+			sp := b.r.lat.Start(b.stream.Source, b.idx)
 			if b.span == nil {
 				b.span = sp
 			}
@@ -84,4 +84,7 @@ func (b *batcher) flush(eos bool) {
 	}
 	b.elems, b.xb = nil, 0
 	b.r.dispatch(m, b.gate)
+	if b.sample && b.r.afterBatch != nil {
+		b.r.afterBatch(b.stream, b.idx)
+	}
 }

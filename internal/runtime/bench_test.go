@@ -10,8 +10,8 @@ import (
 	"streamshare/internal/xmlstream"
 )
 
-// benchGrid builds a fresh ScaleGrid engine per iteration (operator state
-// is consumed by execution) and runs it under opts, timing only the run.
+// benchGrid builds a fresh ScaleGrid engine per iteration and runs it under
+// opts, timing only the run.
 // reliable builds the engine for session channels and attaches a fresh
 // session per iteration.
 func benchGrid(b *testing.B, opts Options, reliable bool) {

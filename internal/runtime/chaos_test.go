@@ -17,8 +17,8 @@ import (
 
 // chaosBuild registers scenario 2 on a fresh engine and splits every source
 // stream in half around the churn point. Twin builds are byte-identical, so
-// the simulator and the distributed runtime can execute the same plans on
-// separate engines (operator state is consumed by execution).
+// the simulator and the distributed runtime execute the same plans on
+// separate engines, whose adaptation decisions must agree too.
 func chaosBuild(t *testing.T, items int) (*core.Engine, *scenario.Scenario, map[string][]*xmlstream.Element, map[string][]*xmlstream.Element) {
 	t.Helper()
 	s := scenario.Scenario2(items)
@@ -154,9 +154,9 @@ func TestChaosScenario2(t *testing.T) {
 	chaosCompare(t, "phase B", simB, distB)
 
 	// No item loss: every surviving subscription's post-repair delivery
-	// equals the never-failed reference — windowed ones included, because
-	// the reliable re-plan transplants operator state across the repair, so
-	// windows spanning the churn point survive intact.
+	// equals the never-failed reference — windowed ones included: every run
+	// starts its windows clean, and phase A's end-of-stream flush dropped the
+	// windows spanning the churn point on both engines alike.
 	refB, err := engRef.Simulate(feedBRef, false)
 	if err != nil {
 		t.Fatal(err)

@@ -617,7 +617,7 @@ func (r *Runtime) injectRemote(m message) {
 	}
 	r.qmu.Lock()
 	if m.eos && !r.localPeer(m.stream.Route[m.hop-1]) {
-		k := recvKey{m.stream, m.hop}
+		k := recvKey{m.stream.ID, m.hop}
 		if !r.eosSeen[k] {
 			r.eosSeen[k] = true
 			r.eosWait--
@@ -645,7 +645,7 @@ func (r *Runtime) eosLanes() []string {
 	var out []string
 	for _, d := range r.byID {
 		for hop := 1; hop < len(d.Route); hop++ {
-			if r.localPeer(d.Route[hop]) && !r.localPeer(d.Route[hop-1]) && !r.eosSeen[recvKey{d, hop}] {
+			if r.localPeer(d.Route[hop]) && !r.localPeer(d.Route[hop-1]) && !r.eosSeen[recvKey{d.ID, hop}] {
 				out = append(out, fmt.Sprintf("(%s, hop %d)", d.ID, hop))
 			}
 		}
@@ -657,7 +657,7 @@ func (r *Runtime) eosLanes() []string {
 // ackStream routes one consumer's cumulative ack to the stream's emitter
 // channel: locally when this process owns the emitter (the stream's tap),
 // as a FrameAck to the owning node otherwise.
-func (r *Runtime) ackStream(d *core.Deployed, consumer string, seq uint64) {
+func (r *Runtime) ackStream(d *core.PlanStream, consumer string, seq uint64) {
 	if r.owners != nil {
 		if owner := r.owners[d.Tap]; owner != r.cluster.node {
 			r.sendAck(owner, d, consumer, seq)
@@ -669,24 +669,25 @@ func (r *Runtime) ackStream(d *core.Deployed, consumer string, seq uint64) {
 	}
 }
 
-// ackStreamAll is ackStream for several consumers of one batch.
-func (r *Runtime) ackStreamAll(d *core.Deployed, consumers []string, seq uint64) {
+// ackReaders is ackStream for every reader of d, which all consumed one
+// batch at d's target.
+func (r *Runtime) ackReaders(d *core.PlanStream, seq uint64) {
 	if r.owners != nil {
 		if owner := r.owners[d.Tap]; owner != r.cluster.node {
-			for _, name := range consumers {
-				r.sendAck(owner, d, name, seq)
+			for _, rd := range d.Readers {
+				r.sendAck(owner, d, rd.ID, seq)
 			}
 			return
 		}
 	}
 	if ch := r.chans[d]; ch != nil {
-		ch.ackAll(r, consumers, seq)
+		ch.ackAll(r, d.Readers, seq)
 	}
 }
 
 // sendAck emits one ack frame to the stream emitter's node. A send error
 // means the mesh is closing; the ack is lost with the run.
-func (r *Runtime) sendAck(owner string, d *core.Deployed, consumer string, seq uint64) {
+func (r *Runtime) sendAck(owner string, d *core.PlanStream, consumer string, seq uint64) {
 	err := r.cluster.sendFrame(owner, &transport.Frame{
 		Type: transport.FrameAck, Stream: d.ID, Consumer: consumer, Ack: seq,
 	})

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -335,7 +336,11 @@ func TestClusterReconnectChaosTCP(t *testing.T) {
 // TestClusterHeartbeatGossip runs a healthy reliable cluster with the
 // failure detector on: peers owned by the remote node beat through
 // heartbeat gossip frames, so a healthy distributed run must finish with
-// zero suspicions on both sessions — and still match the simulator.
+// zero suspicions on both sessions — and still match the simulator. A run
+// this small ends before the first monitor tick, so the source node holds
+// its run open after the first batch until each node has accepted the
+// other's gossip and then ticked again: a tick that beat the remote's
+// targets through remoteBeats with that gossip in hand.
 func TestClusterHeartbeatGossip(t *testing.T) {
 	defer testutil.Watchdog(t, 2*time.Minute)()
 	engRef, feedRef, err := clusterBuild(gridN, gridQueries, gridItems, true)
@@ -361,7 +366,32 @@ func TestClusterHeartbeatGossip(t *testing.T) {
 	sess0, sess1 := NewSession(SessionOptions{}), NewSession(SessionOptions{})
 	rt0 := NewWith(eng0, true, Options{Cluster: c0, Session: sess0})
 	rt1 := NewWith(eng1, true, Options{Cluster: c1, Session: sess1})
+	arrived := func(c *Cluster, from string) time.Time {
+		c.gmu.Lock()
+		defer c.gmu.Unlock()
+		return c.gossip[from].at
+	}
+	var once sync.Once
+	held := false
+	hold := func(*core.PlanStream, uint64) {
+		once.Do(func() {
+			held = true
+			for arrived(c0, "n1").IsZero() || arrived(c1, "n0").IsZero() {
+				time.Sleep(time.Millisecond)
+			}
+			// From here on both tables hold the other node's gossip; a frame
+			// sent later left a tick that found it there.
+			since := time.Now()
+			for !arrived(c0, "n1").After(since) || !arrived(c1, "n0").After(since) {
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+	rt0.afterBatch, rt1.afterBatch = hold, hold
 	res0, res1 := runPair(t, rt0, rt1, feed0, feed1)
+	if !held {
+		t.Fatal("no source batch held the run open")
+	}
 	compareCollected(t, ref, mergeResults(res0, res1))
 	for i, sess := range []*Session{sess0, sess1} {
 		if sus, _, _ := sess.HealthStats(); sus != 0 {
@@ -369,6 +399,30 @@ func TestClusterHeartbeatGossip(t *testing.T) {
 		}
 		if n := len(sess.TakeDetected()); n != 0 {
 			t.Errorf("node %d: healthy cluster run detected %d changes", i, n)
+		}
+	}
+	// Each node's latest gossip names exactly the peers it owns, and the other
+	// node beats exactly the targets that gossip vouches for.
+	for _, x := range []struct {
+		c      *Cluster
+		rt     *Runtime
+		remote string
+	}{{c0, rt0, "n1"}, {c1, rt1, "n0"}} {
+		x.c.gmu.Lock()
+		e := x.c.gossip[x.remote]
+		x.c.gmu.Unlock()
+		var owned []string
+		for _, id := range x.rt.peerIDs {
+			if x.rt.owners[id] == x.remote {
+				owned = append(owned, string(id))
+			}
+		}
+		if !slices.Equal(e.f.Peers, owned) {
+			t.Errorf("%s gossips peers %v to %s, owns %v", x.remote, e.f.Peers, x.c.node, owned)
+		}
+		if beats := x.c.remoteBeats(x.rt, e.at, time.Second); len(beats) != len(e.f.Peers)+len(e.f.Links)/2 {
+			t.Errorf("%s beats %d targets for %s, its gossip vouches for %d peers and %d links",
+				x.c.node, len(beats), x.remote, len(e.f.Peers), len(e.f.Links)/2)
 		}
 	}
 }

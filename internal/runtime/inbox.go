@@ -26,7 +26,7 @@ import (
 type inbox struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
-	lanes map[*core.Deployed]*lane
+	lanes map[*core.PlanStream]*lane
 	// runq lists lanes that have queued messages and no owning worker.
 	runq   []*lane
 	closed bool
@@ -59,7 +59,7 @@ type lane struct {
 }
 
 func newInbox() *inbox {
-	b := &inbox{lanes: map[*core.Deployed]*lane{}}
+	b := &inbox{lanes: map[*core.PlanStream]*lane{}}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }

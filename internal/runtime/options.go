@@ -23,8 +23,8 @@ type Options struct {
 	// stream flows through a sequenced, acked, credit-windowed channel
 	// whose replay buffer doubles as the recovery journal, and a
 	// heartbeat failure detector runs alongside the data path. The
-	// session outlives the (single-use) runtime, carrying journals and
-	// ack cursors across failure, re-plan and recovery. Nil (the
+	// session outlives the (single-use) runtime, carrying journals, ack
+	// cursors and a run's operator state to recovery. Nil (the
 	// default) keeps the unsequenced data path bit-for-bit unchanged.
 	Session *Session
 

@@ -52,8 +52,8 @@ func sortedXML(items []*xmlstream.Element) []string {
 // 2 streams through a session-backed runtime while a link is severed and a
 // super-peer is killed mid-stream. No oracle tells the engine: the
 // heartbeat detector's queued changes drive adapt.ApplyDetected, the
-// reliable re-plan transplants operator state, and Session.Recover replays
-// the journaled tails. For every surviving subscription — windowed and
+// reliable re-plan rebuilds private chains, and Session.Recover hands them
+// the interrupted run's operator state and replays the journaled tails. For every surviving subscription — windowed and
 // stateful included — the run's delivery plus the recovery's redelivery
 // must equal a never-failed reference item-for-item.
 func TestReliableDetectorRecovery(t *testing.T) {
@@ -366,4 +366,103 @@ func TestReliableRecoverEscapedText(t *testing.T) {
 	if !strings.Contains(refXML[0], "<note>a&lt;b &amp; c&gt;d</note>") {
 		t.Fatalf("reference item %s lost its note", refXML[0])
 	}
+}
+
+// TestReliableRecoverUpstreamWindow breaks a link upstream of a windowed
+// operator while its windows are half full, the case where recovery must
+// carry operator state across the plan change. q2 averages windows over
+// q1's shared selection, tapped at SP3; the link SP1–SP2 on the shared
+// stream's route is severed after the first 300 source items have been
+// processed everywhere. The reliable repair rebuilds q2 as [select,
+// window-agg] straight from the original — the retired chain's operators
+// tile it, so the journaled selection items re-enter at the window — and
+// Recover must hand the retired window aggregate's open windows to the
+// replacement's: run plus recovery equals the never-failed delivery item for
+// item, each window's average over all of its photons.
+func TestReliableRecoverUpstreamWindow(t *testing.T) {
+	defer testutil.Watchdog(t, 2*time.Minute)()
+	eng := core.NewEngine(testNet(), core.Config{Reliable: true})
+	_, st := photons.Stream("photons", photons.DefaultConfig(), 13, 2000)
+	if _, err := eng.RegisterStream("photons", xmlstream.ParsePath("photons/photon"), "SP0", st); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		`<photons>{ for $p in stream("photons")/photons/photon where $p/en >= 1.3 return <hot>{ $p }</hot> }</photons>`,
+		`<photons>{ for $w in stream("photons")/photons/photon [en >= 1.3] |det_time diff 20 step 10| let $a := avg($w/en) return <avg>{ $a }</avg> }</photons>`,
+	} {
+		if _, err := eng.Subscribe(q, "SP3", core.StreamSharing); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shared := eng.Subscriptions()[0].Inputs[0].Feed
+	windowed := eng.Subscriptions()[1].Inputs[0].Feed
+	if windowed.Parent != shared || shared.Tap != "SP0" || !windowed.OnRoute("SP3") || !shared.OnRoute("SP2") {
+		t.Fatalf("q2 does not window q1's stream downstream of SP1–SP2:\n%s%s",
+			eng.Subscriptions()[0].Explain(), eng.Subscriptions()[1].Explain())
+	}
+	feed := map[string][]*xmlstream.Element{"photons": photons.NewGenerator(photons.DefaultConfig(), 7).Generate(1000)}
+	ref, err := eng.Simulate(feed, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sess := NewSession(SessionOptions{Heartbeat: health.Options{Interval: 2 * time.Millisecond}})
+	rt := NewWith(eng, true, Options{BatchSize: 50, Session: sess})
+	severed := false
+	rt.afterBatch = func(_ *core.PlanStream, items uint64) {
+		if severed || items < 300 {
+			return
+		}
+		// The source waits here until every channel's consumers have acked
+		// everything sent, so the sever lands after exactly these items.
+		for !drained(sess) {
+			time.Sleep(100 * time.Microsecond)
+		}
+		severed = true
+		if err := rt.SeverLink("SP1", "SP2"); err != nil {
+			t.Error(err)
+		}
+	}
+	run, err := rt.Run(feed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !severed {
+		t.Fatal("the fault never landed")
+	}
+	if _, err := adapt.NewManager(eng).ApplyDetected(sess.TakeDetected()); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sess.Recover(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Inputs != 2 || len(rep.Skipped) > 0 || len(rep.Unpaired) > 0 {
+		t.Fatalf("recovery: %v, skipped %v, unpaired %v", rep, rep.Skipped, rep.Unpaired)
+	}
+	for _, id := range []string{"q1", "q2"} {
+		if run.Results[id] == 0 || rep.Results[id] == 0 {
+			t.Fatalf("%s: %d delivered before the fault, %d after; the fault must split the stream", id, run.Results[id], rep.Results[id])
+		}
+		got := append(append([]*xmlstream.Element{}, run.Collected[id]...), rep.Collected[id]...)
+		if len(got) != len(ref.Collected[id]) {
+			t.Fatalf("%s: delivered %d+%d items, reference %d", id, run.Results[id], rep.Results[id], len(ref.Collected[id]))
+		}
+		for i, want := range ref.Collected[id] {
+			if !got[i].Equal(want) {
+				t.Fatalf("%s item %d after recovery = %s, reference %s", id, i, xmlstream.Marshal(got[i]), xmlstream.Marshal(want))
+			}
+		}
+	}
+}
+
+// drained reports whether every consumer of every session channel has
+// acknowledged everything emitted on it.
+func drained(sess *Session) bool {
+	for _, cs := range sess.ChannelStates() {
+		if cs.CumAck+1 != cs.NextSeq {
+			return false
+		}
+	}
+	return true
 }

@@ -26,9 +26,9 @@
 //     and the single-threaded operator contract hold while independent
 //     subscription pipelines on the same peer execute concurrently.
 //
-// Run wiring is derived from a core.Engine's installed subscriptions, so
-// plans are planned once and can be executed by either backend; tests
-// assert both produce identical results and traffic.
+// A run executes the engine's plan value (core.Plan) on operator instances of
+// its own, so the catalog may change while it is in flight; plans are planned
+// once and either backend executes them, with identical results and traffic.
 package runtime
 
 import (
@@ -51,7 +51,7 @@ import (
 // for one hop of its route, optionally followed by the stream's
 // end-of-stream marker.
 type message struct {
-	stream *core.Deployed
+	stream *core.PlanStream
 	// hop is the index of the receiving peer within stream's route.
 	hop int
 	// elems holds the batch as parsed element trees in stream order. The
@@ -107,10 +107,10 @@ type Runtime struct {
 	collect bool
 	opts    Options
 
+	// plan is what the run executes and inst the run's operator state.
+	plan  *core.Plan
+	inst  *core.Instances
 	nodes map[network.PeerID]*node
-	// loads holds every installed pipeline's per-stage base load, resolved
-	// here so that a batch is charged per stage, not per item by name.
-	loads map[*exec.Pipeline][]float64
 
 	// quiescence tracking: inflight counts queued plus in-processing
 	// messages; Run waits until it returns to zero. In cluster mode the wait
@@ -160,7 +160,7 @@ type Runtime struct {
 	// instead of sent; dedupDropped counts duplicate units receivers
 	// skipped (both under mu).
 	sess         *Session
-	chans        map[*core.Deployed]*streamChan
+	chans        map[*core.PlanStream]*streamChan
 	recvs        map[recvKey]*transport.RecvCursor
 	peerIDs      []network.PeerID
 	linkIDs      []network.LinkID
@@ -174,9 +174,13 @@ type Runtime struct {
 	// qmu — Run's quiescence waits on them).
 	cluster *Cluster
 	owners  map[network.PeerID]string
-	byID    map[string]*core.Deployed
+	byID    map[string]*core.PlanStream
 	eosWait int
 	eosSeen map[recvKey]bool
+
+	// afterBatch, when set, runs on a source's goroutine after each batch it
+	// dispatches: where a test injects a mid-run fault deterministically.
+	afterBatch func(d *core.PlanStream, items uint64)
 }
 
 // node is one peer actor.
@@ -187,24 +191,11 @@ type node struct {
 	// quiescence stays exact, but every message is discarded (fault
 	// injection; see KillPeer).
 	dead atomic.Bool
-	// taps lists derived streams whose residual runs here, keyed by parent.
-	taps map[*core.Deployed][]*core.Deployed
-	// readers lists subscription inputs consuming a stream at this target.
-	readers map[*core.Deployed][]readerEntry
-	// readerNames holds the readers' channel-consumer names in the same
-	// order, precomputed so the reliable path neither concatenates strings
-	// nor locks the channel per reader on every batch.
-	readerNames map[*core.Deployed][]string
 }
 
-type readerEntry struct {
-	sub *core.Subscription
-	si  *core.SubInput
-}
-
-// New builds a runtime over the engine's installed plans with
-// DefaultOptions. The engine must not be modified while the runtime runs,
-// and a Runtime is single-use.
+// New builds a runtime over the engine's current plan with DefaultOptions.
+// The run executes that plan on operator instances of its own, whatever the
+// catalog does meanwhile; a Runtime is single-use.
 func New(eng *core.Engine, collect bool) *Runtime {
 	return NewWith(eng, collect, DefaultOptions())
 }
@@ -219,8 +210,9 @@ func NewWith(eng *core.Engine, collect bool, opts Options) *Runtime {
 		nodes:   map[network.PeerID]*node{},
 		metrics: network.NewMetrics(),
 		counts:  map[string]int{},
-		loads:   eng.StageLoads(),
+		plan:    eng.Plan(),
 	}
+	r.inst = r.plan.Instantiate()
 	r.qcond = sync.NewCond(&r.qmu)
 	r.quietBound = 60 * time.Second
 	r.severed = map[network.LinkID]bool{}
@@ -235,40 +227,22 @@ func NewWith(eng *core.Engine, collect bool, opts Options) *Runtime {
 		ib := newInbox()
 		ib.owner = id
 		ib.flight = r.flight
-		r.nodes[id] = &node{
-			id:          id,
-			inbox:       ib,
-			taps:        map[*core.Deployed][]*core.Deployed{},
-			readers:     map[*core.Deployed][]readerEntry{},
-			readerNames: map[*core.Deployed][]string{},
-		}
-	}
-	for _, d := range eng.Streams() {
-		if d.Parent != nil {
-			r.nodes[d.Tap].taps[d.Parent] = append(r.nodes[d.Tap].taps[d.Parent], d)
-		}
-	}
-	for _, sub := range eng.Subscriptions() {
-		for _, si := range sub.Inputs {
-			tgt := si.Feed.Target()
-			r.nodes[tgt].readers[si.Feed] = append(r.nodes[tgt].readers[si.Feed], readerEntry{sub: sub, si: si})
-			r.nodes[tgt].readerNames[si.Feed] = append(r.nodes[tgt].readerNames[si.Feed], readerConsumer(sub, si))
-		}
+		r.nodes[id] = &node{id: id, inbox: ib}
 	}
 	r.peerIDs = eng.Net.Peers()
 	r.linkIDs = eng.Net.Links()
 	if opts.Session != nil {
 		r.sess = opts.Session
-		r.chans = map[*core.Deployed]*streamChan{}
+		r.chans = map[*core.PlanStream]*streamChan{}
 		r.recvs = map[recvKey]*transport.RecvCursor{}
 		r.sess.attach(r)
 	}
 	if opts.Cluster != nil {
 		r.cluster = opts.Cluster
 		r.owners = r.cluster.assignment(eng.Net)
-		r.byID = make(map[string]*core.Deployed, len(eng.Streams()))
+		r.byID = make(map[string]*core.PlanStream, len(r.plan.Streams))
 		r.eosSeen = map[recvKey]bool{}
-		for _, d := range eng.Streams() {
+		for _, d := range r.plan.Streams {
 			r.byID[d.ID] = d
 			for hop := 1; hop < len(d.Route); hop++ {
 				if r.localPeer(d.Route[hop]) && !r.localPeer(d.Route[hop-1]) {
@@ -324,13 +298,13 @@ func (r *Runtime) Run(items map[string][]*xmlstream.Element) (*Result, error) {
 	// In cluster mode only locally-owned sources inject; hop-0 emission is
 	// always process-local (a stream's tap is its route's first peer).
 	var sources sync.WaitGroup
-	for _, d := range r.eng.Streams() {
+	for _, d := range r.plan.Streams {
 		if !d.Original || !r.localPeer(d.Tap) {
 			continue
 		}
-		feed := items[d.Input.Stream]
+		feed := items[d.Source]
 		sources.Add(1)
-		go func(d *core.Deployed, feed []*xmlstream.Element) {
+		go func(d *core.PlanStream, feed []*xmlstream.Element) {
 			defer sources.Done()
 			b := batcher{r: r, stream: d, flushStage: obs.StageBatch, sample: true}
 			// An original's residual is empty unless Engine.RepairFuzzyOrder
@@ -736,7 +710,7 @@ func (r *Runtime) handle(n *node, m *message) {
 	var hi uint64
 	if m.seqLo > 0 {
 		hi = m.seqLo + uint64(m.units()) - 1
-		rs := r.recvs[recvKey{d, m.hop}]
+		rs := r.recvs[recvKey{d.ID, m.hop}]
 		if rs != nil {
 			skip, deliver := rs.Accept(m.epoch, m.seqLo, hi)
 			if !deliver {
@@ -748,15 +722,13 @@ func (r *Runtime) handle(n *node, m *message) {
 				// replayed batch unparks; Channel.Ack is cumulative, so a
 				// genuinely stale duplicate's ack is a no-op.
 				if ch := r.chans[d]; ch != nil && m.seqLo > 0 {
-					for _, child := range n.taps[d] {
+					for _, child := range d.Taps {
 						if child.Tap == n.id {
 							r.ackStream(d, child.ID, hi)
 						}
 					}
-					if m.hop == len(d.Route)-1 {
-						if names := n.readerNames[d]; len(names) > 0 {
-							r.ackStreamAll(d, names, hi)
-						}
+					if m.hop == len(d.Route)-1 && len(d.Readers) > 0 {
+						r.ackReaders(d, hi)
 					}
 				}
 				r.dedupDrop(m, m.units())
@@ -776,13 +748,16 @@ func (r *Runtime) handle(n *node, m *message) {
 		}
 	}
 	last := m.hop == len(d.Route)-1
-	taps := n.taps[d]
-	var readers []readerEntry
+	var readers []*core.PlanReader
 	if last {
-		readers = n.readers[d]
+		readers = d.Readers
 	}
 	ch := r.chans[d]
-	if len(taps) > 0 || len(readers) > 0 {
+	here := len(readers) > 0 // does anything consume the batch at this peer?
+	for _, child := range d.Taps {
+		here = here || child.Tap == n.id
+	}
+	if here {
 		// The batch's trees are shared read-only across every consumer here
 		// — the simulator does the same, handing one element pointer to all
 		// children and readers. Nothing is parsed: the items are counted
@@ -790,7 +765,7 @@ func (r *Runtime) handle(n *node, m *message) {
 		// its ~zero cost visible in the span series.
 		r.parseSkip.Add(float64(len(m.elems)))
 		r.lat.Stamp(m.span, obs.StageParse)
-		for _, child := range taps {
+		for _, child := range d.Taps {
 			if child.Tap != n.id {
 				continue
 			}
@@ -804,11 +779,11 @@ func (r *Runtime) handle(n *node, m *message) {
 				gate.done()
 			}
 		}
-		for _, re := range readers {
-			r.feedReader(re, m.elems, m.eos, m.span)
+		for _, rd := range readers {
+			r.feedReader(rd, m.elems, m.eos, m.span)
 		}
 		if len(readers) > 0 && ch != nil && m.seqLo > 0 {
-			r.ackStreamAll(d, n.readerNames[d], hi)
+			r.ackReaders(d, hi)
 		}
 	}
 	if !last {
@@ -844,17 +819,17 @@ func (r *Runtime) dedupCount(units int) {
 // until every emitted batch is admitted by the child's channel. span, when
 // non-nil, is a fork of the incoming batch's provenance span; it rides the
 // first downstream batch and its eval stage closes at that batch's flush.
-func (r *Runtime) feedChild(n *node, child *core.Deployed, its []*xmlstream.Element, eos bool, gate *ackGate, span *obs.Span) {
+func (r *Runtime) feedChild(n *node, child *core.PlanStream, its []*xmlstream.Element, eos bool, gate *ackGate, span *obs.Span) {
 	ob := batcher{r: r, stream: child, gate: gate, flushStage: obs.StageEval, span: span}
 	r.runResidual(child, n.id, its, eos, &ob, r.eng.Cfg.Model.BLoad["duplicate"])
 }
 
-// runResidual pushes its through d's residual pipeline into b — draining the
-// pipeline too at EOS — flushes b, and charges peer at for the work, exactly
-// as the simulator charges it: perItem units for every input item plus each
-// stage's base load per item entering it.
-func (r *Runtime) runResidual(d *core.Deployed, at network.PeerID, its []*xmlstream.Element, eos bool, b *batcher, perItem float64) {
-	outs, wk := d.Residual.Eval(0, its, eos, r.loads[d.Residual])
+// runResidual pushes its through the run's instance of d's residual pipeline
+// into b — draining the pipeline too at EOS — flushes b, and charges peer at
+// for the work, exactly as the simulator charges it: perItem units for every
+// input item plus each stage's base load per item entering it.
+func (r *Runtime) runResidual(d *core.PlanStream, at network.PeerID, its []*xmlstream.Element, eos bool, b *batcher, perItem float64) {
+	outs, wk := r.inst.Residual[d.Index].Eval(0, its, eos, d.Loads)
 	for _, out := range outs {
 		b.add(out)
 	}
@@ -870,20 +845,20 @@ func (r *Runtime) runResidual(d *core.Deployed, at network.PeerID, its []*xmlstr
 // and the end-to-end lag is observed whether or not the sampled item
 // survived the local pipeline (the watermark tracks processing progress,
 // not output).
-func (r *Runtime) feedReader(re readerEntry, its []*xmlstream.Element, eos bool, span *obs.Span) {
-	outs, wk := re.si.Local.Eval(0, its, eos, r.loads[re.si.Local])
+func (r *Runtime) feedReader(rd *core.PlanReader, its []*xmlstream.Element, eos bool, span *obs.Span) {
+	outs, wk := r.inst.Local[rd.Index].Eval(0, its, eos, rd.Loads)
 	if wk != 0 {
-		r.work(re.si.Feed.Target(), wk)
+		r.work(rd.Feed.Target(), wk)
 	}
-	r.lat.Deliver(span, re.sub.ID)
+	r.lat.Deliver(span, rd.Sub)
 	if len(outs) == 0 {
 		return
 	}
 	r.mu.Lock()
-	r.counts[re.sub.ID] += len(outs)
+	r.counts[rd.Sub] += len(outs)
 	if r.collect {
 		// Results are counted; only a collecting run keeps them.
-		r.items[re.sub.ID] = append(r.items[re.sub.ID], outs...)
+		r.items[rd.Sub] = append(r.items[rd.Sub], outs...)
 	}
 	r.mu.Unlock()
 }

@@ -1,10 +1,12 @@
 package runtime
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"streamshare/internal/core"
@@ -85,8 +87,8 @@ func TestDistributedMatchesSimulator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Fresh engine with identical plans for the distributed run
-		// (operator state is consumed by execution).
+		// A twin engine with identical plans for the distributed run (a run
+		// on eng itself would see the same plan and start as clean).
 		eng2, items2 := setup(t, strat)
 		rt := New(eng2, true)
 		dist, err := rt.Run(map[string][]*xmlstream.Element{"photons": items2})
@@ -491,5 +493,61 @@ func TestMailboxHWMGaugeResetsBetweenRuns(t *testing.T) {
 		if int(g) != depth {
 			t.Errorf("gauge for %s = %v after second run, want %d (first run's value leaked)", id, g, depth)
 		}
+	}
+}
+
+// cleanRunBuild registers the photon stream at SP0 behind the §2 sort
+// buffer, with the stateful shapes whose operators keep stream positions
+// between items — a fine diff window and a coarser one recomposed from it, a
+// count window, window contents — read at SP3. Twin builds are identical.
+func cleanRunBuild(t *testing.T) *core.Engine {
+	t.Helper()
+	eng := core.NewEngine(testNet(), core.Config{})
+	_, st := photons.Stream("photons", photons.DefaultConfig(), 13, 2000)
+	if _, err := eng.RegisterStream("photons", xmlstream.ParsePath("photons/photon"), "SP0", st); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RepairFuzzyOrder("photons", xmlstream.ParsePath("det_time"), 8); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		`<photons>{ for $w in stream("photons")/photons/photon |det_time diff 10 step 10| let $a := sum($w/en) return <fine>{ $a }</fine> }</photons>`,
+		`<photons>{ for $w in stream("photons")/photons/photon |det_time diff 40 step 20| let $a := sum($w/en) return <coarse>{ $a }</coarse> }</photons>`,
+		`<photons>{ for $w in stream("photons")/photons/photon |count 20 step 10| let $c := count($w/en) return <n>{ $c }</n> }</photons>`,
+		`<photons>{ for $w in stream("photons")/photons/photon |det_time diff 20 step 10| return <batch>{ $w/en }</batch> }</photons>`,
+	} {
+		if _, err := eng.Subscribe(q, "SP3", core.StreamSharing); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !strings.Contains(eng.Subscriptions()[1].Explain(), "window-merge") {
+		t.Fatalf("the coarse window is not recomposed from the fine one:\n%s", eng.Subscriptions()[1].Explain())
+	}
+	return eng
+}
+
+// TestRuntimeRunsStartClean runs one engine three times on streams fed the
+// way successive RUN commands feed them — a new generator each time, so
+// det_time starts again — and holds every run to a fresh engine's
+// simulation: each Run instantiates its operators, and nothing one run
+// leaves in them reaches the next.
+func TestRuntimeRunsStartClean(t *testing.T) {
+	eng := cleanRunBuild(t)
+	for k := 1; k <= 3; k++ {
+		feed := map[string][]*xmlstream.Element{"photons": photons.NewGenerator(photons.DefaultConfig(), int64(k)).Generate(400)}
+		want, err := cleanRunBuild(t).Simulate(feed, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, items := range want.Collected {
+			if len(items) == 0 {
+				t.Fatalf("run %d: the reference delivered nothing for %s", k, id)
+			}
+		}
+		got, err := New(eng, true).Run(feed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareInOrder(t, fmt.Sprintf("run %d", k), want, got)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"streamshare/internal/core"
+	"streamshare/internal/exec"
 	"streamshare/internal/health"
 	"streamshare/internal/network"
 	"streamshare/internal/obs"
@@ -16,10 +17,12 @@ import (
 
 // This file is the reliability layer's live half: a Session owns the
 // per-stream channels (channel.go), the receive-side dedup lanes, the
-// heartbeat failure detector and the subscription bind records that
-// recovery (recover.go) diffs against. A Session outlives the single-use
-// Runtimes that attach to it, which is what lets the replay journals and
-// ack cursors survive a failure, a re-plan and the recovery pass.
+// heartbeat failure detector, the subscription bind records that recovery
+// (recover.go) diffs against, and the operator instances of the run it last
+// attached to. A Session outlives the single-use Runtimes that attach to it,
+// which is what lets the replay journals, the ack cursors and an interrupted
+// run's operator state survive a failure, a re-plan and the recovery pass;
+// it keys them by stream id, which outlives a plan value.
 
 // SessionOptions tunes the reliability layer.
 type SessionOptions struct {
@@ -41,16 +44,11 @@ type SessionOptions struct {
 	DisableHeartbeat bool
 }
 
-// bindKey identifies one subscription input across re-plans.
-type bindKey struct {
-	sub    string
-	stream string
-}
-
-// recvKey identifies one receive lane: a stream at one hop of its route.
+// recvKey identifies one receive lane: a stream, by id, at one hop of its
+// route.
 type recvKey struct {
-	d   *core.Deployed
-	hop int
+	stream string
+	hop    int
 }
 
 // Session is the durable state of reliable delivery. Create one with
@@ -61,9 +59,13 @@ type Session struct {
 	opts SessionOptions
 
 	mu    sync.Mutex
-	chans map[*core.Deployed]*streamChan
+	chans map[string]*streamChan
 	recvs map[recvKey]*transport.RecvCursor
-	binds map[bindKey]*core.Deployed
+	// binds records, per reader id, the reader as the session last saw it
+	// bound; held maps the stream and reader ids of the last attached run
+	// to the operator instances it drove.
+	binds map[string]*core.PlanReader
+	held  map[string]*exec.Pipeline
 
 	detMu    sync.Mutex
 	det      *health.Detector
@@ -83,25 +85,19 @@ func NewSession(opts SessionOptions) *Session {
 	}
 	return &Session{
 		opts:      opts,
-		chans:     map[*core.Deployed]*streamChan{},
+		chans:     map[string]*streamChan{},
 		recvs:     map[recvKey]*transport.RecvCursor{},
-		binds:     map[bindKey]*core.Deployed{},
+		binds:     map[string]*core.PlanReader{},
 		det:       health.NewDetector(opts.Heartbeat),
 		suspected: map[health.Target]bool{},
 		failedAt:  map[health.Target]time.Time{},
 	}
 }
 
-// readerConsumer is the stable channel-consumer name of one subscription
-// input; it survives re-plans (unlike the feed stream's identity).
-func readerConsumer(sub *core.Subscription, si *core.SubInput) string {
-	return sub.ID + "/" + si.In.Stream
-}
-
-// attach wires a runtime to the session: it creates (or re-uses) one
-// channel per deployed stream that has at least one consumer, one receive
-// lane per (stream, hop), and records the current feed binding of every
-// subscription input so Recover can detect re-plans.
+// attach wires a runtime to the session: one channel (created or re-used)
+// per stream of the run's plan that has a consumer, one receive lane per
+// (stream, hop), the run's operator instances kept for Recover, and the feed
+// binding of every input, so Recover can detect re-plans it has yet to act on.
 func (s *Session) attach(r *Runtime) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -112,42 +108,38 @@ func (s *Session) attach(r *Runtime) {
 	if window < 8 {
 		window = 8
 	}
-	consumers := map[*core.Deployed][]string{}
-	for _, d := range r.eng.Streams() {
-		if d.Parent != nil {
-			consumers[d.Parent] = append(consumers[d.Parent], d.ID)
+	s.held = make(map[string]*exec.Pipeline, len(r.plan.Streams)+len(r.plan.Readers))
+	for _, rd := range r.plan.Readers {
+		s.held[rd.ID] = r.inst.Local[rd.Index]
+		if old := s.binds[rd.ID]; old == nil || old.Feed.ID == rd.Feed.ID {
+			s.binds[rd.ID] = rd
 		}
 	}
-	for _, sub := range r.eng.Subscriptions() {
-		for _, si := range sub.Inputs {
-			consumers[si.Feed] = append(consumers[si.Feed], readerConsumer(sub, si))
-			key := bindKey{sub.ID, si.In.Stream}
-			if _, ok := s.binds[key]; !ok {
-				s.binds[key] = si.Feed
-			}
-		}
-	}
-	for _, d := range r.eng.Streams() {
-		cons := consumers[d]
-		if len(cons) == 0 {
+	for _, d := range r.plan.Streams {
+		s.held[d.ID] = r.inst.Residual[d.Index]
+		if len(d.Taps) == 0 && len(d.Readers) == 0 {
 			// A stream nobody consumes has no acker; a channel there
 			// would never trim. It flows unreliably (nothing observes it).
 			continue
 		}
-		c := s.chans[d]
+		c := s.chans[d.ID]
 		if c == nil {
-			c = &streamChan{d: d, st: transport.NewChannel(d.Epoch, window)}
+			c = &streamChan{st: transport.NewChannel(d.Epoch, window)}
 			c.cond = sync.NewCond(&c.mu)
-			s.chans[d] = c
+			s.chans[d.ID] = c
 		}
 		c.mu.Lock()
-		for _, name := range cons {
-			c.st.AddConsumer(name)
+		c.d = d
+		for _, child := range d.Taps {
+			c.st.AddConsumer(child.ID)
+		}
+		for _, rd := range d.Readers {
+			c.st.AddConsumer(rd.ID)
 		}
 		c.mu.Unlock()
 		r.chans[d] = c
 		for hop := range d.Route {
-			k := recvKey{d, hop}
+			k := recvKey{d.ID, hop}
 			rs := s.recvs[k]
 			if rs == nil {
 				rs = &transport.RecvCursor{}
@@ -188,12 +180,7 @@ func (s *Session) HealthStats() (suspicions, recoveries, flaps int) {
 // ChannelStates returns one introspection row per channel, sorted by
 // stream id (HEALTH command, /metricz).
 func (s *Session) ChannelStates() []ChannelState {
-	s.mu.Lock()
-	chans := make([]*streamChan, 0, len(s.chans))
-	for _, c := range s.chans {
-		chans = append(chans, c)
-	}
-	s.mu.Unlock()
+	chans := s.channels()
 	out := make([]ChannelState, 0, len(chans))
 	for _, c := range chans {
 		c.mu.Lock()
@@ -204,25 +191,23 @@ func (s *Session) ChannelStates() []ChannelState {
 	return out
 }
 
-// chanFor returns the session channel of a stream, nil when it has none.
-func (s *Session) chanFor(d *core.Deployed) *streamChan {
+// channels snapshots the session's channels.
+func (s *Session) channels() []*streamChan {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.chans[d]
+	chans := make([]*streamChan, 0, len(s.chans))
+	for _, c := range s.chans {
+		chans = append(chans, c)
+	}
+	return chans
 }
 
 // parkedDepth counts parked batches across every channel. Cluster-mode
 // quiescence polls it: a parked batch waits on an ack that arrives as a
 // frame, possibly after the local in-flight count reaches zero.
 func (s *Session) parkedDepth() int {
-	s.mu.Lock()
-	chans := make([]*streamChan, 0, len(s.chans))
-	for _, c := range s.chans {
-		chans = append(chans, c)
-	}
-	s.mu.Unlock()
 	n := 0
-	for _, c := range chans {
+	for _, c := range s.channels() {
 		c.mu.Lock()
 		n += len(c.parked)
 		c.mu.Unlock()
@@ -237,7 +222,8 @@ type streamChan struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	st   *transport.Channel
-	d    *core.Deployed
+	// d is the stream as the last attached run's plan has it (under mu).
+	d *core.PlanStream
 
 	// parked holds worker-context batches that could not be admitted.
 	// FIFO: once one batch parks, later ones park behind it regardless of
@@ -363,15 +349,15 @@ func (c *streamChan) ack(r *Runtime, consumer string, seq uint64) {
 	c.finishAck(r, freed)
 }
 
-// ackAll advances several consumers' cursors under one lock acquisition —
-// the readers of a shared stream at one peer all ack the same batch, and
-// taking the hot channel's lock once for the lot keeps the ack path from
-// serializing the consuming side.
-func (c *streamChan) ackAll(r *Runtime, consumers []string, seq uint64) {
+// ackAll advances the cursors of a stream's readers under one lock
+// acquisition — the readers of a shared stream at its target all ack the
+// same batch, and taking the hot channel's lock once for the lot keeps the
+// ack path from serializing the consuming side.
+func (c *streamChan) ackAll(r *Runtime, readers []*core.PlanReader, seq uint64) {
 	c.mu.Lock()
 	freed := 0
-	for _, name := range consumers {
-		freed += c.st.Ack(name, seq)
+	for _, rd := range readers {
+		freed += c.st.Ack(rd.ID, seq)
 	}
 	c.finishAck(r, freed)
 }
@@ -447,26 +433,21 @@ func (r *Runtime) retain(m *message) {
 // target: for a peer, channels with the peer on their route; for a link,
 // channels whose route crosses it in either direction.
 func (s *Session) breakFor(r *Runtime, t health.Target) {
-	s.mu.Lock()
-	var hit []*streamChan
-	for d, c := range s.chans {
-		if routeHits(d, t) {
-			hit = append(hit, c)
+	for _, c := range s.channels() {
+		c.mu.Lock()
+		hit := routeHits(c.d.Route, t)
+		c.mu.Unlock()
+		if hit {
+			c.breakNow(r)
 		}
-	}
-	s.mu.Unlock()
-	for _, c := range hit {
-		c.breakNow(r)
 	}
 }
 
 // routeHits reports whether a stream's route depends on the failed target.
-func routeHits(d *core.Deployed, t health.Target) bool {
-	if t.Kind == health.TargetPeer {
-		return d.OnRoute(t.Peer)
-	}
-	for i := 1; i < len(d.Route); i++ {
-		if network.MakeLinkID(d.Route[i-1], d.Route[i]) == t.Link {
+func routeHits(route []network.PeerID, t health.Target) bool {
+	for i, p := range route {
+		if t.Kind == health.TargetPeer && p == t.Peer ||
+			i > 0 && t.Kind == health.TargetLink && network.MakeLinkID(route[i-1], p) == t.Link {
 			return true
 		}
 	}
@@ -669,14 +650,8 @@ func (r *Runtime) faultUnsuspectedLocked(now time.Time) bool {
 // batch was sent — Run loops quiescence around it so parked batches
 // released by a late break are fully processed before shutdown.
 func (s *Session) settle(r *Runtime) bool {
-	s.mu.Lock()
-	chans := make([]*streamChan, 0, len(s.chans))
-	for _, c := range s.chans {
-		chans = append(chans, c)
-	}
-	s.mu.Unlock()
 	sent := false
-	for _, c := range chans {
+	for _, c := range s.channels() {
 		c.mu.Lock()
 		sends, drops, gates := c.pumpLocked()
 		c.mu.Unlock()

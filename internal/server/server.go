@@ -131,7 +131,8 @@ func New(eng *core.Engine, cfg photons.Config) *Server {
 // session-backed distributed runtime (sequenced acked channels, heartbeat
 // failure detection, credit-based backpressure) instead of the simulator,
 // and HEALTH reports the detector and per-channel state. The engine should
-// be built with core.Config{Reliable: true} so repairs transplant state.
+// be built with core.Config{Reliable: true} so repairs plan the private
+// chains the session's recovery replays into.
 func (s *Server) WithSession(sess *runtime.Session) *Server {
 	s.sess = sess
 	return s

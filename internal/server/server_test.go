@@ -6,6 +6,7 @@ import (
 	"net"
 	"regexp"
 	goruntime "runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -23,7 +24,9 @@ const velaQ = `<photons>
   return <vela> { $p/coord/cel/ra } { $p/en } </vela> }
 </photons>`
 
-func startServer(t *testing.T) (addr string, stop func()) {
+// lineEngine registers the photon stream at SP0 of a three-peer line; twin
+// calls are identical.
+func lineEngine(t *testing.T) *core.Engine {
 	t.Helper()
 	n := network.New()
 	for _, id := range []network.PeerID{"SP0", "SP1", "SP2"} {
@@ -36,7 +39,12 @@ func startServer(t *testing.T) (addr string, stop func()) {
 	if _, err := eng.RegisterStream("photons", xmlstream.ParsePath("photons/photon"), "SP0", st); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(eng, photons.DefaultConfig())
+	return eng
+}
+
+func startServer(t *testing.T) (addr string, stop func()) {
+	t.Helper()
+	srv := New(lineEngine(t), photons.DefaultConfig())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -142,6 +150,47 @@ func TestServerProtocol(t *testing.T) {
 	status, _ = c.cmd(t, "QUIT", "")
 	if status != "OK bye" {
 		t.Fatalf("quit = %q", status)
+	}
+}
+
+// TestServerRunsStartClean: successive RUNs on the simulator backend each
+// deliver, for a coarse window recomposed from a shared fine one, what a
+// fresh engine delivers from the same photons — a RUN does not inherit the
+// merge position the one before it left behind.
+func TestServerRunsStartClean(t *testing.T) {
+	queries := []string{
+		`<photons>{ for $w in stream("photons")/photons/photon |det_time diff 10 step 10| let $a := sum($w/en) return <fine>{ $a }</fine> }</photons>`,
+		`<photons>{ for $w in stream("photons")/photons/photon |det_time diff 40 step 20| let $a := sum($w/en) return <coarse>{ $a }</coarse> }</photons>`,
+	}
+	addr, stop := startServer(t)
+	defer stop()
+	c := dial(t, addr)
+	for _, q := range queries {
+		if s, _ := c.cmd(t, "SUBSCRIBE SP2 sharing", q); !strings.HasPrefix(s, "OK") {
+			t.Fatalf("subscribe = %q", s)
+		}
+	}
+	if _, cont := c.cmd(t, "EXPLAIN q2", ""); !strings.Contains(strings.Join(cont, "\n"), "window-merge") {
+		t.Fatalf("q2 is not recomposed from q1's windows: %v", cont)
+	}
+	for k := 1; k <= 2; k++ {
+		_, cont := c.cmd(t, "RUN 400", "")
+		fresh := lineEngine(t)
+		for _, q := range queries {
+			if _, err := fresh.Subscribe(q, "SP2", core.StreamSharing); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// RUN k feeds the generator seeded k (the server starts at seed 1).
+		feed := photons.NewGenerator(photons.DefaultConfig(), int64(k)).Generate(400)
+		ref, err := fresh.Simulate(map[string][]*xmlstream.Element{"photons": feed}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("q2 %d", ref.Results["q2"])
+		if ref.Results["q2"] == 0 || !slices.Contains(cont, want) {
+			t.Errorf("RUN %d = %v, fresh engine %q", k, cont, want)
+		}
 	}
 }
 

@@ -206,8 +206,8 @@ func DefaultRuntimeOptions() RuntimeOptions { return runtime.DefaultOptions() }
 // runtime: every super-peer runs a worker pool over a multi-lane mailbox,
 // and streams travel as batches of shared element trees, priced hop by hop
 // at their canonical XML size. It produces the same results, traffic and
-// load accounting as Simulate and consumes the installed operator state,
-// so use a fresh System per run.
+// load accounting as Simulate; like Simulate, every call starts its
+// operators clean.
 func (s *System) RunDistributed(items map[string][]*Item, collect bool) (*DistResult, error) {
 	return runtime.New(s.eng, collect).Run(items)
 }
