@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"streamshare/internal/exec"
 	"streamshare/internal/network"
 )
@@ -18,6 +20,16 @@ type Plan struct {
 	Epoch   uint64
 	Streams []*PlanStream // parents before children
 	Readers []*PlanReader // in registration order
+
+	groups []tapGroup
+}
+
+// tapGroup is the selection group of the streams one stream feeds at one
+// peer — the children a runtime lane, or the simulator, hands the same
+// items in one loop — by their indices in Plan.Streams.
+type tapGroup struct {
+	streams []int
+	sel     *exec.SelectionGroup
 }
 
 // PlanStream is one deployed stream of a Plan. Index is its position in
@@ -63,7 +75,8 @@ type Instances struct {
 	Residual, Local []*exec.Pipeline
 }
 
-// Instantiate returns fresh operator state for one run of the plan.
+// Instantiate returns fresh operator state for one run of the plan, a value
+// table per selection group included.
 func (p *Plan) Instantiate() *Instances {
 	in := &Instances{make([]*exec.Pipeline, len(p.Streams)), make([]*exec.Pipeline, len(p.Readers))}
 	for i, s := range p.Streams {
@@ -72,7 +85,41 @@ func (p *Plan) Instantiate() *Instances {
 	for i, r := range p.Readers {
 		in.Local[i] = r.Local.Instance()
 	}
+	var sibs []*exec.Pipeline
+	for _, g := range p.groups {
+		sibs = sibs[:0]
+		for _, i := range g.streams {
+			sibs = append(sibs, in.Residual[i])
+		}
+		g.sel.Bind(sibs)
+	}
 	return in
+}
+
+// selectionGroups compiles a selection group for every (stream, tap peer)
+// whose children lead with a Select at least twice.
+func selectionGroups(streams []*PlanStream) []tapGroup {
+	var out []tapGroup
+	var sibs []*exec.Pipeline
+	for _, s := range streams {
+		for i, c := range s.Taps {
+			if slices.ContainsFunc(s.Taps[:i], func(d *PlanStream) bool { return d.Tap == c.Tap }) {
+				continue // grouped with an earlier child at the same peer
+			}
+			g := tapGroup{}
+			sibs = sibs[:0]
+			for _, d := range s.Taps[i:] {
+				if d.Tap == c.Tap {
+					g.streams = append(g.streams, d.Index)
+					sibs = append(sibs, d.Residual)
+				}
+			}
+			if g.sel = exec.NewSelectionGroup(sibs); g.sel != nil {
+				out = append(out, g)
+			}
+		}
+	}
+	return out
 }
 
 // Original returns the plan's original stream with the given name, or nil.
@@ -115,6 +162,7 @@ func (e *Engine) Plan() *Plan {
 			p.Readers = append(p.Readers, r)
 		}
 	}
+	p.groups = selectionGroups(p.Streams)
 	e.plan = p
 	return p
 }

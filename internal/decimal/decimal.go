@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/big"
 	"math/bits"
 	"strconv"
 	"strings"
@@ -203,43 +204,39 @@ func align(a, b D) (au, bu int64, scale int, ok bool) {
 	return au, bu, scale, ok1 && ok2
 }
 
-// Cmp compares d and e, returning -1, 0, or +1.
+// Cmp compares d and e exactly, returning -1, 0, or +1. Equal scales, the
+// common case of a compiled bound, compare units directly; operands whose
+// alignment leaves int64 are compared in math/big.
 func (d D) Cmp(e D) int {
-	au, bu, _, ok := align(d, e)
-	if !ok {
-		// Fall back to sign/magnitude comparison on overflow: the scales
-		// differ and one magnitude is astronomically larger.
-		if d.Sign() != e.Sign() {
-			return cmpInt(d.Sign(), e.Sign())
-		}
-		// Compare via float; exactness beyond 2^63 scaled units is
-		// unreachable for parsed query constants.
-		return cmpFloat(d.Float(), e.Float())
+	if d.scale == e.scale {
+		return cmpInt64(d.units, e.units)
 	}
-	return cmpInt64(au, bu)
+	if au, bu, _, ok := align(d, e); ok {
+		return cmpInt64(au, bu)
+	}
+	s := max(d.scale, e.scale)
+	return d.bigUnits(s).Cmp(e.bigUnits(s))
 }
 
-func cmpInt(a, b int) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
+// CmpSum compares d with e + c exactly, returning -1, 0, or +1: where
+// e.Add(c) overflows, the sum is formed in math/big, so a constraint
+// d ≤ e + c is decided at the int64 boundary too.
+func (d D) CmpSum(e, c D) int {
+	if sum, err := e.Add(c); err == nil {
+		return d.Cmp(sum)
 	}
-	return 0
+	s := max(d.scale, e.scale, c.scale)
+	sum := e.bigUnits(s)
+	return d.bigUnits(s).Cmp(sum.Add(sum, c.bigUnits(s)))
+}
+
+// bigUnits returns d's units at scale s, which is at least d's scale.
+func (d D) bigUnits(s uint8) *big.Int {
+	u := big.NewInt(d.units)
+	return u.Mul(u, big.NewInt(pow10[s-d.scale]))
 }
 
 func cmpInt64(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-func cmpFloat(a, b float64) int {
 	switch {
 	case a < b:
 		return -1

@@ -105,6 +105,39 @@ func TestCmp(t *testing.T) {
 	}
 }
 
+// TestCmpAtInt64Boundary decides comparisons whose aligned operands or sum
+// leave int64. The first two rows are the selections
+// where $p/a <= 92233720368547758.07 (a = 92233720368547759), which a float
+// fallback let through, and where $p/a <= $p/b + 1 (a = 1, b = 2⁶³−1), which
+// an overflowing Add rejected.
+func TestCmpAtInt64Boundary(t *testing.T) {
+	maxU, minU := D{units: math.MaxInt64}, D{units: math.MinInt64}
+	cases := []struct {
+		name    string
+		d, e, c D
+		want    int // sign of d − (e + c)
+	}{
+		{"scales 0 and 2, one ulp apart", MustParse("92233720368547759"), MustParse("92233720368547758.07"), D{}, 1},
+		{"sum past 2⁶³−1", MustParse("1"), maxU, MustParse("1"), -1},
+		{"sum at 2⁶³−1", maxU, MustParse("9223372036854775806"), MustParse("1"), 0},
+		{"sum below −2⁶³", minU, minU, MustParse("-1"), 1},
+		{"scales 0 and 9, past the aligned range", MustParse("9223372037"), D{units: math.MaxInt64, scale: 9}, D{}, 1},
+		{"scales 9 and 0, past the aligned range", D{units: math.MaxInt64, scale: 9}, MustParse("9223372037"), D{}, -1},
+		{"negative, scales 0 and 2", MustParse("-92233720368547759"), MustParse("-92233720368547758.07"), D{}, -1},
+		{"mixed scales in the sum", MustParse("0.5"), maxU, D{units: math.MinInt64, scale: 9}, -1},
+	}
+	for _, c := range cases {
+		if got := c.d.CmpSum(c.e, c.c); got != c.want {
+			t.Errorf("%s: %v.CmpSum(%v, %v) = %d, want %d", c.name, c.d, c.e, c.c, got, c.want)
+		}
+		if c.c.IsZero() {
+			if got := c.d.Cmp(c.e); got != c.want {
+				t.Errorf("%s: %v.Cmp(%v) = %d, want %d", c.name, c.d, c.e, got, c.want)
+			}
+		}
+	}
+}
+
 func TestAddSub(t *testing.T) {
 	sum, err := MustParse("1.3").Add(MustParse("0.7"))
 	if err != nil || sum.Cmp(FromInt(2)) != 0 {

@@ -126,21 +126,30 @@ func bigOf(d D, s int) *big.Int {
 	return u.Mul(u, big.NewInt(pow10[s-int(d.scale)]))
 }
 
-// TestArithmeticMatchesBig checks Add, Sub, Mul, Cmp and Parse against
-// math/big on every pair of boundary values: results are exact, and
-// ErrRange is returned exactly when an aligned operand or the result does
-// not fit an int64.
+// TestArithmeticMatchesBig checks Add, Sub, Mul, Cmp, CmpSum and Parse
+// against math/big on every pair of boundary values: results are exact,
+// comparisons included, and ErrRange is returned exactly when an aligned
+// operand or the result does not fit an int64.
 func TestArithmeticMatchesBig(t *testing.T) {
 	units := []int64{
 		math.MinInt64, math.MinInt64 + 1, math.MinInt64 + 2, math.MinInt64 / 10, math.MinInt64/10 - 1,
 		-1e9 - 1, -1e9, -11, -10, -2, -1, 0, 1, 2, 10, 11, 1e9, 1e9 + 1,
 		math.MaxInt64/10 + 1, math.MaxInt64 / 10, math.MaxInt64 - 2, math.MaxInt64 - 1, math.MaxInt64,
 		9223372037, 9223372036, -9223372037, 3037000499, 3037000500, -3037000500,
+		// One unit off a value at scale 2 that overflows aligned to scale 0.
+		math.MaxInt64/100 + 1, math.MinInt64/100 - 1,
 	}
 	var vals []D
 	for _, u := range units {
-		for _, s := range []uint8{0, 9} {
+		for _, s := range []uint8{0, 2, 9} {
 			vals = append(vals, D{units: u, scale: s}.normalize())
+		}
+	}
+	// The addends CmpSum is checked with, beside every pair.
+	var addends []D
+	for _, u := range []int64{math.MinInt64, -1, 0, 1, math.MaxInt64} {
+		for _, s := range []uint8{0, 2, 9} {
+			addends = append(addends, D{units: u, scale: s}.normalize())
 		}
 	}
 	fits := func(b *big.Int) bool { return b.IsInt64() }
@@ -150,6 +159,13 @@ func TestArithmeticMatchesBig(t *testing.T) {
 			ab, bb := bigOf(a, s), bigOf(b, s)
 			if got, want := a.Cmp(b), ab.Cmp(bb); got != want {
 				t.Errorf("%v.Cmp(%v) = %d, want %d", a, b, got, want)
+			}
+			for _, c := range addends {
+				s := max(s, int(c.scale))
+				sum := new(big.Int).Add(bigOf(b, s), bigOf(c, s))
+				if got, want := a.CmpSum(b, c), bigOf(a, s).Cmp(sum); got != want {
+					t.Errorf("%v.CmpSum(%v, %v) = %d, want %d", a, b, c, got, want)
+				}
 			}
 			for _, op := range []struct {
 				name string

@@ -15,9 +15,9 @@
 // runtime, the simulator and recovery alike.
 //
 // Each operator compiles the query-dependent part of its work once, at
-// construction — Select a slot per distinct predicate operand, Project a
-// trie of its keep paths, Restructure a template of its return clause — so
-// Process interprets no query text, path list or AST per item.
+// construction — Select a column per distinct leaf and a compare per edge,
+// Project a trie of its keep paths, Restructure a template of its return
+// clause — so Process interprets no query text, path list or AST per item.
 //
 // Ownership and concurrency contracts (load-bearing for the batched
 // runtime):
@@ -32,6 +32,12 @@
 //     catalog is a template that is never driven: every run drives its own
 //     instances (Pipeline.Instance), so concurrent runs share nothing
 //     mutable.
+//   - A selection group is driven by one goroutine at a time. The leading
+//     Selects of sibling pipelines bound to one SelectionGroup read one
+//     value table, so their pipelines form one unit of single-threadedness:
+//     in the runtime the siblings run inside the parent lane's handle, one
+//     after the other; the simulator and recovery each run on a single
+//     goroutine.
 //   - Process may retain input items (window operators buffer items across
 //     calls) but never the input slice, which the caller reuses. Sharing
 //     one item between several pipelines, on several goroutines, is safe
@@ -49,10 +55,6 @@
 package exec
 
 import (
-	"slices"
-
-	"streamshare/internal/decimal"
-	"streamshare/internal/predicate"
 	"streamshare/internal/xmlstream"
 )
 
@@ -171,121 +173,6 @@ func (p *Pipeline) Run(items []*xmlstream.Element) []*xmlstream.Element {
 	out, _ := p.Eval(0, items, true, nil)
 	return append([]*xmlstream.Element(nil), out...)
 }
-
-// Select filters items by a conjunctive predicate graph whose node labels
-// are item-relative element paths. Items missing a referenced element fail
-// the predicate.
-type Select struct {
-	// Graph is the compiled conjunctive predicate (see package predicate).
-	Graph *predicate.Graph
-
-	// slots holds one entry per distinct node label, however many edges
-	// mention it.
-	slots  []selSlot
-	checks []selCheck
-}
-
-// selCheck is one edge from ≤ to + C over slot indices; zeroSlot stands for
-// the graph's zero node.
-type selCheck struct {
-	from, to int
-	w        predicate.Weight
-}
-
-const zeroSlot = -1
-
-// selSlot is the element at path and, once resolved for the item being
-// matched, its value.
-type selSlot struct {
-	path     xmlstream.Path
-	v        decimal.D
-	resolved bool
-	ok       bool // the element is present and numeric
-}
-
-// NewSelect compiles a selection operator from a predicate graph.
-func NewSelect(g *predicate.Graph) *Select {
-	s := &Select{Graph: g}
-	index := map[string]int{predicate.ZeroNode: zeroSlot}
-	slot := func(label string) int {
-		i, ok := index[label]
-		if !ok {
-			i = len(s.slots)
-			index[label] = i
-			s.slots = append(s.slots, selSlot{path: xmlstream.ParsePath(label)})
-		}
-		return i
-	}
-	for _, e := range g.Edges() {
-		s.checks = append(s.checks, selCheck{from: slot(e.From), to: slot(e.To), w: e.W})
-	}
-	return s
-}
-
-// Name implements Operator.
-func (s *Select) Name() string { return "select" }
-
-// instance shares the compiled checks; the slots are per-item scratch.
-func (s *Select) instance() Operator {
-	c := *s
-	c.slots = slices.Clone(s.slots)
-	return &c
-}
-
-// value returns slot i's value for item, resolving and parsing the element
-// the first time an edge asks for it: an item that fails its first edge
-// pays for that edge's operands only.
-func (s *Select) value(item *xmlstream.Element, i int) (decimal.D, bool) {
-	if i == zeroSlot {
-		return decimal.D{}, true
-	}
-	sl := &s.slots[i]
-	if !sl.resolved {
-		sl.v, sl.ok = item.Decimal(sl.path)
-		sl.resolved = true
-	}
-	return sl.v, sl.ok
-}
-
-// Matches reports whether the item satisfies every constraint.
-func (s *Select) Matches(item *xmlstream.Element) bool {
-	for i := range s.slots {
-		s.slots[i].resolved = false
-	}
-	for _, c := range s.checks {
-		lhs, ok := s.value(item, c.from)
-		if !ok {
-			return false
-		}
-		rhs, ok := s.value(item, c.to)
-		if !ok {
-			return false
-		}
-		// Constraint: lhs ≤ rhs + C (strict: <).
-		sum, err := rhs.Add(c.w.C)
-		if err != nil {
-			return false
-		}
-		cmp := lhs.Cmp(sum)
-		if cmp > 0 || (cmp == 0 && c.w.Strict) {
-			return false
-		}
-	}
-	return true
-}
-
-// Process implements Operator.
-func (s *Select) Process(dst, items []*xmlstream.Element) []*xmlstream.Element {
-	for _, item := range items {
-		if s.Matches(item) {
-			dst = append(dst, item)
-		}
-	}
-	return dst
-}
-
-// Flush implements Operator.
-func (s *Select) Flush(dst []*xmlstream.Element) []*xmlstream.Element { return dst }
 
 // Project prunes items to the subtrees addressed by Keep. Its outputs share
 // the kept subtrees with the input item.

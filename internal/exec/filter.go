@@ -99,12 +99,7 @@ func (f *AggFilter) matches(item *xmlstream.Element) bool {
 			}
 			continue
 		}
-		rhs, err := r1.Add(cw)
-		if err != nil {
-			return false
-		}
-		cmp := lhs.Cmp(rhs)
-		if cmp > 0 || (cmp == 0 && c.w.Strict) {
+		if cmp := lhs.CmpSum(r1, cw); cmp > 0 || (cmp == 0 && c.w.Strict) {
 			return false
 		}
 	}

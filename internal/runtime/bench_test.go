@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"streamshare/internal/core"
+	"streamshare/internal/photons"
 	"streamshare/internal/scenario"
 	"streamshare/internal/transport"
 	"streamshare/internal/xmlstream"
@@ -52,6 +53,24 @@ func BenchmarkScaleGridBatched(b *testing.B) { benchGrid(b, DefaultOptions(), fa
 // session channels; the delta to BenchmarkScaleGridBatched prices the
 // reliability layer (sequencing, replay copies, acks, heartbeats).
 func BenchmarkScaleGridReliable(b *testing.B) { benchGrid(b, DefaultOptions(), true) }
+
+// BenchmarkGridRun is the benchmark's grid-inproc loop without its harness:
+// one in-process Run of the 4×4/32-query plan over 10 000 photons on a
+// fresh engine per iteration. Profile the operators with
+//
+//	go test -run '^$' -bench GridRun -benchtime 60x -o /tmp/rt.test -cpuprofile /tmp/cpu.out ./internal/runtime
+func BenchmarkGridRun(b *testing.B) {
+	feed := map[string][]*xmlstream.Element{"photons": photons.NewGenerator(photons.DefaultConfig(), 1).Generate(10_000)}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		rt := NewWith(benchPlan(b), false, DefaultOptions())
+		b.StartTimer()
+		if _, err := rt.Run(feed); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkClusterOneItemRun prices a cluster run's fixed cost: two nodes
 // over the in-process transport build a runtime each on the benchmark's

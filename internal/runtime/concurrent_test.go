@@ -51,6 +51,41 @@ func TestSimulateAndRunConcurrently(t *testing.T) {
 	}
 }
 
+// TestSelectionGroupsRun runs the benchmark's plan, whose derived streams
+// form selection groups at four (stream, peer) pairs — one at the source,
+// three under one stream at three peers whose lanes run concurrently — on
+// several workers per peer and small batches, and holds it item for item
+// to the simulator. Each group's value table is read by one lane at a time;
+// under -race a table shared across lanes would show.
+func TestSelectionGroupsRun(t *testing.T) {
+	defer testutil.Watchdog(t, 2*time.Minute)()
+	eng := benchPlan(t)
+	groups := 0
+	for _, s := range eng.Plan().Streams {
+		at := map[network.PeerID]int{}
+		for _, c := range s.Taps {
+			if len(c.Residual.Ops) > 0 && c.Residual.Ops[0].Name() == "select" {
+				if at[c.Tap]++; at[c.Tap] == 2 {
+					groups++
+				}
+			}
+		}
+	}
+	if groups < 2 {
+		t.Fatalf("the plan has %d selection groups, want at least 2", groups)
+	}
+	feed := map[string][]*xmlstream.Element{"photons": photons.NewGenerator(photons.DefaultConfig(), 3).Generate(2000)}
+	ref, err := eng.Simulate(feed, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := NewWith(eng, true, Options{BatchSize: 7, Workers: 4}).Run(feed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareInOrder(t, "grouped selections", ref, run)
+}
+
 // Overlapping, mutually non-contained sky boxes on a five-peer line: with
 // Config.Widening the second one widens the first one's stream.
 const (
