@@ -25,8 +25,8 @@
 //
 // With -reliable the engine runs the reliability layer: RUN and FEED execute
 // on the distributed runtime over sequenced acked channels with heartbeat
-// failure detection and credit-based backpressure, repairs transplant
-// operator state, the HEALTH command reports detector and channel state, and
+// failure detection and credit-based backpressure, repairs plan private
+// chains, the HEALTH command reports detector and channel state, and
 // /metricz gains a channel-state section.
 //
 // With -node several sgd processes form one super-peer network over TCP:

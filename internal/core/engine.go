@@ -142,11 +142,11 @@ type Config struct {
 	ValidatePaths bool
 	// NoMinimize skips predicate-graph minimization (ablation).
 	NoMinimize bool
-	// Reliable plans repairs and migrations for recovery replay: affected
-	// subscriptions are rebuilt as private chains derived directly from
-	// original streams (live shared streams are hidden from the re-planning
-	// discovery), so the items runtime.Session.Recover replays only ever
-	// enter the replacement's own operators, never a shared one.
+	// Reliable hides live shared streams from the discovery that repairs and
+	// migrates: affected subscriptions are rebuilt as private chains derived
+	// directly from original streams. runtime.Session.Recover does not rely
+	// on it — it replays into the interrupted run's own instances, whatever
+	// the repaired plan looks like.
 	Reliable bool
 	// Obs injects a shared observability layer (metrics registry + decision
 	// tracer); nil gives the engine a private one. Instrumentation is always

@@ -115,10 +115,8 @@ func (e *Engine) Affected() []*Subscription {
 
 // hideLiveShared transiently hides every live derived stream from discovery
 // while a reliable repair or migration re-plans, forcing the replacement
-// chain to derive directly from original streams. This is what makes
-// recovery replay safe: re-delivered items only ever drive the replacement's
-// own operators, never a shared one serving other subscriptions. The
-// returned func restores exactly the streams this call hid.
+// chain to derive directly from original streams. The returned func
+// restores exactly the streams this call hid.
 func (e *Engine) hideLiveShared() (restore func()) {
 	if !e.Cfg.Reliable {
 		return func() {}

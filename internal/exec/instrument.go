@@ -30,6 +30,17 @@ type counted struct {
 
 func (c counted) Name() string { return c.op.Name() }
 
+// unwrap strips the instrumentation decorator off an operator.
+func unwrap(op Operator) Operator {
+	for {
+		c, ok := op.(counted)
+		if !ok {
+			return op
+		}
+		op = c.op
+	}
+}
+
 // instance keeps the metric handles: every instance counts into the same
 // series.
 func (c counted) instance() Operator {

@@ -33,6 +33,15 @@ func buildQueries(t *testing.T, srcs []string) []builtQuery {
 	return qs
 }
 
+// clones deep-copies items.
+func clones(items []*xmlstream.Element) []*xmlstream.Element {
+	out := make([]*xmlstream.Element, len(items))
+	for i, it := range items {
+		out[i] = it.Clone()
+	}
+	return out
+}
+
 // TestOperatorsLeaveInputsUntouched is the invariant that makes sharing
 // subtrees between an operator's input and output safe: no operator writes
 // to an element it was handed. Two instances of every pipeline run over the

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -16,13 +17,13 @@ import (
 	"streamshare/internal/xmlstream"
 )
 
-// reliableBuild registers scenario 2 on a fresh reliable engine. Twin
-// builds are byte-identical so a reference engine can simulate the
-// never-failed delivery.
-func reliableBuild(t *testing.T, items int) (*core.Engine, *scenario.Scenario, map[string][]*xmlstream.Element) {
+// reliableBuild registers scenario 2 on a fresh engine. Twin builds are
+// byte-identical so a reference engine can simulate the never-failed
+// delivery.
+func reliableBuild(t *testing.T, items int, reliable bool) (*core.Engine, *scenario.Scenario, map[string][]*xmlstream.Element) {
 	t.Helper()
 	s := scenario.Scenario2(items)
-	eng := core.NewEngine(s.Net, core.Config{Reliable: true})
+	eng := core.NewEngine(s.Net, core.Config{Reliable: reliable})
 	feed := map[string][]*xmlstream.Element{}
 	for _, src := range s.Sources {
 		if _, err := eng.RegisterStream(src.Name, xmlstream.ParsePath("photons/photon"), src.At, src.Stats); err != nil {
@@ -52,15 +53,16 @@ func sortedXML(items []*xmlstream.Element) []string {
 // 2 streams through a session-backed runtime while a link is severed and a
 // super-peer is killed mid-stream. No oracle tells the engine: the
 // heartbeat detector's queued changes drive adapt.ApplyDetected, the
-// reliable re-plan rebuilds private chains, and Session.Recover hands them
-// the interrupted run's operator state and replays the journaled tails. For every surviving subscription — windowed and
-// stateful included — the run's delivery plus the recovery's redelivery
-// must equal a never-failed reference item-for-item.
+// reliable re-plan rebuilds private chains, and Session.Recover finishes the
+// interrupted run on its own operator instances from the journaled tails. For
+// every surviving subscription — windowed and stateful included — the run's
+// delivery plus the recovery's redelivery must equal a never-failed reference
+// item-for-item.
 func TestReliableDetectorRecovery(t *testing.T) {
 	defer testutil.Watchdog(t, 2*time.Minute)()
 	const items = 300
-	eng, s, feed := reliableBuild(t, items)
-	engRef, _, feedRef := reliableBuild(t, items)
+	eng, s, feed := reliableBuild(t, items, true)
+	engRef, _, feedRef := reliableBuild(t, items, true)
 
 	ref, err := engRef.Simulate(feedRef, true)
 	if err != nil {
@@ -168,9 +170,6 @@ func TestReliableDetectorRecovery(t *testing.T) {
 	if rep.Items == 0 {
 		t.Fatal("recovery redelivered nothing; the severed feed should have journaled retained items")
 	}
-	if len(rep.Skipped) > 0 {
-		t.Errorf("recovery skipped journal levels: %v", rep.Skipped)
-	}
 
 	// Every surviving subscription delivers exactly the reference stream:
 	// run + redelivery, no loss, no duplicates — stateful ones included.
@@ -200,6 +199,51 @@ func TestReliableDetectorRecovery(t *testing.T) {
 	// Under reliable channels a fault mostly retains instead of dropping, so
 	// drops are informational; the structural checks above are the proof.
 	t.Logf("dropped=%d retained-journal-replay=%d items", rt.Dropped(), rep.Items)
+}
+
+// TestReliableRecoverScenario2 is the recovery experiment's setting at 300
+// items: scenario 2 with the first link of the first multi-hop feed severed
+// before the run, detector-driven repair, Recover. Every surviving
+// subscription's run plus redelivery equals the never-failed reference as a
+// multiset — also when the repair may reuse live shared streams
+// (Config.Reliable off), since recovery replays into the interrupted run's
+// instances, never into the repaired plan's.
+func TestReliableRecoverScenario2(t *testing.T) {
+	defer testutil.Watchdog(t, 2*time.Minute)()
+	const items = 300
+	for _, reliable := range []bool{true, false} {
+		eng, _, feed := reliableBuild(t, items, reliable)
+		engRef, _, feedRef := reliableBuild(t, items, reliable)
+		ref, err := engRef.Simulate(feedRef, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sever *core.Deployed
+		for _, sub := range eng.Subscriptions() {
+			for _, si := range sub.Inputs {
+				if sever == nil && len(si.Feed.Route) >= 2 {
+					sever = si.Feed
+				}
+			}
+		}
+		sess := NewSession(SessionOptions{Heartbeat: health.Options{Interval: 2 * time.Millisecond}})
+		rt := NewWith(eng, true, Options{Session: sess})
+		if err := rt.SeverLink(sever.Route[0], sever.Route[1]); err != nil {
+			t.Fatal(err)
+		}
+		run, rep := runAndRecover(t, eng, sess, rt, feed)
+		if rep.Items == 0 || len(eng.Subscriptions()) != len(engRef.Subscriptions()) {
+			t.Fatalf("reliable=%v: %v, %d of %d subscriptions survived", reliable, rep, len(eng.Subscriptions()), len(engRef.Subscriptions()))
+		}
+		for _, sub := range eng.Subscriptions() {
+			got := sortedXML(append(append([]*xmlstream.Element{}, run.Collected[sub.ID]...), rep.Collected[sub.ID]...))
+			want := sortedXML(ref.Collected[sub.ID])
+			if !slices.Equal(got, want) {
+				t.Errorf("reliable=%v %s: delivered %d+%d items, reference %d, or they differ",
+					reliable, sub.ID, run.Results[sub.ID], rep.Results[sub.ID], len(want))
+			}
+		}
+	}
 }
 
 // TestReliableSlowConsumer pins the credit window's memory bound: with a
@@ -275,8 +319,8 @@ func TestReliableSlowConsumer(t *testing.T) {
 func TestReliableHealthyEquivalence(t *testing.T) {
 	defer testutil.Watchdog(t, 2*time.Minute)()
 	const items = 300
-	eng, _, feed := reliableBuild(t, items)
-	engRef, _, feedRef := reliableBuild(t, items)
+	eng, _, feed := reliableBuild(t, items, true)
+	engRef, _, feedRef := reliableBuild(t, items, true)
 	sim, err := engRef.Simulate(feedRef, false)
 	if err != nil {
 		t.Fatal(err)
@@ -369,18 +413,63 @@ func TestReliableRecoverEscapedText(t *testing.T) {
 }
 
 // TestReliableRecoverUpstreamWindow breaks a link upstream of a windowed
-// operator while its windows are half full, the case where recovery must
-// carry operator state across the plan change. q2 averages windows over
-// q1's shared selection, tapped at SP3; the link SP1–SP2 on the shared
-// stream's route is severed after the first 300 source items have been
-// processed everywhere. The reliable repair rebuilds q2 as [select,
-// window-agg] straight from the original — the retired chain's operators
-// tile it, so the journaled selection items re-enter at the window — and
-// Recover must hand the retired window aggregate's open windows to the
-// replacement's: run plus recovery equals the never-failed delivery item for
-// item, each window's average over all of its photons.
+// operator while its windows are half full. q2 averages windows over q1's
+// shared selection, tapped at SP3; the link SP1–SP2 on the shared stream's
+// route is severed after the first 300 source items have been processed
+// everywhere. Recover finishes q2's window aggregate, which holds the
+// half-full windows, on the journaled selection items: run plus recovery
+// equals the never-failed delivery item for item, each window's average over
+// all of its photons.
 func TestReliableRecoverUpstreamWindow(t *testing.T) {
 	defer testutil.Watchdog(t, 2*time.Minute)()
+	_, _, _, ref, run, rep := recoverUpstreamWindow(t)
+	if rep.Inputs != 2 {
+		t.Fatalf("recovery: %v", rep)
+	}
+	for _, id := range []string{"q1", "q2"} {
+		if run.Results[id] == 0 || rep.Results[id] == 0 {
+			t.Fatalf("%s: %d delivered before the fault, %d after; the fault must split the stream", id, run.Results[id], rep.Results[id])
+		}
+		sameItems(t, id, append(append([]*xmlstream.Element{}, run.Collected[id]...), rep.Collected[id]...), ref.Collected[id])
+	}
+}
+
+// TestReliableRunAfterRecover: once Recover returns, the session holds
+// nothing of the interrupted run — no journal, no cursor of a retired
+// consumer, no receive lane — so a second run on the same session neither
+// waits on credit a retired consumer will never grant nor dedups against the
+// first run's sequence numbers: it delivers exactly what the simulator
+// delivers on the repaired plan. A second Recover has nothing to replay.
+func TestReliableRunAfterRecover(t *testing.T) {
+	defer testutil.Watchdog(t, 2*time.Minute)()
+	eng, sess, feed, _, _, _ := recoverUpstreamWindow(t)
+	sim, err := eng.Simulate(feed, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := NewWith(eng, true, Options{BatchSize: 50, Session: sess}).Run(feed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chaosCompare(t, "run after recover", sim, run)
+	for id, want := range sim.Collected {
+		sameItems(t, id, run.Collected[id], want)
+	}
+	rep, err := sess.Recover(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Inputs != 0 || rep.Items != 0 || rep.Bytes != 0 || len(rep.Results) != 0 {
+		t.Fatalf("second recovery replayed %v", rep)
+	}
+}
+
+// recoverUpstreamWindow runs TestReliableRecoverUpstreamWindow's setting
+// through the fault, the detected repair and Recover. It returns the
+// repaired engine, the session, the source feed, the never-failed reference,
+// the interrupted run and the recovery report.
+func recoverUpstreamWindow(t *testing.T) (*core.Engine, *Session, map[string][]*xmlstream.Element, *core.SimResult, *Result, *RecoveryReport) {
+	t.Helper()
 	eng := core.NewEngine(testNet(), core.Config{Reliable: true})
 	_, st := photons.Stream("photons", photons.DefaultConfig(), 13, 2000)
 	if _, err := eng.RegisterStream("photons", xmlstream.ParsePath("photons/photon"), "SP0", st); err != nil {
@@ -405,30 +494,50 @@ func TestReliableRecoverUpstreamWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	sess := NewSession(SessionOptions{Heartbeat: health.Options{Interval: 2 * time.Millisecond}})
 	rt := NewWith(eng, true, Options{BatchSize: 50, Session: sess})
-	severed := false
+	landed := faultsAfter(rt, sess, fault{300, func() error { return rt.SeverLink("SP1", "SP2") }})
+	run, rep := runAndRecover(t, eng, sess, rt, feed)
+	if !landed() {
+		t.Fatal("the fault never landed")
+	}
+	return eng, sess, feed, ref, run, rep
+}
+
+// fault is one deterministic mid-run fault: inject runs once the source has
+// dispatched at least after items.
+type fault struct {
+	after  uint64
+	inject func() error
+}
+
+// faultsAfter makes rt's source inject the faults, in order, each after its
+// item count and once every channel that is not broken has been acked in
+// full, so a fault lands after exactly those items. The returned func reports
+// whether all of them landed.
+func faultsAfter(rt *Runtime, sess *Session, faults ...fault) (landed func() bool) {
+	next := 0
 	rt.afterBatch = func(_ *core.PlanStream, items uint64) {
-		if severed || items < 300 {
-			return
-		}
-		// The source waits here until every channel's consumers have acked
-		// everything sent, so the sever lands after exactly these items.
-		for !drained(sess) {
-			time.Sleep(100 * time.Microsecond)
-		}
-		severed = true
-		if err := rt.SeverLink("SP1", "SP2"); err != nil {
-			t.Error(err)
+		for next < len(faults) && items >= faults[next].after {
+			for !drained(sess) {
+				time.Sleep(100 * time.Microsecond)
+			}
+			if err := faults[next].inject(); err != nil {
+				rt.fail(err)
+			}
+			next++
 		}
 	}
+	return func() bool { return next == len(faults) }
+}
+
+// runAndRecover runs rt over feed, repairs the engine from the detected
+// faults and recovers the session.
+func runAndRecover(t *testing.T, eng *core.Engine, sess *Session, rt *Runtime, feed map[string][]*xmlstream.Element) (*Result, *RecoveryReport) {
+	t.Helper()
 	run, err := rt.Run(feed)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !severed {
-		t.Fatal("the fault never landed")
 	}
 	if _, err := adapt.NewManager(eng).ApplyDetected(sess.TakeDetected()); err != nil {
 		t.Fatal(err)
@@ -437,32 +546,91 @@ func TestReliableRecoverUpstreamWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Inputs != 2 || len(rep.Skipped) > 0 || len(rep.Unpaired) > 0 {
-		t.Fatalf("recovery: %v, skipped %v, unpaired %v", rep, rep.Skipped, rep.Unpaired)
+	return run, rep
+}
+
+// sameItems fails unless got equals want item for item.
+func sameItems(t *testing.T, id string, got, want []*xmlstream.Element) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: delivered %d items, reference %d", id, len(got), len(want))
 	}
-	for _, id := range []string{"q1", "q2"} {
-		if run.Results[id] == 0 || rep.Results[id] == 0 {
-			t.Fatalf("%s: %d delivered before the fault, %d after; the fault must split the stream", id, run.Results[id], rep.Results[id])
-		}
-		got := append(append([]*xmlstream.Element{}, run.Collected[id]...), rep.Collected[id]...)
-		if len(got) != len(ref.Collected[id]) {
-			t.Fatalf("%s: delivered %d+%d items, reference %d", id, run.Results[id], rep.Results[id], len(ref.Collected[id]))
-		}
-		for i, want := range ref.Collected[id] {
-			if !got[i].Equal(want) {
-				t.Fatalf("%s item %d after recovery = %s, reference %s", id, i, xmlstream.Marshal(got[i]), xmlstream.Marshal(want))
-			}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("%s item %d = %s, reference %s", id, i, xmlstream.Marshal(got[i]), xmlstream.Marshal(want[i]))
 		}
 	}
 }
 
-// drained reports whether every consumer of every session channel has
-// acknowledged everything emitted on it.
+// drained reports whether every consumer of every session channel that is
+// not broken has acknowledged everything emitted on it.
 func drained(sess *Session) bool {
 	for _, cs := range sess.ChannelStates() {
-		if cs.CumAck+1 != cs.NextSeq {
+		if !cs.Broken && cs.CumAck+1 != cs.NextSeq {
 			return false
 		}
 	}
 	return true
+}
+
+// TestReliableRecoverMisalignedChain is a chain of three shared streams
+// whose repair cannot line up with the interrupted one: s1 [select] tapped at
+// SP0 and read by q1 at SP1, s2 [window-agg] tapped at SP1 and read by q2 at
+// SP2, s3 [window-merge] tapped at SP2 and read by q3 at SP3. SP1–SP2 is
+// severed after 300 source items and SP1 killed after 600, so s1's journal
+// holds items s2 never saw and s2's holds fine windows s3 never merged, each
+// beyond a different cursor. Finishing every stream on its own instance
+// gives each surviving subscription exactly the never-failed delivery, item
+// for item; q1, read at the dead peer, keeps the prefix it received.
+func TestReliableRecoverMisalignedChain(t *testing.T) {
+	defer testutil.Watchdog(t, 2*time.Minute)()
+	net := testNet()
+	net.Connect("SP0", "SP4", 12_500_000)
+	eng := core.NewEngine(net, core.Config{Reliable: true})
+	_, st := photons.Stream("photons", photons.DefaultConfig(), 13, 2000)
+	if _, err := eng.RegisterStream("photons", xmlstream.ParsePath("photons/photon"), "SP0", st); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []struct {
+		src string
+		at  network.PeerID
+	}{
+		{`<photons>{ for $p in stream("photons")/photons/photon where $p/en >= 1.3 return <hot>{ $p }</hot> }</photons>`, "SP1"},
+		{`<photons>{ for $w in stream("photons")/photons/photon [en >= 1.3] |det_time diff 10 step 10| let $s := sum($w/en) return <s>{ $s }</s> }</photons>`, "SP2"},
+		{`<photons>{ for $w in stream("photons")/photons/photon [en >= 1.3] |det_time diff 20 step 10| let $s := sum($w/en) return <s>{ $s }</s> }</photons>`, "SP3"},
+	} {
+		if _, err := eng.Subscribe(q.src, q.at, core.StreamSharing); err != nil {
+			t.Fatal(err)
+		}
+	}
+	subs := eng.Subscriptions()
+	s1, s2, s3 := subs[0].Inputs[0].Feed, subs[1].Inputs[0].Feed, subs[2].Inputs[0].Feed
+	if s2.Parent != s1 || s3.Parent != s2 || s1.Tap != "SP0" || s2.Tap != "SP1" || s3.Tap != "SP2" {
+		t.Fatalf("not the s1 → s2 → s3 chain:\n%s%s%s", subs[0].Explain(), subs[1].Explain(), subs[2].Explain())
+	}
+	feed := map[string][]*xmlstream.Element{"photons": photons.NewGenerator(photons.DefaultConfig(), 7).Generate(1000)}
+	ref, err := eng.Simulate(feed, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := NewSession(SessionOptions{Heartbeat: health.Options{Interval: 2 * time.Millisecond}})
+	rt := NewWith(eng, true, Options{BatchSize: 50, Session: sess})
+	landed := faultsAfter(rt, sess,
+		fault{300, func() error { return rt.SeverLink("SP1", "SP2") }},
+		fault{600, func() error { return rt.KillPeer("SP1") }})
+	run, rep := runAndRecover(t, eng, sess, rt, feed)
+	if !landed() {
+		t.Fatal("a fault never landed")
+	}
+	for _, id := range []string{"q2", "q3"} {
+		if rep.Results[id] == 0 {
+			t.Fatalf("%s: nothing redelivered; the fault must split the stream", id)
+		}
+		sameItems(t, id, append(append([]*xmlstream.Element{}, run.Collected[id]...), rep.Collected[id]...), ref.Collected[id])
+	}
+	if len(eng.Subscriptions()) != 2 || rep.Results["q1"] != 0 || run.Results["q1"] >= ref.Results["q1"] {
+		t.Fatalf("q1 at the dead SP1 must be torn down after a partial delivery: %d+%d of %d, %d subscriptions left",
+			run.Results["q1"], rep.Results["q1"], ref.Results["q1"], len(eng.Subscriptions()))
+	}
+	sameItems(t, "q1", run.Collected["q1"], ref.Collected["q1"][:run.Results["q1"]])
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"streamshare/internal/core"
-	"streamshare/internal/exec"
 	"streamshare/internal/health"
 	"streamshare/internal/network"
 	"streamshare/internal/obs"
@@ -17,12 +16,12 @@ import (
 
 // This file is the reliability layer's live half: a Session owns the
 // per-stream channels (channel.go), the receive-side dedup lanes, the
-// heartbeat failure detector, the subscription bind records that recovery
-// (recover.go) diffs against, and the operator instances of the run it last
-// attached to. A Session outlives the single-use Runtimes that attach to it,
-// which is what lets the replay journals, the ack cursors and an interrupted
-// run's operator state survive a failure, a re-plan and the recovery pass;
-// it keys them by stream id, which outlives a plan value.
+// heartbeat failure detector, and the plan and operator instances of the run
+// it last attached to, which recovery (recover.go) finishes. A Session
+// outlives the single-use Runtimes that attach to it, which is what lets the
+// replay journals, the ack cursors and an interrupted run's operator state
+// survive a failure, a re-plan and the recovery pass; it keys channels by
+// stream id, which outlives a plan value.
 
 // SessionOptions tunes the reliability layer.
 type SessionOptions struct {
@@ -61,11 +60,9 @@ type Session struct {
 	mu    sync.Mutex
 	chans map[string]*streamChan
 	recvs map[recvKey]*transport.RecvCursor
-	// binds records, per reader id, the reader as the session last saw it
-	// bound; held maps the stream and reader ids of the last attached run
-	// to the operator instances it drove.
-	binds map[string]*core.PlanReader
-	held  map[string]*exec.Pipeline
+	// plan and inst are the last attached run's plan and operator state.
+	plan *core.Plan
+	inst *core.Instances
 
 	detMu    sync.Mutex
 	det      *health.Detector
@@ -87,7 +84,6 @@ func NewSession(opts SessionOptions) *Session {
 		opts:      opts,
 		chans:     map[string]*streamChan{},
 		recvs:     map[recvKey]*transport.RecvCursor{},
-		binds:     map[string]*core.PlanReader{},
 		det:       health.NewDetector(opts.Heartbeat),
 		suspected: map[health.Target]bool{},
 		failedAt:  map[health.Target]time.Time{},
@@ -96,8 +92,7 @@ func NewSession(opts SessionOptions) *Session {
 
 // attach wires a runtime to the session: one channel (created or re-used)
 // per stream of the run's plan that has a consumer, one receive lane per
-// (stream, hop), the run's operator instances kept for Recover, and the feed
-// binding of every input, so Recover can detect re-plans it has yet to act on.
+// (stream, hop), and the run's plan and operator instances, kept for Recover.
 func (s *Session) attach(r *Runtime) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -108,15 +103,8 @@ func (s *Session) attach(r *Runtime) {
 	if window < 8 {
 		window = 8
 	}
-	s.held = make(map[string]*exec.Pipeline, len(r.plan.Streams)+len(r.plan.Readers))
-	for _, rd := range r.plan.Readers {
-		s.held[rd.ID] = r.inst.Local[rd.Index]
-		if old := s.binds[rd.ID]; old == nil || old.Feed.ID == rd.Feed.ID {
-			s.binds[rd.ID] = rd
-		}
-	}
+	s.plan, s.inst = r.plan, r.inst
 	for _, d := range r.plan.Streams {
-		s.held[d.ID] = r.inst.Residual[d.Index]
 		if len(d.Taps) == 0 && len(d.Readers) == 0 {
 			// A stream nobody consumes has no acker; a channel there
 			// would never trim. It flows unreliably (nothing observes it).

@@ -130,9 +130,9 @@ func New(eng *core.Engine, cfg photons.Config) *Server {
 // WithSession attaches a reliability session: RUN and FEED execute on the
 // session-backed distributed runtime (sequenced acked channels, heartbeat
 // failure detection, credit-based backpressure) instead of the simulator,
-// and HEALTH reports the detector and per-channel state. The engine should
-// be built with core.Config{Reliable: true} so repairs plan the private
-// chains the session's recovery replays into.
+// and HEALTH reports the detector and per-channel state. Building the engine
+// with core.Config{Reliable: true} only hides live shared streams while
+// repairs plan, so a repaired subscription gets a private chain.
 func (s *Server) WithSession(sess *runtime.Session) *Server {
 	s.sess = sess
 	return s
