@@ -192,29 +192,6 @@ func BenchmarkAblationGamma(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDiscovery compares Algorithm 1's FIFO (breadth-first)
-// discovery against the LIFO (depth-first) variant the paper mentions.
-func BenchmarkAblationDiscovery(b *testing.B) {
-	s := scenario.Scenario2(benchItems / 2)
-	for _, depth := range []bool{false, true} {
-		name := "breadth-first"
-		if depth {
-			name = "depth-first"
-		}
-		b.Run(name, func(b *testing.B) {
-			var bytes float64
-			for i := 0; i < b.N; i++ {
-				r, err := s.Run(core.StreamSharing, core.Config{DepthFirst: depth})
-				if err != nil {
-					b.Fatal(err)
-				}
-				bytes = r.Sim.Metrics.TotalBytes() / 1000
-			}
-			b.ReportMetric(bytes, "traffic-kB")
-		})
-	}
-}
-
 // BenchmarkAblationWidening compares plain stream sharing against sharing
 // with the §6 stream-widening extension enabled.
 func BenchmarkAblationWidening(b *testing.B) {
@@ -236,28 +213,6 @@ func BenchmarkAblationWidening(b *testing.B) {
 			}
 			b.ReportMetric(bytes, "traffic-kB")
 			b.ReportMetric(work, "work-units")
-		})
-	}
-}
-
-// BenchmarkAblationMinimization compares registration with and without
-// predicate-graph minimization (§3.3 minimizes once per subscription;
-// skipping it leaves redundant atomic predicates in the properties and the
-// installed selection operators).
-func BenchmarkAblationMinimization(b *testing.B) {
-	s := scenario.Scenario2(benchItems / 4)
-	for _, skip := range []bool{false, true} {
-		name := "minimize"
-		if skip {
-			name = "no-minimize"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Run(core.StreamSharing, core.Config{NoMinimize: skip}); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

@@ -142,7 +142,20 @@ func bars(labels []string, series map[string][3]float64, unit string) {
 	}
 }
 
-func figure6(items int) {
+// totals sums each strategy's column of a bar chart's series.
+func totals(series map[string][3]float64) [3]float64 {
+	var t [3]float64
+	for _, vs := range series {
+		for i, v := range vs {
+			t[i] += v
+		}
+	}
+	return t
+}
+
+// figure6 prints Figure 6 and returns the link traffic (kbps) summed over
+// connections, per strategy in DS, QS, SS order.
+func figure6(items int) [3]float64 {
 	s := scenario.Scenario1Seed(items, *seed)
 	res := runAll(s)
 	var cpuLabels, trafficLabels []string
@@ -169,9 +182,12 @@ func figure6(items int) {
 	bars(cpuLabels, cpu, "%")
 	header("Figure 6 (right): avg. network traffic (kbps) per connection")
 	bars(trafficLabels, traffic, "kbps")
+	return totals(traffic)
 }
 
-func figure7(items int) {
+// figure7 prints Figure 7 and returns the per-peer traffic (MBit, in+out)
+// summed over super-peers, per strategy in DS, QS, SS order.
+func figure7(items int) [3]float64 {
 	s := scenario.Scenario2Seed(items, *seed)
 	res := runAll(s)
 	var labels []string
@@ -195,6 +211,7 @@ func figure7(items int) {
 	bars(labels, cpu, "%")
 	header("Figure 7 (right): acc. network traffic (MBit) per super-peer (in+out)")
 	bars(labels, traffic, "MBit")
+	return totals(traffic)
 }
 
 func table1(items int) {
@@ -226,12 +243,15 @@ func ms(d time.Duration) float64 {
 	return float64(d) / float64(time.Millisecond)
 }
 
-func rejectionExperiment(items int) {
+// rejectionExperiment prints the rejection table and returns the rejected
+// counts per strategy in DS, QS, SS order (-1 for a run that failed).
+func rejectionExperiment(items int) [3]int {
 	header("Rejection experiment: peers at 10% capacity, links at 1 Mbit/s")
 	s := scenario.Scenario2Seed(items/4, *seed).Constrained(0.10, 125_000)
 	fmt.Printf("%-16s %s\n", "Strategy", "Rejected of 100 queries (paper)")
 	paper := map[core.Strategy]int{core.DataShipping: 47, core.QueryShipping: 35, core.StreamSharing: 2}
-	for _, strat := range strategies {
+	rejected := [3]int{-1, -1, -1}
+	for i, strat := range strategies {
 		r, err := s.Run(strat, core.Config{Admission: true})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", strat, err)
@@ -239,7 +259,9 @@ func rejectionExperiment(items int) {
 		}
 		dumpObs(strat, r.Engine)
 		fmt.Printf("%-16s %d (%d)\n", strat, r.Rejected, paper[strat])
+		rejected[i] = r.Rejected
 	}
+	return rejected
 }
 
 // churnExperiment runs scenario 2 under the scripted failure schedule for

@@ -1,0 +1,26 @@
+package main
+
+import "testing"
+
+// much is what the shape checks of EXPERIMENTS.md mean by ≫: at least four
+// times the other side.
+const much = 4
+
+// TestShapeChecks runs Figs. 6/7 and the rejection experiment at a small
+// item count and holds them to the orderings EXPERIMENTS.md checks: link
+// traffic DS ≫ QS > SS, and rejected queries DS > QS ≫ SS.
+func TestShapeChecks(t *testing.T) {
+	const items = 400
+	for fig, traffic := range map[int][3]float64{6: figure6(items), 7: figure7(items)} {
+		ds, qs, ss := traffic[0], traffic[1], traffic[2]
+		t.Logf("Fig. %d traffic DS %.1f, QS %.1f, SS %.1f", fig, ds, qs, ss)
+		if !(ds > much*qs && qs > ss && ss > 0) {
+			t.Errorf("Fig. %d traffic DS %.1f, QS %.1f, SS %.1f: want DS ≫ QS > SS", fig, ds, qs, ss)
+		}
+	}
+	rej := rejectionExperiment(items)
+	t.Logf("rejected DS %d, QS %d, SS %d", rej[0], rej[1], rej[2])
+	if !(rej[0] > rej[1] && rej[1] > much*rej[2] && rej[2] >= 0) {
+		t.Errorf("rejected DS %d, QS %d, SS %d: want DS > QS ≫ SS", rej[0], rej[1], rej[2])
+	}
+}

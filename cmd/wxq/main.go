@@ -22,19 +22,22 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("wxq: ")
 	args := os.Args[1:]
+	var err error
 	switch len(args) {
 	case 0:
-		src, err := io.ReadAll(os.Stdin)
-		if err != nil {
-			log.Fatal(err)
+		var src []byte
+		if src, err = io.ReadAll(os.Stdin); err == nil {
+			err = explain(os.Stdout, string(src))
 		}
-		explain(string(src))
 	case 1:
-		explain(readFile(args[0]))
+		err = explain(os.Stdout, readFile(args[0]))
 	case 2:
-		match(readFile(args[0]), readFile(args[1]))
+		err = match(os.Stdout, readFile(args[0]), readFile(args[1]))
 	default:
 		log.Fatal("usage: wxq [stream.xq [subscription.xq]]")
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 }
 
@@ -46,58 +49,69 @@ func readFile(path string) string {
 	return string(b)
 }
 
-func build(src string) (*wxquery.Query, *properties.Properties) {
+func build(src string) (*wxquery.Query, *properties.Properties, error) {
 	q, err := wxquery.Parse(src)
 	if err != nil {
-		log.Fatal(err)
+		return nil, nil, err
 	}
 	p, err := properties.FromQuery(q)
 	if err != nil {
-		log.Fatal(err)
+		return nil, nil, err
 	}
-	return q, p
+	return q, p, nil
 }
 
-func explain(src string) {
-	q, p := build(src)
-	fmt.Println("parsed:")
-	fmt.Printf("  %s\n", q)
-	fmt.Println("properties:")
+func explain(w io.Writer, src string) error {
+	q, p, err := build(src)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "parsed:")
+	fmt.Fprintf(w, "  %s\n", q)
+	fmt.Fprintln(w, "properties:")
 	for _, in := range p.Inputs {
-		fmt.Printf("  input stream %q, item path %s\n", in.Stream, in.ItemPath)
+		fmt.Fprintf(w, "  input stream %q, item path %s\n", in.Stream, in.ItemPath)
 		for _, op := range in.Ops {
 			switch op.Kind {
 			case properties.OpSelect:
-				fmt.Printf("  σ selection (minimized): %s\n", op.Sel)
-				fmt.Printf("    satisfiable: %v\n", op.Sel.Satisfiable())
+				fmt.Fprintf(w, "  σ selection (minimized): %s\n", op.Sel)
+				fmt.Fprintf(w, "    satisfiable: %v\n", op.Sel.Satisfiable())
 				for _, a := range op.Sel.Atoms() {
-					fmt.Printf("    atom: %s\n", a)
+					fmt.Fprintf(w, "    atom: %s\n", a)
 				}
 			case properties.OpProject:
-				fmt.Printf("  π projection: returned %v, referenced %v\n", op.Out, op.Ref)
+				fmt.Fprintf(w, "  π projection: returned %v, referenced %v\n", op.Out, op.Ref)
 			case properties.OpAggregate:
-				fmt.Printf("  Φ aggregation: %s over window %s\n", op.Agg.Label(), op.Agg.Window.String())
+				fmt.Fprintf(w, "  Φ aggregation: %s over window %s\n", op.Agg.Label(), op.Agg.Window.String())
 				if op.Agg.Filter != nil {
-					fmt.Printf("    result filter: %s\n", op.Agg.Filter)
+					fmt.Fprintf(w, "    result filter: %s\n", op.Agg.Filter)
 				}
 			case properties.OpWindow:
-				fmt.Printf("  ω window contents: %s\n", op.Agg.Window.String())
+				fmt.Fprintf(w, "  ω window contents: %s\n", op.Agg.Window.String())
 			case properties.OpUDF:
-				fmt.Printf("  user-defined %s(%v) over window %s\n", op.UDF.Name, op.UDF.Params, op.UDF.Window.String())
+				fmt.Fprintf(w, "  user-defined %s(%v) over window %s\n", op.UDF.Name, op.UDF.Params, op.UDF.Window.String())
 			}
 		}
 	}
+	return nil
 }
 
-func match(streamSrc, subSrc string) {
-	_, sp := build(streamSrc)
-	_, qp := build(subSrc)
-	ok := properties.MatchProperties(sp.Result(), qp)
-	fmt.Printf("stream properties: %s\n", sp.Result())
-	fmt.Printf("subscription     : %s\n", qp)
-	if ok {
-		fmt.Println("MATCH: the stream can be shared to answer the subscription (Algorithm 2)")
-	} else {
-		fmt.Printf("NO MATCH: %s\n", properties.ExplainMismatch(sp.Result(), qp))
+func match(w io.Writer, streamSrc, subSrc string) error {
+	_, sp, err := build(streamSrc)
+	if err != nil {
+		return err
 	}
+	_, qp, err := build(subSrc)
+	if err != nil {
+		return err
+	}
+	ok := properties.MatchProperties(sp.Result(), qp)
+	fmt.Fprintf(w, "stream properties: %s\n", sp.Result())
+	fmt.Fprintf(w, "subscription     : %s\n", qp)
+	if ok {
+		fmt.Fprintln(w, "MATCH: the stream can be shared to answer the subscription (Algorithm 2)")
+	} else {
+		fmt.Fprintf(w, "NO MATCH: %s\n", properties.ExplainMismatch(sp.Result(), qp))
+	}
+	return nil
 }

@@ -123,14 +123,9 @@ func opList(p *exec.Pipeline) string {
 // Config tunes an Engine.
 type Config struct {
 	Model cost.Model
-	// Registry resolves user-defined window functions.
-	Registry exec.UDFRegistry
 	// Admission rejects subscriptions whose best plan overloads a peer or
 	// link (the §4 rejection experiment).
 	Admission bool
-	// DepthFirst switches Algorithm 1's discovery from FIFO (breadth-first)
-	// to LIFO (depth-first) queues — the paper notes both are possible.
-	DepthFirst bool
 	// Widening enables the §6 stream-widening extension: when nothing
 	// shareable flows, an existing selection/projection stream may be
 	// altered to carry enough data for both its consumers and the new
@@ -140,8 +135,6 @@ type Config struct {
 	// from the input stream's observed schema, instead of silently
 	// delivering empty results.
 	ValidatePaths bool
-	// NoMinimize skips predicate-graph minimization (ablation).
-	NoMinimize bool
 	// Reliable hides live shared streams from the discovery that repairs and
 	// migrates: affected subscriptions are rebuilt as private chains derived
 	// directly from original streams. runtime.Session.Recover does not rely
@@ -153,10 +146,6 @@ type Config struct {
 	// on — it is cheap enough to leave enabled (atomic counters, bounded
 	// trace ring).
 	Obs *obs.Observer
-	// TraceRing sizes the decision-trace retention ring of the auto-created
-	// observer (<= 0 keeps the default of 256). Ignored when Obs is injected
-	// — the injected tracer's capacity wins.
-	TraceRing int
 }
 
 // Engine is a StreamGlobe-style data stream management system instance over
@@ -207,11 +196,7 @@ func NewEngine(net *network.Network, cfg Config) *Engine {
 		cfg.Model = cost.DefaultModel()
 	}
 	if cfg.Obs == nil {
-		if cfg.TraceRing > 0 {
-			cfg.Obs = obs.NewObserverRing(cfg.TraceRing)
-		} else {
-			cfg.Obs = obs.NewObserver()
-		}
+		cfg.Obs = obs.NewObserver()
 	}
 	e := &Engine{
 		Net:       net,
@@ -224,12 +209,10 @@ func NewEngine(net *network.Network, cfg Config) *Engine {
 		peerUse:   map[network.PeerID]float64{},
 	}
 	e.planner = plan.New(net, e, plan.Options{
-		Model:      cfg.Model,
-		Est:        e.Est,
-		Registry:   cfg.Registry,
-		Admission:  cfg.Admission,
-		DepthFirst: cfg.DepthFirst,
-		Widening:   cfg.Widening,
+		Model:     cfg.Model,
+		Est:       e.Est,
+		Admission: cfg.Admission,
+		Widening:  cfg.Widening,
 	}, e.obs)
 	return e
 }

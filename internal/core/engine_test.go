@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"streamshare/internal/network"
 	"streamshare/internal/photons"
+	"streamshare/internal/properties"
 	"streamshare/internal/xmlstream"
 )
 
@@ -294,6 +296,26 @@ func TestSubscribeErrors(t *testing.T) {
 	}
 }
 
+// TestSubscribeRefusesUnknownAggregate: a let-clause function other than
+// sum, count, avg, min or max has no evaluator, so the engine refuses the
+// subscription before planning and names the function. Installed, the typo
+// below delivered every window as an empty element.
+func TestSubscribeRefusesUnknownAggregate(t *testing.T) {
+	eng, _ := newEngine(t, Config{})
+	typo := `<photons>{ for $w in stream("photons")/photons/photon |det_time diff 20 step 20|
+  let $a := averag($w/en) return <fine>{ $a }</fine> }</photons>`
+	_, err := eng.Subscribe(typo, "SP1", StreamSharing)
+	if !errors.Is(err, properties.ErrUnsupported) || !strings.Contains(err.Error(), "averag") {
+		t.Fatalf("unknown aggregate: got %v, want ErrUnsupported naming averag", err)
+	}
+	if len(eng.Subscriptions()) != 0 || len(eng.Streams()) != 1 {
+		t.Errorf("refused subscription left %d subscriptions, %d streams", len(eng.Subscriptions()), len(eng.Streams()))
+	}
+	if got := eng.Obs().Metrics.Snapshot().Counters["core.discovery.visited"]; got != 0 {
+		t.Errorf("refused subscription was planned: %v peers visited", got)
+	}
+}
+
 func TestRegStats(t *testing.T) {
 	eng, _ := newEngine(t, Config{})
 	s1, _ := eng.Subscribe(q1, "SP1", StreamSharing)
@@ -309,19 +331,5 @@ func TestRegStats(t *testing.T) {
 	}
 	if s2.Reg.Time(1e6) <= s2.Reg.Compute {
 		t.Error("modeled latency missing")
-	}
-}
-
-func TestDepthFirstDiscovery(t *testing.T) {
-	eng, _ := newEngine(t, Config{DepthFirst: true})
-	if _, err := eng.Subscribe(q1, "SP1", StreamSharing); err != nil {
-		t.Fatal(err)
-	}
-	sub, err := eng.Subscribe(q2, "SP7", StreamSharing)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.Inputs[0].Feed.Parent.Original {
-		t.Error("depth-first discovery should still find Q1's stream")
 	}
 }

@@ -140,7 +140,6 @@ func TestPlannerEquivalence(t *testing.T) {
 	}{
 		{"default", Config{}},
 		{"admission_widening", Config{Admission: true, Widening: true}},
-		{"depth_first", Config{DepthFirst: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 20; seed++ {
@@ -300,7 +299,7 @@ func TestWideningCostDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	props, err := properties.Build(q, properties.Options{})
+	props, err := properties.FromQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -295,22 +295,3 @@ func TestUnsubscribeReadmitsRejected(t *testing.T) {
 	}
 	checkUsageInvariant(t, eng)
 }
-
-// TestTraceRingConfig: Config.TraceRing bounds the auto-created tracer.
-func TestTraceRingConfig(t *testing.T) {
-	eng, _ := newEngine(t, Config{TraceRing: 2})
-	for _, target := range []network.PeerID{"SP1", "SP7", "SP3"} {
-		if _, err := eng.Subscribe(q1, target, StreamSharing); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := len(eng.Obs().Tracer.Recent(0)); got != 2 {
-		t.Errorf("ring holds %d traces, want 2", got)
-	}
-	if eng.Obs().Tracer.Get("q1") != nil {
-		t.Error("oldest trace should have been evicted")
-	}
-	if eng.Obs().Tracer.Get("q3") == nil {
-		t.Error("newest trace should be retained")
-	}
-}

@@ -54,8 +54,11 @@ func (e *Engine) Subscribe(src string, target network.PeerID, strat Strategy) (*
 	if err != nil {
 		return fail(err)
 	}
-	props, err := properties.Build(q, properties.Options{NoMinimize: e.Cfg.NoMinimize})
+	props, err := properties.FromQuery(q)
 	if err != nil {
+		return fail(err)
+	}
+	if err := refuseUDFs(props); err != nil {
 		return fail(err)
 	}
 	sub := &Subscription{
@@ -140,6 +143,21 @@ func (e *Engine) planInputs(sub *Subscription, ins []*properties.Input, rs *RegS
 	return plans, nil
 }
 
+// refuseUDFs refuses a subscription that calls a function other than the
+// five built-in aggregates. Matching handles such a function (Algorithm 2's
+// unknown operator), but the engine has no evaluator for one: planned, it
+// would deliver empty windows.
+func refuseUDFs(props *properties.Properties) error {
+	for _, in := range props.Inputs {
+		for _, o := range in.Ops {
+			if o.Kind == properties.OpUDF {
+				return fmt.Errorf("%w: %s is not sum, count, avg, min or max", properties.ErrUnsupported, o.UDF.Name)
+			}
+		}
+	}
+	return nil
+}
+
 // validatePaths checks every element path the subscription references
 // against the statistics collected from the input stream's sample.
 func (e *Engine) validatePaths(in *properties.Input) error {
@@ -179,10 +197,6 @@ func (e *Engine) validatePaths(in *properties.Input) error {
 					return err
 				}
 			}
-		case properties.OpUDF:
-			if err := check(o.UDF.Elem.String()); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -215,7 +229,7 @@ func (e *Engine) install(sub *Subscription, q *wxquery.Query, in, resIn *propert
 	switch strat {
 	case DataShipping:
 		// Raw stream copy to the target; full evaluation there.
-		full, err := exec.FullPipeline(q, in, e.Cfg.Registry)
+		full, err := exec.FullPipeline(q, in, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -231,7 +245,7 @@ func (e *Engine) install(sub *Subscription, q *wxquery.Query, in, resIn *propert
 		}
 		si.Local = full
 	case QueryShipping:
-		full, err := exec.FullPipeline(q, in, e.Cfg.Registry)
+		full, err := exec.FullPipeline(q, in, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -248,7 +262,7 @@ func (e *Engine) install(sub *Subscription, q *wxquery.Query, in, resIn *propert
 		}
 		si.Local = exec.NewPipeline()
 	default:
-		res, err := exec.ResidualPipeline(c.Source.Input, in, e.Cfg.Registry)
+		res, err := exec.ResidualPipeline(c.Source.Input, in, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -41,7 +41,7 @@ func (e *Engine) installWidening(wd *plan.Widening) {
 		if child.Parent != d || child == w {
 			continue
 		}
-		res, err := exec.ResidualPipeline(w.Input, child.Input, e.Cfg.Registry)
+		res, err := exec.ResidualPipeline(w.Input, child.Input, nil)
 		if err != nil {
 			continue // unreachable: child matched d, and w ⊇ d
 		}
@@ -50,7 +50,7 @@ func (e *Engine) installWidening(wd *plan.Widening) {
 	}
 	// d becomes a local derivation of w at its target.
 	tgt := d.Target()
-	dRes, err := exec.ResidualPipeline(w.Input, d.Input, e.Cfg.Registry)
+	dRes, err := exec.ResidualPipeline(w.Input, d.Input, nil)
 	if err == nil {
 		d.Parent = w
 		d.Tap = tgt

@@ -195,7 +195,7 @@ func TestWideningAtSourcePeer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		props, err := properties.Build(q, properties.Options{})
+		props, err := properties.FromQuery(q)
 		if err != nil {
 			t.Fatal(err)
 		}

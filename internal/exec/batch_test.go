@@ -28,7 +28,7 @@ func flush1(op Operator) []*xmlstream.Element { return op.Flush(nil) }
 // testLoads gives every stage of p a stand-in base load, distinct per
 // operator kind so a stage charged with another's weight shows.
 func testLoads(p *Pipeline) []float64 {
-	kinds := []string{"select", "project", "duplicate", "window-agg", "window-merge",
+	kinds := []string{"select", "project", "window-agg", "window-merge",
 		"agg-filter", "window-contents", "restructure", "sort-buffer", "remap"}
 	l := make([]float64, len(p.Ops))
 	for i, op := range p.Ops {
@@ -177,8 +177,8 @@ func TestBatchEquivalence(t *testing.T) {
 		j := i + 1 + r.Intn(3)
 		fuzzy[i], fuzzy[j] = fuzzy[j], fuzzy[i]
 	}
-	add("select, project, duplicate", items, func() *Pipeline {
-		return NewPipeline(NewSelect(velaGraph()), Duplicate{},
+	add("select, project", items, func() *Pipeline {
+		return NewPipeline(NewSelect(velaGraph()),
 			NewProject([]xmlstream.Path{xmlstream.ParsePath("coord/cel"), en}))
 	})
 	for _, w := range []struct {
@@ -243,7 +243,7 @@ func TestBatchEquivalence(t *testing.T) {
 	}
 	for _, kind := range []string{
 		"select", "project", "window-agg", "agg-filter", "window-contents", "window-merge",
-		"remap", "restructure", "sort-buffer", "duplicate",
+		"remap", "restructure", "sort-buffer",
 	} {
 		if !seen[kind] {
 			t.Errorf("no pipeline in the test contains a %s operator", kind)

@@ -204,20 +204,3 @@ func (p *Project) Process(dst, items []*xmlstream.Element) []*xmlstream.Element 
 
 // Flush implements Operator.
 func (p *Project) Flush(dst []*xmlstream.Element) []*xmlstream.Element { return dst }
-
-// Duplicate marks a stream fan-out point. The network layer duplicates
-// items when routing; the operator itself is the identity and exists so
-// duplication points appear in plans and load accounting.
-type Duplicate struct{}
-
-// Name implements Operator.
-func (Duplicate) Name() string         { return "duplicate" }
-func (d Duplicate) instance() Operator { return d }
-
-// Process implements Operator.
-func (Duplicate) Process(dst, items []*xmlstream.Element) []*xmlstream.Element {
-	return append(dst, items...)
-}
-
-// Flush implements Operator.
-func (Duplicate) Flush(dst []*xmlstream.Element) []*xmlstream.Element { return dst }

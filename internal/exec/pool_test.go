@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"streamshare/internal/decimal"
+	"streamshare/internal/predicate"
 	"streamshare/internal/wxquery"
 	"streamshare/internal/xmlstream"
 )
@@ -54,7 +55,7 @@ func TestWindowPoolReuse(t *testing.T) {
 // contract: the slice returned by Process is invalidated by the next call,
 // but the elements stay valid.
 func TestPipelineScratchContract(t *testing.T) {
-	p := NewPipeline(Duplicate{})
+	p := NewPipeline(NewSelect(predicate.New()))
 	first := p.Process(xmlstream.T("a", "1"))
 	if len(first) != 1 || first[0].Name != "a" {
 		t.Fatalf("unexpected output %v", first)

@@ -201,7 +201,6 @@ func TestOperatorNames(t *testing.T) {
 	want := map[Operator]string{
 		NewSelect(predicate.New()): "select",
 		NewProject(nil):            "project",
-		Duplicate{}:                "duplicate",
 		NewWindowContents(wxquery.Window{Kind: wxquery.WindowCount, Size: dec("1"), Step: dec("1")}): "window-contents",
 		NewAggFilter(predicate.New(), nil):         "agg-filter",
 		NewSortBuffer(xmlstream.ParsePath("t"), 1): "sort-buffer",
@@ -211,14 +210,6 @@ func TestOperatorNames(t *testing.T) {
 		if op.Name() != name {
 			t.Errorf("Name = %s, want %s", op.Name(), name)
 		}
-	}
-	// Duplicate is the identity.
-	it := photon("1", "1", "1", "1", "1")
-	if out := process1(Duplicate{}, it); len(out) != 1 || out[0] != it {
-		t.Error("duplicate must pass items through")
-	}
-	if flush1(Duplicate{}) != nil {
-		t.Error("duplicate flush")
 	}
 }
 

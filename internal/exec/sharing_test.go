@@ -123,12 +123,12 @@ func TestOperatorsLeaveInputsUntouched(t *testing.T) {
 			})
 		}
 	}
-	twice("sort-buffer, duplicate", items, func() *Pipeline {
-		return NewPipeline(NewSortBuffer(xmlstream.ParsePath("det_time"), 8), Duplicate{})
+	twice("sort-buffer", items, func() *Pipeline {
+		return NewPipeline(NewSortBuffer(xmlstream.ParsePath("det_time"), 8))
 	})
 	for _, kind := range []string{
 		"select", "project", "window-agg", "agg-filter", "window-contents", "window-merge",
-		"remap", "restructure", "sort-buffer", "duplicate",
+		"remap", "restructure", "sort-buffer",
 	} {
 		if !seen[kind] {
 			t.Errorf("no pipeline in the test contains a %s operator", kind)

@@ -14,7 +14,6 @@
 package health
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -80,14 +79,6 @@ type Event struct {
 	SinceBeat time.Duration
 	// Misses is the number of whole heartbeat intervals missed.
 	Misses int
-}
-
-// String renders the event for logs and traces.
-func (e Event) String() string {
-	if e.Kind == Suspected {
-		return fmt.Sprintf("suspect %s after %d missed beats", e.Target, e.Misses)
-	}
-	return fmt.Sprintf("recover %s", e.Target)
 }
 
 // Options tunes a Detector. The zero value takes defaults.

@@ -77,29 +77,6 @@ const (
 	BandwidthChanged
 )
 
-// String names the change kind.
-func (k ChangeKind) String() string {
-	switch k {
-	case PeerAdded:
-		return "peer-added"
-	case PeerFailed:
-		return "peer-failed"
-	case PeerRestored:
-		return "peer-restored"
-	case LinkAdded:
-		return "link-added"
-	case LinkFailed:
-		return "link-failed"
-	case LinkRestored:
-		return "link-restored"
-	case CapacityChanged:
-		return "capacity-changed"
-	case BandwidthChanged:
-		return "bandwidth-changed"
-	}
-	return fmt.Sprintf("ChangeKind(%d)", int(k))
-}
-
 // Change describes one topology mutation. Peer is set for peer events and
 // capacity changes; Link for link events and bandwidth changes; Value carries
 // the new capacity or bandwidth.

@@ -412,16 +412,10 @@ type Observer struct {
 // the most recent 256 decision traces, a latency recorder sampling 1-in-256
 // source items, and a 1024-event flight recorder.
 func NewObserver() *Observer {
-	return NewObserverRing(256)
-}
-
-// NewObserverRing is NewObserver with an explicit decision-trace ring
-// capacity (core.Config.TraceRing threads through here).
-func NewObserverRing(capacity int) *Observer {
 	reg := NewRegistry()
 	return &Observer{
 		Metrics: reg,
-		Tracer:  NewTracer(capacity),
+		Tracer:  NewTracer(256),
 		Latency: NewLatencyRecorder(reg, 0),
 		Flight:  NewFlightRecorder(0),
 	}

@@ -16,8 +16,8 @@ type FlightEvent struct {
 	// At is the wall-clock time the event was recorded.
 	At time.Time
 	// Kind is the event taxonomy slot ("batch.flush", "credit.stall",
-	// "ack.trim", "channel.break", "dedup.drop", "mailbox.overflow",
-	// "fault.kill", "fault.sever", "repair", "churn", …).
+	// "ack.trim", "channel.break", "dedup.drop", "fault.kill",
+	// "fault.sever", "repair", "churn", …).
 	Kind string
 	// Detail is a short free-form annotation (stream or peer id, counts).
 	Detail string

@@ -162,14 +162,6 @@ func (l *LatencyRecorder) SetRate(n int) {
 	l.every.Store(int64(n))
 }
 
-// Rate returns the current 1-in-n sampling rate (<= 0 when disabled).
-func (l *LatencyRecorder) Rate() int {
-	if l == nil {
-		return 0
-	}
-	return int(l.every.Load())
-}
-
 // sampleHash is FNV-1a over (seed, stream, index) — stable across processes
 // and runs, so the sim and the runtime pick identical item sets.
 func sampleHash(seed uint64, stream string, idx uint64) uint64 {

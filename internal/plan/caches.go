@@ -156,7 +156,7 @@ func (c *MatchCache) Explain(have, want *properties.Input) string {
 // names; installation compiles its pipelines fresh so no operator state is
 // ever shared, which is what makes the compiled result safe to skip here.
 // The returned slice is shared between callers and must not be mutated.
-func (c *MatchCache) Residual(have, want *properties.Input, reg exec.UDFRegistry) ([]string, error) {
+func (c *MatchCache) Residual(have, want *properties.Input) ([]string, error) {
 	key := pairKey(have, want)
 	c.mu.Lock()
 	r, ok := c.residuals[key]
@@ -165,7 +165,7 @@ func (c *MatchCache) Residual(have, want *properties.Input, reg exec.UDFRegistry
 		c.residualHit.Inc()
 	} else {
 		c.residualMiss.Inc()
-		if pl, err := exec.ResidualPipeline(have, want, reg); err != nil {
+		if pl, err := exec.ResidualPipeline(have, want, nil); err != nil {
 			r = residual{err: err.Error()}
 		} else {
 			r = residual{ops: opNames(pl.Ops)}

@@ -239,13 +239,10 @@ type Host interface {
 
 // Options tunes a Planner.
 type Options struct {
-	Model    cost.Model
-	Est      *cost.Estimator
-	Registry exec.UDFRegistry
+	Model cost.Model
+	Est   *cost.Estimator
 	// Admission rejects plans that would overload a peer or link.
 	Admission bool
-	// DepthFirst switches discovery from FIFO to LIFO queues.
-	DepthFirst bool
 	// Widening enables the §6 stream-widening extension.
 	Widening bool
 }
@@ -283,7 +280,6 @@ type Planner struct {
 // fingerprint-keyed caches.
 type indexed struct {
 	net    *network.Network
-	reg    exec.UDFRegistry
 	idx    *Index
 	routes *RouteCache
 	match  *MatchCache
@@ -295,7 +291,6 @@ type indexed struct {
 func New(net *network.Network, host Host, opt Options, o *obs.Observer) *Planner {
 	x := &indexed{
 		net:    net,
-		reg:    opt.Registry,
 		idx:    NewIndex(),
 		routes: NewRouteCache(o.Metrics),
 		match:  NewMatchCache(o.Metrics),
@@ -335,5 +330,5 @@ func (x *indexed) explainMismatch(have, want *properties.Input) string {
 }
 
 func (x *indexed) residualOps(have, want *properties.Input) ([]string, error) {
-	return x.match.Residual(have, want, x.reg)
+	return x.match.Residual(have, want)
 }

@@ -74,7 +74,7 @@ func (p *Planner) planShipping(q *wxquery.Query, in *properties.Input, target ne
 		return nil, fmt.Errorf("core: no path from %s to %s", orig.Tap, target)
 	}
 	reg.Messages += 2*(len(route)-1) + 2
-	full, err := exec.FullPipeline(q, in, p.opt.Registry)
+	full, err := exec.FullPipeline(q, in, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -168,12 +168,8 @@ func (p *Planner) planStreamSharing(in *properties.Input, target network.PeerID,
 	marked := map[network.PeerID]bool{}
 	queued := map[network.PeerID]bool{vb: true}
 	for len(lv) > 0 {
-		var v network.PeerID
-		if p.opt.DepthFirst {
-			v, lv = lv[len(lv)-1], lv[:len(lv)-1]
-		} else {
-			v, lv = lv[0], lv[1:]
-		}
+		v := lv[0]
+		lv = lv[1:]
 		if marked[v] {
 			continue
 		}

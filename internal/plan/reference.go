@@ -17,14 +17,13 @@ import (
 // here but by the widening tests in internal/core.
 func Reference(p *Planner) *Planner {
 	ref := *p
-	ref.lookups = bruteForce{net: p.net, host: p.host, reg: p.opt.Registry}
+	ref.lookups = bruteForce{net: p.net, host: p.host}
 	return &ref
 }
 
 type bruteForce struct {
 	net  *network.Network
 	host Host
-	reg  exec.UDFRegistry
 }
 
 func (b bruteForce) available(v network.PeerID, stream string) []*Deployed {
@@ -50,7 +49,7 @@ func (b bruteForce) explainMismatch(have, want *properties.Input) string {
 }
 
 func (b bruteForce) residualOps(have, want *properties.Input) ([]string, error) {
-	res, err := exec.ResidualPipeline(have, want, b.reg)
+	res, err := exec.ResidualPipeline(have, want, nil)
 	if err != nil {
 		return nil, err
 	}

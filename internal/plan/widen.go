@@ -54,11 +54,11 @@ func (p *Planner) widenCandidate(in *properties.Input, target network.PeerID) *C
 // buildWidenCandidate prices one widening plan.
 func (p *Planner) buildWidenCandidate(d *Deployed, wIn, in *properties.Input, target network.PeerID) (*Candidate, error) {
 	wSize, wFreq := p.opt.Est.SizeFreq(wIn)
-	wRes, err := exec.ResidualPipeline(d.Parent.Input, wIn, p.opt.Registry)
+	wRes, err := exec.ResidualPipeline(d.Parent.Input, wIn, nil)
 	if err != nil {
 		return nil, err
 	}
-	dRes, err := exec.ResidualPipeline(wIn, d.Input, p.opt.Registry)
+	dRes, err := exec.ResidualPipeline(wIn, d.Input, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +109,7 @@ func (p *Planner) buildWidenCandidate(d *Deployed, wIn, in *properties.Input, ta
 	if route == nil {
 		return nil, fmt.Errorf("core: no path to %s", target)
 	}
-	subRes, err := exec.ResidualPipeline(wIn, in, p.opt.Registry)
+	subRes, err := exec.ResidualPipeline(wIn, in, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -22,26 +22,17 @@ func unsupported(format string, args ...interface{}) error {
 	return fmt.Errorf("%w: %s", ErrUnsupported, fmt.Sprintf(format, args...))
 }
 
-// Options tune property construction.
-type Options struct {
-	// NoMinimize skips predicate-graph minimization (an ablation knob;
-	// §3.3 minimizes once per subscription at registration). Satisfiability
-	// is still checked.
-	NoMinimize bool
-}
+// Options tune property construction. There is nothing to tune: the
+// construction always checks satisfiability and minimizes (§3.3).
+type Options struct{}
 
 // FromQuery constructs the properties of a parsed WXQuery subscription. The
 // construction — including predicate normalization, the satisfiability
 // check, and minimization — runs once per subscription during registration
 // (§3.3, "Matching Predicates").
 func FromQuery(q *wxquery.Query) (*Properties, error) {
-	return Build(q, Options{})
-}
-
-// Build is FromQuery with explicit options.
-func Build(q *wxquery.Query, opts Options) (*Properties, error) {
 	p := &Properties{}
-	if err := collectInputs(q.Root, p, opts); err != nil {
+	if err := collectInputs(q.Root, p); err != nil {
 		return nil, err
 	}
 	if len(p.Inputs) == 0 {
@@ -50,17 +41,20 @@ func Build(q *wxquery.Query, opts Options) (*Properties, error) {
 	return p, nil
 }
 
+// Build is FromQuery; Options carries nothing.
+func Build(q *wxquery.Query, _ Options) (*Properties, error) { return FromQuery(q) }
+
 // collectInputs walks constructor content and builds one Input per FLWR
 // expression with a stream() source.
-func collectInputs(e *wxquery.ElemCtor, p *Properties, opts Options) error {
+func collectInputs(e *wxquery.ElemCtor, p *Properties) error {
 	for _, c := range e.Content {
 		switch x := c.(type) {
 		case *wxquery.ElemCtor:
-			if err := collectInputs(x, p, opts); err != nil {
+			if err := collectInputs(x, p); err != nil {
 				return err
 			}
 		case *wxquery.FLWR:
-			in, err := buildInput(x, opts)
+			in, err := buildInput(x)
 			if err != nil {
 				return err
 			}
@@ -76,7 +70,7 @@ func collectInputs(e *wxquery.ElemCtor, p *Properties, opts Options) error {
 }
 
 // buildInput derives the operator set of one FLWR expression.
-func buildInput(f *wxquery.FLWR, opts Options) (*Input, error) {
+func buildInput(f *wxquery.FLWR) (*Input, error) {
 	var fc *wxquery.ForClause
 	lets := map[string]*wxquery.LetClause{}
 	var letOrder []*wxquery.LetClause
@@ -169,9 +163,7 @@ func buildInput(f *wxquery.FLWR, opts Options) (*Input, error) {
 		if !sel.Satisfiable() {
 			return nil, fmt.Errorf("%w: %s", ErrUnsatisfiable, sel)
 		}
-		if !opts.NoMinimize {
-			sel.Minimize()
-		}
+		sel.Minimize()
 		in.Ops = append(in.Ops, Op{Kind: OpSelect, Sel: sel})
 	}
 
@@ -199,9 +191,7 @@ func buildInput(f *wxquery.FLWR, opts Options) (*Input, error) {
 			if !g.Satisfiable() {
 				return nil, fmt.Errorf("%w: %s", ErrUnsatisfiable, g)
 			}
-			if !opts.NoMinimize {
-				g.Minimize()
-			}
+			g.Minimize()
 			agg.Filter = g
 		}
 		in.Ops = append(in.Ops, Op{Kind: OpAggregate, Agg: agg})

@@ -42,23 +42,6 @@ const (
 	OpUDF
 )
 
-// String names the operator kind in the paper's notation.
-func (k OpKind) String() string {
-	switch k {
-	case OpSelect:
-		return "σ"
-	case OpProject:
-		return "π"
-	case OpAggregate:
-		return "Φ"
-	case OpWindow:
-		return "ω"
-	case OpUDF:
-		return "udf"
-	}
-	return fmt.Sprintf("OpKind(%d)", int(k))
-}
-
 // Aggregation describes a window-based aggregation operator's conditions:
 // the operator, the aggregated element, the data window, and any filter
 // applied to the aggregation result (as in Query 4's $a ≥ 1.3).

@@ -46,16 +46,11 @@ type ClusterOptions struct {
 
 	// Nodes maps every cluster node name to its address. The local entry
 	// is the listen address; a remote entry may be empty when that node
-	// dials us (larger names accept from smaller ones) or when it is
-	// introduced later via Join.
+	// dials us (larger names accept from smaller ones).
 	Nodes map[string]string
 
 	// Transport carries the frames; nil means TCP.
 	Transport transport.Transport
-
-	// LinkWindow bounds each link's replay journal in frames
-	// (transport.DefaultLinkWindow when 0).
-	LinkWindow int
 
 	// SeedNames pre-interns element names into both dictionary halves of
 	// every link (the handshake carries the list, so both sides seed
@@ -207,7 +202,6 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 		Node:                opts.Node,
 		Listen:              opts.Nodes[opts.Node],
 		Handler:             c.handle,
-		Window:              opts.LinkWindow,
 		SeedNames:           opts.SeedNames,
 		ObserveWire:         opts.WireObserver,
 		DataDir:             opts.DataDir,
@@ -245,15 +239,6 @@ func (c *Cluster) Node() string { return c.node }
 
 // Addr returns the mesh listener's bound address.
 func (c *Cluster) Addr() string { return c.mesh.Addr() }
-
-// Join connects the link to a node that was not in the node map at
-// NewCluster (or whose address was unknown then). Idempotent per node.
-// The error is non-nil only on durable clusters, when the link's journal
-// cannot be recovered.
-func (c *Cluster) Join(node, addr string) error {
-	_, err := c.mesh.Connect(node, addr)
-	return err
-}
 
 // Checkpoint compacts every durable link's journal to a snapshot of its
 // current protocol state. Call it at quiescent points — the runtime calls

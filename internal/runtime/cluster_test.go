@@ -264,10 +264,11 @@ func testClusterEquivalence(t *testing.T, tr transport.Transport, build buildFun
 	done := make(chan struct{})
 	defer close(done)
 	if chaos {
-		// The fuse breaks the run mid-stream for certain; on top of it, keep
-		// killing conns from outside while the run streams, as often as the
+		// The fuse breaks the run mid-stream for certain; on top of it, kill
+		// conns from outside once as the run starts and then as often as the
 		// clock allows. Every kill forces a reconnect-and-replay.
 		go func() {
+			c0.DropConns()
 			ticker := time.NewTicker(3 * time.Millisecond)
 			defer ticker.Stop()
 			for {

@@ -97,32 +97,3 @@ func TestKillPeerMidDelivery(t *testing.T) {
 		t.Fatal("run did not terminate after mid-delivery kill")
 	}
 }
-
-func TestMailboxSoftCap(t *testing.T) {
-	want := fullCounts(t)
-	eng, items := setup(t, core.StreamSharing)
-	r := New(eng, false)
-	r.SetMailboxSoftCap(1)
-	res, err := r.Run(map[string][]*xmlstream.Element{"photons": items})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The cap observes; it never drops.
-	for id, n := range want {
-		if res.Results[id] != n {
-			t.Errorf("sub %s delivered %d items with soft cap, %d without", id, res.Results[id], n)
-		}
-	}
-	if got := eng.Obs().Metrics.Snapshot().Counters["runtime.mailbox.overflow"]; got == 0 {
-		t.Error("a soft cap of 1 should overflow")
-	}
-
-	// Default: disabled, no counter.
-	eng2, items2 := setup(t, core.StreamSharing)
-	if _, err := New(eng2, false).Run(map[string][]*xmlstream.Element{"photons": items2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := eng2.Obs().Metrics.Snapshot().Counters["runtime.mailbox.overflow"]; ok {
-		t.Error("overflow counter should not exist when the cap is off")
-	}
-}

@@ -1,13 +1,9 @@
 package runtime
 
 import (
-	"log"
-	"strconv"
 	"sync"
 
 	"streamshare/internal/core"
-	"streamshare/internal/network"
-	"streamshare/internal/obs"
 )
 
 // inbox is a peer's mailbox: an unbounded, multi-lane FIFO drained by the
@@ -22,7 +18,7 @@ import (
 //
 // Depth accounting is per item, not per batch: a message carrying k items
 // contributes k units (plus one for an EOS marker), so the high-water mark
-// and soft-cap overflow counters stay comparable across batch sizes.
+// stays comparable across batch sizes.
 type inbox struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -37,17 +33,6 @@ type inbox struct {
 	// depth statistic that matters — how far a peer fell behind its
 	// producers.
 	hwm int
-	// softCap, when positive, flags (but never drops) items that grow the
-	// queue beyond it: overflow counts each item past the cap and the first
-	// breach logs a warning, making churn-induced backlog visible without
-	// giving up the no-deadlock guarantee.
-	softCap  int
-	overflow int
-	warned   bool
-	owner    network.PeerID
-	// flight, when non-nil, receives a "mailbox.overflow" event on the
-	// first soft-cap breach (same cadence as the log warning).
-	flight *obs.FlightRecorder
 }
 
 // lane carries one stream's pending messages at one peer. scheduled is true
@@ -64,8 +49,8 @@ func newInbox() *inbox {
 	return b
 }
 
-// push enqueues a message on its stream's lane and accounts depth, the
-// high-water mark, and soft-cap overflow per item carried.
+// push enqueues a message on its stream's lane and accounts depth and the
+// high-water mark per item carried.
 func (b *inbox) push(m message) {
 	u := m.units()
 	b.mu.Lock()
@@ -78,21 +63,6 @@ func (b *inbox) push(m message) {
 	b.depth += u
 	if b.depth > b.hwm {
 		b.hwm = b.depth
-	}
-	if b.softCap > 0 && b.depth > b.softCap {
-		// Count only the items actually past the cap: a batch that crosses
-		// it contributes its excess, not its full size and not a flat one.
-		over := b.depth - b.softCap
-		if over > u {
-			over = u
-		}
-		b.overflow += over
-		if !b.warned {
-			b.warned = true
-			log.Printf("runtime: peer %s mailbox exceeded soft cap %d", b.owner, b.softCap)
-			b.flight.Record("mailbox.overflow",
-				string(b.owner)+" depth="+strconv.Itoa(b.depth)+" cap="+strconv.Itoa(b.softCap))
-		}
 	}
 	if !ln.scheduled {
 		ln.scheduled = true
@@ -149,18 +119,6 @@ func (b *inbox) close() {
 	b.closed = true
 	b.mu.Unlock()
 	b.cond.Broadcast()
-}
-
-func (b *inbox) setSoftCap(n int) {
-	b.mu.Lock()
-	b.softCap = n
-	b.mu.Unlock()
-}
-
-func (b *inbox) overflowCount() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.overflow
 }
 
 func (b *inbox) highWater() int {

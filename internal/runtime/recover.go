@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"fmt"
-
 	"streamshare/internal/core"
 	"streamshare/internal/network"
 	"streamshare/internal/transport"
@@ -32,11 +30,6 @@ type RecoveryReport struct {
 	Results map[string]int
 	// Collected holds the redelivered items per subscription id.
 	Collected map[string][]*xmlstream.Element
-}
-
-// String renders the report in one line.
-func (rp *RecoveryReport) String() string {
-	return fmt.Sprintf("recovered %d inputs, %d items, %d bytes", rp.Inputs, rp.Items, rp.Bytes)
 }
 
 // Recover finishes the last attached run on its own operator instances: it

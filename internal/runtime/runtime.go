@@ -9,9 +9,9 @@
 // equivalence the tests assert:
 //
 //   - Batching: mailbox messages carry up to Options.BatchSize items of one
-//     stream. Accounting stays per item — depth, high-water marks, soft-cap
-//     overflow and fault-injection drops all count items, not batches — so
-//     observable metrics are comparable across batch sizes.
+//     stream. Accounting stays per item — depth, high-water marks and
+//     fault-injection drops all count items, not batches — so observable
+//     metrics are comparable across batch sizes.
 //   - Tree batches: a batch carries parsed element trees, the one form an
 //     item has inside a process. The batcher never serializes, consumers
 //     read the shared trees without reparsing, the session's replay journal
@@ -78,9 +78,8 @@ type message struct {
 	span *obs.Span
 }
 
-// units is the item-granular size of the message, the unit of depth,
-// overflow and drop accounting: one per data item plus one for an EOS
-// marker.
+// units is the item-granular size of the message, the unit of depth and
+// drop accounting: one per data item plus one for an EOS marker.
 func (m *message) units() int {
 	u := len(m.elems)
 	if m.eos {
@@ -224,10 +223,7 @@ func NewWith(eng *core.Engine, collect bool, opts Options) *Runtime {
 		r.items = map[string][]*xmlstream.Element{}
 	}
 	for _, id := range eng.Net.Peers() {
-		ib := newInbox()
-		ib.owner = id
-		ib.flight = r.flight
-		r.nodes[id] = &node{id: id, inbox: ib}
+		r.nodes[id] = &node{id: id, inbox: newInbox()}
 	}
 	r.peerIDs = eng.Net.Peers()
 	r.linkIDs = eng.Net.Links()
@@ -396,18 +392,6 @@ func (r *Runtime) MailboxHWM() map[network.PeerID]int {
 	return out
 }
 
-// SetMailboxSoftCap sets a soft queue-depth cap, in items, on every peer
-// mailbox: items queued beyond it are counted (runtime.mailbox.overflow)
-// and the first breach per mailbox logs a warning, but nothing is dropped
-// or blocked — the unbounded no-deadlock design is unchanged. A batch that
-// crosses the cap counts only the items past it. Zero (the default)
-// disables the check. Call before Run.
-func (r *Runtime) SetMailboxSoftCap(n int) {
-	for _, nd := range r.nodes {
-		nd.inbox.setSoftCap(n)
-	}
-}
-
 // KillPeer kills a peer's actor mid-run: from now on the peer discards
 // every message — queued or future — without processing or forwarding, as
 // a crashed super-peer would. Safe to call while Run is in flight;
@@ -471,16 +455,11 @@ func (r *Runtime) publish() {
 	if d := r.Dropped(); d > 0 {
 		reg.Counter("runtime.dropped.messages").Add(float64(d))
 	}
-	overflow := 0
 	for id, n := range r.nodes {
 		// Set, not SetMax: each run reports its own high-water mark, so a
 		// small run after a large one in the same process (experiments does
 		// this) is not inflated by the earlier run's peak.
 		reg.Gauge("runtime.mailbox.hwm." + string(id)).Set(float64(n.inbox.highWater()))
-		overflow += n.inbox.overflowCount()
-	}
-	if overflow > 0 {
-		reg.Counter("runtime.mailbox.overflow").Add(float64(overflow))
 	}
 	if r.sess != nil {
 		r.mu.Lock()

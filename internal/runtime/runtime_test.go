@@ -317,30 +317,6 @@ func TestInboxLaneSerialization(t *testing.T) {
 	}
 }
 
-// TestInboxOverflowCountsPerItem is the regression test for batch-blind
-// soft-cap accounting: a batch that crosses the cap must count exactly the
-// items past it — not one per batch, and not its full size when part of it
-// fit under the cap.
-func TestInboxOverflowCountsPerItem(t *testing.T) {
-	b := newInbox()
-	b.setSoftCap(2)
-	b.push(batchMsg(5)) // depth 5, cap 2: 3 items over
-	if got := b.overflowCount(); got != 3 {
-		t.Fatalf("5-item batch past cap 2 counted %d overflows, want 3", got)
-	}
-	b.push(batchMsg(5)) // depth 10: all 5 land past the cap
-	if got := b.overflowCount(); got != 8 {
-		t.Fatalf("second batch counted %d total overflows, want 8", got)
-	}
-	// Under the cap nothing counts.
-	b2 := newInbox()
-	b2.setSoftCap(2)
-	b2.push(batchMsg(2))
-	if got := b2.overflowCount(); got != 0 {
-		t.Fatalf("batch within cap counted %d overflows, want 0", got)
-	}
-}
-
 // TestRuntimePublishesMailboxHWM checks that after a run every peer has a
 // high-water gauge in the engine's metrics registry matching MailboxHWM, and
 // that the source peer (which receives every injected item) saw at least one

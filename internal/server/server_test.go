@@ -243,6 +243,10 @@ func TestServerErrors(t *testing.T) {
 	if s, _ := c.cmd(t, "SUBSCRIBE SP2 sharing", "not a query"); !strings.HasPrefix(s, "ERR") {
 		t.Errorf("bad query = %q", s)
 	}
+	typo := `<photons>{ for $w in stream("photons")/photons/photon |det_time diff 20 step 20| let $a := averag($w/en) return <fine>{ $a }</fine> }</photons>`
+	if s, _ := c.cmd(t, "SUBSCRIBE SP2 sharing", typo); !strings.HasPrefix(s, "ERR") || !strings.Contains(s, "averag") {
+		t.Errorf("unknown aggregate = %q", s)
+	}
 	if s, _ := c.cmd(t, "EXPLAIN nope", ""); !strings.HasPrefix(s, "ERR") {
 		t.Errorf("bad explain = %q", s)
 	}

@@ -110,16 +110,22 @@ func TestLinkDuplexTCP(t *testing.T) { testLinkDuplex(t, NewTCP()) }
 
 // testLinkReconnectReplay kills conns repeatedly while a stream of
 // sequenced frames flows; the journal replay plus receive dedup must
-// deliver every frame exactly once, in order.
+// deliver every frame exactly once, in order. The sender waits at n/2 for
+// the first drop, so the drop always lands mid-stream: ungated, every frame
+// could be delivered before it, leaving nothing to replay.
 func testLinkReconnectReplay(t *testing.T, tr Transport) {
 	ma, _, _, cb := meshPair(t, tr)
 	if err := ma.WaitConnected(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	const n = 3000
+	firstDrop := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < n; i++ {
+			if i == n/2 {
+				<-firstDrop
+			}
 			if err := ma.Link("b").Send(&Frame{Type: FrameControl, Data: []byte(fmt.Sprintf("f%d", i))}); err != nil {
 				done <- err
 				return
@@ -131,6 +137,7 @@ func testLinkReconnectReplay(t *testing.T, tr Transport) {
 	// periodically while the tail drains.
 	waitFor(t, 5*time.Second, func() bool { return cb.len() > 0 }, "first delivery")
 	drops := ma.DropConns()
+	close(firstDrop)
 	deadline := time.Now().Add(20 * time.Second)
 	for i := 0; cb.len() < n; i++ {
 		if time.Now().After(deadline) {
@@ -156,10 +163,8 @@ func testLinkReconnectReplay(t *testing.T, tr Transport) {
 	if drops == 0 {
 		t.Fatal("no conns were dropped; chaos did not engage")
 	}
-	st := ma.Link("b").Stats()
-	if st.Reconnects == 0 {
-		t.Fatalf("no reconnects recorded after %d drops: %+v", drops, st)
-	}
+	waitFor(t, 5*time.Second, func() bool { return ma.Link("b").Stats().Reconnects > 0 },
+		fmt.Sprintf("no reconnects recorded after %d drops", drops))
 }
 
 func TestLinkReconnectReplayMem(t *testing.T) { testLinkReconnectReplay(t, NewMem()) }

@@ -193,9 +193,6 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 	return m, nil
 }
 
-// Node returns this node's name.
-func (m *Mesh) Node() string { return m.node }
-
 // Addr returns the listener's bound address (dialable by remotes).
 func (m *Mesh) Addr() string { return m.ln.Addr() }
 

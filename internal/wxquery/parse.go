@@ -571,7 +571,7 @@ func (p *parser) parseAtom(dollar bool) (CondAtom, error) {
 	}
 	a.Op = op
 	p.skipSpace()
-	if p.peek() == '$' || (!dollar && isNameStart(p.peek()) && !p.atNumber()) {
+	if p.peek() == '$' || (!dollar && isNameStart(p.peek())) {
 		right, err := p.parseOperandPath(dollar)
 		if err != nil {
 			return a, err
@@ -604,11 +604,6 @@ func (p *parser) parseAtom(dollar bool) (CondAtom, error) {
 	}
 	a.Const = c
 	return a, nil
-}
-
-func (p *parser) atNumber() bool {
-	c := p.peek()
-	return c >= '0' && c <= '9' || c == '-' || c == '+' || c == '.'
 }
 
 func (p *parser) parseOperandPath(dollar bool) (VarPath, error) {

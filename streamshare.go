@@ -23,7 +23,8 @@
 //	sub, err := sys.Subscribe(queryText, "SP3", streamshare.StreamSharing)
 //	res, err := sys.Simulate(map[string][]*streamshare.Item{"photons": items}, true)
 //
-// See examples/ for runnable programs and DESIGN.md for the architecture.
+// See example_test.go for runnable examples and DESIGN.md for the
+// architecture.
 package streamshare
 
 import (
@@ -59,7 +60,7 @@ type (
 	Properties = properties.Properties
 	// Strategy selects the planning strategy.
 	Strategy = core.Strategy
-	// Config tunes the engine (cost model, admission control, ablations).
+	// Config tunes the engine (cost model, admission control, widening).
 	Config = core.Config
 	// Subscription is an installed continuous query.
 	Subscription = core.Subscription
@@ -150,21 +151,11 @@ func NewSystem(net *Network, cfg Config) *System {
 	return &System{eng: core.NewEngine(net, cfg)}
 }
 
-// Engine exposes the underlying engine for advanced use (load inspection,
-// ablation experiments).
-func (s *System) Engine() *core.Engine { return s.eng }
-
 // Obs returns the system's instrumentation layer: the metrics registry every
 // subsystem feeds (subscribe counters, simulator and runtime traffic/work,
 // per-operator item counts) and the tracer holding recent planning
 // decisions.
 func (s *System) Obs() *Observer { return s.eng.Obs() }
-
-// RegisterStream registers an original data stream at a super-peer with
-// precomputed statistics.
-func (s *System) RegisterStream(name, itemPath string, at PeerID, st *StreamStats) (*Deployed, error) {
-	return s.eng.RegisterStream(name, ParsePath(itemPath), at, st)
-}
 
 // RegisterStreamItems registers an original data stream, collecting
 // statistics from the given sample with the given arrival frequency
