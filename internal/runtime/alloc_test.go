@@ -20,17 +20,26 @@ import (
 // generator seed 43 at targets SP((i·13) mod 16).
 func benchPlan(t testing.TB) *core.Engine {
 	t.Helper()
-	eng := core.NewEngine(scenario.ScaleGrid(4, 0, 1).Net, core.Config{})
+	eng, err := benchPlanWith(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// benchPlanWith is benchPlan on an engine configured by cfg.
+func benchPlanWith(cfg core.Config) (*core.Engine, error) {
+	eng := core.NewEngine(scenario.ScaleGrid(4, 0, 1).Net, cfg)
 	_, st := photons.Stream("photons", photons.DefaultConfig(), 42, 2000)
 	if _, err := eng.RegisterStream("photons", xmlstream.ParsePath("photons/photon"), "SP0", st); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	for i, src := range workload.NewGenerator("photons", workload.DefaultSets(), 43).Generate(32) {
 		if _, err := eng.Subscribe(src, network.PeerID(fmt.Sprintf("SP%d", (i*13)%16)), core.StreamSharing); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
-	return eng
+	return eng, nil
 }
 
 // TestAllocBudgetRun pins what one in-process Run allocates per source item

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -165,20 +166,119 @@ func WireMetricsObserver(reg *obs.Registry) func(op string, seconds float64, ite
 	}
 }
 
-// PartitionPeers deterministically assigns peers to cluster nodes:
-// both lists are sorted and the peer list is split into contiguous,
-// near-equal ranges, one per node. Every process computes the same map
-// from the same inputs, so no coordination is needed.
-func PartitionPeers(peers []network.PeerID, nodes []string) map[network.PeerID]string {
-	ps := append([]network.PeerID(nil), peers...)
-	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
+// PartitionPeers places every peer of net on one cluster node so that few
+// links cross between nodes: a crossing link is the only kind that pays for
+// encoding, a socket write and decoding. It reads the static topology —
+// every peer and link, up or down — so a failure never moves a peer. With n
+// peers and k sorted node names, node j gets exactly the peers that index
+// i*k/n of the sorted peer list would give it, and the smallest peer goes to
+// the smallest node. The node names are bisected recursively (bisect).
+// Every process computes the same map from the same inputs, so no
+// coordination is needed.
+func PartitionPeers(net *network.Network, nodes []string) map[network.PeerID]string {
 	ns := append([]string(nil), nodes...)
 	sort.Strings(ns)
-	out := make(map[network.PeerID]string, len(ps))
-	for i, p := range ps {
-		out[p] = ns[i*len(ns)/len(ps)]
+	peers := net.Peers()
+	share := make([]int, len(ns))
+	for i := range peers {
+		share[i*len(ns)/len(peers)]++
 	}
+	// Links come sorted by (A, B), so every adjacency list is sorted too.
+	adj := map[network.PeerID][]network.PeerID{}
+	for _, l := range net.Links() {
+		adj[l.A] = append(adj[l.A], l.B)
+		adj[l.B] = append(adj[l.B], l.A)
+	}
+	out := make(map[network.PeerID]string, len(peers))
+	bisect(peers, ns, share, adj, out)
 	return out
+}
+
+// bisect places the sorted peers on the sorted nodes ns, node i taking
+// share[i] of them. The left half of ns takes its share in BFS order from
+// the smallest peer (then from the smallest one not yet reached), and then
+// the left/right pair whose swap shrinks the cut inside peers most — ties
+// to the smaller ids — is swapped until no swap shrinks it (Kernighan–Lin
+// pair swaps, greedy). The smallest peer never leaves the left half. Links
+// from peers to peers outside cross whatever the split, so they are ignored.
+func bisect(peers []network.PeerID, ns []string, share []int, adj map[network.PeerID][]network.PeerID, out map[network.PeerID]string) {
+	if len(ns) <= 1 {
+		for _, p := range peers {
+			out[p] = ns[0]
+		}
+		return
+	}
+	mid, n := len(ns)/2, 0
+	for _, s := range share[:mid] {
+		n += s
+	}
+	// left holds every peer of this part: true on the left half's side.
+	left := make(map[network.PeerID]bool, len(peers))
+	for _, p := range peers {
+		left[p] = false
+	}
+	order := make([]network.PeerID, 0, len(peers))
+	seen := make(map[network.PeerID]bool, len(peers))
+	for _, root := range peers {
+		if seen[root] {
+			continue
+		}
+		seen[root] = true
+		order = append(order, root)
+		for i := len(order) - 1; i < len(order); i++ {
+			for _, w := range adj[order[i]] {
+				if _, in := left[w]; in && !seen[w] {
+					seen[w] = true
+					order = append(order, w)
+				}
+			}
+		}
+	}
+	for _, p := range order[:n] {
+		left[p] = true
+	}
+	for {
+		// gain[p]: p's links to the other side minus its links to its own.
+		gain := make(map[network.PeerID]int, len(peers))
+		for p, l := range left {
+			for _, w := range adj[p] {
+				if lw, in := left[w]; in && lw != l {
+					gain[p]++
+				} else if in {
+					gain[p]--
+				}
+			}
+		}
+		best, a, b := 0, network.PeerID(""), network.PeerID("")
+		for i, x := range peers {
+			for _, y := range peers {
+				if i == 0 || !left[x] || left[y] {
+					continue
+				}
+				g := gain[x] + gain[y]
+				if slices.Contains(adj[x], y) {
+					g -= 2
+				}
+				if g > best {
+					best, a, b = g, x, y
+				}
+			}
+		}
+		if best == 0 {
+			break
+		}
+		left[a], left[b] = false, true
+	}
+	var lp, rp []network.PeerID
+	for _, p := range peers {
+		if left[p] {
+			lp = append(lp, p)
+		} else {
+			rp = append(rp, p)
+		}
+	}
+	bisect(lp, ns[:mid], share[:mid], adj, out)
+	bisect(rp, ns[mid:], share[mid:], adj, out)
 }
 
 // NewCluster binds the node's mesh listener and connects the links to
@@ -327,7 +427,7 @@ func (c *Cluster) assignment(net *network.Network) map[network.PeerID]string {
 	c.amu.Lock()
 	defer c.amu.Unlock()
 	if c.assign == nil {
-		c.assign = PartitionPeers(net.Peers(), c.nodesLocked())
+		c.assign = PartitionPeers(net, c.nodesLocked())
 	}
 	return c.assign
 }

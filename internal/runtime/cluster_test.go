@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -16,7 +18,9 @@ import (
 
 	"streamshare/internal/core"
 	"streamshare/internal/durable"
+	"streamshare/internal/network"
 	"streamshare/internal/obs"
+	"streamshare/internal/photons"
 	"streamshare/internal/scenario"
 	"streamshare/internal/testutil"
 	"streamshare/internal/transport"
@@ -304,14 +308,170 @@ func testClusterEquivalence(t *testing.T, tr transport.Transport, build buildFun
 func TestClusterEquivalenceMem(t *testing.T) {
 	testClusterEquivalence(t, transport.NewMem(), gridScenario(false), false, false)
 
-	own := PartitionPeers(testNet().Peers(), []string{"n0", "n1"})
-	if own["SP5"] != "n1" || own["SP0"] != "n0" {
-		t.Fatal("partition changed: the source must be remote to its consumer")
+	// The smallest peer each node owns; peers sort, so the first found wins.
+	first := map[string]network.PeerID{}
+	net := testNet()
+	own := PartitionPeers(net, []string{"n0", "n1"})
+	for _, p := range net.Peers() {
+		if _, ok := first[own[p]]; !ok {
+			first[own[p]] = p
+		}
 	}
 	testClusterEquivalence(t, transport.NewMem(), func() (*core.Engine, map[string][]*xmlstream.Element, error) {
-		eng, feed := fuzzyBuild(t, "SP5", "SP0")
+		eng, feed := fuzzyBuild(t, first["n1"], first["n0"])
 		return eng, feed, nil
 	}, false, false)
+}
+
+// TestClusterEquivalenceBenchPlanMem runs the benchmark's 4×4, 32-query plan,
+// where the placement decides which hops cross between the nodes.
+func TestClusterEquivalenceBenchPlanMem(t *testing.T) {
+	testClusterEquivalence(t, transport.NewMem(), benchScenario(false), false, false)
+}
+
+// TestClusterReconnectChaosBenchPlanMem is the benchmark's plan with conns
+// broken mid-run: every reconnect replays, and delivery still matches.
+func TestClusterReconnectChaosBenchPlanMem(t *testing.T) {
+	testClusterEquivalence(t, transport.NewMem(), benchScenario(true), true, true)
+}
+
+// benchScenario plans the benchmark's 4×4, 32-query plan over the scenario's
+// 150 photons.
+func benchScenario(reliable bool) buildFunc {
+	return func() (*core.Engine, map[string][]*xmlstream.Element, error) {
+		eng, err := benchPlanWith(core.Config{Reliable: reliable})
+		if err != nil {
+			return nil, nil, err
+		}
+		items := photons.NewGenerator(photons.DefaultConfig(), 1).Generate(gridItems)
+		return eng, map[string][]*xmlstream.Element{"photons": items}, nil
+	}
+}
+
+// TestPartitionPeers pins the placement's rules: it depends on the topology
+// alone — not on input order, not on what is up — gives each node the share
+// the i*k/n rule over the sorted peers gives it, puts the smallest peer on
+// the smallest node, places disconnected peers, and cuts no more links than
+// splitting the sorted peer names would.
+func TestPartitionPeers(t *testing.T) {
+	sortedSplit := func(net *network.Network, nodes []string) map[network.PeerID]string {
+		ns := slices.Clone(nodes)
+		sort.Strings(ns)
+		peers := net.Peers()
+		out := map[network.PeerID]string{}
+		for i, p := range peers {
+			out[p] = ns[i*len(ns)/len(peers)]
+		}
+		return out
+	}
+	cut := func(net *network.Network, own map[network.PeerID]string) int {
+		n := 0
+		for _, l := range net.Links() {
+			if own[l.A] != own[l.B] {
+				n++
+			}
+		}
+		return n
+	}
+	shares := func(own map[network.PeerID]string) map[string]int {
+		out := map[string]int{}
+		for _, node := range own {
+			out[node]++
+		}
+		return out
+	}
+	nodeNames := func(k int) []string {
+		ns := make([]string, k)
+		for i := range ns {
+			ns[i] = fmt.Sprintf("n%d", i)
+		}
+		return ns
+	}
+
+	grid := func(n int) *network.Network { return scenario.ScaleGrid(n, 0, 1).Net }
+	type netCase struct {
+		name string
+		net  *network.Network
+	}
+	// On three nodes the best swap of the first bisection would move P0, whose
+	// BFS fill leaves two of its three links cut, off the smallest node.
+	star := network.New()
+	for i := 0; i < 6; i++ {
+		star.AddPeer(network.Peer{ID: network.PeerID(fmt.Sprintf("P%d", i)), Super: true})
+	}
+	for _, l := range [][2]network.PeerID{{"P0", "P1"}, {"P0", "P2"}, {"P0", "P3"}, {"P1", "P4"}, {"P2", "P5"}} {
+		star.Connect(l[0], l[1], 1)
+	}
+	cases := []netCase{{"testNet", testNet()}, {"star", star}}
+	for n := 3; n <= 6; n++ {
+		cases = append(cases, netCase{fmt.Sprintf("grid%d", n), grid(n)})
+	}
+	for _, c := range cases {
+		for k := 2; k <= 4; k++ {
+			nodes := nodeNames(k)
+			own, old := PartitionPeers(c.net, nodes), sortedSplit(c.net, nodes)
+			if len(own) != len(c.net.Peers()) {
+				t.Errorf("%s, %d nodes: %d of %d peers placed", c.name, k, len(own), len(c.net.Peers()))
+			}
+			if !maps.Equal(shares(own), shares(old)) {
+				t.Errorf("%s, %d nodes: shares %v, the i*k/n rule gives %v", c.name, k, shares(own), shares(old))
+			}
+			if own[c.net.Peers()[0]] != "n0" {
+				t.Errorf("%s, %d nodes: the smallest peer is on %s", c.name, k, own[c.net.Peers()[0]])
+			}
+			got, was := cut(c.net, own), cut(c.net, old)
+			if got > was {
+				t.Errorf("%s, %d nodes: cut %d links, the sorted split %d", c.name, k, got, was)
+			}
+			t.Logf("%s, %d nodes: cut %d links, the sorted split %d", c.name, k, got, was)
+			// Node order of the input does not matter.
+			rev := slices.Clone(nodes)
+			slices.Reverse(rev)
+			if !maps.Equal(own, PartitionPeers(c.net, rev)) {
+				t.Errorf("%s, %d nodes: the map depends on node order", c.name, k)
+			}
+		}
+	}
+
+	g4 := grid(4)
+	own := PartitionPeers(g4, []string{"n0", "n1"})
+	if got := cut(g4, own); got != 4 {
+		t.Errorf("4×4 grid on 2 nodes: cut %d links, want 4 (the sorted split cuts %d)", got, cut(g4, sortedSplit(g4, []string{"n0", "n1"})))
+	}
+
+	// The same topology built in another order gives the same map.
+	perm := network.New()
+	peers, links := g4.Peers(), g4.Links()
+	r := rand.New(rand.NewSource(7))
+	r.Shuffle(len(peers), func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
+	r.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
+	for _, p := range peers {
+		perm.AddPeer(*g4.Peer(p))
+	}
+	for _, l := range links {
+		perm.Connect(l.B, l.A, g4.Link(l.A, l.B).Bandwidth)
+	}
+	if got := PartitionPeers(perm, []string{"n1", "n0"}); !maps.Equal(own, got) {
+		t.Errorf("permuted input: %v, want %v", got, own)
+	}
+
+	// What is up does not matter: the placement reads the static topology.
+	if err := g4.FailLink("SP5", "SP6"); err != nil {
+		t.Fatal(err)
+	}
+	if err := g4.FailPeer("SP9"); err != nil {
+		t.Fatal(err)
+	}
+	if got := PartitionPeers(g4, []string{"n0", "n1"}); !maps.Equal(own, got) {
+		t.Errorf("after failures: %v, want %v", got, own)
+	}
+
+	// A peer no link reaches is placed too.
+	g4.AddPeer(network.Peer{ID: "SP16", Super: true})
+	island := PartitionPeers(g4, []string{"n0", "n1", "n2"})
+	if island["SP16"] == "" || len(island) != 17 {
+		t.Errorf("disconnected peer: %v", island)
+	}
 }
 
 func TestClusterEquivalenceTCP(t *testing.T) {

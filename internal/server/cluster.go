@@ -75,20 +75,22 @@ func (s *Server) WithCluster(c *runtime.Cluster) *Server {
 	return s
 }
 
-// nodesCmd reports the cluster membership and per-link transport state.
+// nodesCmd reports the cluster membership, this node's share of the
+// placement, and per-link transport state.
 func (s *Server) nodesCmd(w io.Writer) {
 	if s.cluster == nil {
 		fmt.Fprintln(w, "OK 1 nodes")
 		fmt.Fprintln(w, "  (single process)")
 		return
 	}
+	peers, cut := s.placement()
 	nodes := s.cluster.Nodes()
 	fmt.Fprintf(w, "OK %d nodes\n", len(nodes))
 	self := s.cluster.Node()
 	stats := s.cluster.Stats()
 	for _, n := range nodes {
 		if n == self {
-			fmt.Fprintf(w, "  %s self @ %s\n", n, s.cluster.Addr())
+			fmt.Fprintf(w, "  %s self @ %s peers=%d cut=%d\n", n, s.cluster.Addr(), peers, cut)
 			continue
 		}
 		for _, st := range stats {
@@ -98,6 +100,27 @@ func (s *Server) nodesCmd(w io.Writer) {
 			}
 		}
 	}
+}
+
+// placement counts the peers this node executes and the links whose ends
+// two different nodes execute: the links every crossing hop pays a socket
+// for. It waits for s.mu, which guards the topology.
+func (s *Server) placement() (peers, cut int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	net, self := s.eng.Net, s.cluster.Node()
+	for _, p := range net.Peers() {
+		if s.cluster.NodeOf(net, p) == self {
+			peers++
+		}
+	}
+	for _, l := range net.Links() {
+		// A peer that joined after the placement has no node ("").
+		if a, b := s.cluster.NodeOf(net, l.A), s.cluster.NodeOf(net, l.B); a != "" && b != "" && a != b {
+			cut++
+		}
+	}
+	return peers, cut
 }
 
 // commit is the one sink of control-plane mutations: it journals the op's

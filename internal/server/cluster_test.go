@@ -51,7 +51,7 @@ func startClusterPair(t *testing.T) *clusterPair {
 }
 
 // startClusterPairOn is startClusterPair over the engine build returns; peers
-// are split between the nodes in sorted order, the lower half on n0.
+// are placed by runtime.PartitionPeers, the smallest on n0.
 func startClusterPairOn(t *testing.T, build func(*testing.T) *core.Engine) *clusterPair {
 	t.Helper()
 	c1, err := runtime.NewCluster(runtime.ClusterOptions{
@@ -176,10 +176,18 @@ func TestServerClusterRun(t *testing.T) {
 		t.Errorf("cluster feed results = %v", cont)
 	}
 
+	// The self line names the node's share of the placement and the links it
+	// cuts: SP0-SP1 stay on n0, SP1-SP2 crosses.
 	for i, cl := range []*client{c, c1} {
 		status, cont = cl.cmd(t, "NODES", "")
 		if status != "OK 2 nodes" || len(cont) != 2 {
-			t.Errorf("node %d: NODES = %q %v", i, status, cont)
+			t.Fatalf("node %d: NODES = %q %v", i, status, cont)
+		}
+		if want := []string{"peers=2 cut=1", "peers=1 cut=1"}[i]; !strings.Contains(cont[i], " self @ ") || !strings.HasSuffix(cont[i], want) {
+			t.Errorf("node %d: self line %q, want it to end in %q", i, cont[i], want)
+		}
+		if other := cont[1-i]; !strings.Contains(other, "reconnects=") || strings.Contains(other, "cut=") {
+			t.Errorf("node %d: remote line %q", i, other)
 		}
 	}
 

@@ -82,7 +82,7 @@ func countLines(eng *core.Engine, counts map[string]int) string {
 // each, both nodes show one catalog; the RUN and FEED that follow deliver
 // what the simulator delivers on a reference engine that applied the same
 // ops. FAIL SP1 repairs q1 over the backup route (which crosses to n1, which
-// executes SP3 and SP4) and rejects q2, whose target is SP1.
+// executes SP2 and SP4, at SP3-SP4) and rejects q2, whose target is SP1.
 func TestServerClusterAdaptMirrors(t *testing.T) {
 	p := startClusterPairOn(t, buildDetourEngine)
 	defer p.close()

@@ -34,8 +34,10 @@
 //	                     peer/link (suspicion, flaps, threshold) and one line
 //	                     per reliable channel (next seq, cum ack, replay depth,
 //	                     credits); requires a session (sgd -reliable)
-//	NODES              → cluster membership: each node with its link phase
-//	                     and frame/reconnect counters (multi-process sgd)
+//	NODES              → cluster membership: this node's placed peers and the
+//	                     links the placement cuts, each other node with its
+//	                     link phase and frame/reconnect counters
+//	                     (multi-process sgd)
 //	LAG                → per-subscription delivery freshness from sampled
 //	                     provenance spans: low watermark (event time of the
 //	                     newest sampled item fully processed at the sink),

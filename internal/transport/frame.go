@@ -29,9 +29,10 @@ import (
 // (FuzzFrame holds it to that).
 
 // ProtocolVersion is the handshake version this build speaks. Hello and
-// Welcome carry it; a mismatch fails the handshake (docs/WIRE.md §5 says
-// what a version-1 peer, which could put plain Batch frames on a conn, sees).
-const ProtocolVersion = 2
+// Welcome carry it; a mismatch fails the handshake. docs/WIRE.md §5 says
+// what an older peer sees: version 1 could put plain Batch frames on a conn,
+// and version 2 places super-peers on nodes by another rule.
+const ProtocolVersion = 3
 
 // MaxFrameSize bounds one frame payload on the wire (16 MiB). ReadFramePayload
 // rejects larger length prefixes before allocating.

@@ -108,7 +108,8 @@ func TestCodecNegotiationDefault(t *testing.T) {
 }
 
 // TestHandshakeOldHello: a dialer speaking protocol version 1 — with or
-// without the capabilities map that version's later builds sent — is
+// without the capabilities map that version's later builds sent — or
+// version 2, whose builds place super-peers on nodes by another rule, is
 // refused: no Welcome, no attach, and the acceptor's flight recorder says
 // who asked and which versions disagreed.
 func TestHandshakeOldHello(t *testing.T) {
@@ -122,24 +123,32 @@ func TestHandshakeOldHello(t *testing.T) {
 	defer mb.Close()
 	mb.Connect("a", "") // "a" < "b": b accepts
 
-	for i, opts := range []map[string]string{nil, {"caps.v": "1", "codec": "binary2,xml", "dictseed": ""}} {
+	olds := []struct {
+		version uint32
+		opts    map[string]string
+	}{
+		{1, nil},
+		{1, map[string]string{"caps.v": "1", "codec": "binary2,xml", "dictseed": ""}},
+		{2, map[string]string{"caps.v": "1", "dictseed": ""}},
+	}
+	for i, old := range olds {
 		conn, err := tr.Dial(mb.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		hello := &Frame{Type: FrameHello, Version: 1, Node: "a", Resume: 1, Options: opts}
+		hello := &Frame{Type: FrameHello, Version: old.version, Node: "a", Resume: 1, Options: old.opts}
 		if err := conn.WriteFrame(EncodeFrame(hello)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := conn.ReadFrame(); err == nil {
-			t.Fatalf("hello %d: a version-1 hello was answered", i)
+			t.Fatalf("hello %d: a version-%d hello was answered", i, old.version)
 		}
 		got := refusals(flight)
 		if len(got) != i+1 {
 			t.Fatalf("hello %d: %d refusals recorded, want %d: %q", i, len(got), i+1, got)
 		}
-		for _, want := range []string{`node "a"`, "version 1", "this build 2"} {
+		for _, want := range []string{`node "a"`, fmt.Sprintf("version %d,", old.version), fmt.Sprintf("this build %d", ProtocolVersion)} {
 			if !strings.Contains(got[i], want) {
 				t.Fatalf("hello %d: refusal %q does not name %s", i, got[i], want)
 			}
@@ -161,15 +170,15 @@ func TestHandshakeOldHello(t *testing.T) {
 	if _, err := conn.ReadFrame(); err == nil {
 		t.Fatal("handshake from an unknown node was answered")
 	}
-	if got := refusals(flight); len(got) != 3 || !strings.Contains(got[2], `"stranger"`) || !strings.Contains(got[2], "unknown node") {
+	if got := refusals(flight); len(got) != len(olds)+1 || !strings.Contains(got[len(olds)], `"stranger"`) || !strings.Contains(got[len(olds)], "unknown node") {
 		t.Fatalf("unknown-node refusal not recorded: %q", got)
 	}
 }
 
 // TestHandshakeOldWelcome: a current dialer facing an acceptor that answers
-// with protocol version 1 refuses the Welcome: it never attaches, it says
-// why — an error naming both versions, left in its flight recorder — and it
-// keeps redialing.
+// with protocol version 1, and then with version 2, refuses each Welcome: it
+// never attaches, it says why — an error naming both versions, left in its
+// flight recorder — and it keeps redialing.
 func TestHandshakeOldWelcome(t *testing.T) {
 	tr := NewMem()
 	ln, err := tr.Listen("")
@@ -186,7 +195,11 @@ func TestHandshakeOldWelcome(t *testing.T) {
 	defer ma.Close()
 	ma.Connect("b", ln.Addr()) // "a" < "b": a dials our fake old peer
 
-	for round := 0; round < 2; round++ { // the second Hello shows the redial
+	olds := []*Frame{
+		{Type: FrameWelcome, Version: 1, Node: "b", Resume: 1, Options: map[string]string{"caps.v": "1", "codec": "xml"}},
+		{Type: FrameWelcome, Version: 2, Node: "b", Resume: 1, Options: map[string]string{"caps.v": "1", "dictseed": ""}},
+	}
+	for _, welcome := range olds { // the second Hello shows the redial
 		conn, err := ln.Accept()
 		if err != nil {
 			t.Fatal(err)
@@ -209,27 +222,27 @@ func TestHandshakeOldWelcome(t *testing.T) {
 		if _, ok := hello.Options["codec"]; ok {
 			t.Fatalf("hello still negotiates a codec: %v", hello.Options)
 		}
-		welcome := &Frame{Type: FrameWelcome, Version: 1, Node: "b", Resume: 1,
-			Options: map[string]string{"caps.v": "1", "codec": "xml"}}
 		if err := conn.WriteFrame(EncodeFrame(welcome)); err != nil {
 			t.Fatal(err)
 		}
 		// The dialer hangs up on the Welcome it refuses.
 		if _, err := conn.ReadFrame(); err == nil {
-			t.Fatal("dialer sent a frame after a version-1 welcome")
+			t.Fatalf("dialer sent a frame after a version-%d welcome", welcome.Version)
 		}
 	}
 	got := refusals(flight)
-	if len(got) < 2 {
-		t.Fatalf("%d refusals recorded over two handshakes: %q", len(got), got)
+	if len(got) < len(olds) {
+		t.Fatalf("%d refusals recorded over %d handshakes: %q", len(got), len(olds), got)
 	}
-	for _, want := range []string{`node "b"`, "version 1", "this build 2"} {
-		if !strings.Contains(got[0], want) {
-			t.Fatalf("refusal %q does not name %s", got[0], want)
+	for i, welcome := range olds {
+		for _, want := range []string{`node "b"`, fmt.Sprintf("version %d,", welcome.Version), fmt.Sprintf("this build %d", ProtocolVersion)} {
+			if !strings.Contains(got[i], want) {
+				t.Fatalf("refusal %q does not name %s", got[i], want)
+			}
 		}
 	}
 	if st := ma.Link("b").Stats(); st.Phase == "connected" || st.Reconnects != 0 {
-		t.Fatalf("dialer attached to a version-1 acceptor: %+v", st)
+		t.Fatalf("dialer attached to an older acceptor: %+v", st)
 	}
 }
 
