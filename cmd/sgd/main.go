@@ -36,7 +36,8 @@
 // name dials the larger, so a node that only accepts still lists its peers,
 // with empty addresses). Membership is static: every process must name the
 // same node set, or inbound handshakes from unlisted nodes are refused.
-// Super-peers are partitioned across the processes deterministically;
+// Super-peers are placed on the processes deterministically, by a min-cut
+// of the topology the flags build;
 // batches, acks and heartbeats travel as length-prefixed frames over
 // reconnect-safe links. A batch crosses a link as one dictionary-compressed
 // binary payload; each link handshake seeds the connection's dictionaries
@@ -181,8 +182,11 @@ func main() {
 			copts.DurableSyncInterval = *dataSyncInt
 			copts.Metrics = eng.Obs().Metrics
 		}
+		// The peers are placed on the topology the flags built, before the
+		// catalog below replays adaptations into it: every node, restarted
+		// or not, places them alike.
 		var err error
-		clu, err = runtime.NewCluster(copts)
+		clu, err = runtime.NewCluster(n, copts)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -18,7 +18,7 @@ import (
 // at its timeout with the error that names it, and the wait leaves no
 // goroutine behind.
 func TestBarrierTimesOut(t *testing.T) {
-	c0, _ := clusterPair(t, transport.NewMem())
+	c0, _ := clusterPair(t, testNet(), transport.NewMem())
 	if err := c0.WaitConnected(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestBarrierTimesOut(t *testing.T) {
 // TestBarrierWakesOnClose: closing the cluster releases a run parked at the
 // barrier instead of leaving it to sit out the timeout.
 func TestBarrierWakesOnClose(t *testing.T) {
-	c0, c1 := clusterPair(t, transport.NewMem())
+	c0, c1 := clusterPair(t, testNet(), transport.NewMem())
 	if err := c0.WaitConnected(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -81,16 +81,16 @@ func TestBarrierWakesOnClose(t *testing.T) {
 // frame for a stream the engine without the plans does not have is dropped
 // with a flight event and a count.
 func TestQuiescenceBounded(t *testing.T) {
-	c0, c1 := clusterPair(t, transport.NewMem())
-	if err := c0.WaitConnected(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
 	eng1, feed, err := clusterBuild(gridN, gridQueries, gridItems, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	empty, _, err := clusterBuild(gridN, 0, 0, false)
 	if err != nil {
+		t.Fatal(err)
+	}
+	c0, c1 := clusterPair(t, eng1.Net, transport.NewMem())
+	if err := c0.WaitConnected(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	// The grid's sources sit on n0's peers: n1 is the node with ingress lanes.

@@ -77,16 +77,16 @@ func BenchmarkGridRun(b *testing.B) {
 // 4×4, 32-query grid, push one item through and pass the drain and the
 // termination barrier. The engines are standing, as a server's are.
 func BenchmarkClusterOneItemRun(b *testing.B) {
-	c0, c1 := clusterPair(b, transport.NewMem())
-	if err := c0.WaitConnected(10 * time.Second); err != nil {
-		b.Fatal(err)
-	}
 	eng0, feed0, err := clusterBuild(4, 32, 1, false)
 	if err != nil {
 		b.Fatal(err)
 	}
 	eng1, feed1, err := clusterBuild(4, 32, 1, false)
 	if err != nil {
+		b.Fatal(err)
+	}
+	c0, c1 := clusterPair(b, eng0.Net, transport.NewMem())
+	if err := c0.WaitConnected(10 * time.Second); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

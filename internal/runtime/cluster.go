@@ -100,13 +100,18 @@ type Cluster struct {
 	node string
 	mesh *transport.Mesh
 
-	// amu guards the attached runtime, the control handler and the
-	// assignment; acond wakes dispatchers blocked waiting for either.
+	// assign maps every peer of the network NewCluster was given to the node
+	// that executes it; peers and cut are this node's share of it and the
+	// links it cuts. Fixed by NewCluster, read-only after.
+	assign     map[network.PeerID]string
+	peers, cut int
+
+	// amu guards the attached runtime and the control handler; acond wakes
+	// dispatchers blocked waiting for either.
 	amu     sync.Mutex
 	acond   *sync.Cond
 	rt      *Runtime
 	control func(from string, data []byte)
-	assign  map[network.PeerID]string
 	closed  bool
 
 	// gmu guards the per-remote heartbeat gossip.
@@ -174,7 +179,8 @@ func WireMetricsObserver(reg *obs.Registry) func(op string, seconds float64, ite
 // i*k/n of the sorted peer list would give it, and the smallest peer goes to
 // the smallest node. The node names are bisected recursively (bisect).
 // Every process computes the same map from the same inputs, so no
-// coordination is needed.
+// coordination is needed; NewCluster computes it once, from the network the
+// process starts with.
 func PartitionPeers(net *network.Network, nodes []string) map[network.PeerID]string {
 	ns := append([]string(nil), nodes...)
 	sort.Strings(ns)
@@ -183,28 +189,62 @@ func PartitionPeers(net *network.Network, nodes []string) map[network.PeerID]str
 	for i := range peers {
 		share[i*len(ns)/len(peers)]++
 	}
-	// Links come sorted by (A, B), so every adjacency list is sorted too.
-	adj := map[network.PeerID][]network.PeerID{}
-	for _, l := range net.Links() {
-		adj[l.A] = append(adj[l.A], l.B)
-		adj[l.B] = append(adj[l.B], l.A)
+	// A peer is its index in the sorted list. Links come sorted by (A, B),
+	// so every adjacency list is sorted too.
+	idx := make(map[network.PeerID]int, len(peers))
+	for i, p := range peers {
+		idx[p] = i
 	}
-	out := make(map[network.PeerID]string, len(peers))
-	bisect(peers, ns, share, adj, out)
-	return out
+	pl := placer{
+		peers: peers,
+		adj:   make([][]int, len(peers)),
+		side:  make([]int8, len(peers)),
+		out:   make(map[network.PeerID]string, len(peers)),
+	}
+	for _, l := range net.Links() {
+		a, b := idx[l.A], idx[l.B]
+		pl.adj[a] = append(pl.adj[a], b)
+		pl.adj[b] = append(pl.adj[b], a)
+	}
+	all := make([]int, len(peers))
+	for i := range all {
+		all[i] = i
+	}
+	pl.bisect(all, ns, share)
+	return pl.out
 }
 
-// bisect places the sorted peers on the sorted nodes ns, node i taking
-// share[i] of them. The left half of ns takes its share in BFS order from
-// the smallest peer (then from the smallest one not yet reached), and then
-// the left/right pair whose swap shrinks the cut inside peers most — ties
-// to the smaller ids — is swapped until no swap shrinks it (Kernighan–Lin
-// pair swaps, greedy). The smallest peer never leaves the left half. Links
-// from peers to peers outside cross whatever the split, so they are ignored.
-func bisect(peers []network.PeerID, ns []string, share []int, adj map[network.PeerID][]network.PeerID, out map[network.PeerID]string) {
+// placer is PartitionPeers' state: the sorted peers, their adjacency by
+// index, and each peer's side of the bisection under way — 0 outside the
+// part being bisected, so links that leave the part, which cross whatever
+// its split, count nowhere.
+type placer struct {
+	peers []network.PeerID
+	adj   [][]int
+	side  []int8
+	out   map[network.PeerID]string
+}
+
+const (
+	leftSide  int8 = 1
+	rightSide int8 = 2
+)
+
+// bisect places part — sorted peer indices — on the sorted nodes ns, node i
+// taking share[i] of them. The left half of ns takes its share in BFS order
+// from the smallest peer (then from the smallest one not yet reached), and
+// then the left/right pair whose swap shrinks the cut inside part most —
+// ties to the smaller ids — is swapped until no swap shrinks it
+// (Kernighan–Lin pair swaps, greedy). The smallest peer never leaves the
+// left half. A swap round costs the part's links plus, at worst, its
+// left × right pairs, and there are fewer rounds than links in the first
+// cut. On sgd's grids the whole placement takes 1.5 ms at -grid 32 (1024
+// peers) and 6 ms at -grid 64, on two or four nodes (BenchmarkPartitionPeers,
+// 2-core x86-64 VM).
+func (pl *placer) bisect(part []int, ns []string, share []int) {
 	if len(ns) <= 1 {
-		for _, p := range peers {
-			out[p] = ns[0]
+		for _, p := range part {
+			pl.out[pl.peers[p]] = ns[0]
 		}
 		return
 	}
@@ -212,14 +252,13 @@ func bisect(peers []network.PeerID, ns []string, share []int, adj map[network.Pe
 	for _, s := range share[:mid] {
 		n += s
 	}
-	// left holds every peer of this part: true on the left half's side.
-	left := make(map[network.PeerID]bool, len(peers))
-	for _, p := range peers {
-		left[p] = false
+	side, adj := pl.side, pl.adj
+	for _, p := range part {
+		side[p] = rightSide
 	}
-	order := make([]network.PeerID, 0, len(peers))
-	seen := make(map[network.PeerID]bool, len(peers))
-	for _, root := range peers {
+	order := make([]int, 0, len(part))
+	seen := make([]bool, len(side))
+	for _, root := range part {
 		if seen[root] {
 			continue
 		}
@@ -227,7 +266,7 @@ func bisect(peers []network.PeerID, ns []string, share []int, adj map[network.Pe
 		order = append(order, root)
 		for i := len(order) - 1; i < len(order); i++ {
 			for _, w := range adj[order[i]] {
-				if _, in := left[w]; in && !seen[w] {
+				if side[w] != 0 && !seen[w] {
 					seen[w] = true
 					order = append(order, w)
 				}
@@ -235,27 +274,47 @@ func bisect(peers []network.PeerID, ns []string, share []int, adj map[network.Pe
 		}
 	}
 	for _, p := range order[:n] {
-		left[p] = true
+		side[p] = leftSide
 	}
+	gain := make([]int, len(side))
+	var ls, rs []int
 	for {
 		// gain[p]: p's links to the other side minus its links to its own.
-		gain := make(map[network.PeerID]int, len(peers))
-		for p, l := range left {
+		ls, rs = ls[:0], rs[:0]
+		maxR := 0
+		for i, p := range part {
+			g := 0
 			for _, w := range adj[p] {
-				if lw, in := left[w]; in && lw != l {
-					gain[p]++
-				} else if in {
-					gain[p]--
+				if side[w] == 0 {
+					continue
+				} else if side[w] != side[p] {
+					g++
+				} else {
+					g--
 				}
 			}
+			gain[p] = g
+			if side[p] == rightSide {
+				if len(rs) == 0 || g > maxR {
+					maxR = g
+				}
+				rs = append(rs, p)
+			} else if i > 0 {
+				ls = append(ls, p)
+			}
 		}
-		best, a, b := 0, network.PeerID(""), network.PeerID("")
-		for i, x := range peers {
-			for _, y := range peers {
-				if i == 0 || !left[x] || left[y] {
+		// The first pair in sorted order with the largest gain; a pair whose
+		// gains cannot beat the best so far is skipped unexamined.
+		best, a, b := 0, 0, 0
+		for _, x := range ls {
+			if gain[x]+maxR <= best {
+				continue
+			}
+			for _, y := range rs {
+				g := gain[x] + gain[y]
+				if g <= best {
 					continue
 				}
-				g := gain[x] + gain[y]
 				if slices.Contains(adj[x], y) {
 					g -= 2
 				}
@@ -267,23 +326,28 @@ func bisect(peers []network.PeerID, ns []string, share []int, adj map[network.Pe
 		if best == 0 {
 			break
 		}
-		left[a], left[b] = false, true
+		side[a], side[b] = rightSide, leftSide
 	}
-	var lp, rp []network.PeerID
-	for _, p := range peers {
-		if left[p] {
+	var lp, rp []int
+	for _, p := range part {
+		if side[p] == leftSide {
 			lp = append(lp, p)
 		} else {
 			rp = append(rp, p)
 		}
+		side[p] = 0
 	}
-	bisect(lp, ns[:mid], share[:mid], adj, out)
-	bisect(rp, ns[mid:], share[mid:], adj, out)
+	pl.bisect(lp, ns[:mid], share[:mid])
+	pl.bisect(rp, ns[mid:], share[mid:])
 }
 
-// NewCluster binds the node's mesh listener and connects the links to
-// every other node in opts.Nodes.
-func NewCluster(opts ClusterOptions) (*Cluster, error) {
+// NewCluster places the peers of net on the nodes of opts.Nodes
+// (PartitionPeers), binds the node's mesh listener and connects the links to
+// every other node. The placement is of net as the process starts, before a
+// catalog replays adaptations into it: a link or peer added later moves no
+// peer, so a node restarted over its journal places them as its first life
+// and every other node did. A peer added later runs on no node.
+func NewCluster(net *network.Network, opts ClusterOptions) (*Cluster, error) {
 	if opts.Node == "" {
 		return nil, fmt.Errorf("runtime: cluster needs a node name")
 	}
@@ -295,6 +359,22 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 		tr = transport.NewTCP()
 	}
 	c := &Cluster{node: opts.Node, gossip: map[string]gossipEntry{}}
+	names := make([]string, 0, len(opts.Nodes))
+	for name := range opts.Nodes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	c.assign = PartitionPeers(net, names)
+	for _, node := range c.assign {
+		if node == c.node {
+			c.peers++
+		}
+	}
+	for _, l := range net.Links() {
+		if c.assign[l.A] != c.assign[l.B] {
+			c.cut++
+		}
+	}
 	c.acond = sync.NewCond(&c.amu)
 	c.bcond = sync.NewCond(&c.bmu)
 	mesh, err := transport.NewMesh(transport.MeshConfig{
@@ -314,14 +394,10 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 		return nil, err
 	}
 	c.mesh = mesh
-	names := make([]string, 0, len(opts.Nodes))
-	for name := range opts.Nodes {
-		if name != opts.Node {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
 	for _, name := range names {
+		if name == opts.Node {
+			continue
+		}
 		if opts.Node < name && opts.Nodes[name] == "" {
 			c.Close()
 			return nil, fmt.Errorf("runtime: cluster node %q needs an address (%q dials it)", name, opts.Node)
@@ -420,24 +496,15 @@ func (c *Cluster) Close() error {
 	return c.mesh.Close()
 }
 
-// assignment returns the peer-to-node map, computed with PartitionPeers
-// from the network's peers on first use — deterministic, so independent
-// processes agree without coordination. The map is immutable once returned.
-func (c *Cluster) assignment(net *network.Network) map[network.PeerID]string {
-	c.amu.Lock()
-	defer c.amu.Unlock()
-	if c.assign == nil {
-		c.assign = PartitionPeers(net, c.nodesLocked())
-	}
-	return c.assign
-}
+// NodeOf returns the cluster node that executes peer p — the same answer
+// every runtime built on this cluster acts on — or "" for a peer the
+// placement does not cover.
+func (c *Cluster) NodeOf(p network.PeerID) string { return c.assign[p] }
 
-// NodeOf returns the cluster node that executes peer p of net — the same
-// answer every runtime built on this cluster acts on — or "" for a peer
-// the assignment does not cover.
-func (c *Cluster) NodeOf(net *network.Network, p network.PeerID) string {
-	return c.assignment(net)[p]
-}
+// Placement returns how many peers this node executes and how many links
+// of the placed network join peers on two different nodes: the links every
+// crossing hop pays a socket for.
+func (c *Cluster) Placement() (peers, cut int) { return c.peers, c.cut }
 
 // attach publishes a fully-built runtime to the cluster's dispatchers
 // (NewWith calls it last).
@@ -459,15 +526,6 @@ func (c *Cluster) detach(r *Runtime) {
 		c.rt = nil
 	}
 	c.amu.Unlock()
-}
-
-// nodesLocked lists every node name (self included). Callers hold amu.
-func (c *Cluster) nodesLocked() []string {
-	names := []string{c.node}
-	for _, l := range c.mesh.Links() {
-		names = append(names, l.Remote())
-	}
-	return names
 }
 
 // runtime blocks until a runtime is attached (frames can arrive before the

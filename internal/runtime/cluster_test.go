@@ -129,17 +129,18 @@ func clusterListen(tr transport.Transport) string {
 	return ""
 }
 
-// clusterPair builds two connected clusters ("n0" dials "n1") over the
-// given transport and registers their transport state with the watchdog.
-func clusterPair(t testing.TB, tr transport.Transport) (c0, c1 *Cluster) {
+// clusterPair builds two connected clusters ("n0" dials "n1") that place the
+// peers of net, over the given transport, and registers their transport
+// state with the watchdog.
+func clusterPair(t testing.TB, net *network.Network, tr transport.Transport) (c0, c1 *Cluster) {
 	t.Helper()
-	c1, err := NewCluster(ClusterOptions{
+	c1, err := NewCluster(net, ClusterOptions{
 		Node: "n1", Nodes: map[string]string{"n1": clusterListen(tr), "n0": ""}, Transport: tr,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c0, err = NewCluster(ClusterOptions{
+	c0, err = NewCluster(net, ClusterOptions{
 		Node: "n0", Nodes: map[string]string{"n0": clusterListen(tr), "n1": c1.Addr()}, Transport: tr,
 	})
 	if err != nil {
@@ -249,7 +250,7 @@ func testClusterEquivalence(t *testing.T, tr transport.Transport, build buildFun
 	if chaos {
 		tr = &fuseTransport{Transport: tr, period: 29}
 	}
-	c0, c1 := clusterPair(t, tr)
+	c0, c1 := clusterPair(t, eng0.Net, tr)
 	if err := c0.WaitConnected(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -474,6 +475,25 @@ func TestPartitionPeers(t *testing.T) {
 	}
 }
 
+// BenchmarkPartitionPeers prices the placement on the grids sgd -grid
+// builds, up to 64×64; NewCluster computes it once, at startup.
+func BenchmarkPartitionPeers(b *testing.B) {
+	for _, side := range []int{4, 16, 32, 64} {
+		net := scenario.ScaleGrid(side, 0, 1).Net
+		for _, k := range []int{2, 4} {
+			nodes := make([]string, k)
+			for i := range nodes {
+				nodes[i] = fmt.Sprintf("n%d", i)
+			}
+			b.Run(fmt.Sprintf("grid%d/nodes%d", side, k), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					PartitionPeers(net, nodes)
+				}
+			})
+		}
+	}
+}
+
 func TestClusterEquivalenceTCP(t *testing.T) {
 	testClusterEquivalence(t, transport.NewTCP(), gridScenario(false), false, false)
 }
@@ -520,7 +540,7 @@ func TestClusterHeartbeatGossip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c0, c1 := clusterPair(t, transport.NewMem())
+	c0, c1 := clusterPair(t, eng0.Net, transport.NewMem())
 	if err := c0.WaitConnected(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -634,7 +654,7 @@ func TestClusterTwoProcessTCP(t *testing.T) {
 	// the parent writes breaks its conn: the reconnect handshake must resume
 	// and replay with nothing lost.
 	fuse := &fuseTransport{Transport: transport.NewTCP(), period: 5}
-	c1, err := NewCluster(ClusterOptions{
+	c1, err := NewCluster(eng.Net, ClusterOptions{
 		Node:      "n1",
 		Nodes:     map[string]string{"n1": "127.0.0.1:0", "n0": ""},
 		Transport: fuse,
@@ -745,7 +765,7 @@ func TestClusterChildProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c0, err := NewCluster(ClusterOptions{
+	c0, err := NewCluster(eng.Net, ClusterOptions{
 		Node:  "n0",
 		Nodes: map[string]string{"n0": "127.0.0.1:0", "n1": spec.Addr},
 	})
@@ -822,7 +842,7 @@ func TestClusterCrashRestartTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c1, err := NewCluster(ClusterOptions{
+	c1, err := NewCluster(eng.Net, ClusterOptions{
 		Node:        "n1",
 		Nodes:       map[string]string{"n1": "127.0.0.1:0", "n0": ""},
 		DataDir:     t.TempDir(),
@@ -963,7 +983,7 @@ func TestClusterCrashChildProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	c0, err := NewCluster(ClusterOptions{
+	c0, err := NewCluster(eng.Net, ClusterOptions{
 		Node:        "n0",
 		Nodes:       map[string]string{"n0": "127.0.0.1:0", "n1": spec.Addr},
 		DataDir:     spec.DataDir,

@@ -53,13 +53,13 @@ func TestClusterMixedCodecTwoProcessTCP(t *testing.T) {
 	}
 
 	nodes := map[string]string{"n0": "", "n1": "127.0.0.1:0", "n2": "127.0.0.1:0"}
-	c2, err := NewCluster(ClusterOptions{Node: "n2", Nodes: nodes})
+	c2, err := NewCluster(eng2.Net, ClusterOptions{Node: "n2", Nodes: nodes})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
 	n1nodes := map[string]string{"n0": "", "n1": "127.0.0.1:0", "n2": c2.Addr()}
-	c1, err := NewCluster(ClusterOptions{
+	c1, err := NewCluster(eng1.Net, ClusterOptions{
 		Node: "n1", Nodes: n1nodes,
 		WireObserver: WireMetricsObserver(eng1.Obs().Metrics),
 	})
@@ -171,7 +171,7 @@ func TestClusterMixedCodecChildProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c0, err := NewCluster(ClusterOptions{
+	c0, err := NewCluster(eng.Net, ClusterOptions{
 		Node:  "n0",
 		Nodes: map[string]string{"n0": "127.0.0.1:0", "n1": spec.N1, "n2": spec.N2},
 	})

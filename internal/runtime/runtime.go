@@ -235,7 +235,7 @@ func NewWith(eng *core.Engine, collect bool, opts Options) *Runtime {
 	}
 	if opts.Cluster != nil {
 		r.cluster = opts.Cluster
-		r.owners = r.cluster.assignment(eng.Net)
+		r.owners = r.cluster.assign
 		r.byID = make(map[string]*core.PlanStream, len(r.plan.Streams))
 		r.eosSeen = map[recvKey]bool{}
 		for _, d := range r.plan.Streams {

@@ -52,7 +52,7 @@ func TestTreePlaneRandomizedDisconnects(t *testing.T) {
 				t.Fatal(err)
 			}
 			fuse := &fuseTransport{Transport: transport.NewMem(), period: period}
-			c0, c1 := clusterPair(t, fuse)
+			c0, c1 := clusterPair(t, eng0.Net, fuse)
 			if err := c0.WaitConnected(10 * time.Second); err != nil {
 				t.Fatal(err)
 			}

@@ -83,7 +83,7 @@ func (s *Server) nodesCmd(w io.Writer) {
 		fmt.Fprintln(w, "  (single process)")
 		return
 	}
-	peers, cut := s.placement()
+	peers, cut := s.cluster.Placement()
 	nodes := s.cluster.Nodes()
 	fmt.Fprintf(w, "OK %d nodes\n", len(nodes))
 	self := s.cluster.Node()
@@ -100,27 +100,6 @@ func (s *Server) nodesCmd(w io.Writer) {
 			}
 		}
 	}
-}
-
-// placement counts the peers this node executes and the links whose ends
-// two different nodes execute: the links every crossing hop pays a socket
-// for. It waits for s.mu, which guards the topology.
-func (s *Server) placement() (peers, cut int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	net, self := s.eng.Net, s.cluster.Node()
-	for _, p := range net.Peers() {
-		if s.cluster.NodeOf(net, p) == self {
-			peers++
-		}
-	}
-	for _, l := range net.Links() {
-		// A peer that joined after the placement has no node ("").
-		if a, b := s.cluster.NodeOf(net, l.A), s.cluster.NodeOf(net, l.B); a != "" && b != "" && a != b {
-			cut++
-		}
-	}
-	return peers, cut
 }
 
 // commit is the one sink of control-plane mutations: it journals the op's
@@ -281,7 +260,7 @@ func (s *Server) work(o order, feed map[string][]*xmlstream.Element, coordinate 
 	head, bodyTo := fmt.Sprintf("RUN %s %d %d", id, o.n, o.seed), ""
 	if o.stream != "" {
 		head = "FEED " + id + " " + o.stream
-		bodyTo = s.cluster.NodeOf(s.eng.Net, s.eng.Original(o.stream).Tap)
+		bodyTo = s.cluster.NodeOf(s.eng.Original(o.stream).Tap)
 	}
 	for _, node := range s.cluster.Nodes() {
 		if node == s.cluster.Node() {

@@ -54,13 +54,14 @@ func startClusterPair(t *testing.T) *clusterPair {
 // are placed by runtime.PartitionPeers, the smallest on n0.
 func startClusterPairOn(t *testing.T, build func(*testing.T) *core.Engine) *clusterPair {
 	t.Helper()
-	c1, err := runtime.NewCluster(runtime.ClusterOptions{
+	eng0, eng1 := build(t), build(t)
+	c1, err := runtime.NewCluster(eng1.Net, runtime.ClusterOptions{
 		Node: "n1", Nodes: map[string]string{"n1": "127.0.0.1:0", "n0": ""},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c0, err := runtime.NewCluster(runtime.ClusterOptions{
+	c0, err := runtime.NewCluster(eng0.Net, runtime.ClusterOptions{
 		Node: "n0", Nodes: map[string]string{"n0": "127.0.0.1:0", "n1": c1.Addr()},
 	})
 	if err != nil {
@@ -73,8 +74,8 @@ func startClusterPairOn(t *testing.T, build func(*testing.T) *core.Engine) *clus
 		t.Fatal(err)
 	}
 	p := &clusterPair{mesh: [2]*runtime.Cluster{c0, c1}}
-	for i, c := range p.mesh {
-		p.srv[i] = New(build(t), photons.DefaultConfig()).WithCluster(c)
+	for i, eng := range []*core.Engine{eng0, eng1} {
+		p.srv[i] = New(eng, photons.DefaultConfig()).WithCluster(p.mesh[i])
 		p.addr[i] = serve(t, p.srv[i])
 	}
 	p.close = func() {
@@ -124,9 +125,9 @@ func retryOK(t *testing.T, c *client, line string) (status string, cont []string
 // routes client items through both processes, and NODES reports the
 // membership.
 func TestServerClusterRun(t *testing.T) {
-	addr0, addr1, stop := startClusterServers(t)
-	defer stop()
-	c := dial(t, addr0)
+	p := startClusterPair(t)
+	defer p.close()
+	c := dial(t, p.addr[0])
 
 	// The subscription lands on SP2 — owned by the OTHER node (n1), so
 	// every delivered item crosses the process boundary.
@@ -134,7 +135,7 @@ func TestServerClusterRun(t *testing.T) {
 		t.Fatalf("subscribe = %q", s)
 	}
 	// The mutation mirrored to n1: its engine knows q1.
-	c1 := dial(t, addr1)
+	c1 := dial(t, p.addr[1])
 	if s, _ := retryOK(t, c1, "EXPLAIN q1"); !strings.HasPrefix(s, "OK") {
 		t.Fatalf("mirrored explain = %q", s)
 	}
@@ -177,9 +178,16 @@ func TestServerClusterRun(t *testing.T) {
 	}
 
 	// The self line names the node's share of the placement and the links it
-	// cuts: SP0-SP1 stay on n0, SP1-SP2 crosses.
+	// cuts: SP0-SP1 stay on n0, SP1-SP2 crosses. NODES answers while the
+	// server's lock is held, as a RUN or FEED holds it for its whole run.
 	for i, cl := range []*client{c, c1} {
-		status, cont = cl.cmd(t, "NODES", "")
+		status, cont = func() (string, []string) {
+			p.srv[i].mu.Lock()
+			defer p.srv[i].mu.Unlock()
+			cl.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			defer cl.conn.SetReadDeadline(time.Time{})
+			return cl.cmd(t, "NODES", "")
+		}()
 		if status != "OK 2 nodes" || len(cont) != 2 {
 			t.Fatalf("node %d: NODES = %q %v", i, status, cont)
 		}

@@ -236,22 +236,25 @@ func TestServerClusterDivergenceRefused(t *testing.T) {
 	}
 }
 
-// TestServerClusterDurableMirror: a durable non-coordinator journals the ops
-// mirrored to it — an adaptation among them — and a second life over the same
-// data directory recovers the catalog the coordinator still has and takes
-// part in its next run. A subscribe record dispatched again (a durable link
-// replays a control whose done mark a crash lost) is a no-op.
-func TestServerClusterDurableMirror(t *testing.T) {
-	dir := t.TempDir()
-	startN1 := func(listen string) (*Server, *runtime.Cluster) {
-		c1, err := runtime.NewCluster(runtime.ClusterOptions{
+// startDurablePair meshes two detour-engine servers over loopback TCP: n0
+// keeps its state in memory, n1 journals under a fresh data directory. It
+// returns both servers and a function that starts n1's next life on the same
+// address and directory, once the caller has closed the last one. Each life
+// places its peers before its catalog replays, in sgd's order.
+func startDurablePair(t *testing.T) (srv0, srv1 *Server, restartN1 func() (*Server, *runtime.Cluster)) {
+	t.Helper()
+	dir, listen := t.TempDir(), "127.0.0.1:0"
+	restartN1 = func() (*Server, *runtime.Cluster) {
+		eng := buildDetourEngine(t)
+		c1, err := runtime.NewCluster(eng.Net, runtime.ClusterOptions{
 			Node: "n1", Nodes: map[string]string{"n1": listen, "n0": ""},
 			DataDir: filepath.Join(dir, "links"), DurableSync: durable.SyncAlways,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := New(buildDetourEngine(t), photons.DefaultConfig()).
+		listen = c1.Addr()
+		srv, err := New(eng, photons.DefaultConfig()).
 			WithDurable(filepath.Join(dir, "catalog"), durable.SyncAlways, 0)
 		if err != nil {
 			c1.Close()
@@ -259,21 +262,32 @@ func TestServerClusterDurableMirror(t *testing.T) {
 		}
 		return srv.WithCluster(c1), c1
 	}
-	srv1, c1 := startN1("127.0.0.1:0")
-	n1Addr := c1.Addr()
-	c0, err := runtime.NewCluster(runtime.ClusterOptions{
-		Node: "n0", Nodes: map[string]string{"n0": "127.0.0.1:0", "n1": n1Addr},
+	srv1, _ = restartN1()
+	eng0 := buildDetourEngine(t)
+	c0, err := runtime.NewCluster(eng0.Net, runtime.ClusterOptions{
+		Node: "n0", Nodes: map[string]string{"n0": "127.0.0.1:0", "n1": listen},
 	})
 	if err != nil {
 		srv1.Close()
 		t.Fatal(err)
 	}
-	srv0 := New(buildDetourEngine(t), photons.DefaultConfig()).WithCluster(c0)
-	defer srv0.Close()
+	srv0 = New(eng0, photons.DefaultConfig()).WithCluster(c0)
 	if err := c0.WaitConnected(10 * time.Second); err != nil {
+		srv0.Close()
 		srv1.Close()
 		t.Fatal(err)
 	}
+	return srv0, srv1, restartN1
+}
+
+// TestServerClusterDurableMirror: a durable non-coordinator journals the ops
+// mirrored to it — an adaptation among them — and a second life over the same
+// data directory recovers the catalog the coordinator still has and takes
+// part in its next run. A subscribe record dispatched again (a durable link
+// replays a control whose done mark a crash lost) is a no-op.
+func TestServerClusterDurableMirror(t *testing.T) {
+	srv0, srv1, startN1 := startDurablePair(t)
+	defer srv0.Close()
 	cl0, cl1 := dial(t, serve(t, srv0)), dial(t, serve(t, srv1))
 
 	if s, _ := cl0.cmd(t, "SUBSCRIBE SP2 sharing", velaQ); s != "OK q1" {
@@ -291,7 +305,7 @@ func TestServerClusterDurableMirror(t *testing.T) {
 	awaitSameCatalog(t, cl1, want, "q1")
 	srv1.Close()
 
-	srv1, c1 = startN1(n1Addr)
+	srv1, c1 := startN1()
 	defer srv1.Close()
 	cl1 = dial(t, serve(t, srv1))
 	if got := catalogView(t, cl1, "q1"); got != want {
@@ -325,4 +339,79 @@ func TestServerClusterDurableMirror(t *testing.T) {
 	if want := countLines(ref, sim.Results); status != "OK 1 streams fed 100 items" || strings.Join(cont, ",") != want || sim.Results["q1"] == 0 {
 		t.Fatalf("run across the restart = %q %v, simulator %s", status, cont, want)
 	}
+}
+
+// TestServerClusterAddLinkRestart: an adaptation that adds a link moves no
+// peer — not on the node that keeps running, and not on one restarted over
+// its journal, whose catalog replays the link into its topology before the
+// next run. On the detour ring n1 executes SP2 and SP4; placed with SP0-SP2
+// the ring would put SP2 on n0 and SP3 on n1, and two nodes with different
+// maps would leave SP2 to neither. Both runs deliver what the simulator does.
+func TestServerClusterAddLinkRestart(t *testing.T) {
+	srv0, srv1, startN1 := startDurablePair(t)
+	defer srv0.Close()
+	cl0, cl1 := dial(t, serve(t, srv0)), dial(t, serve(t, srv1))
+	ref := buildDetourEngine(t)
+	run := func(n int, seed int64) {
+		t.Helper()
+		sim, err := ref.Simulate(map[string][]*xmlstream.Element{
+			"photons": photons.NewGenerator(photons.DefaultConfig(), seed).Generate(n),
+		}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		status, cont := cl0.cmd(t, fmt.Sprintf("RUN %d", n), "")
+		want := countLines(ref, sim.Results)
+		if status != fmt.Sprintf("OK 1 streams fed %d items", n) || strings.Join(cont, ",") != want || sim.Results["q1"] == 0 {
+			t.Fatalf("RUN %d = %q %v, simulator %s", n, status, cont, want)
+		}
+	}
+	selfLine := func(c *client) string {
+		_, cont := c.cmd(t, "NODES", "")
+		for _, l := range cont {
+			if strings.Contains(l, " self @ ") {
+				return l
+			}
+		}
+		return ""
+	}
+
+	if s, _ := cl0.cmd(t, "SUBSCRIBE SP2 sharing", velaQ); s != "OK q1" {
+		t.Fatalf("subscribe = %q", s)
+	}
+	if _, err := ref.Subscribe(velaQ, "SP2", core.StreamSharing); err != nil {
+		t.Fatal(err)
+	}
+	run(100, 1)
+
+	const schedule = "addlink:SP0-SP2=12500000, reopt"
+	if s, _ := cl0.cmd(t, "ADAPT "+schedule, ""); !strings.HasPrefix(s, "OK 2 events") {
+		t.Fatalf("adapt = %q", s)
+	}
+	events, err := adapt.ParseSchedule(schedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := adapt.NewManager(ref).ApplyAll(events); err != nil {
+		t.Fatal(err)
+	}
+	want := catalogView(t, cl0, "q1")
+	awaitSameCatalog(t, cl1, want, "q1")
+	srv1.Close()
+
+	srv1, c1 := startN1()
+	defer srv1.Close()
+	cl1 = dial(t, serve(t, srv1))
+	if got := catalogView(t, cl1, "q1"); got != want {
+		t.Fatalf("recovered catalog differs:\n--- coordinator ---\n%s--- restarted node ---\n%s", want, got)
+	}
+	if err := c1.WaitConnected(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range []*client{cl0, cl1} {
+		if got, want := selfLine(c), []string{"peers=3 cut=2", "peers=2 cut=2"}[i]; !strings.HasSuffix(got, want) {
+			t.Errorf("n%d: self line %q, want it to end in %q", i, got, want)
+		}
+	}
+	run(150, 2)
 }
