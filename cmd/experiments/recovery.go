@@ -33,15 +33,25 @@ func buildReliable(items int) (*core.Engine, *scenario.Scenario, map[string][]*x
 	return eng, s, feed
 }
 
+// recoveryRow is the recovery experiment's outcome at one heartbeat
+// interval: the mean detection latency, the suspicions raised, and what
+// recovery replayed.
+type recoveryRow struct {
+	interval, detect                            time.Duration
+	suspicions, inputs, items, bytes, survivors int
+}
+
 // recoveryExperiment sweeps the heartbeat interval and measures failure
 // detection latency and recovery redelivery volume on scenario 2 with the
 // first multi-hop feed's first link severed ahead of the run: the reliable
-// session runtime, detector-driven repair, journal replay. Detection latency
-// scales with the heartbeat interval (suspicion needs several missed
-// deadlines); redelivery volume does not — channels start journaling the
-// instant the fault bites, not when it is detected, so a slow detector delays
-// repair without growing the loss window.
-func recoveryExperiment(items int) {
+// session runtime, detector-driven repair, journal replay. It prints and
+// returns one row per interval. Detection runs on the session's virtual
+// clock, so the latency is the detector's threshold, (suspectAfter+1)
+// intervals, whatever the scheduler did; redelivery volume does not depend on
+// the interval — channels start journaling the instant the fault bites, not
+// when it is detected, so a slow detector delays repair without growing the
+// loss window.
+func recoveryExperiment(items int) []recoveryRow {
 	header("recovery: detection latency and redelivery vs heartbeat interval")
 	intervals := []time.Duration{
 		1 * time.Millisecond,
@@ -50,6 +60,7 @@ func recoveryExperiment(items int) {
 		10 * time.Millisecond,
 		20 * time.Millisecond,
 	}
+	var rows []recoveryRow
 	for _, iv := range intervals {
 		eng, _, feed := buildReliable(items)
 
@@ -90,10 +101,13 @@ func recoveryExperiment(items int) {
 			log.Fatal(err)
 		}
 
-		snap := eng.Obs().Metrics.Snapshot()
-		lat := snap.Histograms["runtime.detect.latency_seconds"]
+		lat := eng.Obs().Metrics.Snapshot().Histograms["runtime.detect.latency_seconds"]
 		sus, _, _ := sess.HealthStats()
+		row := recoveryRow{interval: iv, detect: time.Duration(lat.Mean() * float64(time.Second)), suspicions: sus,
+			inputs: rep.Inputs, items: rep.Items, bytes: rep.Bytes, survivors: len(eng.Subscriptions())}
 		fmt.Printf("  heartbeat %5.1fms: detect %7.2fms (%d suspicions), replay %d inputs, %d items, %d bytes, %d survivors\n",
-			ms(iv), lat.Mean()*1000, sus, rep.Inputs, rep.Items, rep.Bytes, len(eng.Subscriptions()))
+			ms(iv), ms(row.detect), row.suspicions, row.inputs, row.items, row.bytes, row.survivors)
+		rows = append(rows, row)
 	}
+	return rows
 }

@@ -24,8 +24,9 @@
 // sampling).
 //
 // With -reliable the engine runs the reliability layer: RUN and FEED execute
-// on the distributed runtime over sequenced acked channels with heartbeat
-// failure detection and credit-based backpressure, repairs plan private
+// on the distributed runtime over sequenced acked channels with credit-based
+// backpressure, the failure detector judges each finished run on a virtual
+// clock over the peers and links this process hosts, repairs plan private
 // chains, the HEALTH command reports detector and channel state, and
 // /metricz gains a channel-state section.
 //
@@ -37,13 +38,13 @@
 // with empty addresses). Membership is static: every process must name the
 // same node set, or inbound handshakes from unlisted nodes are refused.
 // Super-peers are placed on the processes deterministically, by a min-cut
-// of the topology the flags build;
-// batches, acks and heartbeats travel as length-prefixed frames over
-// reconnect-safe links. A batch crosses a link as one dictionary-compressed
-// binary payload; each link handshake seeds the connection's dictionaries
-// with the photon stream's inferred element vocabulary, so the first batch
-// already ships delta-free (see docs/WIRE.md for the wire format; NODES shows
-// the seeded-name count per link). Start the accepting node first:
+// of the topology the flags build; batches and acks travel as
+// length-prefixed frames over reconnect-safe links. A batch crosses a link
+// as one dictionary-compressed binary payload; each link handshake seeds the
+// connection's dictionaries with the photon stream's inferred element
+// vocabulary, so the first batch already ships delta-free (see docs/WIRE.md
+// for the wire format; NODES shows the seeded-name count per link). Start the
+// accepting node first:
 //
 //	sgd -node n1 -cluster-listen 127.0.0.1:7171 -join n0= -listen 127.0.0.1:7070
 //	sgd -node n0 -cluster-listen 127.0.0.1:0 -join n1=127.0.0.1:7171 -listen 127.0.0.1:7071
@@ -97,7 +98,7 @@ func main() {
 	capacity := flag.Float64("capacity", 50000, "peer capacity (work units/s)")
 	bandwidth := flag.Float64("bandwidth", 12_500_000, "link bandwidth (bytes/s)")
 	admission := flag.Bool("admission", false, "reject overloading subscriptions")
-	reliable := flag.Bool("reliable", false, "reliable delivery: acked channels, heartbeats, credit backpressure")
+	reliable := flag.Bool("reliable", false, "reliable delivery: acked channels, failure detection, credit backpressure")
 	widening := flag.Bool("widening", false, "enable stream widening")
 	sample := flag.Int("sample", 2000, "photons sampled for stream statistics")
 	spanEvery := flag.Int("span-every", obs.DefaultSpanEvery, "sample one provenance span per N source items (0 disables)")

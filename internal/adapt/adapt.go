@@ -233,7 +233,7 @@ func (m *Manager) reoptimize(ev Event) {
 }
 
 // ApplyDetected converts failure-detector observations (the changes a
-// runtime session's heartbeat monitor queued — see the health package and
+// runtime session's failure detector queued — see the health package and
 // runtime.Session.TakeDetected) into adaptation events and applies them
 // through the same repair cycle scripted schedules use. Changes the
 // topology already reflects are skipped: a detected peer failure implies

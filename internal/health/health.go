@@ -2,9 +2,9 @@
 // deadline-based suspicion mechanism over peers and links, with exponential
 // backoff and flap damping for targets that oscillate between alive and
 // suspected. The detector is driven entirely by an injected clock — callers
-// feed it Beat observations and Tick it with the current time — so unit
-// tests and the runtime's post-quiescence drain can advance time virtually
-// while live runs tick on the wall clock.
+// feed it Beat observations and Tick it with the current time — and the
+// runtime drives it on a virtual one: after each run it replays the run in
+// rounds of one interval (see runtime.Session).
 //
 // The paper's StreamGlobe assumes peers stay up once routed; detection is
 // the piece that turns the adaptation layer (internal/adapt) from an
@@ -85,39 +85,23 @@ type Event struct {
 type Options struct {
 	// Interval is the expected heartbeat period. <=0 defaults to 5ms.
 	Interval time.Duration
-	// SuspectAfter is how many whole intervals a target may stay silent
-	// before it is suspected. <=0 defaults to 3.
-	SuspectAfter int
-	// BackoffFactor multiplies the effective suspicion threshold after each
-	// flap (a recovery shortly after a suspicion), damping oscillating
-	// targets exponentially. <1 defaults to 2.
-	BackoffFactor float64
-	// MaxThreshold caps the backed-off threshold, in intervals. <=0
-	// defaults to 16 × SuspectAfter.
-	MaxThreshold int
-	// FlapWindow is how soon after a suspicion a recovery counts as a flap.
-	// <=0 defaults to 20 × Interval.
-	FlapWindow time.Duration
 }
 
-func (o Options) normalized() Options {
-	if o.Interval <= 0 {
-		o.Interval = 5 * time.Millisecond
-	}
-	if o.SuspectAfter <= 0 {
-		o.SuspectAfter = 3
-	}
-	if o.BackoffFactor < 1 {
-		o.BackoffFactor = 2
-	}
-	if o.MaxThreshold <= 0 {
-		o.MaxThreshold = 16 * o.SuspectAfter
-	}
-	if o.FlapWindow <= 0 {
-		o.FlapWindow = 20 * o.Interval
-	}
-	return o
-}
+// The detector's fixed policy; counts and the flap window are in heartbeat
+// intervals.
+const (
+	// suspectAfter is how many whole intervals a target may stay silent
+	// before it is suspected.
+	suspectAfter = 3
+	// backoffFactor multiplies the suspicion threshold after each flap (a
+	// recovery shortly after a suspicion), damping oscillating targets
+	// exponentially.
+	backoffFactor = 2
+	// maxThreshold caps the backed-off threshold.
+	maxThreshold = 16 * suspectAfter
+	// flapWindow is how soon after a suspicion a recovery counts as a flap.
+	flapWindow = 20
+)
 
 // state is one target's detector record.
 type state struct {
@@ -128,50 +112,48 @@ type state struct {
 	// it drives the exponential backoff of the suspicion threshold.
 	flaps       int
 	suspectedAt time.Time
-	ever        bool // has ever beaten (registration counts as a beat)
 }
 
 // threshold returns the target's current suspicion threshold in whole
 // intervals, after flap backoff.
-func (s *state) threshold(o Options) int {
-	th := float64(o.SuspectAfter)
-	for i := 0; i < s.flaps; i++ {
-		th *= o.BackoffFactor
-		if th >= float64(o.MaxThreshold) {
-			return o.MaxThreshold
-		}
+func (s *state) threshold() int {
+	th := suspectAfter
+	for i := 0; i < s.flaps && th < maxThreshold; i++ {
+		th *= backoffFactor
 	}
-	return int(th)
+	return min(th, maxThreshold)
 }
 
 // Detector is a deadline failure detector over registered targets. It is not
-// internally synchronized: drive it from one goroutine (the runtime's
-// monitor) or wrap it in a lock.
+// internally synchronized: drive it from one goroutine or wrap it in a lock.
 type Detector struct {
-	opts    Options
-	targets map[Target]*state
+	interval time.Duration
+	targets  map[Target]*state
 	// counters for introspection and metrics publication.
 	suspicions, recoveries, flapsTotal int
 }
 
 // NewDetector returns a detector with the given options.
 func NewDetector(opts Options) *Detector {
-	return &Detector{opts: opts.normalized(), targets: map[Target]*state{}}
+	if opts.Interval <= 0 {
+		opts.Interval = 5 * time.Millisecond
+	}
+	return &Detector{interval: opts.Interval, targets: map[Target]*state{}}
 }
 
 // Interval returns the configured heartbeat period.
-func (d *Detector) Interval() time.Duration { return d.opts.Interval }
+func (d *Detector) Interval() time.Duration { return d.interval }
 
 // MaxSilence returns the largest suspicion threshold any target can back
 // off to, in whole intervals — an upper bound on the detection rounds a
-// virtual-time drain needs.
-func (d *Detector) MaxSilence() int { return d.opts.MaxThreshold }
+// virtual-time pass needs past a fault.
+func (d *Detector) MaxSilence() int { return maxThreshold }
 
 // Register starts monitoring a target, treating registration time as its
 // first beat. Registering an existing target is a no-op.
 func (d *Detector) Register(t Target, now time.Time) {
 	if d.targets[t] == nil {
-		d.targets[t] = &state{target: t, lastBeat: now, ever: true}
+		d.targets[t] = &state{target: t, lastBeat: now}
 	}
 }
 
@@ -184,7 +166,6 @@ func (d *Detector) Beat(t Target, now time.Time) {
 		return
 	}
 	s.lastBeat = now
-	s.ever = true
 }
 
 // Tick evaluates every registered target against the clock and returns the
@@ -196,8 +177,8 @@ func (d *Detector) Tick(now time.Time) []Event {
 	var evs []Event
 	for _, s := range sortedStates(d.targets) {
 		silent := now.Sub(s.lastBeat)
-		misses := int(silent / d.opts.Interval)
-		if !s.suspected && misses > s.threshold(d.opts) {
+		misses := int(silent / d.interval)
+		if !s.suspected && misses > s.threshold() {
 			s.suspected = true
 			s.suspectedAt = now
 			d.suspicions++
@@ -207,7 +188,7 @@ func (d *Detector) Tick(now time.Time) []Event {
 		if s.suspected && misses == 0 {
 			s.suspected = false
 			d.recoveries++
-			if now.Sub(s.suspectedAt) <= d.opts.FlapWindow {
+			if now.Sub(s.suspectedAt) <= flapWindow*d.interval {
 				s.flaps++
 				d.flapsTotal++
 			}
@@ -259,7 +240,7 @@ func (d *Detector) Snapshot(now time.Time) []TargetState {
 			Target:    s.target,
 			Suspected: s.suspected,
 			Flaps:     s.flaps,
-			Threshold: s.threshold(d.opts),
+			Threshold: s.threshold(),
 			SinceBeat: now.Sub(s.lastBeat),
 		})
 	}

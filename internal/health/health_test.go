@@ -12,7 +12,7 @@ func tAt(ms int) time.Time {
 }
 
 func TestSuspectAfterMissedDeadlines(t *testing.T) {
-	d := NewDetector(Options{Interval: 10 * time.Millisecond, SuspectAfter: 3})
+	d := NewDetector(Options{Interval: 10 * time.Millisecond})
 	p := PeerTarget("SP1")
 	d.Register(p, tAt(0))
 
@@ -23,7 +23,8 @@ func TestSuspectAfterMissedDeadlines(t *testing.T) {
 			t.Fatalf("unexpected events while beating: %v", evs)
 		}
 	}
-	// Silence: 3 missed intervals are tolerated, the 4th trips suspicion.
+	// Silence: suspectAfter missed intervals are tolerated, the next trips
+	// suspicion.
 	if evs := d.Tick(tAt(130)); len(evs) != 0 {
 		t.Fatalf("suspected too early: %v", evs)
 	}
@@ -31,8 +32,8 @@ func TestSuspectAfterMissedDeadlines(t *testing.T) {
 	if len(evs) != 1 || evs[0].Kind != Suspected || evs[0].Target != p {
 		t.Fatalf("want suspicion of %v, got %v", p, evs)
 	}
-	if evs[0].Misses != 4 {
-		t.Fatalf("want 4 misses, got %d", evs[0].Misses)
+	if evs[0].Misses != suspectAfter+1 {
+		t.Fatalf("want %d misses, got %d", suspectAfter+1, evs[0].Misses)
 	}
 	// Suspicion fires once, not every tick.
 	if evs := d.Tick(tAt(200)); len(evs) != 0 {
@@ -44,33 +45,35 @@ func TestSuspectAfterMissedDeadlines(t *testing.T) {
 	}
 }
 
+// TestRecoveryAndFlapBackoff: a recovery inside the flap window doubles the
+// suspicion threshold, and one outside it does not.
 func TestRecoveryAndFlapBackoff(t *testing.T) {
-	d := NewDetector(Options{Interval: 10 * time.Millisecond, SuspectAfter: 2, BackoffFactor: 2, FlapWindow: 200 * time.Millisecond})
+	d := NewDetector(Options{Interval: 10 * time.Millisecond})
 	l := LinkTarget(network.MakeLinkID("SP1", "SP2"))
 	d.Register(l, tAt(0))
 
-	// First cycle: silence → suspect (3 misses > threshold 2), quick
+	// First cycle: silence → suspect (4 misses > threshold 3), quick
 	// recovery → flap.
-	evs := d.Tick(tAt(35))
+	evs := d.Tick(tAt(45))
 	if len(evs) != 1 || evs[0].Kind != Suspected {
 		t.Fatalf("want suspicion, got %v", evs)
 	}
-	d.Beat(l, tAt(40))
-	evs = d.Tick(tAt(40))
+	d.Beat(l, tAt(50))
+	evs = d.Tick(tAt(50))
 	if len(evs) != 1 || evs[0].Kind != Recovered {
 		t.Fatalf("want recovery, got %v", evs)
 	}
 
-	// Backed-off threshold is now 4 intervals: the silence that tripped the
+	// Backed-off threshold is now 6 intervals: the silence that tripped the
 	// first suspicion no longer trips the second.
-	if evs := d.Tick(tAt(75)); len(evs) != 0 {
+	if evs := d.Tick(tAt(95)); len(evs) != 0 {
 		t.Fatalf("backoff not applied: %v", evs)
 	}
-	evs = d.Tick(tAt(85)) // 45ms silent: 4 whole intervals, not > threshold 4
+	evs = d.Tick(tAt(115)) // 65ms silent: 6 whole intervals, not > threshold 6
 	if len(evs) != 0 {
 		t.Fatalf("suspected at exactly the threshold: %v", evs)
 	}
-	evs = d.Tick(tAt(95)) // 55ms silent: 5 misses > 4
+	evs = d.Tick(tAt(125)) // 75ms silent: 7 misses > 6
 	if len(evs) != 1 || evs[0].Kind != Suspected {
 		t.Fatalf("want backed-off suspicion, got %v", evs)
 	}
@@ -78,18 +81,30 @@ func TestRecoveryAndFlapBackoff(t *testing.T) {
 	if flaps != 1 {
 		t.Fatalf("want 1 flap, got %d", flaps)
 	}
-	snap := d.Snapshot(tAt(85))
-	if len(snap) != 1 || !snap[0].Suspected || snap[0].Threshold != 4 {
+	snap := d.Snapshot(tAt(125))
+	if len(snap) != 1 || !snap[0].Suspected || snap[0].Threshold != 2*suspectAfter {
 		t.Fatalf("snapshot: %+v", snap)
+	}
+
+	// A recovery past the flap window (20 intervals after the suspicion) is
+	// no flap: the threshold stays where it is.
+	d.Beat(l, tAt(125+flapWindow*10+1))
+	if evs := d.Tick(tAt(125 + flapWindow*10 + 1)); len(evs) != 1 || evs[0].Kind != Recovered {
+		t.Fatalf("want a late recovery, got %v", evs)
+	}
+	if _, _, flaps := d.Stats(); flaps != 1 {
+		t.Fatalf("a late recovery counted as a flap: %d flaps", flaps)
 	}
 }
 
+// TestFlapBackoffCap: repeated flaps double the threshold up to
+// maxThreshold and no further.
 func TestFlapBackoffCap(t *testing.T) {
-	d := NewDetector(Options{Interval: time.Millisecond, SuspectAfter: 2, BackoffFactor: 4, MaxThreshold: 8, FlapWindow: time.Hour})
+	d := NewDetector(Options{Interval: time.Millisecond})
 	p := PeerTarget("SP9")
 	d.Register(p, tAt(0))
 	now := 0
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 6; i++ {
 		// Silence long past any cap, then an immediate recovery.
 		now += 1000
 		if evs := d.Tick(tAt(now)); len(evs) != 1 || evs[0].Kind != Suspected {
@@ -97,10 +112,16 @@ func TestFlapBackoffCap(t *testing.T) {
 		}
 		d.Beat(p, tAt(now))
 		d.Tick(tAt(now))
+		want := suspectAfter << (i + 1)
+		if want > maxThreshold {
+			want = maxThreshold
+		}
+		if snap := d.Snapshot(tAt(now)); snap[0].Threshold != want {
+			t.Fatalf("cycle %d: threshold %d, want %d", i, snap[0].Threshold, want)
+		}
 	}
-	snap := d.Snapshot(tAt(now))
-	if snap[0].Threshold != 8 {
-		t.Fatalf("threshold should cap at 8, got %d", snap[0].Threshold)
+	if snap := d.Snapshot(tAt(now)); snap[0].Threshold != maxThreshold || maxThreshold != 48 {
+		t.Fatalf("threshold should cap at 48, got %d", snap[0].Threshold)
 	}
 }
 

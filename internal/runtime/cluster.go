@@ -11,7 +11,6 @@ import (
 
 	"streamshare/internal/core"
 	"streamshare/internal/durable"
-	"streamshare/internal/health"
 	"streamshare/internal/network"
 	"streamshare/internal/obs"
 	"streamshare/internal/transport"
@@ -25,11 +24,11 @@ import (
 // same engine (plans are deterministic in the scenario seed), attaches a
 // Runtime to its Cluster, and runs: batches whose next hop is owned by a
 // remote node travel as FrameBatch over the mesh instead of the local
-// mailbox, channel acks return as FrameAck, and heartbeats gossip as
-// FrameHeartbeat. The link layer's journal/replay/dedup (see transport)
-// makes the hop loss-free across TCP reconnects, so the distributed run
-// delivers item-for-item what the in-process runtime — and the simulator —
-// deliver.
+// mailbox, and channel acks return as FrameAck. Each process judges only
+// the peers and links it hosts (Runtime.detect), so no liveness crosses the
+// wire. The link layer's journal/replay/dedup (see transport) makes the hop
+// loss-free across TCP reconnects, so the distributed run delivers
+// item-for-item what the in-process runtime — and the simulator — deliver.
 //
 // Termination across processes rides the EOS markers: at build time each
 // runtime counts its remote-ingress lanes — (stream, hop) pairs it owns
@@ -114,10 +113,6 @@ type Cluster struct {
 	control func(from string, data []byte)
 	closed  bool
 
-	// gmu guards the per-remote heartbeat gossip.
-	gmu    sync.Mutex
-	gossip map[string]gossipEntry
-
 	// bmu guards the termination-barrier bookkeeping: barrier frames
 	// received per remote, and the rounds this node has entered. bcond wakes
 	// a barrier wait: a token landed, its timeout fired, the cluster closed.
@@ -130,13 +125,6 @@ type Cluster struct {
 // barrierMagic marks a control frame as a termination-barrier token;
 // user control payloads never start with a NUL byte. Read-only.
 var barrierMagic = []byte("\x00streamshare.barrier")
-
-// gossipEntry is the latest heartbeat gossip from one remote node and
-// when it arrived.
-type gossipEntry struct {
-	f  *transport.Frame
-	at time.Time
-}
 
 // WireMetricsObserver builds a ClusterOptions.WireObserver that feeds a
 // metrics registry: wire.encode.seconds / wire.decode.seconds latency
@@ -358,7 +346,7 @@ func NewCluster(net *network.Network, opts ClusterOptions) (*Cluster, error) {
 	if tr == nil {
 		tr = transport.NewTCP()
 	}
-	c := &Cluster{node: opts.Node, gossip: map[string]gossipEntry{}}
+	c := &Cluster{node: opts.Node}
 	names := make([]string, 0, len(opts.Nodes))
 	for name := range opts.Nodes {
 		names = append(names, name)
@@ -540,18 +528,14 @@ func (c *Cluster) runtime() *Runtime {
 }
 
 // handle is the mesh frame handler, running on a per-link dispatcher
-// goroutine: data and ack frames go to the attached runtime, heartbeats
-// update the gossip table, control frames go to the installed handler.
+// goroutine: data and ack frames go to the attached runtime, control frames
+// go to the installed handler.
 func (c *Cluster) handle(remote string, f *transport.Frame) {
 	switch f.Type {
 	case transport.FrameBatch, transport.FrameAck:
 		if r := c.runtime(); r != nil {
 			r.clusterFrame(f)
 		}
-	case transport.FrameHeartbeat:
-		c.gmu.Lock()
-		c.gossip[remote] = gossipEntry{f: f, at: time.Now()}
-		c.gmu.Unlock()
 	case transport.FrameControl:
 		if bytes.Equal(f.Data, barrierMagic) {
 			c.bmu.Lock()
@@ -577,10 +561,12 @@ func (c *Cluster) handle(remote string, f *transport.Frame) {
 
 // barrier synchronizes run termination across the cluster: each node
 // sends one sequenced barrier token per round and waits until every other
-// node's token for this round has arrived. Run calls it after its own
-// mesh journals drain, so no process can tear its mesh down while a
-// peer's final frames (trailing consumer acks, EOS markers) are still
-// unaccepted — the race that would otherwise strand the peer's journal.
+// node's token for this round has arrived, and then until its own tokens have
+// been accepted. Run calls it after its own mesh journals drain, so no
+// process can tear its mesh down while a peer's final frames (trailing
+// consumer acks, EOS markers, its barrier token) are still unaccepted — the
+// race that would otherwise strand the peer's journal or leave it waiting for
+// a token that never left this process.
 func (c *Cluster) barrier(timeout time.Duration) error {
 	c.bmu.Lock()
 	c.bround++
@@ -592,6 +578,17 @@ func (c *Cluster) barrier(timeout time.Duration) error {
 			return fmt.Errorf("runtime: cluster barrier to %q: %w", l.Remote(), err)
 		}
 	}
+	if err := c.awaitTokens(round, links, timeout); err != nil {
+		return err
+	}
+	if err := c.mesh.WaitDrained(timeout); err != nil {
+		return fmt.Errorf("runtime: cluster barrier: %w", err)
+	}
+	return nil
+}
+
+// awaitTokens waits until every link's remote has sent its token for round.
+func (c *Cluster) awaitTokens(round int, links []*transport.Link, timeout time.Duration) error {
 	expired := false // guarded by bmu
 	timer := time.AfterFunc(timeout, func() {
 		c.bmu.Lock()
@@ -633,55 +630,6 @@ func (c *Cluster) sendFrame(node string, f *transport.Frame) error {
 		return fmt.Errorf("runtime: cluster: no link to %q", node)
 	}
 	return l.Send(f)
-}
-
-// gossipHeartbeat broadcasts this process's live peers and responsible
-// live links as an unsequenced heartbeat frame on every link. Loss is
-// tolerated by design: the next tick re-gossips.
-func (c *Cluster) gossipHeartbeat(peers []string, links []string) {
-	f := &transport.Frame{Type: transport.FrameHeartbeat, Peers: peers, Links: links}
-	for _, l := range c.mesh.Links() {
-		l.SendRaw(f) // best-effort; detached links skip a beat
-	}
-}
-
-// remoteBeats lists the health targets to beat on behalf of remote
-// nodes. A remote's recent gossip vouches for the targets it names, so a
-// fault at the remote surfaces here as its gossip entry omitting the
-// target. Before a node's first gossip arrives — its process may still
-// be starting its run — every target that node owns beats optimistically,
-// so detector-tick/gossip-arrival skew cannot fake a failure. A node
-// whose gossip goes stale for longer than staleAfter stops vouching
-// entirely: a crashed process surfaces as all its targets going silent.
-func (c *Cluster) remoteBeats(r *Runtime, now time.Time, staleAfter time.Duration) []health.Target {
-	c.gmu.Lock()
-	defer c.gmu.Unlock()
-	var out []health.Target
-	seen := map[string]bool{}
-	for node, e := range c.gossip {
-		seen[node] = true
-		if now.Sub(e.at) > staleAfter {
-			continue
-		}
-		for _, p := range e.f.Peers {
-			out = append(out, health.PeerTarget(network.PeerID(p)))
-		}
-		for i := 0; i+1 < len(e.f.Links); i += 2 {
-			out = append(out, health.LinkTarget(
-				network.MakeLinkID(network.PeerID(e.f.Links[i]), network.PeerID(e.f.Links[i+1]))))
-		}
-	}
-	for _, id := range r.peerIDs {
-		if owner := r.owners[id]; owner != c.node && !seen[owner] {
-			out = append(out, health.PeerTarget(id))
-		}
-	}
-	for _, l := range r.linkIDs {
-		if owner := r.owners[l.A]; owner != c.node && !seen[owner] {
-			out = append(out, health.LinkTarget(l))
-		}
-	}
-	return out
 }
 
 // --- Runtime cluster data path ---
@@ -837,23 +785,4 @@ func (r *Runtime) sendAck(owner string, d *core.PlanStream, consumer string, seq
 	if err != nil {
 		r.flight.Record("cluster.ack.drop", d.ID+" "+consumer)
 	}
-}
-
-// liveLocal snapshots the live locally-owned peers and responsible live
-// links (this node owns the link's A endpoint) for heartbeat gossip.
-func (r *Runtime) liveLocal() (peers, links []string) {
-	for _, id := range r.peerIDs {
-		if r.localPeer(id) && !r.nodes[id].dead.Load() {
-			peers = append(peers, string(id))
-		}
-	}
-	r.sevMu.RLock()
-	for _, l := range r.linkIDs {
-		if r.owners[l.A] != r.cluster.node || r.severed[l] || r.deadLocal(l.A) || r.deadLocal(l.B) {
-			continue
-		}
-		links = append(links, string(l.A), string(l.B))
-	}
-	r.sevMu.RUnlock()
-	return peers, links
 }

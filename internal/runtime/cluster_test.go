@@ -18,6 +18,7 @@ import (
 
 	"streamshare/internal/core"
 	"streamshare/internal/durable"
+	"streamshare/internal/health"
 	"streamshare/internal/network"
 	"streamshare/internal/obs"
 	"streamshare/internal/photons"
@@ -256,8 +257,8 @@ func testClusterEquivalence(t *testing.T, tr transport.Transport, build buildFun
 	}
 	opts0, opts1 := Options{Cluster: c0}, Options{Cluster: c1}
 	if reliable {
-		opts0.Session = NewSession(SessionOptions{DisableHeartbeat: true})
-		opts1.Session = NewSession(SessionOptions{DisableHeartbeat: true})
+		opts0.Session = NewSession(SessionOptions{})
+		opts1.Session = NewSession(SessionOptions{})
 	}
 	if chaos {
 		// Small batches mean many frames, so drops land mid-stream.
@@ -289,6 +290,10 @@ func testClusterEquivalence(t *testing.T, tr transport.Transport, build buildFun
 
 	res0, res1 := runPair(t, rt0, rt1, feed0, feed1)
 	compareCollected(t, ref, mergeResults(res0, res1))
+	if reliable {
+		checkHostedHealth(t, c0, eng0.Net, opts0.Session)
+		checkHostedHealth(t, c1, eng1.Net, opts1.Session)
+	}
 
 	if chaos {
 		recon := uint64(0)
@@ -299,6 +304,38 @@ func testClusterEquivalence(t *testing.T, tr transport.Transport, build buildFun
 			t.Fatal("chaos run recorded no reconnects; the drop loop did not engage")
 		}
 		t.Logf("chaos: %d reconnects survived with identical delivery", recon)
+	}
+}
+
+// checkHostedHealth asserts that a healthy run left a cluster node's session
+// with no suspicion and no detected change, judging exactly the targets the
+// node hosts: its own peers and the links whose A endpoint it hosts.
+func checkHostedHealth(t *testing.T, c *Cluster, net *network.Network, sess *Session) {
+	t.Helper()
+	if sus, _, _ := sess.HealthStats(); sus != 0 {
+		t.Errorf("%s: healthy cluster run raised %d suspicions", c.Node(), sus)
+	}
+	if n := len(sess.TakeDetected()); n != 0 {
+		t.Errorf("%s: healthy cluster run detected %d changes", c.Node(), n)
+	}
+	var want, got []string
+	for _, p := range net.Peers() {
+		if c.NodeOf(p) == c.Node() {
+			want = append(want, health.PeerTarget(p).String())
+		}
+	}
+	for _, l := range net.Links() {
+		if c.NodeOf(l.A) == c.Node() {
+			want = append(want, health.LinkTarget(l).String())
+		}
+	}
+	for _, ts := range sess.HealthSnapshot() {
+		got = append(got, ts.Target.String())
+	}
+	sort.Strings(want)
+	sort.Strings(got)
+	if len(want) == 0 || !slices.Equal(got, want) {
+		t.Errorf("%s: session judges %v, want the targets it hosts %v", c.Node(), got, want)
 	}
 }
 
@@ -514,100 +551,6 @@ func TestClusterReconnectChaosTCP(t *testing.T) {
 	testClusterEquivalence(t, transport.NewTCP(), gridScenario(true), true, true)
 }
 
-// TestClusterHeartbeatGossip runs a healthy reliable cluster with the
-// failure detector on: peers owned by the remote node beat through
-// heartbeat gossip frames, so a healthy distributed run must finish with
-// zero suspicions on both sessions — and still match the simulator. A run
-// this small ends before the first monitor tick, so the source node holds
-// its run open after the first batch until each node has accepted the
-// other's gossip and then ticked again: a tick that beat the remote's
-// targets through remoteBeats with that gossip in hand.
-func TestClusterHeartbeatGossip(t *testing.T) {
-	defer testutil.Watchdog(t, 2*time.Minute)()
-	engRef, feedRef, err := clusterBuild(gridN, gridQueries, gridItems, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := engRef.Simulate(feedRef, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng0, feed0, err := clusterBuild(gridN, gridQueries, gridItems, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng1, feed1, err := clusterBuild(gridN, gridQueries, gridItems, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c0, c1 := clusterPair(t, eng0.Net, transport.NewMem())
-	if err := c0.WaitConnected(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	sess0, sess1 := NewSession(SessionOptions{}), NewSession(SessionOptions{})
-	rt0 := NewWith(eng0, true, Options{Cluster: c0, Session: sess0})
-	rt1 := NewWith(eng1, true, Options{Cluster: c1, Session: sess1})
-	arrived := func(c *Cluster, from string) time.Time {
-		c.gmu.Lock()
-		defer c.gmu.Unlock()
-		return c.gossip[from].at
-	}
-	var once sync.Once
-	held := false
-	hold := func(*core.PlanStream, uint64) {
-		once.Do(func() {
-			held = true
-			for arrived(c0, "n1").IsZero() || arrived(c1, "n0").IsZero() {
-				time.Sleep(time.Millisecond)
-			}
-			// From here on both tables hold the other node's gossip; a frame
-			// sent later left a tick that found it there.
-			since := time.Now()
-			for !arrived(c0, "n1").After(since) || !arrived(c1, "n0").After(since) {
-				time.Sleep(time.Millisecond)
-			}
-		})
-	}
-	rt0.afterBatch, rt1.afterBatch = hold, hold
-	res0, res1 := runPair(t, rt0, rt1, feed0, feed1)
-	if !held {
-		t.Fatal("no source batch held the run open")
-	}
-	compareCollected(t, ref, mergeResults(res0, res1))
-	for i, sess := range []*Session{sess0, sess1} {
-		if sus, _, _ := sess.HealthStats(); sus != 0 {
-			t.Errorf("node %d: healthy cluster run raised %d suspicions", i, sus)
-		}
-		if n := len(sess.TakeDetected()); n != 0 {
-			t.Errorf("node %d: healthy cluster run detected %d changes", i, n)
-		}
-	}
-	// Each node's latest gossip names exactly the peers it owns, and the other
-	// node beats exactly the targets that gossip vouches for.
-	for _, x := range []struct {
-		c      *Cluster
-		rt     *Runtime
-		remote string
-	}{{c0, rt0, "n1"}, {c1, rt1, "n0"}} {
-		x.c.gmu.Lock()
-		e := x.c.gossip[x.remote]
-		x.c.gmu.Unlock()
-		var owned []string
-		for _, id := range x.rt.peerIDs {
-			if x.rt.owners[id] == x.remote {
-				owned = append(owned, string(id))
-			}
-		}
-		if !slices.Equal(e.f.Peers, owned) {
-			t.Errorf("%s gossips peers %v to %s, owns %v", x.remote, e.f.Peers, x.c.node, owned)
-		}
-		if beats := x.c.remoteBeats(x.rt, e.at, time.Second); len(beats) != len(e.f.Peers)+len(e.f.Links)/2 {
-			t.Errorf("%s beats %d targets for %s, its gossip vouches for %d peers and %d links",
-				x.c.node, len(beats), x.remote, len(e.f.Peers), len(e.f.Links)/2)
-		}
-	}
-}
-
 // --- two OS processes over loopback TCP ---
 
 // childSpec is the work order the parent passes to the child process.
@@ -682,7 +625,7 @@ func TestClusterTwoProcessTCP(t *testing.T) {
 		childDone <- childExit{o, err}
 	}()
 
-	sess := NewSession(SessionOptions{DisableHeartbeat: true})
+	sess := NewSession(SessionOptions{})
 	rt := NewWith(eng, true, Options{Cluster: c1, Session: sess})
 	res, err := rt.Run(feed)
 	if err != nil {
@@ -774,7 +717,7 @@ func TestClusterChildProcess(t *testing.T) {
 	}
 	defer c0.Close()
 	defer testutil.OnHang(func(w io.Writer) { c0.DumpState(w) })()
-	sess := NewSession(SessionOptions{DisableHeartbeat: true})
+	sess := NewSession(SessionOptions{})
 	rt := NewWith(eng, true, Options{Cluster: c0, Session: sess})
 	res, err := rt.Run(feed)
 	if err != nil {
@@ -823,7 +766,9 @@ type crashResult struct {
 // work: the child reloads its link's sequence space and cursors from the
 // journal, re-dispatches the journaled inbound frames its first life never
 // finished, and the ordinary resume exchange has the parent replay exactly
-// the frames the child never acked.
+// the frames the child never acked. The child stays down longer than a
+// hundred heartbeat intervals, and the survivor, which judges only what it
+// hosts, suspects nothing.
 func TestClusterCrashRestartTCP(t *testing.T) {
 	if os.Getenv(crashChildEnv) != "" {
 		t.Skip("child process runs TestClusterCrashChildProcess")
@@ -872,8 +817,8 @@ func TestClusterCrashRestartTCP(t *testing.T) {
 	}
 
 	// Kill the first child with SIGKILL once real traffic flows, then
-	// relaunch it over the same data directory while the parent's run is
-	// still in flight.
+	// relaunch it over the same data directory 0.6 s later, while the
+	// parent's run is still in flight.
 	type childExit2 struct {
 		out []byte
 		err error
@@ -893,11 +838,12 @@ func TestClusterCrashRestartTCP(t *testing.T) {
 		}
 		first.Process.Kill() //nolint:errcheck // best effort; Wait reports the state
 		first.Wait()         //nolint:errcheck // expected "signal: killed"
+		time.Sleep(600 * time.Millisecond)
 		o, err := launch().CombinedOutput()
 		second <- childExit2{o, err}
 	}()
 
-	sess := NewSession(SessionOptions{DisableHeartbeat: true})
+	sess := NewSession(SessionOptions{})
 	rt := NewWith(eng, true, Options{Cluster: c1, Session: sess, BatchSize: 8})
 	res, err := rt.Run(feed)
 	if err != nil {
@@ -905,6 +851,12 @@ func TestClusterCrashRestartTCP(t *testing.T) {
 	}
 	if exit := <-second; exit.err != nil {
 		t.Fatalf("restarted child failed: %v\n%s", exit.err, exit.out)
+	}
+	if sus, _, _ := sess.HealthStats(); sus != 0 {
+		t.Errorf("the survivor raised %d suspicions over the crash-restart", sus)
+	}
+	if ch := sess.TakeDetected(); len(ch) != 0 {
+		t.Errorf("the survivor detected %v over the crash-restart", ch)
 	}
 
 	raw, err := os.ReadFile(out)
@@ -995,7 +947,7 @@ func TestClusterCrashChildProcess(t *testing.T) {
 	}
 	defer c0.Close()
 	defer testutil.OnHang(func(w io.Writer) { c0.DumpState(w) })()
-	sess := NewSession(SessionOptions{DisableHeartbeat: true})
+	sess := NewSession(SessionOptions{})
 	rt := NewWith(eng, true, Options{Cluster: c0, Session: sess, BatchSize: 8})
 	res, err := rt.Run(feed)
 	if err != nil {

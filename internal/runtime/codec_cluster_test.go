@@ -90,8 +90,8 @@ func TestClusterMixedCodecTwoProcessTCP(t *testing.T) {
 	if err := c1.WaitConnected(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	sess1 := NewSession(SessionOptions{DisableHeartbeat: true})
-	sess2 := NewSession(SessionOptions{DisableHeartbeat: true})
+	sess1 := NewSession(SessionOptions{})
+	sess2 := NewSession(SessionOptions{})
 	rt1 := NewWith(eng1, true, Options{Cluster: c1, Session: sess1})
 	rt2 := NewWith(eng2, true, Options{Cluster: c2, Session: sess2})
 	res1, res2 := runPair(t, rt1, rt2, feed1, feed2)
@@ -183,7 +183,7 @@ func TestClusterMixedCodecChildProcess(t *testing.T) {
 	if err := c0.WaitConnected(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	sess := NewSession(SessionOptions{DisableHeartbeat: true})
+	sess := NewSession(SessionOptions{})
 	rt := NewWith(eng, true, Options{Cluster: c0, Session: sess})
 	res, err := rt.Run(feed)
 	if err != nil {

@@ -21,20 +21,20 @@ type Options struct {
 
 	// Session, when set, turns on reliable delivery: every consumed
 	// stream flows through a sequenced, acked, credit-windowed channel
-	// whose replay buffer doubles as the recovery journal, and a
-	// heartbeat failure detector runs alongside the data path. The
-	// session outlives the (single-use) runtime, carrying journals, ack
-	// cursors and a run's operator state to recovery. Nil (the
-	// default) keeps the unsequenced data path bit-for-bit unchanged.
+	// whose replay buffer doubles as the recovery journal, and the
+	// session's failure detector judges the finished run. The session
+	// outlives the (single-use) runtime, carrying journals, ack cursors and
+	// a run's operator state to recovery. Nil (the default) keeps the
+	// unsequenced data path bit-for-bit unchanged.
 	Session *Session
 
 	// Cluster, when set, distributes the run across OS processes: network
 	// peers assigned to other cluster nodes receive their batches as
 	// frames over the cluster's transport links instead of the local
-	// mailbox, channel acks return as frames, and heartbeats gossip over
-	// the wire. Every participating process must build the same engine
-	// (plans are deterministic in the scenario) and use the same peer
-	// assignment. Nil (the default) runs everything in this process.
+	// mailbox, and channel acks return as frames. Every participating
+	// process must build the same engine (plans are deterministic in the
+	// scenario) and use the same peer assignment. Nil (the default) runs
+	// everything in this process.
 	Cluster *Cluster
 }
 

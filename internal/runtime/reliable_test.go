@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -337,6 +338,62 @@ func TestReliableHealthyEquivalence(t *testing.T) {
 	sus, _, _ := sess.HealthStats()
 	if sus != 0 {
 		t.Errorf("healthy run raised %d suspicions", sus)
+	}
+}
+
+// TestReliableRefaultLatency: a fault is timed from its own injection, not
+// from the first fault on the same target. One session with a 2 ms interval:
+// run 1 severs SP1–SP2 before the run; after a 300 ms pause, run 2 on the
+// repaired plan severs the same link mid-run. The link recovers once between
+// them, and both suspicions read (suspectAfter+1) intervals, which is what
+// the detector's threshold allows.
+func TestReliableRefaultLatency(t *testing.T) {
+	defer testutil.Watchdog(t, 2*time.Minute)()
+	const iv = 2 * time.Millisecond
+	eng := core.NewEngine(testNet(), core.Config{Reliable: true})
+	_, st := photons.Stream("photons", photons.DefaultConfig(), 13, 2000)
+	if _, err := eng.RegisterStream("photons", xmlstream.ParsePath("photons/photon"), "SP0", st); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Subscribe(`<photons>{ for $p in stream("photons")/photons/photon where $p/en >= 1.3 return <hot>{ $p }</hot> }</photons>`, "SP3", core.StreamSharing); err != nil {
+		t.Fatal(err)
+	}
+	if feed := eng.Subscriptions()[0].Inputs[0].Feed; !feed.OnRoute("SP1") || !feed.OnRoute("SP2") {
+		t.Fatalf("the feed does not cross SP1–SP2:\n%s", eng.Subscriptions()[0].Explain())
+	}
+	feed := map[string][]*xmlstream.Element{"photons": photons.NewGenerator(photons.DefaultConfig(), 7).Generate(1000)}
+	sess := NewSession(SessionOptions{Heartbeat: health.Options{Interval: iv}})
+	latency := func(run int, wantCount uint64) {
+		t.Helper()
+		h := eng.Obs().Metrics.Snapshot().Histograms["runtime.detect.latency_seconds"]
+		want := (4 * iv).Seconds()
+		if h.Count != wantCount || math.Abs(h.Max-want) > 1e-9 || math.Abs(h.Min-want) > 1e-9 {
+			t.Fatalf("run %d: %d suspicions read %v..%v s, want %d reading %v s", run, h.Count, h.Min, h.Max, wantCount, want)
+		}
+	}
+
+	rt := NewWith(eng, true, Options{BatchSize: 50, Session: sess})
+	if err := rt.SeverLink("SP1", "SP2"); err != nil {
+		t.Fatal(err)
+	}
+	runAndRecover(t, eng, sess, rt, feed)
+	latency(1, 1)
+
+	time.Sleep(300 * time.Millisecond)
+	rt = NewWith(eng, true, Options{BatchSize: 50, Session: sess})
+	landed := faultsAfter(rt, sess, fault{300, func() error { return rt.SeverLink("SP1", "SP2") }})
+	if _, err := rt.Run(feed); err != nil {
+		t.Fatal(err)
+	}
+	if !landed() {
+		t.Fatal("the fault never landed")
+	}
+	latency(2, 2)
+	if sus, rec, flaps := sess.HealthStats(); sus != 2 || rec != 1 || flaps != 0 {
+		t.Fatalf("%d suspicions, %d recoveries, %d flaps; want 2, 1, 0", sus, rec, flaps)
+	}
+	if ch := sess.TakeDetected(); len(ch) != 1 || ch[0].Link != network.MakeLinkID("SP1", "SP2") {
+		t.Fatalf("run 2 detected %v", ch)
 	}
 }
 

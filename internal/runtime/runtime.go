@@ -148,10 +148,14 @@ type Runtime struct {
 
 	// Fault injection (chaos testing): severed links drop messages at the
 	// sender, killed peers discard at the receiver; dropped counts both,
-	// per item.
+	// per item. faults holds when each target first went down in this run,
+	// and start when Run began: the session's detection pass replays the run
+	// from them.
 	sevMu   sync.RWMutex
 	severed map[network.LinkID]bool
 	dropped int
+	faults  map[health.Target]time.Time
+	start   time.Time
 
 	// Reliability (Options.Session): channels and receive lanes are
 	// per-run views into the session's durable maps, read-only while the
@@ -215,6 +219,7 @@ func NewWith(eng *core.Engine, collect bool, opts Options) *Runtime {
 	r.qcond = sync.NewCond(&r.qmu)
 	r.quietBound = 60 * time.Second
 	r.severed = map[network.LinkID]bool{}
+	r.faults = map[health.Target]time.Time{}
 	r.batchHist = eng.Obs().Metrics.Histogram("runtime.batch.size", obs.ExpBuckets(1, 2, 9))
 	r.parseSkip = eng.Obs().Metrics.Counter("runtime.parse.skipped")
 	r.flight = eng.Obs().Flight
@@ -262,18 +267,7 @@ func (r *Runtime) localPeer(p network.PeerID) bool {
 // and blocks until every message has been processed.
 func (r *Runtime) Run(items map[string][]*xmlstream.Element) (*Result, error) {
 	r.execHits0, r.execMiss0 = exec.PoolStats()
-
-	// Heartbeat monitor: beats live targets and ticks the detector on the
-	// wall clock while the data path runs; a virtual-time drain after
-	// quiescence guarantees every injected fault is suspected by return.
-	var monWG sync.WaitGroup
-	var monStop chan struct{}
-	if r.sess != nil && !r.sess.opts.DisableHeartbeat {
-		r.registerTargets(time.Now())
-		monStop = make(chan struct{})
-		monWG.Add(1)
-		go r.monitor(monStop, &monWG)
-	}
+	r.start = time.Now()
 
 	var wg sync.WaitGroup
 	for _, n := range r.nodes {
@@ -315,22 +309,16 @@ func (r *Runtime) Run(items map[string][]*xmlstream.Element) (*Result, error) {
 	// remote-ingress lane has seen its EOS, and no batch is parked waiting
 	// for a (possibly remote) ack. With a session attached, a late channel
 	// break can release parked batches after the count first reaches zero,
-	// so settle and re-wait until a full pass releases nothing.
+	// so settle and re-wait until a full pass releases nothing. Then the
+	// session judges the finished run (detect).
 	for {
 		r.awaitQuiet()
 		if r.sess == nil || !r.sess.settle(r) {
 			break
 		}
 	}
-
-	if monStop != nil {
-		close(monStop)
-		monWG.Wait()
-		r.drainDetector()
-		for r.sess.settle(r) {
-			r.awaitQuiet()
-		}
-		r.awaitQuiet()
+	if r.sess != nil {
+		r.detect()
 	}
 
 	// Cluster mode: a process must not return (and possibly Close its
@@ -405,9 +393,7 @@ func (r *Runtime) KillPeer(id network.PeerID) error {
 	}
 	n.dead.Store(true)
 	r.flight.Record("fault.kill", string(id))
-	if r.sess != nil {
-		r.sess.noteFault(r, health.PeerTarget(id))
-	}
+	r.noteFault(health.PeerTarget(id))
 	return nil
 }
 
@@ -422,10 +408,22 @@ func (r *Runtime) SeverLink(a, b network.PeerID) error {
 	r.severed[network.MakeLinkID(a, b)] = true
 	r.sevMu.Unlock()
 	r.flight.Record("fault.sever", network.MakeLinkID(a, b).String())
-	if r.sess != nil {
-		r.sess.noteFault(r, health.LinkTarget(network.MakeLinkID(a, b)))
-	}
+	r.noteFault(health.LinkTarget(network.MakeLinkID(a, b)))
 	return nil
+}
+
+// noteFault records when a target first went down in this run, for the
+// session's detection pass, and breaks the session channels whose route
+// depends on it: the one place a fault breaks channels.
+func (r *Runtime) noteFault(t health.Target) {
+	r.sevMu.Lock()
+	if _, ok := r.faults[t]; !ok {
+		r.faults[t] = time.Now()
+	}
+	r.sevMu.Unlock()
+	if r.sess != nil {
+		r.sess.breakFor(r, t)
+	}
 }
 
 // Dropped reports how many items (EOS markers included) fault injection

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -15,9 +16,9 @@ import (
 )
 
 // This file is the reliability layer's live half: a Session owns the
-// per-stream channels (channel.go), the receive-side dedup lanes, the
-// heartbeat failure detector, and the plan and operator instances of the run
-// it last attached to, which recovery (recover.go) finishes. A Session
+// per-stream channels (channel.go), the receive-side dedup lanes, the failure
+// detector and its virtual clock, and the plan and operator instances of the
+// run it last attached to, which recovery (recover.go) finishes. A Session
 // outlives the single-use Runtimes that attach to it, which is what lets the
 // replay journals, the ack cursors and an interrupted run's operator state
 // survive a failure, a re-plan and the recovery pass; it keys channels by
@@ -37,10 +38,6 @@ type SessionOptions struct {
 	// Heartbeat tunes the failure detector (zero fields take the
 	// health package defaults).
 	Heartbeat health.Options
-
-	// DisableHeartbeat turns the in-run heartbeat monitor off; channels
-	// then break only through the KillPeer/SeverLink oracle calls.
-	DisableHeartbeat bool
 }
 
 // recvKey identifies one receive lane: a stream, by id, at one hop of its
@@ -67,12 +64,10 @@ type Session struct {
 	detMu    sync.Mutex
 	det      *health.Detector
 	detected []network.Change
-	// suspected dedups Change emission per target across monitor ticks
-	// and runtimes.
-	suspected map[health.Target]bool
-	// failedAt records when the oracle injected each fault, so suspicion
-	// events can observe detection latency.
-	failedAt map[health.Target]time.Time
+	// clock is the detector's virtual time: the last round of the last
+	// detection pass. A pass starts at the later of it and its run's start,
+	// so the clock never runs backwards.
+	clock time.Time
 }
 
 // NewSession returns an empty session with the given options.
@@ -81,12 +76,10 @@ func NewSession(opts SessionOptions) *Session {
 		opts.CreditWindow = 256
 	}
 	return &Session{
-		opts:      opts,
-		chans:     map[string]*streamChan{},
-		recvs:     map[recvKey]*transport.RecvCursor{},
-		det:       health.NewDetector(opts.Heartbeat),
-		suspected: map[health.Target]bool{},
-		failedAt:  map[health.Target]time.Time{},
+		opts:  opts,
+		chans: map[string]*streamChan{},
+		recvs: map[recvKey]*transport.RecvCursor{},
+		det:   health.NewDetector(opts.Heartbeat),
 	}
 }
 
@@ -150,11 +143,12 @@ func (s *Session) TakeDetected() []network.Change {
 	return out
 }
 
-// HealthSnapshot returns the failure detector's per-target state.
+// HealthSnapshot returns the failure detector's per-target state at the
+// session's clock: the targets this process hosts.
 func (s *Session) HealthSnapshot() []health.TargetState {
 	s.detMu.Lock()
 	defer s.detMu.Unlock()
-	return s.det.Snapshot(time.Now())
+	return s.det.Snapshot(s.clock)
 }
 
 // HealthStats returns the detector's cumulative suspicion, recovery and
@@ -442,196 +436,105 @@ func routeHits(route []network.PeerID, t health.Target) bool {
 	return false
 }
 
-// noteFault records the oracle injection time of a fault for the
-// detection-latency metric and pre-breaks the affected channels.
-func (s *Session) noteFault(r *Runtime, t health.Target) {
-	s.detMu.Lock()
-	if _, ok := s.failedAt[t]; !ok {
-		s.failedAt[t] = time.Now()
-	}
-	s.detMu.Unlock()
-	s.breakFor(r, t)
-}
-
-// handleHealth converts detector transitions into channel breaks, queued
-// network changes and metrics. Suspicions are deduped per target for the
-// session's lifetime: one fault yields one change.
-func (r *Runtime) handleHealth(evs []health.Event) {
-	if len(evs) == 0 {
-		return
-	}
+// detect is the run's failure detection: one pass over the finished run on
+// the session's virtual clock. It replays the run in rounds of one heartbeat
+// interval from the run's start. In round k every target this process hosts
+// — its own peers, and the links whose A endpoint it hosts — beats unless a
+// fault of this run took it down before the round's moment, and then the
+// detector ticks. A pass runs at least one round, so a target that failed in
+// an earlier run and is back beats and recovers; rounds go on until every
+// fault of the run is suspected, and stop MaxSilence()+2 intervals past the
+// last one. A suspicion queues its network.Change and observes its latency
+// from the round its fault landed in (round 0 for a fault before the run).
+// Channels broke when the fault was injected (noteFault); detection breaks
+// nothing.
+func (r *Runtime) detect() {
 	s := r.sess
 	reg := r.eng.Obs().Metrics
-	for _, ev := range evs {
-		switch ev.Kind {
-		case health.Suspected:
-			s.detMu.Lock()
-			dup := s.suspected[ev.Target]
-			s.suspected[ev.Target] = true
-			var lat time.Duration
-			seenFault := false
-			if at, ok := s.failedAt[ev.Target]; ok {
-				lat, seenFault = ev.At.Sub(at), true
-			}
-			if !dup {
-				var ch network.Change
-				if ev.Target.Kind == health.TargetPeer {
-					ch = network.Change{Kind: network.PeerFailed, Peer: ev.Target.Peer}
-				} else {
-					ch = network.Change{Kind: network.LinkFailed, Link: ev.Target.Link}
-				}
-				s.detected = append(s.detected, ch)
-			}
-			s.detMu.Unlock()
-			if !dup {
-				reg.Counter("health.suspected").Inc()
-				if seenFault && lat >= 0 {
-					reg.Histogram("runtime.detect.latency_seconds", obs.ExpBuckets(1e-4, 10, 8)).
-						Observe(lat.Seconds())
-				}
-				s.breakFor(r, ev.Target)
-			}
-		case health.Recovered:
-			reg.Counter("health.recovered").Inc()
-			s.detMu.Lock()
-			delete(s.suspected, ev.Target)
-			s.detMu.Unlock()
-		}
-	}
-}
-
-// registerTargets registers every peer and link with the detector.
-func (r *Runtime) registerTargets(now time.Time) {
-	s := r.sess
 	s.detMu.Lock()
-	for _, id := range r.peerIDs {
-		s.det.Register(health.PeerTarget(id), now)
+	defer s.detMu.Unlock()
+	iv := s.det.Interval()
+	t0 := r.start
+	if t0.Before(s.clock) {
+		t0 = s.clock
 	}
-	for _, l := range r.linkIDs {
-		s.det.Register(health.LinkTarget(l), now)
+	// last is the last round a target beats in: -1 for a fault before the
+	// run, MaxInt for no fault.
+	type hosted struct {
+		t    health.Target
+		last int
 	}
-	s.detMu.Unlock()
-}
-
-// beatLive feeds one heartbeat round into the detector: every live peer
-// beats, and every link beats unless it is severed or touches a dead
-// peer (heartbeats cross links, so a dead endpoint silences the link
-// too). In cluster mode each process beats only what it can vouch for —
-// its own peers, the links whose A endpoint it owns — and remotely-owned
-// targets beat from the latest heartbeat gossip, so a remote fault
-// surfaces here as its gossip entry disappearing. Heartbeat traffic is
-// control-plane and is not metered. Callers hold detMu.
-func (r *Runtime) beatLive(now time.Time) {
-	s := r.sess
-	for _, id := range r.peerIDs {
-		if !r.localPeer(id) {
-			continue
-		}
-		if !r.nodes[id].dead.Load() {
-			s.det.Beat(health.PeerTarget(id), now)
-		}
-	}
+	var targets []hosted
 	r.sevMu.RLock()
+	add := func(t health.Target, down ...health.Target) {
+		last := math.MaxInt
+		for _, d := range down {
+			if at, ok := r.faults[d]; ok {
+				k := -1
+				if at.After(r.start) {
+					k = int(at.Sub(r.start) / iv)
+				}
+				last = min(last, k)
+			}
+		}
+		targets = append(targets, hosted{t, last})
+	}
+	for _, id := range r.peerIDs {
+		if r.localPeer(id) {
+			add(health.PeerTarget(id), health.PeerTarget(id))
+		}
+	}
 	for _, l := range r.linkIDs {
-		if r.owners != nil && r.owners[l.A] != r.cluster.node {
-			continue
+		if r.localPeer(l.A) {
+			add(health.LinkTarget(l), health.LinkTarget(l), health.PeerTarget(l.A), health.PeerTarget(l.B))
 		}
-		if r.severed[l] || r.deadLocal(l.A) || r.deadLocal(l.B) {
-			continue
-		}
-		s.det.Beat(health.LinkTarget(l), now)
 	}
 	r.sevMu.RUnlock()
-	if r.cluster != nil {
-		// Remote gossip is vouching, not timing: a remote's latest frame
-		// keeps beating its targets until it goes stale for far longer
-		// than any scheduler skew, so only a genuinely crashed process —
-		// or a gossip frame that names fewer targets — silences them.
-		for _, t := range r.cluster.remoteBeats(r, now, 100*s.det.Interval()) {
-			s.det.Beat(t, now)
+
+	stop, down := 0, map[health.Target]time.Time{}
+	for _, h := range targets {
+		s.det.Register(h.t, t0)
+		if h.last < math.MaxInt {
+			stop = max(stop, h.last)
+			down[h.t] = t0.Add(time.Duration(max(h.last, 0)) * iv)
 		}
 	}
-}
-
-// deadLocal reports a locally-known peer death. Remote deaths are not
-// directly observable; they surface through gossip beats stopping.
-func (r *Runtime) deadLocal(id network.PeerID) bool {
-	return r.localPeer(id) && r.nodes[id].dead.Load()
-}
-
-// monitor is the in-run heartbeat loop: each interval it beats live
-// targets, ticks the detector on the wall clock and applies any
-// transitions. It exits when stop closes.
-func (r *Runtime) monitor(stop chan struct{}, done *sync.WaitGroup) {
-	defer done.Done()
-	s := r.sess
-	ticker := time.NewTicker(s.det.Interval())
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			now := time.Now()
-			s.detMu.Lock()
-			r.beatLive(now)
-			evs := s.det.Tick(now)
-			s.detMu.Unlock()
-			r.handleHealth(evs)
-			if r.cluster != nil {
-				peers, links := r.liveLocal()
-				r.cluster.gossipHeartbeat(peers, links)
+	stop += s.det.MaxSilence() + 2
+	for k := 0; ; k++ {
+		s.clock = t0.Add(time.Duration(k) * iv)
+		for _, h := range targets {
+			if k <= h.last {
+				s.det.Beat(h.t, s.clock)
 			}
 		}
-	}
-}
-
-// drainDetector runs virtual-time detection rounds after the data path
-// quiesced: live targets keep beating while the clock advances one
-// interval per round, so every injected fault is deterministically
-// suspected by the time Run returns, however short the run was.
-func (r *Runtime) drainDetector() {
-	s := r.sess
-	s.detMu.Lock()
-	now := time.Now()
-	iv := s.det.Interval()
-	var evs []health.Event
-	rounds := s.det.MaxSilence() + 2
-	for i := 0; i < rounds; i++ {
-		if !r.faultUnsuspectedLocked(now) {
-			break
+		for _, ev := range s.det.Tick(s.clock) {
+			if ev.Kind == health.Recovered {
+				reg.Counter("health.recovered").Inc()
+				continue
+			}
+			ch := network.Change{Kind: network.LinkFailed, Link: ev.Target.Link}
+			if ev.Target.Kind == health.TargetPeer {
+				ch = network.Change{Kind: network.PeerFailed, Peer: ev.Target.Peer}
+			}
+			s.detected = append(s.detected, ch)
+			reg.Counter("health.suspected").Inc()
+			reg.Histogram("runtime.detect.latency_seconds", obs.ExpBuckets(1e-4, 10, 8)).
+				Observe(ev.At.Sub(down[ev.Target]).Seconds())
 		}
-		now = now.Add(iv)
-		r.beatLive(now)
-		evs = append(evs, s.det.Tick(now)...)
+		if k >= stop || allSuspected(s.det.Snapshot(s.clock), down) {
+			return
+		}
 	}
-	s.detMu.Unlock()
-	r.handleHealth(evs)
 }
 
-// faultUnsuspectedLocked reports whether some injected fault (dead peer,
-// severed link, or a link silenced by a dead endpoint) is not yet
-// suspected. Callers hold detMu.
-func (r *Runtime) faultUnsuspectedLocked(now time.Time) bool {
-	snap := r.sess.det.Snapshot(now)
-	state := map[health.Target]bool{}
+// allSuspected reports whether every target in down is suspected.
+func allSuspected(snap []health.TargetState, down map[health.Target]time.Time) bool {
 	for _, ts := range snap {
-		state[ts.Target] = ts.Suspected
-	}
-	for _, id := range r.peerIDs {
-		if r.nodes[id].dead.Load() && !state[health.PeerTarget(id)] {
-			return true
+		if _, ok := down[ts.Target]; ok && !ts.Suspected {
+			return false
 		}
 	}
-	r.sevMu.RLock()
-	defer r.sevMu.RUnlock()
-	for _, l := range r.linkIDs {
-		if (r.severed[l] || r.nodes[l.A].dead.Load() || r.nodes[l.B].dead.Load()) &&
-			!state[health.LinkTarget(l)] {
-			return true
-		}
-	}
-	return false
+	return true
 }
 
 // settle pumps every broken channel once more and reports whether any

@@ -56,8 +56,8 @@ func TestTreePlaneRandomizedDisconnects(t *testing.T) {
 			if err := c0.WaitConnected(10 * time.Second); err != nil {
 				t.Fatal(err)
 			}
-			opts0 := Options{Cluster: c0, Session: NewSession(SessionOptions{DisableHeartbeat: true}), BatchSize: batch}
-			opts1 := Options{Cluster: c1, Session: NewSession(SessionOptions{DisableHeartbeat: true}), BatchSize: batch}
+			opts0 := Options{Cluster: c0, Session: NewSession(SessionOptions{}), BatchSize: batch}
+			opts1 := Options{Cluster: c1, Session: NewSession(SessionOptions{}), BatchSize: batch}
 			rt0 := NewWith(eng0, true, opts0)
 			rt1 := NewWith(eng1, true, opts1)
 

@@ -130,8 +130,8 @@ func New(eng *core.Engine, cfg photons.Config) *Server {
 }
 
 // WithSession attaches a reliability session: RUN and FEED execute on the
-// session-backed distributed runtime (sequenced acked channels, heartbeat
-// failure detection, credit-based backpressure) instead of the simulator,
+// session-backed distributed runtime (sequenced acked channels, failure
+// detection, credit-based backpressure) instead of the simulator,
 // and HEALTH reports the detector and per-channel state. Building the engine
 // with core.Config{Reliable: true} only hides live shared streams while
 // repairs plan, so a repaired subscription gets a private chain.
@@ -488,7 +488,7 @@ func (s *Server) issue(w io.Writer, o order) {
 
 // execute pushes a feed through the installed plans: on the simulator by
 // default, on the distributed runtime when a reliability session or a
-// cluster is attached (filling channels, heartbeat state and per-link
+// cluster is attached (filling channels, detector state and per-link
 // transport metrics). The caller must hold s.mu.
 func (s *Server) execute(feed map[string][]*xmlstream.Element) (map[string]int, error) {
 	if s.sess != nil || s.cluster != nil {
@@ -531,7 +531,7 @@ func (s *Server) feed(w io.Writer, r *bufio.Reader, args []string) {
 }
 
 // health reports the reliability layer's introspection: failure-detector
-// state per registered peer/link target and one row per reliable channel.
+// state per peer and link this node hosts and one row per reliable channel.
 func (s *Server) health(w io.Writer) {
 	if s.sess == nil {
 		fmt.Fprintln(w, "ERR reliability off (start sgd with -reliable)")

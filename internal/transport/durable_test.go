@@ -704,32 +704,3 @@ func TestHandshakeReadTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestIdleTimeoutTearsDownSilentConn: with an IdleTimeout armed and no
-// heartbeats flowing, a silent attached conn must hit its read deadline,
-// detach, and redial — the half-open-peer guard.
-func TestIdleTimeoutTearsDownSilentConn(t *testing.T) {
-	tr := NewMem()
-	var ca, cb collector
-	ma, err := NewMesh(MeshConfig{Transport: tr, Node: "a", Listen: "mem:a", Handler: ca.handle,
-		IdleTimeout: 30 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ma.Close()
-	mb, err := NewMesh(MeshConfig{Transport: tr, Node: "b", Listen: "mem:b", Handler: cb.handle,
-		IdleTimeout: 30 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mb.Close()
-	if _, err := ma.Connect("b", "mem:b"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mb.Connect("a", "mem:a"); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 5*time.Second, func() bool {
-		return ma.Link("b").Stats().Reconnects >= 1
-	}, "idle teardown and reconnect")
-}

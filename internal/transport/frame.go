@@ -22,17 +22,17 @@ import (
 //
 // where strings and byte blobs are uvarint length + bytes. The link seq is
 // the per-connection replay sequence (assigned by Link.Send); control
-// frames that bypass the replay buffer — Hello, Welcome, LinkAck,
-// Heartbeat — carry seq 0. Decoding validates every claimed length against
-// the bytes actually present, so truncated, oversized or corrupt inputs
-// error out without panicking or allocating beyond the input size
-// (FuzzFrame holds it to that).
+// frames that bypass the replay buffer — Hello, Welcome, LinkAck — carry
+// seq 0. Decoding validates every claimed length against the bytes actually
+// present, so truncated, oversized or corrupt inputs error out without
+// panicking or allocating beyond the input size (FuzzFrame holds it to that).
 
 // ProtocolVersion is the handshake version this build speaks. Hello and
 // Welcome carry it; a mismatch fails the handshake. docs/WIRE.md §5 says
 // what an older peer sees: version 1 could put plain Batch frames on a conn,
-// and version 2 places super-peers on nodes by another rule.
-const ProtocolVersion = 3
+// version 2 places super-peers on nodes by another rule, and version 3 may
+// put the reserved type 6 on a conn.
+const ProtocolVersion = 4
 
 // MaxFrameSize bounds one frame payload on the wire (16 MiB). ReadFramePayload
 // rejects larger length prefixes before allocating.
@@ -45,15 +45,17 @@ type FrameType uint8
 // message's items inside a process and in a durable link's journal, BatchBin
 // the same batch on a conn (its items one wire-codec payload), Ack a
 // channel-consumer cumulative ack, LinkAck the link-level replay-buffer ack,
-// Heartbeat the failure-detector liveness gossip, and Control an opaque
-// coordination payload (the server layer's subscription/run replication).
+// and Control an opaque coordination payload (the server layer's
+// subscription/run replication).
 const (
 	FrameHello FrameType = iota + 1
 	FrameWelcome
 	FrameBatch
 	FrameAck
 	FrameLinkAck
-	FrameHeartbeat
+	// frameReserved is type 6, protocol version 3's heartbeat: DecodeFrame
+	// rejects it.
+	frameReserved
 	FrameControl
 	FrameBatchBin
 )
@@ -71,8 +73,6 @@ func (t FrameType) String() string {
 		return "ack"
 	case FrameLinkAck:
 		return "linkack"
-	case FrameHeartbeat:
-		return "heartbeat"
 	case FrameControl:
 		return "control"
 	case FrameBatchBin:
@@ -135,12 +135,6 @@ type Frame struct {
 	// frames, a link sequence in LinkAck frames.
 	Ack uint64
 
-	// Peers are the live peer ids in a heartbeat round (Heartbeat).
-	Peers []string
-	// Links are the live links in a heartbeat round, flattened as
-	// endpoint pairs: A1, B1, A2, B2, ... (Heartbeat).
-	Links []string
-
 	// Data is the opaque coordination payload (Control) or the wire-codec
 	// item payload (BatchBin).
 	Data []byte
@@ -179,15 +173,6 @@ func AppendFrame(b []byte, f *Frame) []byte {
 		b = binary.AppendUvarint(b, f.Ack)
 	case FrameLinkAck:
 		b = binary.AppendUvarint(b, f.Ack)
-	case FrameHeartbeat:
-		b = binary.AppendUvarint(b, uint64(len(f.Peers)))
-		for _, p := range f.Peers {
-			b = appendString(b, p)
-		}
-		b = binary.AppendUvarint(b, uint64(len(f.Links)))
-		for _, l := range f.Links {
-			b = appendString(b, l)
-		}
 	case FrameControl:
 		b = appendBytes(b, f.Data)
 	case FrameBatchBin:
@@ -227,7 +212,7 @@ func DecodeFrame(b []byte) (*Frame, error) {
 		return nil, err
 	}
 	f.Type = FrameType(t)
-	if f.Type < FrameHello || f.Type > FrameBatchBin {
+	if f.Type < FrameHello || f.Type > FrameBatchBin || f.Type == frameReserved {
 		return nil, fmt.Errorf("%w: unknown type %d", ErrFrame, t)
 	}
 	if f.Seq, err = d.uvarint(); err != nil {
@@ -302,28 +287,6 @@ func DecodeFrame(b []byte) (*Frame, error) {
 	case FrameLinkAck:
 		if f.Ack, err = d.uvarint(); err != nil {
 			return nil, err
-		}
-	case FrameHeartbeat:
-		n, err := d.count()
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			p, err := d.str()
-			if err != nil {
-				return nil, err
-			}
-			f.Peers = append(f.Peers, p)
-		}
-		if n, err = d.count(); err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			l, err := d.str()
-			if err != nil {
-				return nil, err
-			}
-			f.Links = append(f.Links, l)
 		}
 	case FrameControl:
 		if f.Data, err = d.bytes(); err != nil {

@@ -22,7 +22,6 @@ func sampleFrames() []*Frame {
 		{Type: FrameBatch, Seq: 1, Stream: "s", Elems: nil},
 		{Type: FrameAck, Seq: 7, Stream: "photons", Consumer: "q1/photons", Ack: 1234},
 		{Type: FrameLinkAck, Ack: 55},
-		{Type: FrameHeartbeat, Seq: 0, Peers: []string{"SP0", "SP1"}, Links: []string{"SP0", "SP1", "SP1", "SP2"}},
 		{Type: FrameControl, Seq: 9, Data: []byte("RUN 100 42")},
 		{Type: FrameBatchBin, Seq: 43, Stream: "photons", Hop: 1, Epoch: 2, SeqLo: 100, EOS: false,
 			Span: []byte{4, 5}, Data: []byte{0x01, 0x01, 'a', 0x01, 0x00}},
@@ -116,6 +115,21 @@ func TestFrameBatchGolden(t *testing.T) {
 	}
 }
 
+// v3Heartbeat is a heartbeat frame as protocol version 3 encoded it: type 6
+// (reserved since), seq 0, live peers SP0 and SP1 and the links SP0-SP1 and
+// SP1-SP2 as endpoint pairs.
+func v3Heartbeat() []byte {
+	b := []byte{6, 0, 2}
+	for _, s := range []string{"SP0", "SP1"} {
+		b = appendString(b, s)
+	}
+	b = append(b, 4)
+	for _, s := range []string{"SP0", "SP1", "SP1", "SP2"} {
+		b = appendString(b, s)
+	}
+	return b
+}
+
 // malformedItemBatch is a well-formed Batch frame whose one item is not XML.
 func malformedItemBatch() []byte {
 	b := appendBatchHead([]byte{byte(FrameBatch), 1}, &Frame{Stream: "s"})
@@ -126,14 +140,15 @@ func malformedItemBatch() []byte {
 func TestFrameDecodeRejectsCorrupt(t *testing.T) {
 	valid := EncodeFrame(sampleFrames()[2])
 	cases := map[string][]byte{
-		"malformed item": malformedItemBatch(),
-		"empty":          {},
-		"unknown type":   {0xEE, 0},
-		"zero type":      {0, 0},
-		"truncated":      valid[:len(valid)-3],
-		"trailing":       append(append([]byte{}, valid...), 0xFF),
-		"bad eos":        {byte(FrameBatch), 1, 1, 's', 0, 0, 0, 7},
-		"length overrun": {byte(FrameControl), 0, 200, 'x'},
+		"malformed item":  malformedItemBatch(),
+		"empty":           {},
+		"unknown type":    {0xEE, 0},
+		"zero type":       {0, 0},
+		"truncated":       valid[:len(valid)-3],
+		"trailing":        append(append([]byte{}, valid...), 0xFF),
+		"bad eos":         {byte(FrameBatch), 1, 1, 's', 0, 0, 0, 7},
+		"length overrun":  {byte(FrameControl), 0, 200, 'x'},
+		"reserved type 6": v3Heartbeat(),
 	}
 	for name, in := range cases {
 		if _, err := DecodeFrame(in); err == nil {

@@ -158,8 +158,9 @@ func FuzzFrame(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{byte(FrameBatch), 0xFF, 0xFF, 0xFF})
-	f.Add([]byte{byte(FrameHeartbeat), 0, 0xFE, 0x01})
+	f.Add([]byte{6, 0, 0xFE, 0x01})
 	f.Add(malformedItemBatch())
+	f.Add(v3Heartbeat())
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		fr, err := DecodeFrame(payload)
 		if err != nil {

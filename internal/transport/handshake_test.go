@@ -108,10 +108,11 @@ func TestCodecNegotiationDefault(t *testing.T) {
 }
 
 // TestHandshakeOldHello: a dialer speaking protocol version 1 — with or
-// without the capabilities map that version's later builds sent — or
-// version 2, whose builds place super-peers on nodes by another rule, is
-// refused: no Welcome, no attach, and the acceptor's flight recorder says
-// who asked and which versions disagreed.
+// without the capabilities map that version's later builds sent — version 2,
+// whose builds place super-peers on nodes by another rule, or version 3,
+// whose builds may send the reserved frame type 6, is refused: no Welcome, no
+// attach, and the acceptor's flight recorder says who asked and which
+// versions disagreed.
 func TestHandshakeOldHello(t *testing.T) {
 	tr := NewMem()
 	var cb collector
@@ -130,6 +131,7 @@ func TestHandshakeOldHello(t *testing.T) {
 		{1, nil},
 		{1, map[string]string{"caps.v": "1", "codec": "binary2,xml", "dictseed": ""}},
 		{2, map[string]string{"caps.v": "1", "dictseed": ""}},
+		{3, map[string]string{"caps.v": "1", "dictseed": ""}},
 	}
 	for i, old := range olds {
 		conn, err := tr.Dial(mb.Addr())
@@ -176,7 +178,7 @@ func TestHandshakeOldHello(t *testing.T) {
 }
 
 // TestHandshakeOldWelcome: a current dialer facing an acceptor that answers
-// with protocol version 1, and then with version 2, refuses each Welcome: it
+// with protocol version 1, then 2, then 3, refuses each Welcome: it
 // never attaches, it says why — an error naming both versions, left in its
 // flight recorder — and it keeps redialing.
 func TestHandshakeOldWelcome(t *testing.T) {
@@ -198,8 +200,9 @@ func TestHandshakeOldWelcome(t *testing.T) {
 	olds := []*Frame{
 		{Type: FrameWelcome, Version: 1, Node: "b", Resume: 1, Options: map[string]string{"caps.v": "1", "codec": "xml"}},
 		{Type: FrameWelcome, Version: 2, Node: "b", Resume: 1, Options: map[string]string{"caps.v": "1", "dictseed": ""}},
+		{Type: FrameWelcome, Version: 3, Node: "b", Resume: 1, Options: map[string]string{"caps.v": "1", "dictseed": ""}},
 	}
-	for _, welcome := range olds { // the second Hello shows the redial
+	for _, welcome := range olds { // every Hello after the first shows a redial
 		conn, err := ln.Accept()
 		if err != nil {
 			t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"strings"
+	"sync"
 	"time"
 
 	"streamshare/internal/wire"
@@ -115,6 +116,11 @@ type Link struct {
 	// recvSince counts accepted frames since the last LinkAck pushed.
 	recvSince int
 	closed    bool
+
+	// ackMu serializes flushAck from taking an ack to writing it, so a
+	// flushAck that finds nothing to ack returns after any ack already taken
+	// was written. Taken before mu.
+	ackMu sync.Mutex
 
 	// enc is the current conn's encoder half (nil while detached), used by
 	// the writer alone. The matching decoder belongs to the conn's reader;
@@ -256,29 +262,6 @@ func (l *Link) checkpoint() {
 	if l.dur != nil {
 		l.dur.wal.Compact(l.dur.snapshot(l.out, l.in.Next())) //nolint:errcheck // sticky WAL error resurfaces on Close
 	}
-}
-
-// SendRaw writes one unsequenced frame (heartbeats) straight to the
-// current conn, if any: no journal, no replay, loss tolerated by design.
-func (l *Link) SendRaw(f *Frame) error {
-	l.mu.Lock()
-	conn := l.conn
-	l.mu.Unlock()
-	if conn == nil {
-		return ErrClosed
-	}
-	payload := AppendFrame(nil, f)
-	if idle := l.mesh.idleTimeout; idle > 0 {
-		conn.SetWriteDeadline(time.Now().Add(idle)) //nolint:errcheck // a failed deadline surfaces as a write error
-	}
-	err := conn.WriteFrame(payload)
-	if err == nil {
-		l.mu.Lock()
-		l.stats.FramesSent++
-		l.stats.BytesSent += uint64(len(payload) + 4)
-		l.mu.Unlock()
-	}
-	return err
 }
 
 // Stats snapshots the link's counters.
@@ -432,9 +415,6 @@ func (l *Link) writer() {
 		var err error
 		for _, e := range batch {
 			buf = l.appendWire(buf[:0], e.Frame, enc, &sum)
-			if idle := l.mesh.idleTimeout; idle > 0 {
-				conn.SetWriteDeadline(time.Now().Add(idle)) //nolint:errcheck // a failed deadline surfaces as a write error
-			}
 			if err = conn.WriteFrame(buf); err != nil {
 				break
 			}
@@ -468,9 +448,6 @@ func (l *Link) writer() {
 func (l *Link) reader(conn Conn, gen int, dec *wire.BinaryDecoder) {
 	defer l.mesh.wg.Done()
 	for {
-		if idle := l.mesh.idleTimeout; idle > 0 {
-			conn.SetReadDeadline(time.Now().Add(idle)) //nolint:errcheck // a failed deadline surfaces as a read error
-		}
 		payload, err := conn.ReadFrame()
 		if err != nil {
 			l.teardown(conn, gen)
@@ -508,21 +485,15 @@ func (l *Link) reader(conn Conn, gen int, dec *wire.BinaryDecoder) {
 		l.stats.FramesRecv++
 		l.stats.BytesRecv += uint64(len(payload) + 4)
 		if f.Seq == 0 {
-			switch f.Type {
-			case FrameLinkAck:
+			if f.Type == FrameLinkAck {
 				if l.out.Ack(l.remote, f.Ack) > 0 {
 					l.mu.Broadcast()
 				}
 				if l.dur != nil {
 					l.dur.journalAckOut(f.Ack)
 				}
-				l.mu.Unlock()
-			case FrameHeartbeat:
-				l.mu.Unlock()
-				l.q.push(f)
-			default:
-				l.mu.Unlock()
 			}
+			l.mu.Unlock()
 			continue
 		}
 		if _, ok := l.in.Accept(0, f.Seq, f.Seq); !ok {
@@ -548,18 +519,14 @@ func (l *Link) reader(conn Conn, gen int, dec *wire.BinaryDecoder) {
 			}
 		}
 		l.recvSince++
-		var ack uint64
-		if l.recvSince >= linkAckEvery {
-			l.recvSince = 0
-			ack = l.in.Next() - 1
-		}
+		ack := l.recvSince >= linkAckEvery
 		// Enqueued under the lock that accepted it: a replaced conn's reader
 		// descheduled between the two would otherwise let its successor
 		// dispatch the next sequence first.
 		l.q.push(f)
 		l.mu.Unlock()
-		if ack > 0 {
-			l.SendRaw(&Frame{Type: FrameLinkAck, Ack: ack})
+		if ack {
+			l.flushAck()
 		}
 	}
 }
@@ -575,19 +542,29 @@ func (l *Link) teardown(conn Conn, gen int) {
 	l.mu.Unlock()
 }
 
-// flushAck pushes a cumulative LinkAck if any accepted frames are
-// unacknowledged: the dispatcher calls it whenever its queue runs dry, the
-// mesh acker ticks it for frames accepted while a handler blocks.
+// flushAck writes a cumulative LinkAck, unsequenced and straight to the
+// current conn, if any accepted frames are unacknowledged: the reader calls
+// it every linkAckEvery frames, the dispatcher whenever its queue runs dry,
+// the mesh acker on its tick, and WaitDrained before it waits. A lost ack is
+// covered by the next one, or by the resume cursor of the next handshake.
 func (l *Link) flushAck() {
+	l.ackMu.Lock()
+	defer l.ackMu.Unlock()
 	l.mu.Lock()
-	if l.recvSince == 0 || l.conn == nil {
+	conn := l.conn
+	if l.recvSince == 0 || conn == nil {
 		l.mu.Unlock()
 		return
 	}
 	l.recvSince = 0
-	ack := l.in.Next() - 1
+	payload := AppendFrame(nil, &Frame{Type: FrameLinkAck, Ack: l.in.Next() - 1})
 	l.mu.Unlock()
-	l.SendRaw(&Frame{Type: FrameLinkAck, Ack: ack})
+	if conn.WriteFrame(payload) == nil {
+		l.mu.Lock()
+		l.stats.FramesSent++
+		l.stats.BytesSent += uint64(len(payload) + 4)
+		l.mu.Unlock()
+	}
 }
 
 // dialLoop runs on the dialing side: whenever the link has no conn, dial

@@ -105,7 +105,6 @@ type memConn struct {
 
 	mu  sync.Mutex
 	rdl time.Time
-	wdl time.Time
 }
 
 func (c *memConn) WriteFrame(payload []byte) error {
@@ -116,16 +115,9 @@ func (c *memConn) WriteFrame(payload []byte) error {
 	// receives an owned slice just as it would from a socket read.
 	p := make([]byte, len(payload))
 	copy(p, payload)
-	expire, stop, err := c.expiry(&c.wdl)
-	if err != nil {
-		return err
-	}
-	defer stop()
 	select {
 	case c.out <- p:
 		return nil
-	case <-expire:
-		return os.ErrDeadlineExceeded
 	case <-c.done:
 		return ErrClosed
 	}
@@ -139,7 +131,7 @@ func (c *memConn) ReadFrame() ([]byte, error) {
 		return p, nil
 	default:
 	}
-	expire, stop, err := c.expiry(&c.rdl)
+	expire, stop, err := c.expiry()
 	if err != nil {
 		return nil, err
 	}
@@ -154,12 +146,12 @@ func (c *memConn) ReadFrame() ([]byte, error) {
 	}
 }
 
-// expiry maps a deadline field to a timer channel for the blocking
-// selects: nil (blocks never) when no deadline is set, an immediate error
+// expiry maps the read deadline to a timer channel for ReadFrame's blocking
+// select: nil (blocks never) when no deadline is set, an immediate error
 // when it already passed. stop releases the timer.
-func (c *memConn) expiry(dl *time.Time) (<-chan time.Time, func(), error) {
+func (c *memConn) expiry() (<-chan time.Time, func(), error) {
 	c.mu.Lock()
-	t := *dl
+	t := c.rdl
 	c.mu.Unlock()
 	if t.IsZero() {
 		return nil, func() {}, nil
@@ -177,14 +169,6 @@ func (c *memConn) expiry(dl *time.Time) (<-chan time.Time, func(), error) {
 func (c *memConn) SetReadDeadline(t time.Time) error {
 	c.mu.Lock()
 	c.rdl = t
-	c.mu.Unlock()
-	return nil
-}
-
-// SetWriteDeadline bounds future WriteFrame calls.
-func (c *memConn) SetWriteDeadline(t time.Time) error {
-	c.mu.Lock()
-	c.wdl = t
 	c.mu.Unlock()
 	return nil
 }

@@ -46,7 +46,7 @@ type MeshConfig struct {
 	// Listen is the address to accept inbound links on.
 	Listen string
 	// Handler receives every dispatched inbound frame (batch, ack,
-	// heartbeat, control), per link in arrival order. It runs on a
+	// control), per link in arrival order. It runs on a
 	// per-link dispatcher goroutine and may send on other links, but must
 	// not call back into Mesh.Close. BatchBin frames are decoded by the
 	// link before dispatch, so the handler only ever sees FrameBatch, its
@@ -93,13 +93,6 @@ type MeshConfig struct {
 	// sides (10s when 0, negative disables): a half-open peer that dials
 	// and goes silent can no longer pin a handshake goroutine forever.
 	HandshakeTimeout time.Duration
-	// IdleTimeout, when positive, arms a read deadline before every frame
-	// read and a write deadline before every frame write on attached
-	// conns: a half-open peer tears down and redials once the link goes
-	// silent this long. Heartbeats reset it, so pick a multiple of the
-	// heartbeat interval — and leave it 0 (disabled) on meshes that idle
-	// between runs without heartbeats.
-	IdleTimeout time.Duration
 	// MaxBackoff caps the dialer's exponential redial backoff (250ms when
 	// 0). Redial sleeps are jittered in [backoff/2, backoff] to spread
 	// reconnect stampedes after a partition heals.
@@ -124,14 +117,13 @@ type Mesh struct {
 	seed    []string
 	obsWire func(op string, seconds float64, items, xmlBytes, wireBytes int)
 
-	durDir      string
-	durSync     durable.Sync
-	durSyncInt  time.Duration
-	metrics     *obs.Registry
-	flight      *obs.FlightRecorder
-	hsTimeout   time.Duration
-	idleTimeout time.Duration
-	maxBackoff  time.Duration
+	durDir     string
+	durSync    durable.Sync
+	durSyncInt time.Duration
+	metrics    *obs.Registry
+	flight     *obs.FlightRecorder
+	hsTimeout  time.Duration
+	maxBackoff time.Duration
 
 	mu      sync.Mutex
 	links   map[string]*Link
@@ -168,24 +160,23 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 		cfg.MaxBackoff = 250 * time.Millisecond
 	}
 	m := &Mesh{
-		node:        cfg.Node,
-		tr:          cfg.Transport,
-		ln:          ln,
-		handler:     cfg.Handler,
-		window:      cfg.Window,
-		seed:        seed,
-		obsWire:     cfg.ObserveWire,
-		durDir:      cfg.DataDir,
-		durSync:     cfg.DurableSync,
-		durSyncInt:  cfg.DurableSyncInterval,
-		metrics:     cfg.Metrics,
-		flight:      cfg.Flight,
-		hsTimeout:   cfg.HandshakeTimeout,
-		idleTimeout: cfg.IdleTimeout,
-		maxBackoff:  cfg.MaxBackoff,
-		links:       map[string]*Link{},
-		pending:     map[Conn]bool{},
-		done:        make(chan struct{}),
+		node:       cfg.Node,
+		tr:         cfg.Transport,
+		ln:         ln,
+		handler:    cfg.Handler,
+		window:     cfg.Window,
+		seed:       seed,
+		obsWire:    cfg.ObserveWire,
+		durDir:     cfg.DataDir,
+		durSync:    cfg.DurableSync,
+		durSyncInt: cfg.DurableSyncInterval,
+		metrics:    cfg.Metrics,
+		flight:     cfg.Flight,
+		hsTimeout:  cfg.HandshakeTimeout,
+		maxBackoff: cfg.MaxBackoff,
+		links:      map[string]*Link{},
+		pending:    map[Conn]bool{},
+		done:       make(chan struct{}),
 	}
 	m.wg.Add(2)
 	go m.acceptLoop()
@@ -478,10 +469,15 @@ func (m *Mesh) WaitConnected(timeout time.Duration) error {
 	return nil
 }
 
-// WaitDrained blocks until every link's replay journal is empty — every
-// sequenced frame sent has been accepted by its remote — or the timeout
-// elapses. Closed links, whose journals can no longer drain, are skipped.
+// WaitDrained acks every frame this node has accepted, so no remote's wait
+// on those acks outlives this node's mesh, then blocks until every link's
+// replay journal is empty — every sequenced frame sent has been accepted by
+// its remote — or the timeout elapses. Closed links, whose journals can no
+// longer drain, are skipped.
 func (m *Mesh) WaitDrained(timeout time.Duration) error {
+	for _, l := range m.Links() {
+		l.flushAck()
+	}
 	if _, depth := m.waitLinks(timeout, func(l *Link) int { return l.out.Depth() }); depth > 0 {
 		return fmt.Errorf("transport: links not drained: %d frames unacked", depth)
 	}

@@ -80,7 +80,4 @@ func (c *tcpConn) ReadFrame() ([]byte, error) { return ReadFramePayload(c.br) }
 // without a deadline check; the next socket read honors it.
 func (c *tcpConn) SetReadDeadline(t time.Time) error { return c.c.SetReadDeadline(t) }
 
-// SetWriteDeadline delegates to the socket.
-func (c *tcpConn) SetWriteDeadline(t time.Time) error { return c.c.SetWriteDeadline(t) }
-
 func (c *tcpConn) Close() error { return c.c.Close() }

@@ -42,13 +42,9 @@ type Conn interface {
 	ReadFrame() ([]byte, error)
 	// SetReadDeadline bounds future ReadFrame calls: a read still blocked
 	// at t fails, after which the conn is good only for teardown. The zero
-	// time clears the deadline. The mesh arms this during handshakes and,
-	// with an IdleTimeout, before every read — a half-open peer can no
-	// longer block a link forever.
+	// time clears the deadline. The mesh arms it during handshakes, so a
+	// half-open peer cannot pin a handshake forever.
 	SetReadDeadline(t time.Time) error
-	// SetWriteDeadline is SetReadDeadline's outbound mirror, bounding
-	// future WriteFrame calls.
-	SetWriteDeadline(t time.Time) error
 	// Close tears the connection down; blocked reads and writes on either
 	// end return errors.
 	Close() error
