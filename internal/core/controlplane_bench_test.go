@@ -15,7 +15,7 @@ type newEngineFunc func(*network.Network, core.Config) *core.Engine
 // populateGrid registers the ScaleGrid sources and all queries on a fresh
 // engine, bringing it to the steady state the benchmarks measure against:
 // N peers carrying M live shared streams.
-func populateGrid(b *testing.B, newEngine newEngineFunc) (*core.Engine, *scenario.Scenario) {
+func populateGrid(b testing.TB, newEngine newEngineFunc) (*core.Engine, *scenario.Scenario) {
 	b.Helper()
 	s := scenario.ScaleGrid(6, 256, 200)
 	eng := newEngine(s.Net, core.Config{})

@@ -3,6 +3,7 @@ package core
 import (
 	"streamshare/internal/network"
 	"streamshare/internal/plan"
+	"streamshare/internal/xmlstream"
 )
 
 // NewReferenceEngine returns an engine whose planner answers every lookup by
@@ -12,4 +13,10 @@ func NewReferenceEngine(net *network.Network, cfg Config) *Engine {
 	e := NewEngine(net, cfg)
 	e.planner = plan.Reference(e.planner)
 	return e
+}
+
+// SimulateItemwise runs the per-item simulator walk (simulateItemwise): the
+// oracle TestSimulateBatchEquivalence holds Simulate to.
+func SimulateItemwise(e *Engine, items map[string][]*xmlstream.Element, collect bool) (*SimResult, error) {
+	return simulateItemwise(e, items, collect)
 }

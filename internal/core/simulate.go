@@ -54,40 +54,47 @@ func (r *SimResult) PeerMbit(p network.PeerID) float64 {
 // items (memory-proportional to output size). Each call runs fresh operator
 // instances of the plan: no state carries from one call to the next, and a
 // call may overlap catalog mutations and other runs.
+//
+// Original streams are fed in plan order, each cut into batches of
+// exec.BatchSize items — the runtime's default batch — and every batch goes
+// down the plan depth-first: a stream's residual runs once per batch, its
+// outputs are metered once per route link and relay, and then reach each
+// derived stream and reader. A stream's output is consumed before its
+// pipeline runs again, as exec.Pipeline.Eval's scratch buffers require.
 func (e *Engine) Simulate(items map[string][]*xmlstream.Element, collect bool) (*SimResult, error) {
 	p := e.Plan()
+	for name := range items {
+		if p.Original(name) == nil {
+			return nil, fmt.Errorf("core: simulate unknown stream %q", name)
+		}
+	}
 	s := &sim{
 		eng:     e,
 		res:     &SimResult{Metrics: network.NewMetrics(), Results: map[string]int{}},
 		collect: collect,
 		lat:     e.obs.Latency,
 		inst:    p.Instantiate(),
+		dup:     e.Cfg.Model.BLoad["duplicate"],
+		links:   make([][]network.LinkID, len(p.Streams)),
 	}
 	if collect {
 		s.res.Collected = map[string][]*xmlstream.Element{}
 	}
-	for name, its := range items {
-		orig := p.Original(name)
-		if orig == nil {
-			return nil, fmt.Errorf("core: simulate unknown stream %q", name)
+	// Every route first: a batch reaches streams later in the plan.
+	for i, d := range p.Streams {
+		s.links[i] = network.PathLinks(d.Route)
+	}
+	for _, d := range p.Streams {
+		its, fed := items[d.Source]
+		if !fed || !d.Original {
+			continue
 		}
-		if orig.Freq > 0 {
-			if d := float64(len(its)) / orig.Freq; d > s.res.Duration {
-				s.res.Duration = d
+		if d.Freq > 0 {
+			if dur := float64(len(its)) / d.Freq; dur > s.res.Duration {
+				s.res.Duration = dur
 			}
 		}
-		for i, it := range its {
-			// The simulator runs the same deterministic span sampler as the
-			// runtime: sampled items get a span at their feed position so
-			// both backends log identical sample sets (and the sim feeds
-			// the same per-subscription watermark/lag series — with
-			// near-zero lag, since delivery here is synchronous).
-			var sp *obs.Span
-			if s.lat.Sampled(name, uint64(i)) {
-				sp = s.lat.Start(name, uint64(i))
-			}
-			s.deliver(orig, it, sp)
-		}
+		s.feed(d, its)
 	}
 	// Drain window state in plan order (parents precede children).
 	for _, d := range p.Streams {
@@ -111,52 +118,71 @@ type sim struct {
 	collect bool
 	lat     *obs.LatencyRecorder
 	inst    *Instances
+	// dup is the load model's duplication cost per item forked at a tap.
+	dup float64
+	// links holds each stream's route links by plan index.
+	links [][]network.LinkID
 }
 
-// eval pushes batch (one item: spans and traffic are per item here) through
-// pipeline instance p at a peer — or, with flush, drains p at end of stream —
-// charging bload(op)·pindex(v) per item entering each stage. The result is
-// p's scratch buffer (see exec.Pipeline.Eval).
-func (s *sim) eval(p *exec.Pipeline, loads []float64, at network.PeerID, batch []*xmlstream.Element, flush bool) []*xmlstream.Element {
+// feed cuts original stream d's items into source batches and pushes each
+// down the plan. The simulator runs the runtime's deterministic span
+// sampler, the way the runtime's source batcher does: every sampled item
+// starts a span at its feed position, so both backends log identical sample
+// sets, and the batch's first span rides it (feeding the same
+// per-subscription watermark/lag series — with near-zero lag, since
+// delivery here is synchronous).
+func (s *sim) feed(d *PlanStream, its []*xmlstream.Element) {
+	for lo := 0; lo < len(its); lo += exec.BatchSize {
+		batch := its[lo:min(lo+exec.BatchSize, len(its))]
+		var sp *obs.Span
+		for i := range batch {
+			if idx := uint64(lo + i); s.lat.Sampled(d.Source, idx) {
+				if started := s.lat.Start(d.Source, idx); sp == nil {
+					sp = started
+				}
+			}
+		}
+		s.push(d, batch, sp)
+	}
+}
+
+// eval pushes batch through pipeline instance p at a peer — or, with flush,
+// drains p at end of stream — charging bload(op)·pindex(v) per item entering
+// each stage plus perItem per item of batch. The result is p's scratch
+// buffer (see exec.Pipeline.Eval).
+func (s *sim) eval(p *exec.Pipeline, loads []float64, at network.PeerID, batch []*xmlstream.Element, flush bool, perItem float64) []*xmlstream.Element {
 	out, work := p.Eval(0, batch, flush, loads)
-	if work != 0 {
+	if work += perItem * float64(len(batch)); work != 0 {
 		s.res.Metrics.AddWork(at, work*s.eng.Net.Peer(at).PerfIndex)
 	}
 	return out
 }
 
-// deliver pushes one parent item into stream d: residual operators run at
-// the tap, then every produced item flows along the route and reaches the
-// stream's consumers. sp, when non-nil, is the sampled item's provenance
-// span; it follows the first produced output (mirroring the runtime, where
-// one span rides the batch containing the sampled item).
-func (s *sim) deliver(d *PlanStream, item *xmlstream.Element, sp *obs.Span) {
+// push pushes one batch of parent items into stream d: residual operators
+// run at the tap, charged the duplication of every forked item too, then
+// the produced batch flows along the route and reaches the stream's
+// consumers. sp, when non-nil, is the batch's provenance span; it rides the
+// produced batch.
+func (s *sim) push(d *PlanStream, batch []*xmlstream.Element, sp *obs.Span) {
+	var dup float64
 	if d.Parent != nil {
-		// Duplication work at the tap (the parent stream forks here).
-		peer := s.eng.Net.Peer(d.Tap)
-		s.res.Metrics.AddWork(d.Tap, s.eng.Cfg.Model.BLoad["duplicate"]*peer.PerfIndex)
+		dup = s.dup // the parent stream forks here
 	}
-	outs := s.eval(s.inst.Residual[d.Index], d.Loads, d.Tap, []*xmlstream.Element{item}, false)
+	outs := s.eval(s.inst.Residual[d.Index], d.Loads, d.Tap, batch, false, dup)
 	if len(outs) == 0 {
-		// The item died in the residual pipeline, but its span still reaches
-		// every downstream sink: in the runtime the span rides the stream's
-		// next batch past the filter, so watermarks advance on progress even
-		// when the sampled item itself produced no output.
+		// The batch died in the residual pipeline, but its span still
+		// reaches every downstream sink: in the runtime the span rides the
+		// stream's next batch past the filter, so watermarks advance on
+		// progress even when the sampled items produced no output.
 		s.spanWalk(d, sp)
 		return
 	}
-	for i, out := range outs {
-		if i == 0 {
-			s.transmit(d, out, sp)
-		} else {
-			s.transmit(d, out, nil)
-		}
-	}
+	s.transmit(d, outs, sp)
 }
 
-// spanWalk carries a filtered-out sampled item's span to d's consumers —
-// forked to every derived stream, delivered at every subscription — without
-// moving any data.
+// spanWalk carries a filtered-out batch's span to d's consumers — forked to
+// every derived stream, delivered at every subscription — without moving
+// any data.
 func (s *sim) spanWalk(d *PlanStream, sp *obs.Span) {
 	if sp == nil {
 		return
@@ -169,11 +195,14 @@ func (s *sim) spanWalk(d *PlanStream, sp *obs.Span) {
 	}
 }
 
-// transmit moves one produced item of d along its route and hands it to
+// transmit moves one produced batch of d along its route and hands it to
 // consumers.
-func (s *sim) transmit(d *PlanStream, item *xmlstream.Element, sp *obs.Span) {
-	size := float64(item.ByteSize())
-	for _, l := range network.PathLinks(d.Route) {
+func (s *sim) transmit(d *PlanStream, batch []*xmlstream.Element, sp *obs.Span) {
+	var size float64
+	for _, it := range batch {
+		size += float64(it.ByteSize())
+	}
+	for _, l := range s.links[d.Index] {
 		s.res.Metrics.AddTraffic(l, size)
 	}
 	// Forwarding work at the relay peers strictly inside the route.
@@ -182,14 +211,12 @@ func (s *sim) transmit(d *PlanStream, item *xmlstream.Element, sp *obs.Span) {
 		s.res.Metrics.AddWork(d.Route[i], s.eng.Cfg.Model.ForwardPerByte*size*p.PerfIndex)
 	}
 	for _, child := range d.Taps {
-		s.deliver(child, item, s.lat.Fork(sp))
+		s.push(child, batch, s.lat.Fork(sp))
 	}
 	target := d.Target()
 	for _, r := range d.Readers {
-		for _, res := range s.eval(s.inst.Local[r.Index], r.Loads, target, []*xmlstream.Element{item}, false) {
-			s.emit(r.Sub, res)
-		}
-		// The span ends at each subscription sink whether or not the item
+		s.emit(r.Sub, s.eval(s.inst.Local[r.Index], r.Loads, target, batch, false, 0))
+		// The span ends at each subscription sink whether or not the batch
 		// survived the local pipeline — watermarks track progress, not
 		// output (same rule as the runtime's feedReader).
 		s.lat.Deliver(sp, r.Sub)
@@ -198,20 +225,22 @@ func (s *sim) transmit(d *PlanStream, item *xmlstream.Element, sp *obs.Span) {
 
 // flush drains stream d's residual pipeline and local readers.
 func (s *sim) flush(d *PlanStream) {
-	for _, out := range s.eval(s.inst.Residual[d.Index], d.Loads, d.Tap, nil, true) {
-		s.transmit(d, out, nil)
+	if outs := s.eval(s.inst.Residual[d.Index], d.Loads, d.Tap, nil, true, 0); len(outs) > 0 {
+		s.transmit(d, outs, nil)
 	}
 	target := d.Target()
 	for _, r := range d.Readers {
-		for _, res := range s.eval(s.inst.Local[r.Index], r.Loads, target, nil, true) {
-			s.emit(r.Sub, res)
-		}
+		s.emit(r.Sub, s.eval(s.inst.Local[r.Index], r.Loads, target, nil, true, 0))
 	}
 }
 
-func (s *sim) emit(sub string, item *xmlstream.Element) {
-	s.res.Results[sub]++
+// emit records a subscription's results.
+func (s *sim) emit(sub string, items []*xmlstream.Element) {
+	if len(items) == 0 {
+		return
+	}
+	s.res.Results[sub] += len(items)
 	if s.collect {
-		s.res.Collected[sub] = append(s.res.Collected[sub], item)
+		s.res.Collected[sub] = append(s.res.Collected[sub], items...)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"strings"
 	"testing"
@@ -67,11 +68,65 @@ func TestSimulateZeroDuration(t *testing.T) {
 	}
 }
 
+// TestSimulateUnknownStream: a feed naming an unknown stream is refused
+// before any item is simulated, whichever stream the feed map yields first.
 func TestSimulateUnknownStream(t *testing.T) {
-	eng, _ := newEngine(t, Config{})
-	if _, err := eng.Simulate(map[string][]*xmlstream.Element{"nope": nil}, false); err == nil {
-		t.Error("unknown stream should error")
+	eng, items := newEngine(t, Config{})
+	if _, err := eng.Subscribe(q1, "SP1", StreamSharing); err != nil {
+		t.Fatal(err)
 	}
+	eng.obs.Latency.SetRate(1) // every simulated item starts a span
+	for i := 0; i < 20; i++ {
+		if _, err := eng.Simulate(map[string][]*xmlstream.Element{"photons": items[:10], "nope": nil}, false); err == nil {
+			t.Fatal("unknown stream should error")
+		}
+	}
+	if n := eng.obs.Metrics.Snapshot().Counters["latency.spans.started"]; n != 0 {
+		t.Errorf("a refused feed simulated %v items", n)
+	}
+}
+
+// TestSimulatePlanOrder: with two original streams, Simulate feeds them in
+// plan order, so the order in which a shared peer's work is summed — and
+// with it every bit of the metrics — is the same on every call.
+func TestSimulatePlanOrder(t *testing.T) {
+	eng, items := newEngine(t, Config{})
+	items2, st2 := photons.Stream("photons2", photons.DefaultConfig(), 77, 3000)
+	if _, err := eng.RegisterStream("photons2", xmlstream.ParsePath("photons/photon"), "SP6", st2); err != nil {
+		t.Fatal(err)
+	}
+	both := `<both>
+{ for $p in stream("photons")/photons/photon where $p/en >= 1.3 return <a> { $p/en } </a> }
+{ for $q in stream("photons2")/photons/photon where $q/en >= 2.0 return <b> { $q/en } </b> }
+</both>`
+	for _, at := range []network.PeerID{"SP1", "SP7", "SP5"} {
+		for _, q := range []string{both, q1, q3} {
+			if _, err := eng.Subscribe(q, at, StreamSharing); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	feed := map[string][]*xmlstream.Element{"photons": items[:500], "photons2": items2[:500]}
+	var first *network.Metrics
+	for i := 0; i < 20; i++ {
+		res, err := eng.Simulate(feed, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = res.Metrics
+			continue
+		}
+		if !sameBits(res.Metrics.LinkBytes, first.LinkBytes) || !sameBits(res.Metrics.PeerWork, first.PeerWork) {
+			t.Fatalf("call %d: metrics differ from the first call's\n%v\n%v", i, res.Metrics, first)
+		}
+	}
+}
+
+// sameBits reports whether a and b hold bit-identical values under the
+// same keys.
+func sameBits[K comparable](a, b map[K]float64) bool {
+	return maps.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 func TestSimulateCollectToggle(t *testing.T) {

@@ -58,6 +58,12 @@ import (
 	"streamshare/internal/xmlstream"
 )
 
+// BatchSize is the number of items both backends cut a source stream into
+// before pushing it down a plan: the runtime's default mailbox batch and the
+// simulator's source batch. Batch boundaries never show in results, traffic
+// or work; the size trades per-batch overhead against per-level buffering.
+const BatchSize = 64
+
 // Operator transforms a stream of XML items.
 type Operator interface {
 	// Process consumes items in order and appends the output items they

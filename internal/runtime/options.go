@@ -1,6 +1,10 @@
 package runtime
 
-import stdrt "runtime"
+import (
+	stdrt "runtime"
+
+	"streamshare/internal/exec"
+)
 
 // Options tunes the runtime's data path. The zero value means "default
 // everything", which is what DefaultOptions spells out. The options change
@@ -42,7 +46,7 @@ type Options struct {
 // pool per peer.
 func DefaultOptions() Options {
 	return Options{
-		BatchSize: 64,
+		BatchSize: exec.BatchSize,
 		Workers:   min(stdrt.GOMAXPROCS(0), 4),
 	}
 }

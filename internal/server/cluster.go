@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -60,7 +61,7 @@ type order struct {
 	n      int                  // RUN: items per original stream
 	seed   int64                // RUN: the first stream's generator seed
 	stream string               // FEED: the stream fed ("" for a RUN)
-	doc    string               // FEED: the document, where this node holds it
+	doc    []byte               // FEED: the document, where this node holds it
 	items  []*xmlstream.Element // FEED: the document decoded
 }
 
@@ -169,7 +170,7 @@ func (s *Server) handleControl(from string, data []byte) {
 		seed, _ := strconv.ParseInt(f[3], 10, 64)
 		go s.remoteWork(from, f[1], order{n: n, seed: seed})
 	case len(f) == 3 && f[0] == "FEED":
-		go s.remoteWork(from, f[1], order{stream: f[2], doc: body})
+		go s.remoteWork(from, f[1], order{stream: f[2], doc: []byte(body)})
 	case len(f) == 3 && (f[0] == "RES" || f[0] == "ERR"):
 		s.cmu.Lock()
 		ch := s.waits[f[1]]
@@ -266,11 +267,11 @@ func (s *Server) work(o order, feed map[string][]*xmlstream.Element, coordinate 
 		if node == s.cluster.Node() {
 			continue
 		}
-		payload := head
+		payload := []byte(head)
 		if node == bodyTo {
-			payload += "\n" + o.doc
+			payload = append(append(payload, '\n'), o.doc...)
 		}
-		if err := s.cluster.SendControl(node, []byte(payload)); err != nil {
+		if err := s.cluster.SendControl(node, payload); err != nil {
 			return nil, err
 		}
 	}
@@ -288,7 +289,7 @@ func (s *Server) work(o order, feed map[string][]*xmlstream.Element, coordinate 
 func (s *Server) remoteWork(from, id string, o order) {
 	var counts map[string]int
 	var err error
-	if o.doc != "" {
+	if len(o.doc) > 0 {
 		o.items, err = s.parseFeedDoc(o.doc)
 	}
 	if err == nil {
@@ -343,9 +344,9 @@ func (s *Server) orderFeed(o order) map[string][]*xmlstream.Element {
 // converting attributes to elements (§2), and counts it: a document per
 // call, its items when it decodes, and whether it left the decoder's fast
 // lane.
-func (s *Server) parseFeedDoc(doc string) ([]*xmlstream.Element, error) {
+func (s *Server) parseFeedDoc(doc []byte) ([]*xmlstream.Element, error) {
 	s.feedDocs.Inc()
-	dec := xmlstream.NewDecoder(strings.NewReader(doc)).ConvertAttributes()
+	dec := xmlstream.NewDecoder(bytes.NewReader(doc)).ConvertAttributes()
 	var items []*xmlstream.Element
 	for {
 		item, err := dec.Next()

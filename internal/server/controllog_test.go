@@ -131,7 +131,7 @@ func TestServerClusterAdaptMirrors(t *testing.T) {
 		t.Fatalf("cluster run = %q %v, simulator %s", status, cont, want)
 	}
 
-	items, err := p.srv[0].parseFeedDoc(feedDoc)
+	items, err := p.srv[0].parseFeedDoc([]byte(feedDoc))
 	if err != nil {
 		t.Fatal(err)
 	}

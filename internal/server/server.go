@@ -54,6 +54,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -213,7 +214,7 @@ func (s *Server) Close() error {
 }
 
 func (s *Server) session(conn io.ReadWriter) {
-	r := bufio.NewReader(conn)
+	r := &input{Reader: bufio.NewReader(conn)}
 	w := bufio.NewWriter(conn)
 	defer w.Flush()
 	for {
@@ -240,7 +241,7 @@ func (s *Server) session(conn io.ReadWriter) {
 	}
 }
 
-func (s *Server) dispatch(w io.Writer, r *bufio.Reader, cmd string, args []string) {
+func (s *Server) dispatch(w io.Writer, r *input, cmd string, args []string) {
 	switch cmd {
 	case "SUBSCRIBE":
 		s.subscribe(w, r, args)
@@ -277,18 +278,33 @@ func (s *Server) dispatch(w io.Writer, r *bufio.Reader, cmd string, args []strin
 	}
 }
 
-// readQuery consumes the query body up to a lone ".".
-func readQuery(r *bufio.Reader) (string, error) {
-	var b strings.Builder
+// input is one client session's command stream: the reader and the buffer
+// command bodies are read into, reused from one body to the next.
+type input struct {
+	*bufio.Reader
+	body []byte
+}
+
+// readBody consumes a command body up to a line holding only "." (spaces
+// trimmed) and returns it without that line. The result is the session's
+// buffer: it is valid until the next readBody.
+func (in *input) readBody() ([]byte, error) {
+	in.body = in.body[:0]
 	for {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			return "", err
+		start := len(in.body)
+		for {
+			frag, err := in.ReadSlice('\n')
+			in.body = append(in.body, frag...)
+			if err == nil {
+				break
+			}
+			if err != bufio.ErrBufferFull {
+				return nil, err
+			}
 		}
-		if strings.TrimSpace(line) == "." {
-			return b.String(), nil
+		if string(bytes.TrimSpace(in.body[start:])) == "." {
+			return in.body[:start], nil
 		}
-		b.WriteString(line)
 	}
 }
 
@@ -304,26 +320,26 @@ func parseStrategy(s string) (core.Strategy, error) {
 	return 0, fmt.Errorf("unknown strategy %q (data|query|sharing)", s)
 }
 
-func (s *Server) subscribe(w io.Writer, r *bufio.Reader, args []string) {
+func (s *Server) subscribe(w io.Writer, r *input, args []string) {
 	if len(args) != 2 {
 		fmt.Fprintln(w, "ERR usage: SUBSCRIBE <peer> <data|query|sharing>")
 		// Still consume the body so the connection stays in sync.
-		readQuery(r) //nolint:errcheck
+		r.readBody() //nolint:errcheck
 		return
 	}
 	strat, err := parseStrategy(args[1])
 	if err != nil {
-		readQuery(r) //nolint:errcheck
+		r.readBody() //nolint:errcheck
 		fmt.Fprintf(w, "ERR %v\n", err)
 		return
 	}
-	src, err := readQuery(r)
+	src, err := r.readBody()
 	if err != nil {
 		fmt.Fprintf(w, "ERR %v\n", err)
 		return
 	}
 	s.mu.Lock()
-	sub, err := s.eng.Subscribe(src, network.PeerID(args[0]), strat)
+	sub, err := s.eng.Subscribe(string(src), network.PeerID(args[0]), strat)
 	s.mu.Unlock()
 	if err != nil {
 		fmt.Fprintf(w, "ERR %v\n", err)
@@ -511,13 +527,13 @@ func (s *Server) execute(feed map[string][]*xmlstream.Element) (map[string]int, 
 // feed parses a client-supplied stream document — once, here, whatever the
 // backend — and pushes its items through the installed plans. On a cluster
 // the document travels on only to the node that owns the stream's tap.
-func (s *Server) feed(w io.Writer, r *bufio.Reader, args []string) {
+func (s *Server) feed(w io.Writer, r *input, args []string) {
 	if len(args) != 1 {
-		readQuery(r) //nolint:errcheck
+		r.readBody() //nolint:errcheck
 		fmt.Fprintln(w, "ERR usage: FEED <stream>")
 		return
 	}
-	doc, err := readQuery(r)
+	doc, err := r.readBody()
 	if err != nil {
 		fmt.Fprintf(w, "ERR %v\n", err)
 		return

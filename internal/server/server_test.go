@@ -229,6 +229,53 @@ func TestServerFeed(t *testing.T) {
 	}
 }
 
+// TestFeedBodyLineEndings: a FEED body is read into the session's buffer up
+// to a line holding only "." once spaces are trimmed, so CRLF line ends,
+// trailing spaces, a padded terminator and a one-line document longer than
+// the reader's buffer all decode to the items of the plain document, and the
+// session reads the next command where the body ended.
+func TestFeedBodyLineEndings(t *testing.T) {
+	srv := New(lineEngine(t), photons.DefaultConfig())
+	items := photons.NewGenerator(photons.DefaultConfig(), 5).Generate(40)
+	lines := []string{"<photons>"}
+	for _, it := range items {
+		lines = append(lines, xmlstream.Marshal(it))
+	}
+	lines = append(lines, "</photons>")
+	for name, body := range map[string]string{
+		"lf":            strings.Join(lines, "\n") + "\n.\n",
+		"crlf":          strings.Join(lines, "\r\n") + "\r\n.\r\n",
+		"trailing":      strings.Join(lines, "  \n") + "  \n . \t\n",
+		"one long line": strings.Join(lines, "") + "\n.\n",
+	} {
+		in := &input{Reader: bufio.NewReaderSize(strings.NewReader(body+"PEERS\n"), 16)}
+		doc, err := in.readBody()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := srv.parseFeedDoc(doc)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got) != len(items) {
+			t.Fatalf("%s: %d items, want %d", name, len(got), len(items))
+		}
+		for i := range items {
+			if !got[i].Equal(items[i]) {
+				t.Fatalf("%s item %d: %s, want %s", name, i, xmlstream.Marshal(got[i]), xmlstream.Marshal(items[i]))
+			}
+		}
+		if next, err := in.ReadString('\n'); next != "PEERS\n" || err != nil {
+			t.Fatalf("%s: next command %q (%v)", name, next, err)
+		}
+	}
+	// A body cut off before its terminator is an error.
+	in := &input{Reader: bufio.NewReader(strings.NewReader("<photons>\n</photons>\n"))}
+	if _, err := in.readBody(); err == nil {
+		t.Error("a body without a terminator was accepted")
+	}
+}
+
 func TestServerErrors(t *testing.T) {
 	addr, stop := startServer(t)
 	defer stop()
