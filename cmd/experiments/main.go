@@ -9,9 +9,8 @@
 //	                        the scripted failure schedule, with repair and
 //	                        rejection counts and the repair-latency series
 //	experiments -recovery   the recovery experiment: scenario 2 on reliable
-//	                        session channels with a severed link, sweeping
-//	                        the heartbeat interval and reporting detection
-//	                        latency and redelivery volume
+//	                        session channels with a severed link, reporting
+//	                        the fault and the redelivery volume
 //	experiments -all        everything (default)
 //	experiments -seed 7     derive every workload and photon stream from the
 //	                        given base seed (0 = the classic constants)
@@ -33,7 +32,6 @@ import (
 	"log"
 	"os"
 	"strings"
-	"time"
 
 	"streamshare/internal/adapt"
 	"streamshare/internal/core"
@@ -53,7 +51,7 @@ func main() {
 	table := flag.Int("table", 0, "reproduce table 1")
 	rejection := flag.Bool("rejection", false, "run the rejection experiment")
 	churn := flag.Bool("churn", false, "run the churn/adaptation experiment")
-	recovery := flag.Bool("recovery", false, "run the recovery experiment (detection latency and redelivery vs heartbeat interval)")
+	recovery := flag.Bool("recovery", false, "run the recovery experiment (redelivery after a severed link)")
 	all := flag.Bool("all", false, "run everything")
 	items := flag.Int("items", 3000, "photons per stream to simulate")
 	flag.Parse()
@@ -233,14 +231,11 @@ func table1(items int) {
 		dumpObs(strat, r2.Engine)
 		a, b := r1.Summary(), r2.Summary()
 		fmt.Printf("%-16s %10.0f %10.0f %10.0f %10.0f %10.0f %10.0f\n", strat,
-			ms(a.Avg), ms(b.Avg), ms(a.Min), ms(b.Min), ms(a.Max), ms(b.Max))
+			float64(a.Avg)/1e6, float64(b.Avg)/1e6, float64(a.Min)/1e6, float64(b.Min)/1e6,
+			float64(a.Max)/1e6, float64(b.Max)/1e6)
 	}
 	fmt.Println("(measured algorithm time plus modeled control-message latency;")
 	fmt.Println(" paper: DS 931/1363, QS 890/1287, SS 2153/3558 ms averages)")
-}
-
-func ms(d time.Duration) float64 {
-	return float64(d) / float64(time.Millisecond)
 }
 
 // rejectionExperiment prints the rejection table and returns the rejected
@@ -287,7 +282,7 @@ func churnExperiment(items int) {
 			res.Before.Metrics.TotalBytes()*8/1e6, res.After.Metrics.TotalBytes()*8/1e6)
 		fmt.Printf("  repair latencies (ms):")
 		for _, d := range res.RepairLatencies() {
-			fmt.Printf(" %.3f", ms(d))
+			fmt.Printf(" %.3f", float64(d)/1e6)
 		}
 		fmt.Println()
 	}

@@ -25,10 +25,8 @@
 //
 // With -reliable the engine runs the reliability layer: RUN and FEED execute
 // on the distributed runtime over sequenced acked channels with credit-based
-// backpressure, the failure detector judges each finished run on a virtual
-// clock over the peers and links this process hosts, repairs plan private
-// chains, the HEALTH command reports detector and channel state, and
-// /metricz gains a channel-state section.
+// backpressure, repairs plan private chains, the HEALTH command reports
+// channel state, and /metricz gains a channel-state section.
 //
 // With -node several sgd processes form one super-peer network over TCP:
 // every process runs the same topology flags, -cluster-listen binds its mesh
@@ -98,7 +96,7 @@ func main() {
 	capacity := flag.Float64("capacity", 50000, "peer capacity (work units/s)")
 	bandwidth := flag.Float64("bandwidth", 12_500_000, "link bandwidth (bytes/s)")
 	admission := flag.Bool("admission", false, "reject overloading subscriptions")
-	reliable := flag.Bool("reliable", false, "reliable delivery: acked channels, failure detection, credit backpressure")
+	reliable := flag.Bool("reliable", false, "reliable delivery: acked channels, credit backpressure")
 	widening := flag.Bool("widening", false, "enable stream widening")
 	sample := flag.Int("sample", 2000, "photons sampled for stream statistics")
 	spanEvery := flag.Int("span-every", obs.DefaultSpanEvery, "sample one provenance span per N source items (0 disables)")

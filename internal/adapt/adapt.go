@@ -232,15 +232,13 @@ func (m *Manager) reoptimize(ev Event) {
 	}
 }
 
-// ApplyDetected converts failure-detector observations (the changes a
-// runtime session's failure detector queued — see the health package and
-// runtime.Session.TakeDetected) into adaptation events and applies them
+// ApplyFaults converts the faults a runtime session's runs were given
+// (runtime.Session.TakeFaults) into adaptation events and applies them
 // through the same repair cycle scripted schedules use. Changes the
-// topology already reflects are skipped: a detected peer failure implies
-// link suspicions for every link the peer silenced, and FailPeer has
-// already taken those links down. It returns the reports the applied
-// events produced.
-func (m *Manager) ApplyDetected(changes []network.Change) ([]Report, error) {
+// topology already reflects are skipped: a link may be severed again after
+// a repair took it down, and a failed peer has already taken its links
+// down. It returns the reports the applied events produced.
+func (m *Manager) ApplyFaults(changes []network.Change) ([]Report, error) {
 	reg := m.Eng.Obs().Metrics
 	start := len(m.reports)
 	for _, c := range changes {
@@ -257,13 +255,13 @@ func (m *Manager) ApplyDetected(changes []network.Change) ([]Report, error) {
 			}
 			ev = Event{Kind: FailLink, A: c.Link.A, B: c.Link.B}
 		default:
-			// The detector only infers failures; other change kinds are
-			// not its to report.
+			// A run is only given failures; other change kinds are not
+			// its to report.
 			continue
 		}
-		reg.Counter("adapt.detected.applied").Inc()
+		reg.Counter("adapt.faults.applied").Inc()
 		if _, err := m.Apply(ev); err != nil {
-			return m.reports[start:], fmt.Errorf("adapt: detected %s: %w", ev, err)
+			return m.reports[start:], fmt.Errorf("adapt: fault %s: %w", ev, err)
 		}
 	}
 	return m.reports[start:], nil

@@ -24,9 +24,9 @@ import (
 // same engine (plans are deterministic in the scenario seed), attaches a
 // Runtime to its Cluster, and runs: batches whose next hop is owned by a
 // remote node travel as FrameBatch over the mesh instead of the local
-// mailbox, and channel acks return as FrameAck. Each process judges only
-// the peers and links it hosts (Runtime.detect), so no liveness crosses the
-// wire. The link layer's journal/replay/dedup (see transport) makes the hop
+// mailbox, and channel acks return as FrameAck. A process injects faults
+// only into the peers and links it hosts (Runtime.KillPeer, SeverLink), so
+// no liveness crosses the wire. The link layer's journal/replay/dedup (see transport) makes the hop
 // loss-free across TCP reconnects, so the distributed run delivers
 // item-for-item what the in-process runtime — and the simulator — deliver.
 //

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,7 +19,6 @@ import (
 
 	"streamshare/internal/core"
 	"streamshare/internal/durable"
-	"streamshare/internal/health"
 	"streamshare/internal/network"
 	"streamshare/internal/obs"
 	"streamshare/internal/photons"
@@ -291,8 +291,8 @@ func testClusterEquivalence(t *testing.T, tr transport.Transport, build buildFun
 	res0, res1 := runPair(t, rt0, rt1, feed0, feed1)
 	compareCollected(t, ref, mergeResults(res0, res1))
 	if reliable {
-		checkHostedHealth(t, c0, eng0.Net, opts0.Session)
-		checkHostedHealth(t, c1, eng1.Net, opts1.Session)
+		checkNoFaults(t, c0, opts0.Session)
+		checkNoFaults(t, c1, opts1.Session)
 	}
 
 	if chaos {
@@ -307,35 +307,62 @@ func testClusterEquivalence(t *testing.T, tr transport.Transport, build buildFun
 	}
 }
 
-// checkHostedHealth asserts that a healthy run left a cluster node's session
-// with no suspicion and no detected change, judging exactly the targets the
-// node hosts: its own peers and the links whose A endpoint it hosts.
-func checkHostedHealth(t *testing.T, c *Cluster, net *network.Network, sess *Session) {
+// checkNoFaults asserts that a healthy run left a cluster node's session
+// with an empty fault queue.
+func checkNoFaults(t *testing.T, c *Cluster, sess *Session) {
 	t.Helper()
-	if sus, _, _ := sess.HealthStats(); sus != 0 {
-		t.Errorf("%s: healthy cluster run raised %d suspicions", c.Node(), sus)
+	if ch := sess.TakeFaults(); len(ch) != 0 {
+		t.Errorf("%s: healthy cluster run queued faults %v", c.Node(), ch)
 	}
-	if n := len(sess.TakeDetected()); n != 0 {
-		t.Errorf("%s: healthy cluster run detected %d changes", c.Node(), n)
+}
+
+// TestClusterRefusesRemoteFaults: a node applies a fault only in part when
+// another node hosts the peer, or either end of the link, so it refuses it,
+// naming the owner, and queues nothing; a fault on a peer it hosts is taken.
+func TestClusterRefusesRemoteFaults(t *testing.T) {
+	eng, _, err := clusterBuild(gridN, gridQueries, gridItems, true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var want, got []string
-	for _, p := range net.Peers() {
-		if c.NodeOf(p) == c.Node() {
-			want = append(want, health.PeerTarget(p).String())
+	c0, _ := clusterPair(t, eng.Net, transport.NewMem())
+	var local, remote network.PeerID
+	for _, p := range eng.Net.Peers() {
+		if c0.NodeOf(p) == c0.Node() {
+			local = p
+		} else {
+			remote = p
 		}
 	}
-	for _, l := range net.Links() {
-		if c.NodeOf(l.A) == c.Node() {
-			want = append(want, health.LinkTarget(l).String())
+	var cut network.LinkID
+	for _, l := range eng.Net.Links() {
+		if c0.NodeOf(l.A) != c0.NodeOf(l.B) {
+			cut = l
 		}
 	}
-	for _, ts := range sess.HealthSnapshot() {
-		got = append(got, ts.Target.String())
+	if local == "" || remote == "" || cut.A == "" {
+		t.Fatal("the placement puts every peer on one node")
 	}
-	sort.Strings(want)
-	sort.Strings(got)
-	if len(want) == 0 || !slices.Equal(got, want) {
-		t.Errorf("%s: session judges %v, want the targets it hosts %v", c.Node(), got, want)
+	sess := NewSession(SessionOptions{})
+	rt := NewWith(eng, false, Options{Cluster: c0, Session: sess})
+	for name, inject := range map[string]func() error{
+		"kill " + string(remote): func() error { return rt.KillPeer(remote) },
+		"sever " + cut.String():  func() error { return rt.SeverLink(cut.A, cut.B) },
+	} {
+		if err := inject(); err == nil || !strings.Contains(err.Error(), "hosted by node n1") {
+			t.Errorf("%s on n0: %v, want a refusal naming n1", name, err)
+		}
+	}
+	if rt.nodes[remote].dead.Load() {
+		t.Errorf("the refused kill marked %s dead", remote)
+	}
+	if ch := sess.TakeFaults(); len(ch) != 0 {
+		t.Fatalf("refused faults queued %v", ch)
+	}
+	if err := rt.KillPeer(local); err != nil {
+		t.Fatal(err)
+	}
+	if ch := sess.TakeFaults(); len(ch) != 1 || ch[0].Peer != local {
+		t.Fatalf("kill of hosted %s queued %v", local, ch)
 	}
 }
 
@@ -852,11 +879,8 @@ func TestClusterCrashRestartTCP(t *testing.T) {
 	if exit := <-second; exit.err != nil {
 		t.Fatalf("restarted child failed: %v\n%s", exit.err, exit.out)
 	}
-	if sus, _, _ := sess.HealthStats(); sus != 0 {
-		t.Errorf("the survivor raised %d suspicions over the crash-restart", sus)
-	}
-	if ch := sess.TakeDetected(); len(ch) != 0 {
-		t.Errorf("the survivor detected %v over the crash-restart", ch)
+	if ch := sess.TakeFaults(); len(ch) != 0 {
+		t.Errorf("the survivor queued faults %v over the crash-restart", ch)
 	}
 
 	raw, err := os.ReadFile(out)

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -10,7 +9,6 @@ import (
 
 	"streamshare/internal/adapt"
 	"streamshare/internal/core"
-	"streamshare/internal/health"
 	"streamshare/internal/network"
 	"streamshare/internal/photons"
 	"streamshare/internal/scenario"
@@ -50,16 +48,16 @@ func sortedXML(items []*xmlstream.Element) []string {
 	return out
 }
 
-// TestReliableDetectorRecovery is the reliability acceptance test: scenario
-// 2 streams through a session-backed runtime while a link is severed and a
-// super-peer is killed mid-stream. No oracle tells the engine: the
-// heartbeat detector's queued changes drive adapt.ApplyDetected, the
-// reliable re-plan rebuilds private chains, and Session.Recover finishes the
+// TestReliableFaultRecovery is the reliability acceptance test: scenario 2
+// streams through a session-backed runtime while a link is severed and a
+// super-peer is killed mid-stream. No oracle tells the engine: the faults
+// the session queued drive adapt.ApplyFaults, the reliable re-plan rebuilds
+// private chains, and Session.Recover finishes the
 // interrupted run on its own operator instances from the journaled tails. For
 // every surviving subscription — windowed and stateful included — the run's
 // delivery plus the recovery's redelivery must equal a never-failed reference
 // item-for-item.
-func TestReliableDetectorRecovery(t *testing.T) {
+func TestReliableFaultRecovery(t *testing.T) {
 	defer testutil.Watchdog(t, 2*time.Minute)()
 	const items = 300
 	eng, s, feed := reliableBuild(t, items, true)
@@ -112,7 +110,7 @@ func TestReliableDetectorRecovery(t *testing.T) {
 		t.Fatal("no peer to kill")
 	}
 
-	sess := NewSession(SessionOptions{Heartbeat: health.Options{Interval: 2 * time.Millisecond}})
+	sess := NewSession(SessionOptions{})
 	rt := NewWith(eng, true, Options{Session: sess})
 	if err := rt.SeverLink(sever.Route[0], sever.Route[1]); err != nil {
 		t.Fatal(err)
@@ -124,41 +122,31 @@ func TestReliableDetectorRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	timer.Stop()
-	rt.KillPeer(kill) // idempotent: ensure the kill landed even on a fast run
+	rt.KillPeer(kill) // reported once: ensure the kill landed even on a fast run
 
-	// The detector must have inferred both injected faults by Run's return
-	// (the virtual-time drain guarantees it).
-	changes := sess.TakeDetected()
-	sawPeer, sawLink := false, false
-	severedLink := network.MakeLinkID(sever.Route[0], sever.Route[1])
-	for _, c := range changes {
-		if c.Kind == network.PeerFailed && c.Peer == kill {
-			sawPeer = true
-		}
-		if c.Kind == network.LinkFailed && c.Link == severedLink {
-			sawLink = true
-		}
+	// Both injected faults come back, in injection order, whether the kill
+	// landed mid-run or after Run returned.
+	changes := sess.TakeFaults()
+	want := []network.Change{
+		{Kind: network.LinkFailed, Link: network.MakeLinkID(sever.Route[0], sever.Route[1])},
+		{Kind: network.PeerFailed, Peer: kill},
 	}
-	if !sawLink {
-		t.Fatalf("detector missed severed link %s (changes: %v)", severedLink, changes)
-	}
-	if !sawPeer {
-		// The kill may land after quiescence on a fast run; detect it now.
-		changes = append(changes, network.Change{Kind: network.PeerFailed, Peer: kill})
+	if !slices.Equal(changes, want) {
+		t.Fatalf("session queued %v, want %v", changes, want)
 	}
 
-	// Detector-driven repair: the engine learns of the faults only through
-	// the detected changes.
+	// Fault-driven repair: the engine learns of the faults only through
+	// the session's queue.
 	subsBefore := len(eng.Subscriptions())
-	if _, err := adapt.NewManager(eng).ApplyDetected(changes); err != nil {
+	if _, err := adapt.NewManager(eng).ApplyFaults(changes); err != nil {
 		t.Fatal(err)
 	}
 	if len(eng.Affected()) != 0 {
-		t.Fatal("subscriptions left stranded after detected repair")
+		t.Fatal("subscriptions left stranded after the repair")
 	}
 	// The killed peer hosted subscription targets (the scenario spreads
-	// targets across every peer), so the detected repair must have torn
-	// those subscriptions down.
+	// targets across every peer), so the repair must have torn those
+	// subscriptions down.
 	if len(eng.Subscriptions()) >= subsBefore {
 		t.Errorf("kill of %s tore down no subscriptions (%d before, %d after)",
 			kill, subsBefore, len(eng.Subscriptions()))
@@ -204,7 +192,7 @@ func TestReliableDetectorRecovery(t *testing.T) {
 
 // TestReliableRecoverScenario2 is the recovery experiment's setting at 300
 // items: scenario 2 with the first link of the first multi-hop feed severed
-// before the run, detector-driven repair, Recover. Every surviving
+// before the run, fault-driven repair, Recover. Every surviving
 // subscription's run plus redelivery equals the never-failed reference as a
 // multiset — also when the repair may reuse live shared streams
 // (Config.Reliable off), since recovery replays into the interrupted run's
@@ -227,7 +215,7 @@ func TestReliableRecoverScenario2(t *testing.T) {
 				}
 			}
 		}
-		sess := NewSession(SessionOptions{Heartbeat: health.Options{Interval: 2 * time.Millisecond}})
+		sess := NewSession(SessionOptions{})
 		rt := NewWith(eng, true, Options{Session: sess})
 		if err := rt.SeverLink(sever.Route[0], sever.Route[1]); err != nil {
 			t.Fatal(err)
@@ -316,7 +304,7 @@ func TestReliableSlowConsumer(t *testing.T) {
 
 // TestReliableHealthyEquivalence proves the session layer is invisible on a
 // healthy run: results, traffic and work all match the simulator exactly,
-// acks and heartbeats included.
+// acks included, and no fault is queued.
 func TestReliableHealthyEquivalence(t *testing.T) {
 	defer testutil.Watchdog(t, 2*time.Minute)()
 	const items = 300
@@ -332,24 +320,39 @@ func TestReliableHealthyEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	chaosCompare(t, "healthy reliable", sim, run)
-	if n := len(sess.TakeDetected()); n != 0 {
-		t.Errorf("healthy run produced %d detected changes", n)
-	}
-	sus, _, _ := sess.HealthStats()
-	if sus != 0 {
-		t.Errorf("healthy run raised %d suspicions", sus)
+	if ch := sess.TakeFaults(); len(ch) != 0 {
+		t.Errorf("healthy run queued faults %v", ch)
 	}
 }
 
-// TestReliableRefaultLatency: a fault is timed from its own injection, not
-// from the first fault on the same target. One session with a 2 ms interval:
-// run 1 severs SP1–SP2 before the run; after a 300 ms pause, run 2 on the
-// repaired plan severs the same link mid-run. The link recovers once between
-// them, and both suspicions read (suspectAfter+1) intervals, which is what
-// the detector's threshold allows.
-func TestReliableRefaultLatency(t *testing.T) {
+// TestReliableFaultAfterRun: a peer killed on a runtime after its Run
+// returned still reaches the session's fault queue, so repair sees it.
+func TestReliableFaultAfterRun(t *testing.T) {
+	eng, feed := setup(t, core.StreamSharing)
+	sess := NewSession(SessionOptions{})
+	rt := NewWith(eng, false, Options{Session: sess})
+	if _, err := rt.Run(map[string][]*xmlstream.Element{"photons": feed}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.KillPeer("SP1"); err != nil {
+		t.Fatal(err)
+	}
+	want := []network.Change{{Kind: network.PeerFailed, Peer: "SP1"}}
+	if ch := sess.TakeFaults(); !slices.Equal(ch, want) {
+		t.Fatalf("after Run, KillPeer queued %v, want %v", ch, want)
+	}
+	if ch := sess.TakeFaults(); len(ch) != 0 {
+		t.Fatalf("TakeFaults left %v queued", ch)
+	}
+}
+
+// TestReliableRefault: a fault is reported once per run that is given it,
+// not once per target. One session: run 1 severs SP1–SP2 before the run and
+// is repaired around it; run 2, on the repaired plan, severs the same link
+// mid-run. Each run reports exactly the one severed link, and each run plus
+// its recovery delivers the never-failed reference.
+func TestReliableRefault(t *testing.T) {
 	defer testutil.Watchdog(t, 2*time.Minute)()
-	const iv = 2 * time.Millisecond
 	eng := core.NewEngine(testNet(), core.Config{Reliable: true})
 	_, st := photons.Stream("photons", photons.DefaultConfig(), 13, 2000)
 	if _, err := eng.RegisterStream("photons", xmlstream.ParsePath("photons/photon"), "SP0", st); err != nil {
@@ -358,17 +361,33 @@ func TestReliableRefaultLatency(t *testing.T) {
 	if _, err := eng.Subscribe(`<photons>{ for $p in stream("photons")/photons/photon where $p/en >= 1.3 return <hot>{ $p }</hot> }</photons>`, "SP3", core.StreamSharing); err != nil {
 		t.Fatal(err)
 	}
-	if feed := eng.Subscriptions()[0].Inputs[0].Feed; !feed.OnRoute("SP1") || !feed.OnRoute("SP2") {
-		t.Fatalf("the feed does not cross SP1–SP2:\n%s", eng.Subscriptions()[0].Explain())
+	sub := eng.Subscriptions()[0]
+	if feed := sub.Inputs[0].Feed; !feed.OnRoute("SP1") || !feed.OnRoute("SP2") {
+		t.Fatalf("the feed does not cross SP1–SP2:\n%s", sub.Explain())
 	}
 	feed := map[string][]*xmlstream.Element{"photons": photons.NewGenerator(photons.DefaultConfig(), 7).Generate(1000)}
-	sess := NewSession(SessionOptions{Heartbeat: health.Options{Interval: iv}})
-	latency := func(run int, wantCount uint64) {
+	ref, err := eng.Simulate(feed, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := NewSession(SessionOptions{})
+	severed := []network.Change{{Kind: network.LinkFailed, Link: network.MakeLinkID("SP1", "SP2")}}
+	check := func(run int, res *Result, faults []network.Change) {
 		t.Helper()
-		h := eng.Obs().Metrics.Snapshot().Histograms["runtime.detect.latency_seconds"]
-		want := (4 * iv).Seconds()
-		if h.Count != wantCount || math.Abs(h.Max-want) > 1e-9 || math.Abs(h.Min-want) > 1e-9 {
-			t.Fatalf("run %d: %d suspicions read %v..%v s, want %d reading %v s", run, h.Count, h.Min, h.Max, wantCount, want)
+		if !slices.Equal(faults, severed) {
+			t.Fatalf("run %d reported %v, want %v", run, faults, severed)
+		}
+		if _, err := adapt.NewManager(eng).ApplyFaults(faults); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sess.Recover(eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := sortedXML(append(append([]*xmlstream.Element{}, res.Collected[sub.ID]...), rep.Collected[sub.ID]...))
+		if want := sortedXML(ref.Collected[sub.ID]); !slices.Equal(got, want) {
+			t.Fatalf("run %d: delivered %d+%d items, reference %d, or they differ",
+				run, res.Results[sub.ID], rep.Results[sub.ID], len(want))
 		}
 	}
 
@@ -376,25 +395,21 @@ func TestReliableRefaultLatency(t *testing.T) {
 	if err := rt.SeverLink("SP1", "SP2"); err != nil {
 		t.Fatal(err)
 	}
-	runAndRecover(t, eng, sess, rt, feed)
-	latency(1, 1)
+	res, err := rt.Run(feed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(1, res, sess.TakeFaults())
 
-	time.Sleep(300 * time.Millisecond)
 	rt = NewWith(eng, true, Options{BatchSize: 50, Session: sess})
 	landed := faultsAfter(rt, sess, fault{300, func() error { return rt.SeverLink("SP1", "SP2") }})
-	if _, err := rt.Run(feed); err != nil {
+	if res, err = rt.Run(feed); err != nil {
 		t.Fatal(err)
 	}
 	if !landed() {
 		t.Fatal("the fault never landed")
 	}
-	latency(2, 2)
-	if sus, rec, flaps := sess.HealthStats(); sus != 2 || rec != 1 || flaps != 0 {
-		t.Fatalf("%d suspicions, %d recoveries, %d flaps; want 2, 1, 0", sus, rec, flaps)
-	}
-	if ch := sess.TakeDetected(); len(ch) != 1 || ch[0].Link != network.MakeLinkID("SP1", "SP2") {
-		t.Fatalf("run 2 detected %v", ch)
-	}
+	check(2, res, sess.TakeFaults())
 }
 
 // TestReliableRecoverEscapedText: items whose text holds markup characters
@@ -435,7 +450,7 @@ func TestReliableRecoverEscapedText(t *testing.T) {
 		t.Fatalf("feed route %v has no middle link to sever", route)
 	}
 
-	sess := NewSession(SessionOptions{Heartbeat: health.Options{Interval: 2 * time.Millisecond}})
+	sess := NewSession(SessionOptions{})
 	rt := NewWith(eng, true, Options{Session: sess})
 	if err := rt.SeverLink(route[1], route[2]); err != nil {
 		t.Fatal(err)
@@ -444,7 +459,7 @@ func TestReliableRecoverEscapedText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := adapt.NewManager(eng).ApplyDetected(sess.TakeDetected()); err != nil {
+	if _, err := adapt.NewManager(eng).ApplyFaults(sess.TakeFaults()); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := sess.Recover(eng)
@@ -551,7 +566,7 @@ func recoverUpstreamWindow(t *testing.T) (*core.Engine, *Session, map[string][]*
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := NewSession(SessionOptions{Heartbeat: health.Options{Interval: 2 * time.Millisecond}})
+	sess := NewSession(SessionOptions{})
 	rt := NewWith(eng, true, Options{BatchSize: 50, Session: sess})
 	landed := faultsAfter(rt, sess, fault{300, func() error { return rt.SeverLink("SP1", "SP2") }})
 	run, rep := runAndRecover(t, eng, sess, rt, feed)
@@ -588,15 +603,15 @@ func faultsAfter(rt *Runtime, sess *Session, faults ...fault) (landed func() boo
 	return func() bool { return next == len(faults) }
 }
 
-// runAndRecover runs rt over feed, repairs the engine from the detected
-// faults and recovers the session.
+// runAndRecover runs rt over feed, repairs the engine from the faults the
+// session queued and recovers the session.
 func runAndRecover(t *testing.T, eng *core.Engine, sess *Session, rt *Runtime, feed map[string][]*xmlstream.Element) (*Result, *RecoveryReport) {
 	t.Helper()
 	run, err := rt.Run(feed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := adapt.NewManager(eng).ApplyDetected(sess.TakeDetected()); err != nil {
+	if _, err := adapt.NewManager(eng).ApplyFaults(sess.TakeFaults()); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := sess.Recover(eng)
@@ -670,7 +685,7 @@ func TestReliableRecoverMisalignedChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := NewSession(SessionOptions{Heartbeat: health.Options{Interval: 2 * time.Millisecond}})
+	sess := NewSession(SessionOptions{})
 	rt := NewWith(eng, true, Options{BatchSize: 50, Session: sess})
 	landed := faultsAfter(rt, sess,
 		fault{300, func() error { return rt.SeverLink("SP1", "SP2") }},

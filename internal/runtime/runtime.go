@@ -40,7 +40,6 @@ import (
 
 	"streamshare/internal/core"
 	"streamshare/internal/exec"
-	"streamshare/internal/health"
 	"streamshare/internal/network"
 	"streamshare/internal/obs"
 	"streamshare/internal/transport"
@@ -148,14 +147,12 @@ type Runtime struct {
 
 	// Fault injection (chaos testing): severed links drop messages at the
 	// sender, killed peers discard at the receiver; dropped counts both,
-	// per item. faults holds when each target first went down in this run,
-	// and start when Run began: the session's detection pass replays the run
-	// from them.
+	// per item. faulted holds the faults this run has already reported to
+	// its session.
 	sevMu   sync.RWMutex
 	severed map[network.LinkID]bool
 	dropped int
-	faults  map[health.Target]time.Time
-	start   time.Time
+	faulted map[network.Change]bool
 
 	// Reliability (Options.Session): channels and receive lanes are
 	// per-run views into the session's durable maps, read-only while the
@@ -165,8 +162,6 @@ type Runtime struct {
 	sess         *Session
 	chans        map[*core.PlanStream]*streamChan
 	recvs        map[recvKey]*transport.RecvCursor
-	peerIDs      []network.PeerID
-	linkIDs      []network.LinkID
 	retained     int
 	dedupDropped int
 
@@ -219,7 +214,7 @@ func NewWith(eng *core.Engine, collect bool, opts Options) *Runtime {
 	r.qcond = sync.NewCond(&r.qmu)
 	r.quietBound = 60 * time.Second
 	r.severed = map[network.LinkID]bool{}
-	r.faults = map[health.Target]time.Time{}
+	r.faulted = map[network.Change]bool{}
 	r.batchHist = eng.Obs().Metrics.Histogram("runtime.batch.size", obs.ExpBuckets(1, 2, 9))
 	r.parseSkip = eng.Obs().Metrics.Counter("runtime.parse.skipped")
 	r.flight = eng.Obs().Flight
@@ -230,8 +225,6 @@ func NewWith(eng *core.Engine, collect bool, opts Options) *Runtime {
 	for _, id := range eng.Net.Peers() {
 		r.nodes[id] = &node{id: id, inbox: newInbox()}
 	}
-	r.peerIDs = eng.Net.Peers()
-	r.linkIDs = eng.Net.Links()
 	if opts.Session != nil {
 		r.sess = opts.Session
 		r.chans = map[*core.PlanStream]*streamChan{}
@@ -267,7 +260,6 @@ func (r *Runtime) localPeer(p network.PeerID) bool {
 // and blocks until every message has been processed.
 func (r *Runtime) Run(items map[string][]*xmlstream.Element) (*Result, error) {
 	r.execHits0, r.execMiss0 = exec.PoolStats()
-	r.start = time.Now()
 
 	var wg sync.WaitGroup
 	for _, n := range r.nodes {
@@ -309,16 +301,12 @@ func (r *Runtime) Run(items map[string][]*xmlstream.Element) (*Result, error) {
 	// remote-ingress lane has seen its EOS, and no batch is parked waiting
 	// for a (possibly remote) ack. With a session attached, a late channel
 	// break can release parked batches after the count first reaches zero,
-	// so settle and re-wait until a full pass releases nothing. Then the
-	// session judges the finished run (detect).
+	// so settle and re-wait until a full pass releases nothing.
 	for {
 		r.awaitQuiet()
 		if r.sess == nil || !r.sess.settle(r) {
 			break
 		}
-	}
-	if r.sess != nil {
-		r.detect()
 	}
 
 	// Cluster mode: a process must not return (and possibly Close its
@@ -382,48 +370,70 @@ func (r *Runtime) MailboxHWM() map[network.PeerID]int {
 
 // KillPeer kills a peer's actor mid-run: from now on the peer discards
 // every message — queued or future — without processing or forwarding, as
-// a crashed super-peer would. Safe to call while Run is in flight;
-// quiescence and termination are unaffected. The runtime's wiring is fixed
-// at New, so repair means re-planning on the engine and building a fresh
-// runtime.
+// a crashed super-peer would. Safe to call while Run is in flight, or after
+// it returned; quiescence and termination are unaffected. The runtime's
+// wiring is fixed at New, so repair means re-planning on the engine and
+// building a fresh runtime. On a cluster only the peer's own node can kill
+// it: elsewhere it is refused.
 func (r *Runtime) KillPeer(id network.PeerID) error {
 	n := r.nodes[id]
 	if n == nil {
 		return fmt.Errorf("runtime: kill unknown peer %s", id)
 	}
+	if err := r.refuseRemote("kill", id); err != nil {
+		return err
+	}
 	n.dead.Store(true)
 	r.flight.Record("fault.kill", string(id))
-	r.noteFault(health.PeerTarget(id))
+	r.noteFault(network.Change{Kind: network.PeerFailed, Peer: id})
 	return nil
 }
 
 // SeverLink severs the link between two peers mid-run: messages routed
 // across it are dropped at the sender (and counted) instead of delivered.
-// Safe to call while Run is in flight.
+// Safe to call while Run is in flight, or after it returned. On a cluster
+// the node hosting both ends must sever it: elsewhere it is refused.
 func (r *Runtime) SeverLink(a, b network.PeerID) error {
 	if r.nodes[a] == nil || r.nodes[b] == nil {
 		return fmt.Errorf("runtime: sever unknown link %s-%s", a, b)
 	}
+	l := network.MakeLinkID(a, b)
+	if err := r.refuseRemote("sever "+l.String(), a, b); err != nil {
+		return err
+	}
 	r.sevMu.Lock()
-	r.severed[network.MakeLinkID(a, b)] = true
+	r.severed[l] = true
 	r.sevMu.Unlock()
-	r.flight.Record("fault.sever", network.MakeLinkID(a, b).String())
-	r.noteFault(health.LinkTarget(network.MakeLinkID(a, b)))
+	r.flight.Record("fault.sever", l.String())
+	r.noteFault(network.Change{Kind: network.LinkFailed, Link: l})
 	return nil
 }
 
-// noteFault records when a target first went down in this run, for the
-// session's detection pass, and breaks the session channels whose route
-// depends on it: the one place a fault breaks channels.
-func (r *Runtime) noteFault(t health.Target) {
+// refuseRemote refuses a fault on a peer another cluster node executes: this
+// process could apply it only in part, yet would report it whole.
+func (r *Runtime) refuseRemote(op string, peers ...network.PeerID) error {
+	for _, p := range peers {
+		if !r.localPeer(p) {
+			return fmt.Errorf("runtime: %s: peer %s is hosted by node %s", op, p, r.owners[p])
+		}
+	}
+	return nil
+}
+
+// noteFault reports a fault to the session, once per run and in injection
+// order, and breaks the session channels whose route depends on it: the one
+// place a fault breaks channels.
+func (r *Runtime) noteFault(ch network.Change) {
+	if r.sess == nil {
+		return
+	}
 	r.sevMu.Lock()
-	if _, ok := r.faults[t]; !ok {
-		r.faults[t] = time.Now()
+	if !r.faulted[ch] {
+		r.faulted[ch] = true
+		r.sess.report(ch)
 	}
 	r.sevMu.Unlock()
-	if r.sess != nil {
-		r.sess.breakFor(r, t)
-	}
+	r.sess.breakFor(r, ch)
 }
 
 // Dropped reports how many items (EOS markers included) fault injection

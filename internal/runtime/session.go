@@ -1,23 +1,19 @@
 package runtime
 
 import (
-	"math"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"streamshare/internal/core"
-	"streamshare/internal/health"
 	"streamshare/internal/network"
-	"streamshare/internal/obs"
 	"streamshare/internal/transport"
 )
 
 // This file is the reliability layer's live half: a Session owns the
-// per-stream channels (channel.go), the receive-side dedup lanes, the failure
-// detector and its virtual clock, and the plan and operator instances of the
+// per-stream channels (channel.go), the receive-side dedup lanes, the queue
+// of faults its runs were given, and the plan and operator instances of the
 // run it last attached to, which recovery (recover.go) finishes. A Session
 // outlives the single-use Runtimes that attach to it, which is what lets the
 // replay journals, the ack cursors and an interrupted run's operator state
@@ -34,10 +30,6 @@ type SessionOptions struct {
 	// Each runtime clamps the effective window to at least one full batch
 	// plus the EOS marker so a single batch is always admissible.
 	CreditWindow int
-
-	// Heartbeat tunes the failure detector (zero fields take the
-	// health package defaults).
-	Heartbeat health.Options
 }
 
 // recvKey identifies one receive lane: a stream, by id, at one hop of its
@@ -61,13 +53,8 @@ type Session struct {
 	plan *core.Plan
 	inst *core.Instances
 
-	detMu    sync.Mutex
-	det      *health.Detector
-	detected []network.Change
-	// clock is the detector's virtual time: the last round of the last
-	// detection pass. A pass starts at the later of it and its run's start,
-	// so the clock never runs backwards.
-	clock time.Time
+	faultMu sync.Mutex
+	faults  []network.Change
 }
 
 // NewSession returns an empty session with the given options.
@@ -79,7 +66,6 @@ func NewSession(opts SessionOptions) *Session {
 		opts:  opts,
 		chans: map[string]*streamChan{},
 		recvs: map[recvKey]*transport.RecvCursor{},
-		det:   health.NewDetector(opts.Heartbeat),
 	}
 }
 
@@ -131,32 +117,23 @@ func (s *Session) attach(r *Runtime) {
 	}
 }
 
-// TakeDetected returns the network changes the failure detector has
-// inferred since the last call (peer and link failures), clearing the
-// queue. Feed them to adapt.Manager.ApplyDetected to run the same repair
-// cycle a scripted oracle schedule would.
-func (s *Session) TakeDetected() []network.Change {
-	s.detMu.Lock()
-	defer s.detMu.Unlock()
-	out := s.detected
-	s.detected = nil
+// TakeFaults returns the faults injected into the session's runs since the
+// last call (peer and link failures, in injection order), clearing the
+// queue. Feed them to adapt.Manager.ApplyFaults to run the same repair cycle
+// a scripted schedule would.
+func (s *Session) TakeFaults() []network.Change {
+	s.faultMu.Lock()
+	defer s.faultMu.Unlock()
+	out := s.faults
+	s.faults = nil
 	return out
 }
 
-// HealthSnapshot returns the failure detector's per-target state at the
-// session's clock: the targets this process hosts.
-func (s *Session) HealthSnapshot() []health.TargetState {
-	s.detMu.Lock()
-	defer s.detMu.Unlock()
-	return s.det.Snapshot(s.clock)
-}
-
-// HealthStats returns the detector's cumulative suspicion, recovery and
-// flap counters.
-func (s *Session) HealthStats() (suspicions, recoveries, flaps int) {
-	s.detMu.Lock()
-	defer s.detMu.Unlock()
-	return s.det.Stats()
+// report queues a fault for TakeFaults.
+func (s *Session) report(ch network.Change) {
+	s.faultMu.Lock()
+	s.faults = append(s.faults, ch)
+	s.faultMu.Unlock()
 }
 
 // ChannelStates returns one introspection row per channel, sorted by
@@ -411,13 +388,13 @@ func (r *Runtime) retain(m *message) {
 	r.mu.Unlock()
 }
 
-// breakFor breaks every channel whose delivery depends on the failed
-// target: for a peer, channels with the peer on their route; for a link,
+// breakFor breaks every channel whose delivery depends on the failed peer
+// or link: for a peer, channels with the peer on their route; for a link,
 // channels whose route crosses it in either direction.
-func (s *Session) breakFor(r *Runtime, t health.Target) {
+func (s *Session) breakFor(r *Runtime, ch network.Change) {
 	for _, c := range s.channels() {
 		c.mu.Lock()
-		hit := routeHits(c.d.Route, t)
+		hit := routeHits(c.d.Route, ch)
 		c.mu.Unlock()
 		if hit {
 			c.breakNow(r)
@@ -425,116 +402,16 @@ func (s *Session) breakFor(r *Runtime, t health.Target) {
 	}
 }
 
-// routeHits reports whether a stream's route depends on the failed target.
-func routeHits(route []network.PeerID, t health.Target) bool {
+// routeHits reports whether a stream's route depends on the failed peer or
+// link.
+func routeHits(route []network.PeerID, ch network.Change) bool {
 	for i, p := range route {
-		if t.Kind == health.TargetPeer && p == t.Peer ||
-			i > 0 && t.Kind == health.TargetLink && network.MakeLinkID(route[i-1], p) == t.Link {
+		if ch.Kind == network.PeerFailed && p == ch.Peer ||
+			i > 0 && ch.Kind == network.LinkFailed && network.MakeLinkID(route[i-1], p) == ch.Link {
 			return true
 		}
 	}
 	return false
-}
-
-// detect is the run's failure detection: one pass over the finished run on
-// the session's virtual clock. It replays the run in rounds of one heartbeat
-// interval from the run's start. In round k every target this process hosts
-// — its own peers, and the links whose A endpoint it hosts — beats unless a
-// fault of this run took it down before the round's moment, and then the
-// detector ticks. A pass runs at least one round, so a target that failed in
-// an earlier run and is back beats and recovers; rounds go on until every
-// fault of the run is suspected, and stop MaxSilence()+2 intervals past the
-// last one. A suspicion queues its network.Change and observes its latency
-// from the round its fault landed in (round 0 for a fault before the run).
-// Channels broke when the fault was injected (noteFault); detection breaks
-// nothing.
-func (r *Runtime) detect() {
-	s := r.sess
-	reg := r.eng.Obs().Metrics
-	s.detMu.Lock()
-	defer s.detMu.Unlock()
-	iv := s.det.Interval()
-	t0 := r.start
-	if t0.Before(s.clock) {
-		t0 = s.clock
-	}
-	// last is the last round a target beats in: -1 for a fault before the
-	// run, MaxInt for no fault.
-	type hosted struct {
-		t    health.Target
-		last int
-	}
-	var targets []hosted
-	r.sevMu.RLock()
-	add := func(t health.Target, down ...health.Target) {
-		last := math.MaxInt
-		for _, d := range down {
-			if at, ok := r.faults[d]; ok {
-				k := -1
-				if at.After(r.start) {
-					k = int(at.Sub(r.start) / iv)
-				}
-				last = min(last, k)
-			}
-		}
-		targets = append(targets, hosted{t, last})
-	}
-	for _, id := range r.peerIDs {
-		if r.localPeer(id) {
-			add(health.PeerTarget(id), health.PeerTarget(id))
-		}
-	}
-	for _, l := range r.linkIDs {
-		if r.localPeer(l.A) {
-			add(health.LinkTarget(l), health.LinkTarget(l), health.PeerTarget(l.A), health.PeerTarget(l.B))
-		}
-	}
-	r.sevMu.RUnlock()
-
-	stop, down := 0, map[health.Target]time.Time{}
-	for _, h := range targets {
-		s.det.Register(h.t, t0)
-		if h.last < math.MaxInt {
-			stop = max(stop, h.last)
-			down[h.t] = t0.Add(time.Duration(max(h.last, 0)) * iv)
-		}
-	}
-	stop += s.det.MaxSilence() + 2
-	for k := 0; ; k++ {
-		s.clock = t0.Add(time.Duration(k) * iv)
-		for _, h := range targets {
-			if k <= h.last {
-				s.det.Beat(h.t, s.clock)
-			}
-		}
-		for _, ev := range s.det.Tick(s.clock) {
-			if ev.Kind == health.Recovered {
-				reg.Counter("health.recovered").Inc()
-				continue
-			}
-			ch := network.Change{Kind: network.LinkFailed, Link: ev.Target.Link}
-			if ev.Target.Kind == health.TargetPeer {
-				ch = network.Change{Kind: network.PeerFailed, Peer: ev.Target.Peer}
-			}
-			s.detected = append(s.detected, ch)
-			reg.Counter("health.suspected").Inc()
-			reg.Histogram("runtime.detect.latency_seconds", obs.ExpBuckets(1e-4, 10, 8)).
-				Observe(ev.At.Sub(down[ev.Target]).Seconds())
-		}
-		if k >= stop || allSuspected(s.det.Snapshot(s.clock), down) {
-			return
-		}
-	}
-}
-
-// allSuspected reports whether every target in down is suspected.
-func allSuspected(snap []health.TargetState, down map[health.Target]time.Time) bool {
-	for _, ts := range snap {
-		if _, ok := down[ts.Target]; ok && !ts.Suspected {
-			return false
-		}
-	}
-	return true
 }
 
 // settle pumps every broken channel once more and reports whether any

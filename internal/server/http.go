@@ -40,18 +40,10 @@ func MetricsHandler(eng *core.Engine, sess *runtime.Session) http.HandlerFunc {
 			return
 		}
 		// Reliability section: one row per channel (next seq, cumulative
-		// ack, replay depth, credits) and per detector target.
+		// ack, replay depth, credits).
 		fmt.Fprintln(w, "# channels")
 		for _, cs := range sess.ChannelStates() {
 			fmt.Fprintln(w, cs)
-		}
-		fmt.Fprintln(w, "# health")
-		for _, ts := range sess.HealthSnapshot() {
-			state := "ok"
-			if ts.Suspected {
-				state = "suspected"
-			}
-			fmt.Fprintf(w, "%s %s flaps=%d threshold=%d\n", ts.Target, state, ts.Flaps, ts.Threshold)
 		}
 	}
 }

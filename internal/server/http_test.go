@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -113,8 +114,9 @@ func TestMetricsHandlerFlight(t *testing.T) {
 	}
 }
 
-// TestMetricsHandlerSession checks the reliability sections appear when a
-// session is attached and has executed a run.
+// TestMetricsHandlerSession checks the channel section appears, with one
+// row per channel and nothing after it, when a session is attached and has
+// executed a run.
 func TestMetricsHandlerSession(t *testing.T) {
 	eng := httpEngine(t, true)
 	sess := runtime.NewSession(runtime.SessionOptions{})
@@ -124,7 +126,15 @@ func TestMetricsHandlerSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	body, _ := get(t, MetricsHandler(eng, sess), "/metricz")
-	if !strings.Contains(body, "# channels") || !strings.Contains(body, "# health") {
-		t.Errorf("/metricz lacks reliability sections with a session:\n%s", body)
+	_, rows, ok := strings.Cut(body, "# channels\n")
+	if !ok {
+		t.Fatalf("/metricz lacks the channel section with a session:\n%s", body)
+	}
+	var want strings.Builder
+	for _, cs := range sess.ChannelStates() {
+		fmt.Fprintln(&want, cs)
+	}
+	if want.Len() == 0 || rows != want.String() {
+		t.Errorf("/metricz channel section:\n%s\nwant one row per channel:\n%s", rows, want.String())
 	}
 }

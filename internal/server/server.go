@@ -30,10 +30,9 @@
 //	ADAPT <schedule>   → apply a whole adaptation schedule (adapt.ParseSchedule
 //	                     syntax, e.g. "fail:SP1-SP2; restore:SP1-SP2; reopt");
 //	                     reports follow, one line per affected subscription
-//	HEALTH             → reliability introspection: failure-detector state per
-//	                     peer/link (suspicion, flaps, threshold) and one line
-//	                     per reliable channel (next seq, cum ack, replay depth,
-//	                     credits); requires a session (sgd -reliable)
+//	HEALTH             → reliability introspection: one line per reliable
+//	                     channel (next seq, cum ack, replay depth, credits);
+//	                     requires a session (sgd -reliable)
 //	NODES              → cluster membership: this node's placed peers and the
 //	                     links the placement cuts, each other node with its
 //	                     link phase and frame/reconnect counters
@@ -546,26 +545,15 @@ func (s *Server) feed(w io.Writer, r *input, args []string) {
 	s.issue(w, order{stream: args[0], doc: doc, items: items})
 }
 
-// health reports the reliability layer's introspection: failure-detector
-// state per peer and link this node hosts and one row per reliable channel.
+// health reports the reliability layer's introspection: one row per
+// reliable channel.
 func (s *Server) health(w io.Writer) {
 	if s.sess == nil {
 		fmt.Fprintln(w, "ERR reliability off (start sgd with -reliable)")
 		return
 	}
-	targets := s.sess.HealthSnapshot()
 	chans := s.sess.ChannelStates()
-	sus, rec, flaps := s.sess.HealthStats()
-	fmt.Fprintf(w, "OK %d targets (%d suspicions, %d recoveries, %d flaps), %d channels\n",
-		len(targets), sus, rec, flaps, len(chans))
-	for _, ts := range targets {
-		state := "ok"
-		if ts.Suspected {
-			state = "suspected"
-		}
-		fmt.Fprintf(w, "  target %s %s flaps=%d threshold=%d\n",
-			ts.Target, state, ts.Flaps, ts.Threshold)
-	}
+	fmt.Fprintf(w, "OK %d channels\n", len(chans))
 	for _, cs := range chans {
 		fmt.Fprintf(w, "  channel %s\n", cs)
 	}
