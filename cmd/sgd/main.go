@@ -38,11 +38,9 @@
 // Super-peers are placed on the processes deterministically, by a min-cut
 // of the topology the flags build; batches and acks travel as
 // length-prefixed frames over reconnect-safe links. A batch crosses a link
-// as one dictionary-compressed binary payload; each link handshake seeds the
-// connection's dictionaries with the photon stream's inferred element
-// vocabulary, so the first batch already ships delta-free (see docs/WIRE.md
-// for the wire format; NODES shows the seeded-name count per link). Start the
-// accepting node first:
+// as one dictionary-compressed binary payload; each connection's
+// dictionaries start empty and the first batch carries its names (see
+// docs/WIRE.md for the wire format). Start the accepting node first:
 //
 //	sgd -node n1 -cluster-listen 127.0.0.1:7171 -join n0= -listen 127.0.0.1:7070
 //	sgd -node n0 -cluster-listen 127.0.0.1:0 -join n1=127.0.0.1:7171 -listen 127.0.0.1:7071
@@ -139,18 +137,10 @@ func main() {
 		sess = runtime.NewSession(runtime.SessionOptions{})
 	}
 	cfg := photons.DefaultConfig()
-	items, st := photons.Stream("photons", cfg, 42, *sample)
+	_, st := photons.Stream("photons", cfg, 42, *sample)
 	if _, err := eng.RegisterStream("photons", xmlstream.ParsePath("photons/photon"), "SP0", st); err != nil {
 		log.Fatal(err)
 	}
-	// The stream's element vocabulary, inferred from a traffic sample: mesh
-	// links seed their codec dictionaries with it at handshake, so the first
-	// batch already ships delta-free (docs/WIRE.md §3.1).
-	var seedNames []string
-	if len(items) > 0 {
-		seedNames = xmlstream.InferSchema(items[:min(8, len(items))]).Names()
-	}
-
 	if *httpAddr != "" {
 		go serveHTTP(*httpAddr, eng, sess)
 	}
@@ -167,11 +157,10 @@ func main() {
 			}
 		}
 		copts := runtime.ClusterOptions{
-			Node:         *node,
-			Nodes:        nodes,
-			SeedNames:    seedNames,
-			WireObserver: runtime.WireMetricsObserver(eng.Obs().Metrics),
-			Flight:       eng.Obs().Flight,
+			Node:    *node,
+			Nodes:   nodes,
+			Metrics: eng.Obs().Metrics,
+			Flight:  eng.Obs().Flight,
 		}
 		if *dataDir != "" {
 			// Link journals live one directory per remote under links/; the
@@ -179,7 +168,6 @@ func main() {
 			copts.DataDir = filepath.Join(*dataDir, "links")
 			copts.DurableSync = syncPolicy
 			copts.DurableSyncInterval = *dataSyncInt
-			copts.Metrics = eng.Obs().Metrics
 		}
 		// The peers are placed on the topology the flags built, before the
 		// catalog below replays adaptations into it: every node, restarted

@@ -51,7 +51,7 @@ func BenchmarkScaleGridBatched(b *testing.B) { benchGrid(b, DefaultOptions(), fa
 
 // BenchmarkScaleGridReliable is the tuned data path over sequenced acked
 // session channels; the delta to BenchmarkScaleGridBatched prices the
-// reliability layer (sequencing, replay copies, acks, heartbeats).
+// reliability layer (sequencing, replay copies, acks).
 func BenchmarkScaleGridReliable(b *testing.B) { benchGrid(b, DefaultOptions(), true) }
 
 // BenchmarkGridRun is the benchmark's grid-inproc loop without its harness:

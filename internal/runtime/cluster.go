@@ -52,20 +52,6 @@ type ClusterOptions struct {
 	// Transport carries the frames; nil means TCP.
 	Transport transport.Transport
 
-	// SeedNames pre-interns element names into both dictionary halves of
-	// every link (the handshake carries the list, so both sides seed
-	// identically and steady-state batches ship no dictionary deltas for
-	// schema vocabulary). Typically xmlstream.InferSchema(...).Names() over
-	// a sample of the traffic.
-	SeedNames []string
-
-	// WireObserver receives one callback per encoded or decoded batch on
-	// any mesh link (see transport.MeshConfig.ObserveWire for the
-	// contract — it runs on the link's writer and reader goroutines, so
-	// calls may overlap and a slow one delays that link).
-	// WireMetricsObserver builds one that feeds a metrics registry.
-	WireObserver func(op string, seconds float64, items, xmlBytes, wireBytes int)
-
 	// DataDir enables durable links: every link journals its protocol
 	// state to a write-ahead log under DataDir/<remote>/ and a process
 	// restarted with the same directory resumes each link where the
@@ -82,9 +68,10 @@ type ClusterOptions struct {
 	// durable.SyncInterval (50ms when 0).
 	DurableSyncInterval time.Duration
 
-	// Metrics receives the durable-layer instruments (fsync latency,
-	// recovery counters); nil disables them. Independent of WireObserver,
-	// which covers the codec path.
+	// Metrics receives the mesh's instruments: the codec's wire.encode.*
+	// and wire.decode.* per batch (see transport.MeshConfig.Metrics) and,
+	// on durable links, the WAL's (fsync latency, recovery counters); nil
+	// disables them.
 	Metrics *obs.Registry
 
 	// Flight receives the mesh's flight-recorder events (handshake.refuse,
@@ -125,39 +112,6 @@ type Cluster struct {
 // barrierMagic marks a control frame as a termination-barrier token;
 // user control payloads never start with a NUL byte. Read-only.
 var barrierMagic = []byte("\x00streamshare.barrier")
-
-// WireMetricsObserver builds a ClusterOptions.WireObserver that feeds a
-// metrics registry: wire.encode.seconds / wire.decode.seconds latency
-// histograms (per batch), and wire.<op>.items / wire.<op>.bytes.xml /
-// wire.<op>.bytes.wire counters. The instruments are resolved once here —
-// the callback runs on every link's writer and reader goroutines for every
-// batch, concurrently, so it stays off the registry's map lock.
-func WireMetricsObserver(reg *obs.Registry) func(op string, seconds float64, items, xmlBytes, wireBytes int) {
-	buckets := obs.ExpBuckets(1e-6, 4, 10) // 1µs .. ~260ms
-	type instruments struct {
-		seconds            *obs.Histogram
-		items, xmlB, wireB *obs.Counter
-	}
-	mk := func(op string) instruments {
-		return instruments{
-			seconds: reg.Histogram("wire."+op+".seconds", buckets),
-			items:   reg.Counter("wire." + op + ".items"),
-			xmlB:    reg.Counter("wire." + op + ".bytes.xml"),
-			wireB:   reg.Counter("wire." + op + ".bytes.wire"),
-		}
-	}
-	enc, dec := mk("encode"), mk("decode")
-	return func(op string, seconds float64, items, xmlBytes, wireBytes int) {
-		in := enc
-		if op == "decode" {
-			in = dec
-		}
-		in.seconds.Observe(seconds)
-		in.items.Add(float64(items))
-		in.xmlB.Add(float64(xmlBytes))
-		in.wireB.Add(float64(wireBytes))
-	}
-}
 
 // PartitionPeers places every peer of net on one cluster node so that few
 // links cross between nodes: a crossing link is the only kind that pays for
@@ -370,8 +324,6 @@ func NewCluster(net *network.Network, opts ClusterOptions) (*Cluster, error) {
 		Node:                opts.Node,
 		Listen:              opts.Nodes[opts.Node],
 		Handler:             c.handle,
-		SeedNames:           opts.SeedNames,
-		ObserveWire:         opts.WireObserver,
 		DataDir:             opts.DataDir,
 		DurableSync:         opts.DurableSync,
 		DurableSyncInterval: opts.DurableSyncInterval,

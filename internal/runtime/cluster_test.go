@@ -793,9 +793,8 @@ type crashResult struct {
 // work: the child reloads its link's sequence space and cursors from the
 // journal, re-dispatches the journaled inbound frames its first life never
 // finished, and the ordinary resume exchange has the parent replay exactly
-// the frames the child never acked. The child stays down longer than a
-// hundred heartbeat intervals, and the survivor, which judges only what it
-// hosts, suspects nothing.
+// the frames the child never acked. The survivor injects no fault, so its
+// session queues none while the child is down.
 func TestClusterCrashRestartTCP(t *testing.T) {
 	if os.Getenv(crashChildEnv) != "" {
 		t.Skip("child process runs TestClusterCrashChildProcess")

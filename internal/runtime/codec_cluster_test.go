@@ -59,10 +59,7 @@ func TestClusterMixedCodecTwoProcessTCP(t *testing.T) {
 	}
 	defer c2.Close()
 	n1nodes := map[string]string{"n0": "", "n1": "127.0.0.1:0", "n2": c2.Addr()}
-	c1, err := NewCluster(eng1.Net, ClusterOptions{
-		Node: "n1", Nodes: n1nodes,
-		WireObserver: WireMetricsObserver(eng1.Obs().Metrics),
-	})
+	c1, err := NewCluster(eng1.Net, ClusterOptions{Node: "n1", Nodes: n1nodes, Metrics: eng1.Obs().Metrics})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +106,7 @@ func TestClusterMixedCodecTwoProcessTCP(t *testing.T) {
 	}
 
 	// The link across the process boundary carried real traffic through
-	// the codec, and the observer fed the wire metrics.
+	// the codec, and the mesh fed the wire metrics to its registry.
 	for _, st := range c1.Stats() {
 		if st.Remote == "n0" && st.EncodedItems == 0 && st.DecodedItems == 0 {
 			t.Error("n0-n1 link encoded and decoded no items")
@@ -117,7 +114,7 @@ func TestClusterMixedCodecTwoProcessTCP(t *testing.T) {
 	}
 	snap := eng1.Obs().Metrics.Snapshot()
 	if snap.Counters["wire.encode.items"]+snap.Counters["wire.decode.items"] == 0 {
-		t.Error("WireMetricsObserver observed no codec activity")
+		t.Error("the mesh recorded no codec activity in its registry")
 	}
 
 	// Union of all three nodes' deliveries vs the simulator, item for item.

@@ -26,7 +26,7 @@ type Options struct {
 	// Session, when set, turns on reliable delivery: every consumed
 	// stream flows through a sequenced, acked, credit-windowed channel
 	// whose replay buffer doubles as the recovery journal, and the
-	// session's failure detector judges the finished run. The session
+	// session queues the faults the run was given. The session
 	// outlives the (single-use) runtime, carrying journals, ack cursors and
 	// a run's operator state to recovery. Nil (the default) keeps the
 	// unsequenced data path bit-for-bit unchanged.

@@ -506,6 +506,43 @@ func TestReliableRecoverUpstreamWindow(t *testing.T) {
 	}
 }
 
+// TestReliableRunAfterUnsubscribe: a session keeps its channels from run to
+// run, so the next run's plan decides who consumes each one. A consumer the
+// plan lost must lose its cursor with it: kept, that cursor pins the trim
+// point, and the next run waits for credit nobody will grant as soon as it
+// passes the credit window.
+func TestReliableRunAfterUnsubscribe(t *testing.T) {
+	defer testutil.Watchdog(t, time.Minute)()
+	eng, _, feed := reliableBuild(t, 2000, true)
+	sess := NewSession(SessionOptions{})
+	if _, err := NewWith(eng, true, Options{Session: sess}).Run(feed); err != nil {
+		t.Fatal(err)
+	}
+	var drop []string
+	for i, sub := range eng.Subscriptions() {
+		if i%3 == 0 {
+			drop = append(drop, sub.ID)
+		}
+	}
+	for _, id := range drop {
+		if err := eng.Unsubscribe(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sim, err := eng.Simulate(feed, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := NewWith(eng, true, Options{Session: sess}).Run(feed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chaosCompare(t, "run after unsubscribe", sim, run)
+	for id, want := range sim.Collected {
+		sameItems(t, id, run.Collected[id], want)
+	}
+}
+
 // TestReliableRunAfterRecover: once Recover returns, the session holds
 // nothing of the interrupted run — no journal, no cursor of a retired
 // consumer, no receive lane — so a second run on the same session neither

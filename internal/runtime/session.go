@@ -97,12 +97,16 @@ func (s *Session) attach(r *Runtime) {
 		}
 		c.mu.Lock()
 		c.d = d
+		consumers := make([]string, 0, len(d.Taps)+len(d.Readers))
 		for _, child := range d.Taps {
-			c.st.AddConsumer(child.ID)
+			consumers = append(consumers, child.ID)
 		}
 		for _, rd := range d.Readers {
-			c.st.AddConsumer(rd.ID)
+			consumers = append(consumers, rd.ID)
 		}
+		// A consumer an earlier run's plan had and this one lost acks no
+		// more: its cursor must not hold the trim point.
+		c.st.SetConsumers(consumers)
 		c.mu.Unlock()
 		r.chans[d] = c
 		for hop := range d.Route {

@@ -96,8 +96,8 @@ func (s *Server) nodesCmd(w io.Writer) {
 		}
 		for _, st := range stats {
 			if st.Remote == n {
-				fmt.Fprintf(w, "  %s %s seeded=%d sent=%d recv=%d reconnects=%d\n",
-					n, st.Phase, st.SeededNames, st.FramesSent, st.FramesRecv, st.Reconnects)
+				fmt.Fprintf(w, "  %s %s sent=%d recv=%d reconnects=%d\n",
+					n, st.Phase, st.FramesSent, st.FramesRecv, st.Reconnects)
 			}
 		}
 	}

@@ -12,8 +12,8 @@ import (
 // /metricz endpoint). Query parameters select the view:
 //
 //	(none)         registry snapshot in the repository text format, plus
-//	               channel and failure-detector sections when a reliability
-//	               session is attached
+//	               a channel section when a reliability session is
+//	               attached
 //	?format=prom   the same snapshot in Prometheus text exposition format
 //	               (0.0.4), scrapeable by a stock Prometheus server
 //	?flight=1      the flight recorder's recent runtime events (batch

@@ -130,9 +130,9 @@ func New(eng *core.Engine, cfg photons.Config) *Server {
 }
 
 // WithSession attaches a reliability session: RUN and FEED execute on the
-// session-backed distributed runtime (sequenced acked channels, failure
-// detection, credit-based backpressure) instead of the simulator,
-// and HEALTH reports the detector and per-channel state. Building the engine
+// session-backed distributed runtime (sequenced acked channels, credit-based
+// backpressure, a queue of injected faults) instead of the simulator, and
+// HEALTH reports per-channel state. Building the engine
 // with core.Config{Reliable: true} only hides live shared streams while
 // repairs plan, so a repaired subscription gets a private chain.
 func (s *Server) WithSession(sess *runtime.Session) *Server {
@@ -503,7 +503,7 @@ func (s *Server) issue(w io.Writer, o order) {
 
 // execute pushes a feed through the installed plans: on the simulator by
 // default, on the distributed runtime when a reliability session or a
-// cluster is attached (filling channels, detector state and per-link
+// cluster is attached (filling channels, the fault queue and per-link
 // transport metrics). The caller must hold s.mu.
 func (s *Server) execute(feed map[string][]*xmlstream.Element) (map[string]int, error) {
 	if s.sess != nil || s.cluster != nil {

@@ -7,6 +7,7 @@
 package transport
 
 import (
+	"slices"
 	"sort"
 
 	"streamshare/internal/xmlstream"
@@ -72,10 +73,10 @@ type Channel struct {
 	// hot case on shared streams, where every batch is acked once per
 	// consumer but only the slowest one can advance the trim point.
 	atMin int
-	// broken marks the channel undeliverable (dead peer, severed link, or a
-	// detector suspicion on the route): emissions are still recorded — the
-	// buffer doubles as the recovery journal — but admission control is
-	// bypassed so producers never block on a dead route.
+	// broken marks the channel undeliverable (a dead peer or a severed link
+	// on the route): emissions are still recorded — the buffer doubles as
+	// the recovery journal — but admission control is bypassed so producers
+	// never block on a dead route.
 	broken bool
 
 	// maxDepth is the replay buffer's high-water mark in units.
@@ -168,6 +169,28 @@ func (c *Channel) Ack(consumer string, seq uint64) int {
 		return 0 // other consumers still sit at the trim point
 	}
 	// The last minimum-cursor holder moved: rescan for the new minimum.
+	return c.retrim()
+}
+
+// SetConsumers makes names exactly the channel's consumers. A consumer not
+// among them is dropped, so its cursor no longer holds the trim point, which
+// moves up to the slowest remaining cursor; a new one is registered at that
+// trim point.
+func (c *Channel) SetConsumers(names []string) {
+	for name := range c.cursors {
+		if !slices.Contains(names, name) {
+			delete(c.cursors, name)
+		}
+	}
+	c.retrim()
+	for _, name := range names {
+		c.AddConsumer(name)
+	}
+}
+
+// retrim recomputes the trim point from the cursors and trims the replay
+// buffer to it, returning the units freed.
+func (c *Channel) retrim() int {
 	min := c.minCursor()
 	c.atMin = 0
 	for _, v := range c.cursors {

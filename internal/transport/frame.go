@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"streamshare/internal/xmlstream"
 )
@@ -30,9 +29,10 @@ import (
 // ProtocolVersion is the handshake version this build speaks. Hello and
 // Welcome carry it; a mismatch fails the handshake. docs/WIRE.md §5 says
 // what an older peer sees: version 1 could put plain Batch frames on a conn,
-// version 2 places super-peers on nodes by another rule, and version 3 may
-// put the reserved type 6 on a conn.
-const ProtocolVersion = 4
+// version 2 places super-peers on nodes by another rule, version 3 may put
+// the reserved type 6 on a conn, and version 4 seeds a conn's dictionaries
+// from the handshake, where this build starts them empty.
+const ProtocolVersion = 5
 
 // MaxFrameSize bounds one frame payload on the wire (16 MiB). ReadFramePayload
 // rejects larger length prefixes before allocating.
@@ -103,11 +103,6 @@ type Frame struct {
 	// Resume is the next link sequence the sender expects to receive —
 	// the peer replays its journal from here (Hello, Welcome).
 	Resume uint64
-	// Options is the versioned handshake capabilities map (Hello,
-	// Welcome): "caps.v" carries the capabilities schema version and
-	// "dictseed" the dictionary-seed agreement — the dialer's vocabulary
-	// on Hello, the agreed list on Welcome. Receivers ignore unknown keys.
-	Options map[string]string
 
 	// Stream is the deployed stream id (Batch, Ack).
 	Stream string
@@ -150,16 +145,7 @@ func AppendFrame(b []byte, f *Frame) []byte {
 		b = binary.AppendUvarint(b, uint64(f.Version))
 		b = appendString(b, f.Node)
 		b = binary.AppendUvarint(b, f.Resume)
-		keys := make([]string, 0, len(f.Options))
-		for k := range f.Options {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		b = binary.AppendUvarint(b, uint64(len(keys)))
-		for _, k := range keys {
-			b = appendString(b, k)
-			b = appendString(b, f.Options[k])
-		}
+		b = append(b, 0) // the capability map, empty since version 5
 	case FrameBatch:
 		b = appendBatchHead(b, f)
 		b = binary.AppendUvarint(b, uint64(len(f.Elems)))
@@ -234,23 +220,16 @@ func DecodeFrame(b []byte) (*Frame, error) {
 		if f.Resume, err = d.uvarint(); err != nil {
 			return nil, err
 		}
+		// The capability map of an older Hello or Welcome is skipped, so
+		// the handshake can refuse it by version and say so.
 		n, err := d.count()
 		if err != nil {
 			return nil, err
 		}
-		if n > 0 {
-			f.Options = make(map[string]string, n)
-		}
-		for i := 0; i < n; i++ {
-			k, err := d.str()
-			if err != nil {
+		for i := 0; i < 2*n; i++ {
+			if _, err := d.bytes(); err != nil {
 				return nil, err
 			}
-			v, err := d.str()
-			if err != nil {
-				return nil, err
-			}
-			f.Options[k] = v
 		}
 	case FrameBatch:
 		if err := d.batchHead(f); err != nil {

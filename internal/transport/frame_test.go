@@ -13,8 +13,7 @@ import (
 // sampleFrames covers every frame type with representative field loads.
 func sampleFrames() []*Frame {
 	return []*Frame{
-		{Type: FrameHello, Version: ProtocolVersion, Node: "n0", Resume: 17,
-			Options: map[string]string{"b": "2", "a": "1"}},
+		{Type: FrameHello, Version: ProtocolVersion, Node: "n0", Resume: 17},
 		{Type: FrameWelcome, Version: ProtocolVersion, Node: "n1", Resume: 1},
 		{Type: FrameBatch, Seq: 42, Stream: "photons", Hop: 2, Epoch: 3, SeqLo: 99, EOS: true,
 			Span:  []byte{1, 2, 3},
@@ -39,7 +38,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("%s: round trip\n in: %+v\nout: %+v", f.Type, f, got)
 		}
 		// Re-encoding the decoded frame must be byte-identical: the codec
-		// is canonical (options sorted), which the replay journal relies on.
+		// is canonical, which the replay journal relies on.
 		if again := EncodeFrame(got); !bytes.Equal(payload, again) {
 			t.Fatalf("%s: re-encode differs", f.Type)
 		}
@@ -71,9 +70,6 @@ func normalize(f *Frame) *Frame {
 	}
 	if len(c.Data) == 0 {
 		c.Data = nil
-	}
-	if len(c.Options) == 0 {
-		c.Options = nil
 	}
 	return &c
 }

@@ -3,15 +3,17 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"streamshare/internal/xmlstream"
 )
 
 // FuzzChannel drives the replay-buffer/ack/dedup state machine with random
-// emit/ack/duplicate/reorder operations and diffs every observable against a
-// map-based model: the replay buffer must hold exactly the emitted-but-not-
-// min-acked suffix, credits must never over- or under-admit, and the
+// emit/ack/consumer-set/duplicate/reorder operations and diffs every
+// observable against a map-based model: the replay buffer must hold exactly
+// the emitted-but-not-min-acked suffix, credits must never over- or
+// under-admit, a dropped consumer must stop holding the trim point, and the
 // receiver must deliver every (epoch, seq) exactly once regardless of
 // duplication and stale-epoch replays.
 func FuzzChannel(f *testing.F) {
@@ -21,21 +23,24 @@ func FuzzChannel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const window = 6
 		c := NewChannel(1, window)
-		consumers := []string{"a", "b"}
-		for _, cn := range consumers {
-			c.AddConsumer(cn)
-		}
+		names := []string{"a", "b", "c"}
+		c.AddConsumer("a")
+		c.AddConsumer("b")
 
-		// Model state.
+		// Model state. floor is the trim point, which only a consumer's ack
+		// or a dropped consumer moves, and which stays put while the
+		// channel has no consumers.
 		emitted := map[uint64]*xmlstream.Element{} // seq → item
-		var lastSeq uint64
+		var lastSeq, floor uint64
 		acked := map[string]uint64{"a": 0, "b": 0}
 		minAck := func() uint64 {
-			m := acked["a"]
-			if acked["b"] < m {
-				m = acked["b"]
+			first := true
+			for _, v := range acked {
+				if first || v < floor {
+					floor, first = v, false
+				}
 			}
-			return m
+			return floor
 		}
 
 		// Receiver model: delivered seqs per epoch for the dedup lane.
@@ -44,7 +49,7 @@ func FuzzChannel(f *testing.F) {
 		var recvEpoch, recvHi uint64 = 1, 0
 
 		for i := 0; i+1 < len(ops); i += 2 {
-			op, arg := ops[i]%5, uint64(ops[i+1])
+			op, arg := ops[i]%6, uint64(ops[i+1])
 			switch op {
 			case 0: // emit one unit, respecting admission like the runtime does
 				if !c.Admit(1) {
@@ -62,15 +67,18 @@ func FuzzChannel(f *testing.F) {
 					t.Fatalf("op %d: emit seq %d, model %d", i, seq, lastSeq)
 				}
 				emitted[seq] = data
-			case 1: // cumulative ack by one consumer
-				cn := consumers[int(arg)%2]
+				if len(acked) > 0 && int(lastSeq-minAck()) > window {
+					t.Fatalf("op %d: window violated: %d unacked", i, lastSeq-minAck())
+				}
+			case 1: // cumulative ack by one consumer, registered or not
+				cn := names[int(arg)%len(names)]
 				seq := arg % (lastSeq + 2) // may exceed frontier or be stale
 				if seq > lastSeq {
 					seq = lastSeq
 				}
 				before := minAck()
 				freed := c.Ack(cn, seq)
-				if seq > acked[cn] {
+				if cur, ok := acked[cn]; ok && seq > cur {
 					acked[cn] = seq
 				}
 				if want := int(minAck() - before); freed != want {
@@ -125,6 +133,25 @@ func FuzzChannel(f *testing.F) {
 				if _, ok := rs.Accept(recvEpoch-1, 1, 1+arg%5); ok {
 					t.Fatalf("op %d: stale epoch accepted", i)
 				}
+			case 5: // the consumer set becomes the names arg's low bits pick
+				var set []string
+				for j, cn := range names {
+					if arg&(1<<j) != 0 {
+						set = append(set, cn)
+					}
+				}
+				c.SetConsumers(set)
+				for cn := range acked {
+					if !slices.Contains(set, cn) {
+						delete(acked, cn)
+					}
+				}
+				trim := minAck()
+				for _, cn := range set {
+					if _, ok := acked[cn]; !ok {
+						acked[cn] = trim
+					}
+				}
 			}
 
 			// Invariants after every op.
@@ -138,9 +165,6 @@ func FuzzChannel(f *testing.F) {
 				if emitted[e.Seq] != e.Elem {
 					t.Fatalf("op %d: buffer seq %d holds %v, model %v", i, e.Seq, e.Elem, emitted[e.Seq])
 				}
-			}
-			if int(lastSeq-minAck()) > window {
-				t.Fatalf("op %d: window violated: %d unacked", i, lastSeq-minAck())
 			}
 		}
 	})

@@ -1,7 +1,10 @@
 package transport
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -12,10 +15,9 @@ import (
 
 // These tests pin the handshake and the codec lifecycle it opens: a batch
 // crosses a conn as one BatchBin payload and reaches the handler as trees,
-// the dictionary seed both sides agree on pre-loads every conn's tables, a
-// peer speaking another protocol version is refused with the reason
-// recorded on both sides, and reconnect replays decode correctly through
-// each new conn's fresh dictionaries.
+// the handshake negotiates nothing, a peer speaking another protocol version
+// is refused with the reason recorded on both sides, and reconnect replays
+// decode correctly through each new conn's fresh, empty dictionaries.
 
 // batchItems builds distinct items for batch payload checks.
 func batchItems(tag string, n int) []*xmlstream.Element {
@@ -60,7 +62,7 @@ func refusals(fr *obs.FlightRecorder) []string {
 }
 
 // wantBatches waits until the collector holds n Batch frames and returns
-// them; non-batch frames (heartbeats) are filtered out.
+// them; non-batch frames are filtered out.
 func wantBatches(t *testing.T, c *collector, n int) []*Frame {
 	t.Helper()
 	var batches []*Frame
@@ -79,9 +81,26 @@ func wantBatches(t *testing.T, c *collector, n int) []*Frame {
 	return batches
 }
 
-// TestCodecNegotiationDefault: batches cross as BatchBin on the wire, and the
+// oldHandshake encodes a Hello or Welcome as builds before protocol version
+// 5 did, with its capability map filled in.
+func oldHandshake(f *Frame, caps map[string]string) []byte {
+	b := EncodeFrame(f)
+	b = b[:len(b)-1] // this build's empty capability map
+	keys := make([]string, 0, len(caps))
+	for k := range caps {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	b = binary.AppendUvarint(b, uint64(len(keys)))
+	for _, k := range keys {
+		b = appendString(appendString(b, k), caps[k])
+	}
+	return b
+}
+
+// TestBatchCrossesBinary: batches cross as BatchBin on the wire, and the
 // handler sees plain Batch frames holding trees Equal to the sender's.
-func TestCodecNegotiationDefault(t *testing.T) {
+func TestBatchCrossesBinary(t *testing.T) {
 	ma, mb, _, cb := meshPair(t, NewMem())
 	if err := ma.WaitConnected(5 * time.Second); err != nil {
 		t.Fatal(err)
@@ -109,10 +128,11 @@ func TestCodecNegotiationDefault(t *testing.T) {
 
 // TestHandshakeOldHello: a dialer speaking protocol version 1 — with or
 // without the capabilities map that version's later builds sent — version 2,
-// whose builds place super-peers on nodes by another rule, or version 3,
-// whose builds may send the reserved frame type 6, is refused: no Welcome, no
-// attach, and the acceptor's flight recorder says who asked and which
-// versions disagreed.
+// whose builds place super-peers on nodes by another rule, version 3, whose
+// builds may send the reserved frame type 6, or version 4, whose builds seed
+// a conn's dictionaries from the list the handshake carries, is refused: no
+// Welcome, no attach, and the acceptor's flight recorder says who asked and
+// which versions disagreed.
 func TestHandshakeOldHello(t *testing.T) {
 	tr := NewMem()
 	var cb collector
@@ -132,6 +152,8 @@ func TestHandshakeOldHello(t *testing.T) {
 		{1, map[string]string{"caps.v": "1", "codec": "binary2,xml", "dictseed": ""}},
 		{2, map[string]string{"caps.v": "1", "dictseed": ""}},
 		{3, map[string]string{"caps.v": "1", "dictseed": ""}},
+		{4, map[string]string{"caps.v": "1", "dictseed": "en,photon,src"}},
+		{4, map[string]string{"caps.v": "1", "dictseed": ""}},
 	}
 	for i, old := range olds {
 		conn, err := tr.Dial(mb.Addr())
@@ -139,8 +161,8 @@ func TestHandshakeOldHello(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		hello := &Frame{Type: FrameHello, Version: old.version, Node: "a", Resume: 1, Options: old.opts}
-		if err := conn.WriteFrame(EncodeFrame(hello)); err != nil {
+		hello := &Frame{Type: FrameHello, Version: old.version, Node: "a", Resume: 1}
+		if err := conn.WriteFrame(oldHandshake(hello, old.opts)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := conn.ReadFrame(); err == nil {
@@ -178,9 +200,10 @@ func TestHandshakeOldHello(t *testing.T) {
 }
 
 // TestHandshakeOldWelcome: a current dialer facing an acceptor that answers
-// with protocol version 1, then 2, then 3, refuses each Welcome: it
-// never attaches, it says why — an error naming both versions, left in its
-// flight recorder — and it keeps redialing.
+// with protocol version 1, then 2, 3 and 4 — the last carrying the seed list
+// it agreed on — refuses each Welcome: it never attaches, it says why — an
+// error naming both versions, left in its flight recorder — and it keeps
+// redialing. Its own Hellos negotiate nothing: their capability map is empty.
 func TestHandshakeOldWelcome(t *testing.T) {
 	tr := NewMem()
 	ln, err := tr.Listen("")
@@ -197,12 +220,16 @@ func TestHandshakeOldWelcome(t *testing.T) {
 	defer ma.Close()
 	ma.Connect("b", ln.Addr()) // "a" < "b": a dials our fake old peer
 
-	olds := []*Frame{
-		{Type: FrameWelcome, Version: 1, Node: "b", Resume: 1, Options: map[string]string{"caps.v": "1", "codec": "xml"}},
-		{Type: FrameWelcome, Version: 2, Node: "b", Resume: 1, Options: map[string]string{"caps.v": "1", "dictseed": ""}},
-		{Type: FrameWelcome, Version: 3, Node: "b", Resume: 1, Options: map[string]string{"caps.v": "1", "dictseed": ""}},
+	olds := []struct {
+		version uint32
+		opts    map[string]string
+	}{
+		{1, map[string]string{"caps.v": "1", "codec": "xml"}},
+		{2, map[string]string{"caps.v": "1", "dictseed": ""}},
+		{3, map[string]string{"caps.v": "1", "dictseed": ""}},
+		{4, map[string]string{"caps.v": "1", "dictseed": "en,photon,src"}},
 	}
-	for _, welcome := range olds { // every Hello after the first shows a redial
+	for _, old := range olds { // every Hello after the first shows a redial
 		conn, err := ln.Accept()
 		if err != nil {
 			t.Fatal(err)
@@ -219,26 +246,24 @@ func TestHandshakeOldWelcome(t *testing.T) {
 		if hello.Type != FrameHello || hello.Node != "a" || hello.Version != ProtocolVersion {
 			t.Fatalf("hello = %+v", hello)
 		}
-		if _, ok := hello.Options["dictseed"]; !ok || hello.Options["caps.v"] != "1" {
-			t.Fatalf("hello capabilities missing: %v", hello.Options)
+		if !bytes.Equal(payload, EncodeFrame(hello)) || payload[len(payload)-1] != 0 {
+			t.Fatalf("hello carries capabilities: %x", payload)
 		}
-		if _, ok := hello.Options["codec"]; ok {
-			t.Fatalf("hello still negotiates a codec: %v", hello.Options)
-		}
-		if err := conn.WriteFrame(EncodeFrame(welcome)); err != nil {
+		welcome := &Frame{Type: FrameWelcome, Version: old.version, Node: "b", Resume: 1}
+		if err := conn.WriteFrame(oldHandshake(welcome, old.opts)); err != nil {
 			t.Fatal(err)
 		}
 		// The dialer hangs up on the Welcome it refuses.
 		if _, err := conn.ReadFrame(); err == nil {
-			t.Fatalf("dialer sent a frame after a version-%d welcome", welcome.Version)
+			t.Fatalf("dialer sent a frame after a version-%d welcome", old.version)
 		}
 	}
 	got := refusals(flight)
 	if len(got) < len(olds) {
 		t.Fatalf("%d refusals recorded over %d handshakes: %q", len(got), len(olds), got)
 	}
-	for i, welcome := range olds {
-		for _, want := range []string{`node "b"`, fmt.Sprintf("version %d,", welcome.Version), fmt.Sprintf("this build %d", ProtocolVersion)} {
+	for i, old := range olds {
+		for _, want := range []string{`node "b"`, fmt.Sprintf("version %d,", old.version), fmt.Sprintf("this build %d", ProtocolVersion)} {
 			if !strings.Contains(got[i], want) {
 				t.Fatalf("refusal %q does not name %s", got[i], want)
 			}
@@ -246,64 +271,6 @@ func TestHandshakeOldWelcome(t *testing.T) {
 	}
 	if st := ma.Link("b").Stats(); st.Phase == "connected" || st.Reconnects != 0 {
 		t.Fatalf("dialer attached to an older acceptor: %+v", st)
-	}
-}
-
-// TestDictionarySeeding pins the schema-seeded dictionary handshake: both
-// halves of a link pre-intern the agreed name list (so steady-state batches
-// ship no dictionary deltas), and the acceptor adopts the dialer's list when
-// it has none of its own.
-func TestDictionarySeeding(t *testing.T) {
-	seed := []string{"en", "photon", "src"}
-	items := batchItems("seed", 8) // uses exactly the seeded vocabulary
-	send := func(t *testing.T, cfgA, cfgB MeshConfig) (LinkStats, LinkStats, *Frame) {
-		t.Helper()
-		tr := NewMem()
-		var ca, cb collector
-		cfgA.Transport, cfgA.Node, cfgA.Handler = tr, "a", ca.handle
-		cfgB.Transport, cfgB.Node, cfgB.Handler = tr, "b", cb.handle
-		ma, err := NewMesh(cfgA)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mb, err := NewMesh(cfgB)
-		if err != nil {
-			ma.Close()
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ma.Close(); mb.Close() })
-		ma.Connect("b", mb.Addr())
-		mb.Connect("a", ma.Addr())
-		if err := ma.WaitConnected(5 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-		if err := ma.Link("b").Send(&Frame{Type: FrameBatch, Stream: "s", Elems: items}); err != nil {
-			t.Fatal(err)
-		}
-		f := wantBatches(t, &cb, 1)[0]
-		return ma.Link("b").Stats(), mb.Link("a").Stats(), f
-	}
-
-	// Both sides configured: both halves seed the full list.
-	sa, sb, f := send(t, MeshConfig{SeedNames: seed}, MeshConfig{SeedNames: seed})
-	if sa.SeededNames != len(seed) || sb.SeededNames != len(seed) {
-		t.Fatalf("seeded %d/%d names, want %d on both sides", sa.SeededNames, sb.SeededNames, len(seed))
-	}
-	requireItems(t, f, items)
-
-	// The same batch on an unseeded link pays for its dictionary deltas:
-	// the seeded payload must be strictly smaller.
-	ua, _, _ := send(t, MeshConfig{}, MeshConfig{})
-	if sa.EncodedWireBytes >= ua.EncodedWireBytes {
-		t.Fatalf("seeded batch not smaller: %d >= %d wire bytes (deltas still in-band)",
-			sa.EncodedWireBytes, ua.EncodedWireBytes)
-	}
-
-	// Dialer-only configuration: the acceptor adopts the dialer's list from
-	// the handshake, so both halves still seed identically.
-	da, db, _ := send(t, MeshConfig{SeedNames: seed}, MeshConfig{})
-	if da.SeededNames != len(seed) || db.SeededNames != len(seed) {
-		t.Fatalf("dialer-only seeding: %d/%d names, want %d on both sides", da.SeededNames, db.SeededNames, len(seed))
 	}
 }
 

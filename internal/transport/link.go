@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"strings"
-	"sync"
 	"time"
 
+	"streamshare/internal/obs"
 	"streamshare/internal/wire"
 	"streamshare/internal/xmlstream"
 )
@@ -26,10 +25,15 @@ import (
 // Two scopes, deliberately different: the sequence space belongs to the
 // link for life — it never restarts, across reconnects or (on durable
 // links, whose WAL backs the same Channel) across process restarts — while
-// the wire codec's dictionaries, seeded by what the handshake agreed, belong
-// to the one conn that handshake opened. The journal therefore holds frames,
-// not encodings, and a reconnect is nothing more than fresh dictionaries plus
-// a replay from the peer's resume cursor.
+// the wire codec's dictionaries belong to the one conn that handshake
+// opened, and start empty. The journal therefore holds frames, not
+// encodings, and a reconnect is nothing more than fresh dictionaries plus a
+// replay from the peer's resume cursor.
+//
+// One goroutine writes an attached conn: the link's writer. The reader
+// never writes — it marks a LinkAck due and wakes the writer, which sends it
+// ahead of its next journal frames — so a reader always drains, and a conn
+// whose two directions both fill cannot deadlock on itself.
 //
 // Reconnect state machine (Link.phase):
 //
@@ -42,8 +46,9 @@ import (
 // exchange.
 
 // linkAckEvery is how many sequenced frames a receiver accepts before its
-// reader pushes a cumulative LinkAck — the rule under load; flushAck covers
-// the tail.
+// reader marks a cumulative LinkAck due — the rule under load; requestAck
+// covers the tail. It also caps the journal frames the writer sends between
+// two looks for a due ack.
 const linkAckEvery = 16
 
 // DefaultLinkWindow bounds each link's replay journal, in frames.
@@ -74,9 +79,6 @@ type LinkStats struct {
 	// replay's duplicates are decoded, to keep the conn's dictionary in
 	// step, but only accepted batches count as decoded.
 	EncodedItems, DecodedItems uint64
-	// SeededNames is how many dictionary names the latest handshake's
-	// dictseed agreement pre-loaded into the conn's codec tables.
-	SeededNames int
 	// EncodedXMLBytes/EncodedWireBytes are outbound batch sizes before and
 	// after the codec. Their ratio is the measured outbound compression.
 	EncodedXMLBytes, EncodedWireBytes uint64
@@ -113,14 +115,11 @@ type Link struct {
 	sent uint64
 	// in dedups inbound sequenced frames across reconnect replays.
 	in RecvCursor
-	// recvSince counts accepted frames since the last LinkAck pushed.
-	recvSince int
-	closed    bool
-
-	// ackMu serializes flushAck from taking an ack to writing it, so a
-	// flushAck that finds nothing to ack returns after any ack already taken
-	// was written. Taken before mu.
-	ackMu sync.Mutex
+	// ackOwed is the highest accepted sequence a LinkAck was asked for, and
+	// ackSent the highest the writer has written; an ack is due while
+	// ackOwed > ackSent.
+	ackOwed, ackSent uint64
+	closed           bool
 
 	// enc is the current conn's encoder half (nil while detached), used by
 	// the writer alone. The matching decoder belongs to the conn's reader;
@@ -136,22 +135,6 @@ type Link struct {
 	stats   LinkStats
 	q       *frameQueue
 	attachN int
-}
-
-// connCodec is what one completed handshake mints for its conn: a fresh
-// encoder for the link's writer and a fresh decoder for the conn's reader,
-// both pre-loaded with the seed list that handshake agreed on.
-type connCodec struct {
-	enc    *wire.BinaryEncoder
-	dec    *wire.BinaryDecoder
-	seeded int
-}
-
-func newConnCodec(seed []string) connCodec {
-	cc := connCodec{enc: wire.NewBinaryEncoder(), dec: wire.NewBinaryDecoder(), seeded: len(seed)}
-	cc.enc.SeedShared(seed)
-	cc.dec.SeedShared(seed)
-	return cc
 }
 
 // Remote returns the remote node's name.
@@ -222,9 +205,7 @@ func (l *Link) appendWire(dst []byte, f *Frame, enc *wire.BinaryEncoder, sum *Li
 	sum.EncodedItems += uint64(len(f.Elems))
 	sum.EncodedXMLBytes += uint64(xmlBytes)
 	sum.EncodedWireBytes += uint64(len(bin.Data))
-	if obs := l.mesh.obsWire; obs != nil {
-		obs("encode", time.Since(start).Seconds(), len(f.Elems), xmlBytes, len(bin.Data))
-	}
+	l.mesh.enc.record(start, len(f.Elems), xmlBytes, len(bin.Data))
 	return AppendFrame(dst, &bin)
 }
 
@@ -247,10 +228,42 @@ func (l *Link) decodeBatch(f *Frame, dec *wire.BinaryDecoder) (xmlBytes int, err
 	for _, e := range elems {
 		xmlBytes += xmlstream.MarshalSize(e)
 	}
-	if obs := l.mesh.obsWire; obs != nil {
-		obs("decode", time.Since(start).Seconds(), len(elems), xmlBytes, wireBytes)
-	}
+	l.mesh.dec.record(start, len(elems), xmlBytes, wireBytes)
 	return xmlBytes, nil
+}
+
+// wireMetrics are one codec direction's instruments, resolved from the
+// mesh's registry once: every link's writer (encode) and every conn's
+// reader (decode) records into them per batch, concurrently, off the
+// registry's map lock.
+type wireMetrics struct {
+	seconds            *obs.Histogram
+	items, xmlB, wireB *obs.Counter
+}
+
+// newWireMetrics resolves wire.<op>.seconds, .items, .bytes.xml and
+// .bytes.wire in reg; nil without a registry.
+func newWireMetrics(reg *obs.Registry, op string) *wireMetrics {
+	if reg == nil {
+		return nil
+	}
+	return &wireMetrics{
+		seconds: reg.Histogram("wire."+op+".seconds", obs.ExpBuckets(1e-6, 4, 10)), // 1µs .. ~260ms
+		items:   reg.Counter("wire." + op + ".items"),
+		xmlB:    reg.Counter("wire." + op + ".bytes.xml"),
+		wireB:   reg.Counter("wire." + op + ".bytes.wire"),
+	}
+}
+
+// record adds one batch transform begun at start; a nil w records nothing.
+func (w *wireMetrics) record(start time.Time, items, xmlBytes, wireBytes int) {
+	if w == nil {
+		return
+	}
+	w.seconds.Observe(time.Since(start).Seconds())
+	w.items.Add(float64(items))
+	w.xmlB.Add(float64(xmlBytes))
+	w.wireB.Add(float64(wireBytes))
 }
 
 // checkpoint compacts a durable link's journal to a snapshot of its live
@@ -290,12 +303,13 @@ func (l *Link) dumpState(w io.Writer) {
 		l.stats.Reconnects, l.stats.Replayed, l.stats.SendWaits, l.q.len())
 }
 
-// attachLocked installs a fresh conn after a completed handshake, with the
-// codec halves that handshake minted: the peer's resume cursor acts as an
-// implicit cumulative ack (everything below it was delivered), the write
-// cursor rewinds so the journal suffix replays through the fresh encoder,
-// and a reader owning the fresh decoder starts. Callers hold l.mu.
-func (l *Link) attachLocked(conn Conn, peerResume uint64, cc connCodec) {
+// attachLocked installs a fresh conn after a completed handshake, with fresh
+// codec halves: the peer's resume cursor acts as an implicit cumulative ack
+// (everything below it was delivered), the write cursor rewinds so the
+// journal suffix replays through the fresh encoder, and a reader owning the
+// fresh decoder starts. From here on the link's writer is the only goroutine
+// that writes the conn. Callers hold l.mu.
+func (l *Link) attachLocked(conn Conn, peerResume uint64) {
 	if l.closed {
 		conn.Close()
 		return
@@ -308,8 +322,7 @@ func (l *Link) attachLocked(conn Conn, peerResume uint64, cc connCodec) {
 	}
 	l.gen++
 	l.conn = conn
-	l.enc = cc.enc
-	l.stats.SeededNames = cc.seeded
+	l.enc = wire.NewBinaryEncoder()
 	l.phase = "connected"
 	if peerResume > 0 {
 		if l.attachN == 0 && peerResume > l.sent+1 {
@@ -328,7 +341,7 @@ func (l *Link) attachLocked(conn Conn, peerResume uint64, cc connCodec) {
 	}
 	l.mu.Broadcast()
 	l.mesh.wg.Add(1)
-	go l.reader(conn, l.gen, cc.dec)
+	go l.reader(conn, l.gen, wire.NewBinaryDecoder())
 }
 
 // fastForwardLocked reconciles this process life's first handshake with a
@@ -387,18 +400,19 @@ func (l *Link) closeLocked() {
 	l.q.close()
 }
 
-// writer is the link's single outbound pump: whenever a conn is attached
-// and the journal holds frames past the write cursor, it renders that
-// suffix through the conn's encoder and writes it, in order. Keeping one
-// writer per link preserves sequence order across replays — and, because
-// only it encodes, the order of each conn's dictionary deltas; raw frames
-// interleave at whole-frame granularity via the conn's own write lock.
+// writer is the link's single outbound pump and the only goroutine that
+// writes an attached conn: whenever a conn is attached and a LinkAck is due
+// or the journal holds frames past the write cursor, it writes the ack,
+// then up to linkAckEvery journal frames rendered through the conn's
+// encoder, in order, and looks again. Keeping one writer per link preserves
+// sequence order across replays — and, because only it encodes, the order
+// of each conn's dictionary deltas.
 func (l *Link) writer() {
 	defer l.mesh.wg.Done()
 	var buf []byte // wire image of the frame being written; conns do not retain it
 	l.mu.Lock()
 	for {
-		for !l.closed && (l.conn == nil || l.sent+1 >= l.out.NextSeq()) {
+		for !l.closed && (l.conn == nil || (l.sent+1 >= l.out.NextSeq() && l.ackOwed <= l.ackSent)) {
 			l.mu.Wait()
 		}
 		if l.closed {
@@ -406,7 +420,14 @@ func (l *Link) writer() {
 			return
 		}
 		conn, gen, enc := l.conn, l.gen, l.enc
-		batch := append([]Entry(nil), l.out.UnackedAfter(l.sent)...)
+		var batch []Entry
+		var ack uint64
+		if l.ackOwed > l.ackSent {
+			ack = l.in.Next() - 1
+			batch = append(batch, Entry{Frame: &Frame{Type: FrameLinkAck, Ack: ack}})
+		}
+		pending := l.out.UnackedAfter(l.sent)
+		batch = append(batch, pending[:min(len(pending), linkAckEvery)]...)
 		l.mu.Unlock()
 
 		wrote, bytes := 0, 0
@@ -430,8 +451,12 @@ func (l *Link) writer() {
 		l.stats.EncodedXMLBytes += sum.EncodedXMLBytes
 		l.stats.EncodedWireBytes += sum.EncodedWireBytes
 		if l.gen == gen {
-			if wrote > 0 && last > l.sent {
+			if last > l.sent {
 				l.sent = last
+			}
+			if ack > l.ackSent && wrote > 0 {
+				l.ackSent = ack
+				l.mu.Broadcast() // WaitDrained waits for owed acks
 			}
 			if err != nil {
 				l.detachLocked()
@@ -442,9 +467,10 @@ func (l *Link) writer() {
 
 // reader drains one conn: BatchBin frames are decoded through the conn's
 // own decoder, sequenced frames are deduped against the receive cursor,
-// acknowledged cumulatively, and handed to the dispatch queue; LinkAcks
-// trim the journal and wake blocked senders. A read or decode error
-// detaches the conn (if it is still the current one) and ends the reader.
+// marked for a cumulative ack, and handed to the dispatch queue; LinkAcks
+// trim the journal and wake blocked senders. It never writes, so nothing
+// the peer does stops it draining. A read or decode error detaches the conn
+// (if it is still the current one) and ends the reader.
 func (l *Link) reader(conn Conn, gen int, dec *wire.BinaryDecoder) {
 	defer l.mesh.wg.Done()
 	for {
@@ -518,16 +544,14 @@ func (l *Link) reader(conn Conn, gen int, dec *wire.BinaryDecoder) {
 				l.dur.journalRecv(f.Seq, AppendFrame(nil, f))
 			}
 		}
-		l.recvSince++
-		ack := l.recvSince >= linkAckEvery
+		if f.Seq-l.ackSent >= linkAckEvery {
+			l.requestAckLocked()
+		}
 		// Enqueued under the lock that accepted it: a replaced conn's reader
 		// descheduled between the two would otherwise let its successor
 		// dispatch the next sequence first.
 		l.q.push(f)
 		l.mu.Unlock()
-		if ack {
-			l.flushAck()
-		}
 	}
 }
 
@@ -542,28 +566,23 @@ func (l *Link) teardown(conn Conn, gen int) {
 	l.mu.Unlock()
 }
 
-// flushAck writes a cumulative LinkAck, unsequenced and straight to the
-// current conn, if any accepted frames are unacknowledged: the reader calls
-// it every linkAckEvery frames, the dispatcher whenever its queue runs dry,
-// the mesh acker on its tick, and WaitDrained before it waits. A lost ack is
-// covered by the next one, or by the resume cursor of the next handshake.
-func (l *Link) flushAck() {
-	l.ackMu.Lock()
-	defer l.ackMu.Unlock()
+// requestAck marks a cumulative LinkAck due for every frame accepted so far
+// and wakes the writer, which sends it ahead of its next journal frames: the
+// dispatcher asks whenever its queue runs dry, the mesh acker on its tick,
+// and WaitDrained before it waits. A lost ack is covered by the next one, or
+// by the resume cursor of the next handshake.
+func (l *Link) requestAck() {
 	l.mu.Lock()
-	conn := l.conn
-	if l.recvSince == 0 || conn == nil {
-		l.mu.Unlock()
-		return
-	}
-	l.recvSince = 0
-	payload := AppendFrame(nil, &Frame{Type: FrameLinkAck, Ack: l.in.Next() - 1})
+	l.requestAckLocked()
 	l.mu.Unlock()
-	if conn.WriteFrame(payload) == nil {
-		l.mu.Lock()
-		l.stats.FramesSent++
-		l.stats.BytesSent += uint64(len(payload) + 4)
-		l.mu.Unlock()
+}
+
+// requestAckLocked is requestAck for callers that hold l.mu (the reader,
+// every linkAckEvery frames).
+func (l *Link) requestAckLocked() {
+	if n := l.in.Next() - 1; n > l.ackOwed {
+		l.ackOwed = n
+		l.mu.Broadcast()
 	}
 }
 
@@ -595,12 +614,11 @@ func (l *Link) dialLoop() {
 			l.mu.Unlock()
 			l.mesh.trackPending(conn, true)
 			var peerResume uint64
-			var cc connCodec
-			peerResume, cc, err = l.handshakeDial(conn, resume)
+			peerResume, err = l.handshakeDial(conn, resume)
 			l.mesh.trackPending(conn, false)
 			if err == nil {
 				l.mu.Lock()
-				l.attachLocked(conn, peerResume, cc)
+				l.attachLocked(conn, peerResume)
 				l.mu.Unlock()
 				backoff = 2 * time.Millisecond
 				continue
@@ -623,63 +641,44 @@ func (l *Link) dialLoop() {
 }
 
 // handshakeDial runs the dialer's half of the handshake: send Hello with
-// our identity, resume cursor and capability map (the dictseed key, whose
-// value is our configured seed vocabulary), require a version- and
-// name-matching Welcome — anything else is refused, with the reason left in
-// the flight recorder — and return the acceptor's resume cursor with the
-// codec halves for this conn, seeded with the list the Welcome carries: the
-// acceptor's answer is authoritative, so both sides seed the identical list.
+// our identity and resume cursor, require a version- and name-matching
+// Welcome — anything else is refused, with the reason left in the flight
+// recorder — and return the acceptor's resume cursor. Nothing else is
+// negotiated: the conn's dictionaries start empty on both sides.
 //
 // The mesh's handshake timeout bounds the Welcome read so a half-open
 // acceptor cannot wedge the dial loop.
-func (l *Link) handshakeDial(conn Conn, resume uint64) (uint64, connCodec, error) {
-	hello := &Frame{
-		Type: FrameHello, Version: ProtocolVersion, Node: l.mesh.node, Resume: resume,
-		Options: map[string]string{"caps.v": "1", "dictseed": formatList(l.mesh.seed)},
-	}
+func (l *Link) handshakeDial(conn Conn, resume uint64) (uint64, error) {
+	hello := &Frame{Type: FrameHello, Version: ProtocolVersion, Node: l.mesh.node, Resume: resume}
 	if hs := l.mesh.hsTimeout; hs > 0 {
 		conn.SetReadDeadline(time.Now().Add(hs)) //nolint:errcheck // a failed deadline surfaces as a read error
 		defer conn.SetReadDeadline(time.Time{})  //nolint:errcheck // cleared best-effort; reads own their deadlines
 	}
 	if err := conn.WriteFrame(EncodeFrame(hello)); err != nil {
-		return 0, connCodec{}, err
+		return 0, err
 	}
 	payload, err := conn.ReadFrame()
 	if err != nil {
-		return 0, connCodec{}, err
+		return 0, err
 	}
 	f, err := DecodeFrame(payload)
 	if err != nil {
-		return 0, connCodec{}, err
+		return 0, err
 	}
 	if f.Type != FrameWelcome {
-		return 0, connCodec{}, fmt.Errorf("transport: handshake: expected welcome, got %s", f.Type)
+		return 0, fmt.Errorf("transport: handshake: expected welcome, got %s", f.Type)
 	}
 	if f.Version != ProtocolVersion {
-		return 0, connCodec{}, l.mesh.refuse(f, "version mismatch")
+		return 0, l.mesh.refuse(f, "version mismatch")
 	}
 	if f.Node != l.remote {
-		return 0, connCodec{}, l.mesh.refuse(f, fmt.Sprintf("dialed %q", l.remote))
+		return 0, l.mesh.refuse(f, fmt.Sprintf("dialed %q", l.remote))
 	}
-	return f.Resume, newConnCodec(parseList(f.Options["dictseed"])), nil
-}
-
-// formatList renders a name list as a handshake capability value and
-// parseList splits one, dropping empty entries.
-func formatList(names []string) string { return strings.Join(names, ",") }
-
-func parseList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
+	return f.Resume, nil
 }
 
 // frameQueue decouples the conn reader from frame handling: the reader
-// must always drain the socket (link acks travel in-band), so handler
+// must always drain the conn (link acks travel in-band), so handler
 // work — which may itself block sending on other links — runs on a
 // dedicated dispatcher goroutine fed by this unbounded FIFO.
 type frameQueue struct {
@@ -733,8 +732,9 @@ func (q *frameQueue) len() int {
 // handler returns: recovery then re-dispatches only the controls the
 // crash interrupted, which under SyncAlways makes control application
 // exactly-once across process death. A dispatcher that finds its queue empty
-// acks everything accepted so far, so a sender's journal drains one round
-// trip after its last frame is handled, not at the next acker tick.
+// asks for an ack of everything accepted so far, so a sender's journal
+// drains one round trip after its last frame is handled, not at the next
+// acker tick.
 func (l *Link) dispatcher() {
 	defer l.mesh.wg.Done()
 	for {
@@ -749,7 +749,7 @@ func (l *Link) dispatcher() {
 			l.mu.Unlock()
 		}
 		if l.q.len() == 0 {
-			l.flushAck()
+			l.requestAck()
 		}
 	}
 }

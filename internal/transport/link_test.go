@@ -108,6 +108,29 @@ func TestLinkDuplexMem(t *testing.T) { testLinkDuplex(t, NewMem()) }
 
 func TestLinkDuplexTCP(t *testing.T) { testLinkDuplex(t, NewTCP()) }
 
+// TestLinkDuplexManyPairs: a link's reader never writes, so a conn whose two
+// directions fill at once still drains. Each fresh pair sends more frames
+// both ways than a Mem conn buffers per direction (64); while readers wrote
+// their own LinkAcks, a loop of such exchanges stalled within a few hundred
+// pairs, with both readers blocked writing acks into full conns.
+func TestLinkDuplexManyPairs(t *testing.T) {
+	const pairs, n = 150, 300
+	for p := 0; p < pairs; p++ {
+		ma, mb, ca, cb := meshPair(t, NewMem())
+		if err := ma.WaitConnected(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			sendCtl(t, ma.Link("b"), 1)
+			sendCtl(t, mb.Link("a"), 1)
+		}
+		waitFor(t, 5*time.Second, func() bool { return ca.len() == n && cb.len() == n },
+			fmt.Sprintf("pair %d: %d frames delivered each way", p, n))
+		ma.Close()
+		mb.Close()
+	}
+}
+
 // testLinkReconnectReplay kills conns repeatedly while a stream of
 // sequenced frames flows; the journal replay plus receive dedup must
 // deliver every frame exactly once, in order. The sender waits at n/2 for

@@ -5,7 +5,6 @@ import (
 	"io"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,22 +54,6 @@ type MeshConfig struct {
 	// Window bounds each link's replay journal in frames
 	// (DefaultLinkWindow when 0).
 	Window int
-	// SeedNames is the element-name vocabulary (typically a stream
-	// schema's, via xmlstream.Schema.Names) offered for dictionary seeding
-	// in handshakes. Both sides of a conn pre-load its dictionaries with the
-	// agreed list — the dialer's when it offers one, else the acceptor's —
-	// so steady-state payloads carry no dictionary deltas. Names containing
-	// commas (illegal in XML names, but the capability value is a
-	// comma-separated list) are dropped at construction.
-	SeedNames []string
-	// ObserveWire, when set, is called once per codec batch transform: op
-	// is "encode" or "decode", seconds the transform time, items the
-	// batch's item count, and xmlBytes/wireBytes the batch's size before
-	// and after the codec. It runs on the link's writer goroutine (encode)
-	// or a conn's reader goroutine (decode), outside the link lock — so
-	// encode and decode calls may overlap — and delays that link's traffic
-	// for as long as it takes.
-	ObserveWire func(op string, seconds float64, items, xmlBytes, wireBytes int)
 	// DataDir, when set, makes every link durable: each link journals its
 	// frames and cursors in DataDir/<remote> and a process restarted over
 	// the same directory continues each link's sequence space, replays the
@@ -85,7 +68,10 @@ type MeshConfig struct {
 	// DurableSyncInterval is the background fsync period under
 	// durable.SyncInterval (the WAL default when 0).
 	DurableSyncInterval time.Duration
-	// Metrics, when set, receives the durable.* WAL metrics.
+	// Metrics, when set, receives the durable.* WAL metrics and, per codec
+	// batch transform, wire.encode.* (on a link's writer) and wire.decode.*
+	// (on a conn's reader): a seconds histogram and items, bytes.xml and
+	// bytes.wire counters, the batch's size before and after the codec.
 	Metrics *obs.Registry
 	// Flight, when set, records wal.* and handshake.refuse flight events.
 	Flight *obs.FlightRecorder
@@ -102,20 +88,21 @@ type MeshConfig struct {
 // Mesh is one node's endpoint in the super-peer network: a listener, a
 // named identity, and one managed Link per remote node. It owns the
 // connection lifecycle end to end — accepting and dialing conns, running
-// the Hello/Welcome handshake (version check, dictionary-seed agreement,
-// resume-cursor exchange), attaching conns to links, and
-// flushing tail acks — while the links themselves own sequencing, replay
-// and dispatch. Membership is static: inbound handshakes from node names
-// never registered via Connect are refused. All methods are safe for
-// concurrent use; Close is idempotent and waits for every mesh goroutine.
+// the Hello/Welcome handshake (version check and resume-cursor exchange),
+// attaching conns to links, and asking for tail acks — while the links
+// themselves own sequencing, replay, acks and dispatch. Membership is
+// static: inbound handshakes from node names never registered via Connect
+// are refused. All methods are safe for concurrent use; Close is idempotent
+// and waits for every mesh goroutine.
 type Mesh struct {
 	node    string
 	tr      Transport
 	ln      Listener
 	handler func(remote string, f *Frame)
 	window  int
-	seed    []string
-	obsWire func(op string, seconds float64, items, xmlBytes, wireBytes int)
+	// enc and dec are the wire.encode.* and wire.decode.* instruments, nil
+	// without a registry.
+	enc, dec *wireMetrics
 
 	durDir     string
 	durSync    durable.Sync
@@ -147,12 +134,6 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultLinkWindow
 	}
-	var seed []string
-	for _, name := range cfg.SeedNames {
-		if name != "" && !strings.Contains(name, ",") {
-			seed = append(seed, name)
-		}
-	}
 	if cfg.HandshakeTimeout == 0 {
 		cfg.HandshakeTimeout = 10 * time.Second
 	}
@@ -165,8 +146,8 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 		ln:         ln,
 		handler:    cfg.Handler,
 		window:     cfg.Window,
-		seed:       seed,
-		obsWire:    cfg.ObserveWire,
+		enc:        newWireMetrics(cfg.Metrics, "encode"),
+		dec:        newWireMetrics(cfg.Metrics, "decode"),
 		durDir:     cfg.DataDir,
 		durSync:    cfg.DurableSync,
 		durSyncInt: cfg.DurableSyncInterval,
@@ -318,11 +299,9 @@ func (m *Mesh) acceptLoop() {
 
 // handleIncoming runs the accepting half of the handshake: require a
 // version-matching Hello from a known remote — anything else is refused, with
-// the reason left in the flight recorder — agree on this conn's dictionary
-// seed (the dialer's list when it offered one, our own otherwise; the Welcome
-// carries the agreed list back and is authoritative for both sides), answer
-// with Welcome and our resume cursor, and attach the conn, with the codec
-// halves minted for it, to the remote's link.
+// the reason left in the flight recorder — answer with Welcome and our resume
+// cursor, and attach the conn to the remote's link, which mints fresh codec
+// halves for it.
 func (m *Mesh) handleIncoming(conn Conn) {
 	defer m.wg.Done()
 	if !m.trackPending(conn, true) {
@@ -358,14 +337,7 @@ func (m *Mesh) handleIncoming(conn Conn) {
 		m.refuse(f, "unknown node: membership is static") //nolint:errcheck // recorded; the dialer sees the close
 		return
 	}
-	seed := parseList(f.Options["dictseed"])
-	if len(seed) == 0 {
-		seed = m.seed
-	}
-	welcome := &Frame{
-		Type: FrameWelcome, Version: ProtocolVersion, Node: m.node,
-		Options: map[string]string{"caps.v": "1", "dictseed": formatList(seed)},
-	}
+	welcome := &Frame{Type: FrameWelcome, Version: ProtocolVersion, Node: m.node}
 	l.mu.Lock()
 	welcome.Resume = l.in.Next()
 	l.mu.Unlock()
@@ -375,7 +347,7 @@ func (m *Mesh) handleIncoming(conn Conn) {
 	conn.SetReadDeadline(time.Time{}) //nolint:errcheck // handshake deadline over; the reader arms its own
 	attached = true
 	l.mu.Lock()
-	l.attachLocked(conn, f.Resume, newConnCodec(seed))
+	l.attachLocked(conn, f.Resume)
 	l.mu.Unlock()
 }
 
@@ -406,10 +378,11 @@ func (m *Mesh) trackPending(conn Conn, add bool) bool {
 	return true
 }
 
-// ackerLoop is the safety tick behind the dispatchers' ack-on-idle: it is
-// what acks frames a reader accepts while its link's dispatcher is blocked
-// inside a handler (a cluster's next-run frames, parked until the next
-// runtime attaches), so that sender's window does not wait on the handler.
+// ackerLoop is the safety tick behind the dispatchers' ack-on-idle: it asks
+// for the ack of frames a reader accepts while its link's dispatcher is
+// blocked inside a handler (a cluster's next-run frames, parked until the
+// next runtime attaches), so that sender's window does not wait on the
+// handler.
 func (m *Mesh) ackerLoop() {
 	defer m.wg.Done()
 	ticker := time.NewTicker(2 * time.Millisecond)
@@ -420,7 +393,7 @@ func (m *Mesh) ackerLoop() {
 			return
 		case <-ticker.C:
 			for _, l := range m.Links() {
-				l.flushAck()
+				l.requestAck()
 			}
 		}
 	}
@@ -469,16 +442,24 @@ func (m *Mesh) WaitConnected(timeout time.Duration) error {
 	return nil
 }
 
-// WaitDrained acks every frame this node has accepted, so no remote's wait
-// on those acks outlives this node's mesh, then blocks until every link's
-// replay journal is empty — every sequenced frame sent has been accepted by
-// its remote — or the timeout elapses. Closed links, whose journals can no
-// longer drain, are skipped.
+// WaitDrained asks every link to ack every frame this node has accepted, so
+// no remote's wait on those acks outlives this node's mesh, then blocks
+// until every ack owed on an attached conn has been written and every
+// link's replay journal is empty — every sequenced frame sent has been
+// accepted by its remote — or the timeout elapses. Closed links, whose
+// journals can no longer drain, are skipped.
 func (m *Mesh) WaitDrained(timeout time.Duration) error {
 	for _, l := range m.Links() {
-		l.flushAck()
+		l.requestAck()
 	}
-	if _, depth := m.waitLinks(timeout, func(l *Link) int { return l.out.Depth() }); depth > 0 {
+	owing := func(l *Link) int {
+		n := l.out.Depth()
+		if l.conn != nil && l.ackOwed > l.ackSent {
+			n++
+		}
+		return n
+	}
+	if _, depth := m.waitLinks(timeout, owing); depth > 0 {
 		return fmt.Errorf("transport: links not drained: %d frames unacked", depth)
 	}
 	return nil

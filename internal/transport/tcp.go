@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"net"
-	"sync"
 	"time"
 )
 
@@ -47,14 +46,13 @@ func (l *tcpListener) Addr() string { return l.ln.Addr().String() }
 
 func (l *tcpListener) Close() error { return l.ln.Close() }
 
-// tcpConn frames one net.Conn. The write mutex makes WriteFrame atomic
-// per frame; reads are single-consumer (the link's reader goroutine).
+// tcpConn frames one net.Conn. It has one writer and one reader at a time
+// (a handshake half, then the link's writer and reader), so it takes no
+// lock of its own.
 type tcpConn struct {
 	c  net.Conn
 	br *bufio.Reader
-
-	wmu sync.Mutex
-	bw  *bufio.Writer
+	bw *bufio.Writer
 }
 
 func newTCPConn(c net.Conn) *tcpConn {
@@ -66,8 +64,6 @@ func newTCPConn(c net.Conn) *tcpConn {
 }
 
 func (c *tcpConn) WriteFrame(payload []byte) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
 	if err := WriteFramePayload(c.bw, payload); err != nil {
 		return err
 	}

@@ -31,9 +31,9 @@ type Listener interface {
 	Close() error
 }
 
-// Conn is one framed bidirectional connection. WriteFrame is atomic per
-// frame (implementations serialize concurrent writers), so whole frames
-// never interleave.
+// Conn is one framed bidirectional connection. A conn is written by its
+// handshake, then by its link's writer, never by both, and read likewise,
+// so implementations need not serialize callers.
 type Conn interface {
 	// WriteFrame sends one encoded frame payload, length-prefixed. The
 	// payload is not retained.

@@ -202,3 +202,46 @@ func TestWaitConnectedWakesOnAttach(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWaitDrainedWritesOwedAcks: once WaitDrained returns, every ack the
+// node owes on an attached conn has been written, so the node may close at
+// once and its peer's journal still drains — from the ack already on the
+// conn, with no acker tick of the closed node left to send one. The
+// receiver's handler holds each burst, so its dispatcher's idle ack cannot
+// send it either.
+func TestWaitDrainedWritesOwedAcks(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		tr := NewMem()
+		release := make(chan struct{})
+		var ca collector
+		ma, err := NewMesh(MeshConfig{Transport: tr, Node: "a", Handler: ca.handle})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mb, err := NewMesh(MeshConfig{Transport: tr, Node: "b", Handler: func(string, *Frame) { <-release }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ma.Connect("b", mb.Addr())
+		mb.Connect("a", ma.Addr())
+		if err := ma.WaitConnected(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		sendCtl(t, ma.Link("b"), 3)
+		lb := mb.Link("a")
+		waitFor(t, 5*time.Second, func() bool {
+			lb.mu.Lock()
+			defer lb.mu.Unlock()
+			return lb.in.Next() == 4
+		}, "burst accepted")
+		if err := mb.WaitDrained(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		close(release)
+		mb.Close()
+		if err := ma.WaitDrained(5 * time.Second); err != nil {
+			t.Fatalf("round %d: %v: the peer closed before writing the ack it owed", round, err)
+		}
+		ma.Close()
+	}
+}

@@ -85,10 +85,11 @@ func NewBinaryEncoder() *BinaryEncoder {
 	return &BinaryEncoder{ids: map[string]uint64{}}
 }
 
-// SeedShared pre-loads the dictionary with names the handshake agreed on
-// (see docs/WIRE.md), WITHOUT queueing deltas: the peer's decoder seeds the
-// identical list, so both tables assign the same ids out of band and
-// steady-state payloads carry no deltas for schema vocabulary. Must be
+// SeedShared pre-loads the dictionary with names agreed out of band, WITHOUT
+// queueing deltas: a decoder seeded with the identical list assigns the same
+// ids, so payloads carry no deltas for that vocabulary. Mesh conns never
+// seed (their dictionaries start empty, docs/WIRE.md §3.1); the benchmark's
+// codec kernel does. Must be
 // called on a fresh encoder, before any EncodeElems, exactly once. Empty
 // names and duplicates are skipped (mirrored by BinaryDecoder.SeedShared, so
 // the tables stay aligned even on a sloppy list).
@@ -203,7 +204,7 @@ func NewBinaryDecoder() *BinaryDecoder {
 	return &BinaryDecoder{}
 }
 
-// SeedShared appends the negotiated seed names to the dictionary, mirroring
+// SeedShared appends the agreed seed names to the dictionary, mirroring
 // BinaryEncoder.SeedShared: same list, fresh decoder, exactly once, with
 // empty names and duplicates skipped by identical rules so both tables end
 // byte-for-byte aligned.
