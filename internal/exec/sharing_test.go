@@ -8,6 +8,7 @@ import (
 	"streamshare/internal/photons"
 	"streamshare/internal/properties"
 	"streamshare/internal/testutil"
+	"streamshare/internal/wire"
 	"streamshare/internal/workload"
 	"streamshare/internal/wxquery"
 	"streamshare/internal/xmlstream"
@@ -38,6 +39,22 @@ func clones(items []*xmlstream.Element) []*xmlstream.Element {
 	out := make([]*xmlstream.Element, len(items))
 	for i, it := range items {
 		out[i] = it.Clone()
+	}
+	return out
+}
+
+// wireDecoded returns items as a peer decodes them off a link: encoded and
+// decoded in 64-item batches on one conn's codec pair.
+func wireDecoded(t *testing.T, items []*xmlstream.Element) []*xmlstream.Element {
+	t.Helper()
+	enc, dec := wire.NewBinaryEncoder(), wire.NewBinaryDecoder()
+	var out []*xmlstream.Element
+	for lo := 0; lo < len(items); lo += BatchSize {
+		batch, err := dec.DecodeElems(enc.EncodeElems(nil, items[lo:min(lo+BatchSize, len(items))]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, batch...)
 	}
 	return out
 }
@@ -90,42 +107,49 @@ func TestOperatorsLeaveInputsUntouched(t *testing.T) {
 		}
 	}
 
-	for i := range qs {
-		a := &qs[i]
-		twice(a.src, items, func() *Pipeline {
-			pl, err := FullPipeline(a.q, a.in, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return pl
-		})
-		// Everything that can be derived from a's canonical stream reads the
-		// very trees a's pipeline emitted, which in turn share with items.
-		var canon []*xmlstream.Element
-		for j := range qs {
-			b := &qs[j]
-			if i == j || !properties.MatchInput(a.out, b.in) {
-				continue
-			}
-			if canon == nil {
-				canon = CanonicalPipeline(a.out, nil).Run(items)
-			}
-			twice(a.src+" → "+b.src, canon, func() *Pipeline {
-				residual, err := ResidualPipeline(a.out, b.in, nil)
+	// The inputs run as built, and as a peer receives them: decoded from
+	// 64-item wire payloads, whose nodes share their batch's arrays.
+	for _, in := range []struct {
+		name  string
+		items []*xmlstream.Element
+	}{{"", items}, {"decoded: ", wireDecoded(t, items)}} {
+		for i := range qs {
+			a := &qs[i]
+			twice(in.name+a.src, in.items, func() *Pipeline {
+				pl, err := FullPipeline(a.q, a.in, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rs, err := RestructureFor(b.q, b.in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return NewPipeline(append(residual.Ops, rs)...)
+				return pl
 			})
+			// Everything that can be derived from a's canonical stream reads the
+			// very trees a's pipeline emitted, which in turn share with items.
+			var canon []*xmlstream.Element
+			for j := range qs {
+				b := &qs[j]
+				if i == j || !properties.MatchInput(a.out, b.in) {
+					continue
+				}
+				if canon == nil {
+					canon = CanonicalPipeline(a.out, nil).Run(in.items)
+				}
+				twice(in.name+a.src+" → "+b.src, canon, func() *Pipeline {
+					residual, err := ResidualPipeline(a.out, b.in, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rs, err := RestructureFor(b.q, b.in)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return NewPipeline(append(residual.Ops, rs)...)
+				})
+			}
 		}
+		twice(in.name+"sort-buffer", in.items, func() *Pipeline {
+			return NewPipeline(NewSortBuffer(xmlstream.ParsePath("det_time"), 8))
+		})
 	}
-	twice("sort-buffer", items, func() *Pipeline {
-		return NewPipeline(NewSortBuffer(xmlstream.ParsePath("det_time"), 8))
-	})
 	for _, kind := range []string{
 		"select", "project", "window-agg", "agg-filter", "window-contents", "window-merge",
 		"remap", "restructure", "sort-buffer",

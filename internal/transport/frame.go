@@ -187,7 +187,7 @@ func EncodeFrame(f *Frame) []byte { return AppendFrame(nil, f) }
 
 // DecodeFrame parses one frame payload. The returned frame's byte-slice
 // fields alias b; callers that retain the frame past the buffer's life
-// must copy (a Batch's element trees are freshly parsed and alias nothing).
+// must copy (a Batch's element trees alias nothing: xmlstream.UnmarshalBytes).
 // Malformed input, an item that is not XML included, returns ErrFrame
 // (wrapped with detail).
 func DecodeFrame(b []byte) (*Frame, error) {

@@ -211,8 +211,9 @@ func (l *Link) appendWire(dst []byte, f *Frame, enc *wire.BinaryEncoder, sum *Li
 
 // decodeBatch rewrites an inbound BatchBin frame into a plain Batch of
 // element trees in place, through the reading conn's own decoder; canonical
-// bytes are priced (MarshalSize) but never built. The trees are freshly
-// allocated, so the frame may outlive the conn's read buffer. It runs on
+// bytes are priced (MarshalSize) but never built. The trees alias no byte
+// of the payload, so the frame may outlive the conn's read buffer; they
+// share their batch's arrays (wire.BinaryDecoder.DecodeElems). It runs on
 // the conn's reader for every BatchBin in arrival order, duplicates
 // included, because each payload may extend the conn's dictionary.
 func (l *Link) decodeBatch(f *Frame, dec *wire.BinaryDecoder) (xmlBytes int, err error) {

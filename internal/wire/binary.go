@@ -225,9 +225,11 @@ func (d *BinaryDecoder) SeedShared(names []string) {
 	}
 }
 
-// DecodeElems parses one payload into freshly allocated element trees.
-// Malformed input returns an error without panicking and without allocating
-// beyond MaxDecodedBytes, and rolls the dictionary back to its pre-payload
+// DecodeElems parses one payload into element trees. The trees alias no
+// byte of payload; the nodes of one payload share backing arrays (an
+// xmlstream.Slab), so one tree kept pins its batch. Malformed input returns
+// an error without panicking, and is found by a pass that allocates nothing
+// before any tree is built; the dictionary rolls back to its pre-payload
 // state, so the same payload can be decoded again after a transport replay.
 func (d *BinaryDecoder) DecodeElems(payload []byte) ([]*xmlstream.Element, error) {
 	n0 := len(d.names)
@@ -245,6 +247,11 @@ func (d *BinaryDecoder) DecodeElems(payload []byte) ([]*xmlstream.Element, error
 type cursor struct{ b []byte }
 
 func (c *cursor) uvarint() (uint64, error) {
+	if len(c.b) > 0 && c.b[0] < 0x80 { // most heads and lengths
+		v := uint64(c.b[0])
+		c.b = c.b[1:]
+		return v, nil
+	}
 	v, n := binary.Uvarint(c.b)
 	if n <= 0 {
 		return 0, fmt.Errorf("%w: bad uvarint", ErrBinary)
@@ -311,78 +318,110 @@ func (d *BinaryDecoder) decodeElems(payload []byte) ([]*xmlstream.Element, error
 	if err != nil {
 		return nil, err
 	}
-	items := make([]*xmlstream.Element, 0, min(nItems, 4096))
+	body := c.b
+	var sz size
 	budget := MaxDecodedBytes
 	for i := 0; i < nItems; i++ {
-		el, err := d.decodeNode(c, 0, &budget)
-		if err != nil {
+		if err := d.measure(c, 0, &budget, &sz); err != nil {
 			return nil, err
 		}
-		items = append(items, el)
 	}
 	if len(c.b) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBinary, len(c.b))
 	}
+	c.b = body
+	slab := xmlstream.NewSlab(sz.nodes, sz.kids, sz.text)
+	items := make([]*xmlstream.Element, nItems)
+	for i := range items {
+		if items[i], err = d.build(c, &slab); err != nil {
+			return nil, err
+		}
+	}
 	return items, nil
 }
 
-// decodeNode reconstructs one node; depth 0 allows the raw-blob kind, which
-// is only legal at item top level.
-func (d *BinaryDecoder) decodeNode(c *cursor, depth int, budget *int) (*xmlstream.Element, error) {
+// size is what building a payload's trees takes from its slab.
+type size struct{ nodes, kids, text int }
+
+// measure checks one node against every rule of the grammar and adds what
+// building it takes to sz, allocating nothing. depth 0 allows the raw-blob
+// kind, which is only legal at item top level; a raw item takes nothing
+// from the payload's slab.
+func (d *BinaryDecoder) measure(c *cursor, depth int, budget *int, sz *size) error {
 	if depth > maxNodeDepth {
-		return nil, fmt.Errorf("%w: nesting deeper than %d", ErrBinary, maxNodeDepth)
+		return fmt.Errorf("%w: nesting deeper than %d", ErrBinary, maxNodeDepth)
 	}
 	head, err := c.uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	kind, id := head&3, head>>2
 	if kind == kindRaw {
 		if depth > 0 || id != 0 {
-			return nil, fmt.Errorf("%w: raw blob outside item top level", ErrBinary)
+			return fmt.Errorf("%w: raw blob outside item top level", ErrBinary)
 		}
-		blob, err := c.blob()
+		_, err := c.blob()
+		return err
+	}
+	if id >= uint64(len(d.names)) {
+		return fmt.Errorf("%w: name id %d outside dictionary of %d", ErrBinary, id, len(d.names))
+	}
+	if *budget -= 2*len(d.names[id]) + 5; *budget < 0 {
+		return fmt.Errorf("%w: decoded batch exceeds %d bytes", ErrBinary, MaxDecodedBytes)
+	}
+	sz.nodes++
+	switch kind {
+	case kindText:
+		text, err := c.blob()
+		sz.text += len(text)
+		return err
+	case kindTree:
+		children, err := c.count()
 		if err != nil {
-			return nil, err
+			return err
 		}
+		if children == 0 {
+			return fmt.Errorf("%w: interior node with no children", ErrBinary)
+		}
+		sz.kids += children
+		for i := 0; i < children; i++ {
+			if err := d.measure(c, depth+1, budget, sz); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// build decodes one node that measure accepted, from the payload's slab.
+// measure checked every head, count and length, so only a raw item's XML
+// can still be refused.
+func (d *BinaryDecoder) build(c *cursor, s *xmlstream.Slab) (*xmlstream.Element, error) {
+	head, _ := c.uvarint()
+	if head&3 == kindRaw {
+		blob, _ := c.blob()
 		el, err := xmlstream.UnmarshalBytes(blob)
 		if err != nil {
 			return nil, fmt.Errorf("%w: raw item: %v", ErrBinary, err)
 		}
 		return el, nil
 	}
-	if id >= uint64(len(d.names)) {
-		return nil, fmt.Errorf("%w: name id %d outside dictionary of %d", ErrBinary, id, len(d.names))
-	}
-	name := d.names[id]
-	if *budget -= 2*len(name) + 5; *budget < 0 {
-		return nil, fmt.Errorf("%w: decoded batch exceeds %d bytes", ErrBinary, MaxDecodedBytes)
-	}
-	el := &xmlstream.Element{Name: name}
-	switch kind {
-	case kindEmpty:
+	name := d.names[head>>2]
+	switch head & 3 {
 	case kindText:
-		text, err := c.blob()
-		if err != nil {
-			return nil, err
-		}
-		el.Text = string(text)
+		text, _ := c.blob()
+		return s.Node(name, s.Text(text), nil), nil
 	case kindTree:
-		children, err := c.count()
-		if err != nil {
-			return nil, err
-		}
-		if children == 0 {
-			return nil, fmt.Errorf("%w: interior node with no children", ErrBinary)
-		}
-		el.Children = make([]*xmlstream.Element, 0, children)
-		for i := 0; i < children; i++ {
-			ch, err := d.decodeNode(c, depth+1, budget)
+		n, _ := c.count()
+		kids := s.Children(n)
+		for i := 0; i < n; i++ {
+			ch, err := d.build(c, s)
 			if err != nil {
 				return nil, err
 			}
-			el.Children = append(el.Children, ch)
+			kids = append(kids, ch)
 		}
+		return s.Node(name, "", kids), nil
 	}
-	return el, nil
+	return s.Node(name, "", nil), nil
 }

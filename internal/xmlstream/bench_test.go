@@ -1,6 +1,7 @@
 package xmlstream
 
 import (
+	goruntime "runtime"
 	"strings"
 	"testing"
 )
@@ -41,6 +42,9 @@ func BenchmarkDecodeStream(b *testing.B) {
 	doc := sb.String()
 	b.SetBytes(int64(len(doc)))
 	b.ReportAllocs()
+	var m0, m1 goruntime.MemStats
+	goruntime.ReadMemStats(&m0)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := NewDecoder(strings.NewReader(doc))
 		for {
@@ -49,6 +53,10 @@ func BenchmarkDecodeStream(b *testing.B) {
 			}
 		}
 	}
+	b.StopTimer()
+	goruntime.ReadMemStats(&m1)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64), "ns/item")
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(b.N*64), "allocs/item")
 }
 
 func BenchmarkFind(b *testing.B) {

@@ -1,6 +1,7 @@
 package xmlstream
 
 import (
+	"bytes"
 	"sync"
 )
 
@@ -112,15 +113,16 @@ func internName(b []byte) string {
 }
 
 // UnmarshalBytes parses a single serialized stream item. Canonical input
-// (parseCanonical has the grammar; Marshal/AppendMarshal output is canonical
+// (canon.item has the grammar; Marshal/AppendMarshal output is canonical
 // whenever the tree's names and text are) is handled by the allocation-light
-// scanner; anything else falls back to Unmarshal, so UnmarshalBytes accepts
-// exactly what Unmarshal accepts and returns an Equal tree. The returned
-// tree is freshly allocated and owned by the caller; b is not retained.
+// scanner, which builds the tree in one slab; anything else falls back to
+// Unmarshal, so UnmarshalBytes accepts exactly what Unmarshal accepts and
+// returns an Equal tree. The tree aliases nothing of b.
 func UnmarshalBytes(b []byte) (*Element, error) {
+	p := canon{slab: windowSlab(b, len(b))}
 	// Trailing whitespace is tolerated, any other trailing content is not
 	// canonical.
-	if e, pos, st := parseCanonical(b, 0); st == scanOK && allSpace(b[pos:]) {
+	if e, pos, st := p.item(b, 0); st == scanOK && allSpace(b[pos:]) {
 		return e, nil
 	}
 	return Unmarshal(string(b))
@@ -194,10 +196,28 @@ func scanClose(b []byte, pos int, name string) (next int, st scan) {
 	return end + 1, scanOK
 }
 
-// parseCanonical parses one element starting at b[pos] (after optional
-// whitespace). It is the one scanner behind UnmarshalBytes and the Decoder's
-// fast lane, and accepts only what encoding/xml decodes to the identical
-// tree, with or without attribute conversion:
+// canon is the canonical scanner's state over one input window: the slab
+// the window's trees are built from, the text bytes of the item being
+// scanned, and the children scanned so far whose parents have not closed.
+type canon struct {
+	slab  Slab
+	text  int
+	stack []*Element
+}
+
+// windowSlab sizes a slab for the elements the canonical scanner can build
+// from b. Each element's tags hold one '<' that opens it and one '/' that
+// closes it (in "</" or "/>"), so the rarer byte bounds the count, and every
+// element but the first of an item is a child.
+func windowSlab(b []byte, text int) Slab {
+	n := min(bytes.Count(b, []byte{'<'}), bytes.Count(b, []byte{'/'}))
+	return NewSlab(n, n-1, text)
+}
+
+// item scans one element starting at b[pos] (after optional whitespace).
+// It is the one entry to the scanner behind UnmarshalBytes and the
+// Decoder's fast lane, which accepts only what encoding/xml decodes to the
+// identical tree, with or without attribute conversion:
 //
 //   - tags are exactly <name>, </name> or <name/> — no attributes, no
 //     whitespace inside a tag, no comments, PIs, CDATA or declarations;
@@ -211,8 +231,14 @@ func scanClose(b []byte, pos int, name string) (next int, st scan) {
 //     whitespace may appear.
 //
 // scanBail reports the first deviation, scanMore a window that ends before
-// the element does.
-func parseCanonical(b []byte, pos int) (*Element, int, scan) {
+// the element does. An element is built when it closes, so everything it
+// takes from the slab lies inside b.
+func (p *canon) item(b []byte, pos int) (*Element, int, scan) {
+	p.text, p.stack = 0, p.stack[:0]
+	return p.element(b, pos)
+}
+
+func (p *canon) element(b []byte, pos int) (*Element, int, scan) {
 	for pos < len(b) && isSpace(b[pos]) {
 		pos++
 	}
@@ -236,13 +262,13 @@ func parseCanonical(b []byte, pos int) (*Element, int, scan) {
 		if b[pos+1] != '>' {
 			return nil, pos, scanBail
 		}
-		return &Element{Name: name}, pos + 2, scanOK
+		return p.slab.Node(name, "", nil), pos + 2, scanOK
 	}
 	if b[pos] != '>' {
 		return nil, pos, scanBail
 	}
 	pos++
-	e := &Element{Name: name}
+	mark := len(p.stack)
 	textStart := pos
 	// text: a non-blank byte was seen; cr: a \r followed it, so one more
 	// non-blank byte would put the \r inside the trimmed text.
@@ -260,7 +286,7 @@ func parseCanonical(b []byte, pos int) (*Element, int, scan) {
 			case k&inSpace != 0:
 				cr = cr || (text && c == '\r')
 			case k&inText != 0:
-				if cr || len(e.Children) > 0 {
+				if cr || len(p.stack) > mark {
 					return nil, pos, scanBail
 				}
 				text = true
@@ -277,37 +303,28 @@ func parseCanonical(b []byte, pos int) (*Element, int, scan) {
 			if st != scanOK {
 				return nil, pos, st
 			}
-			if len(e.Children) == 0 {
-				e.Text = trimmedText(b[textStart:pos])
+			kids := p.stack[mark:]
+			if len(kids) == 0 {
+				// Trimming mirrors the standard decoder's
+				// strings.TrimSpace on leaf content.
+				t := p.slab.Text(bytes.TrimSpace(b[textStart:pos]))
+				p.text += len(t)
+				return p.slab.Node(name, t, nil), next, scanOK
 			}
+			e := p.slab.Node(name, "", append(p.slab.Children(len(kids)), kids...))
+			p.stack = p.stack[:mark]
 			return e, next, scanOK
 		}
 		if text {
 			return nil, pos, scanBail
 		}
-		c, next, st := parseCanonical(b, pos)
+		c, next, st := p.element(b, pos)
 		if st != scanOK {
 			return nil, next, st
 		}
-		e.Children = append(e.Children, c)
+		p.stack = append(p.stack, c)
 		pos = next
 	}
-}
-
-// trimmedText mirrors the standard decoder's strings.TrimSpace on leaf
-// content, allocating only when text is present.
-func trimmedText(b []byte) string {
-	i, j := 0, len(b)
-	for i < j && isSpace(b[i]) {
-		i++
-	}
-	for j > i && isSpace(b[j-1]) {
-		j--
-	}
-	if i == j {
-		return ""
-	}
-	return string(b[i:j])
 }
 
 func allSpace(b []byte) bool {

@@ -21,20 +21,26 @@ var ErrNoRoot = errors.New("xmlstream: no root element")
 //
 // A document starts in the fast lane: the root tag and then each item are
 // scanned straight out of a read window by the canonical scanner
-// (parseCanonical has the grammar). The window starts at a few KB and grows
+// (canon.item has the grammar). The window starts at a few KB and grows
 // only when a single item does not fit, so to the largest item and no
 // further; an item that straddles its end is scanned again after the next
-// read, not handed over. At the first byte outside the
-// canonical grammar — an attribute, a comment, an entity reference, a
-// non-ASCII byte, mixed content, a malformed tag, or input that ends early —
-// the unread remainder of the document goes to encoding/xml, once and for
-// the rest of the document, so every document decodes to what encoding/xml
-// alone would yield and is rejected exactly when it would reject it.
+// read, not handed over. The items of one window are built in one Slab.
+// At the first byte outside the canonical grammar — an attribute, a
+// comment, an entity reference, a non-ASCII byte, mixed content, a
+// malformed tag, or input that ends early — the unread remainder of the
+// document goes to encoding/xml, once and for the rest of the document, so
+// every document decodes to what encoding/xml alone would yield and is
+// rejected exactly when it would reject it.
 type Decoder struct {
 	r   io.Reader
 	win []byte // fast-lane read window; win[pos:] is unread
 	pos int
+	p   canon        // the scanner and the current window's slab
 	d   *xml.Decoder // set when the document leaves the fast lane
+
+	// Text and total bytes of the items scanned so far, the ratio that
+	// sizes the next window's text chunk.
+	textBytes, itemBytes int
 
 	root   string
 	opened bool
@@ -120,17 +126,20 @@ func (s *Decoder) scan() (*Element, scan) {
 		}
 		return nil, st
 	}
-	e, next, st := parseCanonical(b, p)
+	e, next, st := s.p.item(b, p)
 	if st == scanOK {
 		s.pos = next
+		s.textBytes += s.p.text
+		s.itemBytes += next - p
 	}
 	return e, st
 }
 
 // fill moves the unread remainder to the front of the window, doubling the
-// window when the remainder fills it, and reads once more from the source.
-// It reports whether the window gained anything; false means the source is
-// exhausted or failed, and further reads repeat its error.
+// window when the remainder fills it, and reads once more from the source
+// into a window with a new slab. It reports whether the window gained
+// anything; false means the source is exhausted or failed, and further
+// reads repeat its error.
 func (s *Decoder) fill() bool {
 	rest := s.win[s.pos:]
 	if len(rest) == cap(s.win) {
@@ -145,8 +154,16 @@ func (s *Decoder) fill() bool {
 		if err != nil {
 			s.r = errReader{err}
 		}
-		if n > 0 || err != nil {
-			return n > 0
+		if n > 0 {
+			text := len(s.win) / 4
+			if s.itemBytes > 0 {
+				text = int(float64(len(s.win)) * float64(s.textBytes) / float64(s.itemBytes))
+			}
+			s.p.slab = windowSlab(s.win, text)
+			return true
+		}
+		if err != nil {
+			return false
 		}
 	}
 	s.r = errReader{io.ErrNoProgress}
