@@ -6,6 +6,7 @@ import (
 	"streamshare/internal/core"
 	"streamshare/internal/network"
 	"streamshare/internal/scenario"
+	"streamshare/internal/testutil"
 	"streamshare/internal/xmlstream"
 )
 
@@ -41,25 +42,50 @@ func populateGrid(b testing.TB, newEngine newEngineFunc) (*core.Engine, *scenari
 // pass the first measured cycles would still be paying one-time misses.
 func benchmarkControlPlane(b *testing.B, newEngine newEngineFunc) {
 	eng, s := populateGrid(b, newEngine)
-	for _, q := range s.Queries {
-		sub, err := eng.Subscribe(q.Src, q.Target, core.StreamSharing)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := eng.Unsubscribe(sub.ID); err != nil {
-			b.Fatal(err)
-		}
+	for i := range s.Queries {
+		controlCycle(b, eng, s, i)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q := s.Queries[i%len(s.Queries)]
-		sub, err := eng.Subscribe(q.Src, q.Target, core.StreamSharing)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := eng.Unsubscribe(sub.ID); err != nil {
-			b.Fatal(err)
-		}
+		controlCycle(b, eng, s, i)
+	}
+}
+
+// controlCycle subscribes the i-th query (modulo the query set) and
+// unsubscribes it again.
+func controlCycle(tb testing.TB, eng *core.Engine, s *scenario.Scenario, i int) {
+	q := s.Queries[i%len(s.Queries)]
+	sub, err := eng.Subscribe(q.Src, q.Target, core.StreamSharing)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := eng.Unsubscribe(sub.ID); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestAllocBudgetSubscribe pins what one warm subscribe+unsubscribe cycle
+// allocates against the ScaleGrid(6, 256) population, so pricing cannot go
+// back to allocating per candidate: losing candidates are priced in the
+// planner's costing scratch, routes come resolved from the route cache, and
+// the engine holds its metric and gauge handles.
+func TestAllocBudgetSubscribe(t *testing.T) {
+	if testutil.Race {
+		t.Skip("the race detector allocates")
+	}
+	eng, s := populateGrid(t, core.NewEngine)
+	for i := range s.Queries { // one warm pass, as the benchmark runs
+		controlCycle(t, eng, s, i)
+	}
+	i := 0
+	got := testing.AllocsPerRun(len(s.Queries), func() {
+		controlCycle(t, eng, s, i)
+		i++
+	})
+	t.Logf("one subscribe+unsubscribe cycle on ScaleGrid(6, 256): %.0f allocations", got)
+	const budget = 400 // measured 305 (757 with pricing allocating per candidate)
+	if got > budget {
+		t.Errorf("a subscribe+unsubscribe cycle allocates %.0f objects, budget %d", got, budget)
 	}
 }
 

@@ -188,6 +188,41 @@ type Engine struct {
 	// Analytic running usage, kept in sync with installed plans.
 	linkUse map[network.LinkID]float64 // bytes/second
 	peerUse map[network.PeerID]float64 // work units/second
+	// linkGauge/peerGauge hold the gauge publishUse mirrors each entry of
+	// linkUse/peerUse into, resolved on the entry's first publication.
+	linkGauge map[network.LinkID]*obs.Gauge
+	peerGauge map[network.PeerID]*obs.Gauge
+
+	m engineMetrics
+}
+
+// engineMetrics holds the control plane's metric handles, resolved once at
+// construction: every Subscribe and Unsubscribe reports to them, and a
+// registry lookup by name per call cost more than the report.
+type engineMetrics struct {
+	subTotal, subInstalled, subRejected, subErrors *obs.Counter
+	visited, candidates, messages                  *obs.Counter
+	unsubTotal, released                           *obs.Counter
+	computeSeconds, planCost                       *obs.Histogram
+	deployed, active                               *obs.Gauge
+}
+
+func newEngineMetrics(reg *obs.Registry) engineMetrics {
+	return engineMetrics{
+		subTotal:       reg.Counter("core.subscribe.total"),
+		subInstalled:   reg.Counter("core.subscribe.installed"),
+		subRejected:    reg.Counter("core.subscribe.rejected"),
+		subErrors:      reg.Counter("core.subscribe.errors"),
+		visited:        reg.Counter("core.discovery.visited"),
+		candidates:     reg.Counter("core.discovery.candidates"),
+		messages:       reg.Counter("core.control.messages"),
+		unsubTotal:     reg.Counter("core.unsubscribe.total"),
+		released:       reg.Counter("core.streams.released"),
+		computeSeconds: reg.Histogram("core.subscribe.compute_seconds", obs.ExpBuckets(1e-6, 10, 8)),
+		planCost:       reg.Histogram("core.plan.cost", obs.ExpBuckets(1e-8, 10, 12)),
+		deployed:       reg.Gauge("core.streams.deployed"),
+		active:         reg.Gauge("core.subscriptions.active"),
+	}
 }
 
 // NewEngine returns an engine over the given topology.
@@ -207,6 +242,9 @@ func NewEngine(net *network.Network, cfg Config) *Engine {
 		origStats: map[string]*stats.Stream{},
 		linkUse:   map[network.LinkID]float64{},
 		peerUse:   map[network.PeerID]float64{},
+		linkGauge: map[network.LinkID]*obs.Gauge{},
+		peerGauge: map[network.PeerID]*obs.Gauge{},
+		m:         newEngineMetrics(cfg.Obs.Metrics),
 	}
 	e.planner = plan.New(net, e, plan.Options{
 		Model:     cfg.Model,
@@ -247,7 +285,7 @@ func (e *Engine) RegisterStream(name string, itemPath xmlstream.Path, at network
 	e.deployed = append(e.deployed, d)
 	e.planner.Install(d)
 	e.obs.Metrics.Counter("core.streams.registered").Inc()
-	e.obs.Metrics.Gauge("core.streams.deployed").Set(float64(len(e.deployed)))
+	e.m.deployed.Set(float64(len(e.deployed)))
 	return d, nil
 }
 
@@ -257,16 +295,26 @@ func (e *Engine) Obs() *obs.Observer { return e.obs }
 
 // publishUse mirrors the analytic reserved usage into per-link and per-peer
 // gauges so snapshots show the current bandwidth/load reservation state.
+// Each gauge is resolved by name once, on its entry's first publication.
 func (e *Engine) publishUse() {
-	reg := e.obs.Metrics
 	for l, b := range e.linkUse {
-		reg.Gauge("core.link_use." + l.String()).Set(b)
+		g := e.linkGauge[l]
+		if g == nil {
+			g = e.obs.Metrics.Gauge("core.link_use." + l.String())
+			e.linkGauge[l] = g
+		}
+		g.Set(b)
 	}
 	for p, w := range e.peerUse {
-		reg.Gauge("core.peer_use." + string(p)).Set(w)
+		g := e.peerGauge[p]
+		if g == nil {
+			g = e.obs.Metrics.Gauge("core.peer_use." + string(p))
+			e.peerGauge[p] = g
+		}
+		g.Set(w)
 	}
-	reg.Gauge("core.streams.deployed").Set(float64(len(e.deployed)))
-	reg.Gauge("core.subscriptions.active").Set(float64(len(e.subs)))
+	e.m.deployed.Set(float64(len(e.deployed)))
+	e.m.active.Set(float64(len(e.subs)))
 }
 
 // RepairFuzzyOrder attaches a fixed-size sort buffer to an original stream

@@ -28,8 +28,7 @@ func (e *Engine) Subscribe(src string, target network.PeerID, strat Strategy) (*
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	started := time.Now()
-	reg := e.obs.Metrics
-	reg.Counter("core.subscribe.total").Inc()
+	e.m.subTotal.Inc()
 	dt := &obs.DecisionTrace{
 		SubID:    fmt.Sprintf("q%d", e.subSeq+1),
 		Strategy: strat.String(),
@@ -41,9 +40,9 @@ func (e *Engine) Subscribe(src string, target network.PeerID, strat Strategy) (*
 		dt.Duration = time.Since(started)
 		e.obs.Tracer.Record(dt)
 		if errors.Is(err, ErrRejected) {
-			reg.Counter("core.subscribe.rejected").Inc()
+			e.m.subRejected.Inc()
 		} else {
-			reg.Counter("core.subscribe.errors").Inc()
+			e.m.subErrors.Inc()
 		}
 		return nil, err
 	}
@@ -99,15 +98,13 @@ func (e *Engine) Subscribe(src string, target network.PeerID, strat Strategy) (*
 		e.journal(CatalogOp{Kind: CatalogSubscribe, ID: sub.ID, Query: src, Target: target, Strategy: strat})
 	}
 
-	reg.Counter("core.subscribe.installed").Inc()
-	reg.Counter("core.discovery.visited").Add(float64(sub.Reg.Visited))
-	reg.Counter("core.discovery.candidates").Add(float64(sub.Reg.Candidates))
-	reg.Counter("core.control.messages").Add(float64(sub.Reg.Messages))
-	reg.Histogram("core.subscribe.compute_seconds", obs.ExpBuckets(1e-6, 10, 8)).
-		Observe(sub.Reg.Compute.Seconds())
-	costHist := reg.Histogram("core.plan.cost", obs.ExpBuckets(1e-8, 10, 12))
+	e.m.subInstalled.Inc()
+	e.m.visited.Add(float64(sub.Reg.Visited))
+	e.m.candidates.Add(float64(sub.Reg.Candidates))
+	e.m.messages.Add(float64(sub.Reg.Messages))
+	e.m.computeSeconds.Observe(sub.Reg.Compute.Seconds())
 	for _, p := range plans {
-		costHist.Observe(p.cand.Cost)
+		e.m.planCost.Observe(p.cand.Cost)
 	}
 	e.publishUse()
 	return sub, nil

@@ -32,7 +32,7 @@ func (e *Engine) Unsubscribe(id string) error {
 	if e.journal != nil {
 		e.journal(CatalogOp{Kind: CatalogUnsubscribe, ID: id})
 	}
-	e.obs.Metrics.Counter("core.unsubscribe.total").Inc()
+	e.m.unsubTotal.Inc()
 	e.publishUse()
 	return nil
 }
@@ -44,7 +44,7 @@ func (e *Engine) release(d *Deployed) {
 		return
 	}
 	if e.removeDeployed(d) {
-		e.obs.Metrics.Counter("core.streams.released").Inc()
+		e.m.released.Inc()
 	}
 	e.withdraw(d)
 	e.release(d.Parent)

@@ -10,14 +10,50 @@ import (
 	"streamshare/internal/properties"
 )
 
-// RouteCache memoizes minimum-hop shortest paths, including negative
-// results (unreachable pairs). Any topology mutation clears it wholesale —
-// the planner wires Clear into Network.OnChange — so a cached path is always
-// a path over the current live topology. It is safe for concurrent use: a
+// Route is a minimum-hop path resolved against the topology it was computed
+// on: the peers and links costing prices, and the peer names a trace row
+// shows. Resolving it once per topology leaves costing a candidate with
+// pointer reads instead of topology lookups. A Route is shared between
+// callers and must not be mutated.
+type Route struct {
+	IDs   []network.PeerID
+	Peers []*network.Peer
+	// Links[i] joins IDs[i] and IDs[i+1]; its ID is the canonical LinkID.
+	Links []*network.Link
+	// Names spells IDs for decision traces, which alias it.
+	Names []string
+}
+
+// resolveRoute resolves a path of peer ids against the topology; nil stays
+// nil (unreachable).
+func resolveRoute(net *network.Network, ids []network.PeerID) *Route {
+	if ids == nil {
+		return nil
+	}
+	r := &Route{
+		IDs:   ids,
+		Peers: make([]*network.Peer, len(ids)),
+		Links: make([]*network.Link, len(ids)-1),
+		Names: make([]string, len(ids)),
+	}
+	for i, v := range ids {
+		r.Peers[i], r.Names[i] = net.Peer(v), string(v)
+		if i > 0 {
+			r.Links[i-1] = net.Link(ids[i-1], v)
+		}
+	}
+	return r
+}
+
+// RouteCache memoizes minimum-hop shortest paths, resolved (Route), including
+// negative results (unreachable pairs). Any topology mutation — capacity and
+// bandwidth changes included — clears it wholesale: the planner wires Clear
+// into Network.OnChange, so a cached route is always a path over the current
+// live topology and never outlives it. It is safe for concurrent use: a
 // topology change can fire Clear outside the engine's control-plane lock.
 type RouteCache struct {
 	mu        sync.Mutex
-	paths     map[[2]network.PeerID][]network.PeerID
+	paths     map[[2]network.PeerID]*Route
 	hit, miss *obs.Counter
 }
 
@@ -27,36 +63,36 @@ type RouteCache struct {
 // than the hit saves.
 func NewRouteCache(reg *obs.Registry) *RouteCache {
 	return &RouteCache{
-		paths: map[[2]network.PeerID][]network.PeerID{},
+		paths: map[[2]network.PeerID]*Route{},
 		hit:   reg.Counter("plan.cache.route.hit"),
 		miss:  reg.Counter("plan.cache.route.miss"),
 	}
 }
 
-// Path returns the minimum-hop path from a to b over the live topology
-// (nil when unreachable), computing and memoizing it on first use. The
-// returned slice is shared between callers and must not be mutated.
-func (c *RouteCache) Path(net *network.Network, a, b network.PeerID) []network.PeerID {
+// Path returns the resolved minimum-hop route from a to b over the live
+// topology (nil when unreachable), computing and memoizing it on first use.
+// The returned route is shared between callers and must not be mutated.
+func (c *RouteCache) Path(net *network.Network, a, b network.PeerID) *Route {
 	key := [2]network.PeerID{a, b}
 	c.mu.Lock()
-	p, ok := c.paths[key]
+	r, ok := c.paths[key]
 	c.mu.Unlock()
 	if ok {
 		c.hit.Inc()
-		return p
+		return r
 	}
 	c.miss.Inc()
-	p = net.ShortestPath(a, b)
+	r = resolveRoute(net, net.ShortestPath(a, b))
 	c.mu.Lock()
-	c.paths[key] = p
+	c.paths[key] = r
 	c.mu.Unlock()
-	return p
+	return r
 }
 
-// Clear drops every memoized path. Called on every topology change.
+// Clear drops every memoized route. Called on every topology change.
 func (c *RouteCache) Clear() {
 	c.mu.Lock()
-	c.paths = map[[2]network.PeerID][]network.PeerID{}
+	c.paths = map[[2]network.PeerID]*Route{}
 	c.mu.Unlock()
 }
 

@@ -11,11 +11,16 @@
 //     maintained incrementally on install/uninstall and rebuilt on widening
 //     rewires) instead of a scan over every deployed stream at every
 //     visited peer;
-//   - a route cache memoizing shortest paths, invalidated wholesale by the
-//     network's OnChange events;
+//   - a route cache memoizing shortest paths resolved against the topology
+//     (peer and link pointers, trace names), invalidated wholesale by the
+//     network's OnChange events — costing reads pointers, never a topology
+//     map;
 //   - a match cache memoizing properties.MatchInput outcomes, mismatch
 //     explanations and residual operator lists, keyed by canonical input
-//     fingerprints (properties are immutable once built).
+//     fingerprints (properties are immutable once built);
+//   - one costing scratch per planner: every matched stream is priced into
+//     it, and only the candidate that becomes the incumbent is copied out,
+//     so pricing a loser allocates nothing.
 //
 // Reference (reference.go) answers the same lookups by brute force; it is
 // the oracle the equivalence tests hold the index and the caches to.
@@ -24,6 +29,7 @@ package plan
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"streamshare/internal/cost"
@@ -170,6 +176,9 @@ type Candidate struct {
 	// (§6's stream-widening extension).
 	Widen *Widening
 
+	// route is Route resolved against the topology; costing reads its peer
+	// and link pointers and the trace row aliases its names.
+	route *Route
 	// linkAdds/peerAdds accumulate the usage additions in first-touch order
 	// during costing (after a widening candidate's rewiring delta, in key
 	// order); materialize() folds them into the public maps.
@@ -180,13 +189,25 @@ type Candidate struct {
 }
 
 type linkAdd struct {
-	id network.LinkID
-	b  float64
+	link *network.Link
+	b    float64
 }
 
 type peerAdd struct {
-	id network.PeerID
-	w  float64
+	peer *network.Peer
+	w    float64
+}
+
+// clone copies a candidate out of the planner's costing scratch: the
+// accumulators and usage slices get their own storage, the route and the
+// operator names stay shared (both are immutable).
+func (c *Candidate) clone() *Candidate {
+	k := *c
+	k.linkAdds = slices.Clone(c.linkAdds)
+	k.peerAdds = slices.Clone(c.peerAdds)
+	k.Usage.Links = slices.Clone(c.Usage.Links)
+	k.Usage.Peers = slices.Clone(c.Usage.Peers)
+	return &k
 }
 
 // materialize builds the public LinkAdd/PeerAdd maps from the costing
@@ -195,11 +216,11 @@ type peerAdd struct {
 func (c *Candidate) materialize() {
 	c.LinkAdd = make(map[network.LinkID]float64, len(c.linkAdds))
 	for _, la := range c.linkAdds {
-		c.LinkAdd[la.id] += la.b
+		c.LinkAdd[la.link.ID] += la.b
 	}
 	c.PeerAdd = make(map[network.PeerID]float64, len(c.peerAdds))
 	for _, pa := range c.peerAdds {
-		c.PeerAdd[pa.id] += pa.w
+		c.PeerAdd[pa.peer.ID] += pa.w
 	}
 }
 
@@ -256,7 +277,7 @@ type lookups interface {
 	available(v network.PeerID, stream string) []*Deployed
 	// shortestPath resolves a minimum-hop route over the live topology, nil
 	// when unreachable.
-	shortestPath(a, b network.PeerID) []network.PeerID
+	shortestPath(a, b network.PeerID) *Route
 	// matchInput runs Algorithm 2.
 	matchInput(have, want *properties.Input) bool
 	// explainMismatch renders the trace reason for a failed match.
@@ -274,6 +295,12 @@ type Planner struct {
 	opt  Options
 	obs  *obs.Observer
 	idx  *Index
+	// scratch is the costing scratch shareCandidate prices every matched
+	// stream into; planStreamSharing copies out only the new incumbent. Like
+	// the caches it lives under the engine's control-plane lock.
+	scratch Candidate
+	// candidates is the plan.candidates histogram, resolved once.
+	candidates *obs.Histogram
 }
 
 // indexed answers the planner's lookups from the posting-list index and the
@@ -296,7 +323,8 @@ func New(net *network.Network, host Host, opt Options, o *obs.Observer) *Planner
 		match:  NewMatchCache(o.Metrics),
 	}
 	net.OnChange(func(network.Change) { x.routes.Clear() })
-	return &Planner{lookups: x, net: net, host: host, opt: opt, obs: o, idx: x.idx}
+	return &Planner{lookups: x, net: net, host: host, opt: opt, obs: o, idx: x.idx,
+		candidates: o.Metrics.Histogram("plan.candidates", obs.ExpBuckets(1, 2, 12))}
 }
 
 // Install adds a newly deployed stream to the discovery index.
@@ -317,7 +345,7 @@ func (x *indexed) available(v network.PeerID, stream string) []*Deployed {
 	return x.idx.Available(v, stream)
 }
 
-func (x *indexed) shortestPath(a, b network.PeerID) []network.PeerID {
+func (x *indexed) shortestPath(a, b network.PeerID) *Route {
 	return x.routes.Path(x.net, a, b)
 }
 

@@ -98,12 +98,21 @@ func TestIndexRebuild(t *testing.T) {
 	wantIDs(t, x.Available("SP0", "photons"))
 }
 
-// fakeHost satisfies Host with static state; the cache tests only exercise
-// the planner's route plumbing.
-type fakeHost struct{}
+// fakeHost satisfies Host with static state and no reserved usage; the
+// cache tests leave it empty and only exercise the planner's route plumbing.
+type fakeHost struct {
+	streams []*Deployed // originals first
+}
 
-func (fakeHost) Original(string) *Deployed         { return nil }
-func (fakeHost) Streams() []*Deployed              { return nil }
+func (h fakeHost) Original(name string) *Deployed {
+	for _, d := range h.streams {
+		if d.Original && d.Input.Stream == name {
+			return d
+		}
+	}
+	return nil
+}
+func (h fakeHost) Streams() []*Deployed            { return h.streams }
 func (fakeHost) LinkLoad(network.LinkID) float64   { return 0 }
 func (fakeHost) PeerLoad(p network.PeerID) float64 { return 0 }
 
@@ -126,12 +135,20 @@ func TestRouteCacheHitMissAndInvalidation(t *testing.T) {
 	miss := o.Metrics.Counter("plan.cache.route.miss")
 
 	r1 := p.shortestPath("A", "D")
-	if len(r1) != 4 {
+	if r1 == nil || len(r1.IDs) != 4 {
 		t.Fatalf("path A→D = %v", r1)
 	}
+	for i, v := range r1.IDs {
+		if r1.Peers[i] != net.Peer(v) || r1.Names[i] != string(v) {
+			t.Fatalf("route A→D resolves %s to %v/%q", v, r1.Peers[i], r1.Names[i])
+		}
+		if i > 0 && r1.Links[i-1] != net.Link(r1.IDs[i-1], v) {
+			t.Fatalf("route A→D resolves link %s-%s to %v", r1.IDs[i-1], v, r1.Links[i-1])
+		}
+	}
 	r2 := p.shortestPath("A", "D")
-	if &r1[0] != &r2[0] {
-		t.Error("second lookup should return the memoized slice")
+	if r1 != r2 {
+		t.Error("second lookup should return the memoized route")
 	}
 	if hit.Value() != 1 || miss.Value() != 1 {
 		t.Fatalf("hit=%v miss=%v, want 1/1", hit.Value(), miss.Value())
@@ -141,8 +158,11 @@ func TestRouteCacheHitMissAndInvalidation(t *testing.T) {
 	// and sees the new edge.
 	net.Connect("A", "D", 1e6)
 	r3 := p.shortestPath("A", "D")
-	if len(r3) != 2 {
+	if r3 == nil || len(r3.IDs) != 2 {
 		t.Fatalf("path A→D after connect = %v, want direct", r3)
+	}
+	if r3 == r1 {
+		t.Error("a topology change must drop the memoized route")
 	}
 	if miss.Value() != 2 {
 		t.Fatalf("miss=%v after invalidation, want 2", miss.Value())

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"streamshare/internal/cost"
 	"streamshare/internal/exec"
@@ -31,14 +32,6 @@ func (p *Planner) PlanInput(q *wxquery.Query, in *properties.Input, target netwo
 	return c, err
 }
 
-func peerStrings(ps []network.PeerID) []string {
-	out := make([]string, len(ps))
-	for i, p := range ps {
-		out[i] = string(p)
-	}
-	return out
-}
-
 func opNames(ops []exec.Operator) []string {
 	out := make([]string, len(ops))
 	for i, o := range ops {
@@ -50,9 +43,9 @@ func opNames(ops []exec.Operator) []string {
 // traceCandidate fills a trace row's plan fields from a costed candidate.
 func (p *Planner) traceCandidate(ct *obs.CandidateTrace, c *Candidate) {
 	ct.Tap = string(c.Tap)
-	ct.Route = peerStrings(c.Route)
-	// Candidate op-name slices are immutable once built (they may come from
-	// the residual cache), so the trace can alias instead of copying.
+	// Route names and op-name slices are immutable once built (they come
+	// from the route and residual caches), so the trace aliases them.
+	ct.Route = c.route.Names
 	ct.Residual = c.ResidualOps
 	ct.Cost = obs.CostBreakdown(p.opt.Model.Breakdown(c.Usage))
 	ct.Overloaded = c.Usage.Overloaded()
@@ -73,18 +66,18 @@ func (p *Planner) planShipping(q *wxquery.Query, in *properties.Input, target ne
 		it.Candidates = append(it.Candidates, ct)
 		return nil, fmt.Errorf("core: no path from %s to %s", orig.Tap, target)
 	}
-	reg.Messages += 2*(len(route)-1) + 2
+	reg.Messages += 2*(len(route.IDs)-1) + 2
 	full, err := exec.FullPipeline(q, in, nil)
 	if err != nil {
 		return nil, err
 	}
-	c := &Candidate{Source: orig, Tap: orig.Tap, Route: route, Size: orig.Size, Freq: orig.Freq}
+	c := &Candidate{Source: orig, Tap: orig.Tap, Route: route.IDs, route: route, Size: orig.Size, Freq: orig.Freq}
 	targetOps := opNames(full.Ops)
 	if strat == QueryShipping {
 		c.Size, c.Freq = p.opt.Est.SizeFreq(in)
 		c.ResidualOps, targetOps = targetOps, nil
 	}
-	p.costCandidate(c, p.opt.Est.InputFreq(in), targetOps, target)
+	p.costCandidate(c, p.opt.Est.InputFreq(in), targetOps)
 	p.traceCandidate(&ct, c)
 	if p.opt.Admission && c.Usage.Overloaded() {
 		it.Candidates = append(it.Candidates, ct)
@@ -105,16 +98,17 @@ func (p *Planner) planShipping(q *wxquery.Query, in *properties.Input, target ne
 // earliest discovered candidate wins ties.
 //
 // Every considered stream is recorded in the input trace — a stream
-// discovered at several peers gets one row, at its first discovery. Costing
-// it once is enough: a re-encounter would build the same plan — the tap is
-// chosen from the stream's route, not the discovery peer — and an equal cost
-// never displaces the incumbent.
+// discovered at several peers gets one row, at its first discovery.
+// Matching and costing it once is enough: a re-encounter would match the
+// same way, its target is already queued if it matched, and it would build
+// the same plan — the tap is chosen from the stream's route, not the
+// discovery peer — and an equal cost never displaces the incumbent.
+//
+// Every matched stream is priced in the planner's costing scratch; only the
+// candidate that becomes the incumbent is copied out.
 func (p *Planner) planStreamSharing(in *properties.Input, target network.PeerID, reg *RegStats, it *obs.InputTrace) (*Candidate, error) {
 	startCand := reg.Candidates
-	defer func() {
-		p.obs.Metrics.Histogram("plan.candidates", obs.ExpBuckets(1, 2, 12)).
-			Observe(float64(reg.Candidates - startCand))
-	}()
+	defer func() { p.candidates.Observe(float64(reg.Candidates - startCand)) }()
 
 	orig := p.host.Original(in.Stream)
 	vb := orig.Tap
@@ -142,15 +136,16 @@ func (p *Planner) planStreamSharing(in *properties.Input, target network.PeerID,
 	}
 
 	var best *Candidate
-	// consider records a costed plan in its trace row and keeps it if it is
-	// selectable and strictly cheaper than the incumbent.
+	// consider records a plan costed in the scratch in its trace row, and
+	// copies it out as the incumbent if it is selectable and strictly
+	// cheaper than the current one.
 	consider := func(c *Candidate, row int) {
 		ct := &it.Candidates[row]
 		ct.Match, ct.Reason = true, "match"
 		p.traceCandidate(ct, c)
 		c.row = row + 1
 		if !(p.opt.Admission && c.Usage.Overloaded()) && (best == nil || c.Cost < best.Cost) {
-			best = c
+			best = c.clone()
 		}
 	}
 
@@ -179,18 +174,16 @@ func (p *Planner) planStreamSharing(in *properties.Input, target network.PeerID,
 		for _, d := range p.available(v, in.Stream) {
 			reg.Candidates++
 			i, fresh := rowFor(d, v)
+			if !fresh {
+				continue // matched at its first sighting, target queued then
+			}
 			if !p.matchInput(d.Input, in) {
-				if fresh {
-					it.Candidates[i].Reason = p.explainMismatch(d.Input, in)
-				}
+				it.Candidates[i].Reason = p.explainMismatch(d.Input, in)
 				continue
 			}
 			if n := d.Target(); !marked[n] && !queued[n] {
 				lv = append(lv, n)
 				queued[n] = true
-			}
-			if !fresh {
-				continue
 			}
 			c, err := p.shareCandidate(d, v, in, target, size, freq, selFreq)
 			if err != nil {
@@ -239,84 +232,97 @@ func (p *Planner) planStreamSharing(in *properties.Input, target network.PeerID,
 // target (earliest on the route on ties), which is how the paper's example
 // duplicates Query 1's result at SP5 rather than at its endpoint SP1.
 // Overload handling is the caller's: the candidate is returned with its
-// usage filled either way, so rejected plans still show up in traces.
+// usage filled either way, so rejected plans still show up in traces. The
+// candidate is the planner's costing scratch, valid until the next call:
+// a caller that keeps it clones it.
 func (p *Planner) shareCandidate(d *Deployed, v network.PeerID, in *properties.Input, target network.PeerID, size, freq, selFreq float64) (*Candidate, error) {
-	var route []network.PeerID
+	var route *Route
 	for _, tap := range d.Route {
 		r := p.shortestPath(tap, target)
-		if r != nil && (route == nil || len(r) < len(route)) {
+		if r != nil && (route == nil || len(r.IDs) < len(route.IDs)) {
 			route = r
 		}
 	}
 	if route == nil {
 		return nil, fmt.Errorf("core: no path from %s to %s", v, target)
 	}
-	v = route[0]
 	ops, err := p.residualOps(d.Input, in)
 	if err != nil {
 		return nil, err
 	}
-	c := &Candidate{Source: d, Tap: v, Route: route, Size: size, Freq: freq,
-		ResidualOps: ops}
-	p.costCandidate(c, selFreq, []string{cost.OpRestructure}, target)
+	c := &p.scratch
+	*c = Candidate{Source: d, Tap: route.IDs[0], Route: route.IDs, route: route, Size: size, Freq: freq,
+		ResidualOps: ops, linkAdds: c.linkAdds[:0], peerAdds: c.peerAdds[:0],
+		Usage: cost.Usage{Links: c.Usage.Links[:0], Peers: c.Usage.Peers[:0]}}
+	p.costCandidate(c, selFreq, restructureOps)
 	return c, nil
 }
+
+// restructureOps is what a shared stream runs at the target.
+var restructureOps = []string{cost.OpRestructure}
 
 // costCandidate fills the candidate's usage, absolute additions and cost
 // value: the new stream's traffic on every route link, residual operators
 // and duplication at the tap, forwarding at intermediate peers, and the
 // local pipeline at the target. The additions accumulate into small
-// insertion-ordered association lists — a route touches a handful of peers,
-// where two map allocations per candidate dominated the costing profile —
-// and the public maps wait for materialize(). A widening candidate arrives
-// with its rewiring delta already on the lists. selFreq is the
-// post-selection item frequency of the subscription input (estimated once
-// per plan call; it does not depend on the candidate).
-func (p *Planner) costCandidate(c *Candidate, selFreq float64, targetOps []string, target network.PeerID) {
+// insertion-ordered association lists keyed by the route's resolved peer and
+// link pointers — a route touches a handful of peers — and the public maps
+// wait for materialize(). A widening candidate arrives with its rewiring
+// delta already on the lists. The lists and usage slices are reused when
+// the candidate brings storage (the costing scratch), so pricing the scratch
+// allocates nothing and looks nothing up in the topology. The target is the
+// route's last peer. selFreq is the post-selection item
+// frequency of the subscription input (estimated once per plan call; it
+// does not depend on the candidate).
+func (p *Planner) costCandidate(c *Candidate, selFreq float64, targetOps []string) {
+	r := c.route
 	if c.linkAdds == nil { // each on its own: a one-peer widened route seeds no link
-		c.linkAdds = make([]linkAdd, 0, len(c.Route))
+		c.linkAdds = make([]linkAdd, 0, len(r.Links))
 	}
 	if c.peerAdds == nil {
-		c.peerAdds = make([]peerAdd, 0, len(c.Route)+1)
+		c.peerAdds = make([]peerAdd, 0, len(r.Peers)+1)
 	}
-	addLink := func(l network.LinkID, b float64) {
+	addLink := func(l *network.Link, b float64) {
 		for i := range c.linkAdds {
-			if c.linkAdds[i].id == l {
+			if c.linkAdds[i].link == l {
 				c.linkAdds[i].b += b
 				return
 			}
 		}
-		c.linkAdds = append(c.linkAdds, linkAdd{id: l, b: b})
+		c.linkAdds = append(c.linkAdds, linkAdd{link: l, b: b})
 	}
-	addPeer := func(v network.PeerID, w float64) {
+	addPeer := func(v *network.Peer, w float64) {
 		for i := range c.peerAdds {
-			if c.peerAdds[i].id == v {
+			if c.peerAdds[i].peer == v {
 				c.peerAdds[i].w += w
 				return
 			}
 		}
-		c.peerAdds = append(c.peerAdds, peerAdd{id: v, w: w})
+		c.peerAdds = append(c.peerAdds, peerAdd{peer: v, w: w})
 	}
 
 	bytesPerSec := c.Size * c.Freq
-	for i := 0; i+1 < len(c.Route); i++ {
-		addLink(network.MakeLinkID(c.Route[i], c.Route[i+1]), bytesPerSec)
+	for _, l := range r.Links {
+		addLink(l, bytesPerSec)
 	}
 
-	addOp := func(v network.PeerID, op string, freq float64) {
-		addPeer(v, p.opt.Model.OpLoad(op, p.net.Peer(v), freq))
+	addOp := func(v *network.Peer, op string, freq float64) {
+		addPeer(v, p.opt.Model.OpLoad(op, v, freq))
 	}
+	// Every route starts at the tap and, being a shortest path to the
+	// target, ends there.
+	tap, dst := r.Peers[0], r.Peers[len(r.Peers)-1]
 	// Duplication at the tap: the reused stream keeps flowing to its own
 	// consumers; tapping it forks a copy (§1's duplication at SP5).
 	if !c.Source.Original || c.Tap != c.Source.Tap {
-		addOp(c.Tap, cost.OpDuplicate, c.Source.Freq)
+		addOp(tap, cost.OpDuplicate, c.Source.Freq)
 	}
 	// Residual operators at the tap. Pre-selection stages see the parent's
 	// frequency, window stages the post-selection item frequency, and
 	// post-window stages the result frequency.
 	inFreq := c.Source.Freq
 	for _, op := range c.ResidualOps {
-		addOp(c.Tap, op, inFreq)
+		addOp(tap, op, inFreq)
 		switch op {
 		case cost.OpSelect:
 			inFreq = selFreq
@@ -325,11 +331,11 @@ func (p *Planner) costCandidate(c *Candidate, selFreq float64, targetOps []strin
 		}
 	}
 	// Forwarding at intermediate peers.
-	for _, v := range c.Route[1:] {
-		if v == target {
+	for _, v := range r.Peers[1:] {
+		if v == dst {
 			continue
 		}
-		addPeer(v, p.opt.Model.ForwardLoad(p.net.Peer(v), c.Freq, c.Size))
+		addPeer(v, p.opt.Model.ForwardLoad(v, c.Freq, c.Size))
 	}
 	// Local pipeline at the target.
 	for _, op := range targetOps {
@@ -338,22 +344,22 @@ func (p *Planner) costCandidate(c *Candidate, selFreq float64, targetOps []strin
 			// Data shipping evaluates from the raw stream at the target.
 			f = c.Source.Freq
 		}
-		addOp(target, op, f)
+		addOp(dst, op, f)
 	}
 
 	// Relative usage against remaining capacity.
-	c.Usage.Links = make([]cost.LinkUsage, 0, len(c.linkAdds))
-	c.Usage.Peers = make([]cost.PeerUsage, 0, len(c.peerAdds))
+	c.Usage.Links = slices.Grow(c.Usage.Links[:0], len(c.linkAdds))
+	c.Usage.Peers = slices.Grow(c.Usage.Peers[:0], len(c.peerAdds))
 	for _, la := range c.linkAdds {
-		bw := p.net.Link(la.id.A, la.id.B).Bandwidth
+		bw := la.link.Bandwidth
 		c.Usage.Links = append(c.Usage.Links, cost.LinkUsage{
-			ID: la.id, Ub: la.b / bw, Ab: 1 - p.host.LinkLoad(la.id)/bw,
+			ID: la.link.ID, Ub: la.b / bw, Ab: 1 - p.host.LinkLoad(la.link.ID)/bw,
 		})
 	}
 	for _, pa := range c.peerAdds {
-		cap := p.net.Peer(pa.id).Capacity
+		cap := pa.peer.Capacity
 		c.Usage.Peers = append(c.Usage.Peers, cost.PeerUsage{
-			ID: pa.id, Ul: pa.w / cap, Al: 1 - p.host.PeerLoad(pa.id)/cap,
+			ID: pa.peer.ID, Ul: pa.w / cap, Al: 1 - p.host.PeerLoad(pa.peer.ID)/cap,
 		})
 	}
 	c.Cost = p.opt.Model.Cost(c.Usage)

@@ -18,6 +18,7 @@ import (
 func Reference(p *Planner) *Planner {
 	ref := *p
 	ref.lookups = bruteForce{net: p.net, host: p.host}
+	ref.scratch = Candidate{} // its own costing scratch
 	return &ref
 }
 
@@ -36,8 +37,8 @@ func (b bruteForce) available(v network.PeerID, stream string) []*Deployed {
 	return out
 }
 
-func (b bruteForce) shortestPath(a, c network.PeerID) []network.PeerID {
-	return b.net.ShortestPath(a, c)
+func (b bruteForce) shortestPath(a, c network.PeerID) *Route {
+	return resolveRoute(b.net, b.net.ShortestPath(a, c))
 }
 
 func (b bruteForce) matchInput(have, want *properties.Input) bool {

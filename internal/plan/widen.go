@@ -100,9 +100,9 @@ func (p *Planner) buildWidenCandidate(d *Deployed, wIn, in *properties.Input, ta
 	}
 
 	// The subscription's own feed taps w at the best route point.
-	var route []network.PeerID
+	var route *Route
 	for _, tap := range d.Route {
-		if r := p.shortestPath(tap, target); r != nil && (route == nil || len(r) < len(route)) {
+		if r := p.shortestPath(tap, target); r != nil && (route == nil || len(r.IDs) < len(route.IDs)) {
 			route = r
 		}
 	}
@@ -115,7 +115,7 @@ func (p *Planner) buildWidenCandidate(d *Deployed, wIn, in *properties.Input, ta
 	}
 	size, freq := p.opt.Est.SizeFreq(in)
 	c := &Candidate{
-		Source: w, Tap: route[0], Route: route,
+		Source: w, Tap: route.IDs[0], Route: route.IDs, route: route,
 		Size: size, Freq: freq,
 		ResidualOps: opNames(subRes.Ops),
 		Widen: &Widening{
@@ -144,18 +144,19 @@ func (p *Planner) buildWidenCandidate(d *Deployed, wIn, in *properties.Input, ta
 	}
 	c.Widen.DeltaLink, c.Widen.DeltaPeer = deltaLink, deltaPeer
 	// In key order, so the cost — a float sum over these lists — does not
-	// follow map iteration order.
+	// follow map iteration order. Entries off the subscription's route are
+	// resolved here; the route's own come from its Route.
 	for l, b := range deltaLink {
-		c.linkAdds = append(c.linkAdds, linkAdd{id: l, b: b})
+		c.linkAdds = append(c.linkAdds, linkAdd{link: p.net.Link(l.A, l.B), b: b})
 	}
 	slices.SortFunc(c.linkAdds, func(x, y linkAdd) int {
-		return cmp.Or(cmp.Compare(x.id.A, y.id.A), cmp.Compare(x.id.B, y.id.B))
+		return cmp.Or(cmp.Compare(x.link.ID.A, y.link.ID.A), cmp.Compare(x.link.ID.B, y.link.ID.B))
 	})
 	for v, u := range deltaPeer {
-		c.peerAdds = append(c.peerAdds, peerAdd{id: v, w: u})
+		c.peerAdds = append(c.peerAdds, peerAdd{peer: p.net.Peer(v), w: u})
 	}
-	slices.SortFunc(c.peerAdds, func(x, y peerAdd) int { return cmp.Compare(x.id, y.id) })
-	p.costCandidate(c, p.opt.Est.InputFreq(in), []string{cost.OpRestructure}, target)
+	slices.SortFunc(c.peerAdds, func(x, y peerAdd) int { return cmp.Compare(x.peer.ID, y.peer.ID) })
+	p.costCandidate(c, p.opt.Est.InputFreq(in), restructureOps)
 	if p.opt.Admission && c.Usage.Overloaded() {
 		return nil, nil
 	}
