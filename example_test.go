@@ -107,7 +107,8 @@ func velaBackbone() *streamshare.Network {
 
 // velaRun registers Queries 1–4 under one strategy, simulates the stream
 // and returns the network traffic; verbose prints each placement with its
-// decision trace and the delivered result counts.
+// decision trace, and each subscription's result count and last result (a
+// windowed one's last window closes at end of stream).
 func velaRun(strat streamshare.Strategy, items []*streamshare.Item, verbose bool) float64 {
 	sys := streamshare.NewSystem(velaBackbone(), streamshare.Config{})
 	if _, err := sys.RegisterStreamItems("photons", "photons/photon", "SP4", items, 100); err != nil {
@@ -139,7 +140,8 @@ func velaRun(strat streamshare.Strategy, items []*streamshare.Item, verbose bool
 	}
 	if verbose {
 		for _, sub := range sys.Subscriptions() {
-			fmt.Printf("  %s delivered %d result items\n", sub.ID, res.Results[sub.ID])
+			out := res.Collected[sub.ID]
+			fmt.Printf("  %s delivered %d result items, last: %s\n", sub.ID, res.Results[sub.ID], streamshare.MarshalItem(out[len(out)-1]))
 		}
 	}
 	return res.Metrics.TotalBytes()
@@ -178,10 +180,10 @@ func Example_vela() {
 	//       input photons visited=[SP4 SP1] candidates=2
 	//         candidate orig:photons found=SP4 outcome=match tap=SP4 route=[SP4 SP5] residual=[select window-agg agg-filter] traffic=1.42999e-06 load=0.00710161 penalty=0 total=0.00710304
 	//         candidate s1(q1 via orig:photons@SP4) found=SP4 outcome=match tap=SP5 route=[SP5] residual=[window-agg agg-filter] traffic=0 load=0.000960762 penalty=0 total=0.000960762 selected
-	//   q1 delivered 331 result items
-	//   q2 delivered 8 result items
-	//   q3 delivered 188 result items
-	//   q4 delivered 13 result items
+	//   q1 delivered 331 result items, last: <vela><ra>130.7</ra><dec>-40.3</dec><phc>70</phc><en>0.77</en><det_time>1950.88</det_time></vela>
+	//   q2 delivered 8 result items, last: <rxj><ra>133.5</ra><dec>-45.8</dec><en>1.34</en><det_time>1946.99</det_time></rxj>
+	//   q3 delivered 190 result items, last: <avg_en>0.77</avg_en>
+	//   q4 delivered 14 result items, last: <avg_en>1.39</avg_en>
 	//
 	// Total network traffic:
 	//   data shipping :     4524 kB
@@ -193,7 +195,8 @@ func Example_vela() {
 // fine-grained average |det_time diff 20 step 10| is registered first; a
 // coarser one |det_time diff 60 step 40| is then answered by recomposing the
 // fine aggregates. Averages travel as (sum, count) pairs, so the same stream
-// also serves a count subscription.
+// also serves a count subscription. Each subscription's last window closes at
+// end of stream, on the shared stream as directly.
 func Example_windows() {
 	agg := func(win, step int, op, extra string) string {
 		return fmt.Sprintf(`<photons>
@@ -245,17 +248,17 @@ func Example_windows() {
 	}
 	for _, sub := range sys.Subscriptions() {
 		out := res.Collected[sub.ID]
-		fmt.Printf("%s: %3d windows, first: %s\n", sub.ID, len(out), streamshare.MarshalItem(out[0]))
+		fmt.Printf("%s: %3d windows, first: %s, last: %s\n", sub.ID, len(out), streamshare.MarshalItem(out[0]), streamshare.MarshalItem(out[len(out)-1]))
 	}
 	// Output:
 	// fine avg  |diff 20 step 10|                    at A: from raw stream, ops at SRC
 	// coarse avg |diff 60 step 40|                   at B: from s1(q1 via orig:photons@SRC), ops at MID
 	// filtered   |diff 60 step 40| where $a >= 1.3   at C: from s1(q1 via orig:photons@SRC), ops at MID
 	// count      |diff 20 step 10|                   at B: from s1(q1 via orig:photons@SRC), ops at MID
-	// q1: 300 windows, first: <val>0.405</val>
-	// q2:  75 windows, first: <val>0.928</val>
-	// q3:   5 windows, first: <val>1.468518519</val>
-	// q4: 300 windows, first: <val>2</val>
+	// q1: 302 windows, first: <val>0.405</val>, last: <val>1.128</val>
+	// q2:  77 windows, first: <val>0.928</val>, last: <val>1.128</val>
+	// q3:   5 windows, first: <val>1.468518519</val>, last: <val>1.4090625</val>
+	// q4: 302 windows, first: <val>2</val>, last: <val>5</val>
 }
 
 // Example_widening is the paper's §6 extension: "consider data streams for

@@ -173,15 +173,10 @@ func TestStrategiesProduceIdenticalResults(t *testing.T) {
 		if len(ds) == 0 {
 			t.Fatalf("%s: data shipping produced nothing", id)
 		}
-		if len(ds) != len(qs) {
-			t.Errorf("%s: DS %d vs QS %d results", id, len(ds), len(qs))
+		if len(ds) != len(qs) || len(ds) != len(ss) {
+			t.Fatalf("%s: DS %d vs QS %d vs SS %d results", id, len(ds), len(qs), len(ss))
 		}
-		// Stream sharing may lag by trailing windows when recomposing.
-		n := len(ss)
-		if n == 0 || n > len(ds) || len(ds)-n > 2 {
-			t.Fatalf("%s: DS %d vs SS %d results", id, len(ds), n)
-		}
-		for i := 0; i < n; i++ {
+		for i := range ds {
 			if !ds[i].Equal(ss[i]) {
 				t.Fatalf("%s: item %d differs between DS and SS:\n%s\n%s",
 					id, i, xmlstream.Marshal(ds[i]), xmlstream.Marshal(ss[i]))

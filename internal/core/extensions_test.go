@@ -214,10 +214,7 @@ func TestRegistrationOrderIndependence(t *testing.T) {
 		if n == 0 {
 			t.Errorf("%q produced nothing", k)
 		}
-		// Window recomposition chains may defer a trailing window or two
-		// depending on plan shape.
-		d := n - rev[k]
-		if d < -2 || d > 2 {
+		if n != rev[k] {
 			t.Errorf("%q: forward %d vs reverse %d results", k, n, rev[k])
 		}
 	}

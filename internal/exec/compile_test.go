@@ -197,9 +197,7 @@ func TestSharingEquivalenceQ4fromQ3(t *testing.T) {
 	if len(viaQ3) == 0 {
 		t.Fatal("shared evaluation produced nothing")
 	}
-	// Trailing windows may be closed later via sharing; compare the common
-	// prefix and require near-complete coverage.
-	if len(viaQ3) < len(direct)-2 || len(viaQ3) > len(direct)+2 {
+	if len(viaQ3) != len(direct) {
 		t.Fatalf("direct %d items, shared %d", len(direct), len(viaQ3))
 	}
 	sameItems(t, "Q4-from-Q3", direct, viaQ3)
@@ -320,12 +318,23 @@ func TestWindowContentsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := pl.Run(randomPhotons(7, 8))
-	if len(out) != 2 {
+	items := randomPhotons(7, 8)
+	out := pl.Run(items)
+	// Two full batches, then the seventh photon alone, closed at end of
+	// stream.
+	if len(out) != 3 {
 		t.Fatalf("batches = %d", len(out))
 	}
-	if n := len(out[0].Find(xmlstream.ParsePath("en"))); n != 3 {
-		t.Errorf("batch holds %d en values", n)
+	for i, want := range [][]*xmlstream.Element{items[0:3], items[3:6], items[6:]} {
+		ens := out[i].Find(xmlstream.ParsePath("en"))
+		if len(ens) != len(want) {
+			t.Fatalf("batch %d holds %d en values, want %d", i, len(ens), len(want))
+		}
+		for j, e := range ens {
+			if v := want[j].Child("en").Value(); e.Value() != v {
+				t.Errorf("batch %d en %d = %s, want %s", i, j, e.Value(), v)
+			}
+		}
 	}
 }
 

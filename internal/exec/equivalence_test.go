@@ -12,29 +12,33 @@ import (
 // TestRandomSharingEquivalence is the system-level correctness property:
 // for every ordered pair (a, b) of generated queries where Algorithm 2
 // declares a's result stream reusable for b, evaluating b over a's shared
-// canonical stream must equal evaluating b directly over the raw input.
+// canonical stream must equal evaluating b directly over the raw input,
+// item for item, trailing windows included. Each (generator, item) seed pair
+// draws its own 30 queries and 700 photons.
 func TestRandomSharingEquivalence(t *testing.T) {
-	gen := workload.NewGenerator("photons", workload.DefaultSets(), 31)
+	seeds := [][2]int64{{31, 17}, {1, 2}, {5, 21}, {7, 77}, {13, 3}, {42, 9}, {99, 100}, {2024, 11}}
+	for _, seed := range seeds {
+		sharingEquivalence(t, seed[0], seed[1])
+	}
+}
+
+func sharingEquivalence(t *testing.T, genSeed, itemSeed int64) {
+	gen := workload.NewGenerator("photons", workload.DefaultSets(), genSeed)
 	queries := gen.Generate(30)
-	items := randomPhotons(700, 17)
+	items := randomPhotons(700, itemSeed)
 
 	type built struct {
 		src    string
-		q      *wxquery.Query
 		props  *properties.Properties
 		direct []*xmlstream.Element
 	}
 	var qs []built
 	for _, src := range queries {
-		q := wxquery.MustParse(src)
-		p, err := properties.FromQuery(q)
+		p, err := properties.FromQuery(wxquery.MustParse(src))
 		if err != nil {
-			t.Fatalf("%v\n%s", err, src)
+			t.Fatalf("seeds (%d, %d): %v\n%s", genSeed, itemSeed, err, src)
 		}
-		qs = append(qs, built{src: src, q: q, props: p})
-	}
-	for i := range qs {
-		qs[i].direct = runFull(t, qs[i].src, items)
+		qs = append(qs, built{src: src, props: p, direct: runFull(t, src, items)})
 	}
 
 	pairs, mismatches := 0, 0
@@ -51,19 +55,16 @@ func TestRandomSharingEquivalence(t *testing.T) {
 			}
 			pairs++
 			via := shared(t, a.src, b.src, items)
-			// Window recomposition may defer trailing windows; require a
-			// matching prefix covering all but at most two items.
-			n := len(via)
-			if n < len(b.direct)-2 || n > len(b.direct) {
-				t.Errorf("pair (%d→%d): direct %d items, shared %d\nstream: %s\nsub: %s",
-					i, j, len(b.direct), n, a.src, b.src)
+			if len(via) != len(b.direct) {
+				t.Errorf("seeds (%d, %d) pair (%d→%d): direct %d items, shared %d\nstream: %s\nsub: %s",
+					genSeed, itemSeed, i, j, len(b.direct), len(via), a.src, b.src)
 				mismatches++
 				continue
 			}
-			for k := 0; k < n; k++ {
+			for k := range via {
 				if !b.direct[k].Equal(via[k]) {
-					t.Errorf("pair (%d→%d) item %d differs:\n%s\n%s",
-						i, j, k, xmlstream.Marshal(b.direct[k]), xmlstream.Marshal(via[k]))
+					t.Errorf("seeds (%d, %d) pair (%d→%d) item %d differs:\n%s\n%s",
+						genSeed, itemSeed, i, j, k, xmlstream.Marshal(b.direct[k]), xmlstream.Marshal(via[k]))
 					mismatches++
 					break
 				}
@@ -71,7 +72,7 @@ func TestRandomSharingEquivalence(t *testing.T) {
 		}
 	}
 	if pairs == 0 {
-		t.Fatal("workload produced no shareable pairs; property not exercised")
+		t.Fatalf("seeds (%d, %d): workload produced no shareable pairs; property not exercised", genSeed, itemSeed)
 	}
-	t.Logf("verified %d shareable pairs (%d mismatches)", pairs, mismatches)
+	t.Logf("seeds (%d, %d): verified %d shareable pairs (%d mismatches)", genSeed, itemSeed, pairs, mismatches)
 }

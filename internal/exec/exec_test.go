@@ -119,24 +119,38 @@ func aggItems(t *testing.T, w wxquery.Window, specs []AggSpec, items []*xmlstrea
 }
 
 func TestCountWindowTumbling(t *testing.T) {
-	// |count 3|: windows (0,1,2), (3,4,5), (6,7,8); item 9 incomplete.
+	// |count 3|: windows (0,1,2), (3,4,5), (6,7,8) close after their last
+	// item; (9) closes at end of stream.
 	var items []*xmlstream.Element
 	for i := 0; i < 10; i++ {
 		items = append(items, photon("1", "1", "1", fmt.Sprintf("%d", i), fmt.Sprintf("%d", i)))
 	}
 	w := wxquery.Window{Kind: wxquery.WindowCount, Size: dec("3"), Step: dec("3")}
 	out := aggItems(t, w, []AggSpec{{Op: wxquery.AggSum, Elem: xmlstream.ParsePath("en")}}, items)
-	want := []string{"3", "12", "21"}
+	want := []aggWin{{"0", "2", "3", "3"}, {"3", "5", "3", "12"}, {"6", "8", "3", "21"}, {"9", "9", "1", "9"}}
+	checkAggWindows(t, out, want)
+}
+
+// aggWin is an expected aggregate item: window start, watermark, and the
+// first group's n and sum ("" for no sum).
+type aggWin struct{ start, wm, n, sum string }
+
+// checkAggWindows asserts out is exactly want, window for window.
+func checkAggWindows(t *testing.T, out []*xmlstream.Element, want []aggWin) {
+	t.Helper()
 	if len(out) != len(want) {
 		t.Fatalf("windows = %d, want %d", len(out), len(want))
 	}
-	for i, s := range want {
-		if got := out[i].First(xmlstream.ParsePath("g0/sum")).Value(); got != s {
-			t.Errorf("window %d sum = %s, want %s", i, got, s)
+	for i, wnt := range want {
+		var got aggWin
+		for f, v := range map[string]*string{"win": &got.start, "wm": &got.wm, "g0/n": &got.n, "g0/sum": &got.sum} {
+			if e := out[i].First(xmlstream.ParsePath(f)); e != nil {
+				*v = e.Value()
+			}
 		}
-	}
-	if got := out[1].First(xmlstream.ParsePath("win")).Value(); got != "3" {
-		t.Errorf("window 1 start = %s", got)
+		if got != wnt {
+			t.Errorf("window %d = %+v, want %+v", i, got, wnt)
+		}
 	}
 }
 
@@ -149,26 +163,18 @@ func TestCountWindowSliding(t *testing.T) {
 	}
 	w := wxquery.Window{Kind: wxquery.WindowCount, Size: dec("20"), Step: dec("10")}
 	out := aggItems(t, w, []AggSpec{{Op: wxquery.AggCount, Elem: xmlstream.ParsePath("en")}}, items)
-	// Complete windows: [0,20), [10,30), [20,40) → 3 windows of 20.
-	if len(out) != 3 {
-		t.Fatalf("windows = %d", len(out))
-	}
-	for i, e := range out {
-		if got := e.First(xmlstream.ParsePath("g0/n")).Value(); got != "20" {
-			t.Errorf("window %d count = %s", i, got)
-		}
-		if got := e.First(xmlstream.ParsePath("win")).Value(); got != fmt.Sprintf("%d", i*10) {
-			t.Errorf("window %d start = %s", i, got)
-		}
-	}
+	// Full windows [0,20), [10,30), [20,40) close after their last item;
+	// [30,50) closes at end of stream holding items 30..39.
+	checkAggWindows(t, out, []aggWin{{"0", "19", "20", ""}, {"10", "29", "20", ""}, {"20", "39", "20", ""}, {"30", "39", "10", ""}})
 }
 
 func TestDiffWindow(t *testing.T) {
 	// det_time values 5,12,18,25,31,44 (en values 1..6) with
 	// |det_time diff 20 step 10|. Windows are aligned to absolute multiples
-	// of the step; every non-empty window closed by a later item is emitted:
+	// of the step; each closes at the first item reaching its end:
 	// [-10,10): {5}, [0,20): {5,12,18}, [10,30): {12,18,25},
-	// [20,40): {25,31}; [30,50) and [40,60) are never closed.
+	// [20,40): {25,31}. [30,50): {31,44} and [40,60): {44} close at end of
+	// stream, stamped with the last reference seen.
 	times := []string{"5", "12", "18", "25", "31", "44"}
 	var items []*xmlstream.Element
 	for i, dt := range times {
@@ -176,18 +182,10 @@ func TestDiffWindow(t *testing.T) {
 	}
 	w := wxquery.Window{Kind: wxquery.WindowDiff, Ref: xmlstream.ParsePath("det_time"), Size: dec("20"), Step: dec("10")}
 	out := aggItems(t, w, []AggSpec{{Op: wxquery.AggSum, Elem: xmlstream.ParsePath("en")}}, items)
-	type win struct{ start, sum string }
-	want := []win{{"-10", "1"}, {"0", "6"}, {"10", "9"}, {"20", "9"}}
-	if len(out) != len(want) {
-		t.Fatalf("windows = %d, want %d", len(out), len(want))
-	}
-	for i, wnt := range want {
-		start := out[i].First(xmlstream.ParsePath("win")).Value()
-		sum := out[i].First(xmlstream.ParsePath("g0/sum")).Value()
-		if start != wnt.start || sum != wnt.sum {
-			t.Errorf("window %d = start %s sum %s, want %s %s", i, start, sum, wnt.start, wnt.sum)
-		}
-	}
+	checkAggWindows(t, out, []aggWin{
+		{"-10", "12", "1", "1"}, {"0", "25", "3", "6"}, {"10", "31", "3", "9"}, {"20", "44", "2", "9"},
+		{"30", "44", "2", "11"}, {"40", "44", "1", "6"},
+	})
 }
 
 func TestDiffWindowDecimalRefs(t *testing.T) {
@@ -198,20 +196,14 @@ func TestDiffWindowDecimalRefs(t *testing.T) {
 	}
 	w := wxquery.Window{Kind: wxquery.WindowDiff, Ref: xmlstream.ParsePath("det_time"), Size: dec("1.5"), Step: dec("0.5")}
 	out := aggItems(t, w, []AggSpec{{Op: wxquery.AggCount, Elem: xmlstream.ParsePath("en")}}, items)
-	if len(out) != 6 {
-		t.Fatalf("windows = %d, want 6", len(out))
-	}
-	// First emitted window is [-0.5, 1) holding only 0.5; [0, 1.5) holds
-	// 0.5 and 1.25.
-	if got := out[0].First(xmlstream.ParsePath("win")).Value(); got != "-0.5" {
-		t.Errorf("first window start = %s", got)
-	}
-	if got := out[0].First(xmlstream.ParsePath("g0/n")).Value(); got != "1" {
-		t.Errorf("first window n = %s", got)
-	}
-	if got := out[1].First(xmlstream.ParsePath("g0/n")).Value(); got != "2" {
-		t.Errorf("second window n = %s", got)
-	}
+	// [-0.5, 1) holds only 0.5, [0, 1.5) holds 0.5 and 1.25. 3.5 closes
+	// everything before [2.5, 4); [2.5, 4), [3, 4.5) and [3.5, 5) each hold
+	// 3.5 alone and close at end of stream.
+	checkAggWindows(t, out, []aggWin{
+		{"-0.5", "1.25", "1", ""}, {"0", "2", "2", ""}, {"0.5", "2", "2", ""},
+		{"1", "3.5", "2", ""}, {"1.5", "3.5", "1", ""}, {"2", "3.5", "1", ""},
+		{"2.5", "3.5", "1", ""}, {"3", "3.5", "1", ""}, {"3.5", "3.5", "1", ""},
+	})
 }
 
 func TestAllAggOps(t *testing.T) {
@@ -261,73 +253,56 @@ func TestNonNumericSkipped(t *testing.T) {
 
 // TestMergeEquivalence is the Fig. 5 scenario: a coarse aggregate computed
 // by recomposing a shared finer aggregate stream must equal direct
-// evaluation of the coarse window (modulo unemitted trailing windows).
+// evaluation of the coarse window, trailing windows included: for time
+// windows and for count windows, on feeds whose length is and is not a
+// multiple of the step.
 func TestMergeEquivalence(t *testing.T) {
-	var items []*xmlstream.Element
-	for i := 0; i < 200; i++ {
-		items = append(items, photon("1", "1", "1",
-			fmt.Sprintf("%d.%d", i%7, i%10), fmt.Sprintf("%d", i)))
+	dt := xmlstream.ParsePath("det_time")
+	diff := func(size, step string) wxquery.Window {
+		return wxquery.Window{Kind: wxquery.WindowDiff, Ref: dt, Size: dec(size), Step: dec(step)}
 	}
-	for _, op := range []wxquery.AggOp{wxquery.AggSum, wxquery.AggCount, wxquery.AggMin, wxquery.AggMax, wxquery.AggAvg} {
-		fine := wxquery.Window{Kind: wxquery.WindowDiff, Ref: xmlstream.ParsePath("det_time"), Size: dec("20"), Step: dec("10")}
-		coarse := wxquery.Window{Kind: wxquery.WindowDiff, Ref: xmlstream.ParsePath("det_time"), Size: dec("60"), Step: dec("40")}
-		elem := xmlstream.ParsePath("en")
-
-		direct := NewPipeline(NewWindowAgg(coarse, []AggSpec{{Op: op, Elem: elem}}, nil)).Run(items)
-		// avg travels as (sum, count); the shared fine stream uses avg so it
-		// can serve everything.
-		fineOut := NewPipeline(NewWindowAgg(fine, []AggSpec{{Op: wxquery.AggAvg, Elem: elem}}, nil)).Run(items)
-		var srcOp wxquery.AggOp = wxquery.AggAvg
-		if op == wxquery.AggMin || op == wxquery.AggMax {
-			fineOut = NewPipeline(NewWindowAgg(fine, []AggSpec{{Op: op, Elem: elem}}, nil)).Run(items)
-			srcOp = op
+	count := func(size, step string) wxquery.Window {
+		return wxquery.Window{Kind: wxquery.WindowCount, Size: dec(size), Step: dec(step)}
+	}
+	for _, c := range []struct {
+		fine, coarse wxquery.Window
+		items        int
+	}{
+		{diff("20", "10"), diff("60", "40"), 200},
+		{diff("20", "10"), diff("60", "40"), 213},
+		{count("10", "5"), count("20", "10"), 100},
+		{count("10", "5"), count("20", "10"), 101},
+		{count("10", "5"), count("20", "10"), 107},
+		{count("10", "5"), count("20", "10"), 113},
+	} {
+		var items []*xmlstream.Element
+		for i := 0; i < c.items; i++ {
+			items = append(items, photon("1", "1", "1",
+				fmt.Sprintf("%d.%d", i%7, i%10), fmt.Sprintf("%d", i)))
 		}
-		merged := NewPipeline(NewWindowMerge(fine, coarse, []AggSpec{{Op: op, Elem: elem}}, []int{0}, []wxquery.AggOp{srcOp})).Run(fineOut)
-
-		n := len(merged)
-		if n == 0 || n > len(direct) {
-			t.Fatalf("%s: merged %d windows, direct %d", op, n, len(direct))
-		}
-		for i := 0; i < n; i++ {
-			dw := direct[i].First(xmlstream.ParsePath("win")).Value()
-			mw := merged[i].First(xmlstream.ParsePath("win")).Value()
-			if dw != mw {
-				t.Fatalf("%s: window %d start %s vs %s", op, i, dw, mw)
-			}
-			for _, f := range []string{"g0/n", "g0/sum", "g0/min", "g0/max"} {
-				de := direct[i].First(xmlstream.ParsePath(f))
-				me := merged[i].First(xmlstream.ParsePath(f))
-				if (de == nil) != (me == nil) {
-					t.Fatalf("%s window %d field %s presence mismatch", op, i, f)
+		kind := map[wxquery.WindowKind]string{wxquery.WindowDiff: "diff", wxquery.WindowCount: "count"}[c.coarse.Kind]
+		t.Run(fmt.Sprintf("%s_%d", kind, c.items), func(t *testing.T) {
+			for _, op := range []wxquery.AggOp{wxquery.AggSum, wxquery.AggCount, wxquery.AggMin, wxquery.AggMax, wxquery.AggAvg} {
+				elem := xmlstream.ParsePath("en")
+				direct := NewPipeline(NewWindowAgg(c.coarse, []AggSpec{{Op: op, Elem: elem}}, nil)).Run(items)
+				// avg travels as (sum, count); the shared fine stream uses avg
+				// so it can serve everything but min and max.
+				srcOp := wxquery.AggAvg
+				if op == wxquery.AggMin || op == wxquery.AggMax {
+					srcOp = op
 				}
-				if de != nil && de.Value() != me.Value() {
-					t.Errorf("%s window %d %s: direct %s merged %s", op, i, f, de.Value(), me.Value())
+				fineOut := NewPipeline(NewWindowAgg(c.fine, []AggSpec{{Op: srcOp, Elem: elem}}, nil)).Run(items)
+				merged := NewPipeline(NewWindowMerge(c.fine, c.coarse, []AggSpec{{Op: op, Elem: elem}}, []int{0}, []wxquery.AggOp{srcOp})).Run(fineOut)
+				if len(merged) != len(direct) {
+					t.Fatalf("%s: merged %d windows, direct %d", op, len(merged), len(direct))
+				}
+				for i := range direct {
+					if !direct[i].Equal(merged[i]) {
+						t.Errorf("%s window %d:\ndirect %s\nmerged %s", op, i, xmlstream.Marshal(direct[i]), xmlstream.Marshal(merged[i]))
+					}
 				}
 			}
-		}
-	}
-}
-
-func TestMergeCountWindows(t *testing.T) {
-	var items []*xmlstream.Element
-	for i := 0; i < 100; i++ {
-		items = append(items, photon("1", "1", "1", fmt.Sprintf("%d", i), fmt.Sprintf("%d", i)))
-	}
-	fine := wxquery.Window{Kind: wxquery.WindowCount, Size: dec("10"), Step: dec("5")}
-	coarse := wxquery.Window{Kind: wxquery.WindowCount, Size: dec("20"), Step: dec("10")}
-	elem := xmlstream.ParsePath("en")
-	direct := NewPipeline(NewWindowAgg(coarse, []AggSpec{{Op: wxquery.AggSum, Elem: elem}}, nil)).Run(items)
-	fineOut := NewPipeline(NewWindowAgg(fine, []AggSpec{{Op: wxquery.AggSum, Elem: elem}}, nil)).Run(items)
-	merged := NewPipeline(NewWindowMerge(fine, coarse, []AggSpec{{Op: wxquery.AggSum, Elem: elem}}, []int{0}, []wxquery.AggOp{wxquery.AggSum})).Run(fineOut)
-	if len(merged) == 0 {
-		t.Fatal("no merged windows")
-	}
-	for i := range merged {
-		d := direct[i].First(xmlstream.ParsePath("g0/sum")).Value()
-		m := merged[i].First(xmlstream.ParsePath("g0/sum")).Value()
-		if d != m {
-			t.Errorf("window %d: direct %s merged %s", i, d, m)
-		}
+		})
 	}
 }
 
@@ -363,11 +338,25 @@ func TestWindowContents(t *testing.T) {
 	}
 	w := wxquery.Window{Kind: wxquery.WindowCount, Size: dec("3"), Step: dec("3")}
 	out := NewPipeline(NewWindowContents(w)).Run(items)
-	if len(out) != 2 {
-		t.Fatalf("windows = %d", len(out))
+	// (0,1,2) and (3,4,5) close after their last item, (6) at end of stream.
+	want := [][]string{{"0", "1", "2"}, {"3", "4", "5"}, {"6"}}
+	if len(out) != len(want) {
+		t.Fatalf("windows = %d, want %d", len(out), len(want))
 	}
-	if n := len(out[0].Find(xmlstream.ParsePath("photon"))); n != 3 {
-		t.Errorf("first window holds %d photons", n)
+	for i, ens := range want {
+		var got []string
+		for _, e := range out[i].Find(xmlstream.ParsePath("photon/en")) {
+			got = append(got, e.Value())
+		}
+		if fmt.Sprint(got) != fmt.Sprint(ens) {
+			t.Errorf("window %d holds en %v, want %v", i, got, ens)
+		}
+		if start := out[i].Child("win").Value(); start != ens[0] {
+			t.Errorf("window %d starts at %s", i, start)
+		}
+	}
+	if wm := out[2].Child("wm").Value(); wm != "6" {
+		t.Errorf("end-of-stream window stamped %s, want the last index 6", wm)
 	}
 }
 

@@ -114,107 +114,44 @@ func (f *AggFilter) side(item *xmlstream.Element, g FilterGroup, zero bool) (dec
 }
 
 // WindowContents groups stream items into data windows and emits one
-// <window> element per completed window containing its items (queries that
+// <window> element per closed window containing its items (queries that
 // return window contents rather than aggregates, §3.2). An item is shared
 // by every window it falls into, and with the input.
 type WindowContents struct {
-	// Window is the data-window definition items are grouped by.
-	Window wxquery.Window
-
-	itemIndex int64
-	open      map[int64][]*xmlstream.Element
+	set windowSet[[]*xmlstream.Element]
 }
 
-// NewWindowContents returns a window-content grouping operator.
+// NewWindowContents returns a grouping operator over the data window w.
 func NewWindowContents(w wxquery.Window) *WindowContents {
-	return &WindowContents{Window: w, open: map[int64][]*xmlstream.Element{}}
+	return &WindowContents{set: windowSet[[]*xmlstream.Element]{
+		def: w, put: appendItem, render: renderContents, open: map[int64][]*xmlstream.Element{},
+	}}
 }
 
 // Name implements Operator.
 func (w *WindowContents) Name() string       { return "window-contents" }
-func (w *WindowContents) instance() Operator { return NewWindowContents(w.Window) }
+func (w *WindowContents) instance() Operator { return NewWindowContents(w.set.def) }
 
 // Process implements Operator.
 func (w *WindowContents) Process(dst, items []*xmlstream.Element) []*xmlstream.Element {
-	for _, item := range items {
-		dst = w.add(dst, item)
-	}
-	return dst
+	return w.set.process(dst, items)
 }
 
-// add puts one item into every window containing it and appends the
-// windows it closes to dst.
-func (w *WindowContents) add(dst []*xmlstream.Element, item *xmlstream.Element) []*xmlstream.Element {
-	var pos decimal.D
-	if w.Window.Kind == wxquery.WindowCount {
-		pos = decimal.FromInt(w.itemIndex)
-		w.itemIndex++
-	} else {
-		r, ok := item.Decimal(w.Window.Ref)
-		if !ok {
-			return dst
-		}
-		pos = r
-	}
-	if w.Window.Kind == wxquery.WindowDiff {
-		dst = w.closeBefore(dst, pos, pos)
-	}
-	kmax := floorDiv(pos, w.Window.Step)
-	end, err := pos.Sub(w.Window.Size)
-	if err != nil {
-		return dst
-	}
-	kmin := floorDiv(end, w.Window.Step) + 1
-	if w.Window.Kind == wxquery.WindowCount && kmin < 0 {
-		kmin = 0
-	}
-	for k := kmin; k <= kmax; k++ {
-		w.open[k] = append(w.open[k], item)
-	}
-	if w.Window.Kind == wxquery.WindowCount {
-		dst = w.closeBefore(dst, decimal.FromInt(w.itemIndex), pos)
-	}
-	return dst
-}
-
-func (w *WindowContents) closeBefore(dst []*xmlstream.Element, limit, wm decimal.D) []*xmlstream.Element {
-	var ks []int64
-	for k := range w.open {
-		start := mulScalar(w.Window.Step, k)
-		end, err := start.Add(w.Window.Size)
-		if err != nil {
-			continue
-		}
-		if end.Cmp(limit) <= 0 {
-			ks = append(ks, k)
-		}
-	}
-	sortInt64(ks)
-	for _, k := range ks {
-		start := mulScalar(w.Window.Step, k)
-		items := w.open[k]
-		e := &xmlstream.Element{Name: WindowedName, Children: make([]*xmlstream.Element, 0, 2+len(items))}
-		e.Children = append(e.Children,
-			xmlstream.T(aggWinField, start.String()),
-			xmlstream.T(aggWMField, wm.String()),
-		)
-		e.Children = append(e.Children, items...)
-		delete(w.open, k)
-		dst = append(dst, e)
-	}
-	return dst
-}
-
-// Flush implements Operator.
+// Flush implements Operator: at end of stream every open window closes.
 func (w *WindowContents) Flush(dst []*xmlstream.Element) []*xmlstream.Element {
-	w.open = map[int64][]*xmlstream.Element{}
-	return dst
+	return w.set.close(dst, nil)
 }
 
-func sortInt64(ks []int64) {
-	for i := 1; i < len(ks); i++ {
-		for j := i; j > 0 && ks[j] < ks[j-1]; j-- {
-			ks[j], ks[j-1] = ks[j-1], ks[j]
-		}
-	}
+func appendItem(items []*xmlstream.Element, item *xmlstream.Element) []*xmlstream.Element {
+	return append(items, item)
+}
+
+func renderContents(start, wm decimal.D, items []*xmlstream.Element) *xmlstream.Element {
+	e := &xmlstream.Element{Name: WindowedName, Children: make([]*xmlstream.Element, 0, 2+len(items))}
+	e.Children = append(e.Children,
+		xmlstream.T(aggWinField, start.String()),
+		xmlstream.T(aggWMField, wm.String()),
+	)
+	e.Children = append(e.Children, items...)
+	return e
 }

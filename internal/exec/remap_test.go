@@ -109,11 +109,9 @@ func TestPipelineFlushChainsThroughWindows(t *testing.T) {
 		items = append(items, photon("1", "1", "1", "1", fmt.Sprintf("%d", i)))
 	}
 	out := pl.Run(items)
-	// Windows [0,10) and [10,20) close via item arrivals; [20,30) stays
-	// open at stream end (windows only emit when closed by later input).
-	if len(out) != 2 {
-		t.Fatalf("windows = %d", len(out))
-	}
+	// Windows [0,10) and [10,20) close via item arrivals; [20,30) closes at
+	// stream end holding items 20..24, and passes the filter too.
+	checkAggWindows(t, out, []aggWin{{"0", "10", "10", "10"}, {"10", "20", "10", "10"}, {"20", "24", "5", "5"}})
 }
 
 func TestUDFSharingIdenticalVector(t *testing.T) {

@@ -2,7 +2,8 @@ package exec
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strconv"
 
 	"streamshare/internal/decimal"
@@ -137,9 +138,102 @@ func (g *groupAcc) render(i int, spec *AggSpec, reg UDFRegistry) *xmlstream.Elem
 	return e
 }
 
+// windowSet is the one window rule (§2), shared by the operators that group
+// items into data windows. Window k spans the positions [kµ, kµ+∆): a time
+// window positions an item by its reference value, a count window by its
+// index in the operator's input. A window closes when progress passes its
+// end kµ+∆ — a time window at the first item whose reference reaches the
+// end, a count window right after its last item — and at end of stream
+// every open window closes. A closed window is stamped with the position of
+// the last item placed.
+//
+// An operator keeps only what it accumulates per window, W, and how it
+// renders it: put adds an item to a window's state (the zero W for a window
+// the item opens), and render builds the output of a closed window, whose
+// state the set forgets.
+type windowSet[W any] struct {
+	def    wxquery.Window
+	put    func(W, *xmlstream.Element) W
+	render func(start, wm decimal.D, w W) *xmlstream.Element
+
+	open map[int64]W // by k
+	lo   int64       // no open window has a smaller k
+	next int64       // count windows: index of the next item
+	last decimal.D   // position of the last item placed
+	ks   []int64     // close scratch, reused across calls
+}
+
+// process places items in order and appends the windows they close to dst.
+func (s *windowSet[W]) process(dst, items []*xmlstream.Element) []*xmlstream.Element {
+	count := s.def.Kind == wxquery.WindowCount
+	for _, item := range items {
+		var pos decimal.D
+		if count {
+			pos = decimal.FromInt(s.next)
+			s.next++
+		} else if r, ok := item.Decimal(s.def.Ref); ok {
+			pos = r
+		} else {
+			continue // an item without the reference element is in no window
+		}
+		end, err := pos.Sub(s.def.Size)
+		if err != nil {
+			continue
+		}
+		s.last = pos
+		// The item is in every window with kµ ≤ pos < kµ+∆; count windows
+		// start at the first item.
+		kmin, kmax := floorDiv(end, s.def.Step)+1, floorDiv(pos, s.def.Step)
+		if count {
+			kmin = max(kmin, 0)
+		}
+		s.lo = min(s.lo, kmin)
+		for k := kmin; k <= kmax; k++ {
+			s.open[k] = s.put(s.open[k], item)
+		}
+		// Progress is now pos for a time window, and one past it for a count
+		// window, whose item pos is in the windows ending at pos+1.
+		limit := pos
+		if count {
+			limit = decimal.FromInt(s.next)
+		}
+		dst = s.close(dst, &limit)
+	}
+	return dst
+}
+
+// close appends to dst, in window order, every open window whose end is at
+// or before limit; with limit nil (end of stream), every open window.
+func (s *windowSet[W]) close(dst []*xmlstream.Element, limit *decimal.D) []*xmlstream.Element {
+	ends := func(k int64) bool {
+		end, err := mulScalar(s.def.Step, k).Add(s.def.Size)
+		return err == nil && end.Cmp(*limit) <= 0
+	}
+	// Ends grow with k: when window lo stays open, every window does.
+	if limit != nil && (len(s.open) == 0 || !ends(s.lo)) {
+		return dst
+	}
+	ks, lo := s.ks[:0], int64(math.MaxInt64)
+	for k := range s.open {
+		if limit == nil || ends(k) {
+			ks = append(ks, k)
+		} else {
+			lo = min(lo, k)
+		}
+	}
+	s.lo = lo
+	slices.Sort(ks)
+	for _, k := range ks {
+		dst = append(dst, s.render(mulScalar(s.def.Step, k), s.last, s.open[k]))
+		delete(s.open, k)
+	}
+	s.ks = ks[:0]
+	return dst
+}
+
 // WindowAgg evaluates one data window over its input and computes all the
 // subscription's aggregations per window, emitting one aggregate item per
-// completed window. Selection runs upstream of this operator, which is why
+// closed window. Selection runs upstream of this operator, which is why
 // aggregate reuse requires equal pre-aggregation selections (§3.3).
 //
 // A WindowAgg instance is single-threaded: it must be driven by one
@@ -147,114 +241,51 @@ func (g *groupAcc) render(i int, spec *AggSpec, reg UDFRegistry) *xmlstream.Elem
 // pipeline on one lane). Emitted aggregate items are freshly allocated and
 // owned by the caller; input items are only read, never retained.
 type WindowAgg struct {
-	// Window is the data-window definition (§3.2: count- or diff-based).
-	Window wxquery.Window
 	// Aggs lists the aggregations computed per window, in group order.
 	Aggs []AggSpec
 	// Registry resolves the UDF names referenced by Aggs.
 	Registry UDFRegistry
 
-	itemIndex int64 // count windows: index of the next item
-	open      map[int64]*partialWindow
-	ks        []int64 // closeBefore scratch, reused across calls
+	set windowSet[*partialWindow]
 }
 
 type partialWindow struct {
 	groups []groupAcc
 }
 
-// NewWindowAgg returns a window aggregation operator.
+// NewWindowAgg returns an aggregation operator over the data window w (§3.2:
+// count- or diff-based).
 func NewWindowAgg(w wxquery.Window, aggs []AggSpec, reg UDFRegistry) *WindowAgg {
-	return &WindowAgg{Window: w, Aggs: aggs, Registry: reg, open: map[int64]*partialWindow{}}
+	a := &WindowAgg{Aggs: aggs, Registry: reg}
+	a.set = windowSet[*partialWindow]{def: w, put: a.put, render: a.render, open: map[int64]*partialWindow{}}
+	return a
 }
 
 // Name implements Operator.
 func (w *WindowAgg) Name() string       { return "window-agg" }
-func (w *WindowAgg) instance() Operator { return NewWindowAgg(w.Window, w.Aggs, w.Registry) }
+func (w *WindowAgg) instance() Operator { return NewWindowAgg(w.set.def, w.Aggs, w.Registry) }
 
 // Process implements Operator.
 func (w *WindowAgg) Process(dst, items []*xmlstream.Element) []*xmlstream.Element {
-	for _, item := range items {
-		dst = w.add(dst, item)
-	}
-	return dst
+	return w.set.process(dst, items)
 }
 
-// add puts one item into every window containing it and appends the
-// windows it closes to dst.
-func (w *WindowAgg) add(dst []*xmlstream.Element, item *xmlstream.Element) []*xmlstream.Element {
-	var pos decimal.D
-	if w.Window.Kind == wxquery.WindowCount {
-		pos = decimal.FromInt(w.itemIndex)
-		w.itemIndex++
-	} else {
-		r, ok := item.Decimal(w.Window.Ref)
-		if !ok {
-			return dst // items without the reference element are dropped
-		}
-		pos = r
-	}
-	// Close every window whose end kµ+∆ ≤ pos (count windows close below,
-	// after the item is added, since the item at index kµ+∆−1 still belongs
-	// to window k).
-	if w.Window.Kind == wxquery.WindowDiff {
-		dst = w.closeBefore(dst, pos, pos)
-	}
-	// Add the item to every window containing pos: kµ ≤ pos < kµ+∆.
-	kmax := floorDiv(pos, w.Window.Step)
-	end, err := pos.Sub(w.Window.Size)
-	if err != nil {
-		return dst
-	}
-	kmin := floorDiv(end, w.Window.Step) + 1
-	if w.Window.Kind == wxquery.WindowCount && kmin < 0 {
-		kmin = 0
-	}
-	for k := kmin; k <= kmax; k++ {
-		p := w.open[k]
-		if p == nil {
-			p = getPartial(len(w.Aggs))
-			w.open[k] = p
-		}
-		for i := range w.Aggs {
-			p.groups[i].add(&w.Aggs[i], item)
-		}
-	}
-	if w.Window.Kind == wxquery.WindowCount {
-		// Close windows ending exactly after this item.
-		next := decimal.FromInt(w.itemIndex)
-		dst = w.closeBefore(dst, next, decimal.FromInt(w.itemIndex-1))
-	}
-	return dst
+// Flush implements Operator: at end of stream every open window closes.
+func (w *WindowAgg) Flush(dst []*xmlstream.Element) []*xmlstream.Element {
+	return w.set.close(dst, nil)
 }
 
-// closeBefore appends to dst (in window order) every open window with
-// kµ+∆ ≤ limit, stamping wm as the watermark.
-func (w *WindowAgg) closeBefore(dst []*xmlstream.Element, limit, wm decimal.D) []*xmlstream.Element {
-	ks := w.ks[:0]
-	for k := range w.open {
-		endStart := mulScalar(w.Window.Step, k)
-		end, err := endStart.Add(w.Window.Size)
-		if err != nil {
-			continue
-		}
-		if end.Cmp(limit) <= 0 {
-			ks = append(ks, k)
-		}
+func (w *WindowAgg) put(p *partialWindow, item *xmlstream.Element) *partialWindow {
+	if p == nil {
+		p = getPartial(len(w.Aggs))
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	for _, k := range ks {
-		p := w.open[k]
-		dst = append(dst, w.emit(k, p, wm))
-		delete(w.open, k)
-		putPartial(p)
+	for i := range w.Aggs {
+		p.groups[i].add(&w.Aggs[i], item)
 	}
-	w.ks = ks[:0]
-	return dst
+	return p
 }
 
-func (w *WindowAgg) emit(k int64, p *partialWindow, wm decimal.D) *xmlstream.Element {
-	start := mulScalar(w.Window.Step, k)
+func (w *WindowAgg) render(start, wm decimal.D, p *partialWindow) *xmlstream.Element {
 	e := xmlstream.E(AggItemName,
 		xmlstream.T(aggWinField, start.String()),
 		xmlstream.T(aggWMField, wm.String()),
@@ -262,17 +293,8 @@ func (w *WindowAgg) emit(k int64, p *partialWindow, wm decimal.D) *xmlstream.Ele
 	for i := range p.groups {
 		e.Children = append(e.Children, p.groups[i].render(i, &w.Aggs[i], w.Registry))
 	}
+	putPartial(p)
 	return e
-}
-
-// Flush implements Operator. Incomplete trailing windows are not emitted:
-// a window only produces a value once its step boundary has passed.
-func (w *WindowAgg) Flush(dst []*xmlstream.Element) []*xmlstream.Element {
-	for k, p := range w.open {
-		delete(w.open, k)
-		putPartial(p)
-	}
-	return dst
 }
 
 // aggValue extracts group i's value as an exact rational (num/den) from an
@@ -336,6 +358,7 @@ type WindowMerge struct {
 	buf   map[int64]*xmlstream.Element // fine items keyed by start, in Step units of Fine
 	jNext int64
 	began bool
+	s, wm decimal.D // the last fine item's start and watermark
 }
 
 // NewWindowMerge returns a recomposition operator; the window pair must be
@@ -398,27 +421,34 @@ func (m *WindowMerge) add(dst []*xmlstream.Element, item *xmlstream.Element) []*
 		}
 		wm = end
 	}
-	return m.closeThrough(dst, start, wm)
+	m.s, m.wm = start, wm
+	return m.closeThrough(dst, false)
 }
 
 // closeThrough appends to dst every coarse window whose last tile start
-// jµ′+∆′−∆ is at or before the fine start just buffered. Fine aggregate
+// jµ′+∆′−∆ is at or before the last fine start buffered, s. Fine aggregate
 // streams are ordered by window start, so once a fine start s has arrived,
 // no tile with start ≤ s can arrive later — watermarks alone would close a
 // coarse window before its final tile is delivered within the same closing
-// batch.
-func (m *WindowMerge) closeThrough(dst []*xmlstream.Element, s, wm decimal.D) []*xmlstream.Element {
+// batch. At end of stream no further tile arrives, so every coarse window
+// starting at or before s closes.
+func (m *WindowMerge) closeThrough(dst []*xmlstream.Element, eos bool) []*xmlstream.Element {
 	for {
 		startC := mulScalar(m.Coarse.Step, m.jNext)
-		endC, err := startC.Add(m.Coarse.Size)
-		if err != nil {
+		due := startC // the tile start that closes the window
+		if !eos {
+			endC, err := startC.Add(m.Coarse.Size)
+			if err != nil {
+				return dst
+			}
+			if due, err = endC.Sub(m.Fine.Size); err != nil {
+				return dst
+			}
+		}
+		if due.Cmp(m.s) > 0 {
 			return dst
 		}
-		lastTile, err := endC.Sub(m.Fine.Size)
-		if err != nil || lastTile.Cmp(s) > 0 {
-			return dst
-		}
-		if e := m.combine(startC, wm); e != nil {
+		if e := m.combine(startC, m.wm); e != nil {
 			dst = append(dst, e)
 		}
 		m.jNext++
@@ -535,9 +565,12 @@ func (m *WindowMerge) combine(startC, wm decimal.D) *xmlstream.Element {
 	return e
 }
 
-// Flush implements Operator. Trailing coarse windows not closed by a
-// watermark stay unemitted, mirroring WindowAgg.
+// Flush implements Operator: at end of stream every coarse window up to the
+// last fine window buffered closes.
 func (m *WindowMerge) Flush(dst []*xmlstream.Element) []*xmlstream.Element {
-	m.buf = map[int64]*xmlstream.Element{}
+	if m.began {
+		dst = m.closeThrough(dst, true)
+	}
+	clear(m.buf)
 	return dst
 }

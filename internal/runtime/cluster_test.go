@@ -23,17 +23,19 @@ import (
 	"streamshare/internal/obs"
 	"streamshare/internal/photons"
 	"streamshare/internal/scenario"
+	"streamshare/internal/stats"
 	"streamshare/internal/testutil"
 	"streamshare/internal/transport"
 	"streamshare/internal/xmlstream"
 )
 
 // The cluster equivalence oracle: the same grid scenario is planned by
-// independent engines (plans are deterministic), executed across two
-// cluster nodes over a real transport, and the union of their deliveries
-// must match the in-process simulator item-for-item — with and without
-// forced disconnects, because the link layer's journal/replay/dedup makes
-// TCP reconnection loss-free.
+// independent engines (plans are deterministic), executed by one runtime in
+// one process and across two cluster nodes over a real transport, and each
+// delivery (the union of the nodes', for the cluster) must match the
+// in-process simulator item-for-item — with and without forced disconnects,
+// because the link layer's journal/replay/dedup makes TCP reconnection
+// loss-free.
 
 // gridCase pins the distributed acceptance scenario: a 3×3 super-peer
 // grid, ten shared queries, 150 source items.
@@ -229,7 +231,10 @@ func gridScenario(reliable bool) buildFunc {
 	}
 }
 
-func testClusterEquivalence(t *testing.T, tr transport.Transport, build buildFunc, reliable, chaos bool) {
+// testClusterEquivalence runs build's scenario on the simulator, on one
+// runtime and on a two-node cluster over tr, compares the deliveries, and
+// returns the simulator's.
+func testClusterEquivalence(t *testing.T, tr transport.Transport, build buildFunc, reliable, chaos bool) *core.SimResult {
 	defer testutil.Watchdog(t, 2*time.Minute)()
 	engRef, feedRef, err := build()
 	if err != nil {
@@ -239,6 +244,16 @@ func testClusterEquivalence(t *testing.T, tr transport.Transport, build buildFun
 	if err != nil {
 		t.Fatal(err)
 	}
+	engOne, feedOne, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := New(engOne, true).Run(feedOne)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareCollected(t, ref, one)
+
 	eng0, feed0, err := build()
 	if err != nil {
 		t.Fatal(err)
@@ -305,6 +320,7 @@ func testClusterEquivalence(t *testing.T, tr transport.Transport, build buildFun
 		}
 		t.Logf("chaos: %d reconnects survived with identical delivery", recon)
 	}
+	return ref
 }
 
 // checkNoFaults asserts that a healthy run left a cluster node's session
@@ -386,6 +402,52 @@ func TestClusterEquivalenceMem(t *testing.T) {
 		eng, feed := fuzzyBuild(t, first["n1"], first["n0"])
 		return eng, feed, nil
 	}, false, false)
+
+	// The end of the stream closes the last window of a selective
+	// subscription, on every backend: its last matching photon (det_time
+	// 94) is followed by photons it drops, so no later item reaches the
+	// window to close [90,100).
+	ref := testClusterEquivalence(t, transport.NewMem(), trailingScenario(first["n1"], first["n0"]), false, false)
+	for id, want := range map[string]string{
+		"q1": "<hot><det_time>90</det_time><det_time>91</det_time><det_time>92</det_time><det_time>93</det_time><det_time>94</det_time></hot>",
+		"q2": "<hits>5</hits>",
+	} {
+		if got := ref.Collected[id]; len(got) != 10 || xmlstream.Marshal(got[9]) != want {
+			t.Errorf("%s: %d windows, want 10 ending in %s", id, len(got), want)
+		}
+	}
+}
+
+// trailingScenario streams 120 photons one time unit apart from at to two
+// selective |det_time diff 10| subscriptions at target, window contents (q1)
+// and a count (q2); only the first 95 photons match.
+func trailingScenario(at, target network.PeerID) buildFunc {
+	return func() (*core.Engine, map[string][]*xmlstream.Element, error) {
+		items := make([]*xmlstream.Element, 120)
+		for i := range items {
+			en := "2.5"
+			if i >= 95 {
+				en = "0.5"
+			}
+			items[i] = xmlstream.E("photon",
+				xmlstream.E("coord", xmlstream.E("cel", xmlstream.T("ra", "130.0"), xmlstream.T("dec", "-45.0"))),
+				xmlstream.T("phc", "7"), xmlstream.T("en", en), xmlstream.T("det_time", fmt.Sprint(i)))
+		}
+		eng := core.NewEngine(testNet(), core.Config{})
+		if _, err := eng.RegisterStream("photons", xmlstream.ParsePath("photons/photon"), at,
+			stats.Collect("photons", "photon", items, photons.DefaultConfig().Freq)); err != nil {
+			return nil, nil, err
+		}
+		for _, q := range []string{
+			`<r>{ for $w in stream("photons")/photons/photon [en >= 2.0] |det_time diff 10| return <hot>{ $w/det_time }</hot> }</r>`,
+			`<r>{ for $w in stream("photons")/photons/photon [en >= 2.0] |det_time diff 10| let $n := count($w/en) return <hits>{ $n }</hits> }</r>`,
+		} {
+			if _, err := eng.Subscribe(q, target, core.StreamSharing); err != nil {
+				return nil, nil, err
+			}
+		}
+		return eng, map[string][]*xmlstream.Element{"photons": items}, nil
+	}
 }
 
 // TestClusterEquivalenceBenchPlanMem runs the benchmark's 4×4, 32-query plan,

@@ -237,6 +237,11 @@ var rules = []struct {
 	{"transplant", grep(`Transplant\(|transplantInput|chainPipelines|journalLevel|oldReplayKey|Stateful\(`)},
 	// A selection reads leaf values through the value table its group shares.
 	{"selslot", grep(`selSlot|func \(s \*Select\) value\(`, "internal/exec/")},
+	// A data window's membership and close rule live in the window set; the
+	// merge tiles coarse windows with fine ones.
+	{"windowclose", calls(named("streamshare/internal/exec", "floorDiv"), nil, 0, -1,
+		"(*windowSet[W]).process", "(*WindowMerge).add", "(*WindowMerge).combine")},
+	{"closecopies", grep(`closeBefore|sortInt64`, "internal/exec/")},
 	{"docs", docs},
 	{"refs", refs},
 }
@@ -470,6 +475,8 @@ var planted = []struct {
 	{"stageloads", map[string]string{"internal/core/loads.go": "package core\n\n// StageLoads\n"}, 1},
 	{"transplant", map[string]string{"internal/exec/state.go": "package exec\n\n// Transplant(\n"}, 1},
 	{"selslot", map[string]string{"internal/exec/slot.go": "package exec\n\n// selSlot\n"}, 1},
+	{"windowclose", map[string]string{"internal/exec/window.go": "package exec\n\nfunc floorDiv(a, b int64) int64 { return a / b }\n\nvar k = floorDiv(7, 2)\n"}, 1},
+	{"closecopies", map[string]string{"internal/exec/close.go": "package exec\n\n// closeBefore\n"}, 1},
 	{"docs", map[string]string{"internal/wire/api.go": "package wire\n\nfunc Encode() {}\n"}, 1},
 	{"refs", map[string]string{"EXPERIMENTS.md": "`internal/plan/gone.go`\n`cmd/gone -x` and TestGone\n`BenchmarkGone*` `internal/gone.New`\n"}, 5},
 	{"refs", map[string]string{"docs/WIRE.md": "`runtime.batch.size` `runtime.gone` `sim.gone.bytes`\n"}, 2},
