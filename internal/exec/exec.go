@@ -45,12 +45,15 @@
 //   - The caller owns dst. Process and Flush only append to it and return
 //     the grown slice, keep no reference to it, and are never handed a dst
 //     that overlaps the input slice.
-//   - Output items share subtrees with inputs. An operator allocates only
-//     the nodes it adds or whose child list it changes; a projection's kept
+//   - Output items share subtrees with inputs. An operator builds only the
+//     nodes it adds or whose child list it changes; a projection's kept
 //     subtrees, the subtrees a return clause selects, a window's items and
 //     a remapped group's fields are the input's own nodes, and an operator
-//     with nothing to change passes the item through. The receiver may
-//     retain outputs indefinitely and, like everyone else, may not modify
+//     with nothing to change passes the item through. Project and
+//     Restructure build their nodes and child slices in one xmlstream.Slab
+//     per Process call, a few allocations per batch instead of some per
+//     item. The receiver may retain outputs indefinitely (one kept output
+//     pins its batch's slab arrays) and, like everyone else, may not modify
 //     them. Operators never touch an item again after emitting it.
 package exec
 
@@ -181,30 +184,56 @@ func (p *Pipeline) Run(items []*xmlstream.Element) []*xmlstream.Element {
 }
 
 // Project prunes items to the subtrees addressed by Keep. Its outputs share
-// the kept subtrees with the input item.
+// the kept subtrees with the input item; the nodes it rebuilds come from one
+// slab per Process call.
 type Project struct {
 	// Keep lists the item-relative paths of the subtrees to retain.
 	Keep []xmlstream.Path
 
 	proj *xmlstream.Projection
+	// nodes and kids are the trie's per-item bound on what Apply takes from
+	// a slab. A subtree whose children all survive is shared, not rebuilt,
+	// so the bound over-reserves: a slab is sized by the mean of what this
+	// instance's items took so far, seen.
+	nodes, kids int
+	seen        struct{ items, nodes, kids int }
 }
 
 // NewProject returns a projection keeping the given subtrees.
 func NewProject(keep []xmlstream.Path) *Project {
-	return &Project{Keep: keep, proj: xmlstream.CompileProjection(keep)}
+	p := &Project{Keep: keep, proj: xmlstream.CompileProjection(keep)}
+	p.nodes, p.kids = p.proj.Bound()
+	return p
 }
 
 // Name implements Operator.
-func (p *Project) Name() string       { return "project" }
-func (p *Project) instance() Operator { return p }
+func (p *Project) Name() string { return "project" }
+
+func (p *Project) instance() Operator {
+	return &Project{Keep: p.Keep, proj: p.proj, nodes: p.nodes, kids: p.kids}
+}
 
 // Process implements Operator.
 func (p *Project) Process(dst, items []*xmlstream.Element) []*xmlstream.Element {
+	if p.seen.items == 0 && len(items) > 1 {
+		// With nothing seen, the first item alone is sized by the bound, and
+		// what it takes sizes the rest.
+		dst, items = p.Process(dst, items[:1]), items[1:]
+	}
+	n, seen := len(items), &p.seen
+	nodes, kids := n*p.nodes, n*p.kids
+	if seen.items > 0 {
+		nodes = min(nodes, (n*seen.nodes+seen.items-1)/seen.items)
+		kids = min(kids, (n*seen.kids+seen.items-1)/seen.items)
+	}
+	s := xmlstream.NewSlab(nodes, kids, 0)
 	for _, item := range items {
-		if pr := p.proj.Apply(item); pr != nil {
+		if pr := p.proj.Apply(&s, item); pr != nil {
 			dst = append(dst, pr)
 		}
 	}
+	nodes, kids = s.Used()
+	seen.items, seen.nodes, seen.kids = seen.items+n, seen.nodes+nodes, seen.kids+kids
 	return dst
 }
 

@@ -39,12 +39,14 @@ type LetBinding struct {
 // to the subscribing peer, and its output is never considered for reuse.
 //
 // The return clause is compiled once, at construction, into a template;
-// Process evaluates the template and allocates only the nodes the clause
-// constructs. Input subtrees a variable reference selects are placed in the
-// output by pointer, so outputs share structure with inputs: this is safe
-// because nothing writes to an element after it is built (see the package
-// comment). A Restructure holds no evaluation state, so every instance of a
-// pipeline shares one; inputs are never retained past the Process call.
+// Process evaluates the template and builds only the nodes the clause
+// constructs, taking them and their child slices from one slab per call,
+// sized by what the template builds per item. Input subtrees a variable
+// reference selects are placed in the output by pointer, so outputs share
+// structure with inputs: this is safe because nothing writes to an element
+// after it is built (see the package comment). The slab is local to the
+// call and inputs are never retained past it, so a Restructure holds no
+// evaluation state and every instance of a pipeline shares one.
 type Restructure struct {
 	// Mode selects how incoming items bind to variables.
 	Mode RestructureMode
@@ -56,12 +58,16 @@ type Restructure struct {
 	Return wxquery.Expr
 
 	tmpl tmpl
+	// nodes and kids are the most nodes and child pointers the template
+	// builds for one item.
+	nodes, kids int
 }
 
 // NewRestructure returns the post-processing operator for one FLWR.
 func NewRestructure(mode RestructureMode, forVar string, lets []LetBinding, ret wxquery.Expr) *Restructure {
 	r := &Restructure{Mode: mode, ForVar: forVar, Lets: lets, Return: ret}
 	r.tmpl = r.compile(ret)
+	r.nodes, r.kids = r.tmpl.perItem(true)
 	return r
 }
 
@@ -71,11 +77,12 @@ func (r *Restructure) instance() Operator { return r }
 
 // Process implements Operator.
 func (r *Restructure) Process(dst, items []*xmlstream.Element) []*xmlstream.Element {
+	s := xmlstream.NewSlab(len(items)*r.nodes, len(items)*r.kids, 0)
 	// A bare text value at the top level of a return clause is wrapped so
 	// it remains a well-formed stream item.
 	out := content{top: true, elems: dst}
 	for _, item := range items {
-		r.eval(&r.tmpl, item, &out)
+		r.eval(&s, &r.tmpl, item, &out)
 	}
 	return out.elems
 }
@@ -136,9 +143,9 @@ type content struct {
 	top bool
 }
 
-func (c *content) addText(v string) {
+func (c *content) addText(s *xmlstream.Slab, v string) {
 	if c.top {
-		c.elems = append(c.elems, xmlstream.T("value", v))
+		c.elems = append(c.elems, s.Node("value", v, nil))
 		return
 	}
 	c.text += v // a lone value is kept as is; only a second one concatenates
@@ -221,22 +228,48 @@ func (t *tmpl) expectedElems() int {
 	return 0
 }
 
-// eval appends what t produces for item to out.
-func (r *Restructure) eval(t *tmpl, item *xmlstream.Element, out *content) {
+// perItem returns the most nodes and child pointers t builds for one item:
+// a node per constructor with its expected elements' worth of children, the
+// larger branch of a conditional, and at the top level a <value> node per
+// aggregate value.
+func (t *tmpl) perItem(top bool) (nodes, kids int) {
 	switch t.kind {
 	case tmplCtor:
-		e := &xmlstream.Element{Name: t.tag}
+		nodes, kids, top = 1, t.elems, false
+	case tmplAgg:
+		if top {
+			nodes = 1
+		}
+		return nodes, kids
+	case tmplIf:
+		n0, k0 := t.kids[0].perItem(top)
+		n1, k1 := t.kids[1].perItem(top)
+		return max(n0, n1), max(k0, k1)
+	}
+	for i := range t.kids {
+		n, k := t.kids[i].perItem(top)
+		nodes, kids = nodes+n, kids+k
+	}
+	return nodes, kids
+}
+
+// eval appends what t produces for item to out, building its nodes in s.
+func (r *Restructure) eval(s *xmlstream.Slab, t *tmpl, item *xmlstream.Element, out *content) {
+	switch t.kind {
+	case tmplCtor:
 		in := content{}
 		if t.elems > 0 {
-			in.elems = make([]*xmlstream.Element, 0, t.elems)
+			in.elems = s.Children(t.elems)
 		}
 		for i := range t.kids {
-			r.eval(&t.kids[i], item, &in)
+			r.eval(s, &t.kids[i], item, &in)
 		}
-		if len(in.elems) > 0 {
-			e.Children = in.elems
+		var e *xmlstream.Element
+		if n := len(in.elems); n > 0 {
+			// The child slice is capped at its length, as every slab's is.
+			e = s.Node(t.tag, "", in.elems[:n:n])
 		} else {
-			e.Text = in.text
+			e = s.Node(t.tag, in.text, nil)
 		}
 		out.elems = append(out.elems, e)
 	case tmplItem:
@@ -252,18 +285,18 @@ func (r *Restructure) eval(t *tmpl, item *xmlstream.Element, out *content) {
 		// avg values are finalized here as sum/count (§3.3: the division
 		// happens at the super-peer where the subscription is registered).
 		if num, den, ok := r.value(t, item); ok {
-			out.addText(formatRatio(num, den))
+			out.addText(s, formatRatio(num, den))
 		}
 	case tmplSeq:
 		for i := range t.kids {
-			r.eval(&t.kids[i], item, out)
+			r.eval(s, &t.kids[i], item, out)
 		}
 	case tmplIf:
 		branch := 1
 		if r.holds(t.cond, item) {
 			branch = 0
 		}
-		r.eval(&t.kids[branch], item, out)
+		r.eval(s, &t.kids[branch], item, out)
 	}
 }
 

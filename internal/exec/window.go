@@ -56,6 +56,16 @@ type AggSpec struct {
 // groupName returns the element name of group i in an aggregate item.
 func groupName(i int) string { return groupPrefix + strconv.Itoa(i) }
 
+// groupNames returns the names of groups 0 … n-1: an operator builds its
+// table once, so rendering a window builds no name.
+func groupNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = groupName(i)
+	}
+	return names
+}
+
 // floorDiv returns ⌊a/b⌋ over decimals with b > 0.
 func floorDiv(a, b decimal.D) int64 {
 	s := a.Scale()
@@ -89,8 +99,9 @@ type groupAcc struct {
 	vals []decimal.D // UDF input values
 }
 
-func (g *groupAcc) add(spec *AggSpec, item *xmlstream.Element) {
-	for _, node := range item.Find(spec.Elem) {
+// add accumulates the nodes an item holds at spec's path.
+func (g *groupAcc) add(spec *AggSpec, nodes []*xmlstream.Element) {
+	for _, node := range nodes {
 		if spec.Op == wxquery.AggCount && spec.UDF == "" {
 			g.n++
 			continue
@@ -117,9 +128,9 @@ func (g *groupAcc) add(spec *AggSpec, item *xmlstream.Element) {
 	}
 }
 
-// render emits the group element for an aggregate item.
-func (g *groupAcc) render(i int, spec *AggSpec, reg UDFRegistry) *xmlstream.Element {
-	e := xmlstream.E(groupName(i), xmlstream.T(aggNField, strconv.FormatInt(g.n, 10)))
+// render emits the group element named name for an aggregate item.
+func (g *groupAcc) render(name string, spec *AggSpec, reg UDFRegistry) *xmlstream.Element {
+	e := xmlstream.E(name, xmlstream.T(aggNField, strconv.FormatInt(g.n, 10)))
 	switch {
 	case spec.UDF != "":
 		fn := reg[spec.UDF]
@@ -246,7 +257,9 @@ type WindowAgg struct {
 	// Registry resolves the UDF names referenced by Aggs.
 	Registry UDFRegistry
 
-	set windowSet[*partialWindow]
+	set   windowSet[*partialWindow]
+	names []string             // group element names, by group
+	found []*xmlstream.Element // put's scratch: an item's nodes at one path
 }
 
 type partialWindow struct {
@@ -256,7 +269,7 @@ type partialWindow struct {
 // NewWindowAgg returns an aggregation operator over the data window w (§3.2:
 // count- or diff-based).
 func NewWindowAgg(w wxquery.Window, aggs []AggSpec, reg UDFRegistry) *WindowAgg {
-	a := &WindowAgg{Aggs: aggs, Registry: reg}
+	a := &WindowAgg{Aggs: aggs, Registry: reg, names: groupNames(len(aggs))}
 	a.set = windowSet[*partialWindow]{def: w, put: a.put, render: a.render, open: map[int64]*partialWindow{}}
 	return a
 }
@@ -280,8 +293,10 @@ func (w *WindowAgg) put(p *partialWindow, item *xmlstream.Element) *partialWindo
 		p = getPartial(len(w.Aggs))
 	}
 	for i := range w.Aggs {
-		p.groups[i].add(&w.Aggs[i], item)
+		w.found = item.AppendFind(w.found[:0], w.Aggs[i].Elem)
+		p.groups[i].add(&w.Aggs[i], w.found)
 	}
+	clear(w.found) // the scratch must not keep the item alive
 	return p
 }
 
@@ -291,7 +306,7 @@ func (w *WindowAgg) render(start, wm decimal.D, p *partialWindow) *xmlstream.Ele
 		xmlstream.T(aggWMField, wm.String()),
 	)
 	for i := range p.groups {
-		e.Children = append(e.Children, p.groups[i].render(i, &w.Aggs[i], w.Registry))
+		e.Children = append(e.Children, p.groups[i].render(w.names[i], &w.Aggs[i], w.Registry))
 	}
 	putPartial(p)
 	return e
@@ -355,6 +370,10 @@ type WindowMerge struct {
 	// (relevant when an avg stream serves a sum/count subscription).
 	FineOp []wxquery.AggOp
 
+	// names[i] is the element name of Aggs[i]'s group, fineNames[i] that
+	// of the fine group serving it.
+	names, fineNames []string
+
 	buf   map[int64]*xmlstream.Element // fine items keyed by start, in Step units of Fine
 	jNext int64
 	began bool
@@ -364,11 +383,16 @@ type WindowMerge struct {
 // NewWindowMerge returns a recomposition operator; the window pair must be
 // compatible per MatchAggregations.
 func NewWindowMerge(fine, coarse wxquery.Window, aggs []AggSpec, fineGroup []int, fineOp []wxquery.AggOp) *WindowMerge {
-	return &WindowMerge{
+	m := &WindowMerge{
 		Fine: fine, Coarse: coarse,
 		Aggs: aggs, FineGroup: fineGroup, FineOp: fineOp,
-		buf: map[int64]*xmlstream.Element{},
+		names: groupNames(len(aggs)),
+		buf:   map[int64]*xmlstream.Element{},
 	}
+	for _, g := range fineGroup {
+		m.fineNames = append(m.fineNames, groupName(g))
+	}
+	return m
 }
 
 // Name implements Operator.
@@ -489,7 +513,7 @@ func (m *WindowMerge) combine(startC, wm decimal.D) *xmlstream.Element {
 		}
 		found = true
 		for i := range m.Aggs {
-			g := fine.Child(groupName(m.FineGroup[i]))
+			g := fine.Child(m.fineNames[i])
 			if g == nil {
 				continue
 			}
@@ -537,7 +561,7 @@ func (m *WindowMerge) combine(startC, wm decimal.D) *xmlstream.Element {
 	)
 	for i := range m.Aggs {
 		a := &accs[i]
-		g := xmlstream.E(groupName(i))
+		g := xmlstream.E(m.names[i])
 		switch m.Aggs[i].Op {
 		case wxquery.AggCount:
 			g.Children = append(g.Children, xmlstream.T(aggNField, strconv.FormatInt(a.n, 10)))

@@ -42,28 +42,31 @@ type batcher struct {
 	flushStage obs.Stage
 }
 
-// add appends one item to the current batch, flushing it when it reaches
-// the configured size.
-func (b *batcher) add(e *xmlstream.Element) {
-	if b.elems == nil { // flush leaves it nil: this item opens a batch
-		b.elems = make([]*xmlstream.Element, 0, b.r.opts.BatchSize)
-	}
-	b.elems = append(b.elems, e)
-	b.xb += xmlstream.MarshalSize(e)
-	if b.sample {
-		if b.r.lat.Sampled(b.stream.Source, b.idx) {
-			// Every selected item starts a span (keeping the sampled set
-			// identical to the simulator's), but only the first rides the
-			// batch: in-batch neighbors would record near-identical deltas.
-			sp := b.r.lat.Start(b.stream.Source, b.idx)
-			if b.span == nil {
-				b.span = sp
-			}
+// add appends items to the current batch in order, flushing it whenever it
+// reaches the configured size. A batch it opens is allocated at the size it
+// will reach: the items left, at most the configured size.
+func (b *batcher) add(items []*xmlstream.Element) {
+	for i, e := range items {
+		if b.elems == nil { // flush leaves it nil: this item opens a batch
+			b.elems = make([]*xmlstream.Element, 0, min(len(items)-i, b.r.opts.BatchSize))
 		}
-		b.idx++
-	}
-	if len(b.elems) >= b.r.opts.BatchSize {
-		b.flush(false)
+		b.elems = append(b.elems, e)
+		b.xb += xmlstream.MarshalSize(e)
+		if b.sample {
+			if b.r.lat.Sampled(b.stream.Source, b.idx) {
+				// Every selected item starts a span (keeping the sampled set
+				// identical to the simulator's), but only the first rides the
+				// batch: in-batch neighbors would record near-identical deltas.
+				sp := b.r.lat.Start(b.stream.Source, b.idx)
+				if b.span == nil {
+					b.span = sp
+				}
+			}
+			b.idx++
+		}
+		if len(b.elems) >= b.r.opts.BatchSize {
+			b.flush(false)
+		}
 	}
 }
 

@@ -37,9 +37,11 @@ type inbox struct {
 
 // lane carries one stream's pending messages at one peer. scheduled is true
 // iff the lane sits in the runq or is owned by a worker; the invariant
-// gives every lane at most one concurrent consumer.
+// gives every lane at most one concurrent consumer. free is the slice the
+// last worker drained, cleared, which the next push queues into, so a lane
+// that is busy ping-pongs between two slices instead of growing new ones.
 type lane struct {
-	q         []message
+	q, free   []message
 	scheduled bool
 }
 
@@ -58,6 +60,9 @@ func (b *inbox) push(m message) {
 	if ln == nil {
 		ln = &lane{}
 		b.lanes[m.stream] = ln
+	}
+	if ln.q == nil {
+		ln.q, ln.free = ln.free, nil
 	}
 	ln.q = append(ln.q, m)
 	b.depth += u
@@ -97,11 +102,14 @@ func (b *inbox) next() (*lane, []message, bool) {
 	return ln, msgs, true
 }
 
-// done releases a lane taken with next: if messages arrived while the
-// worker held it the lane goes back on the runq, otherwise it parks until
-// the next push schedules it again.
-func (b *inbox) done(ln *lane) {
+// done releases a lane taken with next, and the messages next handed out
+// with it, which the lane reuses: if messages arrived while the worker held
+// it the lane goes back on the runq, otherwise it parks until the next push
+// schedules it again.
+func (b *inbox) done(ln *lane, msgs []message) {
+	clear(msgs)
 	b.mu.Lock()
+	ln.free = msgs[:0]
 	if len(ln.q) > 0 {
 		b.runq = append(b.runq, ln)
 		b.mu.Unlock()

@@ -680,7 +680,7 @@ func (r *Runtime) workerLoop(n *node) {
 			m.elems = nil
 			r.finish()
 		}
-		n.inbox.done(ln)
+		n.inbox.done(ln, msgs)
 	}
 }
 
@@ -817,9 +817,7 @@ func (r *Runtime) feedChild(n *node, child *core.PlanStream, its []*xmlstream.El
 // input item plus each stage's base load per item entering it.
 func (r *Runtime) runResidual(d *core.PlanStream, at network.PeerID, its []*xmlstream.Element, eos bool, b *batcher, perItem float64) {
 	outs, wk := r.inst.Residual[d.Index].Eval(0, its, eos, d.Loads)
-	for _, out := range outs {
-		b.add(out)
-	}
+	b.add(outs)
 	b.flush(eos)
 	if wk += perItem * float64(len(its)); wk != 0 {
 		r.work(at, wk)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	goruntime "runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -115,6 +116,60 @@ func compareInOrder(t *testing.T, label string, sim *core.SimResult, dist *Resul
 			if !a[i].Equal(b[i]) {
 				t.Fatalf("%s/%s item %d differs:\n%s\n%s", label, id, i,
 					xmlstream.Marshal(a[i]), xmlstream.Marshal(b[i]))
+			}
+		}
+	}
+}
+
+// TestCollectedOutputsOutliveTheirBatch holds a collecting Run to the rule
+// that a result owns what its operators built it with: in 3-item batches a
+// run builds its results in hundreds of per-batch slabs, and a window
+// subscription's WindowContents keeps items across batches. Every result
+// must equal the simulator's (64-item batches) once the run is over, and
+// still read as it did after a second run on the same engine has built its
+// own.
+func TestCollectedOutputsOutliveTheirBatch(t *testing.T) {
+	eng, items := setup(t, core.StreamSharing)
+	const windowQ = `<r>{ for $w in stream("photons")/photons/photon [en >= 1.3] |count 5 step 3| return <hot>{ $w/en }{ $w/coord/cel }</hot> }</r>`
+	win, err := eng.Subscribe(windowQ, "SP3", core.StreamSharing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := map[string][]*xmlstream.Element{"photons": items}
+	sim, err := eng.Simulate(feed, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.BatchSize = 3
+	first, err := NewWith(eng, true, opts).Run(feed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	texts := map[string][]string{}
+	for id, outs := range first.Collected {
+		for _, e := range outs {
+			texts[id] = append(texts[id], xmlstream.Marshal(e))
+		}
+	}
+	if _, err := NewWith(eng, true, opts).Run(feed); err != nil {
+		t.Fatal(err)
+	}
+	goruntime.GC()
+	if n := len(sim.Collected[win.ID]); n < 20 {
+		t.Fatalf("the window subscription has %d results: too few to span batches", n)
+	}
+	for id, want := range sim.Collected {
+		got := first.Collected[id]
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d results, the simulator has %d", id, len(got), len(want))
+		}
+		for i := range want {
+			if now := xmlstream.Marshal(got[i]); now != texts[id][i] {
+				t.Fatalf("%s result %d changed after a later run:\n when run %s\n now      %s", id, i, texts[id][i], now)
+			}
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("%s result %d is %s, the simulator gives %s", id, i, texts[id][i], xmlstream.Marshal(want[i]))
 			}
 		}
 	}
@@ -277,7 +332,7 @@ func TestInboxHighWaterMark(t *testing.T) {
 	if !ok || len(msgs) != 2 {
 		t.Fatalf("next returned %d messages, ok=%v; want 2 messages", len(msgs), ok)
 	}
-	b.done(ln)
+	b.done(ln, msgs)
 	b.push(batchMsg(3))
 	if got := b.highWater(); got != 5 {
 		t.Fatalf("hwm after drain = %d, want 5 (high-water must not fall)", got)
@@ -297,7 +352,7 @@ func TestInboxHighWaterMark(t *testing.T) {
 func TestInboxLaneSerialization(t *testing.T) {
 	b := newInbox()
 	b.push(batchMsg(1))
-	ln, _, ok := b.next()
+	ln, msgs, ok := b.next()
 	if !ok {
 		t.Fatal("next failed on non-empty inbox")
 	}
@@ -308,7 +363,7 @@ func TestInboxLaneSerialization(t *testing.T) {
 	if queued != 0 {
 		t.Fatalf("owned lane was rescheduled (runq len %d); a stream must have one consumer", queued)
 	}
-	b.done(ln)
+	b.done(ln, msgs)
 	b.mu.Lock()
 	queued = len(b.runq)
 	b.mu.Unlock()

@@ -245,25 +245,41 @@ func (pr *Projection) child(name string) *Projection {
 	return nil
 }
 
+// Bound returns the most nodes and child pointers Apply takes from its slab
+// for one item whose siblings have distinct names: a node for each path
+// prefix that is not itself kept, with room for each of its continuations.
+func (pr *Projection) Bound() (nodes, kids int) {
+	if pr.keep {
+		return 0, 0
+	}
+	nodes, kids = 1, len(pr.kids)
+	for _, k := range pr.kids {
+		n, c := k.Bound()
+		nodes, kids = nodes+n, kids+c
+	}
+	return nodes, kids
+}
+
 // Apply returns e reduced to the subtrees the keep paths address, or nil if
 // none is present. Interior elements on the way to a kept subtree are
 // retained, everything else is dropped. A kept subtree is returned by
 // pointer, not copied, and so is any element all of whose children survive
 // unchanged: the result shares nodes with e, which is safe because elements
-// are never written after construction.
-func (pr *Projection) Apply(e *Element) *Element {
+// are never written after construction. The nodes Apply does build, and
+// their child slices, come from s.
+func (pr *Projection) Apply(s *Slab, e *Element) *Element {
 	if e == nil || pr.keep {
 		return e
 	}
 	// Survivors collect on the stack so the new node's child slice is
-	// allocated once, at its final size.
+	// taken once, at its final size.
 	var buf [16]*Element
 	kept := buf[:0]
 	same := e.Text == ""
 	for _, c := range e.Children {
 		var pc *Element
 		if sub := pr.child(c.Name); sub != nil {
-			pc = sub.Apply(c)
+			pc = sub.Apply(s, c)
 		}
 		if pc == nil {
 			same = false
@@ -278,9 +294,7 @@ func (pr *Projection) Apply(e *Element) *Element {
 	if same {
 		return e
 	}
-	out := &Element{Name: e.Name, Children: make([]*Element, len(kept))}
-	copy(out.Children, kept)
-	return out
+	return s.Node(e.Name, "", append(s.Children(len(kept)), kept...))
 }
 
 // Paths enumerates the leaf paths present in e's subtree, relative to e,

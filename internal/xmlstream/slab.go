@@ -2,11 +2,12 @@ package xmlstream
 
 import "strings"
 
-// Slab hands out the nodes, child slices and leaf texts of one decoded
-// batch from a few backing arrays the batch owns, so a decoder allocates a
-// handful of times per batch instead of three times per node. Both decoders
-// build from one: the wire codec per payload, and the document decoder's
-// fast lane (so UnmarshalBytes too) per read window.
+// Slab hands out the nodes, child slices and leaf texts of one batch from a
+// few backing arrays the batch owns, so a batch is built with a handful of
+// allocations instead of up to three per node. The decoders build from one
+// (the wire codec per payload, the document decoder's fast lane, so
+// UnmarshalBytes too, per read window), and so do the operators that build
+// output trees (exec's Project and Restructure, one per Process call).
 //
 // What a slab hands out follows three rules:
 //   - a tree aliases no buffer the decoder's caller owns: texts are copied
@@ -18,14 +19,18 @@ import "strings"
 //
 // Trees are never written after they are built (Element), so nothing is
 // freed by hand: the GC frees the arrays with the last node that uses them.
-// The sizes a slab is made with are bounds from the input; a request past
-// them is allocated on its own rather than refused.
+// The sizes a slab is made with are bounds or estimates from the input; a
+// request past them is allocated on its own rather than refused. The zero
+// Slab has no bounds: everything it hands out is allocated on its own.
 type Slab struct {
 	nodes    []Element // the current node array
 	more     int       // nodes left to allocate past it
 	kids     []*Element
 	text     strings.Builder // the current text chunk, only ever appended to
 	textHint int
+	// used counts the nodes and child pointers handed out, past the bounds
+	// too, so a caller that estimates its sizes can learn from what it took.
+	usedNodes, usedKids int
 }
 
 // nodeChunk caps one node array: 511 nodes of 64 B and the allocator's
@@ -50,6 +55,7 @@ func NewSlab(nodes, kids, text int) Slab {
 
 // Node returns a new element of the batch.
 func (s *Slab) Node(name, text string, children []*Element) *Element {
+	s.usedNodes++
 	if len(s.nodes) == 0 {
 		if s.more == 0 {
 			return &Element{Name: name, Text: text, Children: children}
@@ -65,6 +71,7 @@ func (s *Slab) Node(name, text string, children []*Element) *Element {
 
 // Children returns an empty child slice of capacity n.
 func (s *Slab) Children(n int) []*Element {
+	s.usedKids += n
 	if n > len(s.kids) {
 		return make([]*Element, 0, n)
 	}
@@ -90,3 +97,6 @@ func (s *Slab) Text(b []byte) string {
 	t := s.text.String()
 	return t[len(t)-len(b):]
 }
+
+// Used returns how many nodes and child pointers s has handed out.
+func (s *Slab) Used() (nodes, kids int) { return s.usedNodes, s.usedKids }

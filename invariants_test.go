@@ -101,7 +101,7 @@ func (m *module) Import(path string) (*types.Package, error) {
 		return stdlib.Import(path)
 	}
 	if m.checked[path] == nil {
-		m.info[path] = &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
+		m.info[path] = &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
 		var err error
 		if m.checked[path], err = (&types.Config{Importer: m}).Check(path, fset, m.files[path], m.info[path]); err != nil {
 			return nil, err
@@ -242,8 +242,61 @@ var rules = []struct {
 	{"windowclose", calls(named("streamshare/internal/exec", "floorDiv"), nil, 0, -1,
 		"(*windowSet[W]).process", "(*WindowMerge).add", "(*WindowMerge).combine")},
 	{"closecopies", grep(`closeBefore|sortInt64`, "internal/exec/")},
+	// Operators build their output trees in the batch's slab.
+	{"slabbuilt", slabbuilt("(*Projection).Apply", "(*Restructure).eval")},
 	{"docs", docs},
 	{"refs", refs},
+}
+
+// slabbuilt reports, inside the functions named, each xmlstream.Element
+// composite literal, make of a []*xmlstream.Element and use of xmlstream.E or
+// xmlstream.T: what those build on the heap must come from a slab.
+func slabbuilt(fns ...string) func(*module) []string {
+	const xs = "streamshare/internal/xmlstream"
+	element := func(t types.Type) bool {
+		n, ok := types.Unalias(t).(*types.Named)
+		return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == xs && n.Obj().Name() == "Element"
+	}
+	return func(m *module) (out []string) {
+		for ip, files := range m.files {
+			info := m.info[ip]
+			for _, f := range files {
+				for _, d := range f.Decls {
+					d, ok := d.(*ast.FuncDecl)
+					if !ok || !slices.Contains(fns, strings.ReplaceAll(info.Defs[d.Name].(*types.Func).FullName(), ip+".", "")) {
+						continue
+					}
+					ast.Inspect(d, func(node ast.Node) bool {
+						what := ""
+						switch x := node.(type) {
+						case *ast.CompositeLit:
+							if element(info.TypeOf(x)) {
+								what = "an Element literal"
+							}
+						case *ast.CallExpr:
+							id, _ := x.Fun.(*ast.Ident)
+							if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "make" {
+								if sl, ok := info.TypeOf(x.Args[0]).Underlying().(*types.Slice); ok {
+									if p, ok := sl.Elem().(*types.Pointer); ok && element(p.Elem()) {
+										what = "a make of []*Element"
+									}
+								}
+							}
+						case *ast.Ident:
+							if named(xs, "E", "T")(info.Uses[x]) {
+								what = "xmlstream." + x.Name
+							}
+						}
+						if what != "" {
+							out = append(out, fmt.Sprintf("%s: %s in %s", fset.Position(node.Pos()), what, d.Name.Name))
+						}
+						return true
+					})
+				}
+			}
+		}
+		return out
+	}
 }
 
 // docs reports the undocumented exports of the hot-path packages, whose
@@ -477,10 +530,28 @@ var planted = []struct {
 	{"selslot", map[string]string{"internal/exec/slot.go": "package exec\n\n// selSlot\n"}, 1},
 	{"windowclose", map[string]string{"internal/exec/window.go": "package exec\n\nfunc floorDiv(a, b int64) int64 { return a / b }\n\nvar k = floorDiv(7, 2)\n"}, 1},
 	{"closecopies", map[string]string{"internal/exec/close.go": "package exec\n\n// closeBefore\n"}, 1},
+	{"slabbuilt", map[string]string{"internal/xmlstream/element.go": slabbuiltElement +
+		"// Apply builds on the heap.\nfunc (pr *Projection) Apply(e *Element) *Element { return &Element{Name: e.Name} }\n"}, 1},
+	{"slabbuilt", map[string]string{"internal/xmlstream/element.go": slabbuiltElement, "internal/exec/restructure.go": `package exec
+import x "streamshare/internal/xmlstream"
+type Restructure struct{} // Restructure builds outputs.
+func (r *Restructure) eval() []*x.Element { return append(make([]*x.Element, 0, 1), x.T("value")) }`}, 2},
 	{"docs", map[string]string{"internal/wire/api.go": "package wire\n\nfunc Encode() {}\n"}, 1},
 	{"refs", map[string]string{"EXPERIMENTS.md": "`internal/plan/gone.go`\n`cmd/gone -x` and TestGone\n`BenchmarkGone*` `internal/gone.New`\n"}, 5},
 	{"refs", map[string]string{"docs/WIRE.md": "`runtime.batch.size` `runtime.gone` `sim.gone.bytes`\n"}, 2},
 }
+
+// slabbuiltElement is the element API the slabbuilt plantings build with.
+const slabbuiltElement = `package xmlstream
+// Element is one node.
+type Element struct {
+	Name string // Name is its tag.
+}
+// T builds a leaf on the heap.
+func T(name string) *Element { return &Element{Name: name} }
+// Projection prunes items.
+type Projection struct{}
+`
 
 // TestInvariantsPlanted: each planted violation is reported by its rule alone.
 func TestInvariantsPlanted(t *testing.T) {
