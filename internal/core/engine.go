@@ -131,10 +131,6 @@ type Config struct {
 	// altered to carry enough data for both its consumers and the new
 	// subscription (see widen.go).
 	Widening bool
-	// ValidatePaths rejects subscriptions referencing element paths absent
-	// from the input stream's observed schema, instead of silently
-	// delivering empty results.
-	ValidatePaths bool
 	// Reliable hides live shared streams from the discovery that repairs and
 	// migrates: affected subscriptions are rebuilt as private chains derived
 	// directly from original streams. runtime.Session.Recover does not rely
@@ -158,7 +154,6 @@ type Engine struct {
 	obs       *obs.Observer
 	planner   *plan.Planner
 	originals map[string]*Deployed
-	origStats map[string]*stats.Stream
 	deployed  []*Deployed
 	subs      []*Subscription
 	nextID    int
@@ -239,7 +234,6 @@ func NewEngine(net *network.Network, cfg Config) *Engine {
 		obs:       cfg.Obs,
 		Est:       cost.NewEstimator(cfg.Model, map[string]*stats.Stream{}),
 		originals: map[string]*Deployed{},
-		origStats: map[string]*stats.Stream{},
 		linkUse:   map[network.LinkID]float64{},
 		peerUse:   map[network.PeerID]float64{},
 		linkGauge: map[network.LinkID]*obs.Gauge{},
@@ -280,7 +274,6 @@ func (e *Engine) RegisterStream(name string, itemPath xmlstream.Path, at network
 	e.epoch++
 	d.Epoch = e.epoch
 	e.originals[name] = d
-	e.origStats[name] = st
 	e.Est.Stats[name] = st
 	e.deployed = append(e.deployed, d)
 	e.planner.Install(d)

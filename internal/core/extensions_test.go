@@ -142,33 +142,6 @@ func TestExplainAndStrategyString(t *testing.T) {
 	}
 }
 
-func TestValidatePaths(t *testing.T) {
-	eng, _ := newEngine(t, Config{ValidatePaths: true})
-	// A typo'd path is rejected at registration instead of silently
-	// producing nothing.
-	bad := `<r>{ for $p in stream("photons")/photons/photon where $p/coord/cel/rx >= 1 return <o>{ $p/en }</o> }</r>`
-	if _, err := eng.Subscribe(bad, "SP1", StreamSharing); err == nil {
-		t.Error("unknown predicate path should be rejected")
-	}
-	badRef := `<r>{ for $w in stream("photons")/photons/photon |timestamp diff 20| let $a := sum($w/en) return <o>{ $a }</o> }</r>`
-	if _, err := eng.Subscribe(badRef, "SP1", StreamSharing); err == nil {
-		t.Error("unknown window reference should be rejected")
-	}
-	badOut := `<r>{ for $p in stream("photons")/photons/photon return <o>{ $p/energy }</o> }</r>`
-	if _, err := eng.Subscribe(badOut, "SP1", StreamSharing); err == nil {
-		t.Error("unknown output path should be rejected")
-	}
-	// Valid queries still register.
-	if _, err := eng.Subscribe(q1, "SP1", StreamSharing); err != nil {
-		t.Errorf("valid query rejected: %v", err)
-	}
-	// Without validation the bad query registers (and yields nothing).
-	loose, _ := newEngine(t, Config{})
-	if _, err := loose.Subscribe(bad, "SP1", StreamSharing); err != nil {
-		t.Errorf("validation should be opt-in: %v", err)
-	}
-}
-
 // TestRegistrationOrderIndependence: registering the same queries in
 // reverse order changes which streams get shared (sharing is incremental,
 // §5: "we incrementally optimize queries one after another"), but the

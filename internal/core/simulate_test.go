@@ -22,7 +22,7 @@ func TestSimResultMetricsMath(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Duration = items / frequency.
-	want := float64(len(items)) / eng.origStats["photons"].Freq
+	want := float64(len(items)) / eng.Est.Stats["photons"].Freq
 	if math.Abs(res.Duration-want) > 1e-9 {
 		t.Errorf("duration = %v, want %v", res.Duration, want)
 	}

@@ -9,7 +9,6 @@ import (
 	"streamshare/internal/network"
 	"streamshare/internal/obs"
 	"streamshare/internal/plan"
-	"streamshare/internal/predicate"
 	"streamshare/internal/properties"
 	"streamshare/internal/wxquery"
 )
@@ -71,9 +70,6 @@ func (e *Engine) Subscribe(src string, target network.PeerID, strat Strategy) (*
 	plans, err := e.planInputs(sub, props.Inputs, &sub.Reg, dt, func(in *properties.Input) error {
 		if e.originals[in.Stream] == nil {
 			return fmt.Errorf("%w: %q", ErrUnknownStream, in.Stream)
-		}
-		if e.Cfg.ValidatePaths {
-			return e.validatePaths(in)
 		}
 		return nil
 	})
@@ -149,50 +145,6 @@ func refuseUDFs(props *properties.Properties) error {
 		for _, o := range in.Ops {
 			if o.Kind == properties.OpUDF {
 				return fmt.Errorf("%w: %s is not sum, count, avg, min or max", properties.ErrUnsupported, o.UDF.Name)
-			}
-		}
-	}
-	return nil
-}
-
-// validatePaths checks every element path the subscription references
-// against the statistics collected from the input stream's sample.
-func (e *Engine) validatePaths(in *properties.Input) error {
-	st := e.origStats[in.Stream]
-	if st == nil {
-		return nil
-	}
-	check := func(p string) error {
-		if _, ok := st.Elements[p]; !ok {
-			return fmt.Errorf("core: stream %q has no element %q", in.Stream, p)
-		}
-		return nil
-	}
-	for _, o := range in.Ops {
-		switch o.Kind {
-		case properties.OpSelect:
-			for _, n := range o.Sel.Nodes() {
-				if n == predicate.ZeroNode {
-					continue
-				}
-				if err := check(n); err != nil {
-					return err
-				}
-			}
-		case properties.OpProject:
-			for _, p := range o.Ref {
-				if err := check(p.String()); err != nil {
-					return err
-				}
-			}
-		case properties.OpAggregate:
-			if err := check(o.Agg.Elem.String()); err != nil {
-				return err
-			}
-			if o.Agg.Window.Kind == wxquery.WindowDiff {
-				if err := check(o.Agg.Window.Ref.String()); err != nil {
-					return err
-				}
 			}
 		}
 	}

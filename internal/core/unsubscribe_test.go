@@ -97,7 +97,7 @@ func TestUnsubscribeFreesAdmissionCapacity(t *testing.T) {
 	// On a capacity-starved network the second identical data-shipping
 	// query is rejected; after unsubscribing the first, it fits again.
 	eng, _ := newEngine(t, Config{})
-	st := eng.origStats["photons"]
+	st := eng.Est.Stats["photons"]
 	rawBps := st.AvgItemSize * st.Freq
 	tight := exampleNet2(rawBps * 1.5)
 	eng2 := NewEngine(tight, Config{Admission: true})

@@ -361,12 +361,3 @@ func (e *Estimator) InputFreq(in *properties.Input) float64 {
 	}
 	return f
 }
-
-// OriginalSizeFreq returns the raw input stream's size and frequency.
-func (e *Estimator) OriginalSizeFreq(stream string) (size, freq float64) {
-	st := e.Stats[stream]
-	if st == nil {
-		return 0, 0
-	}
-	return st.AvgItemSize, st.Freq
-}

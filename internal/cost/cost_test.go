@@ -215,7 +215,4 @@ func TestUnknownStream(t *testing.T) {
 	if size != 0 || freq != 0 {
 		t.Errorf("unknown stream = %v/%v", size, freq)
 	}
-	if s, f := e.OriginalSizeFreq("nope"); s != 0 || f != 0 {
-		t.Error("OriginalSizeFreq of unknown stream")
-	}
 }

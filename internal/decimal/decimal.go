@@ -272,16 +272,6 @@ func (d D) Sub(e D) (D, error) {
 	return D{units: u, scale: uint8(scale)}.normalize(), nil
 }
 
-// Ulp returns the smallest positive decimal at scale s, i.e. 10^-s. It is
-// used to rewrite strict comparisons: $v < c over finite-scale decimals is
-// equivalent to $v ≤ c - ulp at the working scale.
-func Ulp(s int) D {
-	if s < 0 || s > MaxScale {
-		panic(fmt.Sprintf("decimal: ulp scale %d", s))
-	}
-	return D{units: 1, scale: uint8(s)}
-}
-
 // DivisibleBy reports whether d is an exact integer multiple of e. It is
 // used for the window-compatibility conditions ∆′ mod ∆ = 0, ∆ mod µ = 0,
 // µ′ mod µ = 0 of MatchAggregations (§3.3). e must be nonzero.

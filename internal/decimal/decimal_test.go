@@ -152,21 +152,6 @@ func TestAddSub(t *testing.T) {
 	}
 }
 
-func TestUlpAndStrictRewrite(t *testing.T) {
-	// $v < 1.3 over 1-decimal values is $v ≤ 1.2.
-	c := MustParse("1.3")
-	bound, err := c.Sub(Ulp(c.Scale()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bound.String() != "1.2" {
-		t.Errorf("1.3 - ulp(1) = %s, want 1.2", bound)
-	}
-	if Ulp(0).Cmp(FromInt(1)) != 0 {
-		t.Errorf("Ulp(0) = %s, want 1", Ulp(0))
-	}
-}
-
 func TestUnits(t *testing.T) {
 	d := MustParse("1.3")
 	if got := d.Units(3); got != 1300 {
@@ -245,7 +230,6 @@ func TestMul(t *testing.T) {
 func TestNewPanicsOnBadScale(t *testing.T) {
 	expectPanic(t, "negative scale", func() { New(1, -1) })
 	expectPanic(t, "huge scale", func() { New(1, MaxScale+1) })
-	expectPanic(t, "ulp scale", func() { Ulp(MaxScale + 1) })
 }
 
 func TestUnitsOverflowPanics(t *testing.T) {

@@ -326,7 +326,7 @@ func TestWindowContentsEndToEnd(t *testing.T) {
 		t.Fatalf("batches = %d", len(out))
 	}
 	for i, want := range [][]*xmlstream.Element{items[0:3], items[3:6], items[6:]} {
-		ens := out[i].Find(xmlstream.ParsePath("en"))
+		ens := out[i].AppendFind(nil, xmlstream.ParsePath("en"))
 		if len(ens) != len(want) {
 			t.Fatalf("batch %d holds %d en values, want %d", i, len(ens), len(want))
 		}

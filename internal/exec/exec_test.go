@@ -345,7 +345,7 @@ func TestWindowContents(t *testing.T) {
 	}
 	for i, ens := range want {
 		var got []string
-		for _, e := range out[i].Find(xmlstream.ParsePath("photon/en")) {
+		for _, e := range out[i].AppendFind(nil, xmlstream.ParsePath("photon/en")) {
 			got = append(got, e.Value())
 		}
 		if fmt.Sprint(got) != fmt.Sprint(ens) {

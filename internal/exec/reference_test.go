@@ -64,7 +64,7 @@ func (b *binding) resolve(vp wxquery.VarPath) []*xmlstream.Element {
 				out = append(out, c.Clone())
 				continue
 			}
-			for _, m := range c.Find(vp.Path) {
+			for _, m := range c.AppendFind(nil, vp.Path) {
 				out = append(out, m.Clone())
 			}
 		}
@@ -77,7 +77,7 @@ func (b *binding) resolve(vp wxquery.VarPath) []*xmlstream.Element {
 			return []*xmlstream.Element{b.item.Clone()}
 		}
 		var out []*xmlstream.Element
-		for _, m := range b.item.Find(vp.Path) {
+		for _, m := range b.item.AppendFind(nil, vp.Path) {
 			out = append(out, m.Clone())
 		}
 		return out

@@ -268,9 +268,18 @@ func TestSelectGridOracle(t *testing.T) {
 		}
 	}
 
-	// ImpliedBy over pairs whose second conjunction tightens or extends the
-	// first, so that many are accepted, and over unrelated pairs.
-	accepted, unsound := 0, 0
+	// The matchers over pairs whose second conjunction tightens or extends the
+	// first, so that many are accepted, and over unrelated pairs: ImpliedBy,
+	// the complete test, and MatchPredicates (Alg. 3), which production runs
+	// on graphs built as properties builds them, minimized when satisfiable.
+	built := func(atoms []predicate.Atom) *predicate.Graph {
+		g := graphOf(atoms)
+		if g.Satisfiable() {
+			g.Minimize()
+		}
+		return g
+	}
+	accepted, matched, gap, unsound := 0, 0, 0, 0
 	for n := 0; n < 2000; n++ {
 		weak := conjs[r.Intn(len(conjs))]
 		strong := conjs[r.Intn(len(conjs))]
@@ -282,20 +291,31 @@ func TestSelectGridOracle(t *testing.T) {
 				}
 			}
 		}
-		if !graphOf(weak).ImpliedBy(graphOf(strong)) {
-			continue
+		implied := graphOf(weak).ImpliedBy(graphOf(strong))
+		match := predicate.MatchPredicates(built(weak), built(strong))
+		if match && !implied {
+			t.Errorf("MatchPredicates accepts %v as implied by %v, which the complete test refuses", weak, strong)
 		}
-		accepted++
+		if implied {
+			accepted++
+		}
+		if match {
+			matched++
+		} else if implied {
+			gap++
+		}
 		for _, it := range items {
-			if holds(strong, it) && !holds(weak, it) {
+			if (implied || match) && holds(strong, it) && !holds(weak, it) {
 				unsound++
-				t.Errorf("%v is accepted as implied by %v, but %s satisfies only the latter", weak, strong, xmlstream.Marshal(it))
+				t.Errorf("%v is accepted as implied by %v (ImpliedBy %v, MatchPredicates %v), but %s satisfies only the latter",
+					weak, strong, implied, match, xmlstream.Marshal(it))
 				break
 			}
 		}
 	}
-	t.Logf("%d grid points; ImpliedBy accepted %d of 2000 pairs, unsound %d", len(items), accepted, unsound)
-	if accepted < 500 {
-		t.Errorf("only %d pairs accepted: the implication check is barely exercised", accepted)
+	t.Logf("%d grid points, 2000 pairs: ImpliedBy accepted %d, MatchPredicates %d, unsound %d; completeness gap (ImpliedBy only) %d",
+		len(items), accepted, matched, unsound, gap)
+	if min(accepted, matched) < 500 {
+		t.Errorf("only %d and %d pairs accepted: the implication checks are barely exercised", accepted, matched)
 	}
 }

@@ -14,10 +14,8 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			c := r.Counter("c")
-			g := r.Gauge("g")
 			for j := 0; j < 1000; j++ {
 				c.Inc()
-				g.Add(1)
 				r.Gauge("hwm").SetMax(float64(j))
 			}
 		}()
@@ -25,9 +23,6 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 	wg.Wait()
 	if v := r.Counter("c").Value(); v != 8000 {
 		t.Errorf("counter = %v, want 8000", v)
-	}
-	if v := r.Gauge("g").Value(); v != 8000 {
-		t.Errorf("gauge = %v, want 8000", v)
 	}
 	if v := r.Gauge("hwm").Value(); v != 999 {
 		t.Errorf("hwm = %v, want 999", v)
@@ -164,8 +159,5 @@ func TestDecisionTraceLines(t *testing.T) {
 		if !strings.Contains(joined, want) {
 			t.Errorf("trace output lacks %q:\n%s", want, joined)
 		}
-	}
-	if in.Selected() == nil || in.Selected().Stream != "orig:photons" {
-		t.Errorf("Selected = %+v", in.Selected())
 	}
 }

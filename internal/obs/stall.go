@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // defaultStallWindow is the number of consecutive lag increases that flag a
 // subscription as stalled when NewStallDetector is given no window.
@@ -58,21 +55,6 @@ func stalled(l []float64, window int) bool {
 		}
 	}
 	return true
-}
-
-// StalledIDs returns the ids of every currently stalled subscription,
-// sorted.
-func (s *StallDetector) StalledIDs() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	for id, l := range s.lags {
-		if stalled(l, s.window) {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Forget drops the subscription's history (after unsubscribe or recovery).

@@ -64,16 +64,6 @@ type InputTrace struct {
 	Candidates []CandidateTrace `json:"candidates"`
 }
 
-// Selected returns the winning candidate, or nil.
-func (it *InputTrace) Selected() *CandidateTrace {
-	for i := range it.Candidates {
-		if it.Candidates[i].Selected {
-			return &it.Candidates[i]
-		}
-	}
-	return nil
-}
-
 // DecisionTrace is the full record of one Subscribe call.
 type DecisionTrace struct {
 	// SubID is the subscription id ("q3"); failed registrations record the

@@ -81,8 +81,6 @@ type Channel struct {
 
 	// maxDepth is the replay buffer's high-water mark in units.
 	maxDepth int
-	// retained counts units recorded while broken instead of delivered.
-	retained int
 }
 
 // NewChannel returns a channel at the given plan epoch with the given
@@ -144,9 +142,6 @@ func (c *Channel) emit(e Entry) uint64 {
 	c.buffer = append(c.buffer, e)
 	if len(c.buffer) > c.maxDepth {
 		c.maxDepth = len(c.buffer)
-	}
-	if c.broken {
-		c.retained++
 	}
 	return seq
 }
@@ -281,9 +276,6 @@ func (c *Channel) Broken() bool { return c.broken }
 // Break marks the channel undeliverable: admission is bypassed and further
 // emissions are retained in the journal instead of delivered.
 func (c *Channel) Break() { c.broken = true }
-
-// Retained returns the number of units recorded while broken.
-func (c *Channel) Retained() int { return c.retained }
 
 // RecvCursor is the receiving side of one delivery lane: it dedups
 // deliveries by (epoch, seq). Lanes are FIFO with a single sender, so in

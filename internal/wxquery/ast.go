@@ -59,10 +59,6 @@ func (a AggOp) String() string {
 	return fmt.Sprintf("AggOp(%d)", int(a))
 }
 
-// Distributive reports whether the aggregate is distributive (combinable by
-// applying the same operator to partial results).
-func (a AggOp) Distributive() bool { return a != AggAvg }
-
 // WindowKind distinguishes item-based (count) and time-based (diff) windows.
 type WindowKind int
 

@@ -26,12 +26,6 @@ func TestAggOpStrings(t *testing.T) {
 	if _, ok := ParseAggOp("median"); ok {
 		t.Error("median is not a builtin aggregate")
 	}
-	if AggAvg.Distributive() {
-		t.Error("avg is algebraic, not distributive")
-	}
-	if !AggSum.Distributive() {
-		t.Error("sum is distributive")
-	}
 }
 
 func TestWindowStringAndEqual(t *testing.T) {

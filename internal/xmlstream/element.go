@@ -87,17 +87,9 @@ func (e *Element) Child(name string) *Element {
 	return nil
 }
 
-// Find returns all descendants reached from e by following path along the
-// child axis, in document order. An empty path yields e itself.
-func (e *Element) Find(p Path) []*Element {
-	if e == nil {
-		return nil
-	}
-	return e.AppendFind(nil, p)
-}
-
-// AppendFind appends the elements Find(p) would return to dst, allocating
-// only when dst has to grow. e must not be nil.
+// AppendFind appends to dst the descendants reached from e by following p
+// along the child axis, in document order; an empty p yields e itself. It
+// allocates only when dst has to grow. e must not be nil.
 func (e *Element) AppendFind(dst []*Element, p Path) []*Element {
 	if len(p) == 0 {
 		return append(dst, e)
@@ -297,29 +289,6 @@ func (pr *Projection) Apply(s *Slab, e *Element) *Element {
 	return s.Node(e.Name, "", append(s.Children(len(kept)), kept...))
 }
 
-// Paths enumerates the leaf paths present in e's subtree, relative to e,
-// in document order without duplicates.
-func (e *Element) Paths() []Path {
-	var out []Path
-	seen := map[string]bool{}
-	var walk func(n *Element, prefix Path)
-	walk = func(n *Element, prefix Path) {
-		if len(n.Children) == 0 {
-			key := prefix.String()
-			if !seen[key] {
-				seen[key] = true
-				out = append(out, append(Path(nil), prefix...))
-			}
-			return
-		}
-		for _, c := range n.Children {
-			walk(c, append(prefix, c.Name))
-		}
-	}
-	walk(e, nil)
-	return out
-}
-
 // Path addresses elements along the child axis ("/"), e.g. coord/cel/ra.
 // Wildcards, conditions, and other axes are outside WXQuery's path fragment.
 type Path []string
@@ -361,13 +330,6 @@ func (p Path) HasPrefix(q Path) bool {
 		}
 	}
 	return true
-}
-
-// Join returns the concatenation p/q.
-func (p Path) Join(q Path) Path {
-	out := make(Path, 0, len(p)+len(q))
-	out = append(out, p...)
-	return append(out, q...)
 }
 
 // SortPaths orders paths lexicographically by their string form, in place.

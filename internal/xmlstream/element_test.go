@@ -32,12 +32,12 @@ func TestFindFirst(t *testing.T) {
 	if p.First(ParsePath("coord/cel/nothere")) != nil {
 		t.Error("missing path should yield nil")
 	}
-	if n := len(p.Find(ParsePath("coord"))); n != 1 {
-		t.Errorf("Find(coord) returned %d nodes", n)
+	if n := len(p.AppendFind(nil, ParsePath("coord"))); n != 1 {
+		t.Errorf("AppendFind(coord) returned %d nodes", n)
 	}
 	multi := E("r", T("a", "1"), T("a", "2"), E("b", T("a", "3")))
-	if n := len(multi.Find(ParsePath("a"))); n != 2 {
-		t.Errorf("Find(a) = %d matches, want 2 (child axis only)", n)
+	if n := len(multi.AppendFind(nil, ParsePath("a"))); n != 2 {
+		t.Errorf("AppendFind(a) = %d matches, want 2 (child axis only)", n)
 	}
 }
 
@@ -194,20 +194,6 @@ func TestPrune(t *testing.T) {
 	}
 }
 
-func TestPaths(t *testing.T) {
-	p := photon("1", "2", "3", "4", "5", "6", "7")
-	got := p.Paths()
-	want := []string{"coord/cel/ra", "coord/cel/dec", "coord/det/dx", "coord/det/dy", "phc", "en", "det_time"}
-	if len(got) != len(want) {
-		t.Fatalf("Paths() = %v", got)
-	}
-	for i, w := range want {
-		if got[i].String() != w {
-			t.Errorf("path %d = %s, want %s", i, got[i], w)
-		}
-	}
-}
-
 func TestPathOps(t *testing.T) {
 	p := ParsePath("/coord/cel/ra/")
 	if p.String() != "coord/cel/ra" {
@@ -215,9 +201,6 @@ func TestPathOps(t *testing.T) {
 	}
 	if !p.HasPrefix(ParsePath("coord/cel")) || p.HasPrefix(ParsePath("coord/det")) {
 		t.Error("HasPrefix broken")
-	}
-	if got := ParsePath("a").Join(ParsePath("b/c")).String(); got != "a/b/c" {
-		t.Errorf("Join = %s", got)
 	}
 	if len(ParsePath("")) != 0 {
 		t.Error("empty path should be nil")
@@ -248,7 +231,10 @@ func TestDedupPaths(t *testing.T) {
 // of photon leaf paths.
 func TestQuickPruneKeepsAddressed(t *testing.T) {
 	p := photon("130.7", "-46.2", "11", "12", "77", "1.5", "100")
-	all := p.Paths()
+	var all []Path
+	for _, s := range []string{"coord/cel/ra", "coord/cel/dec", "coord/det/dx", "coord/det/dy", "phc", "en", "det_time"} {
+		all = append(all, ParsePath(s))
+	}
 	f := func(mask uint8) bool {
 		var keep []Path
 		for i, pa := range all {

@@ -1,7 +1,6 @@
 package xmlstream
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 )
@@ -38,7 +37,7 @@ func InferSchema(items []*Element) *Schema {
 	root := &Schema{Name: items[0].Name}
 	for _, it := range items {
 		if it.Name != root.Name {
-			root.Name = it.Name // last writer wins; Validate flags mixtures
+			root.Name = it.Name // last writer wins
 		}
 		mergeSchema(root, it)
 	}
@@ -66,60 +65,6 @@ func sortSchema(s *Schema) {
 	for _, c := range s.Children {
 		sortSchema(c)
 	}
-}
-
-// Validate reports the first structural violation of an item against the
-// schema: a wrong item name, or an element not declared at its position.
-// Missing optional elements are fine (projections produce them).
-func (s *Schema) Validate(e *Element) error {
-	if e.Name != s.Name {
-		return fmt.Errorf("xmlstream: item <%s> does not match schema <%s>", e.Name, s.Name)
-	}
-	return s.validateChildren(e, s.Name)
-}
-
-func (s *Schema) validateChildren(e *Element, path string) error {
-	for _, c := range e.Children {
-		cs := s.Child(c.Name)
-		if cs == nil {
-			return fmt.Errorf("xmlstream: undeclared element <%s> under %s", c.Name, path)
-		}
-		if err := cs.validateChildren(c, path+"/"+c.Name); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// HasPath reports whether the child-axis path exists in the schema
-// (relative to the item root).
-func (s *Schema) HasPath(p Path) bool {
-	cur := s
-	for _, seg := range p {
-		cur = cur.Child(seg)
-		if cur == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// LeafPaths enumerates the leaf element paths, sorted.
-func (s *Schema) LeafPaths() []Path {
-	var out []Path
-	var walk func(n *Schema, prefix Path)
-	walk = func(n *Schema, prefix Path) {
-		if len(n.Children) == 0 {
-			out = append(out, append(Path(nil), prefix...))
-			return
-		}
-		for _, c := range n.Children {
-			walk(c, append(prefix, c.Name))
-		}
-	}
-	walk(s, nil)
-	SortPaths(out)
-	return out
 }
 
 // Names returns the schema's element-name vocabulary: every distinct

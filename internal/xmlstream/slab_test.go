@@ -11,20 +11,13 @@ import (
 
 // photonDoc returns n distinct photons and the stream document holding them.
 func photonDoc(t testing.TB, n int) ([]*Element, []byte) {
-	items := make([]*Element, n)
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf, "photons")
+	items, doc := make([]*Element, n), []byte("<photons>")
 	for i := range items {
 		s := strconv.Itoa(i)
 		items[i] = photon("130."+s, "-46."+s, s, "12", "77", "1."+s, "100"+s)
-		if err := enc.Encode(items[i]); err != nil {
-			t.Fatal(err)
-		}
+		doc = AppendMarshal(doc, items[i])
 	}
-	if err := enc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return items, buf.Bytes()
+	return items, append(doc, "</photons>"...)
 }
 
 // cyclingReader delivers its source in reads of 1, 2, …, 7, 1, … bytes, so

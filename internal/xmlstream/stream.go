@@ -66,10 +66,6 @@ func (s *Decoder) ConvertAttributes() *Decoder {
 	return s
 }
 
-// Root returns the stream's root element name. It is empty until the first
-// call to Next has consumed the opening tag.
-func (s *Decoder) Root() string { return s.root }
-
 // FellBack reports whether the document left the fast lane, that is whether
 // encoding/xml decoded any part of it.
 func (s *Decoder) FellBack() bool { return s.d != nil }
@@ -249,50 +245,6 @@ func (s *Decoder) readElement(start xml.StartElement) (*Element, error) {
 			return e, nil
 		}
 	}
-}
-
-// Encoder writes a stream document item by item.
-type Encoder struct {
-	w      io.Writer
-	root   string
-	opened bool
-	n      int64
-}
-
-// NewEncoder returns an Encoder that writes a document rooted at root.
-func NewEncoder(w io.Writer, root string) *Encoder {
-	return &Encoder{w: w, root: root}
-}
-
-// Encode appends one item to the stream document.
-func (e *Encoder) Encode(item *Element) error {
-	if !e.opened {
-		if err := e.write("<" + e.root + ">"); err != nil {
-			return err
-		}
-		e.opened = true
-	}
-	return e.write(Marshal(item))
-}
-
-// Close emits the closing root tag. Encode must not be called afterwards.
-func (e *Encoder) Close() error {
-	if !e.opened {
-		if err := e.write("<" + e.root + ">"); err != nil {
-			return err
-		}
-		e.opened = true
-	}
-	return e.write("</" + e.root + ">")
-}
-
-// BytesWritten reports the total bytes emitted so far.
-func (e *Encoder) BytesWritten() int64 { return e.n }
-
-func (e *Encoder) write(s string) error {
-	n, err := io.WriteString(e.w, s)
-	e.n += int64(n)
-	return err
 }
 
 // Marshal renders an element tree in the canonical form counted by

@@ -11,6 +11,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -41,6 +42,7 @@ type module struct {
 	nested  []string                  // roots of nested modules (bench/): read as text only
 	tests   []string                  // Test/Benchmark/Fuzz functions of every _test.go file
 	lits    map[string]bool           // string literals of every non-test .go file, nested modules too
+	allowed map[string]string         // callers: functions no production root reaches, and why they stay
 }
 
 // load reads the module at root and type-checks each of its packages once.
@@ -244,6 +246,8 @@ var rules = []struct {
 	{"closecopies", grep(`closeBefore|sortInt64`, "internal/exec/")},
 	// Operators build their output trees in the batch's slab.
 	{"slabbuilt", slabbuilt("(*Projection).Apply", "(*Restructure).eval")},
+	// Code no production path reaches goes, or says why it stays.
+	{"callers", callers},
 	{"docs", docs},
 	{"refs", refs},
 }
@@ -297,6 +301,156 @@ func slabbuilt(fns ...string) func(*module) []string {
 		}
 		return out
 	}
+}
+
+// callers reports each function and method of non-test internal/ code that no
+// production root reaches and m.allowed does not name, and each stale entry:
+// one production reaches, one that names nothing or gives no reason, and one
+// kept for bench/ whose name bench/ no longer mentions. The roots are main and init,
+// the exported functions and methods of the root package, package-level
+// initialisers, and the methods that satisfy an interface of the module or of
+// the standard library it imports.
+func callers(m *module) (out []string) {
+	type decl struct {
+		ip string
+		d  *ast.FuncDecl
+	}
+	decls, reached := map[*types.Func]decl{}, map[*types.Func]bool{}
+	var work []*types.Func
+	reach := func(o types.Object) {
+		if f, ok := o.(*types.Func); ok && !reached[f.Origin()] {
+			reached[f.Origin()] = true
+			work = append(work, f.Origin())
+		}
+	}
+	uses := func(ip string, n ast.Node) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				reach(m.info[ip].Uses[id])
+			}
+			return true
+		})
+	}
+	// Interfaces with methods, by the name of their first method.
+	ifaces, seen := map[string][]*types.Interface{}, map[*types.Interface]bool{}
+	addIface := func(t types.Type) {
+		if i, ok := t.Underlying().(*types.Interface); ok && i.NumMethods() > 0 && !seen[i] {
+			seen[i] = true
+			ifaces[i.Method(0).Name()] = append(ifaces[i.Method(0).Name()], i)
+		}
+	}
+	var named []*types.Named
+	done := map[*types.Package]bool{}
+	var imports func(*types.Package)
+	imports = func(p *types.Package) {
+		for _, q := range p.Imports() {
+			if !done[q] {
+				done[q] = true
+				if m.files[q.Path()] == nil {
+					for _, name := range q.Scope().Names() {
+						if o, ok := q.Scope().Lookup(name).(*types.TypeName); ok && o.Exported() {
+							addIface(o.Type())
+						}
+					}
+				}
+				imports(q)
+			}
+		}
+	}
+	for ip, files := range m.files {
+		imports(m.checked[ip])
+		for _, tv := range m.info[ip].Types {
+			addIface(tv.Type)
+			n, ok := tv.Type.(*types.Named)
+			if ok && n.Obj().Pkg() != nil && m.files[n.Obj().Pkg().Path()] != nil &&
+				(n.TypeParams().Len() == 0 || n.TypeArgs().Len() > 0) { // not a bare generic name
+				named = append(named, n)
+			}
+		}
+		for _, f := range files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok {
+					uses(ip, d) // a package-level initialiser
+					continue
+				}
+				fn := m.info[ip].Defs[fd.Name].(*types.Func)
+				decls[fn] = decl{ip, fd}
+				recv := ""
+				if fd.Recv != nil {
+					recv = strings.TrimLeft(types.ExprString(fd.Recv.List[0].Type), "*")
+				}
+				if fd.Name.Name == "init" || fd.Name.Name == "main" && f.Name.Name == "main" ||
+					ip == "streamshare" && fd.Name.IsExported() && (recv == "" || ast.IsExported(recv)) {
+					reach(fn)
+				}
+			}
+		}
+	}
+	for _, n := range named {
+		for _, t := range []types.Type{n, types.NewPointer(n)} {
+			ms := types.NewMethodSet(t)
+			for i := 0; i < ms.Len(); i++ {
+				for _, iface := range ifaces[ms.At(i).Obj().Name()] {
+					if !types.Implements(t, iface) {
+						continue
+					}
+					for j := 0; j < iface.NumMethods(); j++ {
+						o, _, _ := types.LookupFieldOrMethod(t, false, iface.Method(j).Pkg(), iface.Method(j).Name())
+						reach(o)
+					}
+				}
+			}
+		}
+	}
+	drain := func() {
+		for len(work) > 0 {
+			f := work[len(work)-1]
+			work = work[:len(work)-1]
+			if d, ok := decls[f]; ok {
+				uses(d.ip, d.d)
+			}
+		}
+	}
+	// An entry names a function, "(*xmlstream.Schema).Names", or a package, "testutil".
+	entry := func(f *types.Func) (string, string, bool) {
+		name := strings.ReplaceAll(f.FullName(), "streamshare/internal/", "")
+		if why, ok := m.allowed[name]; ok {
+			return name, why, ok
+		}
+		pkg := strings.TrimPrefix(f.Pkg().Path(), "streamshare/internal/")
+		why, ok := m.allowed[pkg]
+		return pkg, why, ok
+	}
+	drain()
+	prod := maps.Clone(reached)
+	for f := range decls {
+		if _, _, ok := entry(f); ok {
+			reach(f) // what an entry calls stays with it
+		}
+	}
+	drain()
+	declared := map[string]bool{}
+	for f, d := range decls {
+		name, why, ok := entry(f)
+		declared[name] = true
+		at := fset.Position(d.d.Name.Pos())
+		switch {
+		case !strings.HasPrefix(d.ip, "streamshare/internal/"):
+		case prod[f] && ok:
+			out = append(out, fmt.Sprintf("%s: %s is allowed (%s) but production reaches %s", at, name, why, f.Name()))
+		case !reached[f]:
+			out = append(out, fmt.Sprintf("%s: %s: no production caller", at, f.Name()))
+		case ok && strings.HasPrefix(why, "bench/") && grep(`\b`+f.Name()+`\b`, m.nested...)(m) == nil:
+			out = append(out, fmt.Sprintf("%s: %s is allowed (%s) but bench/ no longer names it", at, name, why))
+		}
+	}
+	for name, why := range m.allowed {
+		if !declared[name] || why == "" {
+			out = append(out, fmt.Sprintf("%s is allowed (%q) but not declared, or without a reason", name, why))
+		}
+	}
+	return out
 }
 
 // docs reports the undocumented exports of the hot-path packages, whose
@@ -426,11 +580,12 @@ func (m *module) metric(name string) bool {
 }
 
 // check runs every rule over the module at root: the findings by rule.
-func check(t *testing.T, root string) map[string][]string {
+func check(t *testing.T, root string, allowed map[string]string) map[string][]string {
 	if testutil.Race {
 		t.Skip("type-checks from source; slow under the race detector")
 	}
 	m, found := load(t, root), map[string][]string{}
+	m.allowed = allowed
 	for _, r := range rules {
 		found[r.name] = r.check(m)
 		slices.Sort(found[r.name])
@@ -439,7 +594,7 @@ func check(t *testing.T, root string) map[string][]string {
 }
 
 func TestInvariants(t *testing.T) {
-	found := check(t, ".")
+	found := check(t, ".", unreached)
 	for _, r := range rules {
 		for _, f := range found[r.name] {
 			t.Errorf("%s: %s", r.name, f)
@@ -453,7 +608,11 @@ func TestInvariants(t *testing.T) {
 var fixture = map[string]string{
 	"bench/go.mod":    "module streamshare/bench\n",
 	"bench/ledger.go": "package main\n\nvar kernel = \"exec.\" + \"sel\" + \"_ns_per_item\"\n",
-	"cmd/sgd/main.go": "package main\n", "internal/plan/plan.go": "package plan\n",
+	"cmd/sgd/main.go": `package main
+import ("streamshare/internal/exec"; "streamshare/internal/runtime"; "streamshare/internal/server"; "streamshare/internal/transport")
+func main() { exec.Eval(nil); server.Serve(runtime.NewCluster()); new(transport.Mesh).Run() }`,
+	"internal/plan/plan.go":      "package plan\n\nfunc Reference() {}\n\nfunc Names() {}\n",
+	"bench/inputs.go":            "package main\n\n// plan.Names()\n",
 	"internal/plan/planner.go":   "package plan\n\nimport _ \"sort\"\n",
 	"internal/plan/plan_test.go": "package plan\n\nfunc TestIndexA(t *testing.T) {}\nfunc BenchmarkPlanCold(b *testing.B) {}\n",
 	"internal/xmlstream/fast.go": `// Package xmlstream holds element trees.
@@ -472,7 +631,9 @@ type Mesh struct{ l *Link } // Mesh holds the links.
 func (l *Link) writer() { l.c.WriteFrame(nil) }
 func (l *Link) handshakeDial() { l.c.WriteFrame(nil) }
 func (m *Mesh) handleIncoming() { m.l.c.WriteFrame(nil) }
-func (m *Mesh) ackerLoop() { time.NewTicker(time.Millisecond).Stop() }`,
+func (m *Mesh) ackerLoop() { time.NewTicker(time.Millisecond).Stop() }
+// Run starts the mesh's loops.
+func (m *Mesh) Run() { m.l.writer(); m.l.handshakeDial(); m.handleIncoming(); m.ackerLoop() }`,
 	"internal/runtime/cluster.go": `// Package runtime runs plans.
 package runtime
 type Cluster struct{} // Cluster is a set of processes.
@@ -483,7 +644,7 @@ func NewCluster() *Cluster { PartitionPeers(); return &Cluster{} }
 // BroadcastControl sends a control record to the other nodes.
 func (c *Cluster) BroadcastControl() {}
 var metrics = []string{"runtime.batch.size", ".traffic.bytes"}`,
-	"internal/server/server.go": "package server\n\nimport \"streamshare/internal/runtime\"\n\nfunc commit(c *runtime.Cluster) { c.BroadcastControl() }\n",
+	"internal/server/server.go": "package server\n\nimport \"streamshare/internal/runtime\"\n\nfunc Serve(c *runtime.Cluster) { c.BroadcastControl() }\n",
 	"internal/exec/exec.go": `// Package exec evaluates operators.
 package exec
 // Operator consumes batches.
@@ -499,20 +660,24 @@ func Eval(op Operator) []int { return op.Flush(op.Process(nil)) }`,
 		"`internal/{plan,core}` `internal/plan/plan.go:12` `bench/out/run.json` TestIndexA `BenchmarkPlan{Cold,Warm}` TestIndex* Testing\n",
 }
 
+// fixtureUnreached is the fixture's callers allowlist.
+var fixtureUnreached = map[string]string{"plan.Reference": "the tests' brute-force planner", "plan.Names": "bench/ (ROADMAP item 16)"}
+
 // planted breaks one rule each, where it can in a way a grep over call
-// syntax misses: a method value, an alias, a method expression.
+// syntax misses: a method value, an alias, a method expression. Production
+// reaches what it plants, unless the rule is callers.
 var planted = []struct {
 	rule  string
 	files map[string]string
 	want  int
 }{
 	{"clean", nil, 0},
-	{"writer", map[string]string{"internal/transport/read.go": "package transport\n\nfunc (l *Link) reader() { w := l.c.WriteFrame; w(nil) }\n"}, 1},
+	{"writer", map[string]string{"internal/transport/read.go": "package transport\n\nfunc init() { var l Link; w := l.c.WriteFrame; w(nil) }\n"}, 1},
 	{"ackwriter", map[string]string{"internal/transport/ack.go": "package transport\n\n// flushAck\n"}, 1},
-	{"sleep", map[string]string{"internal/server/wait.go": "package server\n\nimport \"time\"\n\nfunc wait() { time.Sleep(time.Millisecond) }\n"}, 1},
+	{"sleep", map[string]string{"internal/server/wait.go": "package server\n\nimport \"time\"\n\nfunc init() { time.Sleep(time.Millisecond) }\n"}, 1},
 	{"ticker", map[string]string{"internal/runtime/tick.go": "package runtime\n\nimport \"time\"\n\nvar tick = time.Tick\n"}, 1},
 	{"health", map[string]string{"internal/health/health.go": "package health\n", "cmd/sgd/health.go": "package main\n\nimport _ \"streamshare/internal/health\"\n"}, 1},
-	{"deadline", map[string]string{"internal/transport/idle.go": "package transport\n\nfunc idle(c interface{ SetWriteDeadline() }) { c.SetWriteDeadline() }\n"}, 1},
+	{"deadline", map[string]string{"internal/transport/idle.go": "package transport\n\nvar idle = func(c interface{ SetWriteDeadline() }) { c.SetWriteDeadline() }\n"}, 1},
 	{"liveness", map[string]string{"internal/core/gossip.go": "package core\n\n// gossip\n"}, 1},
 	{"negotiated", map[string]string{"cmd/sgd/seed.go": "package main\n\n// WireObserver\n"}, 1},
 	{"canonical", map[string]string{"internal/runtime/raw.go": "package runtime\n\nimport x \"streamshare/internal/xmlstream\"\n\nvar raw = x.AppendMarshal\n"}, 1},
@@ -521,7 +686,7 @@ var planted = []struct {
 	{"placement", map[string]string{"bench/place.go": "package main\n\n// runtime.PartitionPeers(net, nodes)\n"}, 1},
 	{"plannersync", map[string]string{"internal/plan/planner.go": "package plan\n\nimport _ \"sync/atomic\"\n"}, 1},
 	{"plannernames", map[string]string{"cmd/sgd/workers.go": "package main\n\n// PlanWorkers\n"}, 1},
-	{"stageloop", map[string]string{"internal/core/run.go": "package core\n\nimport \"streamshare/internal/exec\"\n\nfunc run(op exec.Operator) { op.Process(nil) }\n"}, 1},
+	{"stageloop", map[string]string{"internal/core/run.go": "package core\n\nimport \"streamshare/internal/exec\"\n\nvar run = func(op exec.Operator) { op.Process(nil) }\n"}, 1},
 	{"itemloop", map[string]string{"internal/runtime/ops.go": "package runtime\n\n// runOpsFrom\n"}, 1},
 	{"freshslice", map[string]string{"internal/exec/fresh.go": "package exec\n\n// return []*xmlstream.Element{\n"}, 1},
 	{"batching", map[string]string{"internal/core/sim.go": "package core\n\n// func (s *sim) deliver(\n"}, 1},
@@ -531,12 +696,16 @@ var planted = []struct {
 	{"windowclose", map[string]string{"internal/exec/window.go": "package exec\n\nfunc floorDiv(a, b int64) int64 { return a / b }\n\nvar k = floorDiv(7, 2)\n"}, 1},
 	{"closecopies", map[string]string{"internal/exec/close.go": "package exec\n\n// closeBefore\n"}, 1},
 	{"slabbuilt", map[string]string{"internal/xmlstream/element.go": slabbuiltElement +
-		"// Apply builds on the heap.\nfunc (pr *Projection) Apply(e *Element) *Element { return &Element{Name: e.Name} }\n"}, 1},
+		"// Apply builds on the heap.\nfunc (pr *Projection) Apply(e *Element) *Element { return &Element{Name: e.Name} }\n\nvar _ = (*Projection).Apply\n"}, 1},
 	{"slabbuilt", map[string]string{"internal/xmlstream/element.go": slabbuiltElement, "internal/exec/restructure.go": `package exec
 import x "streamshare/internal/xmlstream"
 type Restructure struct{} // Restructure builds outputs.
-func (r *Restructure) eval() []*x.Element { return append(make([]*x.Element, 0, 1), x.T("value")) }`}, 2},
-	{"docs", map[string]string{"internal/wire/api.go": "package wire\n\nfunc Encode() {}\n"}, 1},
+func (r *Restructure) eval() []*x.Element { return append(make([]*x.Element, 0, 1), x.T("value")) }
+var _ = (*Restructure).eval`}, 2},
+	{"docs", map[string]string{"internal/wire/api.go": "package wire\n\ntype Encoder struct{}\n"}, 1},
+	{"callers", map[string]string{"internal/plan/dead.go": "package plan\n\nfunc Dead() {}\n", "internal/plan/dead_test.go": "package plan\n\nfunc TestDead(t *testing.T) { Dead() }\n"}, 1},
+	{"callers", map[string]string{"cmd/sgd/ref.go": "package main\n\nimport \"streamshare/internal/plan\"\n\nvar ref = plan.Reference\n"}, 1},
+	{"callers", map[string]string{"bench/inputs.go": "package main\n"}, 1},
 	{"refs", map[string]string{"EXPERIMENTS.md": "`internal/plan/gone.go`\n`cmd/gone -x` and TestGone\n`BenchmarkGone*` `internal/gone.New`\n"}, 5},
 	{"refs", map[string]string{"docs/WIRE.md": "`runtime.batch.size` `runtime.gone` `sim.gone.bytes`\n"}, 2},
 }
@@ -551,6 +720,7 @@ type Element struct {
 func T(name string) *Element { return &Element{Name: name} }
 // Projection prunes items.
 type Projection struct{}
+var _ = T
 `
 
 // TestInvariantsPlanted: each planted violation is reported by its rule alone.
@@ -566,11 +736,46 @@ func TestInvariantsPlanted(t *testing.T) {
 					}
 				}
 			}
-			for rule, found := range check(t, root) {
+			for rule, found := range check(t, root, fixtureUnreached) {
 				if n := len(found); rule == c.rule && n != c.want || rule != c.rule && n != 0 {
 					t.Errorf("%s: %d findings: %q", rule, n, found)
 				}
 			}
 		})
 	}
+}
+
+// unreached names the functions the callers rule lets stand with no production
+// caller, and why; what an entry calls stays with it. It may only shrink: an
+// entry production reaches, one that names nothing, or a bench/ entry bench/
+// no longer names fails the rule.
+var unreached = map[string]string{
+	"(*exec.Pipeline).Run":                 "bench/ (ROADMAP item 16)",
+	"(*exec.Pipeline).Process":             "bench/ (ROADMAP item 16)",
+	"(*exec.Pipeline).Flush":               "bench/ (ROADMAP item 16)",
+	"(*wire.BinaryEncoder).SeedShared":     "bench/ (ROADMAP item 16)",
+	"(*wire.BinaryDecoder).SeedShared":     "bench/ (ROADMAP item 16)",
+	"properties.Build":                     "bench/ (ROADMAP item 16)",
+	"(*properties.Properties).SingleInput": "bench/ (ROADMAP item 16)",
+	"(obs.Snapshot).Delta":                 "bench/ (ROADMAP item 16)",
+	"(*runtime.Runtime).MailboxHWM":        "bench/ (ROADMAP item 16)",
+	"xmlstream.InferSchema":                "bench/ (ROADMAP item 16)",
+	"(*xmlstream.Schema).Names":            "bench/ (ROADMAP item 16)",
+	"(*runtime.Runtime).KillPeer":          "fault injection: the recovery tests kill a peer mid-run",
+	"(*runtime.Cluster).DropConns":         "fault injection: the reconnect tests cut a cluster's sockets",
+	"(*transport.Mesh).DropConns":          "fault injection: the reconnect tests cut a mesh's sockets",
+	"(*runtime.Cluster).DumpState":         "hang diagnosis: the tests' watchdog prints a cluster's links",
+	"(*transport.Mesh).DumpState":          "hang diagnosis: the tests' watchdog prints a mesh's links",
+	"transport.NewMem":                     "the in-memory mesh the cluster tests run without sockets",
+	"plan.Reference":                       "the brute-force planner the planner equivalence tests compare against",
+	"(*predicate.Graph).ImpliedBy":         "the complete implication test TestSelectGridOracle measures MatchPredicates against",
+	"(*obs.LatencyRecorder).SampledKeys":   "what the span-sampling tests compare between simulator and runtime",
+	"(*xmlstream.Element).Equal":           "the item comparison of the equivalence tests",
+	"(*xmlstream.Element).Clone":           "the reference evaluator's deep copy",
+	"scenario.ScaleGrid":                   "the topologies of the scaling and equivalence tests",
+	"scenario.Scenario1":                   "the paper's scenario 1, which the scenario and recovery tests run",
+	"(*network.Metrics).Merge":             "sums per-node metrics in the cluster equivalence tests",
+	"decimal.MustParse":                    "literals in tests",
+	"wxquery.MustParse":                    "literals in tests",
+	"testutil":                             "helpers for tests: the race flag and the hang watchdog",
 }
