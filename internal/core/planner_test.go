@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"regexp"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -178,7 +179,7 @@ func TestPlannerEquivalence(t *testing.T) {
 							if err != nil {
 								got[i] = "err: " + err.Error()
 							} else {
-								got[i] = sub.ID + "\n" + normalizeTrace(sub.Trace.String()) + "\n" + sub.Explain()
+								got[i] = sub.ID + "\n" + normalizeTrace(strings.Join(sub.Trace.Lines(), "\n")) + "\n" + sub.Explain()
 								live[i] = append(live[i], sub.ID)
 							}
 						}
@@ -321,7 +322,7 @@ func TestWideningCostDeterministic(t *testing.T) {
 		if c.Widen == nil {
 			t.Fatal("expected a widening plan")
 		}
-		bits, trace := math.Float64bits(c.Cost), dt.String()
+		bits, trace := math.Float64bits(c.Cost), strings.Join(dt.Lines(), "\n")
 		if run == 0 {
 			wantBits, wantTrace = bits, trace
 		} else if bits != wantBits || trace != wantTrace {

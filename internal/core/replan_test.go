@@ -79,8 +79,8 @@ func TestReplanAfterLinkFailure(t *testing.T) {
 	if len(eng.Affected()) != 0 {
 		t.Error("no subscription should remain affected after repair")
 	}
-	if !strings.Contains(sub.Trace.String(), `event="repair link-failed SP5-SP1"`) {
-		t.Errorf("repair trace missing event label:\n%s", sub.Trace)
+	if !strings.Contains(strings.Join(sub.Trace.Lines(), "\n"), `event="repair link-failed SP5-SP1"`) {
+		t.Errorf("repair trace missing event label:\n%s", strings.Join(sub.Trace.Lines(), "\n"))
 	}
 	checkUsageInvariant(t, eng)
 }
@@ -225,8 +225,8 @@ func TestTryMigrate(t *testing.T) {
 	if got := len(sub.Inputs[0].Feed.Route); got >= long {
 		t.Errorf("migrated route %v not shorter than detour", sub.Inputs[0].Feed.Route)
 	}
-	if !strings.Contains(sub.Trace.String(), `event="migrate after restore"`) {
-		t.Errorf("migration trace missing event label:\n%s", sub.Trace)
+	if !strings.Contains(strings.Join(sub.Trace.Lines(), "\n"), `event="migrate after restore"`) {
+		t.Errorf("migration trace missing event label:\n%s", strings.Join(sub.Trace.Lines(), "\n"))
 	}
 	moved, err = eng.TryMigrate(sub, 0.15, "migrate again")
 	if err != nil {

@@ -68,17 +68,6 @@ func ParseSync(s string) (Sync, error) {
 	return 0, fmt.Errorf("durable: unknown sync policy %q (want always, interval or none)", s)
 }
 
-// String returns the flag spelling of the policy.
-func (s Sync) String() string {
-	switch s {
-	case SyncInterval:
-		return "interval"
-	case SyncNone:
-		return "none"
-	}
-	return "always"
-}
-
 // Record is one journal entry: an application-defined kind byte and an
 // opaque payload.
 type Record struct {

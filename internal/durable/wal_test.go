@@ -251,8 +251,12 @@ func TestWALCompact(t *testing.T) {
 }
 
 func TestWALSyncPolicies(t *testing.T) {
-	for _, sync := range []Sync{SyncAlways, SyncInterval, SyncNone} {
-		t.Run(sync.String(), func(t *testing.T) {
+	for _, name := range []string{"always", "interval", "none"} {
+		t.Run(name, func(t *testing.T) {
+			sync, err := ParseSync(name)
+			if err != nil {
+				t.Fatal(err)
+			}
 			dir := t.TempDir()
 			w, _, err := Open(Options{Dir: dir, Sync: sync, SyncInterval: 5 * time.Millisecond})
 			if err != nil {
@@ -264,7 +268,7 @@ func TestWALSyncPolicies(t *testing.T) {
 			}
 			_, recs := openT(t, dir, sync)
 			if len(recs) != 20 {
-				t.Fatalf("policy %s recovered %d records, want 20", sync, len(recs))
+				t.Fatalf("policy %s recovered %d records, want 20", name, len(recs))
 			}
 		})
 	}

@@ -155,9 +155,6 @@ func (c *CandidateTrace) line() string {
 	return b.String()
 }
 
-// String joins Lines.
-func (d *DecisionTrace) String() string { return strings.Join(d.Lines(), "\n") }
-
 // Tracer retains the most recent decision traces in a bounded ring and
 // indexes them by subscription id, so decisions can be replayed after the
 // fact (TRACE <id>). When ids repeat — a failed registration's tentative id

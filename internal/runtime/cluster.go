@@ -367,11 +367,6 @@ func (c *Cluster) WaitConnected(timeout time.Duration) error {
 	return c.mesh.WaitConnected(timeout)
 }
 
-// DropConns force-closes every attached conn without closing the links —
-// the reconnect chaos hook; links redial and replay. Returns the number
-// of conns dropped.
-func (c *Cluster) DropConns() int { return c.mesh.DropConns() }
-
 // Stats snapshots the per-link transport counters.
 func (c *Cluster) Stats() []transport.LinkStats { return c.mesh.Stats() }
 

@@ -13,7 +13,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -66,64 +65,9 @@ func clusterBuild(n, queries, items int, reliable bool) (*core.Engine, map[strin
 	return eng, feed, nil
 }
 
-// fuseTransport wraps a transport with a fault driven by the data path, not
-// the clock: across every conn it dials or accepts, each period-th WriteFrame
-// fails and closes its conn, the way a broken socket fails its writer. A run
-// that writes period frames is therefore broken mid-stream however briefly it
-// streams — which a drop timed off the wall clock cannot promise. Hello and
-// Welcome count, so a life of the link carries at most period-3 of the run's
-// frames before the next break: period must exceed 3 for progress.
-type fuseTransport struct {
-	transport.Transport
-	period int64
-	writes atomic.Int64
-}
-
-func (f *fuseTransport) Dial(addr string) (transport.Conn, error) {
-	c, err := f.Transport.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &fuseConn{Conn: c, t: f}, nil
-}
-
-func (f *fuseTransport) Listen(addr string) (transport.Listener, error) {
-	l, err := f.Transport.Listen(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &fuseListener{Listener: l, t: f}, nil
-}
-
-type fuseListener struct {
-	transport.Listener
-	t *fuseTransport
-}
-
-func (l *fuseListener) Accept() (transport.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return &fuseConn{Conn: c, t: l.t}, nil
-}
-
-type fuseConn struct {
-	transport.Conn
-	t *fuseTransport
-}
-
-func (c *fuseConn) WriteFrame(payload []byte) error {
-	if c.t.writes.Add(1)%c.t.period == 0 {
-		c.Conn.Close()
-		return transport.ErrClosed
-	}
-	return c.Conn.WriteFrame(payload)
-}
-
 // clusterListen picks the listen address style for a transport.
 func clusterListen(tr transport.Transport) string {
-	if f, ok := tr.(*fuseTransport); ok {
+	if f, ok := tr.(*faultTransport); ok {
 		tr = f.Transport
 	}
 	if _, ok := tr.(*transport.TCP); ok {
@@ -231,19 +175,27 @@ func gridScenario(reliable bool) buildFunc {
 	}
 }
 
+// simulate plans build's scenario on a fresh engine and returns the
+// simulator's delivery.
+func simulate(t *testing.T, build buildFunc) *core.SimResult {
+	t.Helper()
+	eng, feed, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := eng.Simulate(feed, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
 // testClusterEquivalence runs build's scenario on the simulator, on one
 // runtime and on a two-node cluster over tr, compares the deliveries, and
 // returns the simulator's.
-func testClusterEquivalence(t *testing.T, tr transport.Transport, build buildFunc, reliable, chaos bool) *core.SimResult {
+func testClusterEquivalence(t *testing.T, tr transport.Transport, build buildFunc, reliable bool) *core.SimResult {
 	defer testutil.Watchdog(t, 2*time.Minute)()
-	engRef, feedRef, err := build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := engRef.Simulate(feedRef, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := simulate(t, build)
 	engOne, feedOne, err := build()
 	if err != nil {
 		t.Fatal(err)
@@ -253,74 +205,49 @@ func testClusterEquivalence(t *testing.T, tr transport.Transport, build buildFun
 		t.Fatal(err)
 	}
 	compareCollected(t, ref, one)
+	runCluster(t, tr, build, ref, reliable, 0, 0)
+	return ref
+}
 
-	eng0, feed0, err := build()
-	if err != nil {
-		t.Fatal(err)
+// runCluster plans build's scenario on two fresh engines and runs it as a
+// two-node cluster over tr, each node's runtime with batch (0: the default),
+// a session of its own when reliable, and quiet as its no-progress bound (0:
+// the default). It holds the merged delivery to ref and a reliable run to an
+// empty fault queue, and returns both nodes' clusters and engines.
+func runCluster(t *testing.T, tr transport.Transport, build buildFunc, ref *core.SimResult, reliable bool, batch int, quiet time.Duration) ([2]*Cluster, [2]*core.Engine) {
+	t.Helper()
+	var engs [2]*core.Engine
+	var feeds [2]map[string][]*xmlstream.Element
+	for i := range engs {
+		var err error
+		if engs[i], feeds[i], err = build(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	eng1, feed1, err := build()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if chaos {
-		tr = &fuseTransport{Transport: tr, period: 29}
-	}
-	c0, c1 := clusterPair(t, eng0.Net, tr)
+	c0, c1 := clusterPair(t, engs[0].Net, tr)
 	if err := c0.WaitConnected(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	opts0, opts1 := Options{Cluster: c0}, Options{Cluster: c1}
-	if reliable {
-		opts0.Session = NewSession(SessionOptions{})
-		opts1.Session = NewSession(SessionOptions{})
+	cs := [2]*Cluster{c0, c1}
+	var rts [2]*Runtime
+	for i, c := range cs {
+		opts := Options{Cluster: c, BatchSize: batch}
+		if reliable {
+			opts.Session = NewSession(SessionOptions{})
+		}
+		rts[i] = NewWith(engs[i], true, opts)
+		if quiet > 0 {
+			rts[i].quietBound = quiet
+		}
 	}
-	if chaos {
-		// Small batches mean many frames, so drops land mid-stream.
-		opts0.BatchSize, opts1.BatchSize = 8, 8
-	}
-	rt0 := NewWith(eng0, true, opts0)
-	rt1 := NewWith(eng1, true, opts1)
-
-	done := make(chan struct{})
-	defer close(done)
-	if chaos {
-		// The fuse breaks the run mid-stream for certain; on top of it, kill
-		// conns from outside once as the run starts and then as often as the
-		// clock allows. Every kill forces a reconnect-and-replay.
-		go func() {
-			c0.DropConns()
-			ticker := time.NewTicker(3 * time.Millisecond)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-done:
-					return
-				case <-ticker.C:
-					c0.DropConns()
-				}
-			}
-		}()
-	}
-
-	res0, res1 := runPair(t, rt0, rt1, feed0, feed1)
+	res0, res1 := runPair(t, rts[0], rts[1], feeds[0], feeds[1])
 	compareCollected(t, ref, mergeResults(res0, res1))
 	if reliable {
-		checkNoFaults(t, c0, opts0.Session)
-		checkNoFaults(t, c1, opts1.Session)
-	}
-
-	if chaos {
-		recon := uint64(0)
-		for _, st := range append(c0.Stats(), c1.Stats()...) {
-			recon += st.Reconnects
+		for i, c := range cs {
+			checkNoFaults(t, c, rts[i].opts.Session)
 		}
-		if recon == 0 {
-			t.Fatal("chaos run recorded no reconnects; the drop loop did not engage")
-		}
-		t.Logf("chaos: %d reconnects survived with identical delivery", recon)
 	}
-	return ref
+	return cs, engs
 }
 
 // checkNoFaults asserts that a healthy run left a cluster node's session
@@ -387,7 +314,7 @@ func TestClusterRefusesRemoteFaults(t *testing.T) {
 // node: the sort buffer runs in the source's process, and the other one
 // receives sorted items.
 func TestClusterEquivalenceMem(t *testing.T) {
-	testClusterEquivalence(t, transport.NewMem(), gridScenario(false), false, false)
+	testClusterEquivalence(t, transport.NewMem(), gridScenario(false), false)
 
 	// The smallest peer each node owns; peers sort, so the first found wins.
 	first := map[string]network.PeerID{}
@@ -401,13 +328,13 @@ func TestClusterEquivalenceMem(t *testing.T) {
 	testClusterEquivalence(t, transport.NewMem(), func() (*core.Engine, map[string][]*xmlstream.Element, error) {
 		eng, feed := fuzzyBuild(t, first["n1"], first["n0"])
 		return eng, feed, nil
-	}, false, false)
+	}, false)
 
 	// The end of the stream closes the last window of a selective
 	// subscription, on every backend: its last matching photon (det_time
 	// 94) is followed by photons it drops, so no later item reaches the
 	// window to close [90,100).
-	ref := testClusterEquivalence(t, transport.NewMem(), trailingScenario(first["n1"], first["n0"]), false, false)
+	ref := testClusterEquivalence(t, transport.NewMem(), trailingScenario(first["n1"], first["n0"]), false)
 	for id, want := range map[string]string{
 		"q1": "<hot><det_time>90</det_time><det_time>91</det_time><det_time>92</det_time><det_time>93</det_time><det_time>94</det_time></hot>",
 		"q2": "<hits>5</hits>",
@@ -453,13 +380,7 @@ func trailingScenario(at, target network.PeerID) buildFunc {
 // TestClusterEquivalenceBenchPlanMem runs the benchmark's 4×4, 32-query plan,
 // where the placement decides which hops cross between the nodes.
 func TestClusterEquivalenceBenchPlanMem(t *testing.T) {
-	testClusterEquivalence(t, transport.NewMem(), benchScenario(false), false, false)
-}
-
-// TestClusterReconnectChaosBenchPlanMem is the benchmark's plan with conns
-// broken mid-run: every reconnect replays, and delivery still matches.
-func TestClusterReconnectChaosBenchPlanMem(t *testing.T) {
-	testClusterEquivalence(t, transport.NewMem(), benchScenario(true), true, true)
+	testClusterEquivalence(t, transport.NewMem(), benchScenario(false), false)
 }
 
 // benchScenario plans the benchmark's 4×4, 32-query plan over the scenario's
@@ -621,23 +542,11 @@ func BenchmarkPartitionPeers(b *testing.B) {
 }
 
 func TestClusterEquivalenceTCP(t *testing.T) {
-	testClusterEquivalence(t, transport.NewTCP(), gridScenario(false), false, false)
+	testClusterEquivalence(t, transport.NewTCP(), gridScenario(false), false)
 }
 
 func TestClusterEquivalenceReliableMem(t *testing.T) {
-	testClusterEquivalence(t, transport.NewMem(), gridScenario(true), true, false)
-}
-
-func TestClusterReconnectChaosMem(t *testing.T) {
-	testClusterEquivalence(t, transport.NewMem(), gridScenario(true), true, true)
-}
-
-// TestClusterReconnectChaosTCP is the transport acceptance test: TCP
-// conns are killed repeatedly mid-run and the reconnect handshake's
-// resume/replay must hand every subscription exactly the simulator's
-// items.
-func TestClusterReconnectChaosTCP(t *testing.T) {
-	testClusterEquivalence(t, transport.NewTCP(), gridScenario(true), true, true)
+	testClusterEquivalence(t, transport.NewMem(), gridScenario(true), true)
 }
 
 // --- two OS processes over loopback TCP ---
@@ -658,10 +567,13 @@ type childResult struct {
 
 const clusterChildEnv = "STREAMSHARE_CLUSTER_CHILD"
 
+// twoProcessSeed is TestClusterTwoProcessTCP's fault schedule.
+const twoProcessSeed = 5
+
 // TestClusterTwoProcessTCP is the multi-process acceptance test: the grid
 // scenario runs across two OS processes — this test binary re-executed as
-// node "n0" — connected over loopback TCP, with one forced disconnect
-// mid-run. The union of both processes' deliveries must equal the
+// node "n0" — connected over loopback TCP, with the parent's conns broken
+// mid-run on a seeded fault schedule. The union of both processes' deliveries must equal the
 // simulator's, item for item.
 func TestClusterTwoProcessTCP(t *testing.T) {
 	if os.Getenv(clusterChildEnv) != "" {
@@ -682,14 +594,14 @@ func TestClusterTwoProcessTCP(t *testing.T) {
 	}
 
 	// The parent is "n1": it only accepts, so no port needs reserving —
-	// the child learns the bound address through its spec. Every 5th frame
-	// the parent writes breaks its conn: the reconnect handshake must resume
-	// and replay with nothing lost.
-	fuse := &fuseTransport{Transport: transport.NewTCP(), period: 5}
+	// the child learns the bound address through its spec. The parent's
+	// conns break on a fixed seed's fault schedule: the reconnect handshake
+	// must resume and replay with nothing lost.
+	faults := newFaultTransport(transport.NewTCP(), twoProcessSeed)
 	c1, err := NewCluster(eng.Net, ClusterOptions{
 		Node:      "n1",
 		Nodes:     map[string]string{"n1": "127.0.0.1:0", "n0": ""},
-		Transport: fuse,
+		Transport: faults,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -774,9 +686,9 @@ func TestClusterTwoProcessTCP(t *testing.T) {
 		recon += st.Reconnects
 	}
 	if recon == 0 {
-		t.Errorf("no reconnect recorded in %d writes with every %dth failing", fuse.writes.Load(), fuse.period)
+		t.Errorf("no reconnect recorded after %d faults, %d past a handshake", faults.fired.Load(), faults.late.Load())
 	}
-	t.Logf("%d reconnects over %d writes", recon, fuse.writes.Load())
+	t.Logf("%d reconnects after %d faults", recon, faults.fired.Load())
 }
 
 // TestClusterChildProcess is the re-exec target of TestClusterTwoProcessTCP:

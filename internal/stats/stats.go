@@ -8,7 +8,6 @@
 package stats
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -342,10 +341,4 @@ func (s *Stream) Selectivity(g *predicate.Graph) float64 {
 		sel *= f
 	}
 	return sel
-}
-
-// String summarizes the stream statistics.
-func (s *Stream) String() string {
-	return fmt.Sprintf("stream %s: item <%s>, %.1f items/s, avg %0.1f B, %d element paths",
-		s.Name, s.ItemName, s.Freq, s.AvgItemSize, len(s.Elements))
 }

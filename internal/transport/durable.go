@@ -98,22 +98,22 @@ func openLinkDur(opts durable.Options) (*linkDur, linkRecovery, error) {
 		}
 	}
 	for _, f := range tail {
-		switch f.Type {
-		case FrameAck:
-			// Stream-level acks refer to the pre-crash channel state;
-			// replaying them onto rebuilt channels would corrupt cursors,
-			// and losing them only costs retained buffer until live acks
-			// catch up.
-			continue
-		case FrameControl:
-			if f.Seq <= d.ctlMark {
-				continue // handler already completed before the crash
-			}
+		if !journaled(f) || f.Type == FrameControl && f.Seq <= d.ctlMark {
+			continue // not kept, or a control whose handler completed before the crash
 		}
 		rec.replay = append(rec.replay, f)
 	}
 	return d, rec, nil
 }
+
+// journaled reports whether a durable link keeps f's payload in its journal.
+// A stream-level ack (FrameAck) is a cumulative snapshot of live channel
+// state: replayed onto the channels a recovery rebuilds it is stale at best
+// and corrupts their cursors at worst, and losing one costs only retained
+// buffer until live acks catch up. So a sent FrameAck is not journaled, a
+// received one journals only its cursor advance (journalRecvMark), recovery
+// re-dispatches none, and a checkpoint keeps none.
+func journaled(f *Frame) bool { return f.Type != FrameAck }
 
 // journalSend records an outbound frame before it enters the link's Channel.
 func (d *linkDur) journalSend(seq uint64, frame []byte) {
@@ -121,9 +121,7 @@ func (d *linkDur) journalSend(seq uint64, frame []byte) {
 }
 
 // journalRecvMark consumes an inbound sequence without retaining its
-// payload: stream-level acks are never re-dispatched on recovery (they
-// refer to pre-crash channel state), so only the cursor advance needs to
-// survive.
+// payload, for a frame the journal does not keep (journaled).
 func (d *linkDur) journalRecvMark(seq uint64) {
 	d.appendU64(durRecvMark, seq+1)
 }
@@ -163,7 +161,7 @@ func (d *linkDur) snapshot(out *Channel, recvNext uint64) []durable.Record {
 		{Kind: durCtl, Data: beU64(d.ctlMark)},
 	}
 	for _, e := range out.UnackedAfter(out.CumAck()) {
-		if e.Frame.Type != FrameAck {
+		if journaled(e.Frame) {
 			recs = append(recs, durable.Record{Kind: durSend, Data: AppendFrame(beU64(e.Seq), e.Frame)})
 		}
 	}

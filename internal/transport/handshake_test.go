@@ -319,7 +319,7 @@ func TestCodecBinaryReconnectReplay(t *testing.T) {
 		return got
 	}
 	waitFor(t, 5*time.Second, func() bool { return count() == n/2 }, "first half delivered")
-	drops := ma.DropConns()
+	drops := dropConns(ma)
 	if drops == 0 {
 		t.Fatal("no conn to drop mid-stream")
 	}
@@ -335,7 +335,7 @@ func TestCodecBinaryReconnectReplay(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 		if i%8 == 7 {
-			drops += ma.DropConns()
+			drops += dropConns(ma)
 		}
 	}
 	if err := <-done; err != nil {

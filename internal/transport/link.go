@@ -54,6 +54,11 @@ const linkAckEvery = 16
 // DefaultLinkWindow bounds each link's replay journal, in frames.
 const DefaultLinkWindow = 1024
 
+// maxRedialBackoff caps the dialer's exponential redial backoff. Redial
+// sleeps are jittered in [backoff/2, backoff] to spread reconnect stampedes
+// after a partition heals.
+const maxRedialBackoff = 250 * time.Millisecond
+
 // LinkStats is one link's cumulative transfer and reconnect counters.
 type LinkStats struct {
 	// Remote is the link's remote node name.
@@ -171,13 +176,10 @@ func (l *Link) Send(f *Frame) error {
 	return nil
 }
 
-// journalSendLocked appends an outbound frame to a durable link's WAL
-// before it enters the Channel. Stream-level acks are cumulative snapshots
-// of live channel state: replaying one after a recovery is stale at best,
-// so they skip the WAL — the peer just retains buffer until live acks catch
-// up (the receive side filters them symmetrically). Callers hold l.mu.
+// journalSendLocked appends an outbound frame the journal keeps (journaled)
+// to a durable link's WAL before it enters the Channel. Callers hold l.mu.
 func (l *Link) journalSendLocked(f *Frame) {
-	if l.dur != nil && f.Type != FrameAck {
+	if l.dur != nil && journaled(f) {
 		l.dur.journalSend(f.Seq, AppendFrame(nil, f))
 	}
 }
@@ -533,16 +535,13 @@ func (l *Link) reader(conn Conn, gen int, dec *wire.BinaryDecoder) {
 			l.stats.DecodedWireBytes += uint64(wireBytes)
 		}
 		if l.dur != nil {
-			if f.Type == FrameAck {
-				// Recovery never re-dispatches stream-level acks (they
-				// refer to pre-crash channel state), so only the cursor
-				// advance needs to survive — not the payload.
-				l.dur.journalRecvMark(f.Seq)
-			} else {
+			if journaled(f) {
 				// Journal before dispatch: once we ack this sequence the
 				// peer trims it, so our own journal must be able to
 				// re-deliver it after a crash.
 				l.dur.journalRecv(f.Seq, AppendFrame(nil, f))
+			} else {
+				l.dur.journalRecvMark(f.Seq)
 			}
 		}
 		if f.Seq-l.ackSent >= linkAckEvery {
@@ -589,12 +588,10 @@ func (l *Link) requestAckLocked() {
 
 // dialLoop runs on the dialing side: whenever the link has no conn, dial
 // the remote, run the Hello/Welcome handshake, and attach. Failures back
-// off exponentially with jitter (capped at the mesh's MaxBackoff) until
-// Close.
+// off exponentially with jitter (capped at maxRedialBackoff) until Close.
 func (l *Link) dialLoop() {
 	defer l.mesh.wg.Done()
 	backoff := 2 * time.Millisecond
-	maxBackoff := l.mesh.maxBackoff
 	for {
 		l.mu.Lock()
 		for !l.closed && l.conn != nil {
@@ -635,9 +632,7 @@ func (l *Link) dialLoop() {
 			return
 		case <-time.After(sleep):
 		}
-		if backoff *= 2; backoff > maxBackoff {
-			backoff = maxBackoff
-		}
+		backoff = min(2*backoff, maxRedialBackoff)
 	}
 }
 
@@ -651,10 +646,8 @@ func (l *Link) dialLoop() {
 // acceptor cannot wedge the dial loop.
 func (l *Link) handshakeDial(conn Conn, resume uint64) (uint64, error) {
 	hello := &Frame{Type: FrameHello, Version: ProtocolVersion, Node: l.mesh.node, Resume: resume}
-	if hs := l.mesh.hsTimeout; hs > 0 {
-		conn.SetReadDeadline(time.Now().Add(hs)) //nolint:errcheck // a failed deadline surfaces as a read error
-		defer conn.SetReadDeadline(time.Time{})  //nolint:errcheck // cleared best-effort; reads own their deadlines
-	}
+	conn.SetReadDeadline(time.Now().Add(l.mesh.hsTimeout)) //nolint:errcheck // a failed deadline surfaces as a read error
+	defer conn.SetReadDeadline(time.Time{})                //nolint:errcheck // cleared best-effort; reads own their deadlines
 	if err := conn.WriteFrame(EncodeFrame(hello)); err != nil {
 		return 0, err
 	}

@@ -131,6 +131,21 @@ func TestLinkDuplexManyPairs(t *testing.T) {
 	}
 }
 
+// dropConns force-closes every attached conn of m without closing its links,
+// which detach, redial and replay; it returns how many conns it dropped.
+func dropConns(m *Mesh) int {
+	n := 0
+	for _, l := range m.Links() {
+		l.mu.Lock()
+		if l.conn != nil {
+			l.detachLocked()
+			n++
+		}
+		l.mu.Unlock()
+	}
+	return n
+}
+
 // testLinkReconnectReplay kills conns repeatedly while a stream of
 // sequenced frames flows; the journal replay plus receive dedup must
 // deliver every frame exactly once, in order. The sender waits at n/2 for
@@ -159,7 +174,7 @@ func testLinkReconnectReplay(t *testing.T, tr Transport) {
 	// Guarantee at least one mid-stream drop, then keep dropping
 	// periodically while the tail drains.
 	waitFor(t, 5*time.Second, func() bool { return cb.len() > 0 }, "first delivery")
-	drops := ma.DropConns()
+	drops := dropConns(ma)
 	close(firstDrop)
 	deadline := time.Now().Add(20 * time.Second)
 	for i := 0; cb.len() < n; i++ {
@@ -168,7 +183,7 @@ func testLinkReconnectReplay(t *testing.T, tr Transport) {
 		}
 		time.Sleep(time.Millisecond)
 		if i%8 == 7 && cb.len() < n {
-			drops += ma.DropConns()
+			drops += dropConns(ma)
 		}
 	}
 	if err := <-done; err != nil {
@@ -200,7 +215,7 @@ func TestLinkReconnectReplayTCP(t *testing.T) { testLinkReconnectReplay(t, NewTC
 func TestLinkWindowBounds(t *testing.T) {
 	tr := NewMem()
 	var ca collector
-	ma, err := NewMesh(MeshConfig{Transport: tr, Node: "a", Listen: "", Handler: ca.handle, Window: 8})
+	ma, err := NewMesh(MeshConfig{Transport: tr, Node: "a", Listen: "", Handler: ca.handle})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,20 +224,21 @@ func TestLinkWindowBounds(t *testing.T) {
 	sent := make(chan int, 1)
 	go func() {
 		i := 0
-		for ; i < 100; i++ {
+		for ; i < DefaultLinkWindow+100; i++ {
 			if err := l.Send(&Frame{Type: FrameControl, Data: []byte("x")}); err != nil {
 				break
 			}
 		}
 		sent <- i
 	}()
+	waitFor(t, 5*time.Second, func() bool { return l.Stats().Depth == DefaultLinkWindow }, "a full window")
 	time.Sleep(50 * time.Millisecond)
-	if d := l.Stats().Depth; d > 8 {
-		t.Fatalf("journal depth %d exceeds window 8", d)
+	if d := l.Stats().Depth; d > DefaultLinkWindow {
+		t.Fatalf("journal depth %d exceeds window %d", d, DefaultLinkWindow)
 	}
 	ma.Close()
-	if n := <-sent; n > 8 {
-		t.Fatalf("sender admitted %d frames past an 8-frame window", n)
+	if n := <-sent; n > DefaultLinkWindow {
+		t.Fatalf("sender admitted %d frames past a %d-frame window", n, DefaultLinkWindow)
 	}
 }
 

@@ -51,9 +51,6 @@ type MeshConfig struct {
 	// link before dispatch, so the handler only ever sees FrameBatch, its
 	// items element trees in Elems.
 	Handler func(remote string, f *Frame)
-	// Window bounds each link's replay journal in frames
-	// (DefaultLinkWindow when 0).
-	Window int
 	// DataDir, when set, makes every link durable: each link journals its
 	// frames and cursors in DataDir/<remote> and a process restarted over
 	// the same directory continues each link's sequence space, replays the
@@ -76,13 +73,9 @@ type MeshConfig struct {
 	// Flight, when set, records wal.* and handshake.refuse flight events.
 	Flight *obs.FlightRecorder
 	// HandshakeTimeout bounds each handshake's blocking reads on both
-	// sides (10s when 0, negative disables): a half-open peer that dials
-	// and goes silent can no longer pin a handshake goroutine forever.
+	// sides (10s unless positive): a half-open peer that dials and goes
+	// silent can no longer pin a handshake goroutine forever.
 	HandshakeTimeout time.Duration
-	// MaxBackoff caps the dialer's exponential redial backoff (250ms when
-	// 0). Redial sleeps are jittered in [backoff/2, backoff] to spread
-	// reconnect stampedes after a partition heals.
-	MaxBackoff time.Duration
 }
 
 // Mesh is one node's endpoint in the super-peer network: a listener, a
@@ -99,7 +92,6 @@ type Mesh struct {
 	tr      Transport
 	ln      Listener
 	handler func(remote string, f *Frame)
-	window  int
 	// enc and dec are the wire.encode.* and wire.decode.* instruments, nil
 	// without a registry.
 	enc, dec *wireMetrics
@@ -110,7 +102,6 @@ type Mesh struct {
 	metrics    *obs.Registry
 	flight     *obs.FlightRecorder
 	hsTimeout  time.Duration
-	maxBackoff time.Duration
 
 	mu      sync.Mutex
 	links   map[string]*Link
@@ -131,21 +122,14 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = DefaultLinkWindow
-	}
-	if cfg.HandshakeTimeout == 0 {
+	if cfg.HandshakeTimeout <= 0 {
 		cfg.HandshakeTimeout = 10 * time.Second
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 250 * time.Millisecond
 	}
 	m := &Mesh{
 		node:       cfg.Node,
 		tr:         cfg.Transport,
 		ln:         ln,
 		handler:    cfg.Handler,
-		window:     cfg.Window,
 		enc:        newWireMetrics(cfg.Metrics, "encode"),
 		dec:        newWireMetrics(cfg.Metrics, "decode"),
 		durDir:     cfg.DataDir,
@@ -154,7 +138,6 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 		metrics:    cfg.Metrics,
 		flight:     cfg.Flight,
 		hsTimeout:  cfg.HandshakeTimeout,
-		maxBackoff: cfg.MaxBackoff,
 		links:      map[string]*Link{},
 		pending:    map[Conn]bool{},
 		done:       make(chan struct{}),
@@ -205,7 +188,7 @@ func (m *Mesh) Connect(remote, addr string) (*Link, error) {
 		addr:   addr,
 		dialer: m.node < remote,
 		phase:  "idle",
-		out:    NewChannel(0, m.window),
+		out:    NewChannel(0, DefaultLinkWindow),
 		q:      newFrameQueue(),
 		dur:    dur,
 	}
@@ -315,9 +298,7 @@ func (m *Mesh) handleIncoming(conn Conn) {
 			conn.Close()
 		}
 	}()
-	if hs := m.hsTimeout; hs > 0 {
-		conn.SetReadDeadline(time.Now().Add(hs)) //nolint:errcheck // a failed deadline surfaces as a read error
-	}
+	conn.SetReadDeadline(time.Now().Add(m.hsTimeout)) //nolint:errcheck // a failed deadline surfaces as a read error
 	payload, err := conn.ReadFrame()
 	if err != nil {
 		return
@@ -409,22 +390,6 @@ func (m *Mesh) Checkpoint() {
 	for _, l := range m.Links() {
 		l.checkpoint()
 	}
-}
-
-// DropConns force-closes every attached conn without closing the links —
-// the reconnect chaos hook. Links detach, redial and replay; it returns
-// how many conns were dropped.
-func (m *Mesh) DropConns() int {
-	n := 0
-	for _, l := range m.Links() {
-		l.mu.Lock()
-		if l.conn != nil {
-			l.detachLocked()
-			n++
-		}
-		l.mu.Unlock()
-	}
-	return n
 }
 
 // WaitConnected blocks until every link has an attached conn, or the

@@ -177,11 +177,12 @@ func TestMeshWaitsWakeOnClose(t *testing.T) {
 }
 
 // TestWaitConnectedWakesOnAttach: the wait returns on the attach itself —
-// here the acceptor's mesh appears only while the dialer already waits.
+// here the acceptor's mesh appears only while the dialer already waits, its
+// redials backing off toward the 250 ms cap.
 func TestWaitConnectedWakesOnAttach(t *testing.T) {
 	tr := NewMem()
 	var ca, cb collector
-	ma, err := NewMesh(MeshConfig{Transport: tr, Node: "a", Handler: ca.handle, MaxBackoff: 4 * time.Millisecond})
+	ma, err := NewMesh(MeshConfig{Transport: tr, Node: "a", Handler: ca.handle})
 	if err != nil {
 		t.Fatal(err)
 	}

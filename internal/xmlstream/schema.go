@@ -1,9 +1,6 @@
 package xmlstream
 
-import (
-	"sort"
-	"strings"
-)
+import "sort"
 
 // Schema is a DTD-like tree of element names, as in the paper's photon DTD
 // (§1): each node names an element; leaves carry text content. Occurrence
@@ -87,21 +84,4 @@ func (s *Schema) Names() []string {
 	walk(s)
 	sort.Strings(out)
 	return out
-}
-
-// String renders the schema as an indented tree, like the paper's DTD
-// figure.
-func (s *Schema) String() string {
-	var b strings.Builder
-	var walk func(n *Schema, depth int)
-	walk = func(n *Schema, depth int) {
-		b.WriteString(strings.Repeat("  ", depth))
-		b.WriteString(n.Name)
-		b.WriteByte('\n')
-		for _, c := range n.Children {
-			walk(c, depth+1)
-		}
-	}
-	walk(s, 0)
-	return strings.TrimRight(b.String(), "\n")
 }

@@ -309,7 +309,8 @@ func slabbuilt(fns ...string) func(*module) []string {
 // kept for bench/ whose name bench/ no longer mentions. The roots are main and init,
 // the exported functions and methods of the root package, package-level
 // initialisers, and the methods that satisfy an interface of the module or of
-// the standard library it imports.
+// the standard library it imports, of the types non-test code converts to an
+// interface (converted).
 func callers(m *module) (out []string) {
 	type decl struct {
 		ip string
@@ -339,7 +340,6 @@ func callers(m *module) (out []string) {
 			ifaces[i.Method(0).Name()] = append(ifaces[i.Method(0).Name()], i)
 		}
 	}
-	var named []*types.Named
 	done := map[*types.Package]bool{}
 	var imports func(*types.Package)
 	imports = func(p *types.Package) {
@@ -361,11 +361,6 @@ func callers(m *module) (out []string) {
 		imports(m.checked[ip])
 		for _, tv := range m.info[ip].Types {
 			addIface(tv.Type)
-			n, ok := tv.Type.(*types.Named)
-			if ok && n.Obj().Pkg() != nil && m.files[n.Obj().Pkg().Path()] != nil &&
-				(n.TypeParams().Len() == 0 || n.TypeArgs().Len() > 0) { // not a bare generic name
-				named = append(named, n)
-			}
 		}
 		for _, f := range files {
 			for _, d := range f.Decls {
@@ -387,18 +382,16 @@ func callers(m *module) (out []string) {
 			}
 		}
 	}
-	for _, n := range named {
-		for _, t := range []types.Type{n, types.NewPointer(n)} {
-			ms := types.NewMethodSet(t)
-			for i := 0; i < ms.Len(); i++ {
-				for _, iface := range ifaces[ms.At(i).Obj().Name()] {
-					if !types.Implements(t, iface) {
-						continue
-					}
-					for j := 0; j < iface.NumMethods(); j++ {
-						o, _, _ := types.LookupFieldOrMethod(t, false, iface.Method(j).Pkg(), iface.Method(j).Name())
-						reach(o)
-					}
+	for _, t := range converted(m) {
+		ms := types.NewMethodSet(t)
+		for i := 0; i < ms.Len(); i++ {
+			for _, iface := range ifaces[ms.At(i).Obj().Name()] {
+				if !types.Implements(t, iface) {
+					continue
+				}
+				for j := 0; j < iface.NumMethods(); j++ {
+					o, _, _ := types.LookupFieldOrMethod(t, false, iface.Method(j).Pkg(), iface.Method(j).Name())
+					reach(o)
 				}
 			}
 		}
@@ -448,6 +441,128 @@ func callers(m *module) (out []string) {
 	for name, why := range m.allowed {
 		if !declared[name] || why == "" {
 			out = append(out, fmt.Sprintf("%s is allowed (%q) but not declared, or without a reason", name, why))
+		}
+	}
+	return out
+}
+
+// converted lists the module's named types, and pointers to them, that
+// non-test code converts to an interface type: as a call argument, in an
+// assignment or a typed var, as a return value, as a composite-literal
+// element, or as a type argument. Only through such a value can an interface
+// call reach their methods.
+func converted(m *module) (out []types.Type) {
+	seen := map[string]bool{}
+	add := func(t types.Type) {
+		t = types.Unalias(t)
+		n, _ := t.(*types.Named)
+		if p, ok := t.(*types.Pointer); ok {
+			n, _ = types.Unalias(p.Elem()).(*types.Named)
+		}
+		if n != nil && !types.IsInterface(n) && n.Obj().Pkg() != nil && m.files[n.Obj().Pkg().Path()] != nil &&
+			(n.TypeParams().Len() == 0 || n.TypeArgs().Len() > 0) && !seen[types.TypeString(t, nil)] { // not a bare generic name
+			seen[types.TypeString(t, nil)] = true
+			out = append(out, t)
+		}
+	}
+	for ip, files := range m.files {
+		info := m.info[ip]
+		for _, inst := range info.Instances {
+			for i := 0; i < inst.TypeArgs.Len(); i++ {
+				add(inst.TypeArgs.At(i))
+			}
+		}
+		// to(i) receives the i-th value of exprs, one expression each or one
+		// call's results.
+		assign := func(to func(i int) types.Type, exprs []ast.Expr) {
+			into := func(to, from types.Type) {
+				if to != nil && from != nil && types.IsInterface(to) {
+					add(from)
+				}
+			}
+			if len(exprs) == 1 {
+				if tup, ok := info.TypeOf(exprs[0]).(*types.Tuple); ok {
+					for i := 0; i < tup.Len(); i++ {
+						into(to(i), tup.At(i).Type())
+					}
+					return
+				}
+			}
+			for i, e := range exprs {
+				into(to(i), info.TypeOf(e))
+			}
+		}
+		// walk inspects n, the body of a function with results.
+		var walk func(n ast.Node, results *types.Tuple)
+		walk = func(n ast.Node, results *types.Tuple) {
+			ast.Inspect(n, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.FuncDecl:
+					if x.Body != nil {
+						walk(x.Body, info.Defs[x.Name].Type().(*types.Signature).Results())
+					}
+					return false
+				case *ast.FuncLit:
+					walk(x.Body, info.TypeOf(x).(*types.Signature).Results())
+					return false
+				case *ast.ReturnStmt:
+					assign(func(i int) types.Type { return results.At(i).Type() }, x.Results)
+				case *ast.AssignStmt:
+					if x.Tok == token.ASSIGN {
+						assign(func(i int) types.Type { return info.TypeOf(x.Lhs[i]) }, x.Rhs)
+					}
+				case *ast.ValueSpec:
+					if x.Type != nil {
+						assign(func(int) types.Type { return info.TypeOf(x.Type) }, x.Values)
+					}
+				case *ast.CallExpr:
+					if tv := info.Types[x.Fun]; tv.IsType() {
+						assign(func(int) types.Type { return tv.Type }, x.Args)
+					} else if sig, ok := tv.Type.(*types.Signature); ok {
+						ps := sig.Params()
+						assign(func(i int) types.Type {
+							if !sig.Variadic() || i < ps.Len()-1 {
+								return ps.At(i).Type()
+							} else if x.Ellipsis.IsValid() {
+								return ps.At(ps.Len() - 1).Type()
+							}
+							return ps.At(ps.Len() - 1).Type().(*types.Slice).Elem()
+						}, x.Args)
+					}
+				case *ast.CompositeLit:
+					lit := info.TypeOf(x)
+					if p, ok := lit.Underlying().(*types.Pointer); ok { // an elided &T
+						lit = p.Elem()
+					}
+					for i, elt := range x.Elts {
+						var key ast.Expr
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							key, elt = kv.Key, kv.Value
+						}
+						var to types.Type
+						switch t := lit.Underlying().(type) {
+						case *types.Struct:
+							if key == nil {
+								to = t.Field(i).Type()
+							} else if id, ok := key.(*ast.Ident); ok && info.Uses[id] != nil {
+								to = info.Uses[id].Type()
+							}
+						case *types.Slice:
+							to = t.Elem()
+						case *types.Array:
+							to = t.Elem()
+						case *types.Map:
+							assign(func(int) types.Type { return t.Key() }, []ast.Expr{key})
+							to = t.Elem()
+						}
+						assign(func(int) types.Type { return to }, []ast.Expr{elt})
+					}
+				}
+				return true
+			})
+		}
+		for _, f := range files {
+			walk(f, nil)
 		}
 	}
 	return out
@@ -706,9 +821,36 @@ var _ = (*Restructure).eval`}, 2},
 	{"callers", map[string]string{"internal/plan/dead.go": "package plan\n\nfunc Dead() {}\n", "internal/plan/dead_test.go": "package plan\n\nfunc TestDead(t *testing.T) { Dead() }\n"}, 1},
 	{"callers", map[string]string{"cmd/sgd/ref.go": "package main\n\nimport \"streamshare/internal/plan\"\n\nvar ref = plan.Reference\n"}, 1},
 	{"callers", map[string]string{"bench/inputs.go": "package main\n"}, 1},
+	{"callers", map[string]string{"internal/plan/stringers.go": callersStringers}, 1},
 	{"refs", map[string]string{"EXPERIMENTS.md": "`internal/plan/gone.go`\n`cmd/gone -x` and TestGone\n`BenchmarkGone*` `internal/gone.New`\n"}, 5},
 	{"refs", map[string]string{"docs/WIRE.md": "`runtime.batch.size` `runtime.gone` `sim.gone.bytes`\n"}, 2},
 }
+
+// callersStringers converts five fmt.Stringers to an interface, one each way
+// the callers rule counts, so their String methods are roots; the sixth is
+// never converted, so its String is dead.
+const callersStringers = `package plan
+import "fmt"
+type arg struct{}
+type assigned struct{}
+type declared struct{}
+type returned struct{}
+type element struct{}
+type kept struct{}
+func (arg) String() string { return "" }
+func (assigned) String() string { return "" }
+func (declared) String() string { return "" }
+func (returned) String() string { return "" }
+func (element) String() string { return "" }
+func (kept) String() string { return "" }
+func stringer() fmt.Stringer { return returned{} }
+var s fmt.Stringer
+var _ = fmt.Sprint(arg{})
+var _ = func() { s = assigned{} }
+var _ fmt.Stringer = declared{}
+var _ = []fmt.Stringer{element{}, stringer()}
+var _ = kept{}
+`
 
 // slabbuiltElement is the element API the slabbuilt plantings build with.
 const slabbuiltElement = `package xmlstream
@@ -762,11 +904,12 @@ var unreached = map[string]string{
 	"xmlstream.InferSchema":                "bench/ (ROADMAP item 16)",
 	"(*xmlstream.Schema).Names":            "bench/ (ROADMAP item 16)",
 	"(*runtime.Runtime).KillPeer":          "fault injection: the recovery tests kill a peer mid-run",
-	"(*runtime.Cluster).DropConns":         "fault injection: the reconnect tests cut a cluster's sockets",
-	"(*transport.Mesh).DropConns":          "fault injection: the reconnect tests cut a mesh's sockets",
 	"(*runtime.Cluster).DumpState":         "hang diagnosis: the tests' watchdog prints a cluster's links",
 	"(*transport.Mesh).DumpState":          "hang diagnosis: the tests' watchdog prints a mesh's links",
 	"transport.NewMem":                     "the in-memory mesh the cluster tests run without sockets",
+	"(*transport.Mem).Listen":              "the in-memory mesh the cluster tests run without sockets",
+	"(*transport.Mem).Dial":                "the in-memory mesh the cluster tests run without sockets",
+	"(*server.Server).Close":               "the tests shut a daemon down; sgd runs until it is killed",
 	"plan.Reference":                       "the brute-force planner the planner equivalence tests compare against",
 	"(*predicate.Graph).ImpliedBy":         "the complete implication test TestSelectGridOracle measures MatchPredicates against",
 	"(*obs.LatencyRecorder).SampledKeys":   "what the span-sampling tests compare between simulator and runtime",
