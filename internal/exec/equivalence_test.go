@@ -76,3 +76,45 @@ func sharingEquivalence(t *testing.T, genSeed, itemSeed int64) {
 	}
 	t.Logf("seeds (%d, %d): verified %d shareable pairs (%d mismatches)", genSeed, itemSeed, pairs, mismatches)
 }
+
+// TestSharingThroughClosure evaluates, over hand-picked photons, two pairs
+// that match only on the closure of their minimized selections, shared
+// against direct. In the first the subscription implies the stream's en ≥ 3
+// through phc ≥ 2 ∧ phc < en − 1, so its own filter stays as the residual.
+// The second is one equality cycle written two ways: the reused stream's
+// selection implies the subscription's, so residualSelection drops it.
+func TestSharingThroughClosure(t *testing.T) {
+	src := func(sel string) string {
+		return `<r>{ for $p in stream("photons")/photons/photon where ` + sel +
+			` return <o>{ $p/phc }{ $p/en }{ $p/det_time }</o> }</r>`
+	}
+	items := []*xmlstream.Element{
+		photon("130.0", "-45.0", "2", "4", "2"),     // first pair: both pass
+		photon("130.0", "-45.0", "2.8", "3.5", "3"), // first pair: stream only (phc ≥ en − 1)
+		photon("130.0", "-45.0", "1", "5", "4"),     // first pair: stream only (phc < 2)
+		photon("130.0", "-45.0", "0", "2", "5"),     // neither passes
+		photon("130.0", "-45.0", "6", "6", "6"),     // second pair: both pass
+		photon("130.0", "-45.0", "7", "7", "8"),     // second pair: neither passes
+	}
+	for _, c := range []struct {
+		stream, sub string
+		residual    bool
+	}{
+		{"$p/en >= 3 and $p/phc < $p/en - 0.5", "$p/en >= 3 and $p/phc < $p/en - 1 and $p/phc >= 2", true},
+		{"$p/phc = $p/en and $p/en = $p/det_time", "$p/phc = $p/det_time and $p/det_time = $p/en", false},
+	} {
+		direct := runFull(t, src(c.sub), items)
+		via := shared(t, src(c.stream), src(c.sub), items)
+		if len(direct) == 0 || len(via) != len(direct) {
+			t.Fatalf("%s over %s: direct %d items, shared %d", c.sub, c.stream, len(direct), len(via))
+		}
+		sameItems(t, c.sub, direct, via)
+		_, sp := mustProps(t, src(c.stream))
+		_, subp := mustProps(t, src(c.sub))
+		reused, _ := sp.Result().SingleInput()
+		sub, _ := subp.SingleInput()
+		if got := residualSelection(reused, sub) != nil; got != c.residual {
+			t.Errorf("%s over %s: residual selection kept = %v, want %v", c.sub, c.stream, got, c.residual)
+		}
+	}
+}

@@ -201,8 +201,10 @@ func holds(atoms []predicate.Atom, item *xmlstream.Element) bool {
 // every point of a small grid: alone, item by item, and as a member of a
 // random sibling group whose members read one table over random batch
 // splits and one-item batches, in a random member order per batch. It also
-// holds predicate.ImpliedBy to the grid: no accepted pair may have a point
-// that satisfies the implying graph and not the implied one.
+// holds predicate.MatchPredicates to the grid: no accepted pair may have a
+// point that satisfies the implying graph and not the implied one, and
+// minimizing a satisfiable graph, as properties does, must not change a
+// decision.
 func TestSelectGridOracle(t *testing.T) {
 	items := gridItems()
 	r := rand.New(rand.NewSource(27))
@@ -268,18 +270,19 @@ func TestSelectGridOracle(t *testing.T) {
 		}
 	}
 
-	// The matchers over pairs whose second conjunction tightens or extends the
-	// first, so that many are accepted, and over unrelated pairs: ImpliedBy,
-	// the complete test, and MatchPredicates (Alg. 3), which production runs
-	// on graphs built as properties builds them, minimized when satisfiable.
-	built := func(atoms []predicate.Atom) *predicate.Graph {
-		g := graphOf(atoms)
+	// MatchPredicates over pairs whose second conjunction tightens or extends
+	// the first, so that many are accepted, and over unrelated pairs: on the
+	// graphs as built by properties (minimized when satisfiable), and on the
+	// unminimized ones, which must agree wherever both sides are satisfiable
+	// (unsatisfiable subscriptions are refused at registration).
+	built := func(g *predicate.Graph) *predicate.Graph {
+		g = g.Clone()
 		if g.Satisfiable() {
 			g.Minimize()
 		}
 		return g
 	}
-	accepted, matched, gap, unsound := 0, 0, 0, 0
+	accepted, gap, unsound := 0, 0, 0
 	for n := 0; n < 2000; n++ {
 		weak := conjs[r.Intn(len(conjs))]
 		strong := conjs[r.Intn(len(conjs))]
@@ -291,31 +294,28 @@ func TestSelectGridOracle(t *testing.T) {
 				}
 			}
 		}
-		implied := graphOf(weak).ImpliedBy(graphOf(strong))
-		match := predicate.MatchPredicates(built(weak), built(strong))
-		if match && !implied {
-			t.Errorf("MatchPredicates accepts %v as implied by %v, which the complete test refuses", weak, strong)
-		}
-		if implied {
-			accepted++
+		wg, sg := graphOf(weak), graphOf(strong)
+		full := predicate.MatchPredicates(wg, sg)
+		match := predicate.MatchPredicates(built(wg), built(sg))
+		if match != full && wg.Satisfiable() && sg.Satisfiable() {
+			gap++
+			t.Errorf("%v implied by %v: %v on the built graphs, %v on the unminimized ones", weak, strong, match, full)
 		}
 		if match {
-			matched++
-		} else if implied {
-			gap++
+			accepted++
 		}
 		for _, it := range items {
-			if (implied || match) && holds(strong, it) && !holds(weak, it) {
+			if (match || full) && holds(strong, it) && !holds(weak, it) {
 				unsound++
-				t.Errorf("%v is accepted as implied by %v (ImpliedBy %v, MatchPredicates %v), but %s satisfies only the latter",
-					weak, strong, implied, match, xmlstream.Marshal(it))
+				t.Errorf("%v is accepted as implied by %v (built %v, unminimized %v), but %s satisfies only the latter",
+					weak, strong, match, full, xmlstream.Marshal(it))
 				break
 			}
 		}
 	}
-	t.Logf("%d grid points, 2000 pairs: ImpliedBy accepted %d, MatchPredicates %d, unsound %d; completeness gap (ImpliedBy only) %d",
-		len(items), accepted, matched, unsound, gap)
-	if min(accepted, matched) < 500 {
-		t.Errorf("only %d and %d pairs accepted: the implication checks are barely exercised", accepted, matched)
+	t.Logf("%d grid points, 2000 pairs: accepted %d, unsound %d; completeness gap (built and unminimized disagree) %d",
+		len(items), accepted, unsound, gap)
+	if accepted < 500 {
+		t.Errorf("only %d pairs accepted: the implication check is barely exercised", accepted)
 	}
 }

@@ -123,9 +123,9 @@ type edgeKey struct{ from, to int }
 //
 // Graphs are mutable while they are being built (AddAtom, Minimize) and
 // immutable afterwards; derived views — the transitive closure, the
-// per-node adjacency lists, the canonical fingerprint — are memoized on
-// first use and invalidated by any mutation. The memos are guarded by a
-// mutex so read-only consumers may share a built graph across goroutines.
+// canonical fingerprint — are memoized on first use and invalidated by any
+// mutation. The memos are guarded by a mutex so read-only consumers may
+// share a built graph across goroutines.
 type Graph struct {
 	labels []string
 	index  map[string]int
@@ -135,7 +135,6 @@ type Graph struct {
 		sync.Mutex
 		fp  string
 		clo [][]*Weight
-		adj map[int][]Edge
 	}
 }
 
@@ -191,7 +190,7 @@ func (g *Graph) delEdge(k edgeKey) {
 // invalidate drops every memoized derived view after a mutation.
 func (g *Graph) invalidate() {
 	g.memo.Lock()
-	g.memo.fp, g.memo.clo, g.memo.adj = "", nil, nil
+	g.memo.fp, g.memo.clo = "", nil
 	g.memo.Unlock()
 }
 
@@ -222,12 +221,6 @@ func (g *Graph) AddAtom(a Atom) {
 // Nodes returns the node labels in insertion order.
 func (g *Graph) Nodes() []string { return append([]string(nil), g.labels...) }
 
-// HasNode reports whether the variable (or ZeroNode) appears in g.
-func (g *Graph) HasNode(label string) bool {
-	_, ok := g.index[label]
-	return ok
-}
-
 // Edge holds one stored constraint for iteration and reporting.
 type Edge struct {
 	From, To string
@@ -247,44 +240,6 @@ func (g *Graph) Edges() []Edge {
 		return out[i].To < out[j].To
 	})
 	return out
-}
-
-// EdgesAt returns the constraints incident to label (either direction).
-// The returned slice is a memoized view shared between calls — callers must
-// not modify it.
-func (g *Graph) EdgesAt(label string) []Edge {
-	i, ok := g.index[label]
-	if !ok {
-		return nil
-	}
-	return g.adjacency()[i]
-}
-
-// adjacency returns the memoized per-node incident-edge lists, building
-// them on first use. Rebuilt after every mutation (see invalidate).
-func (g *Graph) adjacency() map[int][]Edge {
-	g.memo.Lock()
-	defer g.memo.Unlock()
-	if g.memo.adj == nil {
-		adj := make(map[int][]Edge, len(g.labels))
-		for k, w := range g.edges {
-			e := Edge{From: g.labels[k.from], To: g.labels[k.to], W: w}
-			adj[k.from] = append(adj[k.from], e)
-			if k.to != k.from {
-				adj[k.to] = append(adj[k.to], e)
-			}
-		}
-		for _, es := range adj {
-			sort.Slice(es, func(a, b int) bool {
-				if es[a].From != es[b].From {
-					return es[a].From < es[b].From
-				}
-				return es[a].To < es[b].To
-			})
-		}
-		g.memo.adj = adj
-	}
-	return g.memo.adj
 }
 
 // Fingerprint returns a canonical encoding of the stored constraint set:
@@ -375,7 +330,7 @@ func (g *Graph) String() string {
 // computing them on first use. Mutations invalidate the memo, so builders
 // (Minimize) always see a closure consistent with the current edge set,
 // while immutable graphs pay for Floyd–Warshall once no matter how many
-// Satisfiable/ImpliedBy comparisons they participate in.
+// Satisfiable/MatchPredicates comparisons they participate in.
 func (g *Graph) closure() [][]*Weight {
 	g.memo.Lock()
 	defer g.memo.Unlock()
@@ -439,7 +394,10 @@ func (g *Graph) Satisfiable() bool {
 // Minimize removes redundant constraints: every edge implied by the
 // remaining edges is dropped, one at a time (simultaneous removal would be
 // unsound in the presence of equality cycles). The graph must be
-// satisfiable. Minimization runs once per subscription at registration.
+// satisfiable. Minimization runs once per subscription at registration;
+// matching reads the closure and does not need it, but it keeps the per-item
+// checks NewSelect compiles, the var–var edges stats prices one by one and
+// the fingerprint that keys the match cache small.
 func (g *Graph) Minimize() {
 	// First tighten every edge to the strongest derivable constraint.
 	dist := g.closure()
@@ -474,27 +432,6 @@ func (g *Graph) derive(from, to int) *Weight {
 	return dist[from][to]
 }
 
-// ImpliedBy reports whether the predicates of g are implied by the
-// predicates of other: every constraint derivable as necessary from g is
-// derivable at least as strongly in other. This is the complete containment
-// test; MatchPredicates (Algorithm 3) is the paper's edge-wise variant.
-func (g *Graph) ImpliedBy(other *Graph) bool {
-	od := other.closure()
-	for k, w := range g.edges {
-		fromLabel, toLabel := g.labels[k.from], g.labels[k.to]
-		oi, ok1 := other.index[fromLabel]
-		oj, ok2 := other.index[toLabel]
-		if !ok1 || !ok2 {
-			return false
-		}
-		d := od[oi][oj]
-		if d == nil || !d.Implies(w) {
-			return false
-		}
-	}
-	return true
-}
-
 // Union returns the weakest-common-constraint graph of a and b: it keeps
 // only constraints between node pairs bounded in both graphs, each at the
 // weaker of the two weights. The result is a conjunctive predicate implied
@@ -523,28 +460,25 @@ func Union(a, b *Graph) *Graph {
 	return out
 }
 
-// MatchPredicates is Algorithm 3 of the paper. g is the predicate graph G of
-// a data stream considered for sharing; other is G′ of the subscription to
-// be registered. It returns true if for each node v of G there is an
-// equivalent node v′ in G′ and every edge at v is implied by some edge at
-// v′ (ζ(x) ⇐ ζ(y)), i.e. the predicates of G′ imply those of G so the
-// stream contains all items the new subscription needs.
+// MatchPredicates decides the implication test of Algorithm 3. g is the
+// predicate graph G of a data stream considered for sharing; other is G′ of
+// the subscription to be registered. It returns true if every constraint of
+// G is derivable at least as strongly in G′, i.e. the predicates of G′ imply
+// those of G so the stream contains all items the new subscription needs.
+//
+// The paper compares stored edges one by one; this checks each edge of G
+// against G′'s transitive closure instead, which is complete: a bound G′
+// implies only through a path of its (minimized) edges is accepted too.
 func MatchPredicates(g, other *Graph) bool {
-	for _, v := range g.labels {
-		if !other.HasNode(v) {
-			return false // line 20–22: no equivalent node v′
+	od := other.closure()
+	for k, w := range g.edges {
+		oi, ok1 := other.index[g.labels[k.from]]
+		oj, ok2 := other.index[g.labels[k.to]]
+		if !ok1 || !ok2 {
+			return false
 		}
-		for _, x := range g.EdgesAt(v) {
-			ematch := false
-			for _, y := range other.EdgesAt(v) {
-				if x.From == y.From && x.To == y.To && y.W.Implies(x.W) {
-					ematch = true
-					break
-				}
-			}
-			if !ematch {
-				return false // line 13–15
-			}
+		if d := od[oi][oj]; d == nil || !d.Implies(w) {
+			return false
 		}
 	}
 	return true

@@ -103,7 +103,8 @@ func matchOp(o *Op, p, sub *Input) bool {
 }
 
 // matchSelections compares selection predicates. In the general case the
-// subscription's predicates must imply the stream's (Algorithm 3). When
+// subscription's predicates must imply the stream's (Algorithm 3's test,
+// decided on the closure by predicate.MatchPredicates). When
 // either side aggregates, selections performed prior to the aggregation must
 // be the same in both (§3.3, "Window-based Aggregation"), i.e. mutual
 // implication.

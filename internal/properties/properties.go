@@ -1,7 +1,8 @@
 // Package properties implements the paper's properties representation of
 // subscriptions and data streams (§3.1) and the matching algorithms of §3.3:
-// MatchProperties (Algorithm 2), predicate matching via Algorithm 3 (package
-// predicate), and MatchAggregations.
+// MatchProperties (Algorithm 2), predicate implication (Algorithm 3's test,
+// decided on the transitive closure by package predicate), and
+// MatchAggregations.
 //
 // Subscriptions and data streams are treated symmetrically: a subscription
 // produces a result data stream, and every data stream is the result of a

@@ -911,7 +911,6 @@ var unreached = map[string]string{
 	"(*transport.Mem).Dial":                "the in-memory mesh the cluster tests run without sockets",
 	"(*server.Server).Close":               "the tests shut a daemon down; sgd runs until it is killed",
 	"plan.Reference":                       "the brute-force planner the planner equivalence tests compare against",
-	"(*predicate.Graph).ImpliedBy":         "the complete implication test TestSelectGridOracle measures MatchPredicates against",
 	"(*obs.LatencyRecorder).SampledKeys":   "what the span-sampling tests compare between simulator and runtime",
 	"(*xmlstream.Element).Equal":           "the item comparison of the equivalence tests",
 	"(*xmlstream.Element).Clone":           "the reference evaluator's deep copy",
