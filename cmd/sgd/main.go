@@ -45,11 +45,12 @@
 //	sgd -node n1 -cluster-listen 127.0.0.1:7171 -join n0= -listen 127.0.0.1:7070
 //	sgd -node n0 -cluster-listen 127.0.0.1:0 -join n1=127.0.0.1:7171 -listen 127.0.0.1:7071
 //
-// Point SUBSCRIBE/UNSUBSCRIBE/RUN/FEED at one coordinating node: mutations
-// mirror to every process over sequenced control frames, runs execute on all
-// of them (each injects the sources it owns), and the coordinator merges the
-// per-node delivery counts into its reply. NODES shows the membership and
-// per-link transport counters.
+// Any node takes any command. The smallest node name is the sequencer: it
+// applies every mutation, coordinates every RUN/FEED, and sends each catalog
+// record with its position to the other nodes, which forward those commands
+// to it. Runs execute on all nodes (each injects the sources it owns), and
+// the sequencer merges the per-node delivery counts into its reply. NODES
+// shows the membership and per-link transport counters.
 //
 // With -data the daemon becomes durable: the subscription catalog and (with
 // -node) every mesh link journal their state under the given directory, and

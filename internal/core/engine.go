@@ -175,11 +175,6 @@ type Engine struct {
 	// them from the goroutine that mutates, as the server does.
 	mu sync.Mutex
 
-	// journal, when set via SetJournal, receives one CatalogOp per
-	// successful control-plane mutation, under mu, after the mutation
-	// applied (see journal.go).
-	journal func(CatalogOp)
-
 	// Analytic running usage, kept in sync with installed plans.
 	linkUse map[network.LinkID]float64 // bytes/second
 	peerUse map[network.PeerID]float64 // work units/second

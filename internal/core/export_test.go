@@ -20,3 +20,13 @@ func NewReferenceEngine(net *network.Network, cfg Config) *Engine {
 func SimulateItemwise(e *Engine, items map[string][]*xmlstream.Element, collect bool) (*SimResult, error) {
 	return simulateItemwise(e, items, collect)
 }
+
+// Subscription returns the installed subscription with the given id, or nil.
+func (e *Engine) Subscription(id string) *Subscription {
+	for _, s := range e.subs {
+		if s.ID == id {
+			return s
+		}
+	}
+	return nil
+}

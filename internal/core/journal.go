@@ -7,9 +7,9 @@ import (
 	"streamshare/internal/network"
 )
 
-// Catalog operation kinds. Subscribe and Unsubscribe replay through the
-// engine itself; every other kind (adaptation schedules journaled by the
-// server layer) is delegated to the ReplayCatalog apply callback.
+// Catalog operation kinds. Subscribe and Unsubscribe apply through the
+// engine itself; every other kind (adaptation schedules the server layer
+// applies) is delegated to Apply's other callback.
 const (
 	// CatalogSubscribe records a successful Subscribe call.
 	CatalogSubscribe = "subscribe"
@@ -21,16 +21,15 @@ const (
 )
 
 // CatalogOp is the one record of a control-plane mutation: what a catalog
-// journal stores, what a cluster mirrors and what ReplayCatalog applies. The
-// engine emits CatalogSubscribe/CatalogUnsubscribe ops through the
-// SetJournal hook; layers above append their own kinds (CatalogAdapt) and
-// handle them in the ReplayCatalog apply callback.
+// journal stores, what a cluster mirrors and what Apply applies. Layers
+// above add their own kinds (CatalogAdapt) and handle them in Apply's other
+// callback.
 type CatalogOp struct {
 	Kind string
 	// ID is the subscription the op created (subscribe) or removed
-	// (unsubscribe). On replay of a subscribe the freshly assigned id must
-	// match — ids are issued from a deterministic sequence, so a mismatch
-	// means the journal and the replayed topology diverged.
+	// (unsubscribe). A subscribe given an id must be assigned that id — ids
+	// are issued from a deterministic sequence, so a mismatch means the
+	// record and this engine's catalog disagree.
 	ID string
 	// Query, Target and Strategy reproduce a Subscribe call exactly.
 	Query    string
@@ -83,58 +82,23 @@ func ParseCatalogRecord(kind uint8, data []byte) (CatalogOp, error) {
 	return CatalogOp{}, fmt.Errorf("core: unknown catalog record kind %d", kind)
 }
 
-// SetJournal installs the catalog journal hook: every successful Subscribe
-// and Unsubscribe emits one CatalogOp, under the engine's control-plane
-// lock, after the mutation fully applied. A nil fn disables journaling.
-// The hook must not call back into the engine (it runs under e.mu).
-func (e *Engine) SetJournal(fn func(CatalogOp)) {
-	e.mu.Lock()
-	e.journal = fn
-	e.mu.Unlock()
-}
-
-// ReplayCatalog applies a recorded op sequence to the engine: a restart
-// replays its journal through it against the (identically constructed)
-// topology, and a cluster node applies the ops another node mirrors to it.
-// Planning is deterministic, so the engine reaches the exact state the
-// recording one had: same subscription ids, same shared streams, same
-// reserved usage. Ops the engine does not own (CatalogAdapt, future kinds)
-// go to apply; a nil apply fails on the first such op.
-//
-// Journaling is suppressed for the duration — applying a record must not
-// record it again — and restored on return, even on error. It stops at the
-// first failure: a subscription error or a diverging id means the ops do
-// not belong to this engine's state, and the caller should refuse to go on
-// rather than serve a catalog the recording engine does not have.
-func (e *Engine) ReplayCatalog(ops []CatalogOp, apply func(CatalogOp) error) error {
-	e.mu.Lock()
-	saved := e.journal
-	e.journal = nil
-	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		e.journal = saved
-		e.mu.Unlock()
-	}()
-	for i, op := range ops {
-		var err error
-		switch op.Kind {
-		case CatalogSubscribe:
-			var sub *Subscription
-			if sub, err = e.Subscribe(op.Query, op.Target, op.Strategy); err == nil && sub.ID != op.ID {
-				err = fmt.Errorf("diverged: this engine assigned id %s", sub.ID)
-			}
-		case CatalogUnsubscribe:
-			err = e.Unsubscribe(op.ID)
-		default:
-			err = fmt.Errorf("unhandled kind")
-			if apply != nil {
-				err = apply(op)
-			}
+// Apply performs one catalog op and returns the subscription id it assigned
+// or removed. Identically built engines that apply the same ops in the same
+// order reach the same catalog: same ids, same shared streams, same reserved
+// usage. Kinds the engine does not own (CatalogAdapt) go to other. A
+// subscribe that names an id is refused, before it plans, unless that is the
+// id this engine assigns next.
+func (e *Engine) Apply(op CatalogOp, other func(CatalogOp) error) (string, error) {
+	switch op.Kind {
+	case CatalogSubscribe:
+		next := fmt.Sprintf("q%d", e.subSeq+1)
+		if op.ID != "" && op.ID != next {
+			return "", fmt.Errorf("core: the record names %s, this engine assigns %s", op.ID, next)
 		}
-		if err != nil {
-			return fmt.Errorf("core: catalog op %d (%s %s): %w", i, op.Kind, op.ID+op.Detail, err)
-		}
+		_, err := e.Subscribe(op.Query, op.Target, op.Strategy)
+		return next, err
+	case CatalogUnsubscribe:
+		return op.ID, e.Unsubscribe(op.ID)
 	}
-	return nil
+	return "", other(op)
 }

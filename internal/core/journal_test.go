@@ -6,23 +6,16 @@ import (
 	"testing"
 )
 
-// driveCatalog performs a fixed mutation sequence: three sharing
-// subscriptions, one removal, one data-shipping subscription. It exercises
-// id assignment after an unsubscribe (ids are never reused) and plans that
-// depend on previously installed shared streams.
-func driveCatalog(t *testing.T, eng *Engine) {
-	t.Helper()
-	for _, src := range []string{q1, q2, q3} {
-		if _, err := eng.Subscribe(src, "SP1", StreamSharing); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := eng.Unsubscribe("q2"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Subscribe(q4, "SP3", DataShipping); err != nil {
-		t.Fatal(err)
-	}
+// catalogOps is a fixed mutation sequence: three sharing subscriptions, one
+// removal, one data-shipping subscription. It exercises id assignment after
+// an unsubscribe (ids are never reused) and plans that depend on previously
+// installed shared streams.
+var catalogOps = []CatalogOp{
+	{Kind: CatalogSubscribe, Query: q1, Target: "SP1", Strategy: StreamSharing},
+	{Kind: CatalogSubscribe, Query: q2, Target: "SP1", Strategy: StreamSharing},
+	{Kind: CatalogSubscribe, Query: q3, Target: "SP1", Strategy: StreamSharing},
+	{Kind: CatalogUnsubscribe, ID: "q2"},
+	{Kind: CatalogSubscribe, Query: q4, Target: "SP3", Strategy: DataShipping},
 }
 
 // catalogState renders everything recovery must reproduce: each
@@ -40,85 +33,78 @@ func catalogState(eng *Engine) string {
 	return b.String()
 }
 
-// TestReplayCatalogGolden pins the recovery contract: replaying the
-// journaled op sequence over an identically constructed topology yields a
-// byte-identical catalog — same subscription ids, same plans, same
-// deployed streams.
+// TestReplayCatalogGolden pins the recovery contract: applying the records
+// one engine's ops produced, ids included, over an identically constructed
+// topology yields a byte-identical catalog — same subscription ids, same
+// plans, same deployed streams — and the records themselves are the bytes a
+// journal holds.
 func TestReplayCatalogGolden(t *testing.T) {
 	live, _ := newEngine(t, Config{})
-	var ops []CatalogOp
-	live.SetJournal(func(op CatalogOp) { ops = append(ops, op) })
-	driveCatalog(t, live)
-	if len(ops) != 5 {
-		t.Fatalf("journaled %d ops, want 5", len(ops))
+	var recs [][]byte
+	for _, op := range catalogOps {
+		id, err := live.Apply(op, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op.ID = id
+		recs = append(recs, op.Record())
+	}
+	if got := string(recs[1]) + "|" + string(recs[3]); got != "\x01q2 SP1 2\n"+q2+"|\x02q2" {
+		t.Fatalf("records = %q", got)
 	}
 	want := catalogState(live)
 
 	restarted, _ := newEngine(t, Config{})
-	var reops []CatalogOp
-	restarted.SetJournal(func(op CatalogOp) { reops = append(reops, op) })
-	if err := restarted.ReplayCatalog(ops, nil); err != nil {
-		t.Fatal(err)
+	for _, rec := range recs {
+		op, err := ParseCatalogRecord(rec[0], rec[1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := restarted.Apply(op, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := catalogState(restarted); got != want {
 		t.Fatalf("replayed catalog diverged:\n--- live ---\n%s\n--- replayed ---\n%s", want, got)
 	}
-	if len(reops) != 0 {
-		t.Fatalf("replay re-journaled %d ops; journaling must be suppressed", len(reops))
-	}
-
-	// The hook must be restored after replay: a post-recovery mutation
-	// journals again.
-	if _, err := restarted.Subscribe(q2, "SP1", StreamSharing); err != nil {
-		t.Fatal(err)
-	}
-	if len(reops) != 1 || reops[0].Kind != CatalogSubscribe || reops[0].ID != "q5" {
-		t.Fatalf("post-replay journal = %+v, want one subscribe of q5", reops)
-	}
 }
 
-// TestReplayCatalogDetectsDivergence rejects a journal whose recorded ids
-// do not match what deterministic replay assigns — the symptom of running
-// a journal against the wrong topology or engine configuration.
+// TestReplayCatalogDetectsDivergence refuses a subscribe record whose id is
+// not the one this engine assigns next — the symptom of applying a journal
+// against the wrong topology or catalog — before it plans anything.
 func TestReplayCatalogDetectsDivergence(t *testing.T) {
 	eng, _ := newEngine(t, Config{})
-	ops := []CatalogOp{{Kind: CatalogSubscribe, ID: "q7", Query: q1, Target: "SP1", Strategy: StreamSharing}}
-	err := eng.ReplayCatalog(ops, nil)
-	if err == nil || !strings.Contains(err.Error(), "diverged") {
+	_, err := eng.Apply(CatalogOp{Kind: CatalogSubscribe, ID: "q7", Query: q1, Target: "SP1", Strategy: StreamSharing}, nil)
+	if err == nil || !strings.Contains(err.Error(), "names q7, this engine assigns q1") {
 		t.Fatalf("err = %v, want divergence", err)
+	}
+	if n := len(eng.Subscriptions()); n != 0 {
+		t.Fatalf("a refused record installed %d subscriptions", n)
 	}
 }
 
 // TestReplayCatalogDelegatesUnknownKinds sends ops the engine does not own
-// to the apply callback, and fails without one.
+// to the other callback, and its error surfaces.
 func TestReplayCatalogDelegatesUnknownKinds(t *testing.T) {
 	eng, _ := newEngine(t, Config{})
-	ops := []CatalogOp{
-		{Kind: CatalogSubscribe, ID: "q1", Query: q1, Target: "SP1", Strategy: StreamSharing},
-		{Kind: CatalogAdapt, Detail: "reopt"},
-	}
 	var applied []string
-	err := eng.ReplayCatalog(ops, func(op CatalogOp) error {
+	other := func(op CatalogOp) error {
 		applied = append(applied, op.Detail)
 		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	}
+	for _, op := range []CatalogOp{
+		{Kind: CatalogSubscribe, ID: "q1", Query: q1, Target: "SP1", Strategy: StreamSharing},
+		{Kind: CatalogAdapt, Detail: "reopt"},
+	} {
+		if _, err := eng.Apply(op, other); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if len(applied) != 1 || applied[0] != "reopt" {
 		t.Fatalf("applied = %v, want [reopt]", applied)
 	}
-
-	eng2, _ := newEngine(t, Config{})
-	if err := eng2.ReplayCatalog(ops, nil); err == nil {
-		t.Fatal("nil apply accepted an adapt op")
-	}
-
-	// Errors from the callback surface and stop the replay.
-	eng3, _ := newEngine(t, Config{})
 	boom := errors.New("boom")
-	err = eng3.ReplayCatalog(ops, func(CatalogOp) error { return boom })
-	if !errors.Is(err, boom) {
+	if _, err := eng.Apply(CatalogOp{Kind: CatalogAdapt}, func(CatalogOp) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
 }

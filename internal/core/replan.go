@@ -386,13 +386,3 @@ func (e *Engine) TryMigrate(sub *Subscription, hysteresis float64, event string)
 	e.publishUse()
 	return true, nil
 }
-
-// Subscription returns the installed subscription with the given id, or nil.
-func (e *Engine) Subscription(id string) *Subscription {
-	for _, s := range e.subs {
-		if s.ID == id {
-			return s
-		}
-	}
-	return nil
-}

@@ -90,9 +90,6 @@ func (e *Engine) Subscribe(src string, target network.PeerID, strat Strategy) (*
 	e.obs.Tracer.Record(dt)
 	e.subs = append(e.subs, sub)
 	e.subSeq++
-	if e.journal != nil {
-		e.journal(CatalogOp{Kind: CatalogSubscribe, ID: sub.ID, Query: src, Target: target, Strategy: strat})
-	}
 
 	e.m.subInstalled.Inc()
 	e.m.visited.Add(float64(sub.Reg.Visited))

@@ -29,9 +29,6 @@ func (e *Engine) Unsubscribe(id string) error {
 		e.release(si.Feed)
 	}
 	e.epoch++
-	if e.journal != nil {
-		e.journal(CatalogOp{Kind: CatalogUnsubscribe, ID: id})
-	}
 	e.m.unsubTotal.Inc()
 	e.publishUse()
 	return nil

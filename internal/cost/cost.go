@@ -213,7 +213,7 @@ func (e *Estimator) SizeFreq(in *properties.Input) (size, freq float64) {
 	}
 
 	specs := aggSpecs(in)
-	win, hasWin := windowOf(in)
+	win, hasWin := in.Window()
 	switch {
 	case len(specs) > 0:
 		size = aggItemSize(len(specs))
@@ -333,18 +333,6 @@ func aggSpecs(in *properties.Input) []aggSpec {
 		}
 	}
 	return out
-}
-
-func windowOf(in *properties.Input) (wxquery.Window, bool) {
-	for _, o := range in.Ops {
-		switch o.Kind {
-		case properties.OpAggregate, properties.OpWindow:
-			return o.Agg.Window, true
-		case properties.OpUDF:
-			return o.UDF.Window, true
-		}
-	}
-	return wxquery.Window{}, false
 }
 
 // InputFreq estimates the frequency of the stream entering the *operators*

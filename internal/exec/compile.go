@@ -28,20 +28,6 @@ func aggSpecsOf(in *properties.Input) (specs []AggSpec, filters []*predicate.Gra
 	return specs, filters, labels
 }
 
-// windowOf returns the window governing an input's aggregations or
-// window-content grouping, if any.
-func windowOf(in *properties.Input) (wxquery.Window, bool) {
-	for _, o := range in.Ops {
-		switch o.Kind {
-		case properties.OpAggregate, properties.OpWindow:
-			return o.Agg.Window, true
-		case properties.OpUDF:
-			return o.UDF.Window, true
-		}
-	}
-	return wxquery.Window{}, false
-}
-
 // filterOps builds the AggFilter stages for an aggregation layout.
 func filterOps(specs []AggSpec, filters []*predicate.Graph, labels []string) []Operator {
 	var out []Operator
@@ -70,7 +56,7 @@ func CanonicalPipeline(in *properties.Input, reg UDFRegistry) *Pipeline {
 	specs, filters, labels := aggSpecsOf(in)
 	switch {
 	case len(specs) > 0:
-		win, _ := windowOf(in)
+		win, _ := in.Window()
 		ops = append(ops, NewWindowAgg(win, specs, reg))
 		ops = append(ops, filterOps(specs, filters, labels)...)
 	default:
@@ -107,8 +93,8 @@ func ResidualPipeline(reused, sub *properties.Input, reg UDFRegistry) (*Pipeline
 			fineGroup[i] = j
 			fineOp[i] = reusedSpecs[j].Op
 		}
-		fineWin, _ := windowOf(reused)
-		subWin, _ := windowOf(sub)
+		fineWin, _ := reused.Window()
+		subWin, _ := sub.Window()
 		if fineWin.Equal(&subWin) {
 			if !identityLayout(reusedSpecs, subSpecs, fineGroup) {
 				ops = append(ops, NewRemap(subSpecs, fineGroup, fineOp))
@@ -123,7 +109,7 @@ func ResidualPipeline(reused, sub *properties.Input, reg UDFRegistry) (*Pipeline
 		if sel := residualSelection(reused, sub); sel != nil {
 			ops = append(ops, NewSelect(sel))
 		}
-		win, _ := windowOf(sub)
+		win, _ := sub.Window()
 		ops = append(ops, NewWindowAgg(win, subSpecs, reg))
 		ops = append(ops, filterOps(subSpecs, subFilters, subLabels)...)
 

@@ -419,7 +419,19 @@ func (g *Graph) Minimize() {
 	for _, k := range keys {
 		w := g.edges[k]
 		g.delEdge(k)
-		if d := g.derive(k.from, k.to); d == nil || !d.Implies(w) {
+		d := g.derive(k.from, k.to)
+		for o := range g.edges {
+			if k.from != k.to {
+				break
+			}
+			// x ≤ x + c tests that x is present, as another edge at x does;
+			// past that, 0 implies it whenever it holds.
+			if o.from == k.from || o.to == k.from {
+				d = &Weight{}
+				break
+			}
+		}
+		if d == nil || !d.Implies(w) {
 			g.setEdge(k, w) // not derivable without it: keep
 		}
 	}
@@ -476,6 +488,9 @@ func MatchPredicates(g, other *Graph) bool {
 		oj, ok2 := other.index[g.labels[k.to]]
 		if !ok1 || !ok2 {
 			return false
+		}
+		if k.from == k.to && (Weight{}).Implies(w) {
+			continue // x ≤ x + c only tests that x is present, and other has x
 		}
 		if d := od[oi][oj]; d == nil || !d.Implies(w) {
 			return false

@@ -128,6 +128,20 @@ func (in *Input) Selection() *predicate.Graph {
 	return nil
 }
 
+// Window returns the window governing the input's aggregations or
+// window-content grouping, if any.
+func (in *Input) Window() (wxquery.Window, bool) {
+	for _, o := range in.Ops {
+		switch o.Kind {
+		case OpAggregate, OpWindow:
+			return o.Agg.Window, true
+		case OpUDF:
+			return o.UDF.Window, true
+		}
+	}
+	return wxquery.Window{}, false
+}
+
 // Properties describe a subscription or a data stream (§3.1).
 type Properties struct {
 	// Inputs is the set of original input data streams with their operator

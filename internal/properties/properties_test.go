@@ -254,6 +254,24 @@ func TestSelectionOneWayImplication(t *testing.T) {
 	if MatchProperties(viaPath.Result(), wide) {
 		t.Error("looser subscription must not match the path-implied stream")
 	}
+	// x ≤ x + c holds for every item that has x: beside another edge at x it
+	// says nothing more, but alone it still refuses items without x.
+	selfQuery := func(sel string) *Properties {
+		return props(t, `<r>{ for $p in stream("s")/r/i where `+sel+` return <o>{ $p/en }{ $p/phc }</o> }</r>`)
+	}
+	for _, c := range []struct {
+		stream, sub string
+		match       bool
+	}{
+		{"$p/en <= 2 and $p/en <= $p/en + 2", "$p/en <= 1.5", true},
+		{"$p/en <= 1.5", "$p/en <= 2 and $p/en <= $p/en + 2", false},
+		{"$p/en >= $p/en", "$p/phc <= 1.5", false},
+		{"$p/phc <= 1.5", "$p/en >= $p/en", false},
+	} {
+		if got := MatchProperties(selfQuery(c.stream).Result(), selfQuery(c.sub)); got != c.match {
+			t.Errorf("stream [%s] for subscription [%s]: match %v, want %v", c.stream, c.sub, got, c.match)
+		}
+	}
 }
 
 func TestAggregateSelectionMustBeEqual(t *testing.T) {

@@ -19,7 +19,10 @@ import (
 // buildClusterEngine builds the identical engine every cluster process
 // needs: same topology, same stream registration, so plans and
 // subscription ids agree across nodes.
-func buildClusterEngine(t *testing.T) *core.Engine {
+func buildClusterEngine(t *testing.T) *core.Engine { return buildClusterEngineTap(t, "SP0") }
+
+// buildClusterEngineTap is buildClusterEngine with the stream's tap at tap.
+func buildClusterEngineTap(t *testing.T, tap network.PeerID) *core.Engine {
 	t.Helper()
 	n := network.New()
 	for _, id := range []network.PeerID{"SP0", "SP1", "SP2"} {
@@ -29,7 +32,7 @@ func buildClusterEngine(t *testing.T) *core.Engine {
 	n.Connect("SP1", "SP2", 12_500_000)
 	eng := core.NewEngine(n, core.Config{})
 	_, st := photons.Stream("photons", photons.DefaultConfig(), 3, 500)
-	if _, err := eng.RegisterStream("photons", xmlstream.ParsePath("photons/photon"), "SP0", st); err != nil {
+	if _, err := eng.RegisterStream("photons", xmlstream.ParsePath("photons/photon"), tap, st); err != nil {
 		t.Fatal(err)
 	}
 	return eng
@@ -306,46 +309,49 @@ func simulatorFeed(t *testing.T, doc string) (status string, cont []string) {
 	return status, cont
 }
 
-// TestServerClusterFeedEitherCoordinator sends the same document to the
-// node that owns the stream's tap (n0 executes SP0) and to the one that
-// does not. Both replies equal the single-process simulator's, and the
-// parse counters show who decoded the document: the coordinator once, the
-// tap's owner once more only when it is another node, and a node that
-// injects nothing never.
+// tapOnN1 builds the cluster engine with the stream's tap at SP2, on n1.
+func tapOnN1(t *testing.T) *core.Engine { return buildClusterEngineTap(t, "SP2") }
+
+// TestServerClusterFeedEitherCoordinator sends the same document through
+// the sequencer (n0) and through n1, which forwards it to n0 raw, with the
+// stream's tap on either node. Every reply equals the single-process
+// simulator's, and the parse counters show who decoded the document: the
+// sequencer once per FEED, the tap's owner once more when it is n1, and a
+// node that injects nothing never.
 func TestServerClusterFeedEitherCoordinator(t *testing.T) {
-	p := startClusterPair(t)
-	defer p.close()
-	c0, c1 := dial(t, p.addr[0]), dial(t, p.addr[1])
-	subscribeBoth(t, c0, c1)
-
 	wantStatus, wantCont := simulatorFeed(t, feedDoc)
-
-	for _, step := range []struct {
-		via          *client
-		docs0, docs1 string // server.feed.docs on n0 and n1 afterwards
+	for _, tc := range []struct {
+		build        func(*testing.T) *core.Engine
+		docs0, docs1 [2]string // server.feed.docs on n0 and n1 after each FEED
 	}{
-		{c0, "1", "0"}, // n0 coordinates and injects; n1 gets no document
-		{c1, "2", "1"}, // n1 coordinates; the document goes on to n0
+		{buildClusterEngine, [2]string{"1", "2"}, [2]string{"0", "0"}}, // n0 injects
+		{tapOnN1, [2]string{"1", "2"}, [2]string{"1", "2"}},            // the document goes on to n1
 	} {
-		status, cont := step.via.cmd(t, "FEED photons", feedDoc)
-		if status != wantStatus || strings.Join(cont, ",") != strings.Join(wantCont, ",") {
-			t.Fatalf("cluster feed = %q %v, simulator %q %v", status, cont, wantStatus, wantCont)
+		p := startClusterPairOn(t, tc.build)
+		c0, c1 := dial(t, p.addr[0]), dial(t, p.addr[1])
+		subscribeBoth(t, c0, c1)
+		for i, via := range []*client{c0, c1} {
+			status, cont := via.cmd(t, "FEED photons", feedDoc)
+			if status != wantStatus || strings.Join(cont, ",") != strings.Join(wantCont, ",") {
+				t.Fatalf("cluster feed = %q %v, simulator %q %v", status, cont, wantStatus, wantCont)
+			}
+			if d0, d1 := feedCounter(t, c0, "docs"), feedCounter(t, c1, "docs"); d0 != tc.docs0[i] || d1 != tc.docs1[i] {
+				t.Errorf("FEED %d: documents parsed: n0 %s n1 %s, want %s and %s", i, d0, d1, tc.docs0[i], tc.docs1[i])
+			}
 		}
-		if d0, d1 := feedCounter(t, c0, "docs"), feedCounter(t, c1, "docs"); d0 != step.docs0 || d1 != step.docs1 {
-			t.Errorf("documents parsed: n0 %s n1 %s, want %s and %s", d0, d1, step.docs0, step.docs1)
+		if n := feedCounter(t, c0, "docs.fallback"); n != "0" {
+			t.Errorf("canonical documents left the fast lane %s times", n)
 		}
-	}
-	if n := feedCounter(t, c0, "docs.fallback"); n != "0" {
-		t.Errorf("canonical documents left the fast lane %s times", n)
+		p.close()
 	}
 }
 
-// TestServerClusterFeedAttributes feeds a document with attributes — the
-// decoder's encoding/xml lane end to end, on the coordinator and on the
-// tap's owner — and expects the counts one process gives.
+// TestServerClusterFeedAttributes feeds a document with attributes through
+// n1 — the decoder's encoding/xml lane end to end, on the sequencer and on
+// the tap's owner, n1 — and expects the counts one process gives.
 func TestServerClusterFeedAttributes(t *testing.T) {
 	doc := strings.ReplaceAll(feedDoc, "<photon>", `<photon id="7">`)
-	p := startClusterPair(t)
+	p := startClusterPairOn(t, tapOnN1)
 	defer p.close()
 	c0, c1 := dial(t, p.addr[0]), dial(t, p.addr[1])
 	subscribeBoth(t, c0, c1)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -144,75 +145,100 @@ func TestServerClusterAdaptMirrors(t *testing.T) {
 	}
 }
 
-// TestServerClusterDivergenceRefused: two clients subscribe through two
-// coordinators, each before the other's mirror arrives, so both engines
-// issue q1 for different calls. Each node detects it when the other's record
-// arrives, and from then on refuses work orders at once with the op named —
-// its own clients' and a coordinator's — instead of running plans the other
-// node does not have. Reads still answer and Close returns.
-func TestServerClusterDivergenceRefused(t *testing.T) {
+// TestServerClusterTwoCoordinators: two clients subscribe through n0 and n1
+// at once. n1 forwards its SUBSCRIBE to the sequencer, n0, so the two calls
+// take one order: distinct ids and one catalog on both nodes. RUN and FEED
+// through either node then deliver what the simulator delivers on a
+// reference engine that applied the ops in the sequencer's order, and no
+// control is refused. A control no node sends is refused with its reason.
+func TestServerClusterTwoCoordinators(t *testing.T) {
 	p := startClusterPair(t)
-	// n1 holds inbound controls back until its own client has subscribed.
-	gate := make(chan struct{})
-	p.mesh[1].SetControl(func(from string, data []byte) {
-		<-gate
-		p.srv[1].handleControl(from, data)
+	defer p.close()
+	forwardSeen := make(chan struct{}, 1)
+	p.mesh[0].SetControl(func(from string, data []byte) {
+		if strings.HasPrefix(string(data), "FWD ") {
+			select {
+			case forwardSeen <- struct{}{}:
+			default:
+			}
+		}
+		p.srv[0].handleControl(from, data)
 	})
 	c0, c1 := dial(t, p.addr[0]), dial(t, p.addr[1])
-	if s, _ := c0.cmd(t, "SUBSCRIBE SP2 sharing", velaQ); s != "OK q1" {
-		t.Fatalf("subscribe at n0 = %q", s)
+	ops := []core.CatalogOp{
+		{Kind: core.CatalogSubscribe, Query: velaQ, Target: "SP2", Strategy: core.StreamSharing},
+		{Kind: core.CatalogSubscribe, Query: velaQ, Target: "SP1", Strategy: core.DataShipping},
 	}
-	if s, _ := c1.cmd(t, "SUBSCRIBE SP1 data", velaQ); s != "OK q1" {
-		t.Fatalf("subscribe at n1 = %q", s)
+	// n0 holds its lock until both calls are in flight: c0's sent to n0, and
+	// c1's forwarded there by n1.
+	p.srv[0].mu.Lock()
+	fmt.Fprintf(c0.conn, "SUBSCRIBE SP2 sharing\n%s\n.\n", velaQ)
+	fmt.Fprintf(c1.conn, "SUBSCRIBE SP1 data\n%s\n.\n", velaQ)
+	select {
+	case <-forwardSeen:
+	case <-time.After(5 * time.Second):
+		p.srv[0].mu.Unlock()
+		t.Fatal("n1 did not forward its SUBSCRIBE")
 	}
-	close(gate)
+	p.srv[0].mu.Unlock()
+	s0, _ := c0.reply(t)
+	s1, _ := c1.reply(t)
+	ref := buildClusterEngine(t)
+	switch {
+	case s0 == "OK q1" && s1 == "OK q2":
+	case s0 == "OK q2" && s1 == "OK q1":
+		ops[0], ops[1] = ops[1], ops[0]
+	default:
+		t.Fatalf("subscribe at n0 = %q, at n1 = %q, want q1 and q2", s0, s1)
+	}
+	for _, op := range ops {
+		if _, err := ref.Apply(op, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	awaitSameCatalog(t, c1, catalogView(t, c0, "q1", "q2"), "q1", "q2")
 
-	for i, c := range []*client{c0, c1} {
-		// The other node's record arrives asynchronously; the refusal of it
-		// shows on METRICS, which does not queue behind a run.
-		eventually(t, func() bool { return refusedControls(t, c) == "1" }, func() string {
-			return fmt.Sprintf("n%d never refused the other node's subscribe record", i)
-		})
-		started := time.Now()
-		status, _ := c.cmd(t, "RUN 50", "")
-		if took := time.Since(started); took > time.Second {
-			t.Errorf("n%d: refusal took %v", i, took)
-		}
-		if !strings.HasPrefix(status, "ERR") || !strings.Contains(status, "diverged") || !strings.Contains(status, "subscribe q1") {
-			t.Errorf("n%d: RUN = %q, want a refusal naming the diverging op", i, status)
-		}
-		if s, _ := c.cmd(t, "FEED photons", feedDoc); !strings.Contains(s, "subscribe q1") {
-			t.Errorf("n%d: FEED = %q, want the same refusal", i, s)
-		}
-		if s, _ := c.cmd(t, "STATS", ""); !strings.HasPrefix(s, "OK") {
-			t.Errorf("n%d: STATS = %q", i, s)
-		}
-	}
-
-	// A coordinator's order to a diverged node is answered, not dropped.
-	id, ch, _ := p.srv[0].clusterPrepare()
-	defer p.srv[0].clusterRelease(id)
-	if err := p.mesh[0].SendControl("n1", []byte("RUN "+id+" 50 1")); err != nil {
+	items, err := p.srv[0].parseFeedDoc([]byte(feedDoc))
+	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case res := <-ch:
-		if !strings.Contains(res.err, "subscribe q1") {
-			t.Errorf("n1 answered the order with %+v, want the refusal", res)
+	for i, c := range []*client{c0, c1} {
+		sim, err := ref.Simulate(map[string][]*xmlstream.Element{
+			"photons": photons.NewGenerator(photons.DefaultConfig(), int64(i+1)).Generate(200),
+		}, false)
+		if err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(time.Second):
-		t.Error("n1 did not answer a work order within 1s")
+		status, cont := c.cmd(t, "RUN 200", "")
+		if want := countLines(ref, sim.Results); status != "OK 1 streams fed 200 items" || strings.Join(cont, ",") != want || sim.Results["q1"] == 0 {
+			t.Fatalf("RUN through n%d = %q %v, simulator %s", i, status, cont, want)
+		}
+		if sim, err = ref.Simulate(map[string][]*xmlstream.Element{"photons": items}, false); err != nil {
+			t.Fatal(err)
+		}
+		status, cont = c.cmd(t, "FEED photons", feedDoc)
+		if want := countLines(ref, sim.Results); status != "OK fed 2 items into photons" || strings.Join(cont, ",") != want {
+			t.Fatalf("FEED through n%d = %q %v, simulator %s", i, status, cont, want)
+		}
+	}
+	for i, c := range []*client{c0, c1} {
+		if n := refusedControls(t, c); n != "0" {
+			t.Errorf("n%d refused %s controls", i, n)
+		}
 	}
 
 	// A control no node sends (or a known head with the wrong arity) is
-	// refused with its reason on the flight recorder, not dropped silently.
-	for _, bad := range []string{"FROB 1 2", "RUN x.9 50"} {
+	// refused with its reason on the flight recorder, not dropped silently;
+	// so is a record past the next position, and the node stays where it is.
+	want := catalogView(t, c1, "q1", "q2")
+	skip := binary.BigEndian.AppendUint64(core.CatalogOp{Kind: core.CatalogUnsubscribe, ID: "q1"}.Record(), 9)
+	for _, bad := range []string{"FROB 1 2", "RUN x.9 50", string(skip)} {
 		if err := p.mesh[0].SendControl("n1", []byte(bad)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	eventually(t, func() bool { return refusedControls(t, c1) == "3" }, func() string {
-		return "n1 did not count two malformed controls"
+		return "n1 did not count three refused controls"
 	})
 	var refused []string
 	for _, ev := range p.srv[1].eng.Obs().Flight.Events() {
@@ -220,19 +246,42 @@ func TestServerClusterDivergenceRefused(t *testing.T) {
 			refused = append(refused, ev.Detail)
 		}
 	}
-	if got := strings.Join(refused, "\n"); len(refused) != 3 || !strings.Contains(got, `"FROB 1 2"`) || !strings.Contains(got, `"RUN x.9 50"`) {
+	if got := strings.Join(refused, "\n"); len(refused) != 3 || !strings.Contains(got, `"FROB 1 2"`) ||
+		!strings.Contains(got, `"RUN x.9 50"`) || !strings.Contains(got, "record 9 from n0") {
 		t.Errorf("control.refuse events = %q", refused)
 	}
+	if got := catalogView(t, c1, "q1", "q2"); got != want {
+		t.Errorf("a refused record changed the catalog:\n%s", got)
+	}
+}
 
-	closed := make(chan struct{})
-	go func() {
-		p.close()
-		close(closed)
-	}()
+// TestServerClusterOrderAtOtherPosition: a node whose catalog position is not
+// the one a work order names refuses it at once, naming both, instead of
+// running a plan the coordinator does not have.
+func TestServerClusterOrderAtOtherPosition(t *testing.T) {
+	p := startClusterPair(t)
+	defer p.close()
+	subscribeBoth(t, dial(t, p.addr[0]), dial(t, p.addr[1]))
+	p.srv[1].mu.Lock()
+	at := p.srv[1].position()
+	p.srv[1].mu.Unlock()
+	ahead := fmt.Sprintf("2:%016x", 7)
+	id, ch, _ := p.srv[0].clusterPrepare()
+	defer p.srv[0].clusterRelease(id)
+	started := time.Now()
+	if err := p.mesh[0].SendControl("n1", []byte("RUN "+id+" 50 1 "+ahead)); err != nil {
+		t.Fatal(err)
+	}
 	select {
-	case <-closed:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Close did not return on diverged nodes")
+	case res := <-ch:
+		if !strings.HasPrefix(at, "1:") || !strings.Contains(res.err, at) || !strings.Contains(res.err, ahead) {
+			t.Errorf("n1 at %s answered an order at %s with %+v, want a refusal naming both", at, ahead, res)
+		}
+		if took := time.Since(started); took > time.Second {
+			t.Errorf("refusal took %v", took)
+		}
+	case <-time.After(time.Second):
+		t.Error("n1 did not answer the work order within 1s")
 	}
 }
 
@@ -280,26 +329,34 @@ func startDurablePair(t *testing.T) (srv0, srv1 *Server, restartN1 func() (*Serv
 	return srv0, srv1, restartN1
 }
 
-// TestServerClusterDurableMirror: a durable non-coordinator journals the ops
-// mirrored to it — an adaptation among them — and a second life over the same
-// data directory recovers the catalog the coordinator still has and takes
-// part in its next run. A subscribe record dispatched again (a durable link
-// replays a control whose done mark a crash lost) is a no-op.
+// TestServerClusterDurableMirror: a durable node other than the sequencer
+// journals the records sent to it — adaptations among them — and a second
+// life over the same data directory recovers the catalog the sequencer still
+// has, at the same position, and takes part in its next run. Records
+// dispatched again (a durable link replays a control whose done mark a crash
+// lost) are duplicates by their position and skipped: an UNSUBSCRIBE and an
+// ADAPT unsub, which cannot apply twice.
 func TestServerClusterDurableMirror(t *testing.T) {
 	srv0, srv1, startN1 := startDurablePair(t)
 	defer srv0.Close()
-	cl0, cl1 := dial(t, serve(t, srv0)), dial(t, serve(t, srv1))
+	refAddr, stopRef := startDetourServer(t)
+	defer stopRef()
+	cl0, cl1, ref := dial(t, serve(t, srv0)), dial(t, serve(t, srv1)), dial(t, refAddr)
 
-	if s, _ := cl0.cmd(t, "SUBSCRIBE SP2 sharing", velaQ); s != "OK q1" {
-		t.Fatalf("subscribe = %q", s)
-	}
-	if s, _ := cl0.cmd(t, "SUBSCRIBE SP2 data", velaQ); s != "OK q2" {
-		t.Fatalf("subscribe = %q", s)
-	}
 	// An unsubscribe event is one record, the schedule's: journaled a second
 	// time as the engine mutation it contains, it would fail the replay.
-	if s, _ := cl0.cmd(t, "ADAPT fail:SP1; unsub:q2", ""); s != "OK 2 events: 2 repaired, 0 rejected, 0 migrated" {
-		t.Fatalf("adapt = %q", s)
+	for _, c := range []struct{ line, body, status string }{
+		{"SUBSCRIBE SP2 sharing", velaQ, "OK q1"},
+		{"SUBSCRIBE SP2 data", velaQ, "OK q2"},
+		{"ADAPT fail:SP1; unsub:q2", "", "OK 2 events: 2 repaired, 0 rejected, 0 migrated"},
+		{"SUBSCRIBE SP2 data", velaQ, "OK q3"},
+		{"UNSUBSCRIBE q3", "", "OK q3 removed"},
+	} {
+		for _, cl := range []*client{cl0, ref} {
+			if s, _ := cl.cmd(t, c.line, c.body); s != c.status {
+				t.Fatalf("%s = %q, want %q", c.line, s, c.status)
+			}
+		}
 	}
 	want := catalogView(t, cl0, "q1")
 	awaitSameCatalog(t, cl1, want, "q1")
@@ -311,33 +368,30 @@ func TestServerClusterDurableMirror(t *testing.T) {
 	if got := catalogView(t, cl1, "q1"); got != want {
 		t.Fatalf("recovered catalog differs:\n--- coordinator ---\n%s--- restarted node ---\n%s", want, got)
 	}
-
-	sub := srv0.eng.Subscription("q1")
-	srv1.handleControl("n0", core.CatalogOp{Kind: core.CatalogSubscribe, ID: "q1",
-		Query: sub.Trace.Query, Target: sub.Target, Strategy: sub.Strategy}.Record())
+	for pos, op := range map[uint64]core.CatalogOp{
+		4: {Kind: core.CatalogAdapt, Detail: "unsub:q2"},
+		6: {Kind: core.CatalogUnsubscribe, ID: "q3"},
+	} {
+		srv1.handleControl("n0", binary.BigEndian.AppendUint64(op.Record(), pos))
+	}
 	if got := catalogView(t, cl1, "q1"); got != want {
-		t.Fatalf("a re-dispatched subscribe changed the catalog:\n%s", got)
+		t.Fatalf("re-dispatched records changed the catalog:\n%s", got)
+	}
+	if n := refusedControls(t, cl1); n != "0" {
+		t.Errorf("the restarted node refused %s controls", n)
 	}
 
 	if err := c1.WaitConnected(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	ref := buildDetourEngine(t)
-	if _, err := ref.Subscribe(velaQ, "SP2", core.StreamSharing); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := adapt.NewManager(ref).ApplyAll([]adapt.Event{{Kind: adapt.FailPeer, Peer: "SP1"}}); err != nil {
-		t.Fatal(err)
-	}
-	sim, err := ref.Simulate(map[string][]*xmlstream.Element{
-		"photons": photons.NewGenerator(photons.DefaultConfig(), 1).Generate(100),
-	}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantStatus, wantCont := ref.cmd(t, "RUN 100", "")
+	started := time.Now()
 	status, cont := cl0.cmd(t, "RUN 100", "")
-	if want := countLines(ref, sim.Results); status != "OK 1 streams fed 100 items" || strings.Join(cont, ",") != want || sim.Results["q1"] == 0 {
-		t.Fatalf("run across the restart = %q %v, simulator %s", status, cont, want)
+	if took := time.Since(started); took > time.Second {
+		t.Errorf("the run after re-dispatched records took %v", took)
+	}
+	if status != wantStatus || strings.Join(cont, ",") != strings.Join(wantCont, ",") || len(cont) != 1 || cont[0] == "q1 0" {
+		t.Fatalf("run across the restart = %q %v, simulator %q %v", status, cont, wantStatus, wantCont)
 	}
 }
 

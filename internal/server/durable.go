@@ -16,7 +16,8 @@ import (
 // replays the journal against its freshly built topology to recover the
 // exact pre-crash catalog — same subscription ids, same plans, same deployed
 // streams (planning is deterministic; replay verifies the re-assigned ids
-// against the journal and refuses to start on divergence).
+// against the journal and refuses to start on divergence). The journal holds
+// exactly the records the node applied, so it resumes at its position.
 //
 // The journal is an append-only op history, never compacted: installed
 // plans depend on the full mutation order (a shared stream can outlive the
@@ -36,25 +37,22 @@ func (s *Server) WithDurable(dir string, sync durable.Sync, interval time.Durati
 	if err != nil {
 		return nil, fmt.Errorf("server: catalog journal: %w", err)
 	}
-	ops := make([]core.CatalogOp, len(recs))
-	for i, r := range recs {
-		if ops[i], err = core.ParseCatalogRecord(r.Kind, r.Data); err != nil {
-			break
+	for i := 0; err == nil && i < len(recs); i++ {
+		var op core.CatalogOp
+		if op, err = core.ParseCatalogRecord(recs[i].Kind, recs[i].Data); err == nil {
+			_, err = s.apply(op)
 		}
-	}
-	if err == nil {
-		err = s.eng.ReplayCatalog(ops, s.replayAdapt)
 	}
 	if err != nil {
 		wal.Close() //nolint:errcheck // replay error wins
-		return nil, fmt.Errorf("server: catalog recovery: %w", err)
+		return nil, fmt.Errorf("server: catalog recovery at record %d: %w", s.logLen+1, err)
 	}
 	s.catWAL = wal
 	return s, nil
 }
 
-// replayAdapt is the ReplayCatalog callback for adaptation schedules: parse
-// and re-apply through the adaptation manager. Repair and migration decisions
+// replayAdapt is Engine.Apply's callback for adaptation schedules: parse and
+// apply through the adaptation manager. Repair and migration decisions
 // are deterministic over the replayed engine state, so the surviving
 // subscription set matches the one the op's origin computed.
 func (s *Server) replayAdapt(op core.CatalogOp) error {

@@ -55,6 +55,8 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"io"
 	"net"
 	"strconv"
@@ -91,15 +93,17 @@ type Server struct {
 	wg      sync.WaitGroup
 
 	// cluster coordination (cluster.go): the attached cluster, the pending
-	// fan-out runs awaiting remote RES controls, and the run id sequence.
-	cluster *runtime.Cluster
-	cmu     sync.Mutex
-	waits   map[string]chan remoteRes
-	runSeq  int
-	// diverged, once set (under mu), is why this node left the replicated
-	// set; ctlRefused counts the control frames it did not act on.
-	diverged   string
+	// fan-outs and forwards awaiting a remote RES control, and their id
+	// sequence; ctlRefused counts the control frames this node did not act on.
+	cluster    *runtime.Cluster
+	cmu        sync.Mutex
+	waits      map[string]chan remoteRes
+	runSeq     int
 	ctlRefused *obs.Counter
+	// logLen and logSum are this node's catalog position (under mu): the
+	// records apply applied and a running digest of them.
+	logLen int
+	logSum hash.Hash64
 
 	// FEED document counters (parseFeedDoc): documents this process parsed,
 	// the items they held, and documents that left the decoder's fast lane.
@@ -117,15 +121,15 @@ func New(eng *core.Engine, cfg photons.Config) *Server {
 	reg := eng.Obs().Metrics
 	s := &Server{
 		eng: eng, adm: adapt.NewManager(eng), cfg: cfg, seed: 1,
-		conns: map[net.Conn]struct{}{},
-		stall: obs.NewStallDetector(0),
+		conns:  map[net.Conn]struct{}{},
+		stall:  obs.NewStallDetector(0),
+		logSum: fnv.New64a(),
 
 		ctlRefused:   reg.Counter("server.control.refused"),
 		feedDocs:     reg.Counter("server.feed.docs"),
 		feedItems:    reg.Counter("server.feed.items"),
 		feedFallback: reg.Counter("server.feed.docs.fallback"),
 	}
-	eng.SetJournal(func(op core.CatalogOp) { s.commit(op.Record(), true) })
 	return s
 }
 
@@ -241,6 +245,10 @@ func (s *Server) session(conn io.ReadWriter) {
 }
 
 func (s *Server) dispatch(w io.Writer, r *input, cmd string, args []string) {
+	if _, ok := forwarded[cmd]; ok && s.cluster != nil && s.sequencer() != s.cluster.Node() {
+		s.forward(w, r, cmd, args)
+		return
+	}
 	switch cmd {
 	case "SUBSCRIBE":
 		s.subscribe(w, r, args)
@@ -338,13 +346,14 @@ func (s *Server) subscribe(w io.Writer, r *input, args []string) {
 		return
 	}
 	s.mu.Lock()
-	sub, err := s.eng.Subscribe(string(src), network.PeerID(args[0]), strat)
+	id, err := s.apply(core.CatalogOp{Kind: core.CatalogSubscribe, Query: string(src),
+		Target: network.PeerID(args[0]), Strategy: strat})
 	s.mu.Unlock()
 	if err != nil {
 		fmt.Fprintf(w, "ERR %v\n", err)
 		return
 	}
-	fmt.Fprintf(w, "OK %s\n", sub.ID)
+	fmt.Fprintf(w, "OK %s\n", id)
 }
 
 func (s *Server) explain(w io.Writer, args []string) {
@@ -451,8 +460,7 @@ func (s *Server) unsubscribe(w io.Writer, args []string) {
 		return
 	}
 	s.mu.Lock()
-	err := s.eng.Unsubscribe(args[0])
-	s.stall.Forget(args[0])
+	_, err := s.apply(core.CatalogOp{Kind: core.CatalogUnsubscribe, ID: args[0]})
 	s.mu.Unlock()
 	if err != nil {
 		fmt.Fprintf(w, "ERR %v\n", err)
@@ -593,21 +601,18 @@ func (s *Server) adaptCmd(w io.Writer, args []string) {
 	s.applyEvents(w, events)
 }
 
-// applyEvents applies events in order, each as its own catalog op through
-// the path that replays one (the engine's journal hook is off there: an
-// unsubscribe event is that event's record, not a second one), commits each
-// that applied — Event.String round-trips through adapt.ParseSchedule — and
-// prints one report line per affected subscription.
+// applyEvents applies events in order, each as its own catalog op — an
+// unsubscribe event is that event's record, not a second one, and
+// Event.String round-trips through adapt.ParseSchedule — and prints one
+// report line per affected subscription.
 func (s *Server) applyEvents(w io.Writer, events []adapt.Event) {
 	s.mu.Lock()
 	start := len(s.adm.Reports())
 	var err error
 	for _, ev := range events {
-		op := core.CatalogOp{Kind: core.CatalogAdapt, Detail: ev.String()}
-		if err = s.eng.ReplayCatalog([]core.CatalogOp{op}, s.replayAdapt); err != nil {
+		if _, err = s.apply(core.CatalogOp{Kind: core.CatalogAdapt, Detail: ev.String()}); err != nil {
 			break
 		}
-		s.commit(op.Record(), true)
 	}
 	reports := s.adm.Reports()[start:]
 	s.mu.Unlock()

@@ -76,6 +76,12 @@ func (c *client) cmd(t *testing.T, line, body string) (status string, cont []str
 	if body != "" {
 		fmt.Fprintf(c.conn, "%s\n.\n", body)
 	}
+	return c.reply(t)
+}
+
+// reply reads one reply: the status line and the continuation lines.
+func (c *client) reply(t *testing.T) (status string, cont []string) {
+	t.Helper()
 	raw, err := c.r.ReadString('\n')
 	if err != nil {
 		t.Fatal(err)

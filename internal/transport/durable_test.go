@@ -664,12 +664,13 @@ func TestCorruptFrameTearsDownAndReplays(t *testing.T) {
 func TestHandshakeReadTimeout(t *testing.T) {
 	tr := NewMem()
 	var ca, cb collector
-	ma, err := NewMesh(MeshConfig{Transport: tr, Node: "a", Listen: "mem:a", Handler: ca.handle,
-		HandshakeTimeout: 30 * time.Millisecond})
+	ma, err := NewMesh(MeshConfig{Transport: tr, Node: "a", Listen: "mem:a", Handler: ca.handle})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ma.Close()
+	// The accept loop reads the bound only once a conn arrives, after this.
+	ma.hsTimeout = 30 * time.Millisecond
 	conn, err := tr.Dial("mem:a")
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"streamshare/internal/wire"
 	"streamshare/internal/xmlstream"
 )
 
@@ -191,9 +192,9 @@ func EncodeFrame(f *Frame) []byte { return AppendFrame(nil, f) }
 // Malformed input, an item that is not XML included, returns ErrFrame
 // (wrapped with detail).
 func DecodeFrame(b []byte) (*Frame, error) {
-	d := decoder{b: b}
+	d := wire.Cursor{B: b, Err: ErrFrame}
 	f := &Frame{}
-	t, err := d.byte()
+	t, err := d.Byte()
 	if err != nil {
 		return nil, err
 	}
@@ -201,12 +202,12 @@ func DecodeFrame(b []byte) (*Frame, error) {
 	if f.Type < FrameHello || f.Type > FrameBatchBin || f.Type == frameReserved {
 		return nil, fmt.Errorf("%w: unknown type %d", ErrFrame, t)
 	}
-	if f.Seq, err = d.uvarint(); err != nil {
+	if f.Seq, err = d.Uvarint(); err != nil {
 		return nil, err
 	}
 	switch f.Type {
 	case FrameHello, FrameWelcome:
-		v, err := d.uvarint()
+		v, err := d.Uvarint()
 		if err != nil {
 			return nil, err
 		}
@@ -214,28 +215,28 @@ func DecodeFrame(b []byte) (*Frame, error) {
 			return nil, fmt.Errorf("%w: version %d out of range", ErrFrame, v)
 		}
 		f.Version = uint32(v)
-		if f.Node, err = d.str(); err != nil {
+		if f.Node, err = d.Str(); err != nil {
 			return nil, err
 		}
-		if f.Resume, err = d.uvarint(); err != nil {
+		if f.Resume, err = d.Uvarint(); err != nil {
 			return nil, err
 		}
 		// The capability map of an older Hello or Welcome is skipped, so
 		// the handshake can refuse it by version and say so.
-		n, err := d.count()
+		n, err := d.Count()
 		if err != nil {
 			return nil, err
 		}
 		for i := 0; i < 2*n; i++ {
-			if _, err := d.bytes(); err != nil {
+			if _, err := d.Blob(); err != nil {
 				return nil, err
 			}
 		}
 	case FrameBatch:
-		if err := d.batchHead(f); err != nil {
+		if err := batchHead(&d, f); err != nil {
 			return nil, err
 		}
-		n, err := d.count()
+		n, err := d.Count()
 		if err != nil {
 			return nil, err
 		}
@@ -243,7 +244,7 @@ func DecodeFrame(b []byte) (*Frame, error) {
 			f.Elems = make([]*xmlstream.Element, 0, n)
 		}
 		for i := 0; i < n; i++ {
-			it, err := d.bytes()
+			it, err := d.Blob()
 			if err != nil {
 				return nil, err
 			}
@@ -254,43 +255,43 @@ func DecodeFrame(b []byte) (*Frame, error) {
 			f.Elems = append(f.Elems, e)
 		}
 	case FrameAck:
-		if f.Stream, err = d.str(); err != nil {
+		if f.Stream, err = d.Str(); err != nil {
 			return nil, err
 		}
-		if f.Consumer, err = d.str(); err != nil {
+		if f.Consumer, err = d.Str(); err != nil {
 			return nil, err
 		}
-		if f.Ack, err = d.uvarint(); err != nil {
+		if f.Ack, err = d.Uvarint(); err != nil {
 			return nil, err
 		}
 	case FrameLinkAck:
-		if f.Ack, err = d.uvarint(); err != nil {
+		if f.Ack, err = d.Uvarint(); err != nil {
 			return nil, err
 		}
 	case FrameControl:
-		if f.Data, err = d.bytes(); err != nil {
+		if f.Data, err = d.Blob(); err != nil {
 			return nil, err
 		}
 	case FrameBatchBin:
-		if err := d.batchHead(f); err != nil {
+		if err := batchHead(&d, f); err != nil {
 			return nil, err
 		}
-		if f.Data, err = d.bytes(); err != nil {
+		if f.Data, err = d.Blob(); err != nil {
 			return nil, err
 		}
 	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFrame, len(d.b))
+	if len(d.B) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFrame, len(d.B))
 	}
 	return f, nil
 }
 
 // batchHead reads the fields Batch and BatchBin bodies share.
-func (d *decoder) batchHead(f *Frame) (err error) {
-	if f.Stream, err = d.str(); err != nil {
+func batchHead(d *wire.Cursor, f *Frame) (err error) {
+	if f.Stream, err = d.Str(); err != nil {
 		return err
 	}
-	hop, err := d.uvarint()
+	hop, err := d.Uvarint()
 	if err != nil {
 		return err
 	}
@@ -298,13 +299,13 @@ func (d *decoder) batchHead(f *Frame) (err error) {
 		return fmt.Errorf("%w: hop %d out of range", ErrFrame, hop)
 	}
 	f.Hop = int(hop)
-	if f.Epoch, err = d.uvarint(); err != nil {
+	if f.Epoch, err = d.Uvarint(); err != nil {
 		return err
 	}
-	if f.SeqLo, err = d.uvarint(); err != nil {
+	if f.SeqLo, err = d.Uvarint(); err != nil {
 		return err
 	}
-	eos, err := d.byte()
+	eos, err := d.Byte()
 	if err != nil {
 		return err
 	}
@@ -312,7 +313,7 @@ func (d *decoder) batchHead(f *Frame) (err error) {
 		return fmt.Errorf("%w: bad eos byte %d", ErrFrame, eos)
 	}
 	f.EOS = eos == 1
-	f.Span, err = d.bytes()
+	f.Span, err = d.Blob()
 	return err
 }
 
@@ -356,59 +357,4 @@ func appendString(b []byte, s string) []byte {
 func appendBytes(b, p []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(p)))
 	return append(b, p...)
-}
-
-// decoder consumes a frame payload front to back, validating every
-// claimed length against the bytes remaining — the property that keeps
-// corrupt length fields from panicking or over-allocating.
-type decoder struct{ b []byte }
-
-func (d *decoder) byte() (byte, error) {
-	if len(d.b) < 1 {
-		return 0, fmt.Errorf("%w: truncated", ErrFrame)
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v, nil
-}
-
-func (d *decoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad uvarint", ErrFrame)
-	}
-	d.b = d.b[n:]
-	return v, nil
-}
-
-// count reads an element count and bounds it by the bytes remaining (every
-// element costs at least one byte), so a corrupt count cannot drive a
-// large preallocation.
-func (d *decoder) count() (int, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(len(d.b)) {
-		return 0, fmt.Errorf("%w: count %d exceeds remaining %d bytes", ErrFrame, v, len(d.b))
-	}
-	return int(v), nil
-}
-
-func (d *decoder) bytes() ([]byte, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(d.b)) {
-		return nil, fmt.Errorf("%w: length %d exceeds remaining %d bytes", ErrFrame, n, len(d.b))
-	}
-	v := d.b[:n:n]
-	d.b = d.b[n:]
-	return v, nil
-}
-
-func (d *decoder) str() (string, error) {
-	v, err := d.bytes()
-	return string(v), err
 }

@@ -72,11 +72,12 @@ type MeshConfig struct {
 	Metrics *obs.Registry
 	// Flight, when set, records wal.* and handshake.refuse flight events.
 	Flight *obs.FlightRecorder
-	// HandshakeTimeout bounds each handshake's blocking reads on both
-	// sides (10s unless positive): a half-open peer that dials and goes
-	// silent can no longer pin a handshake goroutine forever.
-	HandshakeTimeout time.Duration
 }
+
+// handshakeTimeout bounds each handshake's blocking reads on both sides:
+// a half-open peer that dials and goes silent cannot pin a handshake
+// goroutine forever.
+const handshakeTimeout = 10 * time.Second
 
 // Mesh is one node's endpoint in the super-peer network: a listener, a
 // named identity, and one managed Link per remote node. It owns the
@@ -122,9 +123,6 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = 10 * time.Second
-	}
 	m := &Mesh{
 		node:       cfg.Node,
 		tr:         cfg.Transport,
@@ -137,7 +135,7 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 		durSyncInt: cfg.DurableSyncInterval,
 		metrics:    cfg.Metrics,
 		flight:     cfg.Flight,
-		hsTimeout:  cfg.HandshakeTimeout,
+		hsTimeout:  handshakeTimeout,
 		links:      map[string]*Link{},
 		pending:    map[Conn]bool{},
 		done:       make(chan struct{}),

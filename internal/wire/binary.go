@@ -241,60 +241,80 @@ func (d *BinaryDecoder) DecodeElems(payload []byte) ([]*xmlstream.Element, error
 	return items, nil
 }
 
-// cursor consumes a payload front to back, bounding every claimed length
-// by the bytes remaining (the same discipline as the transport frame
-// decoder) so corrupt input cannot drive large allocations.
-type cursor struct{ b []byte }
+// Cursor consumes a payload front to back, bounding every claimed length by
+// the bytes remaining, so corrupt input can neither panic nor drive a large
+// allocation.
+type Cursor struct {
+	B   []byte // what remains
+	Err error  // the sentinel every error wraps
+}
 
-func (c *cursor) uvarint() (uint64, error) {
-	if len(c.b) > 0 && c.b[0] < 0x80 { // most heads and lengths
-		v := uint64(c.b[0])
-		c.b = c.b[1:]
-		return v, nil
+// Byte reads one byte.
+func (c *Cursor) Byte() (byte, error) {
+	if len(c.B) < 1 {
+		return 0, fmt.Errorf("%w: truncated", c.Err)
 	}
-	v, n := binary.Uvarint(c.b)
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad uvarint", ErrBinary)
-	}
-	c.b = c.b[n:]
+	v := c.B[0]
+	c.B = c.B[1:]
 	return v, nil
 }
 
-// count reads an element count, bounded by remaining bytes (each element
+// Uvarint reads one uvarint.
+func (c *Cursor) Uvarint() (uint64, error) {
+	if len(c.B) > 0 && c.B[0] < 0x80 { // most heads and lengths
+		v := uint64(c.B[0])
+		c.B = c.B[1:]
+		return v, nil
+	}
+	v, n := binary.Uvarint(c.B)
+	if n <= 0 {
+		return 0, fmt.Errorf("%w: bad uvarint", c.Err)
+	}
+	c.B = c.B[n:]
+	return v, nil
+}
+
+// Count reads an element count, bounded by the bytes remaining (each element
 // costs at least one byte).
-func (c *cursor) count() (int, error) {
-	v, err := c.uvarint()
+func (c *Cursor) Count() (int, error) {
+	v, err := c.Uvarint()
 	if err != nil {
 		return 0, err
 	}
-	if v > uint64(len(c.b)) {
-		return 0, fmt.Errorf("%w: count %d exceeds remaining %d bytes", ErrBinary, v, len(c.b))
+	if v > uint64(len(c.B)) {
+		return 0, fmt.Errorf("%w: count %d exceeds remaining %d bytes", c.Err, v, len(c.B))
 	}
 	return int(v), nil
 }
 
-// blob reads a uvarint length and that many bytes.
-func (c *cursor) blob() ([]byte, error) {
-	n, err := c.uvarint()
+// Blob reads a uvarint length and that many bytes, which alias B.
+func (c *Cursor) Blob() ([]byte, error) {
+	n, err := c.Uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(len(c.b)) {
-		return nil, fmt.Errorf("%w: length %d exceeds remaining %d bytes", ErrBinary, n, len(c.b))
+	if n > uint64(len(c.B)) {
+		return nil, fmt.Errorf("%w: length %d exceeds remaining %d bytes", c.Err, n, len(c.B))
 	}
-	v := c.b[:n:n]
-	c.b = c.b[n:]
+	v := c.B[:n:n]
+	c.B = c.B[n:]
 	return v, nil
 }
 
+// Str reads a Blob as a string.
+func (c *Cursor) Str() (string, error) {
+	v, err := c.Blob()
+	return string(v), err
+}
+
 // applyDeltas reads the payload's dictionary deltas into the table.
-func (d *BinaryDecoder) applyDeltas(c *cursor) error {
-	deltas, err := c.count()
+func (d *BinaryDecoder) applyDeltas(c *Cursor) error {
+	deltas, err := c.Count()
 	if err != nil {
 		return err
 	}
 	for i := 0; i < deltas; i++ {
-		name, err := c.blob()
+		name, err := c.Blob()
 		if err != nil {
 			return err
 		}
@@ -310,15 +330,15 @@ func (d *BinaryDecoder) applyDeltas(c *cursor) error {
 }
 
 func (d *BinaryDecoder) decodeElems(payload []byte) ([]*xmlstream.Element, error) {
-	c := &cursor{b: payload}
+	c := &Cursor{B: payload, Err: ErrBinary}
 	if err := d.applyDeltas(c); err != nil {
 		return nil, err
 	}
-	nItems, err := c.count()
+	nItems, err := c.Count()
 	if err != nil {
 		return nil, err
 	}
-	body := c.b
+	body := c.B
 	var sz size
 	budget := MaxDecodedBytes
 	for i := 0; i < nItems; i++ {
@@ -326,10 +346,10 @@ func (d *BinaryDecoder) decodeElems(payload []byte) ([]*xmlstream.Element, error
 			return nil, err
 		}
 	}
-	if len(c.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBinary, len(c.b))
+	if len(c.B) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBinary, len(c.B))
 	}
-	c.b = body
+	c.B = body
 	slab := xmlstream.NewSlab(sz.nodes, sz.kids, sz.text)
 	items := make([]*xmlstream.Element, nItems)
 	for i := range items {
@@ -347,11 +367,11 @@ type size struct{ nodes, kids, text int }
 // building it takes to sz, allocating nothing. depth 0 allows the raw-blob
 // kind, which is only legal at item top level; a raw item takes nothing
 // from the payload's slab.
-func (d *BinaryDecoder) measure(c *cursor, depth int, budget *int, sz *size) error {
+func (d *BinaryDecoder) measure(c *Cursor, depth int, budget *int, sz *size) error {
 	if depth > maxNodeDepth {
 		return fmt.Errorf("%w: nesting deeper than %d", ErrBinary, maxNodeDepth)
 	}
-	head, err := c.uvarint()
+	head, err := c.Uvarint()
 	if err != nil {
 		return err
 	}
@@ -360,7 +380,7 @@ func (d *BinaryDecoder) measure(c *cursor, depth int, budget *int, sz *size) err
 		if depth > 0 || id != 0 {
 			return fmt.Errorf("%w: raw blob outside item top level", ErrBinary)
 		}
-		_, err := c.blob()
+		_, err := c.Blob()
 		return err
 	}
 	if id >= uint64(len(d.names)) {
@@ -372,11 +392,11 @@ func (d *BinaryDecoder) measure(c *cursor, depth int, budget *int, sz *size) err
 	sz.nodes++
 	switch kind {
 	case kindText:
-		text, err := c.blob()
+		text, err := c.Blob()
 		sz.text += len(text)
 		return err
 	case kindTree:
-		children, err := c.count()
+		children, err := c.Count()
 		if err != nil {
 			return err
 		}
@@ -396,10 +416,10 @@ func (d *BinaryDecoder) measure(c *cursor, depth int, budget *int, sz *size) err
 // build decodes one node that measure accepted, from the payload's slab.
 // measure checked every head, count and length, so only a raw item's XML
 // can still be refused.
-func (d *BinaryDecoder) build(c *cursor, s *xmlstream.Slab) (*xmlstream.Element, error) {
-	head, _ := c.uvarint()
+func (d *BinaryDecoder) build(c *Cursor, s *xmlstream.Slab) (*xmlstream.Element, error) {
+	head, _ := c.Uvarint()
 	if head&3 == kindRaw {
-		blob, _ := c.blob()
+		blob, _ := c.Blob()
 		el, err := xmlstream.UnmarshalBytes(blob)
 		if err != nil {
 			return nil, fmt.Errorf("%w: raw item: %v", ErrBinary, err)
@@ -409,10 +429,10 @@ func (d *BinaryDecoder) build(c *cursor, s *xmlstream.Slab) (*xmlstream.Element,
 	name := d.names[head>>2]
 	switch head & 3 {
 	case kindText:
-		text, _ := c.blob()
+		text, _ := c.Blob()
 		return s.Node(name, s.Text(text), nil), nil
 	case kindTree:
-		n, _ := c.count()
+		n, _ := c.Count()
 		kids := s.Children(n)
 		for i := 0; i < n; i++ {
 			ch, err := d.build(c, s)

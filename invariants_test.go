@@ -219,8 +219,11 @@ var rules = []struct {
 	// Canonical XML is made for a journal on disk and the codec's raw fallback.
 	{"canonical", calls(named("streamshare/internal/xmlstream", "AppendMarshal", "UnmarshalBytes"), nil, 0, -1,
 		"internal/xmlstream/", "internal/transport/frame.go", "internal/wire/binary.go")},
-	// Control-plane mutations reach other nodes one way: Server.commit's.
+	// Control-plane mutations reach other nodes one way: Server.apply's.
 	{"mirror", calls(named("", "BroadcastControl"), []string{"internal/server/"}, 0, 1, "internal/server/")},
+	// The daemon's catalog changes one way, Server.apply: clients' ops,
+	// mirrored records and a restart's replay alike.
+	{"apply", calls(named("streamshare/internal/core", "Apply", "Subscribe", "Unsubscribe"), []string{"internal/server/"}, 0, -1, "(*Server).apply")},
 	// Peers are placed once, on the starting topology; bench/ is read as text.
 	{"placement", func(m *module) []string {
 		return append(calls(named("streamshare/internal/runtime", "PartitionPeers"), nil, 1, 1, "NewCluster")(m), grep(`PartitionPeers\(`, "bench/")(m)...)
@@ -797,6 +800,8 @@ var planted = []struct {
 	{"negotiated", map[string]string{"cmd/sgd/seed.go": "package main\n\n// WireObserver\n"}, 1},
 	{"canonical", map[string]string{"internal/runtime/raw.go": "package runtime\n\nimport x \"streamshare/internal/xmlstream\"\n\nvar raw = x.AppendMarshal\n"}, 1},
 	{"mirror", map[string]string{"internal/server/mirror.go": "package server\n\nimport \"streamshare/internal/runtime\"\n\nvar mirror = (*runtime.Cluster).BroadcastControl\n"}, 1},
+	{"apply", map[string]string{"internal/core/engine.go": "package core\n\ntype Engine struct{}\n\nfunc (e *Engine) Subscribe() {}\n",
+		"internal/server/sub.go": "package server\n\nimport \"streamshare/internal/core\"\n\nvar sub = (*core.Engine).Subscribe\n"}, 1},
 	{"placement", map[string]string{"internal/server/place.go": "package server\n\nimport rt \"streamshare/internal/runtime\"\n\nvar place = rt.PartitionPeers\n"}, 1},
 	{"placement", map[string]string{"bench/place.go": "package main\n\n// runtime.PartitionPeers(net, nodes)\n"}, 1},
 	{"plannersync", map[string]string{"internal/plan/planner.go": "package plan\n\nimport _ \"sync/atomic\"\n"}, 1},
