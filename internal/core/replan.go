@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"streamshare/internal/cost"
@@ -22,17 +23,8 @@ import (
 // routeDown reports whether any peer or link on the stream's route is
 // currently failed.
 func (e *Engine) routeDown(d *Deployed) bool {
-	for _, p := range d.Route {
-		if !e.Net.PeerUp(p) {
-			return true
-		}
-	}
-	for _, l := range network.PathLinks(d.Route) {
-		if !e.Net.LinkUp(l.A, l.B) {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(d.Route, func(p network.PeerID) bool { return !e.Net.PeerUp(p) }) ||
+		slices.ContainsFunc(network.PathLinks(d.Route), func(l network.LinkID) bool { return !e.Net.LinkUp(l.A, l.B) })
 }
 
 // streamBroken reports whether the stream or any ancestor it derives from is
@@ -250,12 +242,7 @@ func (e *Engine) sweepBroken(d *Deployed) {
 
 // hasChildren reports whether any deployed stream derives from d.
 func (e *Engine) hasChildren(d *Deployed) bool {
-	for _, x := range e.deployed {
-		if x.Parent == d {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(e.deployed, func(x *Deployed) bool { return x.Parent == d })
 }
 
 // priceFootprint prices an installed plan's absolute usage additions against

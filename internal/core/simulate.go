@@ -215,7 +215,7 @@ func (s *sim) transmit(d *PlanStream, batch []*xmlstream.Element, sp *obs.Span) 
 	}
 	target := d.Target()
 	for _, r := range d.Readers {
-		s.emit(r.Sub, s.eval(s.inst.Local[r.Index], r.Loads, target, batch, false, 0))
+		s.read(r, target, batch, false)
 		// The span ends at each subscription sink whether or not the batch
 		// survived the local pipeline — watermarks track progress, not
 		// output (same rule as the runtime's feedReader).
@@ -230,17 +230,23 @@ func (s *sim) flush(d *PlanStream) {
 	}
 	target := d.Target()
 	for _, r := range d.Readers {
-		s.emit(r.Sub, s.eval(s.inst.Local[r.Index], r.Loads, target, nil, true, 0))
+		s.read(r, target, nil, true)
 	}
 }
 
-// emit records a subscription's results.
-func (s *sim) emit(sub string, items []*xmlstream.Element) {
-	if len(items) == 0 {
-		return
+// read runs reader r's local pipeline instance at peer at over batch — or,
+// with flush, drains it — and records the subscription's results: a
+// collecting run builds and keeps them, any other only counts them
+// (exec.Pipeline.Results), as the runtime's feedReader does.
+func (s *sim) read(r *PlanReader, at network.PeerID, batch []*xmlstream.Element, flush bool) {
+	items, n, work := s.inst.Local[r.Index].Results(batch, flush, r.Loads, s.collect)
+	if work != 0 {
+		s.res.Metrics.AddWork(at, work*s.eng.Net.Peer(at).PerfIndex)
 	}
-	s.res.Results[sub] += len(items)
-	if s.collect {
-		s.res.Collected[sub] = append(s.res.Collected[sub], items...)
+	if n > 0 {
+		s.res.Results[r.Sub] += n
+		if s.collect {
+			s.res.Collected[r.Sub] = append(s.res.Collected[r.Sub], items...)
+		}
 	}
 }

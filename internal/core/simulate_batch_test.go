@@ -219,16 +219,17 @@ func BenchmarkSimulate(b *testing.B) {
 }
 
 // TestAllocBudgetSimulate pins what Simulate allocates per source item on
-// the benchmark's 4×4/32-query plan, so the per-item walk's allocations (a
-// one-item batch per stream and reader, a route's links per item) cannot
-// creep back. The budget is the measured value plus a fifth.
+// the benchmark's 4×4/32-query plan, in objects and in bytes, so the per-item
+// walk's allocations (a one-item batch per stream and reader, a route's
+// links per item) cannot creep back, nor can result trees into a run that
+// keeps none. Each budget is the measured value plus a fifth.
 func TestAllocBudgetSimulate(t *testing.T) {
 	if testutil.Race {
 		t.Skip("the race detector allocates")
 	}
 	eng := benchPlanEngine(t)
 	feed := map[string][]*xmlstream.Element{"photons": photonFeed(10_000, false)}
-	var perItem []float64
+	var perItem, bytesPerItem []float64
 	for rep := 0; rep < 4; rep++ {
 		goruntime.GC()
 		var m0, m1 goruntime.MemStats
@@ -239,13 +240,19 @@ func TestAllocBudgetSimulate(t *testing.T) {
 		goruntime.ReadMemStats(&m1)
 		if rep > 0 { // the first call warms the pools
 			perItem = append(perItem, float64(m1.Mallocs-m0.Mallocs)/10_000)
+			bytesPerItem = append(bytesPerItem, float64(m1.TotalAlloc-m0.TotalAlloc)/10_000)
 		}
 	}
 	sort.Float64s(perItem)
-	got := perItem[len(perItem)/2]
-	t.Logf("Simulate on the 4×4/32-query plan: %.1f allocations per source item (runs: %.1f)", got, perItem)
-	const budget = 5.9 // measured 4.9 (31.9 with operators building node by node, 66.8 with the per-item walk)
+	sort.Float64s(bytesPerItem)
+	got, bytes := perItem[len(perItem)/2], bytesPerItem[len(bytesPerItem)/2]
+	t.Logf("Simulate on the 4×4/32-query plan: %.1f allocations and %.0f bytes per source item (runs: %.1f, %.0f)", got, bytes, perItem, bytesPerItem)
+	const budget = 4.4 // measured 3.7 (4.9 building results nobody keeps, 31.9 with operators building node by node, 66.8 with the per-item walk)
 	if got > budget {
 		t.Errorf("Simulate allocates %.1f objects per source item, budget %.1f", got, budget)
+	}
+	const bytesBudget = 900 // measured 750 (1 400 building results nobody keeps)
+	if bytes > bytesBudget {
+		t.Errorf("Simulate allocates %.0f bytes per source item, budget %d", bytes, bytesBudget)
 	}
 }

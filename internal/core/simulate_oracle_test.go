@@ -96,7 +96,7 @@ func (s *sim) transmitItem(d *PlanStream, item *xmlstream.Element, sp *obs.Span)
 	target := d.Target()
 	for _, r := range d.Readers {
 		for _, res := range s.eval(s.inst.Local[r.Index], r.Loads, target, []*xmlstream.Element{item}, false, 0) {
-			s.emit(r.Sub, []*xmlstream.Element{res})
+			s.record(r.Sub, res)
 		}
 		s.lat.Deliver(sp, r.Sub)
 	}
@@ -111,7 +111,16 @@ func (s *sim) flushItemwise(d *PlanStream) {
 	target := d.Target()
 	for _, r := range d.Readers {
 		for _, res := range s.eval(s.inst.Local[r.Index], r.Loads, target, nil, true, 0) {
-			s.emit(r.Sub, []*xmlstream.Element{res})
+			s.record(r.Sub, res)
 		}
+	}
+}
+
+// record counts one result of subscription sub, and keeps it in a
+// collecting walk. The oracle builds every result, collecting or not.
+func (s *sim) record(sub string, res *xmlstream.Element) {
+	s.res.Results[sub]++
+	if s.collect {
+		s.res.Collected[sub] = append(s.res.Collected[sub], res)
 	}
 }

@@ -7,6 +7,7 @@ package cost
 
 import (
 	"math"
+	"slices"
 	"strings"
 
 	"streamshare/internal/network"
@@ -146,17 +147,8 @@ func (m Model) Breakdown(u Usage) Breakdown {
 // capacity; the rejection experiment of §4 refuses plans for which every
 // alternative is overloaded.
 func (u Usage) Overloaded() bool {
-	for _, e := range u.Links {
-		if e.Ub > e.Ab {
-			return true
-		}
-	}
-	for _, p := range u.Peers {
-		if p.Ul > p.Al {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(u.Links, func(e LinkUsage) bool { return e.Ub > e.Ab }) ||
+		slices.ContainsFunc(u.Peers, func(p PeerUsage) bool { return p.Ul > p.Al })
 }
 
 func penalty(use, avail float64) float64 {

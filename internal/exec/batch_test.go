@@ -44,9 +44,11 @@ func testLoads(p *Pipeline) []float64 {
 	return l
 }
 
-// evalRun is one evaluation of a pipeline over a stream: the outputs in
-// order, the charged work, and the exec.op.* counter totals.
+// evalRun is one evaluation of a pipeline over a stream: how many outputs,
+// the outputs in order (none when they were only counted), the charged
+// work, and the exec.op.* counter totals.
 type evalRun struct {
+	n        int
 	out      []*xmlstream.Element
 	work     float64
 	counters map[string]float64
@@ -55,8 +57,9 @@ type evalRun struct {
 // evalSplit drives a fresh instrumented pipeline from build over items cut
 // into batches of the given size (0: one batch holding the whole stream; a
 // negative size: random sizes up to its magnitude), end of stream riding the
-// last batch.
-func evalSplit(build func() *Pipeline, items []*xmlstream.Element, size int, rnd *rand.Rand) evalRun {
+// last batch. With count set it keeps no result, as a run that collects
+// none does (Pipeline.Results).
+func evalSplit(build func() *Pipeline, items []*xmlstream.Element, size int, rnd *rand.Rand, count bool) evalRun {
 	reg := obs.NewRegistry()
 	pl := Instrument(build(), reg, "exec.op")
 	loads := testLoads(pl)
@@ -70,8 +73,9 @@ func evalSplit(build func() *Pipeline, items []*xmlstream.Element, size int, rnd
 			n = 1 + rnd.Intn(-size)
 		}
 		hi := min(lo+n, len(items))
-		out, work := pl.Eval(0, items[lo:hi], hi == len(items), loads)
+		out, n, work := pl.Results(items[lo:hi], hi == len(items), loads, !count)
 		run.out = append(run.out, out...)
+		run.n += n
 		run.work += work
 		if lo = hi; lo == len(items) {
 			break
@@ -92,6 +96,7 @@ func evalPerItem(build func() *Pipeline, items []*xmlstream.Element) evalRun {
 		run.out = append(run.out, pl.Process(it)...)
 	}
 	run.out = append(run.out, pl.Flush()...)
+	run.n = len(run.out)
 	run.counters = countersOf(reg)
 	// Operators of one kind share a counter, and so must share a weight.
 	loads := testLoads(pl)
@@ -115,14 +120,15 @@ func countersOf(reg *obs.Registry) map[string]float64 {
 	return out
 }
 
-// sameRun fails unless got equals want element for element, counter for
-// counter, and in charged work to 1e-9 relative.
+// sameRun fails unless got equals want in its number of outputs, element
+// for element when got built them, counter for counter, and in charged work
+// to 1e-9 relative.
 func sameRun(t *testing.T, name string, got, want evalRun) {
 	t.Helper()
-	if len(got.out) != len(want.out) {
-		t.Fatalf("%s: %d outputs, per-item evaluation gives %d", name, len(got.out), len(want.out))
+	if got.n != want.n {
+		t.Fatalf("%s: %d outputs, per-item evaluation gives %d", name, got.n, want.n)
 	}
-	for i := range want.out {
+	for i := range got.out {
 		if !got.out[i].Equal(want.out[i]) {
 			t.Fatalf("%s: output %d is %s, per-item evaluation gives %s", name, i,
 				xmlstream.Marshal(got.out[i]), xmlstream.Marshal(want.out[i]))
@@ -144,7 +150,9 @@ func sameRun(t *testing.T, name string, got, want evalRun) {
 // TestBatchEquivalence is the property the batch-shaped Operator rests on:
 // however a stream is cut into batches, a pipeline emits what it emits fed
 // one item at a time — same elements in the same order, Flush included —
-// counts the same items and bytes, and is charged the same work. It covers
+// counts the same items, and is charged the same work. Pipeline.Results
+// keeping nothing, over every split, must count as many outputs as the
+// one-item facade builds, with the same counters and work. It covers
 // every operator kind, the stateful ones over time and count windows whose
 // step is not their size, and the full and residual pipelines of the
 // benchmark's 32 queries.
@@ -258,13 +266,16 @@ func TestBatchEquivalence(t *testing.T) {
 	}
 	for _, c := range cases {
 		want := evalPerItem(c.build, c.inputs)
-		for _, size := range []int{1, 2, 11, 64, 0} {
-			sameRun(t, fmt.Sprintf("%s, batches of %d", c.name, size), evalSplit(c.build, c.inputs, size, nil), want)
-		}
-		for seed := int64(1); seed <= seeds; seed++ {
-			sameRun(t, fmt.Sprintf("%s, random batches, seed %d", c.name, seed),
-				evalSplit(c.build, c.inputs, -64, rand.New(rand.NewSource(seed))), want)
+		for _, count := range []bool{false, true} {
+			name := fmt.Sprintf("%s, count %v", c.name, count)
+			for _, size := range []int{1, 2, 11, 64, 0} {
+				sameRun(t, fmt.Sprintf("%s, batches of %d", name, size), evalSplit(c.build, c.inputs, size, nil, count), want)
+			}
+			for seed := int64(1); seed <= seeds; seed++ {
+				sameRun(t, fmt.Sprintf("%s, random batches, seed %d", name, seed),
+					evalSplit(c.build, c.inputs, -64, rand.New(rand.NewSource(seed)), count), want)
+			}
 		}
 	}
-	t.Logf("%d pipelines, %d batch splits each", len(cases), 5+seeds)
+	t.Logf("%d pipelines, %d batch splits each, built and counted", len(cases), 5+seeds)
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"streamshare/internal/decimal"
 	"streamshare/internal/predicate"
@@ -138,7 +139,8 @@ func ResidualPipeline(reused, sub *properties.Input, reg UDFRegistry) (*Pipeline
 func findServingGroup(reused []AggSpec, spec AggSpec) (int, error) {
 	for j, r := range reused {
 		if spec.UDF != "" {
-			if r.UDF == spec.UDF && r.Elem.Equal(spec.Elem) && equalArgs(r.UDFArgs, spec.UDFArgs) {
+			same := func(a, b decimal.D) bool { return a.Cmp(b) == 0 }
+			if r.UDF == spec.UDF && r.Elem.Equal(spec.Elem) && slices.EqualFunc(r.UDFArgs, spec.UDFArgs, same) {
 				return j, nil
 			}
 			continue
@@ -151,19 +153,6 @@ func findServingGroup(reused []AggSpec, spec AggSpec) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("exec: no reused group serves %s(%s)", spec.Op, spec.Elem)
-}
-
-// equalArgs compares UDF constant-argument vectors.
-func equalArgs(a, b []decimal.D) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Cmp(b[i]) != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // residualSelection returns the subscription's selection unless the reused
@@ -188,27 +177,10 @@ func residualProjection(reused, sub *properties.Input) []xmlstream.Path {
 	if sp == nil {
 		return nil
 	}
-	if rp := reused.Find(properties.OpProject); rp != nil && covers(sp.Out, rp.Out) {
+	if rp := reused.Find(properties.OpProject); rp != nil && xmlstream.Covered(sp.Out, rp.Out) {
 		return nil
 	}
 	return sp.Out
-}
-
-// covers reports whether every path of b is within a subtree kept by a.
-func covers(a, b []xmlstream.Path) bool {
-	for _, p := range b {
-		ok := false
-		for _, q := range a {
-			if p.HasPrefix(q) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // identityLayout reports whether the reused aggregate layout already equals
@@ -218,10 +190,7 @@ func identityLayout(reused, sub []AggSpec, fineGroup []int) bool {
 		return false
 	}
 	for i := range sub {
-		if fineGroup[i] != i {
-			return false
-		}
-		if reused[i].Op != sub[i].Op || reused[i].UDF != sub[i].UDF {
+		if fineGroup[i] != i || reused[i].Op != sub[i].Op || reused[i].UDF != sub[i].UDF {
 			return false
 		}
 	}

@@ -107,7 +107,8 @@ func sameItems(t *testing.T, name string, a, b []*xmlstream.Element) {
 
 // shared evaluates sub by reusing the canonical result stream of base:
 // canonical(base) → residual → restructure(sub), as a stream-sharing plan
-// would install it.
+// would install it. A second instance counts what the first builds, as a run
+// that keeps no result does, and must count as many items.
 func shared(t *testing.T, baseSrc, subSrc string, items []*xmlstream.Element) []*xmlstream.Element {
 	t.Helper()
 	_, basep := mustProps(t, baseSrc)
@@ -127,7 +128,11 @@ func shared(t *testing.T, baseSrc, subSrc string, items []*xmlstream.Element) []
 		t.Fatal(err)
 	}
 	pl := NewPipeline(append(append(canon.Ops, residual.Ops...), rs)...)
-	return pl.Run(items)
+	out := pl.Instance().Run(items)
+	if _, n, _ := pl.Instance().Results(items, true, nil, false); n != len(out) {
+		t.Fatalf("counted %d items, built %d\nstream: %s\nsub: %s", n, len(out), baseSrc, subSrc)
+	}
+	return out
 }
 
 func TestFullQ1(t *testing.T) {

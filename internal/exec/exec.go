@@ -14,6 +14,13 @@
 // Pipeline.Eval is the one loop that drives items through stages, for the
 // runtime, the simulator and recovery alike.
 //
+// Who builds a result and who only counts it: a subscription's reader calls
+// Pipeline.Results. In a run that collects results it builds them, as Eval
+// does; in any other run a last-stage Restructure counts the items it would
+// emit, walking its template with the same eval into a counting sink, and
+// builds none of them, with the same work and exec.op.* counts. Recovery and
+// a query-shipping residual, whose outputs travel, always build.
+//
 // Each operator compiles the query-dependent part of its work once, at
 // construction — Select a column per distinct leaf and a compare per edge,
 // Project a trie of its keep paths, Restructure a template of its return
@@ -130,12 +137,47 @@ func (p *Pipeline) Eval(from int, batch []*xmlstream.Element, flush bool, loads 
 	if p == nil || from >= len(p.Ops) {
 		return batch, 0
 	}
+	return p.eval(from, len(p.Ops), batch, flush, loads)
+}
+
+// counter is a last stage that can count the items Process would append
+// without building them. It holds no state: its Flush appends nothing.
+type counter interface {
+	count(items []*xmlstream.Element) int
+}
+
+// Results is Eval over all stages at a subscription's sink: n is how many
+// items Eval returns, and out, with keep set, is Eval's output. A caller
+// that keeps no result reads only n; it is charged the same work and adds
+// the same exec.op.* counts, but a last stage that can count (a
+// Restructure) builds none of the items.
+func (p *Pipeline) Results(batch []*xmlstream.Element, flush bool, loads []float64, keep bool) (out []*xmlstream.Element, n int, work float64) {
+	if p == nil || len(p.Ops) == 0 {
+		return batch, len(batch), 0
+	}
+	last := len(p.Ops) - 1
+	if _, ok := unwrap(p.Ops[last]).(counter); keep || !ok {
+		out, work = p.Eval(0, batch, flush, loads)
+		return out, len(out), work
+	}
+	in, work := p.eval(0, last, batch, flush, loads)
+	if len(in) > 0 {
+		if loads != nil {
+			work += loads[last] * float64(len(in))
+		}
+		n = p.Ops[last].(counter).count(in)
+	}
+	return nil, n, work
+}
+
+// eval is Eval over the stages Ops[from:to].
+func (p *Pipeline) eval(from, to int, batch []*xmlstream.Element, flush bool, loads []float64) (out []*xmlstream.Element, work float64) {
 	in, a, b := batch, p.bufA, p.bufB
 	// The scratch buffers must not keep trees alive that nobody will read
 	// again: the previous call's result goes now, an intermediate result as
 	// soon as the next stage has consumed it.
 	clear(b)
-	for i := from; i < len(p.Ops); i++ {
+	for i := from; i < to; i++ {
 		if len(in) == 0 && !flush {
 			break
 		}

@@ -13,17 +13,16 @@ import (
 // clock reads off the common path.
 const timingSampleEvery = 64
 
-// counted decorates an operator with items-in/items-out/bytes-out counters,
-// each added to once per call for the whole batch, and a sampled duration
+// counted decorates an operator with items-in/items-out counters, each
+// added to once per call for the whole batch, and a sampled duration
 // histogram. Name is forwarded so load accounting (bload lookup by operator
 // name) and plan rendering are unaffected.
 type counted struct {
-	op       Operator
-	in, out  *obs.Counter
-	outBytes *obs.Counter
-	// seconds observes, for one in timingSampleEvery Process calls (tick is
+	op      Operator
+	in, out *obs.Counter
+	// seconds observes, for one in timingSampleEvery calls (tick is
 	// the call counter), the call's duration divided by its batch size:
-	// seconds per input item. nil disables timing.
+	// seconds per input item.
 	seconds *obs.Histogram
 	tick    *atomic.Uint64
 }
@@ -49,40 +48,50 @@ func (c counted) instance() Operator {
 }
 
 func (c counted) Process(dst, items []*xmlstream.Element) []*xmlstream.Element {
-	c.in.Add(float64(len(items)))
-	n := len(dst)
-	if c.seconds != nil && c.tick.Add(1)%timingSampleEvery == 0 {
-		t0 := time.Now()
-		dst = c.op.Process(dst, items)
-		c.seconds.Observe(time.Since(t0).Seconds() / float64(len(items)))
-	} else {
-		dst = c.op.Process(dst, items)
-	}
-	c.count(dst[n:])
+	n, t0 := len(dst), c.start()
+	dst = c.op.Process(dst, items)
+	c.done(t0, len(items), len(dst)-n)
 	return dst
+}
+
+// count is Process into a counting sink (Pipeline.Results).
+func (c counted) count(items []*xmlstream.Element) int {
+	t0 := c.start()
+	n := c.op.(counter).count(items)
+	c.done(t0, len(items), n)
+	return n
 }
 
 func (c counted) Flush(dst []*xmlstream.Element) []*xmlstream.Element {
 	n := len(dst)
 	dst = c.op.Flush(dst)
-	c.count(dst[n:])
+	c.done(time.Time{}, 0, len(dst)-n)
 	return dst
 }
 
-func (c counted) count(outs []*xmlstream.Element) {
-	if len(outs) == 0 {
-		return
+// start returns when a call starts if it is the one in timingSampleEvery
+// that is timed, else the zero time.
+func (c counted) start() (t0 time.Time) {
+	if c.tick.Add(1)%timingSampleEvery == 0 {
+		t0 = time.Now()
 	}
-	c.out.Add(float64(len(outs)))
-	var bytes int
-	for _, o := range outs {
-		bytes += o.ByteSize()
+	return t0
+}
+
+// done counts a call's items in and out and observes a timed call's
+// duration per input item.
+func (c counted) done(t0 time.Time, in, out int) {
+	c.in.Add(float64(in))
+	if out > 0 {
+		c.out.Add(float64(out))
 	}
-	c.outBytes.Add(float64(bytes))
+	if !t0.IsZero() {
+		c.seconds.Observe(time.Since(t0).Seconds() / float64(in))
+	}
 }
 
 // Instrument returns a pipeline whose operators additionally count processed
-// items into reg under <prefix>.<op-name>.{in,out,out_bytes} and observe a
+// items into reg under <prefix>.<op-name>.{in,out} and observe a
 // sampled duration histogram under <prefix>.<op-name>.seconds (1 in
 // timingSampleEvery calls is timed, and reported per input item). Counters
 // and histograms are shared between operators of the same kind, bounding
@@ -101,12 +110,11 @@ func Instrument(p *Pipeline, reg *obs.Registry, prefix string) *Pipeline {
 		}
 		name := prefix + "." + op.Name()
 		ops[i] = counted{
-			op:       op,
-			in:       reg.Counter(name + ".in"),
-			out:      reg.Counter(name + ".out"),
-			outBytes: reg.Counter(name + ".out_bytes"),
-			seconds:  reg.Histogram(name+".seconds", obs.ExpBuckets(1e-8, 4, 12)),
-			tick:     &atomic.Uint64{},
+			op:      op,
+			in:      reg.Counter(name + ".in"),
+			out:     reg.Counter(name + ".out"),
+			seconds: reg.Histogram(name+".seconds", obs.ExpBuckets(1e-8, 4, 12)),
+			tick:    &atomic.Uint64{},
 		}
 	}
 	return &Pipeline{Ops: ops}

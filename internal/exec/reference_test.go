@@ -233,13 +233,17 @@ var restructureShapes = []struct{ name, src string }{
 }
 
 // sameAsReference runs rs and the reference interpreter over inputs and
-// fails unless they build equal trees of equal canonical size.
+// fails unless they build equal trees of equal canonical size, and unless
+// rs counts, building nothing, as many results as the reference builds.
 func sameAsReference(t *testing.T, rs *Restructure, inputs []*xmlstream.Element) {
 	t.Helper()
 	for i, in := range inputs {
 		got, want := process1(rs, in), refProcess(rs, in)
 		if len(got) != len(want) {
 			t.Fatalf("input %d %s: %d results, reference %d", i, xmlstream.Marshal(in), len(got), len(want))
+		}
+		if n := rs.count([]*xmlstream.Element{in}); n != len(want) {
+			t.Fatalf("input %d %s: counted %d results, reference %d", i, xmlstream.Marshal(in), n, len(want))
 		}
 		for k := range got {
 			if !got[k].Equal(want[k]) || got[k].ByteSize() != want[k].ByteSize() {

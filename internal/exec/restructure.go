@@ -46,7 +46,9 @@ type LetBinding struct {
 // structure with inputs: this is safe because nothing writes to an element
 // after it is built (see the package comment). The slab is local to the
 // call and inputs are never retained past it, so a Restructure holds no
-// evaluation state and every instance of a pipeline shares one.
+// evaluation state and every instance of a pipeline shares one. For a
+// caller that keeps no result, count walks the same template and builds
+// nothing (Pipeline.Results).
 type Restructure struct {
 	// Mode selects how incoming items bind to variables.
 	Mode RestructureMode
@@ -89,6 +91,17 @@ func (r *Restructure) Process(dst, items []*xmlstream.Element) []*xmlstream.Elem
 
 // Flush implements Operator.
 func (r *Restructure) Flush(dst []*xmlstream.Element) []*xmlstream.Element { return dst }
+
+// count returns how many items Process would append for items and builds
+// none of them: the template is walked by the same eval, into a counting
+// sink.
+func (r *Restructure) count(items []*xmlstream.Element) int {
+	out := content{top: true, count: true}
+	for _, item := range items {
+		r.eval(nil, &r.tmpl, item, &out)
+	}
+	return out.n
+}
 
 // tmpl is one node of a compiled return clause. Variable references are
 // resolved at compile time to what they read — a path below the for item,
@@ -141,6 +154,19 @@ type content struct {
 	// top marks the return clause's top level, where a text value becomes
 	// a <value> element of its own, in sequence with the others.
 	top bool
+	// count, set only at the top level, makes the content a counting sink:
+	// n counts the items it would collect, and nothing is built.
+	count bool
+	n     int
+}
+
+// find collects the elements p reaches below e, or counts them.
+func (c *content) find(e *xmlstream.Element, p xmlstream.Path) {
+	if c.count {
+		c.n += e.CountFind(p)
+	} else {
+		c.elems = e.AppendFind(c.elems, p)
+	}
 }
 
 func (c *content) addText(s *xmlstream.Slab, v string) {
@@ -253,10 +279,15 @@ func (t *tmpl) perItem(top bool) (nodes, kids int) {
 	return nodes, kids
 }
 
-// eval appends what t produces for item to out, building its nodes in s.
+// eval appends what t produces for item to out, building its nodes in s;
+// into a counting sink it builds nothing and needs no slab.
 func (r *Restructure) eval(s *xmlstream.Slab, t *tmpl, item *xmlstream.Element, out *content) {
 	switch t.kind {
 	case tmplCtor:
+		if out.count {
+			out.n++ // one element, whatever it holds
+			return
+		}
 		in := content{}
 		if t.elems > 0 {
 			in.elems = s.Children(t.elems)
@@ -273,18 +304,20 @@ func (r *Restructure) eval(s *xmlstream.Slab, t *tmpl, item *xmlstream.Element, 
 		}
 		out.elems = append(out.elems, e)
 	case tmplItem:
-		out.elems = item.AppendFind(out.elems, t.path)
+		out.find(item, t.path)
 	case tmplWindow:
 		// The window element's item children are the window contents.
 		for _, c := range item.Children {
 			if c.Name != aggWinField && c.Name != aggWMField {
-				out.elems = c.AppendFind(out.elems, t.path)
+				out.find(c, t.path)
 			}
 		}
 	case tmplAgg:
 		// avg values are finalized here as sum/count (§3.3: the division
 		// happens at the super-peer where the subscription is registered).
-		if num, den, ok := r.value(t, item); ok {
+		if num, den, ok := r.value(t, item); ok && out.count {
+			out.n++
+		} else if ok {
 			out.addText(s, formatRatio(num, den))
 		}
 	case tmplSeq:

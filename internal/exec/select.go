@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"slices"
+
 	"streamshare/internal/decimal"
 	"streamshare/internal/predicate"
 	"streamshare/internal/xmlstream"
@@ -81,10 +83,8 @@ func NewSelect(g *predicate.Graph) *Select {
 
 // columnOf returns p's index in *cols, appending it if it is new.
 func columnOf(cols *[]xmlstream.Path, p xmlstream.Path) int {
-	for i, c := range *cols {
-		if c.Equal(p) {
-			return i
-		}
+	if i := slices.IndexFunc(*cols, p.Equal); i >= 0 {
+		return i
 	}
 	*cols = append(*cols, p)
 	return len(*cols) - 1

@@ -17,7 +17,7 @@
 //	core.link_use.* / core.peer_use.*   analytic reserved usage gauges
 //	sim.*                   in-process simulator deliveries
 //	runtime.*               concurrent runtime deliveries and mailboxes
-//	exec.op.<name>.*        per-operator items in/out and bytes out
+//	exec.op.<name>.*        per-operator items in/out and sampled seconds
 package obs
 
 import (

@@ -1,6 +1,8 @@
 package photons
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"streamshare/internal/xmlstream"
@@ -85,5 +87,26 @@ func TestStreamStats(t *testing.T) {
 	en := st.Lookup(xmlstream.ParsePath("en"))
 	if en.Min.Float() > 1.3 || en.Max.Float() < 1.3 {
 		t.Errorf("en range %s..%s does not straddle 1.3", en.Min, en.Max)
+	}
+}
+
+// TestGeneratorGolden pins the generated stream byte for byte: the benchmark,
+// sgd's RUN and every test feed read it, so a change to how photons are built
+// must not change what they are.
+func TestGeneratorGolden(t *testing.T) {
+	h := sha256.New()
+	for _, p := range NewGenerator(DefaultConfig(), 1).Generate(2000) {
+		h.Write([]byte(xmlstream.Marshal(p)))
+	}
+	const want = "166cad0880f8240930ff66811e9353e22caf900eb438ab017e6c0b381011cd96"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("2 000 photons of seed 1 hash to %s, want %s", got, want)
+	}
+}
+
+// BenchmarkGenerate builds subscribe-churn's set-up stream, 41 000 photons.
+func BenchmarkGenerate(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		NewGenerator(DefaultConfig(), 1).Generate(41_000)
 	}
 }

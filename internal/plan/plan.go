@@ -122,14 +122,7 @@ type Deployed struct {
 func (d *Deployed) Target() network.PeerID { return d.Route[len(d.Route)-1] }
 
 // OnRoute reports whether the stream is available at peer v.
-func (d *Deployed) OnRoute(v network.PeerID) bool {
-	for _, p := range d.Route {
-		if p == v {
-			return true
-		}
-	}
-	return false
-}
+func (d *Deployed) OnRoute(v network.PeerID) bool { return slices.Contains(d.Route, v) }
 
 // RegStats records the cost of registering a subscription, reproducing
 // Table 1: the measured algorithm time plus a modeled network latency of

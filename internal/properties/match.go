@@ -2,6 +2,7 @@ package properties
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"streamshare/internal/predicate"
@@ -68,7 +69,7 @@ func matchOp(o *Op, p, sub *Input) bool {
 			}
 			// R ⊇ R′: the stream's returned elements must cover every
 			// element the subscription references (lines 16–20).
-			if coversAll(o.Out, o2.Ref) {
+			if xmlstream.Covered(o.Out, o2.Ref) {
 				return true
 			}
 		case OpAggregate:
@@ -93,7 +94,7 @@ func matchOp(o *Op, p, sub *Input) bool {
 			}
 			// Lines 25–30: unknown deterministic operators share only with
 			// equal operator and equal input vector ~i = ~i′.
-			if o.UDF.Name == o2.UDF.Name && equalParams(o.UDF.Params, o2.UDF.Params) &&
+			if o.UDF.Name == o2.UDF.Name && slices.Equal(o.UDF.Params, o2.UDF.Params) &&
 				o.UDF.Window.Equal(&o2.UDF.Window) {
 				return true
 			}
@@ -114,36 +115,6 @@ func matchSelections(g, gsub *predicate.Graph, strict bool) bool {
 	}
 	if strict && !predicate.MatchPredicates(gsub, g) {
 		return false
-	}
-	return true
-}
-
-// coversAll reports whether every path in need is covered by out: equal to,
-// or a descendant of, a kept path (a kept path keeps its whole subtree).
-func coversAll(out []xmlstream.Path, need []xmlstream.Path) bool {
-	for _, n := range need {
-		ok := false
-		for _, o := range out {
-			if n.HasPrefix(o) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-func equalParams(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
 	}
 	return true
 }

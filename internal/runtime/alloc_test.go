@@ -43,18 +43,19 @@ func benchPlanWith(cfg core.Config) (*core.Engine, error) {
 }
 
 // TestAllocBudgetRun pins what one in-process Run allocates per source item
-// on the benchmark's plan — the ledger's runtime.allocs_per_item, measured
-// the way the ledger measures it — so the per-item tax the batch-shaped
-// operators removed (a result slice per item per stage, a charge closure and
-// an output slice per batch) cannot creep back between benchmark runs. The
-// budget is the measured value plus a fifth.
+// on the benchmark's plan — the ledger's runtime.allocs_per_item and
+// runtime.alloc_bytes_per_item, measured the way the ledger measures them —
+// so the per-item tax the batch-shaped operators removed (a result slice per
+// item per stage, a charge closure and an output slice per batch) cannot
+// creep back between benchmark runs, nor can result trees into a run that
+// keeps none. Each budget is the measured value plus a fifth.
 func TestAllocBudgetRun(t *testing.T) {
 	if testutil.Race {
 		t.Skip("the race detector allocates")
 	}
 	items := photons.NewGenerator(photons.DefaultConfig(), 1).Generate(10_000)
 	feed := map[string][]*xmlstream.Element{"photons": items}
-	var perItem []float64
+	var perItem, bytesPerItem []float64
 	for rep := 0; rep < 4; rep++ {
 		rt := NewWith(benchPlan(t), false, DefaultOptions())
 		goruntime.GC()
@@ -66,13 +67,19 @@ func TestAllocBudgetRun(t *testing.T) {
 		goruntime.ReadMemStats(&m1)
 		if rep > 0 { // the first Run warms the pools
 			perItem = append(perItem, float64(m1.Mallocs-m0.Mallocs)/float64(len(items)))
+			bytesPerItem = append(bytesPerItem, float64(m1.TotalAlloc-m0.TotalAlloc)/float64(len(items)))
 		}
 	}
 	sort.Float64s(perItem)
-	got := perItem[len(perItem)/2]
-	t.Logf("runtime.Run on the 4×4/32-query plan: %.1f allocations per source item (runs: %.1f)", got, perItem)
-	const budget = 6.7 // measured 5.6 (32.4 with operators building node by node, 45.9 with per-item operators)
+	sort.Float64s(bytesPerItem)
+	got, bytes := perItem[len(perItem)/2], bytesPerItem[len(bytesPerItem)/2]
+	t.Logf("runtime.Run on the 4×4/32-query plan: %.1f allocations and %.0f bytes per source item (runs: %.1f, %.0f)", got, bytes, perItem, bytesPerItem)
+	const budget = 5.4 // measured 4.5 (5.6 building results nobody keeps, 32.4 with operators building node by node, 45.9 with per-item operators)
 	if got > budget {
 		t.Errorf("runtime.Run allocates %.1f objects per source item, budget %.1f", got, budget)
+	}
+	const bytesBudget = 1070 // measured 890 (1 560 building results nobody keeps)
+	if bytes > bytesBudget {
+		t.Errorf("runtime.Run allocates %.0f bytes per source item, budget %d", bytes, bytesBudget)
 	}
 }

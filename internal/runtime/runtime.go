@@ -825,24 +825,24 @@ func (r *Runtime) runResidual(d *core.PlanStream, at network.PeerID, its []*xmls
 }
 
 // feedReader runs a subscription's local pipeline at the target over a
-// batch of feed items and records the delivered results. A batch carrying a
-// provenance span ends the span here: the subscription's watermark advances
-// and the end-to-end lag is observed whether or not the sampled item
-// survived the local pipeline (the watermark tracks processing progress,
-// not output).
+// batch of feed items and records the delivered results: a collecting run
+// builds and keeps them, any other only counts them (exec.Pipeline.Results).
+// A batch carrying a provenance span ends the span here: the subscription's
+// watermark advances and the end-to-end lag is observed whether or not the
+// sampled item survived the local pipeline (the watermark tracks processing
+// progress, not output).
 func (r *Runtime) feedReader(rd *core.PlanReader, its []*xmlstream.Element, eos bool, span *obs.Span) {
-	outs, wk := r.inst.Local[rd.Index].Eval(0, its, eos, rd.Loads)
+	outs, n, wk := r.inst.Local[rd.Index].Results(its, eos, rd.Loads, r.collect)
 	if wk != 0 {
 		r.work(rd.Feed.Target(), wk)
 	}
 	r.lat.Deliver(span, rd.Sub)
-	if len(outs) == 0 {
+	if n == 0 {
 		return
 	}
 	r.mu.Lock()
-	r.counts[rd.Sub] += len(outs)
+	r.counts[rd.Sub] += n
 	if r.collect {
-		// Results are counted; only a collecting run keeps them.
 		r.items[rd.Sub] = append(r.items[rd.Sub], outs...)
 	}
 	r.mu.Unlock()

@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -38,12 +40,23 @@ func gridBuild(t *testing.T, n, queries, items int) (*core.Engine, map[string][]
 // message, one worker per peer), under DefaultOptions (batched, parallel)
 // and at the smallest and a very large batch size, and holds all to the
 // simulator: identical results, collected items, traffic and work. The
-// data-path options are performance knobs, never semantics knobs.
+// data-path options are performance knobs, never semantics knobs. Each run
+// is made twice, keeping its results and only counting them, and the
+// simulator too: a run that counts delivers and meters what one that keeps
+// them does.
 func TestOptionsEquivalence(t *testing.T) {
 	engRef, feedRef := gridBuild(t, 3, 12, 200)
 	ref, err := engRef.Simulate(feedRef, true)
 	if err != nil {
 		t.Fatal(err)
+	}
+	counted, err := engRef.Simulate(feedRef, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(counted.Results, ref.Results) || !reflect.DeepEqual(counted.Metrics, ref.Metrics) {
+		t.Fatalf("a counting Simulate delivers %v and meters %v; a collecting one %v and %v",
+			counted.Results, counted.Metrics, ref.Results, ref.Metrics)
 	}
 	for _, tc := range []struct {
 		name string
@@ -63,6 +76,15 @@ func TestOptionsEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			compareInOrder(t, tc.name, ref, got)
+			if got, err = NewWith(eng, false, tc.opts).Run(feed); err != nil {
+				t.Fatal(err)
+			}
+			chaosCompare(t, tc.name+", counted", ref, got)
+			for p, w := range ref.Metrics.PeerWork {
+				if d := got.Metrics.PeerWork[p] - w; math.Abs(d) > 1e-9*w {
+					t.Errorf("%s, counted: %s charged %v, the simulator %v", tc.name, p, got.Metrics.PeerWork[p], w)
+				}
+			}
 		})
 	}
 }

@@ -9,6 +9,7 @@ package xmlstream
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -66,15 +67,7 @@ func (e *Element) Equal(o *Element) bool {
 	if e == nil || o == nil {
 		return e == o
 	}
-	if e.Name != o.Name || e.Text != o.Text || len(e.Children) != len(o.Children) {
-		return false
-	}
-	for i := range e.Children {
-		if !e.Children[i].Equal(o.Children[i]) {
-			return false
-		}
-	}
-	return true
+	return e.Name == o.Name && e.Text == o.Text && slices.EqualFunc(e.Children, o.Children, (*Element).Equal)
 }
 
 // Child returns the first direct child named name, or nil.
@@ -100,6 +93,20 @@ func (e *Element) AppendFind(dst []*Element, p Path) []*Element {
 		}
 	}
 	return dst
+}
+
+// CountFind returns how many elements AppendFind would append, allocating
+// nothing. e must not be nil.
+func (e *Element) CountFind(p Path) (n int) {
+	if len(p) == 0 {
+		return 1
+	}
+	for _, c := range e.Children {
+		if c.Name == p[0] {
+			n += c.CountFind(p[1:])
+		}
+	}
+	return n
 }
 
 // First returns the first element reached by path, or nil.
@@ -307,25 +314,16 @@ func ParsePath(s string) Path {
 func (p Path) String() string { return strings.Join(p, "/") }
 
 // Equal reports segment-wise equality.
-func (p Path) Equal(q Path) bool {
-	if len(p) != len(q) {
-		return false
-	}
-	for i := range p {
-		if p[i] != q[i] {
-			return false
-		}
-	}
-	return true
-}
+func (p Path) Equal(q Path) bool { return slices.Equal(p, q) }
 
 // HasPrefix reports whether q is a prefix of p.
-func (p Path) HasPrefix(q Path) bool {
-	if len(q) > len(p) {
-		return false
-	}
-	for i := range q {
-		if p[i] != q[i] {
+func (p Path) HasPrefix(q Path) bool { return len(q) <= len(p) && slices.Equal(p[:len(q)], q) }
+
+// Covered reports whether every path of ps lies within a subtree one of kept
+// addresses: equal to it or below it (a kept path keeps its whole subtree).
+func Covered(kept, ps []Path) bool {
+	for _, p := range ps {
+		if !slices.ContainsFunc(kept, p.HasPrefix) {
 			return false
 		}
 	}
